@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke
+.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake
 
 # check is the PR gate: vet, the rmalint static analyzers, build, full
 # tests, the race detector over every package, a short E13 smoke bench
 # proving batching still pays, an E14 smoke bench proving the sharded
 # apply engine still scales, a telemetry smoke run proving the JSON
 # exporters parse, a profiling smoke run proving the critical-path and
-# pprof sidecars come out attributable, and the seeded chaos fault
-# matrix under the race detector.
-check: lint build test race smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath
+# pprof sidecars come out attributable, the seeded chaos fault matrix
+# under the race detector, and the repository benchmark's own vet and quick
+# pass.
+check: lint build test race smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
 
 build:
 	$(GO) build ./...
@@ -81,6 +82,23 @@ chaos:
 # regions must converge byte-exactly with the fault-free run.
 chaos-rankdeath:
 	$(GO) test -race -count=1 -run 'RankDeath|RankKill|Replication|Membership|Spare|Postmortem' ./internal/core/ ./internal/simnet/ ./internal/runtime/ ./rma/
+
+# benchmark-check compiles and quick-runs the repository benchmark. It is
+# a Go module of its own, so `go build ./...` and `go test ./...` above
+# never see it and an rma or datatype API change could break the ruler
+# silently. Its bench_test.go asserts that the metric names equal
+# BENCHMARK.json, that failed = 0, and that every .allocs layer drive
+# repeats exactly.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# flake looks for scheduling-dependent failures where they have been seen
+# before: the postmortem that must be on disk before the error surfaces,
+# and the rank-death matrix. Twenty repeats each on one and on two
+# scheduler threads (one thread reorders goroutines the most).
+flake:
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix' ./internal/core/
 
 bench:
 	$(GO) run ./cmd/rmabench

@@ -6,63 +6,59 @@ import (
 	"math"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/vtime"
 )
 
-// depositPut scatters canonical wire data into target memory at base,
-// laid out as tcount instances of tdt in the target's byte order. Each
-// contiguous segment is written separately so holes in the layout are
-// untouched. On a non-cache-coherent target the deposit lands in main
+// forRuns pairs every run of count instances of dt, the first placed at
+// base, with its slice of the canonical wire bytes, stopping at the first
+// error. It is where core's deposits meet datatype's one iterator: a
+// contiguous layout is one run, so one call of fn.
+func forRuns(base int, wire []byte, count int, dt datatype.Type, fn func(at int, seg []byte, k datatype.Kind) error) error {
+	if want := datatype.PackedSize(count, dt); len(wire) != want {
+		return fmt.Errorf("core: transfer carries %d wire bytes, layout needs %d", len(wire), want)
+	}
+	pos := 0
+	var err error
+	datatype.WalkN(count, dt, func(off, n int, k datatype.Kind) {
+		seg := wire[pos : pos+n*k.Width()]
+		pos += len(seg)
+		if err == nil {
+			err = fn(base+off, seg, k)
+		}
+	})
+	return err
+}
+
+// scatter writes canonical wire data into this rank's memory at base, laid
+// out as count instances of dt in the rank's byte order: the landing of a
+// put at its target and of a get reply at its origin. Each run is one
+// memory write, so holes in the layout are never written — a deposit that
+// lands in a hole meanwhile survives, and a non-cache-coherent rank sees
+// no version bump on hole lines. On such a rank the data lands in main
 // memory and the owner must Fence/Invalidate before reading it locally —
 // memsim models that, the protocol does not hide it (Section III-B2).
-func (e *Engine) depositPut(base int, wire []byte, tcount int, tdt datatype.Type) error {
-	if want := datatype.PackedSize(tcount, tdt); len(wire) != want {
-		return fmt.Errorf("core: put carries %d wire bytes, layout needs %d", len(wire), want)
-	}
+func (e *Engine) scatter(base int, wire []byte, count int, dt datatype.Type) error {
 	mem := e.proc.Mem()
 	order := e.proc.ByteOrder()
-	pos := 0
-	ext := tdt.Extent()
-	var depositErr error
-	for i := 0; i < tcount; i++ {
-		at := base + i*ext
-		datatype.Walk(tdt, func(off, n int, k datatype.Kind) {
-			if depositErr != nil {
-				return
-			}
-			w := k.Width()
-			seg := wire[pos : pos+n*w]
-			pos += n * w
-			if order == datatype.BigEndian && w > 1 {
-				swapped := make([]byte, len(seg))
-				swapElems(swapped, seg, w)
-				seg = swapped
-			}
-			if err := mem.RemoteWrite(at+off, seg); err != nil {
-				depositErr = err
-			}
-		})
-		if depositErr != nil {
-			return depositErr
+	return forRuns(base, wire, count, dt, func(at int, seg []byte, k datatype.Kind) error {
+		if order == datatype.BigEndian && k.Width() > 1 {
+			local := make([]byte, len(seg))
+			combineSegment(local, seg, k, order, AccReplace, 0)
+			seg = local
 		}
-	}
-	return nil
+		return mem.RemoteWrite(at, seg)
+	})
 }
 
 // gather reads tcount instances of tdt from target memory at base and
 // packs them into canonical wire format.
 func (e *Engine) gather(base int, tcount int, tdt datatype.Type) ([]byte, error) {
-	mem := e.proc.Mem()
-	order := e.proc.ByteOrder()
-	extent := datatype.ExtentOf(tcount, tdt)
-	snap := make([]byte, extent)
-	if err := mem.RemoteRead(base, snap); err != nil {
+	snap := make([]byte, datatype.ExtentOf(tcount, tdt))
+	if err := e.proc.Mem().RemoteRead(base, snap); err != nil {
 		return nil, err
 	}
-	wire := make([]byte, datatype.PackedSize(tcount, tdt))
-	if err := datatype.PackInto(wire, snap, tcount, tdt, order); err != nil {
-		return nil, err
-	}
-	return wire, nil
+	return datatype.Pack(snap, tcount, tdt, e.proc.ByteOrder())
 }
 
 // depositAcc combines canonical wire data into target memory elementwise
@@ -71,43 +67,58 @@ func (e *Engine) gather(base int, tcount int, tdt datatype.Type) ([]byte, error)
 // atomicity attribute (MPI-2 accumulate granularity); whole-operation
 // atomicity is the serializer's job.
 func (e *Engine) depositAcc(base int, wire []byte, tcount int, tdt datatype.Type, op AccOp, scale float64) error {
-	if want := datatype.PackedSize(tcount, tdt); len(wire) != want {
-		return fmt.Errorf("core: accumulate carries %d wire bytes, layout needs %d", len(wire), want)
-	}
 	mem := e.proc.Mem()
 	order := e.proc.ByteOrder()
-	pos := 0
-	ext := tdt.Extent()
-	var accErr error
-	for i := 0; i < tcount; i++ {
-		at := base + i*ext
-		datatype.Walk(tdt, func(off, n int, k datatype.Kind) {
-			if accErr != nil {
-				return
-			}
-			w := k.Width()
-			seg := wire[pos : pos+n*w]
-			pos += n * w
-			err := mem.Update(at+off, n*w, func(cur []byte) {
-				combineSegment(cur, seg, k, order, op, scale)
-			})
-			if err != nil {
-				accErr = err
-			}
+	return forRuns(base, wire, tcount, tdt, func(at int, seg []byte, k datatype.Kind) error {
+		return mem.Update(at, len(seg), func(cur []byte) {
+			combineSegment(cur, seg, k, order, op, scale)
 		})
-		if accErr != nil {
-			return accErr
-		}
-	}
-	return nil
+	})
 }
 
-// swapElems copies src to dst reversing each w-wide element's bytes.
-func swapElems(dst, src []byte, w int) {
-	for i := 0; i < len(src); i += w {
-		for j := 0; j < w; j++ {
-			dst[i+j] = src[i+w-1-j]
+// applyDeposit is the target-side body of every put and accumulate, a
+// single operation (member -1) or a batch member, run at its scheduled
+// apply time end: deposit → BadReq or deposit hook → checker record →
+// replicate → fin. fin is the caller's completion bookkeeping. After a
+// successful deposit it waits until the buddy holds the mutated bytes (a
+// pass-through when unreplicated); a lost deposit — unexposed memory, wire
+// bytes that do not fit the layout — runs it at once, so the op still
+// counts toward completion thresholds.
+func (e *Engine) applyDeposit(m *simnet.Message, op *wireOp, exp *exposure, member int, end vtime.Time, fin func(end vtime.Time)) {
+	ext := datatype.ExtentOf(op.tcount, op.tdt)
+	acc := op.accOp != AccNone && op.accOp != AccReplace
+	deposited := false
+	if exp != nil {
+		base := exp.region.Offset + op.disp
+		var err error
+		if acc {
+			err = e.depositAcc(base, op.wire, op.tcount, op.tdt, op.accOp, op.scale)
+		} else {
+			err = e.scatter(base, op.wire, op.tcount, op.tdt)
 		}
+		deposited = err == nil
+	}
+	if deposited {
+		e.notifyDeposit(m.Src, op.handle, op.disp, ext)
+	} else {
+		e.proc.NIC().BadReq.Inc()
+	}
+	if c := e.ck(); c != nil && exp != nil {
+		kind := AccessPut
+		if acc {
+			kind = AccessAcc
+		}
+		c.rec.RecordAccess(Access{
+			Origin: m.Src, Target: e.proc.Rank(), Handle: op.handle,
+			Disp: op.disp, Len: ext,
+			Kind: kind, Atomic: op.atomic, Ordered: op.ordered,
+			OpID: m.Hdr[hReq], Member: member, Epoch: m.Hdr[hMeta] >> 32, At: end,
+		})
+	}
+	if deposited {
+		e.replicate(op.handle, exp, op.disp, ext, end, fin)
+	} else {
+		fin(end)
 	}
 }
 

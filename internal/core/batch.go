@@ -43,19 +43,14 @@ import (
 // target hands back after the last member is applied (both ends of the
 // simulated wire live in one process).
 
-// batchOp is one ring-held operation awaiting aggregation.
+// batchOp is one ring-held operation awaiting aggregation: the wireOp the
+// target will decode (wire is the packed origin data, pooled; the target
+// datatype travels encoded in dt, tdt stays nil) plus its request.
 type batchOp struct {
-	handle  uint64
-	disp    int
-	tcount  int
-	accOp   AccOp
-	atomic  bool
-	ordered bool
-	scale   float64
-	dt      []byte // encoded target datatype
-	wire    []byte // packed origin data (pooled)
-	req     *Request
-	rc      bool // member wants remote completion (completes on batch notify)
+	wireOp
+	dt  []byte // encoded target datatype
+	req *Request
+	rc  bool // member wants remote completion (completes on batch notify)
 }
 
 // issueRing accumulates batchable operations bound for one target.
@@ -132,24 +127,25 @@ func (e *Engine) appendBatch(accOp AccOp, scale float64, origin memsim.Region, o
 		return nil, fmt.Errorf("core: batch to rank %d: %w", tm.Owner, err)
 	}
 	wire := wireBuf(datatype.PackedSize(ocount, odt))
-	src := e.proc.Mem().Snapshot(origin.Offset, datatype.ExtentOf(ocount, odt))
-	if err := datatype.PackInto(wire, src, ocount, odt, e.proc.ByteOrder()); err != nil {
+	if err := e.packOrigin(wire, origin, ocount, odt); err != nil {
 		wirePool.Put(wire)
 		return nil, err
 	}
 	req := e.newRequest(tm.Owner)
 	bop := batchOp{
-		handle:  tm.Handle,
-		disp:    tdisp,
-		tcount:  tcount,
-		accOp:   accOp,
-		atomic:  attrs&AttrAtomic != 0,
-		ordered: attrs&AttrOrdering != 0,
-		scale:   scale,
-		dt:      datatype.Encode(tdt),
-		wire:    wire,
-		req:     req,
-		rc:      attrs&AttrRemoteComplete != 0,
+		wireOp: wireOp{
+			handle:  tm.Handle,
+			disp:    tdisp,
+			tcount:  tcount,
+			accOp:   accOp,
+			atomic:  attrs&AttrAtomic != 0,
+			ordered: attrs&AttrOrdering != 0,
+			scale:   scale,
+			wire:    wire,
+		},
+		dt:  datatype.Encode(tdt),
+		req: req,
+		rc:  attrs&AttrRemoteComplete != 0,
 	}
 
 	if e.lat.Load() != nil {
@@ -248,9 +244,7 @@ func (e *Engine) flushTarget(world int) {
 		buf = binary.AppendUvarint(buf, uint64(op.disp))
 		buf = binary.AppendUvarint(buf, uint64(op.tcount))
 		if op.accOp == AccAxpy {
-			var s [8]byte
-			binary.LittleEndian.PutUint64(s[:], math.Float64bits(op.scale))
-			buf = append(buf, s[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.scale))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(op.dt)))
 		buf = append(buf, op.dt...)
@@ -332,7 +326,8 @@ func (e *Engine) PutNotify(origin memsim.Region, ocount int, odt datatype.Type, 
 	return e.xfer(OpPut, AccNone, 0, origin, ocount, odt, tm, tdisp, tcount, tdt, trank, comm, attrs|AttrNotify)
 }
 
-// wireOp is one decoded member of an aggregate message.
+// wireOp is one put or accumulate as the target applies it: a decoded
+// member of an aggregate message, or the body of a single kPut.
 type wireOp struct {
 	handle  uint64
 	disp    int
@@ -342,7 +337,7 @@ type wireOp struct {
 	ordered bool
 	scale   float64
 	tdt     datatype.Type
-	wire    []byte // aliases the aggregate payload
+	wire    []byte // canonical packed data; at the target it aliases the message payload
 }
 
 // batchUvarint reads one bounded uvarint field from p.
@@ -519,48 +514,15 @@ func (e *Engine) handleBatch(m *simnet.Message, at vtime.Time) {
 			}
 			exp := e.lookupExposure(op.handle)
 			e.scheduleApplyRange(m.Src, at, len(op.wire), op.atomic, op.ordered, exp, op.disp, datatype.ExtentOf(op.tcount, op.tdt), func(end vtime.Time) {
-				deposited := false
-				if exp == nil {
-					e.proc.NIC().BadReq.Inc()
-				} else {
-					base := exp.region.Offset + op.disp
-					var err error
-					if op.accOp == AccNone || op.accOp == AccReplace {
-						err = e.depositPut(base, op.wire, op.tcount, op.tdt)
-					} else {
-						err = e.depositAcc(base, op.wire, op.tcount, op.tdt, op.accOp, op.scale)
+				// The member's counter bump (and, once all members are done,
+				// the batch notification) is the completion bookkeeping
+				// applyDeposit holds back until the buddy has its bytes.
+				e.applyDeposit(m, op, exp, i, end, func(end vtime.Time) {
+					if t := e.tr(); t != nil {
+						t.RecordOpf(end, "apply", m.Src, m.Hdr[hReq], "batched member=%d bytes=%d cost=%d", i, len(op.wire), int64(e.applyCost(len(op.wire))))
 					}
-					if err != nil {
-						e.proc.NIC().BadReq.Inc()
-					} else {
-						e.notifyDeposit(m.Src, op.handle, op.disp, datatype.ExtentOf(op.tcount, op.tdt))
-						deposited = true
-					}
-				}
-				if c := e.ck(); c != nil && exp != nil {
-					kind := AccessPut
-					if op.accOp != AccNone && op.accOp != AccReplace {
-						kind = AccessAcc
-					}
-					c.rec.RecordAccess(Access{
-						Origin: m.Src, Target: e.proc.Rank(), Handle: op.handle,
-						Disp: op.disp, Len: datatype.ExtentOf(op.tcount, op.tdt),
-						Kind: kind, Atomic: op.atomic, Ordered: op.ordered,
-						OpID: m.Hdr[hReq], Member: i, Epoch: m.Hdr[hMeta] >> 32, At: end,
-					})
-				}
-				if t := e.tr(); t != nil {
-					t.RecordOpf(end, "apply", m.Src, m.Hdr[hReq], "batched member=%d bytes=%d cost=%d", i, len(op.wire), int64(e.applyCost(len(op.wire))))
-				}
-				fin := func(end vtime.Time) { track.opDone(e.noteApplied(m.Src, end), end) }
-				if deposited {
-					// The member's counter bump (and, once all members are
-					// done, the batch notification) waits for the buddy to
-					// hold its bytes — pass-through when unreplicated.
-					e.replicate(op.handle, exp, op.disp, datatype.ExtentOf(op.tcount, op.tdt), end, fin)
-				} else {
-					fin(end)
-				}
+					track.opDone(e.noteApplied(m.Src, end), end)
+				})
 			})
 		}
 	})

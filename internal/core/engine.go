@@ -215,7 +215,7 @@ type Engine struct {
 
 	// confirmWaiters are Select count-threshold waiters on the
 	// confirmation counters, serviced by noteConfirmed and failed by
-	// onLinkFailed/failEngine (guarded by cmplMu like the counters).
+	// failOutstanding (guarded by cmplMu like the counters).
 	confirmWaiters []*countWaiter
 
 	// Target-side state, guarded by tgtMu because applies may run on the
@@ -670,50 +670,8 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 		}
 	}
 	err := fmt.Errorf("core: %w", cause)
-
-	e.cmplMu.Lock()
-	if _, dup := e.failedLinks[dst]; dup {
-		e.cmplMu.Unlock()
-		return
-	}
-	e.failedLinks[dst] = err
-	if e.linkErr == nil {
-		e.linkErr = err
-	}
-	var victims []*Request
-	for id, pb := range e.pendingBatches {
-		if pb.target != dst {
-			continue
-		}
-		delete(e.pendingBatches, id)
-		victims = append(victims, pb.reqs...)
-	}
-	failedWaiters := serviceWaiters(&e.confirmWaiters, dst, 0, at, err)
-	e.cmplCond.Broadcast()
-	e.cmplMu.Unlock()
-	closeWaiters(failedWaiters)
-
-	e.mu.Lock()
-	for _, r := range e.reqs {
-		if r.target == dst {
-			victims = append(victims, r)
-		}
-	}
-	e.mu.Unlock()
-	for _, r := range victims {
-		r.completeErr(at, err)
-	}
-	// Wake target-side waiters too (collective completion): they re-check
-	// under waitConfirmed/waitAppliedFrom and observe the failure there.
-	e.tgtMu.Lock()
-	e.tgtCond.Broadcast()
-	e.tgtMu.Unlock()
-	if q := e.evq.Load(); q != nil {
-		q.push(Event{Kind: EvFault, At: at, Rank: dst, Err: err})
-	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "link-failed", dst, 0, 0, err)
-		f.AutoDump("link-failed", int64(at))
+	if e.recordSticky(e.failedLinks, &e.linkErr, dst, err) {
+		e.failOutstanding("link-failed", dst, at, err)
 	}
 }
 
@@ -728,32 +686,57 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 // a rank whose buddy died flushes its deferred completions).
 func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: rank %d declared dead (%v): %w", dead, cause, ErrRankFailed)
+	if e.recordSticky(e.failedRanks, &e.rankErr, dead, err) {
+		e.replOnRankDead(dead, at)
+		e.failOutstanding("rank-death", dead, at, err)
+	}
+}
 
+// recordSticky installs err as rank's sticky failure in byRank (failedLinks
+// or failedRanks) and, when it is the first of its tier, in *first. It
+// reports false for a rank that already failed: the fan-out runs once.
+func (e *Engine) recordSticky(byRank map[int]error, first *error, rank int, err error) bool {
 	e.cmplMu.Lock()
-	if _, dup := e.failedRanks[dead]; dup {
-		e.cmplMu.Unlock()
-		return
+	defer e.cmplMu.Unlock()
+	if _, dup := byRank[rank]; dup {
+		return false
 	}
-	e.failedRanks[dead] = err
-	if e.rankErr == nil {
-		e.rankErr = err
+	byRank[rank] = err
+	if *first == nil {
+		*first = err
 	}
+	return true
+}
+
+// failOutstanding is the ordered tail of every failure fan-out
+// (onLinkFailed, onRankDead, failEngine), run once the caller has recorded
+// the sticky error: note → AutoDump → fail requests and waiters → publish
+// EvFault. Evidence comes first, so a caller that sees the error and reads
+// FlightRecorder().Dumps() finds the postmortem already written. rank
+// selects the victims — requests, pending batches and confirmation waiters
+// toward that peer; AllRanks (engine-fatal) takes every one of them and the
+// target-side Select waiters as well.
+func (e *Engine) failOutstanding(reason string, rank int, at vtime.Time, err error) {
+	if f := e.flight.Load(); f != nil {
+		f.Note(int64(at), reason, rank, 0, 0, err)
+		f.AutoDump(reason, int64(at))
+	}
+	all := rank == AllRanks
+	e.cmplMu.Lock()
 	var victims []*Request
 	for id, pb := range e.pendingBatches {
-		if pb.target != dead {
-			continue
+		if all || pb.target == rank {
+			delete(e.pendingBatches, id)
+			victims = append(victims, pb.reqs...)
 		}
-		delete(e.pendingBatches, id)
-		victims = append(victims, pb.reqs...)
 	}
-	failedWaiters := serviceWaiters(&e.confirmWaiters, dead, 0, at, err)
+	failed := serviceWaiters(&e.confirmWaiters, rank, 0, at, err)
 	e.cmplCond.Broadcast()
 	e.cmplMu.Unlock()
-	closeWaiters(failedWaiters)
 
 	e.mu.Lock()
 	for _, r := range e.reqs {
-		if r.target == dead {
+		if all || r.target == rank {
 			victims = append(victims, r)
 		}
 	}
@@ -761,16 +744,17 @@ func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	for _, r := range victims {
 		r.completeErr(at, err)
 	}
+	// Wake target-side waiters too (collective completion): they re-check
+	// under waitConfirmed/waitAppliedFrom and observe the failure there.
 	e.tgtMu.Lock()
+	if all {
+		failed = append(failed, serviceWaiters(&e.applyWaiters, rank, 0, at, err)...)
+	}
 	e.tgtCond.Broadcast()
 	e.tgtMu.Unlock()
-	e.replOnRankDead(dead, at)
+	closeWaiters(failed)
 	if q := e.evq.Load(); q != nil {
-		q.push(Event{Kind: EvFault, At: at, Rank: dead, Err: err})
-	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "rank-death", dead, 0, 0, err)
-		f.AutoDump("rank-death", int64(at))
+		q.push(Event{Kind: EvFault, At: at, Rank: rank, Err: err})
 	}
 }
 

@@ -155,110 +155,98 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 			Links: map[simnet.LinkKey]simnet.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}},
 		},
 	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		err := w.Run(func(p *runtime.Proc) {
-			e := Attach(p, Options{})
-			comm := p.Comm()
-			if p.Rank() == 1 {
-				tm, _ := e.ExposeNew(64)
-				p.Send(0, 9999, tm.Encode())
-				return
-			}
-			q := e.EnableEvents(64)
-			enc, _ := p.Recv(1, 9999)
-			tm, err := DecodeTargetMem(enc)
-			if err != nil {
-				t.Errorf("decode: %v", err)
-				return
-			}
-			scratch := p.Alloc(8)
-			var mu sync.Mutex
-			fired := make(map[uint64]int)
-			fireErrs := make(map[uint64]error)
-			var victims []*Request
-			for i := 0; i < inflight; i++ {
-				r, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrRemoteComplete)
-				if err != nil {
-					// The budget may exhaust mid-loop; later issues fail
-					// synchronously, which is the documented fast-fail.
-					if !errors.Is(err, ErrLinkFailed) {
-						t.Errorf("put %d: %v", i, err)
-					}
-					continue
-				}
-				id := r.ID()
-				r.OnDone(func(err error) {
-					mu.Lock()
-					fired[id]++
-					fireErrs[id] = err
-					mu.Unlock()
-				})
-				victims = append(victims, r)
-			}
-			// Reap every victim through Select: each must surface as
-			// EvRequestDone carrying the wrapped link failure.
-			pending := append([]*Request(nil), victims...)
-			for len(pending) > 0 {
-				cases := make([]SelectCase, len(pending))
-				for i, r := range pending {
-					cases[i] = OnRequest(r)
-				}
-				idx, ev, err := e.Select(comm, cases...)
-				if err != nil {
-					t.Errorf("select: %v", err)
-					return
-				}
-				if ev.Kind != EvRequestDone || !errors.Is(ev.Err, ErrLinkFailed) {
-					t.Errorf("victim event = kind %v err %v, want request-done with wrapped ErrLinkFailed", ev.Kind, ev.Err)
-				}
-				pending = append(pending[:idx], pending[idx+1:]...)
-			}
-			mu.Lock()
-			for _, r := range victims {
-				if n := fired[r.ID()]; n != 1 {
-					t.Errorf("request %d: %d terminal callbacks, want exactly 1", r.ID(), n)
-				}
-				if err := fireErrs[r.ID()]; !errors.Is(err, ErrLinkFailed) {
-					t.Errorf("request %d terminal error = %v, want wrapped ErrLinkFailed", r.ID(), err)
-				}
-			}
-			mu.Unlock()
-			// A counter arm on the dead target fails over to EvFault
-			// rather than hanging.
-			if _, ev, err := e.Select(comm, OnConfirmed(1, inflight)); err != nil {
-				t.Errorf("select(confirmed): %v", err)
-			} else if ev.Kind != EvFault || !errors.Is(ev.Err, ErrLinkFailed) {
-				t.Errorf("counter arm = kind %v err %v, want fault with wrapped ErrLinkFailed", ev.Kind, ev.Err)
-			}
-			// The queue published the fault event exactly once.
-			faults := 0
-			for {
-				ev, ok := q.Poll()
-				if !ok {
-					break
-				}
-				if ev.Kind == EvFault {
-					faults++
-					if ev.Rank != 1 || !errors.Is(ev.Err, ErrLinkFailed) {
-						t.Errorf("fault event = rank %d err %v, want rank 1 wrapped ErrLinkFailed", ev.Rank, ev.Err)
-					}
-				}
-			}
-			if faults != 1 {
-				t.Errorf("queue published %d fault events, want 1", faults)
-			}
-		})
-		if err != nil {
-			t.Errorf("world: %v", err)
+	runBounded(t, w, 30*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, Options{})
+		comm := p.Comm()
+		if p.Rank() == 1 {
+			tm, _ := e.ExposeNew(64)
+			p.Send(0, 9999, tm.Encode())
+			return
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("event-driven link-failure observation hung")
-	}
+		q := e.EnableEvents(64)
+		enc, _ := p.Recv(1, 9999)
+		tm, err := DecodeTargetMem(enc)
+		if err != nil {
+			t.Errorf("decode: %v", err)
+			return
+		}
+		scratch := p.Alloc(8)
+		var mu sync.Mutex
+		fired := make(map[uint64]int)
+		fireErrs := make(map[uint64]error)
+		var victims []*Request
+		for i := 0; i < inflight; i++ {
+			r, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrRemoteComplete)
+			if err != nil {
+				// The budget may exhaust mid-loop; later issues fail
+				// synchronously, which is the documented fast-fail.
+				if !errors.Is(err, ErrLinkFailed) {
+					t.Errorf("put %d: %v", i, err)
+				}
+				continue
+			}
+			id := r.ID()
+			r.OnDone(func(err error) {
+				mu.Lock()
+				fired[id]++
+				fireErrs[id] = err
+				mu.Unlock()
+			})
+			victims = append(victims, r)
+		}
+		// Reap every victim through Select: each must surface as
+		// EvRequestDone carrying the wrapped link failure.
+		pending := append([]*Request(nil), victims...)
+		for len(pending) > 0 {
+			cases := make([]SelectCase, len(pending))
+			for i, r := range pending {
+				cases[i] = OnRequest(r)
+			}
+			idx, ev, err := e.Select(comm, cases...)
+			if err != nil {
+				t.Errorf("select: %v", err)
+				return
+			}
+			if ev.Kind != EvRequestDone || !errors.Is(ev.Err, ErrLinkFailed) {
+				t.Errorf("victim event = kind %v err %v, want request-done with wrapped ErrLinkFailed", ev.Kind, ev.Err)
+			}
+			pending = append(pending[:idx], pending[idx+1:]...)
+		}
+		mu.Lock()
+		for _, r := range victims {
+			if n := fired[r.ID()]; n != 1 {
+				t.Errorf("request %d: %d terminal callbacks, want exactly 1", r.ID(), n)
+			}
+			if err := fireErrs[r.ID()]; !errors.Is(err, ErrLinkFailed) {
+				t.Errorf("request %d terminal error = %v, want wrapped ErrLinkFailed", r.ID(), err)
+			}
+		}
+		mu.Unlock()
+		// A counter arm on the dead target fails over to EvFault
+		// rather than hanging.
+		if _, ev, err := e.Select(comm, OnConfirmed(1, inflight)); err != nil {
+			t.Errorf("select(confirmed): %v", err)
+		} else if ev.Kind != EvFault || !errors.Is(ev.Err, ErrLinkFailed) {
+			t.Errorf("counter arm = kind %v err %v, want fault with wrapped ErrLinkFailed", ev.Kind, ev.Err)
+		}
+		// The queue published the fault event exactly once.
+		faults := 0
+		for {
+			ev, ok := q.Poll()
+			if !ok {
+				break
+			}
+			if ev.Kind == EvFault {
+				faults++
+				if ev.Rank != 1 || !errors.Is(ev.Err, ErrLinkFailed) {
+					t.Errorf("fault event = rank %d err %v, want rank 1 wrapped ErrLinkFailed", ev.Rank, ev.Err)
+				}
+			}
+		}
+		if faults != 1 {
+			t.Errorf("queue published %d fault events, want 1", faults)
+		}
+	})
 }
 
 // TestEventChaosApplyFaultTerminal: a shard-worker panic poisons the

@@ -324,45 +324,33 @@ func TestLinkFailedSurfacesFromComplete(t *testing.T) {
 			Links: map[simnet.LinkKey]simnet.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}},
 		},
 	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		err := w.Run(func(p *runtime.Proc) {
-			e := Attach(p, Options{})
-			comm := p.Comm()
-			if p.Rank() == 1 {
-				// The victim target: expose, ship the descriptor over the
-				// healthy 1→0 link, and return (the NIC keeps serving).
-				tm, _ := e.ExposeNew(64)
-				p.Send(0, 9999, tm.Encode())
-				return
-			}
-			enc, _ := p.Recv(1, 9999)
-			tm, err := DecodeTargetMem(enc)
-			if err != nil {
-				t.Errorf("decode: %v", err)
-				return
-			}
-			scratch := p.Alloc(8)
-			if _, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil && !errors.Is(err, ErrLinkFailed) {
-				t.Errorf("put: %v", err)
-				return
-			}
-			err = e.Complete(comm, 1)
-			if !errors.Is(err, ErrLinkFailed) {
-				t.Errorf("Complete returned %v, want wrapped ErrLinkFailed", err)
-			}
-			if e.Err() == nil {
-				t.Error("Engine.Err() nil after link failure")
-			}
-		})
-		if err != nil {
-			t.Errorf("world: %v", err)
+	runBounded(t, w, 15*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, Options{})
+		comm := p.Comm()
+		if p.Rank() == 1 {
+			// The victim target: expose, ship the descriptor over the
+			// healthy 1→0 link, and return (the NIC keeps serving).
+			tm, _ := e.ExposeNew(64)
+			p.Send(0, 9999, tm.Encode())
+			return
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("Complete hung after retry budget exhaustion")
-	}
+		enc, _ := p.Recv(1, 9999)
+		tm, err := DecodeTargetMem(enc)
+		if err != nil {
+			t.Errorf("decode: %v", err)
+			return
+		}
+		scratch := p.Alloc(8)
+		if _, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil && !errors.Is(err, ErrLinkFailed) {
+			t.Errorf("put: %v", err)
+			return
+		}
+		err = e.Complete(comm, 1)
+		if !errors.Is(err, ErrLinkFailed) {
+			t.Errorf("Complete returned %v, want wrapped ErrLinkFailed", err)
+		}
+		if e.Err() == nil {
+			t.Error("Engine.Err() nil after link failure")
+		}
+	})
 }

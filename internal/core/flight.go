@@ -6,7 +6,7 @@ import (
 
 // Flight-recorder integration: the engine feeds the bounded event ring
 // from its watermark and fault hooks (noteApplied, noteConfirmed, the
-// retransmit observer, onLinkFailed, failEngine) and supplies the health
+// retransmit observer, failOutstanding) and supplies the health
 // snapshot postmortems embed. The disabled path — no recorder installed —
 // is one atomic pointer load per feed site and allocates nothing, pinned
 // by TestFlightRecorderDisabledZeroAlloc.

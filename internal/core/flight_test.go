@@ -29,46 +29,34 @@ func TestLinkFailurePostmortem(t *testing.T) {
 		},
 	})
 	dumps := make(chan []string, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		err := w.Run(func(p *runtime.Proc) {
-			e := Attach(p, Options{})
-			e.EnableFlightRecorder(telemetry.FlightConfig{Dir: dir, Cap: 64})
-			comm := p.Comm()
-			if p.Rank() == 1 {
-				tm, _ := e.ExposeNew(64)
-				p.Send(0, 9999, tm.Encode())
-				return
-			}
-			enc, _ := p.Recv(1, 9999)
-			tm, err := DecodeTargetMem(enc)
-			if err != nil {
-				t.Errorf("decode: %v", err)
-				return
-			}
-			scratch := p.Alloc(8)
-			if _, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil && !errors.Is(err, ErrLinkFailed) {
-				t.Errorf("put: %v", err)
-				return
-			}
-			if err := e.Complete(comm, 1); !errors.Is(err, ErrLinkFailed) {
-				t.Errorf("Complete returned %v, want wrapped ErrLinkFailed", err)
-			}
-			// The auto-dump fires on the same path that raised the sticky
-			// error, so by the time Complete has surfaced it the file list
-			// is stable.
-			dumps <- e.FlightRecorder().Dumps()
-		})
-		if err != nil {
-			t.Errorf("world: %v", err)
+	runBounded(t, w, 15*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, Options{})
+		e.EnableFlightRecorder(telemetry.FlightConfig{Dir: dir, Cap: 64})
+		comm := p.Comm()
+		if p.Rank() == 1 {
+			tm, _ := e.ExposeNew(64)
+			p.Send(0, 9999, tm.Encode())
+			return
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("run hung after retry budget exhaustion")
-	}
+		enc, _ := p.Recv(1, 9999)
+		tm, err := DecodeTargetMem(enc)
+		if err != nil {
+			t.Errorf("decode: %v", err)
+			return
+		}
+		scratch := p.Alloc(8)
+		if _, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil && !errors.Is(err, ErrLinkFailed) {
+			t.Errorf("put: %v", err)
+			return
+		}
+		if err := e.Complete(comm, 1); !errors.Is(err, ErrLinkFailed) {
+			t.Errorf("Complete returned %v, want wrapped ErrLinkFailed", err)
+		}
+		// Evidence before error: the fan-out writes the postmortem before
+		// it fails the probe Complete waits on, so the file list is
+		// already complete here.
+		dumps <- e.FlightRecorder().Dumps()
+	})
 	files := <-dumps
 	if len(files) != 1 {
 		t.Fatalf("link failure produced %d postmortems, want 1", len(files))
@@ -129,24 +117,21 @@ func TestRankDeathPostmortem(t *testing.T) {
 		RankKills: []simnet.RankKill{{Rank: victim, At: rdKillAt}},
 	}
 	w := newWorld(t, runtime.Config{Ranks: 3, Spares: 1, Seed: 11, Faults: plan})
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Run(func(p *runtime.Proc) { pmDeathRank(t, w, p, dir) })
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("world: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("rank-death postmortem run wedged")
-	}
+	runBounded(t, w, 60*time.Second, func(p *runtime.Proc) { pmDeathRank(t, w, p, dir) })
 
 	eng := Attached(w.Proc(promoter))
 	if eng == nil {
 		t.Fatal("promoter engine not attached")
 	}
+	// The promoter is a bystander: no error surfaces on it, and its
+	// postmortem is written by the NIC service goroutine that detected the
+	// death, which may still be at it when the rank functions have
+	// returned. Give it a bounded moment.
 	files := eng.FlightRecorder().Dumps()
+	for deadline := time.Now().Add(10 * time.Second); len(files) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		files = eng.FlightRecorder().Dumps()
+	}
 	if len(files) != 1 {
 		t.Fatalf("promoter produced %d postmortems, want exactly 1 for the death", len(files))
 	}
@@ -201,21 +186,20 @@ func pmDeathRank(t *testing.T, w *runtime.World, p *runtime.Proc, dir string) {
 		return
 	}
 	comm := p.Comm()
+	// The same gate as rdRank: the victim's mirror must be the first thing
+	// its NIC injects, so its buddy holds the others back until it has the
+	// replica it is going to promote.
+	switch p.Rank() {
+	case 2:
+		rdAwaitReplica(e, 1)
+		p.Send(0, rdTagReady, nil)
+	case 0:
+		p.Recv(2, rdTagReady)
+	}
 	tm, _ := e.ExposeNew(rdSlot)
 	if p.Rank() != 0 {
-		// Victim and buddy serve from the NIC agent; no rank-function
-		// work. The victim additionally gates the writer: its expose
-		// mirror must leave the NIC while the TX lane is idle — a writer
-		// flooding puts from t=0 backs the lane up until the mirror's
-		// departure lands past the kill and the buddy never gets a
-		// replica to promote. This plan has no drop faults, so the ready
-		// message's first copy is delivered deterministically.
-		if p.Rank() == 1 {
-			p.Send(0, rdTagReady, nil)
-		}
-		return
+		return // victim and buddy serve from the NIC agent
 	}
-	p.Recv(1, rdTagReady)
 	// Exposures are symmetric (one identical ExposeNew per compute rank),
 	// so the writer forms the victim's descriptor locally instead of
 	// racing the kill for a wire delivery (see rankdeath_test.go).

@@ -33,8 +33,10 @@ func FuzzDecodeTargetMem(f *testing.F) {
 // FuzzPutPayloadFrame hardens the put-body framing parser that every
 // incoming put runs through.
 func FuzzPutPayloadFrame(f *testing.F) {
-	f.Add(putPayload(datatype.Contiguous(4, datatype.Int64), AccNone, 0, make([]byte, 32)))
-	f.Add(putPayload(datatype.Float64, AccAxpy, 2.5, make([]byte, 8)))
+	put, _ := putPayload(datatype.Contiguous(4, datatype.Int64), AccNone, 0, 32)
+	axpy, _ := putPayload(datatype.Float64, AccAxpy, 2.5, 8)
+	f.Add(put)
+	f.Add(axpy)
 	f.Add([]byte{0xFF})
 	f.Add([]byte{})
 

@@ -147,66 +147,39 @@ func (e *Engine) finishApply(m *simnet.Message, attrs Attr, atomic bool, end vti
 // handlePut processes an incoming put or accumulate.
 func (e *Engine) handlePut(m *simnet.Message, at vtime.Time) {
 	attrs := Attr(m.Hdr[hMeta] & 0xffff)
-	accOp := AccOp(m.Hdr[hMeta] >> 16 & 0xff)
-	atomic := attrs&AttrAtomic != 0
+	op := wireOp{
+		handle:  m.Hdr[hHandle],
+		disp:    int(m.Hdr[hDisp]),
+		tcount:  int(m.Hdr[hCount]),
+		accOp:   AccOp(m.Hdr[hMeta] >> 16 & 0xff),
+		atomic:  attrs&AttrAtomic != 0,
+		ordered: attrs&AttrOrdering != 0,
+		scale:   1,
+	}
 	e.gateOrdered(m.Src, m.Hdr[hSeq], at, func(at vtime.Time) {
-		exp := e.lookupExposure(m.Hdr[hHandle])
-		tdt, rest, err := parseTypeFrame(m.Payload)
+		exp := e.lookupExposure(op.handle)
+		var err error
+		op.tdt, op.wire, err = parseTypeFrame(m.Payload)
+		if err == nil && op.accOp == AccAxpy {
+			if len(op.wire) < 8 {
+				err = fmt.Errorf("core: truncated axpy scale")
+			} else {
+				op.scale = math.Float64frombits(binary.LittleEndian.Uint64(op.wire))
+				op.wire = op.wire[8:]
+			}
+		}
 		if err != nil || exp == nil {
 			// Count the op so completion probes do not deadlock, but the
-			// deposit is lost (access to unexposed memory).
+			// deposit is lost (malformed body or access to unexposed memory).
 			e.proc.NIC().BadReq.Inc()
-			e.finishApply(m, attrs, atomic, at, 0)
+			e.finishApply(m, attrs, op.atomic, at, 0)
 			return
 		}
-		scale := 1.0
-		if accOp == AccAxpy {
-			if len(rest) < 8 {
-				e.proc.NIC().BadReq.Inc()
-				e.finishApply(m, attrs, atomic, at, 0)
-				return
-			}
-			scale = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-			rest = rest[8:]
-		}
-		wire := rest
-		tcount := int(m.Hdr[hCount])
-		disp := int(m.Hdr[hDisp])
-		e.scheduleApplyRange(m.Src, at, len(wire), atomic, attrs&AttrOrdering != 0, exp, disp, datatype.ExtentOf(tcount, tdt), func(end vtime.Time) {
-			base := exp.region.Offset + disp
-			var err error
-			if accOp == AccNone || accOp == AccReplace {
-				err = e.depositPut(base, wire, tcount, tdt)
-			} else {
-				err = e.depositAcc(base, wire, tcount, tdt, accOp, scale)
-			}
-			if err != nil {
-				e.proc.NIC().BadReq.Inc()
-			} else {
-				e.notifyDeposit(m.Src, m.Hdr[hHandle], disp, datatype.ExtentOf(tcount, tdt))
-			}
-			deposited := err == nil
-			if c := e.ck(); c != nil {
-				kind := AccessPut
-				if accOp != AccNone && accOp != AccReplace {
-					kind = AccessAcc
-				}
-				c.rec.RecordAccess(Access{
-					Origin: m.Src, Target: e.proc.Rank(), Handle: m.Hdr[hHandle],
-					Disp: disp, Len: datatype.ExtentOf(tcount, tdt),
-					Kind: kind, Atomic: atomic, Ordered: attrs&AttrOrdering != 0,
-					OpID: m.Hdr[hReq], Member: -1, Epoch: m.Hdr[hMeta] >> 32, At: end,
-				})
-			}
-			cost := e.applyCost(len(wire))
-			fin := func(end vtime.Time) { e.finishApply(m, attrs, atomic, end, cost) }
-			if deposited {
-				// Completion bookkeeping is deferred until the buddy holds
-				// the mutated bytes (a pass-through when unreplicated).
-				e.replicate(m.Hdr[hHandle], exp, disp, datatype.ExtentOf(tcount, tdt), end, fin)
-			} else {
-				fin(end)
-			}
+		cost := e.applyCost(len(op.wire))
+		e.scheduleApplyRange(m.Src, at, len(op.wire), op.atomic, op.ordered, exp, op.disp, datatype.ExtentOf(op.tcount, op.tdt), func(end vtime.Time) {
+			e.applyDeposit(m, &op, exp, -1, end, func(end vtime.Time) {
+				e.finishApply(m, attrs, op.atomic, end, cost)
+			})
 		})
 	})
 }

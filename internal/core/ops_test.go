@@ -67,6 +67,66 @@ func TestGetStrided(t *testing.T) {
 	}
 }
 
+// TestGetLandingSkipsHoles pins that a strided Get lands with the same
+// one-write-per-run scatter a put deposit uses: the holes of the origin
+// layout are never written. The origin is non-coherent and the landing's
+// hole sits on a cache line of its own, cached by a local read before the
+// Get; a landing that rewrote the whole extent would bump that line's
+// version and turn the second local read into a stale one.
+func TestGetLandingSkipsHoles(t *testing.T) {
+	w := newWorld(t, runtime.Config{Ranks: 2, Coherence: func(rank int) memsim.Coherence {
+		if rank == 1 {
+			return memsim.NonCoherentWriteThrough
+		}
+		return memsim.Coherent
+	}})
+	err := w.Run(func(p *runtime.Proc) {
+		e := Attach(p, Options{})
+		comm := p.Comm()
+		if p.Rank() == 0 {
+			tm, region := e.ExposeNew(16)
+			p.WriteLocal(region, 0, bytes.Repeat([]byte{0x5A}, 16))
+			p.Send(1, 9999, tm.Encode())
+			p.Barrier()
+			return
+		}
+		enc, _ := p.Recv(0, 9999)
+		tm, _ := DecodeTargetMem(enc)
+		// Payload words at bytes [0,8) and [128,136) of a line-aligned
+		// landing: cache line [64,128) is all hole.
+		vec := datatype.Vector(2, 1, 16, datatype.Int64)
+		raw := p.Alloc(vec.Extent() + memsim.DefaultCacheLine)
+		skew := (memsim.DefaultCacheLine - raw.Offset%memsim.DefaultCacheLine) % memsim.DefaultCacheLine
+		landing := memsim.Region{Offset: raw.Offset + skew, Size: vec.Extent()}
+		p.ReadLocal(landing, 64, 64) // cache the hole line
+		stale := p.Mem().StaleReads.Value()
+		req, err := e.Get(landing, 1, vec, tm, 0, 2, datatype.Int64, 0, comm, AttrNone)
+		if err != nil {
+			t.Errorf("get: %v", err)
+			return
+		}
+		req.Wait()
+		if err := req.Err(); err != nil {
+			t.Errorf("get: %v", err)
+		}
+		p.ReadLocal(landing, 64, 64)
+		if got := p.Mem().StaleReads.Value(); got != stale {
+			t.Errorf("reading the landing's hole after the Get was stale (%d -> %d stale reads): the landing wrote a hole", stale, got)
+		}
+		got := p.Mem().Snapshot(landing.Offset, landing.Size)
+		want := make([]byte, landing.Size)
+		copy(want[0:8], bytes.Repeat([]byte{0x5A}, 8))
+		copy(want[128:136], bytes.Repeat([]byte{0x5A}, 8))
+		if !bytes.Equal(got, want) {
+			t.Errorf("landing = %x, want %x", got, want)
+		}
+		p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAccumulateOps checks every combining operation's arithmetic end to
 // end.
 func TestAccumulateOps(t *testing.T) {

@@ -63,7 +63,13 @@ func rdSlotOf(writer int) int {
 
 // rdKillPlans is the PR-4 fault matrix with a rank kill added to each
 // plan: the same seeds, drops, dups, corruption and delays, plus rank 2
-// crashing at rdKillAt and never restarting.
+// crashing at rdKillAt and never restarting. The victim→buddy link stays
+// fault-free until the kill: a retransmission is stamped a retry timeout
+// (50 µs) after the first copy — past rdKillAt — so one dropped
+// kReplExpose or initial snapshot would blackhole the mirror for good and
+// turn the run into the no-replica death, which is
+// TestRankDeathNoReplica's subject, not this matrix's ("kill lands after
+// exposure").
 func rdKillPlans() []struct {
 	name string
 	plan *simnet.FaultPlan
@@ -76,12 +82,33 @@ func rdKillPlans() []struct {
 	for _, tc := range base {
 		plan := *tc.plan
 		plan.RankKills = []simnet.RankKill{{Rank: rdVictim, At: rdKillAt}}
+		plan.Bursts = append(plan.Bursts[:len(plan.Bursts):len(plan.Bursts)], simnet.Burst{
+			Link:  simnet.LinkKey{Src: rdVictim, Dst: rdVictim + 1},
+			Until: rdKillAt,
+		})
 		out = append(out, struct {
 			name string
 			plan *simnet.FaultPlan
 		}{tc.name, &plan})
 	}
 	return out
+}
+
+// rdAwaitReplica blocks until this rank mirrors an exposure of owner's —
+// the announcement and the initial snapshot have both landed.
+func rdAwaitReplica(e *Engine, owner int) {
+	for {
+		e.repl.mu.Lock()
+		held := false
+		for key, r := range e.repl.replicas {
+			held = held || key.owner == owner && r.size > 0 && r.next > 1
+		}
+		e.repl.mu.Unlock()
+		if held {
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // rdPutComplete writes scratch's rdSlot bytes at disp of dst (served by
@@ -94,10 +121,30 @@ func rdPutComplete(e *Engine, comm *runtime.Comm, scratch memsim.Region, dst Tar
 	return e.Complete(comm, serving)
 }
 
+// runBounded runs fn on every rank of w and fails the test, with every
+// goroutine's stack, if the world has not finished within limit: a wedged
+// detection or rebuild must diagnose itself, not hang the suite.
+func runBounded(t *testing.T, w *runtime.World, limit time.Duration, fn func(p *runtime.Proc)) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(fn) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("world: %v", err)
+		}
+	case <-time.After(limit):
+		buf := make([]byte, 1<<22)
+		t.Fatalf("world wedged for %v; goroutines:\n%s", limit, buf[:gort.Stack(buf, true)])
+	}
+}
+
 // runRankDeath executes the workload under plan (nil = fault-free) and
 // returns each compute region's final bytes indexed by original owner;
 // with killed set, the victim's region is read back from its successor.
-func runRankDeath(t *testing.T, plan *simnet.FaultPlan, killed bool) [][]byte {
+// mirrored says whether the plan lets the victim's mirror reach its buddy
+// (see TestRankDeathNoReplica for the run where it does not).
+func runRankDeath(t *testing.T, plan *simnet.FaultPlan, killed, mirrored bool) [][]byte {
 	t.Helper()
 	size := len(rdWriters) * rdSlot
 	finals := make([][]byte, rdCompute)
@@ -106,21 +153,7 @@ func runRankDeath(t *testing.T, plan *simnet.FaultPlan, killed bool) [][]byte {
 	}
 	var deaths atomic.Int32
 	w := newWorld(t, runtime.Config{Ranks: rdCompute, Spares: 1, Seed: 7, Faults: plan})
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Run(func(p *runtime.Proc) { rdRank(t, w, p, finals, &deaths, killed) })
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("world: %v", err)
-		}
-	case <-time.After(90 * time.Second):
-		buf := make([]byte, 1<<22)
-		buf = buf[:gort.Stack(buf, true)]
-		t.Logf("goroutines at wedge:\n%s", buf)
-		t.Fatal("rank-death run wedged: detection or rebuild never unblocked a waiter")
-	}
+	runBounded(t, w, 90*time.Second, func(p *runtime.Proc) { rdRank(t, w, p, finals, &deaths, killed, mirrored) })
 	if killed {
 		if deaths.Load() == 0 {
 			t.Fatal("no writer observed ErrRankFailed; the kill landed outside the workload")
@@ -133,7 +166,7 @@ func runRankDeath(t *testing.T, plan *simnet.FaultPlan, killed bool) [][]byte {
 }
 
 // rdRank is one rank's workload (see the file comment for the roles).
-func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, deaths *atomic.Int32, killed bool) {
+func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, deaths *atomic.Int32, killed, mirrored bool) {
 	e := Attach(p, Options{})
 	if err := e.EnableReplication(); err != nil {
 		t.Errorf("enable replication: %v", err)
@@ -148,6 +181,28 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 	}
 	comm := p.Comm()
 	size := len(rdWriters) * rdSlot
+	// The victim's mirror must be the first thing its NIC injects. The
+	// rank function shares the injection lane with the agent's software
+	// replies (probe answers, replica acks: 2 µs of origin overhead each),
+	// so writers that reach their rounds before the victim's goroutine has
+	// exposed back the lane up until the mirror departs past the kill
+	// (seen: Now() = 0, first copy stamped 16.2 µs). So nobody else touches
+	// the wire until the victim's (immortal) buddy holds the mirror — when
+	// the plan lets it through — and releases the other writers.
+	switch me {
+	case rdVictim:
+	case rdVictim + 1:
+		if mirrored {
+			rdAwaitReplica(e, rdVictim)
+		}
+		for _, r := range rdWriters {
+			if r != me {
+				p.Send(r, rdTagReady, nil)
+			}
+		}
+	default:
+		p.Recv(rdVictim+1, rdTagReady)
+	}
 	tm, region := e.ExposeNew(size)
 	if me == rdVictim {
 		// Pure target: applying (and replicating) happens on the NIC
@@ -207,6 +262,21 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 	disp := rdSlotOf(me) * rdSlot
 	scratch := p.Alloc(rdSlot)
 	observed := false
+	// failover awaits the victim's successor and re-issues the scratch
+	// slot there; the slot converges regardless of which rounds the replica
+	// already held (last completed version wins).
+	failover := func() {
+		spare, err := w.Members().AwaitRebuilt(rdVictim)
+		if err != nil {
+			t.Errorf("rank %d: await rebuild: %v", me, err)
+			panic("rankdeath: rebuild unavailable")
+		}
+		cur[rdVictim] = spare
+		if err := rdPutComplete(e, comm, scratch, tms[rdVictim], spare, disp); err != nil {
+			t.Errorf("rank %d: re-issued op to successor %d failed: %v", me, spare, err)
+			panic("rankdeath: successor op failed")
+		}
+	}
 	for round := 0; round < rdRounds; round++ {
 		pattern := bytes.Repeat([]byte{byte(16*me + round)}, rdSlot)
 		p.WriteLocal(scratch, 0, pattern)
@@ -232,19 +302,7 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 				observed = true
 				deaths.Add(1)
 			}
-			spare, rerr := w.Members().AwaitRebuilt(rdVictim)
-			if rerr != nil {
-				t.Errorf("rank %d: await rebuild: %v", me, rerr)
-				panic("rankdeath: rebuild unavailable")
-			}
-			cur[tgt] = spare
-			// Re-issue this round's slot write at the successor; the slot
-			// converges regardless of which rounds the replica already
-			// held (last completed version wins).
-			if err := rdPutComplete(e, comm, scratch, tms[tgt], spare, disp); err != nil {
-				t.Errorf("rank %d round %d: re-issued op to successor %d failed: %v", me, round, spare, err)
-				panic("rankdeath: successor op failed")
-			}
+			failover()
 		}
 	}
 
@@ -271,16 +329,7 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 			panic("rankdeath: probe")
 		}
 		deaths.Add(1)
-		spare, rerr := w.Members().AwaitRebuilt(rdVictim)
-		if rerr != nil {
-			t.Errorf("await rebuild: %v", rerr)
-			panic("rankdeath: rebuild unavailable")
-		}
-		cur[rdVictim] = spare
-		if err := rdPutComplete(e, comm, scratch, tms[rdVictim], spare, disp); err != nil {
-			t.Errorf("re-issued op to successor %d failed: %v", spare, err)
-			panic("rankdeath: successor op failed")
-		}
+		failover()
 	}
 	landing := p.Alloc(size)
 	for owner := 0; owner < rdCompute; owner++ {
@@ -296,7 +345,14 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 			panic("rankdeath: readback")
 		}
 		req.Wait()
-		if err := req.Err(); err != nil {
+		if err := req.Err(); owner == rdVictim && !mirrored {
+			// Nothing of the victim was rebuilt: the successor must say
+			// so, not serve stale or zero bytes as if they were the region.
+			if !errors.Is(err, ErrBadHandle) {
+				t.Errorf("readback of the lost region (serving %d) returned %v, want wrapped ErrBadHandle", cur[owner], err)
+			}
+			continue
+		} else if err != nil {
 			t.Errorf("readback from %d (serving %d): %v", owner, cur[owner], err)
 			panic("rankdeath: readback")
 		}
@@ -312,7 +368,7 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 // surviving ranks complete without error throughout, and (c) origins
 // targeting the dead rank get a wrapped ErrRankFailed in bounded time.
 func TestRankDeathChaosMatrix(t *testing.T) {
-	baseline := runRankDeath(t, nil, false)
+	baseline := runRankDeath(t, nil, false, true)
 	// Sanity: the fault-free run produced the analytically expected
 	// bytes — every written slot holds its writer's final-round pattern,
 	// a writer's own slot in its own region stays zero.
@@ -332,7 +388,7 @@ func TestRankDeathChaosMatrix(t *testing.T) {
 	for _, tc := range rdKillPlans() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			got := runRankDeath(t, tc.plan, true)
+			got := runRankDeath(t, tc.plan, true, true)
 			for owner := 0; owner < rdCompute; owner++ {
 				if !bytes.Equal(got[owner], baseline[owner]) {
 					t.Errorf("region %d diverged from fault-free bytes after rank death:\n got %x\nwant %x", owner, got[owner], baseline[owner])
@@ -346,15 +402,33 @@ func TestRankDeathChaosMatrix(t *testing.T) {
 // cleanest reproduction of detect → promote → rebuild → re-target, and
 // the one to start from when the matrix runs diverge.
 func TestRankDeathKillOnly(t *testing.T) {
-	baseline := runRankDeath(t, nil, false)
+	baseline := runRankDeath(t, nil, false, true)
 	plan := &simnet.FaultPlan{
 		Seed:      4242,
 		RankKills: []simnet.RankKill{{Rank: rdVictim, At: rdKillAt}},
 	}
-	got := runRankDeath(t, plan, true)
+	got := runRankDeath(t, plan, true, true)
 	for owner := 0; owner < rdCompute; owner++ {
 		if !bytes.Equal(got[owner], baseline[owner]) {
 			t.Errorf("region %d diverged from fault-free bytes after rank death:\n got %x\nwant %x", owner, got[owner], baseline[owner])
 		}
 	}
+}
+
+// TestRankDeathNoReplica is the deterministic reproducer of a death the
+// buddy holds nothing for: the victim→buddy link drops everything, so
+// neither the victim's kReplExpose nor its initial snapshot ever lands,
+// and when the victim dies its buddy has no replica to promote. The run
+// must still finish in bounded time with the documented outcome
+// (DESIGN.md §14): the buddy binds the spare and completes the rebuild
+// with whatever it holds — here nothing — so AwaitRebuilt returns the
+// successor to every survivor, and reading the lost region back fails
+// with ErrBadHandle. The buddy is a writer: its relay acknowledgements
+// from the victim are dropped too, so its retry budget detects the death.
+func TestRankDeathNoReplica(t *testing.T) {
+	runRankDeath(t, &simnet.FaultPlan{
+		Seed:      77,
+		Links:     map[simnet.LinkKey]simnet.LinkFaults{{Src: rdVictim, Dst: rdVictim + 1}: {Drop: 1}},
+		RankKills: []simnet.RankKill{{Rank: rdVictim, At: rdKillAt}},
+	}, true, false)
 }

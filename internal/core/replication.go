@@ -356,8 +356,13 @@ func (e *Engine) handleReplAck(m *simnet.Message, at vtime.Time) {
 // postmortem (so the dump already names the promotion). Two independent
 // roles may apply to this engine:
 //
-//   - Promoter: this rank holds replicas owned by the dead rank. It binds
-//     a spare and replays every replica onto it.
+//   - Promoter: this rank is the dead rank's buddy (its ring successor),
+//     or holds replicas the dead rank owned. It binds a spare and replays
+//     every replica onto it. The buddy promotes even when it holds
+//     nothing — the dead rank's kReplExpose may never have landed — so the
+//     rebuild always finishes, with whatever survived: survivors parked in
+//     AwaitRebuilt are released, and the regions that were lost answer
+//     ErrBadHandle at the successor instead of wedging the world.
 //   - Orphan: the dead rank was this rank's buddy. Deferred completions
 //     can never be acknowledged; they are flushed (run immediately) and
 //     replication degrades until the spare finishes rebuilding, then a
@@ -372,6 +377,8 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 		}
 	}
 	orphaned := st.enabled && !st.down && st.buddy == dead
+	n := e.proc.Size()
+	ward := st.enabled && !e.proc.IsSpare() && dead < n && (dead+1)%n == e.proc.Rank()
 	var flushed []deferredFin
 	if orphaned {
 		st.down = true
@@ -392,7 +399,7 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 		}
 		go e.replRebind(dead)
 	}
-	if len(mine) > 0 {
+	if ward || len(mine) > 0 {
 		e.replPromote(dead, mine, at)
 	}
 }

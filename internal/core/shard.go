@@ -139,41 +139,13 @@ func (e *Engine) onApplyPanic(shard int, recovered any) {
 // are woken so Complete/Order/fence observe it instead of hanging on
 // counters that will never advance.
 func (e *Engine) failEngine(err error) {
-	at := e.proc.Now()
 	e.cmplMu.Lock()
-	if e.applyErr != nil {
-		e.cmplMu.Unlock()
-		return
+	first := e.applyErr == nil
+	if first {
+		e.applyErr = err
 	}
-	e.applyErr = err
-	var victims []*Request
-	for id, pb := range e.pendingBatches {
-		delete(e.pendingBatches, id)
-		victims = append(victims, pb.reqs...)
-	}
-	failedConfirm := serviceWaiters(&e.confirmWaiters, -1, 0, at, err)
-	e.cmplCond.Broadcast()
 	e.cmplMu.Unlock()
-	closeWaiters(failedConfirm)
-
-	e.mu.Lock()
-	for _, r := range e.reqs {
-		victims = append(victims, r)
-	}
-	e.mu.Unlock()
-	for _, r := range victims {
-		r.completeErr(at, err)
-	}
-	e.tgtMu.Lock()
-	failedApply := serviceWaiters(&e.applyWaiters, -1, 0, at, err)
-	e.tgtCond.Broadcast()
-	e.tgtMu.Unlock()
-	closeWaiters(failedApply)
-	if q := e.evq.Load(); q != nil {
-		q.push(Event{Kind: EvFault, At: at, Rank: AllRanks, Err: err})
-	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "apply-fault", AllRanks, 0, 0, err)
-		f.AutoDump("apply-fault", int64(at))
+	if first {
+		e.failOutstanding("apply-fault", AllRanks, e.proc.Now(), err)
 	}
 }

@@ -61,9 +61,7 @@ func (e *Engine) AccumulateAxpy(scale float64, origin memsim.Region, ocount int,
 func (e *Engine) Xfer(op OpType, accOp AccOp, origin memsim.Region, ocount int, odt datatype.Type, tm TargetMem, tdisp, tcount int, tdt datatype.Type, trank int, comm *runtime.Comm, attrs Attr) (*Request, error) {
 	scale := 1.0
 	switch op {
-	case OpPut:
-		accOp = AccNone
-	case OpGet:
+	case OpPut, OpGet:
 		accOp = AccNone
 	case OpAccumulate:
 		if accOp == AccNone {
@@ -123,16 +121,12 @@ func (e *Engine) validateXfer(op OpType, accOp AccOp, origin memsim.Region, ocou
 	if tm.AddrBits == 32 && uint64(tdisp)+uint64(tExt) > 1<<32 {
 		return fmt.Errorf("core: access beyond the target's 32-bit address space: %w", ErrBounds)
 	}
-	if accOp == AccAxpy {
-		for _, run := range kindsOf(tcount, tdt) {
-			if run != datatype.KFloat64 && run != datatype.KFloat32 {
-				return fmt.Errorf("core: axpy accumulate requires floating-point elements, got %v: %w", run, ErrType)
-			}
-		}
-	}
-	if op == OpAccumulate && accOp != AccReplace {
+	if op == OpAccumulate && (accOp == AccAxpy || accOp == AccProd) {
 		for _, k := range kindsOf(tcount, tdt) {
-			if k == datatype.KByte && (accOp == AccProd || accOp == AccAxpy) {
+			if accOp == AccAxpy && k != datatype.KFloat64 && k != datatype.KFloat32 {
+				return fmt.Errorf("core: axpy accumulate requires floating-point elements, got %v: %w", k, ErrType)
+			}
+			if k == datatype.KByte {
 				return fmt.Errorf("core: accumulate op %v not defined for byte elements: %w", accOp, ErrType)
 			}
 		}
@@ -140,18 +134,18 @@ func (e *Engine) validateXfer(op OpType, accOp AccOp, origin memsim.Region, ocou
 	return nil
 }
 
-// kindsOf returns the distinct element kinds of a transfer.
+// kindsOf returns the distinct element kinds of a transfer, in layout
+// order. Every instance repeats the first one's kinds.
 func kindsOf(count int, t datatype.Type) []datatype.Kind {
-	seen := make(map[datatype.Kind]bool)
 	var out []datatype.Kind
-	if count > 0 {
-		datatype.Walk(t, func(off, n int, k datatype.Kind) {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
+	datatype.WalkN(min(count, 1), t, func(_, _ int, k datatype.Kind) {
+		for _, seen := range out {
+			if seen == k {
+				return
 			}
-		})
-	}
+		}
+		out = append(out, k)
+	})
 	return out
 }
 
@@ -210,32 +204,23 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	var m *simnet.Message
 	switch op {
 	case OpPut, OpAccumulate:
-		wire := make([]byte, datatype.PackedSize(ocount, odt))
-		src := e.proc.Mem().Snapshot(origin.Offset, datatype.ExtentOf(ocount, odt))
-		if err := datatype.PackInto(wire, src, ocount, odt, e.proc.ByteOrder()); err != nil {
+		m = newMsg(target, kPut)
+		var wire []byte
+		m.Payload, wire = putPayload(tdt, accOp, scale, datatype.PackedSize(ocount, odt))
+		if err := e.packOrigin(wire, origin, ocount, odt); err != nil {
 			req.completeErr(e.proc.Now(), err)
 			return nil, err
 		}
-		m = newMsg(target, kPut)
-		m.Payload = putPayload(tdt, accOp, scale, wire)
 	case OpGet:
 		m = newMsg(target, kGet)
-		m.Payload = getPayload(tdt)
-		// Stash the unpack destination; the reply handler runs it. A
-		// failure is reported through the request (Err), not a panic on
-		// the delivery goroutine.
-		oc, od := ocount, odt
-		reg := origin
+		m.Payload = typeFrame(tdt, 0)
+		// Stash the landing; the reply handler runs it. It is the same
+		// scatter a put deposit uses, so the holes of the origin layout are
+		// never written. A failure is reported through the request (Err),
+		// not a panic on the delivery goroutine.
 		req.onData = func(wire []byte, at vtime.Time) error {
-			buf := make([]byte, datatype.ExtentOf(oc, od))
-			if err := e.proc.Mem().RemoteRead(reg.Offset, buf); err != nil {
-				return fmt.Errorf("core: get landing read: %w", err)
-			}
-			if err := datatype.Unpack(buf, wire, oc, od, e.proc.ByteOrder()); err != nil {
-				return fmt.Errorf("core: get unpack: %w", err)
-			}
-			if err := e.proc.Mem().RemoteWrite(reg.Offset, buf); err != nil {
-				return fmt.Errorf("core: get landing write: %w", err)
+			if err := e.scatter(origin.Offset, wire, ocount, odt); err != nil {
+				return fmt.Errorf("core: get landing: %w", err)
 			}
 			return nil
 		}
@@ -290,25 +275,32 @@ func (e *Engine) targetUsesCoarseLock() bool {
 	return e.opts.Atomicity == serializer.MechCoarseLock
 }
 
-// putPayload frames a put/accumulate body:
-// varint(len(dt)) dt [scale f64 bits if AccAxpy] wire.
-func putPayload(tdt datatype.Type, accOp AccOp, scale float64, wire []byte) []byte {
-	dt := datatype.Encode(tdt)
-	out := binary.AppendUvarint(nil, uint64(len(dt)))
-	out = append(out, dt...)
-	if accOp == AccAxpy {
-		var s [8]byte
-		binary.LittleEndian.PutUint64(s[:], math.Float64bits(scale))
-		out = append(out, s[:]...)
-	}
-	return append(out, wire...)
+// packOrigin packs ocount instances of odt from a snapshot of the origin
+// region into wire, which must be PackedSize(ocount, odt) bytes long.
+func (e *Engine) packOrigin(wire []byte, origin memsim.Region, ocount int, odt datatype.Type) error {
+	src := e.proc.Mem().Snapshot(origin.Offset, datatype.ExtentOf(ocount, odt))
+	return datatype.PackInto(wire, src, ocount, odt, e.proc.ByteOrder())
 }
 
-// getPayload frames a get body: varint(len(dt)) dt.
-func getPayload(tdt datatype.Type) []byte {
+// typeFrame starts a framed body — varint(len(dt)) dt, all a get carries —
+// in one allocation with room for extra more bytes.
+func typeFrame(tdt datatype.Type, extra int) []byte {
 	dt := datatype.Encode(tdt)
-	out := binary.AppendUvarint(nil, uint64(len(dt)))
+	out := make([]byte, 0, binary.MaxVarintLen64+len(dt)+extra)
+	out = binary.AppendUvarint(out, uint64(len(dt)))
 	return append(out, dt...)
+}
+
+// putPayload frames a put/accumulate body in one sized allocation:
+// varint(len(dt)) dt [scale f64 bits if AccAxpy] wire. wire is the
+// trailing packed bytes of payload, for the caller to pack into.
+func putPayload(tdt datatype.Type, accOp AccOp, scale float64, packed int) (payload, wire []byte) {
+	out := typeFrame(tdt, 8+packed)
+	if accOp == AccAxpy {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(scale))
+	}
+	payload = out[:len(out)+packed]
+	return payload, payload[len(out):]
 }
 
 // parseTypeFrame splits a framed body into the decoded type and the rest.

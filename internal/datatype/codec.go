@@ -35,16 +35,7 @@ const (
 )
 
 // Encode serializes t.
-func Encode(t Type) []byte {
-	var out []byte
-	return appendType(out, t)
-}
-
-func appendUvarint(out []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	return append(out, buf[:n]...)
-}
+func Encode(t Type) []byte { return appendType(nil, t) }
 
 func appendType(out []byte, t Type) []byte {
 	switch x := t.(type) {
@@ -52,28 +43,28 @@ func appendType(out []byte, t Type) []byte {
 		out = append(out, tagPrimitive, byte(x.kind))
 	case contiguous:
 		out = append(out, tagContig)
-		out = appendUvarint(out, uint64(x.count))
+		out = binary.AppendUvarint(out, uint64(x.count))
 		out = appendType(out, x.base)
 	case vector:
 		out = append(out, tagVector)
-		out = appendUvarint(out, uint64(x.count))
-		out = appendUvarint(out, uint64(x.blocklen))
-		out = appendUvarint(out, uint64(x.stride))
+		out = binary.AppendUvarint(out, uint64(x.count))
+		out = binary.AppendUvarint(out, uint64(x.blocklen))
+		out = binary.AppendUvarint(out, uint64(x.stride))
 		out = appendType(out, x.base)
 	case indexed:
 		out = append(out, tagIndexed)
-		out = appendUvarint(out, uint64(len(x.displs)))
+		out = binary.AppendUvarint(out, uint64(len(x.displs)))
 		for i := range x.displs {
-			out = appendUvarint(out, uint64(x.blocklens[i]))
-			out = appendUvarint(out, uint64(x.displs[i]))
+			out = binary.AppendUvarint(out, uint64(x.blocklens[i]))
+			out = binary.AppendUvarint(out, uint64(x.displs[i]))
 		}
 		out = appendType(out, x.base)
 	case structT:
 		out = append(out, tagStruct)
-		out = appendUvarint(out, uint64(len(x.fields)))
+		out = binary.AppendUvarint(out, uint64(len(x.fields)))
 		for _, f := range x.fields {
-			out = appendUvarint(out, uint64(f.Offset))
-			out = appendUvarint(out, uint64(f.Count))
+			out = binary.AppendUvarint(out, uint64(f.Offset))
+			out = binary.AppendUvarint(out, uint64(f.Count))
 			out = appendType(out, f.Type)
 		}
 	default:
@@ -84,13 +75,7 @@ func appendType(out []byte, t Type) []byte {
 
 // Decode deserializes a type from the front of buf, returning the type and
 // the number of bytes consumed.
-func Decode(buf []byte) (Type, int, error) {
-	t, n, err := decodeType(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, n, nil
-}
+func Decode(buf []byte) (Type, int, error) { return decodeType(buf) }
 
 func decodeUvarint(buf []byte, pos int) (uint64, int, error) {
 	v, n := binary.Uvarint(buf[pos:])
@@ -212,8 +197,13 @@ func decodeType(buf []byte) (Type, int, error) {
 	}
 }
 
-// Walk exposes the contiguous-segment iteration of one instance of t for
-// packages that apply element-wise operations (accumulate, RMW): fn is
-// called for every maximal run of n same-kind elements at byte offset off
-// from the instance start.
-func Walk(t Type, fn func(off, n int, k Kind)) { t.walk(fn) }
+// Walk exposes the contiguous-segment iteration of one instance of t: fn
+// is called, in layout order, for every run of n same-kind elements at
+// byte offset off from the instance start.
+func Walk(t Type, fn func(off, n int, k Kind)) { t.walk(0, fn) }
+
+// WalkN is Walk over count consecutive instances of t, offsets relative to
+// the first — the iterator every transfer path runs on (PackInto, Unpack,
+// SignatureOf, and core's scatter and accumulate). count instances of a
+// dense type are one run, so a contiguous transfer costs one callback.
+func WalkN(count int, t Type, fn func(off, n int, k Kind)) { walkN(0, 1, 0, count, t, fn) }

@@ -98,10 +98,41 @@ type Type interface {
 	Extent() int
 	// Name returns a human-readable description.
 	Name() string
-	// walk invokes fn for every maximal contiguous run of same-kind
-	// elements in one instance of the type, in layout order. off is the
-	// byte offset from the instance start, n the number of elements.
-	walk(fn func(off int, n int, k Kind))
+	// walk invokes fn for every contiguous run of same-kind elements in
+	// one instance of the type placed at byte offset at, in layout order.
+	// off is the run's byte offset (at included), n its element count.
+	// Nested types hand the same fn down with an adjusted at.
+	walk(at int, fn func(off int, n int, k Kind))
+	// dense reports whether one instance is a single hole-free run of n
+	// elements of kind k starting at offset 0 (so Extent == Size ==
+	// n*k.Width(), and count instances form one run of count*n elements).
+	// The answer is structural, read off the constructor arguments:
+	// Size() == Extent() is not a proof, because Indexed and Struct maps
+	// may revisit or reorder bytes, so those are never dense.
+	dense() (k Kind, n int, ok bool)
+}
+
+// walkN is the package's one layout iterator. It invokes fn for every run
+// of nblocks blocks of t, block b being count consecutive instances
+// starting at byte offset at+b*step — a vector's shape, of which count
+// plain instances (one block) is the common case. A dense type is a layout
+// with one run per block, emitted as such; anything else is walked instance
+// by instance.
+func walkN(at, nblocks, step, count int, t Type, fn func(off, n int, k Kind)) {
+	if k, n, ok := t.dense(); ok {
+		if n *= count; n > 0 {
+			for b := 0; b < nblocks; b++ {
+				fn(at+b*step, n, k)
+			}
+		}
+		return
+	}
+	ext := t.Extent()
+	for b := 0; b < nblocks; b++ {
+		for i := 0; i < count; i++ {
+			t.walk(at+b*step+i*ext, fn)
+		}
+	}
 }
 
 // --- Predefined types -------------------------------------------------
@@ -113,9 +144,10 @@ type primitive struct {
 func (p primitive) Size() int    { return p.kind.Width() }
 func (p primitive) Extent() int  { return p.kind.Width() }
 func (p primitive) Name() string { return p.kind.String() }
-func (p primitive) walk(fn func(off, n int, k Kind)) {
-	fn(0, 1, p.kind)
+func (p primitive) walk(at int, fn func(off, n int, k Kind)) {
+	fn(at, 1, p.kind)
 }
+func (p primitive) dense() (Kind, int, bool) { return p.kind, 1, true }
 
 // Predefined primitive types.
 var (
@@ -146,19 +178,12 @@ func (t contiguous) Extent() int { return t.count * t.base.Extent() }
 func (t contiguous) Name() string {
 	return fmt.Sprintf("contiguous(%d,%s)", t.count, t.base.Name())
 }
-func (t contiguous) walk(fn func(off, n int, k Kind)) {
-	// A contiguous run of a primitive base collapses into one segment.
-	if p, ok := t.base.(primitive); ok {
-		if t.count > 0 {
-			fn(0, t.count, p.kind)
-		}
-		return
-	}
-	ext := t.base.Extent()
-	for i := 0; i < t.count; i++ {
-		at := i * ext
-		t.base.walk(func(off, n int, k Kind) { fn(at+off, n, k) })
-	}
+func (t contiguous) walk(at int, fn func(off, n int, k Kind)) {
+	walkN(at, 1, 0, t.count, t.base, fn)
+}
+func (t contiguous) dense() (Kind, int, bool) {
+	k, n, ok := t.base.dense()
+	return k, t.count * n, ok
 }
 
 type vector struct {
@@ -191,22 +216,15 @@ func (t vector) Extent() int {
 func (t vector) Name() string {
 	return fmt.Sprintf("vector(%d,%d,%d,%s)", t.count, t.blocklen, t.stride, t.base.Name())
 }
-func (t vector) walk(fn func(off, n int, k Kind)) {
-	ext := t.base.Extent()
-	p, prim := t.base.(primitive)
-	for b := 0; b < t.count; b++ {
-		blockOff := b * t.stride * ext
-		if prim {
-			if t.blocklen > 0 {
-				fn(blockOff, t.blocklen, p.kind)
-			}
-			continue
-		}
-		for i := 0; i < t.blocklen; i++ {
-			at := blockOff + i*ext
-			t.base.walk(func(off, n int, k Kind) { fn(at+off, n, k) })
-		}
-	}
+func (t vector) walk(at int, fn func(off, n int, k Kind)) {
+	walkN(at, t.count, t.stride*t.base.Extent(), t.blocklen, t.base, fn)
+}
+
+// A vector is dense when its blocks abut (stride == blocklen) or there is
+// at most one of them, over a dense base.
+func (t vector) dense() (Kind, int, bool) {
+	k, n, ok := t.base.dense()
+	return k, t.count * t.blocklen * n, ok && (t.stride == t.blocklen || t.count <= 1)
 }
 
 type indexed struct {
@@ -252,23 +270,13 @@ func (t indexed) Extent() int { return t.extent }
 func (t indexed) Name() string {
 	return fmt.Sprintf("indexed(%d blocks,%s)", len(t.displs), t.base.Name())
 }
-func (t indexed) walk(fn func(off, n int, k Kind)) {
+func (t indexed) walk(at int, fn func(off, n int, k Kind)) {
 	ext := t.base.Extent()
-	p, prim := t.base.(primitive)
-	for b := range t.displs {
-		blockOff := t.displs[b] * ext
-		if prim {
-			if t.blocklens[b] > 0 {
-				fn(blockOff, t.blocklens[b], p.kind)
-			}
-			continue
-		}
-		for i := 0; i < t.blocklens[b]; i++ {
-			at := blockOff + i*ext
-			t.base.walk(func(off, n int, k Kind) { fn(at+off, n, k) })
-		}
+	for b, d := range t.displs {
+		walkN(at+d*ext, 1, 0, t.blocklens[b], t.base, fn)
 	}
 }
+func (t indexed) dense() (Kind, int, bool) { return 0, 0, false }
 
 // Field is one member of a Struct type.
 type Field struct {
@@ -313,12 +321,9 @@ func (t structT) Extent() int { return t.extent }
 func (t structT) Name() string {
 	return fmt.Sprintf("struct(%d fields)", len(t.fields))
 }
-func (t structT) walk(fn func(off, n int, k Kind)) {
+func (t structT) walk(at int, fn func(off, n int, k Kind)) {
 	for _, f := range t.fields {
-		ext := f.Type.Extent()
-		for i := 0; i < f.Count; i++ {
-			at := f.Offset + i*ext
-			f.Type.walk(func(off, n int, k Kind) { fn(at+off, n, k) })
-		}
+		walkN(at+f.Offset, 1, 0, f.Count, f.Type, fn)
 	}
 }
+func (t structT) dense() (Kind, int, bool) { return 0, 0, false }

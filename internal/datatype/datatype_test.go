@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -225,38 +226,12 @@ func TestSignatureCompatibility(t *testing.T) {
 	}
 }
 
-// randomType builds a random type tree (depth ≤ 2) for property tests.
-func randomType(r *rand.Rand) Type {
-	prims := []Type{Byte, Int32, Int64, Float32, Float64}
-	base := prims[r.Intn(len(prims))]
-	switch r.Intn(4) {
-	case 0:
-		return base
-	case 1:
-		return Contiguous(1+r.Intn(5), base)
-	case 2:
-		bl := 1 + r.Intn(3)
-		return Vector(1+r.Intn(4), bl, bl+r.Intn(3), base)
-	default:
-		n := 1 + r.Intn(4)
-		blocklens := make([]int, n)
-		displs := make([]int, n)
-		next := 0
-		for i := 0; i < n; i++ {
-			displs[i] = next + r.Intn(3)
-			blocklens[i] = 1 + r.Intn(3)
-			next = displs[i] + blocklens[i]
-		}
-		return Indexed(blocklens, displs, base)
-	}
-}
-
 // TestPackUnpackPropertyRoundtrip: for random types, random data, and both
 // byte orders, unpack(pack(x)) == x on the covered bytes, holes preserved.
 func TestPackUnpackPropertyRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
-		dt := randomType(r)
+		dt := nestedType(r, 2)
 		count := 1 + r.Intn(3)
 		order := LittleEndian
 		if r.Intn(2) == 1 {
@@ -305,7 +280,7 @@ func TestPackUnpackPropertyRoundtrip(t *testing.T) {
 func TestSizeMatchesWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	f := func() bool {
-		dt := randomType(r)
+		dt := nestedType(r, 2)
 		var sum int
 		Walk(dt, func(off, n int, k Kind) { sum += n * k.Width() })
 		return sum == dt.Size()
@@ -319,7 +294,7 @@ func TestSizeMatchesWalk(t *testing.T) {
 func TestCodecPreservesSignature(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 300; iter++ {
-		dt := randomType(r)
+		dt := nestedType(r, 2)
 		enc := Encode(dt)
 		dec, n, err := Decode(enc)
 		if err != nil {
@@ -365,5 +340,276 @@ func TestCodecStruct(t *testing.T) {
 	}
 	if !SignatureOf(1, st).Equal(SignatureOf(1, dec)) {
 		t.Fatal("struct codec changed the signature")
+	}
+}
+
+// --- The one iterator against its oracle ---------------------------------
+
+// run is one callback of a layout walk.
+type run struct {
+	off, n int
+	k      Kind
+}
+
+// refWalk is the recursive closure walk walkN replaced, kept as the
+// reference implementation: one callback per element, every nested level
+// wrapping the callback to shift offsets, no notion of density.
+func refWalk(t Type, fn func(off, n int, k Kind)) {
+	nested := func(base Type, at, count int) {
+		ext := base.Extent()
+		for i := 0; i < count; i++ {
+			shift := at + i*ext
+			refWalk(base, func(off, n int, k Kind) { fn(shift+off, n, k) })
+		}
+	}
+	switch x := t.(type) {
+	case primitive:
+		fn(0, 1, x.kind)
+	case contiguous:
+		nested(x.base, 0, x.count)
+	case vector:
+		for b := 0; b < x.count; b++ {
+			nested(x.base, b*x.stride*x.base.Extent(), x.blocklen)
+		}
+	case indexed:
+		for b, d := range x.displs {
+			nested(x.base, d*x.base.Extent(), x.blocklens[b])
+		}
+	case structT:
+		for _, f := range x.fields {
+			nested(f.Type, f.Offset, f.Count)
+		}
+	default:
+		panic("refWalk: unknown type")
+	}
+}
+
+// refRuns lists the reference walk of count instances of t.
+func refRuns(count int, t Type) []run {
+	var out []run
+	refWalk(contiguous{count, t}, func(off, n int, k Kind) { out = append(out, run{off, n, k}) })
+	return out
+}
+
+// merged joins consecutive runs that abut in memory and share a kind, so
+// walks that differ only in how finely they cut a run compare equal.
+func merged(runs []run) []run {
+	var out []run
+	for _, r := range runs {
+		if n := len(out); n > 0 && out[n-1].k == r.k && out[n-1].off+out[n-1].n*r.k.Width() == r.off {
+			out[n-1].n += r.n
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// refCopy moves count instances of t between mem and the wire with the
+// reference walk: pack when toWire, unpack otherwise.
+func refCopy(mem, wire []byte, count int, t Type, order ByteOrder, toWire bool) {
+	pos := 0
+	for _, r := range refRuns(count, t) {
+		w := r.k.Width()
+		m, x := mem[r.off:r.off+w], wire[pos:pos+w]
+		if !toWire {
+			m, x = x, m
+		}
+		for j := 0; j < w; j++ {
+			if order == BigEndian {
+				x[j] = m[w-1-j]
+			} else {
+				x[j] = m[j]
+			}
+		}
+		pos += w
+	}
+}
+
+// nestedType builds a random type tree up to depth levels deep with the
+// shapes the iterator must get right: zero counts and block lengths,
+// stride == blocklen, contiguous-of-vector, unsorted indexed blocks, and
+// structs whose fields overlap.
+func nestedType(r *rand.Rand, depth int) Type {
+	if depth == 0 || r.Intn(5) == 0 {
+		return []Type{Byte, Int32, Int64, Float32, Float64}[r.Intn(5)]
+	}
+	base := nestedType(r, depth-1)
+	switch r.Intn(4) {
+	case 0:
+		return Contiguous(r.Intn(4), base)
+	case 1:
+		bl := r.Intn(3)
+		return Vector(r.Intn(4), bl, bl+r.Intn(2)*r.Intn(3), base)
+	case 2:
+		n := r.Intn(4)
+		blocklens, displs := make([]int, n), make([]int, n)
+		for i := range displs {
+			blocklens[i], displs[i] = r.Intn(3), r.Intn(6)
+		}
+		return Indexed(blocklens, displs, base)
+	default:
+		fields := make([]Field, r.Intn(4))
+		for i := range fields {
+			fields[i] = Field{Offset: r.Intn(12), Count: r.Intn(3), Type: nestedType(r, depth-1)}
+		}
+		return Struct(fields)
+	}
+}
+
+// TestWalkNMatchesReference compares walkN run for run (after merging
+// adjacent runs) with the reference walk over random nested types and
+// counts 0, 1 and many, then checks Pack and Unpack byte for byte against
+// the reference copy in both byte orders, holes included.
+func TestWalkNMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 2000; iter++ {
+		dt := nestedType(r, 3)
+		count := []int{0, 1, 1, 2, 5}[r.Intn(5)]
+		var got []run
+		WalkN(count, dt, func(off, n int, k Kind) {
+			if n <= 0 {
+				t.Fatalf("iter %d (%s x%d): empty run at %d", iter, dt.Name(), count, off)
+			}
+			got = append(got, run{off, n, k})
+		})
+		want := merged(refRuns(count, dt))
+		if got := merged(got); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d (%s x%d): walkN runs %v, reference %v", iter, dt.Name(), count, got, want)
+		}
+		if k, n, ok := dt.dense(); ok {
+			if dt.Size() != dt.Extent() || n*k.Width() != dt.Size() {
+				t.Fatalf("iter %d (%s): dense %d x %v but size=%d extent=%d", iter, dt.Name(), n, k, dt.Size(), dt.Extent())
+			}
+			if len(got) > 1 {
+				t.Fatalf("iter %d (%s x%d): dense type walked as %d runs", iter, dt.Name(), count, len(got))
+			}
+		}
+
+		order := []ByteOrder{LittleEndian, BigEndian}[r.Intn(2)]
+		src := make([]byte, ExtentOf(count, dt))
+		r.Read(src)
+		wire, err := Pack(src, count, dt, order)
+		if err != nil {
+			t.Fatalf("iter %d (%s x%d): pack: %v", iter, dt.Name(), count, err)
+		}
+		refWire := make([]byte, len(wire))
+		refCopy(src, refWire, count, dt, order, true)
+		if !bytes.Equal(wire, refWire) {
+			t.Fatalf("iter %d (%s x%d, %v): packed %x, reference %x", iter, dt.Name(), count, order, wire, refWire)
+		}
+		dst := bytes.Repeat([]byte{0xAB}, len(src))
+		refDst := bytes.Repeat([]byte{0xAB}, len(src))
+		if err := Unpack(dst, wire, count, dt, order); err != nil {
+			t.Fatalf("iter %d (%s x%d): unpack: %v", iter, dt.Name(), count, err)
+		}
+		refCopy(refDst, wire, count, dt, order, false)
+		if !bytes.Equal(dst, refDst) {
+			t.Fatalf("iter %d (%s x%d, %v): unpacked %x, reference %x", iter, dt.Name(), count, order, dst, refDst)
+		}
+	}
+}
+
+// TestDenseIsStructural pins which constructors may claim a single run:
+// Size() == Extent() is not enough, because an Indexed or Struct map can
+// fill its extent out of order or twice over.
+func TestDenseIsStructural(t *testing.T) {
+	cases := []struct {
+		t     Type
+		dense bool
+		n     int
+	}{
+		{Int64, true, 1},
+		{Contiguous(4, Int32), true, 4},
+		{Contiguous(0, Float64), true, 0},
+		{Contiguous(3, Contiguous(2, Byte)), true, 6},
+		{Vector(4, 256, 256, Byte), true, 1024},
+		{Vector(1, 5, 100, Int64), true, 5},
+		{Vector(0, 5, 100, Int64), true, 0},
+		{Contiguous(2, Vector(3, 2, 2, Int32)), true, 12},
+		{Vector(2, 1, 2, Int64), false, 0},
+		{Contiguous(2, Vector(2, 1, 2, Int64)), false, 0},
+		// Size == Extent, but the blocks are visited back to front.
+		{Indexed([]int{1, 1}, []int{1, 0}, Int32), false, 0},
+		// Size == Extent == 12, but bytes 0-3 are covered twice and bytes
+		// 4-7 are a hole.
+		{Struct([]Field{{Offset: 0, Count: 1, Type: Int32}, {Offset: 0, Count: 1, Type: Int32}, {Offset: 8, Count: 1, Type: Int32}}), false, 0},
+	}
+	for _, c := range cases {
+		_, n, ok := c.t.dense()
+		if ok != c.dense || (ok && n != c.n) {
+			t.Errorf("%s: dense = (%d, %v), want (%d, %v)", c.t.Name(), n, ok, c.n, c.dense)
+		}
+	}
+}
+
+// TestCompatibleDenseAndGeneral proves the dense shortcut and the
+// signature comparison agree wherever they meet.
+func TestCompatibleDenseAndGeneral(t *testing.T) {
+	strided := Vector(4, 256, 300, Byte) // general walk, 1024 bytes
+	cases := []struct {
+		ocount int
+		ot     Type
+		tcount int
+		tt     Type
+		want   bool
+	}{
+		{1024, Byte, 1, Vector(4, 256, 256, Byte), true}, // dense vs dense
+		{1024, Byte, 1, strided, true},                   // dense vs general
+		{1, strided, 1024, Byte, true},                   // general vs dense
+		{1, strided, 1, Indexed([]int{512, 512}, []int{600, 0}, Byte), true},
+		{1023, Byte, 1, strided, false},
+		{8, Int64, 64, Byte, false}, // same bytes, different kinds
+		{64, Byte, 8, Int64, false},
+		{8, Int64, 1, Vector(8, 1, 2, Int64), true},
+		{8, Int64, 1, Vector(8, 1, 2, Float64), false},
+		{2, Int32, 1, Struct([]Field{{Offset: 0, Count: 1, Type: Int32}, {Offset: 8, Count: 1, Type: Float32}}), false},
+		{0, Int64, 0, Byte, true}, // nothing moves: kinds cannot disagree
+		{0, Int64, 1, Contiguous(0, Struct(nil)), true},
+		{0, Int64, 1, Byte, false},
+	}
+	for _, c := range cases {
+		if got := Compatible(c.ocount, c.ot, c.tcount, c.tt); got != c.want {
+			t.Errorf("Compatible(%d x %s, %d x %s) = %v, want %v", c.ocount, c.ot.Name(), c.tcount, c.tt.Name(), got, c.want)
+		}
+		if got := SignatureOf(c.ocount, c.ot).Equal(SignatureOf(c.tcount, c.tt)); got != c.want {
+			t.Errorf("signatures of %d x %s and %d x %s equal = %v, want %v", c.ocount, c.ot.Name(), c.tcount, c.tt.Name(), got, c.want)
+		}
+	}
+}
+
+// TestTransferAllocs pins the allocation count of the three calls every
+// transfer makes, on the benchmark's layer-drive shapes: a contiguous
+// kilobyte must cost what one element costs, and the strided walk must not
+// allocate per element.
+func TestTransferAllocs(t *testing.T) {
+	shapes := []struct {
+		name       string
+		count      int
+		dt         Type
+		copyAllocs float64 // PackInto and Unpack: the walk closure and its cursor
+		compatible float64
+	}{
+		{"b8", 1, Int64, 2, 0},
+		{"b1k", 1024, Byte, 2, 0},
+		{"vec", 8, Vector(8, 1, 2, Int64), 2, 6},
+	}
+	for _, sh := range shapes {
+		mem := make([]byte, ExtentOf(sh.count, sh.dt))
+		wire := make([]byte, PackedSize(sh.count, sh.dt))
+		pins := []struct {
+			call string
+			max  float64
+			fn   func()
+		}{
+			{"PackInto", sh.copyAllocs, func() { _ = PackInto(wire, mem, sh.count, sh.dt, LittleEndian) }},
+			{"Unpack", sh.copyAllocs, func() { _ = Unpack(mem, wire, sh.count, sh.dt, LittleEndian) }},
+			{"Compatible", sh.compatible, func() { _ = Compatible(sh.count, sh.dt, sh.count, sh.dt) }},
+		}
+		for _, p := range pins {
+			if got := testing.AllocsPerRun(100, p.fn); got > p.max {
+				t.Errorf("%s %s: %v allocs per call, want at most %v", p.call, sh.name, got, p.max)
+			}
+		}
 	}
 }

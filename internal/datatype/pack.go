@@ -2,6 +2,7 @@ package datatype
 
 import (
 	"fmt"
+	"slices"
 )
 
 // PackedSize returns the number of wire bytes count instances of t occupy.
@@ -33,22 +34,11 @@ func PackInto(dst, src []byte, count int, t Type, order ByteOrder) error {
 		return fmt.Errorf("datatype: source buffer is %d bytes, type %s x%d spans %d", len(src), t.Name(), count, need)
 	}
 	pos := 0
-	ext := t.Extent()
-	swap := order == BigEndian
-	for i := 0; i < count; i++ {
-		at := i * ext
-		t.walk(func(off, n int, k Kind) {
-			w := k.Width()
-			seg := src[at+off : at+off+n*w]
-			out := dst[pos : pos+n*w]
-			if swap && w > 1 {
-				swapCopy(out, seg, w)
-			} else {
-				copy(out, seg)
-			}
-			pos += n * w
-		})
-	}
+	WalkN(count, t, func(off, n int, k Kind) {
+		w := k.Width()
+		copyRun(dst[pos:pos+n*w], src[off:off+n*w], w, order)
+		pos += n * w
+	})
 	if pos != len(dst) {
 		return fmt.Errorf("datatype: internal error: packed %d of %d bytes", pos, len(dst))
 	}
@@ -65,26 +55,26 @@ func Unpack(dst []byte, wire []byte, count int, t Type, order ByteOrder) error {
 		return fmt.Errorf("datatype: destination buffer is %d bytes, type %s x%d spans %d", len(dst), t.Name(), count, need)
 	}
 	pos := 0
-	ext := t.Extent()
-	swap := order == BigEndian
-	for i := 0; i < count; i++ {
-		at := i * ext
-		t.walk(func(off, n int, k Kind) {
-			w := k.Width()
-			seg := wire[pos : pos+n*w]
-			out := dst[at+off : at+off+n*w]
-			if swap && w > 1 {
-				swapCopy(out, seg, w)
-			} else {
-				copy(out, seg)
-			}
-			pos += n * w
-		})
-	}
+	WalkN(count, t, func(off, n int, k Kind) {
+		w := k.Width()
+		copyRun(dst[off:off+n*w], wire[pos:pos+n*w], w, order)
+		pos += n * w
+	})
 	if pos != len(wire) {
 		return fmt.Errorf("datatype: internal error: unpacked %d of %d bytes", pos, len(wire))
 	}
 	return nil
+}
+
+// copyRun copies one run of w-wide elements between a rank's memory and the
+// little-endian wire, in either direction: a big-endian rank byte-swaps
+// every multi-byte element.
+func copyRun(dst, src []byte, w int, order ByteOrder) {
+	if order == BigEndian && w > 1 {
+		swapCopy(dst, src, w)
+	} else {
+		copy(dst, src)
+	}
 }
 
 // swapCopy copies src to dst reversing the byte order of each w-wide
@@ -110,37 +100,28 @@ type sigRun struct {
 // SignatureOf computes the signature of count instances of t.
 func SignatureOf(count int, t Type) Signature {
 	var sig Signature
-	add := func(k Kind, n int) {
-		if n == 0 {
-			return
-		}
+	WalkN(count, t, func(off, n int, k Kind) {
 		if len(sig) > 0 && sig[len(sig)-1].Kind == k {
 			sig[len(sig)-1].N += n
 			return
 		}
 		sig = append(sig, sigRun{k, n})
-	}
-	for i := 0; i < count; i++ {
-		t.walk(func(off, n int, k Kind) { add(k, n) })
-	}
+	})
 	return sig
 }
 
 // Equal reports whether two signatures describe the same element sequence.
-func (s Signature) Equal(o Signature) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
+func (s Signature) Equal(o Signature) bool { return slices.Equal(s, o) }
 
 // Compatible reports whether a transfer of ocount instances of ot matches
-// tcount instances of tt — identical flattened element sequences.
+// tcount instances of tt — identical flattened element sequences. Two
+// dense sides are one run each, so kind and element total decide without
+// building signatures.
 func Compatible(ocount int, ot Type, tcount int, tt Type) bool {
+	okind, on, odense := ot.dense()
+	tkind, tn, tdense := tt.dense()
+	if odense && tdense {
+		return ocount*on == tcount*tn && (okind == tkind || ocount*on == 0)
+	}
 	return SignatureOf(ocount, ot).Equal(SignatureOf(tcount, tt))
 }

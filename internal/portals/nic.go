@@ -218,6 +218,9 @@ func (n *NIC) Stop() {
 		close(n.quit)
 	}
 	<-n.done
+	if r := n.relay.Load(); r != nil {
+		<-r.done
+	}
 	if p := n.shardPool.Load(); p != nil {
 		p.Close()
 	}

@@ -156,6 +156,11 @@ type relay struct {
 	mu    sync.Mutex //rmalint:lockrank 40
 	rng   *rand.Rand // jitter draws; guarded by mu
 	links map[int]*txLink
+
+	// done closes when the retransmitter has exited. NIC.Stop waits for it,
+	// so a link-failure handler it is running — a failure fan-out, a
+	// postmortem half written — finishes before the world is torn down.
+	done chan struct{}
 }
 
 // dedupWindow tracks which RSeqs of one link have been delivered. It is
@@ -214,6 +219,7 @@ func (n *NIC) EnableReliability(pol RetryPolicy) {
 		pol:   pol,
 		rng:   rand.New(rand.NewSource(pol.Seed + int64(n.ep.ID())*104729)),
 		links: make(map[int]*txLink),
+		done:  make(chan struct{}),
 	}
 	if n.relay.CompareAndSwap(nil, r) {
 		go r.retransmitter()
@@ -299,6 +305,7 @@ func (r *relay) send(now vtime.Time, m *simnet.Message, viaNIC bool) (vtime.Time
 // retransmits overdue frames and declares links failed when budgets run
 // out. It exits when the NIC stops.
 func (r *relay) retransmitter() {
+	defer close(r.done)
 	t := time.NewTicker(retransTick)
 	defer t.Stop()
 	for {

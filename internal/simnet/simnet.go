@@ -161,6 +161,11 @@ type Network struct {
 	eps  []*Endpoint
 	wg   sync.WaitGroup
 	once sync.Once
+	// sending counts Send/SendNIC calls past their closed check. Close
+	// waits for them before it closes a channel: senders outside the rank
+	// functions (relay retransmitters, replication goroutines) cannot all
+	// be stopped first, and a send must not race the close.
+	sending sync.WaitGroup
 
 	// faults is the installed fault plan; nil means a lossless wire.
 	faults atomic.Pointer[FaultPlan]
@@ -225,16 +230,20 @@ func (n *Network) Endpoint(id int) *Endpoint {
 	return n.eps[id]
 }
 
-// Close shuts the network down. It must be called only after every sender
-// and every consumer (rank agent) has stopped. Messages still in flight are
+// Close shuts the network down. It must be called only after every
+// consumer (rank agent) has stopped; sends that start afterwards fail, and
+// sends already under way are waited for. Messages still in flight are
 // drained and discarded.
 func (n *Network) Close() {
 	n.once.Do(func() {
 		for _, ep := range n.eps {
-			ep.closeInput()
+			ep.mu.Lock()
+			ep.closed = true
+			ep.mu.Unlock()
 		}
-		// Drain delivery queues so unordered-mode scramblers can flush and
-		// exit even if no agent is consuming anymore.
+		// Drain delivery queues so blocked senders and unordered-mode
+		// scramblers can flush and exit even if no agent is consuming
+		// anymore.
 		var drainers sync.WaitGroup
 		for _, ep := range n.eps {
 			drainers.Add(1)
@@ -243,6 +252,12 @@ func (n *Network) Close() {
 				for range ep.in {
 				}
 			}(ep)
+		}
+		n.sending.Wait()
+		for _, ep := range n.eps {
+			if ep.scramble != nil {
+				close(ep.scramble)
+			}
 		}
 		n.wg.Wait()
 		for _, ep := range n.eps {
@@ -332,7 +347,9 @@ func (ep *Endpoint) Send(now vtime.Time, m *Message) (vtime.Time, error) {
 	}
 	ep.nextSeq[m.Dst]++
 	m.Seq = ep.nextSeq[m.Dst]
+	ep.net.sending.Add(1)
 	ep.mu.Unlock()
+	defer ep.net.sending.Done()
 
 	cost := ep.cfg.Cost
 	_, sent := ep.inject.Reserve(now, cost.Inject(len(m.Payload)))
@@ -360,7 +377,9 @@ func (ep *Endpoint) SendNIC(sentAt vtime.Time, m *Message) (vtime.Time, error) {
 	}
 	ep.nextSeq[m.Dst]++
 	m.Seq = ep.nextSeq[m.Dst]
+	ep.net.sending.Add(1)
 	ep.mu.Unlock()
+	defer ep.net.sending.Done()
 
 	m.SentAt = sentAt
 	m.ArriveAt = sentAt + vtime.Time(ep.cfg.Cost.Wire(len(m.Payload)))
@@ -434,18 +453,6 @@ func (ep *Endpoint) TryRecv() *Message {
 
 // Queue exposes the delivery channel for select-based agents.
 func (ep *Endpoint) Queue() <-chan *Message { return ep.in }
-
-// closeInput marks the endpoint closed for senders and, in unordered mode,
-// closes the scramble intake so the scrambler can flush and exit.
-func (ep *Endpoint) closeInput() {
-	ep.mu.Lock()
-	wasClosed := ep.closed
-	ep.closed = true
-	ep.mu.Unlock()
-	if !wasClosed && ep.scramble != nil {
-		close(ep.scramble)
-	}
-}
 
 // scrambler implements unordered delivery: it buffers up to the reorder
 // window of in-flight messages and releases them in deterministic-random
