@@ -61,9 +61,10 @@ smoke-metrics:
 
 # profile-smoke exercises the diagnosis toolchain end to end: one
 # experiment with every pprof sidecar plus the critical-path sidecar
-# (rmabench validates the JSON and fails on any unreconciled span count
-# mismatch at analysis level), and a short fault-injected rmatop run so
-# the console's render path stays green.
+# (rmabench validates the JSON and exits non-zero on any span that does not
+# reconcile or that charges time to the catch-all "other" stage), and a
+# short fault-injected rmatop run so the console's render path stays
+# green.
 profile-smoke:
 	$(GO) run ./cmd/rmabench -exp fig2 -critpath /tmp/rmabench-fig2-critpath.json -profile cpu,heap,mutex,block -profiledir /tmp > /dev/null
 	$(GO) run ./cmd/rmatop -frames 2 -plain -interval 100ms -faults > /dev/null
@@ -94,11 +95,13 @@ benchmark-check:
 
 # flake looks for scheduling-dependent failures where they have been seen
 # before: the postmortem that must be on disk before the error surfaces,
-# and the rank-death matrix. Twenty repeats each on one and on two
-# scheduler threads (one thread reorders goroutines the most).
+# the rank-death matrix, and the event-driven chaos run whose OnDone
+# callbacks may trail the Select that reaps the request. Twenty repeats
+# each on one and on two scheduler threads (one thread reorders goroutines
+# the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|EventChaos' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|EventChaos' ./internal/core/
 
 bench:
 	$(GO) run ./cmd/rmabench

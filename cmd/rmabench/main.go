@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"mpi3rma/internal/bench"
+	"mpi3rma/internal/telemetry"
 )
 
 func main() {
@@ -110,7 +111,10 @@ func main() {
 // per-stage latency decomposition of the recorded cross-rank timeline.
 // Like the trace sidecar it is validated by re-parsing before it lands
 // on disk, and with several experiments in one invocation the experiment
-// id is inserted before the file extension.
+// id is inserted before the file extension. The decomposition is a gate,
+// not a printout: a span whose stages do not sum to its end-to-end time,
+// or time charged to the catch-all stage (an event kind that lost its
+// stage mapping), exits non-zero after the sidecar is written.
 func writeCritPath(res bench.Result, path string, multi bool) {
 	if multi {
 		if i := strings.LastIndex(path, "."); i > 0 {
@@ -136,6 +140,14 @@ func writeCritPath(res bench.Result, path string, multi bool) {
 	rep := res.CriticalPath()
 	fmt.Printf("critical-path sidecar written to %s (%d spans, %d reconciled, %d mismatched)\n",
 		path, rep.Spans, rep.Reconciled, rep.Mismatched)
+	if rep.Mismatched > 0 {
+		fmt.Fprintf(os.Stderr, "rmabench: %s: %d of %d spans do not reconcile with their end-to-end time\n", res.Name, rep.Mismatched, rep.Spans)
+		os.Exit(1)
+	}
+	if other := rep.Stage(telemetry.StageOther); other != nil {
+		fmt.Fprintf(os.Stderr, "rmabench: %s: %d spans charge %d ns to the %q stage: an event kind has no critical-path stage\n", res.Name, other.Spans, other.Total, telemetry.StageOther)
+		os.Exit(1)
+	}
 }
 
 // startProfiles begins the requested pprof captures and returns the stop

@@ -271,7 +271,7 @@ func render(w *runtime.World, frame int, plain bool) {
 		}
 	}
 
-	rep := telemetry.AnalyzeCriticalPath(telemetry.Timeline(perRank))
+	rep := telemetry.AnalyzeCriticalPath(trace.MergeRanks(perRank))
 	fmt.Fprintf(&b, "\ncritical path (%d spans, %d reconciled):", rep.Spans, rep.Reconciled)
 	top := rep.TopStages(4)
 	sort.SliceStable(top, func(i, j int) bool { return top[i].Total > top[j].Total })

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"io"
 	"sort"
 	"strings"
@@ -28,9 +29,9 @@ func SetTelemetry(on bool) { telemetryOn.Store(on) }
 // one cell's timeline is enough to follow an operation end to end, and
 // keeping all of a sweep's events would dwarf the measurements).
 type TelemetrySummary struct {
-	Metrics telemetry.Snapshot     `json:"metrics"`
-	Events  []telemetry.TraceEvent `json:"events,omitempty"`
-	Spans   []telemetry.Span       `json:"spans,omitempty"`
+	Metrics telemetry.Snapshot `json:"metrics"`
+	Events  []trace.RankEvent  `json:"events,omitempty"`
+	Spans   []telemetry.Span   `json:"spans,omitempty"`
 }
 
 // telemetryCollector gathers one world's per-rank registries and trace
@@ -100,7 +101,7 @@ func (c *telemetryCollector) summary() *TelemetrySummary {
 	for r, ring := range c.rings {
 		perRank[r] = ring.Snapshot()
 	}
-	sum.Events = telemetry.Timeline(perRank)
+	sum.Events = trace.MergeRanks(perRank)
 	sum.Spans = telemetry.Spans(sum.Events)
 	return &sum
 }
@@ -153,12 +154,18 @@ func (r *Result) WriteMetricsJSON(w io.Writer) error {
 }
 
 // WriteTraceJSON emits the experiment's trace sidecar (merged timeline
-// plus reconstructed spans) as indented JSON.
+// plus the spans reconstructed from it) as indented JSON.
 func (r *Result) WriteTraceJSON(w io.Writer) error {
-	if r.Telemetry == nil {
-		return telemetry.WriteTraceJSON(w, nil)
+	var dump struct {
+		Events []trace.RankEvent `json:"events"`
+		Spans  []telemetry.Span  `json:"spans"`
 	}
-	return telemetry.WriteTraceJSON(w, r.Telemetry.Events)
+	if r.Telemetry != nil {
+		dump.Events, dump.Spans = r.Telemetry.Events, r.Telemetry.Spans
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(dump)
 }
 
 // CriticalPath decomposes the experiment's recorded timeline into the

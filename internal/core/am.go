@@ -40,58 +40,17 @@ func (e *Engine) RegisterAM(id uint64, handler AMHandler) error {
 // toward Complete like any other RMA operation; with AttrRemoteComplete
 // the returned request completes after the handler has run.
 func (e *Engine) InvokeAM(id uint64, payload []byte, trank int, comm *runtime.Comm, attrs Attr) (*Request, error) {
-	attrs = e.effectiveAttrs(comm, attrs)
-	target := comm.WorldRank(trank)
-	e.Progress()
-	e.flushTarget(target) // a handler must see ring-held deposits applied in order
-	if err := e.maybeFence(comm, target); err != nil {
+	target, err := e.worldRank(trank, comm)
+	if err != nil {
 		return nil, err
 	}
-
-	var seq uint64
-	e.mu.Lock()
-	ts := e.targetLocked(target)
-	ts.sent++
-	ts.singleton++
-	if attrs&(AttrRemoteComplete|AttrNotify) != 0 {
-		ts.willConfirm++
-	}
-	if attrs&AttrOrdering != 0 && !e.proc.NIC().Endpoint().Ordered() {
-		ts.orderSeq++
-		seq = ts.orderSeq
-	}
-	e.mu.Unlock()
-	e.OpsIssued.Inc()
-	e.SingletonOps.Inc()
-
-	req := e.newRequest(target)
 	m := newMsg(target, kAM)
 	m.Hdr[hHandle] = id
-	m.Hdr[hMeta] = uint64(attrs) & 0xffff
-	m.Hdr[hReq] = req.id
-	m.Hdr[hSeq] = seq
 	m.Payload = append([]byte(nil), payload...)
-
-	if e.targetUsesCoarseLock() {
-		if err := e.acquireLock(target); err != nil {
-			return nil, err
-		}
-		m.Flags |= flagUnlockAfter
-	}
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
-		return nil, err
-	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
-	if t := e.tr(); t != nil {
-		t.RecordOpf(m.SentAt, "issue", target, req.id, "am id=%d bytes=%d arrive=%d", id, len(payload), m.ArriveAt)
-	}
-	if attrs&AttrRemoteComplete == 0 {
-		req.complete(m.SentAt, nil)
-	}
-	if attrs&AttrBlocking != 0 {
-		req.Wait()
-	}
-	return req, nil
+	// A handler is a critical section: always atomic, so it holds the
+	// target's coarse lock where that is the serializer, and it sees
+	// ring-held deposits applied in order.
+	return e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs), true, latNone, nil)
 }
 
 // handleAM runs a registered handler at the target.

@@ -78,8 +78,8 @@ func (e *Engine) depositAcc(base int, wire []byte, tcount int, tdt datatype.Type
 
 // applyDeposit is the target-side body of every put and accumulate, a
 // single operation (member -1) or a batch member, run at its scheduled
-// apply time end: deposit → BadReq or deposit hook → checker record →
-// replicate → fin. fin is the caller's completion bookkeeping. After a
+// apply time end: deposit → BadReq or access record → replicate → fin.
+// fin is the caller's completion bookkeeping. After a
 // successful deposit it waits until the buddy holds the mutated bytes (a
 // pass-through when unreplicated); a lost deposit — unexposed memory, wire
 // bytes that do not fit the layout — runs it at once, so the op still
@@ -98,28 +98,20 @@ func (e *Engine) applyDeposit(m *simnet.Message, op *wireOp, exp *exposure, memb
 		}
 		deposited = err == nil
 	}
-	if deposited {
-		e.notifyDeposit(m.Src, op.handle, op.disp, ext)
-	} else {
+	if !deposited {
 		e.proc.NIC().BadReq.Inc()
-	}
-	if c := e.ck(); c != nil && exp != nil {
-		kind := AccessPut
-		if acc {
-			kind = AccessAcc
-		}
-		c.rec.RecordAccess(Access{
-			Origin: m.Src, Target: e.proc.Rank(), Handle: op.handle,
-			Disp: op.disp, Len: ext,
-			Kind: kind, Atomic: op.atomic, Ordered: op.ordered,
-			OpID: m.Hdr[hReq], Member: member, Epoch: m.Hdr[hMeta] >> 32, At: end,
-		})
-	}
-	if deposited {
-		e.replicate(op.handle, exp, op.disp, ext, end, fin)
-	} else {
 		fin(end)
+		return
 	}
+	kind := AccessPut
+	if acc {
+		kind = AccessAcc
+	}
+	e.recordAccess(m, Access{
+		Handle: op.handle, Disp: op.disp, Len: ext,
+		Kind: kind, Atomic: op.atomic, Ordered: op.ordered, Member: member, At: end,
+	})
+	e.replicate(op.handle, exp, op.disp, ext, end, fin)
 }
 
 // loadElem reads the element at buf in the given byte order as raw bits.

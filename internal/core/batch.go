@@ -12,6 +12,7 @@ import (
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -131,7 +132,11 @@ func (e *Engine) appendBatch(accOp AccOp, scale float64, origin memsim.Region, o
 		wirePool.Put(wire)
 		return nil, err
 	}
-	req := e.newRequest(tm.Owner)
+	latKind := latPut
+	if accOp != AccNone {
+		latKind = latAcc
+	}
+	req := e.newRequest(tm.Owner, latKind)
 	bop := batchOp{
 		wireOp: wireOp{
 			handle:  tm.Handle,
@@ -146,15 +151,6 @@ func (e *Engine) appendBatch(accOp AccOp, scale float64, origin memsim.Region, o
 		dt:  datatype.Encode(tdt),
 		req: req,
 		rc:  attrs&AttrRemoteComplete != 0,
-	}
-
-	if e.lat.Load() != nil {
-		if accOp == AccNone {
-			req.latKind = latPut
-		} else {
-			req.latKind = latAcc
-		}
-		req.issuedAt = e.proc.Now()
 	}
 
 	target := tm.Owner
@@ -178,9 +174,7 @@ func (e *Engine) appendBatch(accOp AccOp, scale float64, origin memsim.Region, o
 
 	e.OpsIssued.Inc()
 	e.BatchedOps.Inc()
-	if t := e.tr(); t != nil {
-		t.RecordOpf(e.proc.Now(), "enqueue", target, req.id, "bytes=%d rc=%v ring=%d", len(wire), bop.rc, target)
-	}
+	e.emit(trace.KindEnqueue, e.proc.Now(), target, req.id, int64(len(wire)), 0)
 	if !bop.rc {
 		// Local completion: the data has been packed out of the origin
 		// buffer already.
@@ -287,15 +281,13 @@ func (e *Engine) flushTarget(world int) {
 	}
 	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
 	e.Batches.Inc()
-	if t := e.tr(); t != nil {
-		// One "pack" event per member links the member's request id to the
-		// aggregate id, so a span can be followed from enqueue through the
-		// shared wire message to its per-member apply.
-		for i := range ops {
-			t.RecordOpf(m.SentAt, "pack", world, ops[i].req.id, "batch=%d member=%d", id, i)
-		}
-		t.RecordOpf(m.SentAt, "batch", world, id, "ops=%d bytes=%d seq=%d arrive=%d", len(ops), len(m.Payload), seq, m.ArriveAt)
+	// One pack event per member links the member's request id to the
+	// aggregate id, so a span can be followed from enqueue through the
+	// shared wire message to its per-member apply.
+	for i := range ops {
+		e.emit(trace.KindPack, m.SentAt, world, ops[i].req.id, int64(id), int64(i))
 	}
+	e.emit(trace.KindBatch, m.SentAt, world, id, int64(len(ops)), int64(m.ArriveAt))
 }
 
 // Flush transmits every pending issue ring of this rank (the request-batch
@@ -518,9 +510,7 @@ func (e *Engine) handleBatch(m *simnet.Message, at vtime.Time) {
 				// the batch notification) is the completion bookkeeping
 				// applyDeposit holds back until the buddy has its bytes.
 				e.applyDeposit(m, op, exp, i, end, func(end vtime.Time) {
-					if t := e.tr(); t != nil {
-						t.RecordOpf(end, "apply", m.Src, m.Hdr[hReq], "batched member=%d bytes=%d cost=%d", i, len(op.wire), int64(e.applyCost(len(op.wire))))
-					}
+					e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(op.wire)), int64(e.applyCost(len(op.wire))))
 					track.opDone(e.noteApplied(m.Src, end), end)
 				})
 			})
@@ -533,9 +523,7 @@ func (e *Engine) handleBatch(m *simnet.Message, at vtime.Time) {
 // batch it answers.
 func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 	e.Notifies.Inc()
-	if t := e.tr(); t != nil {
-		t.RecordOpf(at, "notify", m.Src, m.Hdr[hReq], "count=%d", m.Hdr[hCount])
-	}
+	e.emit(trace.KindNotify, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	if id := m.Hdr[hReq]; id != 0 {
 		e.cmplMu.Lock()
@@ -574,10 +562,8 @@ func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 	if !raised {
 		return
 	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "confirm", target, 0, count, nil)
-	}
-	if q := e.evq.Load(); q != nil {
+	e.emit(trace.KindConfirm, at, target, 0, count, 0)
+	if q := e.observers().evq; q != nil {
 		q.push(Event{Kind: EvConfirm, At: at, Rank: target, Count: count})
 		// Quiescence: the target has now confirmed everything issued to
 		// it. sent is read after the fold, so a false positive is

@@ -11,9 +11,9 @@ package core
 // must exist that detects it (requirement 5: "most stringent rules while
 // debugging").
 //
-// This file is the engine side of that mode: an opt-in access observer,
-// installed behind the same atomic.Pointer nil-guard pattern as the
-// tracer and telemetry registry, so the disabled hot path pays one atomic
+// This file is the engine side of that mode: opt-in access observers,
+// installed in the engine's observer snapshot (observe.go) like the tracer
+// and the telemetry registry, so the disabled hot path pays one atomic
 // load and no allocations. The observer (internal/checker) records every
 // remote access applied at this rank as a byte interval and flags
 // conflicting overlaps; the engine reports the synchronization events
@@ -105,7 +105,8 @@ type AccessRecorder interface {
 	// RecordAccess is called after each remote access is applied at the
 	// target, before the operation is counted as applied — so an origin's
 	// Complete returning happens strictly after every record of its
-	// operations.
+	// operations. A deposit that was lost (unexposed memory, wire bytes
+	// that do not fit the layout) touched nothing and is not recorded.
 	RecordAccess(a Access)
 	// RetireOrigin is called when origin's Complete toward target has
 	// returned: every interval origin recorded at target is now ordered
@@ -118,54 +119,16 @@ type AccessRecorder interface {
 	RetireTarget(target int)
 }
 
-// recorderCell boxes the recorder so the engine's nil-guard is a single
-// atomic pointer load, mirroring the tracer and telemetry cells.
-type recorderCell struct{ rec AccessRecorder }
-
-// SetAccessRecorder installs (or clears, with nil) the semantic-checker
-// access observer. Installing a recorder makes every applied access pay an
-// observation call; leave it nil outside debugging runs.
-func (e *Engine) SetAccessRecorder(r AccessRecorder) {
-	if r == nil {
-		e.chk.Store(nil)
-		return
-	}
-	e.chk.Store(&recorderCell{rec: r})
-}
-
-// AccessRecorder returns the installed observer, or nil.
-func (e *Engine) AccessRecorder() AccessRecorder {
-	if c := e.chk.Load(); c != nil {
-		return c.rec
-	}
-	return nil
-}
-
-// ck returns the current recorder cell (possibly nil). Hot paths must
-// check for nil and skip building the Access value entirely.
-func (e *Engine) ck() *recorderCell {
-	return e.chk.Load()
-}
-
 // retireOrigin reports this rank's completed epoch toward the given
 // targets to the observer, if any, and advances the per-target epoch so
 // operations issued after the Complete never pair with earlier ones.
 func (e *Engine) retireOrigin(targets []int) {
-	c := e.ck()
-	e.mu.Lock()
-	for _, world := range targets {
-		ts := e.targetLocked(world)
-		if ts.sent > 0 {
-			ts.chkEpoch++
-		}
-	}
-	e.mu.Unlock()
-	if c == nil {
-		return
-	}
+	e.advanceEpochs(targets)
 	me := e.proc.Rank()
-	for _, world := range targets {
-		c.rec.RetireOrigin(me, world)
+	for _, r := range e.observers().recorders {
+		for _, world := range targets {
+			r.RetireOrigin(me, world)
+		}
 	}
 }
 

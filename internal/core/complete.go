@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/trace"
 )
 
 // Complete blocks until every operation previously issued by this rank to
@@ -54,26 +55,19 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 			continue
 		}
 		if !e.opts.ProbeCompletion {
-			if at, ok := e.tryConfirmed(world, sent); ok {
-				e.FastPaths.Inc()
-				e.proc.NIC().CPU().AdvanceTo(at)
-				if t := e.tr(); t != nil {
-					t.RecordOpf(at, "complete", world, 0, "fastpath sent=%d", sent)
-				}
-				continue
-			}
-			if will >= sent {
+			at, ok := e.tryConfirmed(world, sent)
+			if !ok && will >= sent {
 				// Every outstanding operation reports a delivery counter;
 				// ride the notifications instead of probing.
-				at, err := e.waitConfirmed(world, sent)
-				if err != nil {
+				if at, err = e.waitConfirmed(world, sent); err != nil {
 					return fmt.Errorf("core: complete: %w", err)
 				}
+				ok = true
+			}
+			if ok {
 				e.FastPaths.Inc()
 				e.proc.NIC().CPU().AdvanceTo(at)
-				if t := e.tr(); t != nil {
-					t.RecordOpf(at, "complete", world, 0, "notified sent=%d", sent)
-				}
+				e.emit(trace.KindComplete, at, world, 0, sent, will)
 				continue
 			}
 		}
@@ -82,9 +76,7 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 		if err != nil {
 			return err
 		}
-		if t := e.tr(); t != nil {
-			t.RecordOpf(e.proc.Now(), "complete", world, r.id, "probe sent=%d will=%d", sent, will)
-		}
+		e.emit(trace.KindComplete, e.proc.Now(), world, r.id, sent, will)
 		reqs = append(reqs, r)
 	}
 	WaitAll(reqs...)
@@ -98,8 +90,8 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	// Every covered op is now applied at its target, so the checker can
 	// retire this origin's accesses there; later ops get a fresh epoch.
 	e.retireOrigin(targets)
-	if lh := e.lat.Load(); lh != nil {
-		lh.complete.Observe(int64(e.proc.Now() - start))
+	if lat := e.observers().lat; lat != nil {
+		lat[latComplete].Observe(int64(e.proc.Now() - start))
 	}
 	return nil
 }
@@ -161,8 +153,8 @@ func (e *Engine) CompleteCollective(comm *runtime.Comm) error {
 	// Everything addressed to this rank has been applied and recorded, and
 	// no member can issue again until the barrier releases it — retire the
 	// whole target-side window before publishing completion.
-	if c := e.ck(); c != nil {
-		c.rec.RetireTarget(e.proc.Rank())
+	for _, r := range e.observers().recorders {
+		r.RetireTarget(e.proc.Rank())
 	}
 	e.advanceEpochs(members)
 	comm.Barrier()
@@ -258,7 +250,7 @@ func (e *Engine) resolveTargets(comm *runtime.Comm, tranks []int) ([]int, error)
 // request its reply completes. A failed send means the world is shutting
 // down; the error is reported rather than crashing the caller.
 func (e *Engine) sendProbe(world int, threshold int64) (*Request, error) {
-	req := e.newRequest(world)
+	req := e.newRequest(world, latNone)
 	m := newMsg(world, kProbe)
 	m.Hdr[hHandle] = uint64(threshold)
 	m.Hdr[hReq] = req.id
@@ -298,9 +290,7 @@ func (e *Engine) maybeFence(comm *runtime.Comm, world int) error {
 		return nil
 	}
 	e.FenceStalls.Inc()
-	if t := e.tr(); t != nil {
-		t.RecordOpf(e.proc.Now(), "fence", world, 0, "sent=%d will=%d", sent, will)
-	}
+	e.emit(trace.KindFence, e.proc.Now(), world, 0, sent, will)
 	if !e.opts.ProbeCompletion {
 		if at, ok := e.tryConfirmed(world, sent); ok {
 			e.proc.NIC().CPU().AdvanceTo(at)

@@ -215,13 +215,13 @@ func TestTracerRecordsProtocol(t *testing.T) {
 		t.Errorf("target events %v, want 1 apply + 1 probe", tgt)
 	}
 	// The apply precedes the probe in virtual time.
-	evs := targetRing.ByVirtualTime()
+	evs := targetRing.Snapshot()
 	var applyIdx, probeIdx = -1, -1
 	for i, e := range evs {
-		switch e.Cat {
-		case "apply":
+		switch e.Kind {
+		case trace.KindApply:
 			applyIdx = i
-		case "probe":
+		case trace.KindProbe:
 			probeIdx = i
 		}
 	}

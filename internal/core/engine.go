@@ -12,7 +12,6 @@ import (
 	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/stats"
-	"mpi3rma/internal/telemetry"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
@@ -259,37 +258,13 @@ type Engine struct {
 	// frames; EnableReplication flips it on for this rank's exposures.
 	repl replState
 
-	// depositHook, if set, observes every put/accumulate deposited into
-	// this rank's memory (after application). Layers above use it for
-	// diagnostics such as the MPI-2 overlapping-access checker.
-	hookMu      sync.Mutex
-	depositHook func(src int, handle uint64, disp, length int)
-
-	// tracer, if set, records protocol events (issue/apply/probe/...);
-	// a nil ring discards. Held in an atomic pointer so the per-operation
-	// tr() check is one load, not a mutex, on the hot path.
-	tracer atomic.Pointer[trace.Ring]
-
-	// tel is the metrics registry installed by EnableTelemetry (nil until
-	// then); lat caches the registry's latency histograms so the request
-	// completion path does one atomic load, not a registry lookup.
-	tel atomic.Pointer[telemetry.Registry]
-	lat atomic.Pointer[latencyHists]
-
-	// chk is the semantic checker's access observer (see checkerhook.go);
-	// nil outside debugging runs, and the disabled hot path pays exactly
-	// one atomic load per apply.
-	chk atomic.Pointer[recorderCell]
-
-	// evq is the completion-event queue installed by EnableEvents (nil
-	// until then). Publication sites load it once; disabled runs pay one
-	// atomic load and construct nothing.
-	evq atomic.Pointer[CompletionQueue]
-
-	// flight is the postmortem flight recorder installed by
-	// EnableFlightRecorder (nil until then). Feed sites load it once;
-	// the disabled path is one atomic load and records nothing.
-	flight atomic.Pointer[telemetry.FlightRecorder]
+	// obs is the one immutable snapshot of everything installed on the
+	// engine that is not part of the protocol (see observe.go). It is nil
+	// until something is installed, replaced whole under hookMu, and read
+	// with one atomic load — the whole cost of every emit and publication
+	// site while nothing is installed.
+	obs    atomic.Pointer[observers]
+	hookMu sync.Mutex
 
 	// Counters.
 	OpsIssued       stats.Counter
@@ -382,12 +357,7 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 		nic.SetLinkFailureHandler(e.onLinkFailed)
 		p.World().Members().Subscribe(e.onRankDead)
 		nic.SetRetransmitObserver(func(dst int, rseq uint64, attempt int, at vtime.Time) {
-			if t := e.tr(); t != nil {
-				t.RecordOpf(at, "retransmit", dst, rseq, "attempt=%d", attempt)
-			}
-			if f := e.flight.Load(); f != nil {
-				f.Note(int64(at), "retransmit", dst, rseq, int64(attempt), nil)
-			}
+			e.emit(trace.KindRetransmit, at, dst, rseq, int64(attempt), 0)
 		})
 		return e
 	}).(*Engine)
@@ -463,7 +433,7 @@ func (e *Engine) Close() {
 		if e.applyQ != nil {
 			e.applyQ.Close()
 		}
-		if q := e.evq.Load(); q != nil {
+		if q := e.observers().evq; q != nil {
 			q.close()
 		}
 		e.repl.mu.Lock()
@@ -517,12 +487,10 @@ func (e *Engine) noteApplied(src int, at vtime.Time) int64 {
 	e.tgtCond.Broadcast()
 	e.tgtMu.Unlock()
 	closeWaiters(fired)
-	if q := e.evq.Load(); q != nil {
+	if q := e.observers().evq; q != nil {
 		q.push(Event{Kind: EvDelivery, At: at, Rank: src, Count: count})
 	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "delivery", src, 0, count, nil)
-	}
+	e.emit(trace.KindDelivery, at, src, 0, count, 0)
 	for _, w := range ready {
 		e.sendProbeAck(w, count, at)
 	}
@@ -560,40 +528,6 @@ func (e *Engine) waitAppliedFrom(origins []int, expected int64) (vtime.Time, err
 		e.tgtMu.Unlock()
 		e.Progress()
 		gosched()
-	}
-}
-
-// SetTracer installs (or clears, with nil) a protocol event recorder.
-func (e *Engine) SetTracer(r *trace.Ring) {
-	e.tracer.Store(r)
-}
-
-// Tracer returns the installed protocol event recorder, if any.
-func (e *Engine) Tracer() *trace.Ring {
-	return e.tracer.Load()
-}
-
-// tr returns the current tracer (possibly nil). Hot paths must check for
-// nil and skip the whole recording — formatting arguments for a discarded
-// event still allocates.
-func (e *Engine) tr() *trace.Ring {
-	return e.tracer.Load()
-}
-
-// SetDepositHook installs (or clears, with nil) the deposit observer.
-func (e *Engine) SetDepositHook(fn func(src int, handle uint64, disp, length int)) {
-	e.hookMu.Lock()
-	e.depositHook = fn
-	e.hookMu.Unlock()
-}
-
-// notifyDeposit invokes the deposit hook, if any.
-func (e *Engine) notifyDeposit(src int, handle uint64, disp, length int) {
-	e.hookMu.Lock()
-	fn := e.depositHook
-	e.hookMu.Unlock()
-	if fn != nil {
-		fn(src, handle, disp, length)
 	}
 }
 
@@ -671,7 +605,7 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 	}
 	err := fmt.Errorf("core: %w", cause)
 	if e.recordSticky(e.failedLinks, &e.linkErr, dst, err) {
-		e.failOutstanding("link-failed", dst, at, err)
+		e.failOutstanding(trace.KindLinkFailed, dst, at, err)
 	}
 }
 
@@ -688,7 +622,7 @@ func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: rank %d declared dead (%v): %w", dead, cause, ErrRankFailed)
 	if e.recordSticky(e.failedRanks, &e.rankErr, dead, err) {
 		e.replOnRankDead(dead, at)
-		e.failOutstanding("rank-death", dead, at, err)
+		e.failOutstanding(trace.KindRankDeath, dead, at, err)
 	}
 }
 
@@ -712,15 +646,14 @@ func (e *Engine) recordSticky(byRank map[int]error, first *error, rank int, err 
 // (onLinkFailed, onRankDead, failEngine), run once the caller has recorded
 // the sticky error: note → AutoDump → fail requests and waiters → publish
 // EvFault. Evidence comes first, so a caller that sees the error and reads
-// FlightRecorder().Dumps() finds the postmortem already written. rank
-// selects the victims — requests, pending batches and confirmation waiters
-// toward that peer; AllRanks (engine-fatal) takes every one of them and the
+// FlightRecorder().Dumps() finds the postmortem already written. fault is
+// the event kind noted, and its name the postmortem's reason. rank selects
+// the victims — requests, pending batches and confirmation waiters toward
+// that peer; AllRanks (engine-fatal) takes every one of them and the
 // target-side Select waiters as well.
-func (e *Engine) failOutstanding(reason string, rank int, at vtime.Time, err error) {
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), reason, rank, 0, 0, err)
-		f.AutoDump(reason, int64(at))
-	}
+func (e *Engine) failOutstanding(fault trace.Kind, rank int, at vtime.Time, err error) {
+	e.record(fault, at, rank, 0, 0, 0, err)
+	e.FlightRecorder().AutoDump(fault.String(), int64(at))
 	all := rank == AllRanks
 	e.cmplMu.Lock()
 	var victims []*Request
@@ -753,7 +686,7 @@ func (e *Engine) failOutstanding(reason string, rank int, at vtime.Time, err err
 	e.tgtCond.Broadcast()
 	e.tgtMu.Unlock()
 	closeWaiters(failed)
-	if q := e.evq.Load(); q != nil {
+	if q := e.observers().evq; q != nil {
 		q.push(Event{Kind: EvFault, At: at, Rank: rank, Err: err})
 	}
 }

@@ -56,6 +56,7 @@ func runSevenWriterEvents(t *testing.T, plan *simnet.FaultPlan) []byte {
 		accSlot := fcWriters*fcSlot + putSlot
 		scratch := p.Alloc(fcSlot)
 		var issued, terminal atomic.Int64
+		ran := make(chan struct{}, 2*fcRounds) // one token per callback run
 		for round := 0; round < fcRounds; round++ {
 			pattern := bytes.Repeat([]byte{byte(16*p.Rank() + round)}, fcSlot)
 			p.WriteLocal(scratch, 0, pattern)
@@ -80,6 +81,7 @@ func runSevenWriterEvents(t *testing.T, plan *simnet.FaultPlan) []byte {
 						t.Errorf("rank %d round %d request failed: %v", rank, rd, err)
 					}
 					terminal.Add(1)
+					ran <- struct{}{}
 				})
 			}
 			// Reap the round's requests any-of-first, the pipelined idiom.
@@ -108,6 +110,18 @@ func runSevenWriterEvents(t *testing.T, plan *simnet.FaultPlan) []byte {
 			if _, ev, err := e.Select(comm, OnQuiescent(0)); err != nil || ev.Kind != EvQuiescent {
 				t.Errorf("rank %d round %d quiescence: kind %v err %v", p.Rank(), round, ev.Kind, err)
 				panic("eventchaos: quiescence failed")
+			}
+		}
+		// A request closes Done() before it runs its callbacks, so the
+		// Select that reaped the last request can return while that
+		// request's callback is still about to run. "Exactly once" promises
+		// the count, not "already": wait (bounded) for each callback.
+		for i := issued.Load(); i > 0; i-- {
+			select {
+			case <-ran:
+			case <-time.After(10 * time.Second):
+				t.Errorf("rank %d: %d of %d terminal callbacks never ran", p.Rank(), i, issued.Load())
+				i = 0
 			}
 		}
 		if got, want := terminal.Load(), issued.Load(); got != want {
@@ -275,7 +289,7 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 		var errs [3]error
 		var reqs [3]*Request
 		for i := range reqs {
-			reqs[i] = e.newRequest(1)
+			reqs[i] = e.newRequest(1, latNone)
 			i := i
 			reqs[i].OnDone(func(err error) {
 				errs[i] = err

@@ -214,20 +214,18 @@ func (q *CompletionQueue) close() {
 // calls return the installed queue unchanged. Before EnableEvents the
 // publication sites pay one atomic nil-check and allocate nothing.
 func (e *Engine) EnableEvents(capacity int) *CompletionQueue {
-	e.hookMu.Lock()
-	defer e.hookMu.Unlock()
-	if q := e.evq.Load(); q != nil {
-		return q
-	}
-	if capacity <= 0 {
-		capacity = DefaultEventQueueCap
-	}
-	q := newCompletionQueue(capacity)
-	if reg := e.tel.Load(); reg != nil {
-		registerEventMetrics(reg, q)
-	}
-	e.evq.Store(q)
-	return q
+	return e.observe(func(o *observers) {
+		if o.evq != nil {
+			return
+		}
+		if capacity <= 0 {
+			capacity = DefaultEventQueueCap
+		}
+		o.evq = newCompletionQueue(capacity)
+		if o.tel != nil {
+			registerEventMetrics(o.tel, o.evq)
+		}
+	}).evq
 }
 
 // registerEventMetrics exposes the queue's counters under their stable

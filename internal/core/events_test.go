@@ -5,9 +5,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
+	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
 )
 
@@ -352,7 +355,7 @@ func TestRequestErrVisibleBeforeDone(t *testing.T) {
 		}
 		// A hand-built request failed on another goroutine: the error must
 		// be readable the instant the channel closes.
-		r := e.newRequest(1)
+		r := e.newRequest(1, latNone)
 		errCh := make(chan error, 1)
 		go func() {
 			<-r.Done()
@@ -425,6 +428,77 @@ func TestIssueFailureCompletesRequest(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("world: %v", err)
+	}
+}
+
+// TestSingletonIssueFailureIsComplete: every operation that pays its own
+// wire message shares one issue path, so each keeps the promise xfer made —
+// a failed issue leaves nothing behind. The retry budget toward rank 0 is
+// exhausted for real (drop-everything 1→0 link); then an active message, a
+// fetch-add and a put are issued toward it twice. First against the sticky
+// error: a fast fail, nothing may be counted. Then with the engine's record
+// of the failure erased, so the issue reaches the relay, which still
+// refuses the link: the request already sits in the engine table and must
+// be completed with the error, not abandoned (under the coarse lock the
+// refused send is the lock request's, which must not leak either). An
+// out-of-range active-message target is an error, not a panic.
+func TestSingletonIssueFailureIsComplete(t *testing.T) {
+	for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock} {
+		t.Run(mech.String(), func(t *testing.T) {
+			w := newWorld(t, runtime.Config{Ranks: 2, Faults: &simnet.FaultPlan{
+				Seed:  31,
+				Links: map[simnet.LinkKey]simnet.LinkFaults{{Src: 1, Dst: 0}: {Drop: 1}},
+			}})
+			runBounded(t, w, 30*time.Second, func(p *runtime.Proc) {
+				e := Attach(p, Options{Atomicity: mech})
+				comm := p.Comm()
+				tm := shipTM(p, e, 64)
+				if p.Rank() == 0 {
+					return
+				}
+				scratch := p.Alloc(8)
+				put := func(attrs Attr) error {
+					_, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, attrs)
+					return err
+				}
+				if err := put(AttrNone); err != nil && !errors.Is(err, ErrLinkFailed) {
+					t.Errorf("put: %v", err)
+				}
+				if err := e.Complete(comm, 0); !errors.Is(err, ErrLinkFailed) {
+					t.Errorf("Complete returned %v, want wrapped ErrLinkFailed", err)
+					return
+				}
+				if _, err := e.InvokeAM(1, nil, comm.Size()+99, comm, AttrNone); !errors.Is(err, ErrBadHandle) {
+					t.Errorf("active message to an out-of-range rank returned %v, want wrapped ErrBadHandle", err)
+				}
+				table := func() int {
+					e.mu.Lock()
+					defer e.mu.Unlock()
+					return len(e.reqs)
+				}
+				before, sent := table(), e.PairCounters(0).Sent
+				for _, phase := range []string{"fast-failed on the sticky error", "refused by the relay"} {
+					for name, issue := range map[string]func() error{
+						"InvokeAM": func() error { _, err := e.InvokeAM(1, []byte("x"), 0, comm, AttrNone); return err },
+						"FetchAdd": func() error { _, err := e.FetchAdd(tm, 0, 1, 0, comm, AttrNone); return err },
+						"Put":      func() error { return put(AttrRemoteComplete) },
+					} {
+						if err := issue(); !errors.Is(err, ErrLinkFailed) {
+							t.Errorf("%s %s returned %v, want wrapped ErrLinkFailed", name, phase, err)
+						}
+					}
+					if got := table(); got != before {
+						t.Errorf("engine table went from %d to %d requests across issues %s: orphans", before, got, phase)
+					}
+					if got := e.PairCounters(0).Sent; phase[0] == 'f' && got != sent {
+						t.Errorf("issues %s were counted as sent: %d -> %d", phase, sent, got)
+					}
+					e.cmplMu.Lock()
+					delete(e.failedLinks, 0)
+					e.cmplMu.Unlock()
+				}
+			})
+		})
 	}
 }
 

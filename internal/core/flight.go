@@ -4,12 +4,10 @@ import (
 	"mpi3rma/internal/telemetry"
 )
 
-// Flight-recorder integration: the engine feeds the bounded event ring
-// from its watermark and fault hooks (noteApplied, noteConfirmed, the
-// retransmit observer, failOutstanding) and supplies the health
-// snapshot postmortems embed. The disabled path — no recorder installed —
-// is one atomic pointer load per feed site and allocates nothing, pinned
-// by TestFlightRecorderDisabledZeroAlloc.
+// Flight-recorder integration: the recorder's ring takes the flight kinds
+// of the engine's one event stream (emit, observe.go) — watermark
+// movements, request ends, retransmissions, faults, recovery steps — and
+// the engine supplies the health snapshot postmortems embed.
 
 // EnableFlightRecorder installs a postmortem flight recorder on the
 // engine. The recorder captures recent protocol milestones and
@@ -20,25 +18,19 @@ import (
 // telemetry is already enabled the registry becomes the recorder's
 // metric-delta baseline.
 func (e *Engine) EnableFlightRecorder(cfg telemetry.FlightConfig) *telemetry.FlightRecorder {
-	e.hookMu.Lock()
-	defer e.hookMu.Unlock()
-	if cur := e.flight.Load(); cur != nil {
-		return cur
-	}
-	cfg.Rank = e.proc.Rank()
-	f := telemetry.NewFlightRecorder(cfg)
-	f.SetHealth(e.Health)
-	if reg := e.tel.Load(); reg != nil {
-		f.SetBaseline(reg)
-	}
-	e.flight.Store(f)
-	return f
+	return e.observe(func(o *observers) {
+		if o.flight != nil {
+			return
+		}
+		cfg.Rank = e.proc.Rank()
+		o.flight = telemetry.NewFlightRecorder(cfg)
+		o.flight.SetHealth(e.Health)
+		o.flight.SetBaseline(o.tel)
+	}).flight
 }
 
 // FlightRecorder returns the installed flight recorder, or nil.
-func (e *Engine) FlightRecorder() *telemetry.FlightRecorder {
-	return e.flight.Load()
-}
+func (e *Engine) FlightRecorder() *telemetry.FlightRecorder { return e.observers().flight }
 
 // Health assembles this rank's point-in-time health report: sticky
 // errors, per-link relay state and retry budget, shard queue depths,
@@ -96,7 +88,7 @@ func (e *Engine) Health() telemetry.HealthReport {
 		}
 	}
 
-	if q := e.evq.Load(); q != nil {
+	if q := e.observers().evq; q != nil {
 		h.Queue = &telemetry.QueueHealth{
 			Depth:     q.Len(),
 			Cap:       q.Cap(),

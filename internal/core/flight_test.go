@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/telemetry"
+	"mpi3rma/internal/trace"
 )
 
 // TestLinkFailurePostmortem pins the acceptance criterion end to end: a
@@ -74,16 +76,18 @@ func TestLinkFailurePostmortem(t *testing.T) {
 	}
 	var failed, retries int
 	for _, ev := range pm.Events {
-		switch ev.Cat {
-		case "link-failed":
+		switch ev.Kind {
+		case trace.KindLinkFailed:
 			if ev.Peer != 1 {
 				t.Errorf("link-failed event names peer %d, want 1", ev.Peer)
 			}
-			if ev.Err == "" {
-				t.Error("link-failed event carries no error text")
+			// The postmortem was read back from disk: the error survives the
+			// round trip as its text.
+			if ev.Err == nil || !strings.Contains(ev.Err.Error(), "retry budget") {
+				t.Errorf("link-failed event carries error %v, want the relay's retry-budget text", ev.Err)
 			}
 			failed++
-		case "retransmit":
+		case trace.KindRetransmit:
 			if ev.Peer == 1 {
 				retries++
 			}
@@ -162,7 +166,7 @@ func TestRankDeathPostmortem(t *testing.T) {
 	}
 	var promote bool
 	for _, ev := range pm.Events {
-		if ev.Cat == "replica-promote" {
+		if ev.Kind == trace.KindReplicaPromote {
 			promote = true
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -110,8 +111,8 @@ func (e *Engine) scheduleApply(src int, at vtime.Time, nbytes int, atomic bool, 
 // probe accounting, acknowledgement or notification, coarse-lock release.
 // It returns the cumulative applied count so reply-bearing handlers (get,
 // RMW) can piggyback the delivery counter on their replies. cost is the
-// modelled apply duration the caller scheduled — embedded in the trace
-// event so the critical-path analyzer can split target-side time into
+// modelled apply duration the caller scheduled — the apply event's B, so
+// the critical-path analyzer can split target-side time into
 // queueing vs applying (error-path callers that never scheduled an apply
 // pass 0).
 func (e *Engine) finishApply(m *simnet.Message, attrs Attr, atomic bool, end vtime.Time, cost time.Duration) int64 {
@@ -138,9 +139,7 @@ func (e *Engine) finishApply(m *simnet.Message, attrs Attr, atomic bool, end vti
 	if m.Flags&flagUnlockAfter != 0 {
 		e.releaseLockLocal(m.Src, end)
 	}
-	if t := e.tr(); t != nil {
-		t.RecordOpf(end, "apply", m.Src, m.Hdr[hReq], "kind=%d bytes=%d cost=%d", m.Kind, len(m.Payload), int64(cost))
-	}
+	e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(m.Payload)), int64(cost))
 	return count
 }
 
@@ -211,14 +210,10 @@ func (e *Engine) handleGet(m *simnet.Message, at vtime.Time) {
 				e.proc.NIC().BadReq.Inc()
 				wire = nil
 			}
-			if c := e.ck(); c != nil {
-				c.rec.RecordAccess(Access{
-					Origin: m.Src, Target: e.proc.Rank(), Handle: m.Hdr[hHandle],
-					Disp: disp, Len: datatype.ExtentOf(tcount, tdt),
-					Kind: AccessGet, Atomic: atomic, Ordered: attrs&AttrOrdering != 0,
-					OpID: m.Hdr[hReq], Member: -1, Epoch: m.Hdr[hMeta] >> 32, At: end,
-				})
-			}
+			e.recordAccess(m, Access{
+				Handle: m.Hdr[hHandle], Disp: disp, Len: datatype.ExtentOf(tcount, tdt),
+				Kind: AccessGet, Atomic: atomic, Ordered: attrs&AttrOrdering != 0, Member: -1, At: end,
+			})
 			count := e.finishApply(m, attrs&^(AttrRemoteComplete|AttrNotify), atomic, end, e.applyCost(nbytes))
 			reply := newMsg(m.Src, kGetReply)
 			reply.Hdr[hReq] = m.Hdr[hReq]
@@ -232,9 +227,7 @@ func (e *Engine) handleGet(m *simnet.Message, at vtime.Time) {
 // handleGetReply completes a pending get at the origin.
 func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
-	if t := e.tr(); t != nil {
-		t.RecordOpf(at, "reply", m.Src, m.Hdr[hReq], "bytes=%d count=%d", len(m.Payload), m.Hdr[hCount])
-	}
+	e.emit(trace.KindReply, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), int64(len(m.Payload)))
 	req := e.lookupRequest(m.Hdr[hReq])
 	if req == nil {
 		return
@@ -258,9 +251,7 @@ func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
 // handleAck completes a remote-completion request at the origin.
 func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
-	if t := e.tr(); t != nil {
-		t.RecordOpf(at, "ack", m.Src, m.Hdr[hReq], "count=%d", m.Hdr[hCount])
-	}
+	e.emit(trace.KindAck, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
 	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
 		req.complete(at, nil)
 	}
@@ -270,10 +261,8 @@ func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
 // "have you applied my first N operations yet?".
 func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 	e.Probes.Inc()
-	if t := e.tr(); t != nil {
-		t.RecordOpf(at, "probe", m.Src, m.Hdr[hReq], "threshold=%d", m.Hdr[hHandle])
-	}
 	threshold := int64(m.Hdr[hHandle])
+	e.emit(trace.KindProbe, at, m.Src, m.Hdr[hReq], threshold, 0)
 	w := probeWaiter{origin: m.Src, threshold: threshold, reqID: m.Hdr[hReq]}
 	e.tgtMu.Lock()
 	count := e.applied[m.Src]
@@ -290,9 +279,7 @@ func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 // handleProbeAck completes a Complete/Order stall at the origin.
 func (e *Engine) handleProbeAck(m *simnet.Message, at vtime.Time) {
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
-	if t := e.tr(); t != nil {
-		t.RecordOpf(at, "probe-ack", m.Src, m.Hdr[hReq], "count=%d", m.Hdr[hCount])
-	}
+	e.emit(trace.KindProbeAck, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
 	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
 		req.complete(at, nil)
 	}

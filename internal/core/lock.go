@@ -22,10 +22,12 @@ func (e *Engine) acquireLock(world int) error {
 	if err := e.stickyFor(world); err != nil {
 		return fmt.Errorf("core: lock of rank %d: %w", world, err)
 	}
-	req := e.newRequest(world)
+	req := e.newRequest(world, latNone)
 	m := newMsg(world, kLockReq)
 	m.Hdr[hReq] = req.id
 	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
+		// No grant will ever come; do not leave the request in the table.
+		req.completeErr(e.proc.Now(), err)
 		return err
 	}
 	e.proc.NIC().CPU().AdvanceTo(m.SentAt)

@@ -8,6 +8,7 @@ import (
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/telemetry"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -394,9 +395,7 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 		d.fin(vtime.Later(d.end, at))
 	}
 	if orphaned {
-		if f := e.flight.Load(); f != nil {
-			f.Note(int64(at), "buddy-lost", dead, 0, int64(len(flushed)), nil)
-		}
+		e.emit(trace.KindBuddyLost, at, dead, 0, int64(len(flushed)), 0)
 		go e.replRebind(dead)
 	}
 	if ward || len(mine) > 0 {
@@ -415,9 +414,7 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 	members := e.proc.World().Members()
 	spare, ok := members.AllocSpare(dead)
 	if !ok {
-		if f := e.flight.Load(); f != nil {
-			f.Note(int64(at), "no-spare", dead, 0, int64(len(mine)), nil)
-		}
+		e.emit(trace.KindNoSpare, at, dead, 0, int64(len(mine)), 0)
 		return
 	}
 	st := &e.repl
@@ -449,17 +446,15 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 	done.Hdr[hHandle] = uint64(len(mine))
 	done.Hdr[hDisp] = uint64(dead)
 	e.sendReply(e.proc.Now(), done)
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "replica-promote", dead, uint64(spare), int64(len(mine)), nil)
-		f.SetRankDeath(telemetry.RankDeathInfo{
-			Dead:        dead,
-			Buddy:       e.proc.Rank(),
-			Spare:       spare,
-			Regions:     len(mine),
-			FromVersion: 1,
-			ToVersion:   maxV,
-		})
-	}
+	e.emit(trace.KindReplicaPromote, at, dead, uint64(spare), int64(len(mine)), 0)
+	e.FlightRecorder().SetRankDeath(telemetry.RankDeathInfo{
+		Dead:        dead,
+		Buddy:       e.proc.Rank(),
+		Spare:       spare,
+		Regions:     len(mine),
+		FromVersion: 1,
+		ToVersion:   maxV,
+	})
 }
 
 // replRebind runs on its own goroutine after this rank's buddy died: it
@@ -512,9 +507,7 @@ func (e *Engine) replRebind(dead int) {
 		st.mu.Unlock()
 		e.replSendUpdate(spare, h, 0, v, buf, e.proc.Now())
 	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(e.proc.Now()), "buddy-rebound", spare, 0, int64(len(handles)), nil)
-	}
+	e.emit(trace.KindBuddyRebound, e.proc.Now(), spare, 0, int64(len(handles)), 0)
 }
 
 // handleRebuild lands one replayed region on a spare: the region is
@@ -540,9 +533,7 @@ func (e *Engine) handleRebuild(m *simnet.Message, at vtime.Time) {
 	st.rebuildGot[dead]++
 	fin := st.rebuildNeed[dead] > 0 && st.rebuildGot[dead] >= st.rebuildNeed[dead]
 	st.mu.Unlock()
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "rebuild-frame", dead, h, int64(len(m.Payload)), nil)
-	}
+	e.emit(trace.KindRebuildFrame, at, dead, h, int64(len(m.Payload)), 0)
 	if fin {
 		e.finishRebuild(dead, m.Src, at)
 	}
@@ -577,9 +568,7 @@ func (e *Engine) finishRebuild(dead, promoter int, at vtime.Time) {
 	delete(st.rebuildNeed, dead)
 	st.mu.Unlock()
 	e.proc.World().Members().RebuildComplete(dead, e.proc.Rank())
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "rebuild-done", dead, uint64(promoter), 0, nil)
-	}
+	e.emit(trace.KindRebuildDone, at, dead, uint64(promoter), 0, 0)
 }
 
 // The progress sentinel (the failure detector's second trigger).
@@ -722,9 +711,7 @@ func (e *Engine) sentinelSweep(watch map[int]*sentinelWatch, now time.Time) {
 		}
 		w.lastPing = now
 		e.Pings.Inc()
-		if f := e.flight.Load(); f != nil {
-			f.Note(int64(e.proc.Now()), "sentinel-ping", rank, 0, int64(w.strikes), nil)
-		}
+		e.emit(trace.KindSentinelPing, e.proc.Now(), rank, 0, int64(w.strikes), 0)
 		e.sendReplyNIC(e.proc.Now(), newMsg(rank, kPing))
 	}
 }

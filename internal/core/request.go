@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -37,9 +38,9 @@ type Request struct {
 	onData func(wire []byte, at vtime.Time) error
 
 	// latKind/issuedAt route the request's completion into a latency.*
-	// histogram. Populated on the issue path only while telemetry is
-	// enabled, and before the request escapes the issuing goroutine, so
-	// finish may read them without the lock.
+	// histogram. Populated by newRequest only while telemetry is enabled,
+	// before the request escapes the issuing goroutine, so finish may read
+	// them without the lock.
 	latKind  uint8
 	issuedAt vtime.Time
 }
@@ -48,8 +49,14 @@ type Request struct {
 // events carry, for correlating spans across ranks.
 func (r *Request) ID() uint64 { return r.id }
 
-func (e *Engine) newRequest(target int) *Request {
+// newRequest enters a request toward target into the engine table. While
+// telemetry is enabled, a latKind other than latNone also stamps its issue
+// time, so its completion lands in that latency histogram.
+func (e *Engine) newRequest(target int, latKind uint8) *Request {
 	r := &Request{e: e, target: target}
+	if latKind != latNone && e.observers().lat != nil {
+		r.latKind, r.issuedAt = latKind, e.proc.Now()
+	}
 	e.mu.Lock()
 	e.reqSeq++
 	r.id = e.reqSeq
@@ -115,25 +122,26 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 	delete(r.e.reqs, r.id)
 	r.e.mu.Unlock()
 	if r.latKind != latNone {
-		if lh := r.e.lat.Load(); lh != nil {
-			lh.byKind(r.latKind).Observe(int64(at - r.issuedAt))
+		if lat := r.e.observers().lat; lat != nil {
+			lat[r.latKind].Observe(int64(at - r.issuedAt))
 		}
 	}
 	for _, cb := range cbs {
 		cb(err)
 	}
-	if q := r.e.evq.Load(); q != nil {
+	if q := r.e.observers().evq; q != nil {
 		q.push(Event{Kind: EvRequestDone, At: at, Rank: r.target, Req: r, Err: err})
 	}
-	if f := r.e.flight.Load(); f != nil {
-		f.Note(int64(at), "request-done", r.target, r.id, 0, err)
-	}
+	r.e.record(trace.KindRequestDone, at, r.target, r.id, 0, 0, err)
 }
 
 // OnDone registers a completion callback: fn runs exactly once with the
 // request's asynchronous error (nil on success), on the goroutine that
 // completes the request — a delivery goroutine, usually, so fn must be
-// brief and must not block on the request itself. Registration is
+// brief and must not block on the request itself. The request is done
+// before fn runs: a goroutine released by Done, Wait, Await or Select may
+// get ahead of fn, so "has run" must be learned from fn itself, not from
+// the request being done. Registration is
 // after-the-fact safe: on an already-completed request fn runs inline
 // before OnDone returns. The error fn receives is the same value Err
 // reports, and it is visible to Err before Done's channel closes.

@@ -167,8 +167,16 @@ func TestProgressQuantumDelays(t *testing.T) {
 	}
 }
 
-// TestDepositHookObservesPuts: the diagnostic hook sees source, handle,
-// displacement and length of every deposit.
+// depositRecorder is an AccessRecorder that forwards each applied access.
+type depositRecorder func(Access)
+
+func (f depositRecorder) RecordAccess(a Access)         { f(a) }
+func (depositRecorder) RetireOrigin(origin, target int) {}
+func (depositRecorder) RetireTarget(target int)         {}
+
+// TestDepositHook: a diagnostic access recorder sees source, handle,
+// displacement and length of every deposit (what the MPI-2 overlap ledger
+// is built on).
 func TestDepositHook(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	type dep struct{ src, disp, length int }
@@ -177,12 +185,13 @@ func TestDepositHook(t *testing.T) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
-			e.SetDepositHook(func(src int, handle uint64, disp, length int) {
+			hook := depositRecorder(func(a Access) {
 				select {
-				case got <- dep{src, disp, length}:
+				case got <- dep{a.Origin, a.Disp, a.Len}:
 				default:
 				}
 			})
+			e.AddAccessRecorder(&hook)
 		}
 		tm := shipTM(p, e, 64)
 		if p.Rank() == 1 {

@@ -45,75 +45,22 @@ func (e *Engine) FetchWord(tm TargetMem, tdisp int, trank int, comm *runtime.Com
 }
 
 func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank int, comm *runtime.Comm, attrs Attr) (int64, error) {
-	if !tm.Valid() {
-		return 0, fmt.Errorf("core: invalid target_mem descriptor: %w", ErrBadHandle)
-	}
-	// Spare ranks live outside the communicator: a descriptor re-targeted
-	// at a dead rank's successor (tm.Owner = spare) names it by world rank
-	// directly, mirroring validateXfer.
-	w := trank
-	if trank >= 0 && trank < comm.Size() {
-		w = comm.WorldRank(trank)
-	} else if wd := e.proc.World(); trank < 0 || wd == nil || trank >= wd.TotalRanks() {
-		return 0, fmt.Errorf("core: target rank %d out of range: %w", trank, ErrBadHandle)
-	}
-	if w != tm.Owner {
-		return 0, fmt.Errorf("core: target rank %d resolves to world rank %d, but target_mem is owned by rank %d: %w", trank, w, tm.Owner, ErrBadHandle)
+	if err := e.checkOwner(tm, trank, comm); err != nil {
+		return 0, err
 	}
 	if tdisp < 0 || tdisp+8 > tm.Size {
 		return 0, fmt.Errorf("core: RMW at [%d,%d) exceeds target_mem of %d bytes: %w", tdisp, tdisp+8, tm.Size, ErrBounds)
 	}
-	if err := e.stickyFor(tm.Owner); err != nil {
-		return 0, fmt.Errorf("core: RMW: %w", err)
-	}
-	attrs = e.effectiveAttrs(comm, attrs) | AttrAtomic
-	target := tm.Owner
-	e.Progress()
-	e.flushTarget(target) // an RMW must not overtake ring-held operations
-	if err := e.maybeFence(comm, target); err != nil {
-		return 0, err
-	}
-
-	var seq, epoch uint64
-	e.mu.Lock()
-	ts := e.targetLocked(target)
-	epoch = ts.chkEpoch
-	ts.sent++
-	ts.singleton++
-	ts.willConfirm++ // the old-value reply carries the delivery counter
-	if attrs&AttrOrdering != 0 && !e.proc.NIC().Endpoint().Ordered() {
-		ts.orderSeq++
-		seq = ts.orderSeq
-	}
-	e.mu.Unlock()
-	e.OpsIssued.Inc()
-	e.SingletonOps.Inc()
-
-	req := e.newRequest(target)
-	if e.lat.Load() != nil {
-		req.latKind = latRMW
-		req.issuedAt = e.proc.Now()
-	}
-	m := newMsg(target, kRMW)
+	m := newMsg(tm.Owner, kRMW)
 	m.Hdr[hHandle] = tm.Handle
 	m.Hdr[hDisp] = uint64(tdisp)
-	m.Hdr[hMeta] = uint64(attrs)&0xffff | uint64(subop)<<24 | (epoch&0xffffffff)<<32
-	m.Hdr[hReq] = req.id
-	m.Hdr[hSeq] = seq
+	m.Hdr[hMeta] = uint64(subop) << 24
 	m.Payload = operand
-
-	if e.targetUsesCoarseLock() {
-		if err := e.acquireLock(target); err != nil {
-			return 0, err
-		}
-		m.Flags |= flagUnlockAfter
-	}
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
-		return 0, err
-	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
-	if t := e.tr(); t != nil {
-		t.RecordOpf(m.SentAt, "issue", target, req.id, "rmw subop=%d arrive=%d", subop, m.ArriveAt)
+	// Always atomic; the old-value reply completes the request and carries
+	// the delivery counter.
+	req, err := e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs)|AttrAtomic, true, latRMW, nil)
+	if err != nil {
+		return 0, fmt.Errorf("core: RMW: %w", err)
 	}
 	req.Wait()
 	if err := req.Err(); err != nil {
@@ -166,12 +113,10 @@ func (e *Engine) handleRMW(m *simnet.Message, at vtime.Time) {
 					ok = false
 				}
 			}
-			if c := e.ck(); c != nil && exp != nil {
-				c.rec.RecordAccess(Access{
-					Origin: m.Src, Target: e.proc.Rank(), Handle: m.Hdr[hHandle],
-					Disp: disp, Len: 8,
-					Kind: AccessRMW, Atomic: true, Ordered: attrs&AttrOrdering != 0,
-					OpID: m.Hdr[hReq], Member: -1, Epoch: m.Hdr[hMeta] >> 32, At: end,
+			if exp != nil {
+				e.recordAccess(m, Access{
+					Handle: m.Hdr[hHandle], Disp: disp, Len: 8,
+					Kind: AccessRMW, Atomic: true, Ordered: attrs&AttrOrdering != 0, Member: -1, At: end,
 				})
 			}
 			mutated := ok && subop != rmwFetch

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpi3rma/internal/portals"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -146,6 +147,6 @@ func (e *Engine) failEngine(err error) {
 	}
 	e.cmplMu.Unlock()
 	if first {
-		e.failOutstanding("apply-fault", AllRanks, e.proc.Now(), err)
+		e.failOutstanding(trace.KindApplyFault, AllRanks, e.proc.Now(), err)
 	}
 }

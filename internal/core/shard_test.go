@@ -74,7 +74,7 @@ func TestShardedConvergesWithSerial(t *testing.T) {
 }
 
 // TestShardApplyPanicSticky: a panic on a shard worker (injected through
-// the deposit hook) must not crash the process; it surfaces as a sticky
+// an access recorder) must not crash the process; it surfaces as a sticky
 // wrapped ErrApplyFault from the target's Err().
 func TestShardApplyPanicSticky(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 3})
@@ -86,7 +86,8 @@ func TestShardApplyPanicSticky(t *testing.T) {
 		e := Attach(p, opts)
 		comm := p.Comm()
 		if p.Rank() == 0 {
-			e.SetDepositHook(func(int, uint64, int, int) { panic("injected apply fault") })
+			fault := depositRecorder(func(Access) { panic("injected apply fault") })
+			e.AddAccessRecorder(&fault)
 		}
 		tm := shipTM(p, e, 64)
 		if p.Rank() == 0 {

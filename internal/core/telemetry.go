@@ -17,28 +17,15 @@ const (
 	latGet
 	latAcc
 	latRMW
+	latComplete // a whole Complete call, not a request
+	numLat
 )
 
-// latencyHists caches the registry's per-op-kind latency histograms
-// (virtual-time nanoseconds from issue to request completion) so the
-// completion path does one atomic load instead of a registry lookup.
-type latencyHists struct {
-	put, get, acc, rmw, complete *stats.Histogram
-}
-
-func (l *latencyHists) byKind(k uint8) *stats.Histogram {
-	switch k {
-	case latPut:
-		return l.put
-	case latGet:
-		return l.get
-	case latAcc:
-		return l.acc
-	case latRMW:
-		return l.rmw
-	}
-	return nil
-}
+// latencyHists caches the registry's latency histograms (virtual-time
+// nanoseconds from issue to completion), indexed by latency kind, so the
+// completion path reads them out of the observer snapshot instead of
+// looking them up in the registry.
+type latencyHists [numLat]*stats.Histogram
 
 // latKindOf maps an issue-path operation to its latency histogram kind.
 func latKindOf(op OpType) uint8 {
@@ -64,15 +51,36 @@ func latKindOf(op OpType) uint8 {
 // calls return the installed registry unchanged (like Attach), so layers
 // above can share one registry per rank.
 func (e *Engine) EnableTelemetry(reg *telemetry.Registry) *telemetry.Registry {
-	e.hookMu.Lock()
-	defer e.hookMu.Unlock()
-	if cur := e.tel.Load(); cur != nil {
-		return cur
+	if reg := e.Metrics(); reg != nil {
+		return reg // Session.Metrics asks on every call: no lock, no new snapshot
 	}
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	return e.observe(func(o *observers) {
+		if o.tel != nil {
+			return
+		}
+		if reg == nil {
+			reg = telemetry.NewRegistry()
+		}
+		e.registerCounters(reg)
+		if o.evq != nil {
+			// Events enabled before telemetry: register the queue's cells
+			// now (the reverse order registers from EnableEvents).
+			registerEventMetrics(reg, o.evq)
+		}
+		o.tel = reg
+		o.lat = &latencyHists{
+			latPut:      reg.Histogram("latency.put"),
+			latGet:      reg.Histogram("latency.get"),
+			latAcc:      reg.Histogram("latency.accumulate"),
+			latRMW:      reg.Histogram("latency.rmw"),
+			latComplete: reg.Histogram("latency.complete"),
+		}
+	}).tel
+}
 
+// registerCounters names the engine's, NIC's and network's live counters
+// in reg. Called under hookMu.
+func (e *Engine) registerCounters(reg *telemetry.Registry) {
 	reg.Register("ops.issued", &e.OpsIssued)
 	reg.Register("ops.applied", &e.OpsApplied)
 	reg.Register("acks.sent", &e.AcksSent)
@@ -129,28 +137,11 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) *telemetry.Registry {
 	reg.Register("net.faults_injected.delayed", &net.FaultsDelayed)
 	reg.Register("net.faults_injected.corrupted", &net.FaultsCorrupted)
 
-	if q := e.evq.Load(); q != nil {
-		// Events enabled before telemetry: register the queue's cells now
-		// (the reverse order registers from EnableEvents).
-		registerEventMetrics(reg, q)
-	}
-
-	e.lat.Store(&latencyHists{
-		put:      reg.Histogram("latency.put"),
-		get:      reg.Histogram("latency.get"),
-		acc:      reg.Histogram("latency.accumulate"),
-		rmw:      reg.Histogram("latency.rmw"),
-		complete: reg.Histogram("latency.complete"),
-	})
-	e.tel.Store(reg)
-	return reg
 }
 
 // Metrics returns the engine's metrics registry, or nil before
 // EnableTelemetry.
-func (e *Engine) Metrics() *telemetry.Registry {
-	return e.tel.Load()
-}
+func (e *Engine) Metrics() *telemetry.Registry { return e.observers().tel }
 
 // PairCounters is one (origin, target) pair's origin-side accounting, for
 // counter reconciliation: Sent = Batched + Singleton always, and after a

@@ -10,6 +10,7 @@ import (
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -89,20 +90,8 @@ func (e *Engine) Xfer(op OpType, accOp AccOp, origin memsim.Region, ocount int, 
 // validateXfer checks the transfer arguments shared by all operations.
 // Every failure wraps one of the sentinel errors of errors.go.
 func (e *Engine) validateXfer(op OpType, accOp AccOp, origin memsim.Region, ocount int, odt datatype.Type, tm TargetMem, tdisp, tcount int, tdt datatype.Type, trank int, comm *runtime.Comm) error {
-	if !tm.Valid() {
-		return fmt.Errorf("core: invalid target_mem descriptor: %w", ErrBadHandle)
-	}
-	// Spare ranks live outside the communicator: a descriptor re-targeted
-	// at a dead rank's successor (tm.Owner = spare) names it by world rank
-	// directly.
-	w := trank
-	if trank >= 0 && trank < comm.Size() {
-		w = comm.WorldRank(trank)
-	} else if wd := e.proc.World(); trank < 0 || wd == nil || trank >= wd.TotalRanks() {
-		return fmt.Errorf("core: target rank %d out of range: %w", trank, ErrBadHandle)
-	}
-	if w != tm.Owner {
-		return fmt.Errorf("core: target rank %d of comm resolves to world rank %d, but target_mem is owned by rank %d: %w", trank, w, tm.Owner, ErrBadHandle)
+	if err := e.checkOwner(tm, trank, comm); err != nil {
+		return err
 	}
 	if ocount < 0 || tcount < 0 || tdisp < 0 {
 		return fmt.Errorf("core: negative count or displacement: %w", ErrBounds)
@@ -149,44 +138,119 @@ func kindsOf(count int, t datatype.Type) []datatype.Kind {
 	return out
 }
 
-// xfer is the common issue path.
+// worldRank resolves an operation's target rank. Ranks of comm map through
+// it; spare ranks live outside the communicator, so a descriptor
+// re-targeted at a dead rank's successor names it by world rank directly.
+func (e *Engine) worldRank(trank int, comm *runtime.Comm) (int, error) {
+	if trank >= 0 && trank < comm.Size() {
+		return comm.WorldRank(trank), nil
+	}
+	if wd := e.proc.World(); trank < 0 || wd == nil || trank >= wd.TotalRanks() {
+		return 0, fmt.Errorf("core: target rank %d out of range: %w", trank, ErrBadHandle)
+	}
+	return trank, nil
+}
+
+// checkOwner verifies that tm is a descriptor and that trank of comm is the
+// rank that owns it.
+func (e *Engine) checkOwner(tm TargetMem, trank int, comm *runtime.Comm) error {
+	if !tm.Valid() {
+		return fmt.Errorf("core: invalid target_mem descriptor: %w", ErrBadHandle)
+	}
+	w, err := e.worldRank(trank, comm)
+	if err != nil {
+		return err
+	}
+	if w != tm.Owner {
+		return fmt.Errorf("core: target rank %d of comm resolves to world rank %d, but target_mem is owned by rank %d: %w", trank, w, tm.Owner, ErrBadHandle)
+	}
+	return nil
+}
+
+// xfer is the common issue path of put, get and accumulate.
 func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Region, ocount int, odt datatype.Type, tm TargetMem, tdisp, tcount int, tdt datatype.Type, trank int, comm *runtime.Comm, attrs Attr) (*Request, error) {
 	if err := e.validateXfer(op, accOp, origin, ocount, odt, tm, tdisp, tcount, tdt, trank, comm); err != nil {
 		return nil, err
 	}
-	if err := e.stickyFor(tm.Owner); err != nil {
-		// Fast-fail toward a dead rank or failed link: issuing would only
-		// accumulate requests that the failure handler must then reap.
-		return nil, err
-	}
 	attrs = e.effectiveAttrs(comm, attrs)
-	target := tm.Owner
-	e.Progress() // entering the library makes progress (MechProgress)
 	if e.batchable(op, attrs, datatype.PackedSize(ocount, odt)) {
-		if err := e.maybeFence(comm, target); err != nil {
+		e.Progress() // entering the library makes progress (MechProgress)
+		if err := e.maybeFence(comm, tm.Owner); err != nil {
 			return nil, err
 		}
 		return e.appendBatch(accOp, scale, origin, ocount, odt, tm, tdisp, tcount, tdt, attrs)
 	}
-	// A non-batchable operation must not overtake ring-held ones.
-	e.flushTarget(target)
+
+	var m *simnet.Message
+	var onData func(wire []byte, at vtime.Time) error
+	if op == OpGet {
+		m = newMsg(tm.Owner, kGet)
+		m.Payload = typeFrame(tdt, 0)
+		// The reply handler runs the landing. It is the same scatter a put
+		// deposit uses, so the holes of the origin layout are never
+		// written. A failure is reported through the request (Err), not a
+		// panic on the delivery goroutine.
+		onData = func(wire []byte, at vtime.Time) error {
+			if err := e.scatter(origin.Offset, wire, ocount, odt); err != nil {
+				return fmt.Errorf("core: get landing: %w", err)
+			}
+			return nil
+		}
+	} else {
+		m = newMsg(tm.Owner, kPut)
+		var wire []byte
+		m.Payload, wire = putPayload(tdt, accOp, scale, datatype.PackedSize(ocount, odt))
+		if err := e.packOrigin(wire, origin, ocount, odt); err != nil {
+			return nil, err
+		}
+	}
+	m.Hdr[hHandle] = tm.Handle
+	m.Hdr[hDisp] = uint64(tdisp)
+	m.Hdr[hCount] = uint64(tcount)
+	m.Hdr[hMeta] = uint64(accOp) << 16
+	return e.issueSingleton(comm, m, attrs, attrs&AttrAtomic != 0, latKindOf(op), onData)
+}
+
+// issueSingleton is the issue path of every operation that pays its own
+// wire message: non-batched transfers, read-modify-writes, active
+// messages. The caller has validated its arguments and built m (kind,
+// destination, handle/displacement/count, the op bits of hMeta, payload);
+// everything else is shared and happens here. A put, accumulate or active
+// message without RemoteComplete is done once the data has left the
+// origin; a get or RMW completes on its reply, which onData, if set,
+// consumes.
+//
+// A lock or send failure completes the request with the error instead of
+// abandoning it in the engine table: that keeps every observation surface
+// — Done, Err, OnDone, Select, the event queue — in agreement with the
+// returned error. This is the only place that has to.
+func (e *Engine) issueSingleton(comm *runtime.Comm, m *simnet.Message, attrs Attr, atomic bool, latKind uint8, onData func(wire []byte, at vtime.Time) error) (*Request, error) {
+	target := m.Dst
+	if err := e.stickyFor(target); err != nil {
+		// Fast-fail toward a dead rank or failed link: issuing would only
+		// accumulate requests that the failure handler must then reap.
+		return nil, err
+	}
+	e.Progress()          // entering the library makes progress (MechProgress)
+	e.flushTarget(target) // a singleton must not overtake ring-held operations
 	if err := e.maybeFence(comm, target); err != nil {
 		return nil, err
 	}
 
-	// Ordered-stream sequence number, only needed when the network itself
-	// does not order messages (the Figure 2 "ordering is free" case).
+	replies := m.Kind == kGet || m.Kind == kRMW
 	var seq, epoch uint64
 	e.mu.Lock()
 	ts := e.targetLocked(target)
 	epoch = ts.chkEpoch
 	ts.sent++
 	ts.singleton++
-	if op == OpGet || attrs&(AttrRemoteComplete|AttrNotify) != 0 {
+	if replies || attrs&(AttrRemoteComplete|AttrNotify) != 0 {
 		// The operation's reply, ack, or notification reports a delivery
 		// counter; Complete may wait on counters instead of probing.
 		ts.willConfirm++
 	}
+	// Ordered-stream sequence number, only needed when the network itself
+	// does not order messages (the Figure 2 "ordering is free" case).
 	if attrs&AttrOrdering != 0 && !e.proc.NIC().Endpoint().Ordered() {
 		ts.orderSeq++
 		seq = ts.orderSeq
@@ -195,69 +259,31 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	e.OpsIssued.Inc()
 	e.SingletonOps.Inc()
 
-	req := e.newRequest(target)
-	if e.lat.Load() != nil {
-		req.latKind = latKindOf(op)
-		req.issuedAt = e.proc.Now()
-	}
-
-	var m *simnet.Message
-	switch op {
-	case OpPut, OpAccumulate:
-		m = newMsg(target, kPut)
-		var wire []byte
-		m.Payload, wire = putPayload(tdt, accOp, scale, datatype.PackedSize(ocount, odt))
-		if err := e.packOrigin(wire, origin, ocount, odt); err != nil {
-			req.completeErr(e.proc.Now(), err)
-			return nil, err
-		}
-	case OpGet:
-		m = newMsg(target, kGet)
-		m.Payload = typeFrame(tdt, 0)
-		// Stash the landing; the reply handler runs it. It is the same
-		// scatter a put deposit uses, so the holes of the origin layout are
-		// never written. A failure is reported through the request (Err),
-		// not a panic on the delivery goroutine.
-		req.onData = func(wire []byte, at vtime.Time) error {
-			if err := e.scatter(origin.Offset, wire, ocount, odt); err != nil {
-				return fmt.Errorf("core: get landing: %w", err)
-			}
-			return nil
-		}
-	}
-	m.Hdr[hHandle] = tm.Handle
-	m.Hdr[hDisp] = uint64(tdisp)
-	m.Hdr[hCount] = uint64(tcount)
-	m.Hdr[hMeta] = uint64(attrs)&0xffff | uint64(accOp)<<16 | (epoch&0xffffffff)<<32
+	req := e.newRequest(target, latKind)
+	req.onData = onData
+	m.Hdr[hMeta] |= uint64(attrs)&0xffff | (epoch&0xffffffff)<<32
 	m.Hdr[hReq] = req.id
 	m.Hdr[hSeq] = seq
 
 	// The coarse-grain serializer requires the origin to hold the target's
 	// process-level lock across the whole atomic operation.
-	if attrs&AttrAtomic != 0 && e.targetUsesCoarseLock() {
-		if err := e.acquireLock(target); err != nil {
-			req.completeErr(e.proc.Now(), err)
-			return nil, err
+	var err error
+	if atomic && e.targetUsesCoarseLock() {
+		if err = e.acquireLock(target); err == nil {
+			m.Flags |= flagUnlockAfter
 		}
-		m.Flags |= flagUnlockAfter
 	}
-
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
-		// The request was already visible in the engine table; completing
-		// it with the error (instead of abandoning it there) keeps every
-		// observation surface — Done, Err, OnDone, Select, the event
-		// queue — in agreement with the returned error.
+	if err == nil {
+		_, err = e.proc.NIC().Send(e.proc.Now(), m)
+	}
+	if err != nil {
 		req.completeErr(e.proc.Now(), err)
 		return nil, err
 	}
 	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
-	if t := e.tr(); t != nil {
-		t.RecordOpf(m.SentAt, "issue", target, req.id, "%v %s disp=%d bytes=%d attrs=%v arrive=%d", op, tdt.Name(), tdisp, datatype.PackedSize(tcount, tdt), attrs, m.ArriveAt)
-	}
+	e.emit(trace.KindIssue, m.SentAt, target, req.id, int64(len(m.Payload)), int64(m.ArriveAt))
 
-	// Local completion: puts and accumulates without RemoteComplete are
-	// done once the data has left the origin. Gets complete on reply.
-	if op != OpGet && attrs&AttrRemoteComplete == 0 {
+	if !replies && attrs&AttrRemoteComplete == 0 {
 		req.complete(m.SentAt, nil)
 	}
 	if attrs&AttrBlocking != 0 {

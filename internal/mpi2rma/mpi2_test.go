@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"mpi3rma/internal/checker"
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 )
@@ -229,12 +230,16 @@ func TestEpochLegality(t *testing.T) {
 
 // TestOverlapDetection verifies the optional checker flags the MPI-2
 // "erroneous" pattern: two origins storing to overlapping bytes in one
-// epoch.
+// epoch. The strawman's semantic checker rides the same engines as a
+// second access recorder and must see the same pair: one access stream
+// feeds both.
 func TestOverlapDetection(t *testing.T) {
 	w := newWorld(t, 3)
 	var target *RMA
+	strawman := checker.New()
 	err := w.Run(func(p *runtime.Proc) {
 		r := Attach(p, Options{DetectOverlap: true})
+		r.Engine().AddAccessRecorder(strawman)
 		if p.Rank() == 0 {
 			target = r
 		}
@@ -260,5 +265,8 @@ func TestOverlapDetection(t *testing.T) {
 	}
 	if target.OverlapViolations.Value() == 0 {
 		t.Error("overlapping concurrent stores not detected")
+	}
+	if strawman.ConflictCount() == 0 {
+		t.Error("the semantic checker, installed beside the overlap ledger, saw no conflict")
 	}
 }

@@ -121,7 +121,7 @@ func Attach(p *runtime.Proc, opts Options) *RMA {
 		nic.RegisterHandler(kWLockGnt, r.handleLockGrant)
 		nic.RegisterHandler(kWLockRel, r.handleLockRel)
 		if opts.DetectOverlap {
-			r.eng.SetDepositHook(r.observeDeposit)
+			r.eng.AddAccessRecorder(overlapLedger{r})
 		}
 		if reg := r.eng.Metrics(); reg != nil {
 			r.RegisterMetrics(reg)
@@ -341,14 +341,24 @@ func (w *Win) Accumulate(op core.AccOp, origin memsim.Region, ocount int, odt da
 	return err
 }
 
-// observeDeposit is the overlap checker: it records stores into this
-// rank's windows and counts concurrent stores from different origins to
-// overlapping bytes within the same epoch (reset at each Fence/Wait).
-func (r *RMA) observeDeposit(src int, handle uint64, disp, length int) {
+// overlapLedger is the overlap checker, installed as one of the engine's
+// access recorders: it records stores into this rank's windows and counts
+// concurrent stores from different origins to overlapping bytes within the
+// same epoch. MPI-2 epochs, not the strawman's Complete, bound the ledger
+// (reset at each Fence/Wait), so the retire calls are not its concern.
+type overlapLedger struct{ *RMA }
+
+func (overlapLedger) RetireOrigin(origin, target int) {}
+func (overlapLedger) RetireTarget(target int)         {}
+
+func (r overlapLedger) RecordAccess(a core.Access) {
+	if a.Kind != core.AccessPut && a.Kind != core.AccessAcc {
+		return
+	}
 	r.mu.Lock()
 	var win *Win
 	for _, w := range r.wins {
-		if w.tms[w.comm.Rank()].Handle == handle {
+		if w.tms[w.comm.Rank()].Handle == a.Handle {
 			win = w
 			break
 		}
@@ -360,11 +370,11 @@ func (r *RMA) observeDeposit(src int, handle uint64, disp, length int) {
 	win.overlapMu.Lock()
 	defer win.overlapMu.Unlock()
 	for _, rec := range win.writes {
-		if rec.origin != src && disp < rec.end && rec.start < disp+length {
+		if rec.origin != a.Origin && a.Disp < rec.end && rec.start < a.Disp+a.Len {
 			r.OverlapViolations.Inc()
 		}
 	}
-	win.writes = append(win.writes, writeRecord{origin: src, start: disp, end: disp + length})
+	win.writes = append(win.writes, writeRecord{origin: a.Origin, start: a.Disp, end: a.Disp + a.Len})
 }
 
 // resetOverlapEpoch clears the overlap ledger at epoch boundaries.

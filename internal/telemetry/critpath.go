@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"mpi3rma/internal/stats"
+	"mpi3rma/internal/trace"
 )
 
 // Critical-path analysis decomposes each operation span (PR 2's
@@ -16,8 +15,9 @@ import (
 // "E13 spends 40% of its time in shard-queue". The decomposition is
 // gap-based: every pair of consecutive events inside a span defines a
 // gap, and every gap is attributed to exactly one stage (or split into
-// wire / retransmit-stall / shard-queue / apply using the arrive= and
-// cost= annotations the engine embeds in event details). Because gaps
+// wire / retransmit-stall / shard-queue / apply using the modelled arrival
+// the issue/batch event carries in B and the apply cost the apply event
+// carries in B). Because gaps
 // partition [Begin, End] and each gap is fully assigned, the per-span
 // stage sums reconcile *exactly* with the end-to-end modelled latency —
 // the report tracks any violation as a mismatch so the invariant is
@@ -105,79 +105,41 @@ type CriticalPathReport struct {
 	all []SpanBreakdown
 }
 
-// opSpan is the analyzer's internal span: like Span but retaining the
-// full events so details (arrive=, cost=) stay parseable.
-type opSpan struct {
-	origin int
-	id     uint64
-	events []TraceEvent
-}
-
-// retransEvent is one relay retransmission, side-indexed out of the
-// timeline: retransmissions are link-level (keyed by relay sequence
-// number, not request id) and must not pollute span identity.
-type retransEvent struct {
-	at       int64
-	src, dst int
-}
-
-// parseDetailInt extracts "key=<int>" from an event detail string.
-func parseDetailInt(detail, key string) (int64, bool) {
-	i := strings.Index(detail, key+"=")
-	if i < 0 {
-		return 0, false
+// stageOfGap names the stage charged with the gap that ends at an event of
+// kind k. An apply's gap is split further (wire, retransmit-stall,
+// shard-queue, apply); StageApply stands for the whole split here. Issue
+// and enqueue open a span, so no gap ends at them in a well-formed one.
+func stageOfGap(k trace.Kind) string {
+	switch k {
+	case trace.KindPack:
+		return StageIssueQueue
+	case trace.KindBatch:
+		return StagePack
+	case trace.KindApply:
+		return StageApply
+	case trace.KindAck, trace.KindReply, trace.KindNotify, trace.KindProbeAck:
+		return StageAckNotify
+	case trace.KindComplete, trace.KindFence:
+		return StageCompletionWakeup
+	case trace.KindProbe:
+		return StageWire
 	}
-	rest := detail[i+len(key)+1:]
-	end := 0
-	for end < len(rest) && (rest[end] >= '0' && rest[end] <= '9' || end == 0 && rest[end] == '-') {
-		end++
-	}
-	v, err := strconv.ParseInt(rest[:end], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-func clamp(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return StageOther
 }
 
 // AnalyzeCriticalPath decomposes every correlated span in a merged
-// chronological timeline (Timeline output) into stages. events with
+// chronological timeline (trace.MergeRanks output) into stages. events with
 // ID == 0 (fastpath completes, fences) and link-level retransmit
 // records are excluded from span identity; retransmits instead feed the
 // retransmit-stall attribution.
-func AnalyzeCriticalPath(events []TraceEvent) *CriticalPathReport {
-	var retrans []retransEvent
-	type key struct {
-		origin int
-		id     uint64
-	}
-	byOp := make(map[key]*opSpan)
-	var order []key
+func AnalyzeCriticalPath(events []trace.RankEvent) *CriticalPathReport {
+	// Retransmissions are link-level records (sender, Peer = destination),
+	// side-indexed out of the timeline.
+	var retrans []trace.RankEvent
 	for _, e := range events {
-		if e.Cat == "retransmit" {
-			retrans = append(retrans, retransEvent{at: e.At, src: e.Rank, dst: e.Peer})
-			continue
+		if e.Kind == trace.KindRetransmit {
+			retrans = append(retrans, e)
 		}
-		if e.ID == 0 {
-			continue
-		}
-		k := key{originOf(e), e.ID}
-		sp := byOp[k]
-		if sp == nil {
-			sp = &opSpan{origin: k.origin, id: k.id}
-			byOp[k] = sp
-			order = append(order, k)
-		}
-		sp.events = append(sp.events, e)
 	}
 
 	rep := &CriticalPathReport{}
@@ -192,73 +154,57 @@ func AnalyzeCriticalPath(events []TraceEvent) *CriticalPathReport {
 	lastRetrans := func(src, dst int, after, until int64) int64 {
 		var last int64
 		for _, r := range retrans {
-			if r.src == src && r.dst == dst && r.at > after && r.at <= until && r.at > last {
-				last = r.at
+			if at := int64(r.At); r.Rank == src && r.Peer == dst && at > after && at <= until && at > last {
+				last = at
 			}
 		}
 		return last
 	}
 
-	for _, k := range order {
-		sp := byOp[k]
+	for _, sp := range groupSpans(events) {
 		if len(sp.events) < 2 {
 			continue
 		}
 		bd := SpanBreakdown{
 			Origin: sp.origin,
 			ID:     sp.id,
-			Begin:  sp.events[0].At,
-			End:    sp.events[len(sp.events)-1].At,
+			Begin:  int64(sp.events[0].At),
+			End:    int64(sp.events[len(sp.events)-1].At),
 			Stages: make(map[string]int64),
 		}
 		bd.Elapsed = bd.End - bd.Begin
-		add := func(stage string, d int64) {
-			if d < 0 {
-				d = 0
-			}
-			bd.Stages[stage] += d
-		}
+		add := func(stage string, d int64) { bd.Stages[stage] += d }
 		for i := 1; i < len(sp.events); i++ {
 			prev, next := sp.events[i-1], sp.events[i]
-			gap := next.At - prev.At
+			gap := int64(next.At - prev.At)
 			if gap < 0 {
-				// Timeline output is chronological; a negative gap means
+				// MergeRanks output is chronological; a negative gap means
 				// the input was not. Surface it as a mismatch.
 				continue
 			}
-			switch next.Cat {
-			case "pack":
-				add(StageIssueQueue, gap)
-			case "batch":
-				add(StagePack, gap)
-			case "apply":
-				rem := gap
-				if arrive, ok := parseDetailInt(prev.Detail, "arrive"); ok {
-					wire := clamp(arrive-prev.At, 0, rem)
-					add(StageWire, wire)
-					rem -= wire
-					// A retransmission on the origin→target link inside
-					// this window delayed actual delivery past the
-					// modelled arrival by (retransmit time - send time).
-					if last := lastRetrans(sp.origin, next.Rank, prev.At, next.At); last > 0 {
-						stall := clamp(last-prev.At, 0, rem)
-						add(StageRetransmitStall, stall)
-						rem -= stall
-					}
-				}
-				cost, _ := parseDetailInt(next.Detail, "cost")
-				ap := clamp(cost, 0, rem)
-				add(StageShardQueue, rem-ap)
-				add(StageApply, ap)
-			case "ack", "reply", "notify", "probe-ack":
-				add(StageAckNotify, gap)
-			case "complete", "fence":
-				add(StageCompletionWakeup, gap)
-			case "probe":
-				add(StageWire, gap)
-			default:
-				add(StageOther, gap)
+			stage := stageOfGap(next.Kind)
+			if next.Kind != trace.KindApply {
+				add(stage, gap)
+				continue
 			}
+			rem := gap
+			if prev.Kind == trace.KindIssue || prev.Kind == trace.KindBatch {
+				sent := int64(prev.At)
+				wire := min(max(prev.B-sent, 0), rem)
+				add(StageWire, wire)
+				rem -= wire
+				// A retransmission on the origin→target link inside this
+				// window delayed actual delivery past the modelled arrival
+				// by (retransmit time - send time).
+				if last := lastRetrans(sp.origin, next.Rank, sent, int64(next.At)); last > 0 {
+					stall := min(max(last-sent, 0), rem)
+					add(StageRetransmitStall, stall)
+					rem -= stall
+				}
+			}
+			ap := min(max(next.B, 0), rem)
+			add(StageShardQueue, rem-ap)
+			add(stage, ap)
 		}
 		var sum int64
 		for stage, d := range bd.Stages {

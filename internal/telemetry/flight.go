@@ -7,16 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"mpi3rma/internal/trace"
 )
 
 // The flight recorder keeps a bounded ring of the most recent
 // noteworthy runtime events (deliveries, confirms, retransmissions,
 // faults) so that when something goes wrong — a link exhausts its retry
 // budget, an apply panics — the postmortem names what happened in the
-// moments before, not just the final error. Everything is preallocated:
-// recording is a mutex-guarded ring write with no allocation, and a nil
-// *FlightRecorder discards notes entirely so the disabled path is a
-// single pointer check (pinned by an AllocsPerRun test).
+// moments before, not just the final error. The ring is a trace.Ring of
+// the flight kinds (trace.ToFlight): the engine emits into Ring(), which is
+// nil on a nil *FlightRecorder, so the disabled path is a single pointer
+// check and neither path allocates (pinned by an AllocsPerRun test).
 
 // FlightConfig sizes and places a recorder.
 type FlightConfig struct {
@@ -31,22 +33,6 @@ type FlightConfig struct {
 
 // DefaultFlightCap is the default ring capacity.
 const DefaultFlightCap = 256
-
-// FlightEvent is one recorded moment. Cat values are static strings
-// ("delivery", "confirm", "retransmit", "link-failed", "rank-death",
-// "replica-promote", "rebuild-frame", "rebuild-done", "buddy-lost",
-// "buddy-rebound", "no-spare", "apply-fault", "request-done") so
-// recording never formats or allocates.
-type FlightEvent struct {
-	At    int64  `json:"at"`
-	Cat   string `json:"cat"`
-	Peer  int    `json:"peer"`
-	ID    uint64 `json:"id,omitempty"`
-	Count int64  `json:"count,omitempty"`
-	Err   string `json:"err,omitempty"`
-
-	err error
-}
 
 // LinkHealth is one peer link's relay state at snapshot time.
 type LinkHealth struct {
@@ -112,8 +98,8 @@ type HealthReport struct {
 	Sticky []string `json:"sticky,omitempty"`
 	// RetryBudget is the per-frame retry budget links are allowed
 	// before being declared failed (0 when reliability is off).
-	RetryBudget int          `json:"retry_budget,omitempty"`
-	Links       []LinkHealth `json:"links,omitempty"`
+	RetryBudget int           `json:"retry_budget,omitempty"`
+	Links       []LinkHealth  `json:"links,omitempty"`
 	Shards      []ShardHealth `json:"shards,omitempty"`
 	Queue       *QueueHealth  `json:"queue,omitempty"`
 	// AppliedFrom counts applied ops per origin rank (watermarks).
@@ -127,10 +113,12 @@ type Postmortem struct {
 	Reason string `json:"reason"`
 	Rank   int    `json:"rank"`
 	At     int64  `json:"at"`
-	// Recorded is the lifetime number of notes; len(Events) is bounded
-	// by the ring capacity, so Recorded-len(Events) notes were evicted.
-	Recorded uint64        `json:"recorded"`
-	Events   []FlightEvent `json:"events"`
+	// Recorded is the lifetime number of events; len(Events) is bounded
+	// by the ring capacity, so Recorded-len(Events) events were evicted.
+	Recorded uint64 `json:"recorded"`
+	// Events are in the encoding trace sidecars use (trace.RankEvent),
+	// every one stamped with this rank.
+	Events []trace.RankEvent `json:"events"`
 	// RankDeath, when set, names the death and replica promotion this
 	// dump covers: the dead rank, the buddy that promoted, the spare
 	// rebuilt onto, and the replayed version range.
@@ -139,17 +127,17 @@ type Postmortem struct {
 	MetricDeltas map[string]int64 `json:"metric_deltas,omitempty"`
 }
 
-// FlightRecorder is the bounded ring. The zero value is not usable;
-// construct with NewFlightRecorder. A nil *FlightRecorder is valid and
-// discards everything.
+// FlightRecorder is the event ring plus what turns it into a postmortem:
+// the health callback, the metric baseline, the dump directory and the
+// once-only auto-dump latch. The zero value is not usable; construct with
+// NewFlightRecorder. A nil *FlightRecorder is valid and discards
+// everything.
 type FlightRecorder struct {
 	rank int
 	dir  string
+	ring *trace.Ring
 
 	mu     sync.Mutex
-	ring   []FlightEvent
-	next   int
-	total  uint64
 	health func() HealthReport
 	reg    *Registry
 	base   Snapshot
@@ -169,8 +157,17 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	return &FlightRecorder{
 		rank: cfg.Rank,
 		dir:  cfg.Dir,
-		ring: make([]FlightEvent, cfg.Cap),
+		ring: trace.New(cfg.Cap),
 	}
+}
+
+// Ring returns the event ring the owning engine emits into; nil (a valid
+// discarding ring) on a nil recorder.
+func (f *FlightRecorder) Ring() *trace.Ring {
+	if f == nil {
+		return nil
+	}
+	return f.ring
 }
 
 // SetHealth installs the callback that snapshots the owning rank's
@@ -211,71 +208,20 @@ func (f *FlightRecorder) SetRankDeath(info RankDeathInfo) {
 	f.mu.Unlock()
 }
 
-// RankDeath returns the recorded death-and-promotion report, if any.
-func (f *FlightRecorder) RankDeath() *RankDeathInfo {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.death == nil {
-		return nil
-	}
-	d := *f.death
-	return &d
-}
-
-// Note records one event. Nil receiver and full rings are both fine:
-// the former discards, the latter evicts the oldest entry. Cat must be
-// a static string; err may be nil.
-func (f *FlightRecorder) Note(at int64, cat string, peer int, id uint64, count int64, err error) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.ring[f.next] = FlightEvent{At: at, Cat: cat, Peer: peer, ID: id, Count: count, err: err}
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-	}
-	f.total++
-	f.mu.Unlock()
-}
-
-// Len reports how many events the ring currently holds.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.total < uint64(len(f.ring)) {
-		return int(f.total)
-	}
-	return len(f.ring)
-}
-
 // Postmortem assembles a dump without writing it anywhere.
 func (f *FlightRecorder) Postmortem(reason string, at int64) *Postmortem {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	n := len(f.ring)
-	var events []FlightEvent
-	if f.total < uint64(n) {
-		events = append(events, f.ring[:f.total]...)
-	} else {
-		events = append(events, f.ring[f.next:]...)
-		events = append(events, f.ring[:f.next]...)
-	}
+	held := f.ring.Snapshot()
 	pm := &Postmortem{
 		Reason:   reason,
 		Rank:     f.rank,
 		At:       at,
-		Recorded: f.total,
-		Events:   events,
+		Recorded: uint64(len(held)) + uint64(f.ring.Dropped()),
+		Events:   trace.MergeRanks(map[int][]trace.Event{f.rank: held}),
 	}
+	f.mu.Lock()
 	if f.death != nil {
 		d := *f.death
 		pm.RankDeath = &d
@@ -284,11 +230,6 @@ func (f *FlightRecorder) Postmortem(reason string, at int64) *Postmortem {
 	reg, base := f.reg, f.base
 	f.mu.Unlock()
 
-	for i := range pm.Events {
-		if pm.Events[i].err != nil {
-			pm.Events[i].Err = pm.Events[i].err.Error()
-		}
-	}
 	if health != nil {
 		h := health()
 		pm.Health = &h
@@ -326,7 +267,6 @@ func (f *FlightRecorder) DumpFile(reason string, at int64) (string, error) {
 	if f == nil {
 		return "", nil
 	}
-	pm := f.Postmortem(reason, at)
 	f.mu.Lock()
 	ordinal := len(f.dumps)
 	dir := f.dir
@@ -337,9 +277,7 @@ func (f *FlightRecorder) DumpFile(reason string, at int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	enc := json.NewEncoder(file)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(pm); err != nil {
+	if err := f.WritePostmortem(file, reason, at); err != nil {
 		file.Close()
 		return "", err
 	}

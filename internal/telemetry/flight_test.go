@@ -10,32 +10,39 @@ import (
 	"testing"
 
 	"mpi3rma/internal/stats"
+	"mpi3rma/internal/trace"
+	"mpi3rma/internal/vtime"
 )
+
+// note is the engine's emit as the recorder sees it: one event into Ring().
+func note(f *FlightRecorder, at int, kind trace.Kind, peer int, id uint64, a int64, err error) {
+	f.Ring().Emit(trace.Event{At: vtime.Time(at), Kind: kind, Peer: peer, ID: id, A: a, Err: err})
+}
 
 // TestFlightDisabledZeroAlloc pins the hot-path contract: with the
 // recorder disabled (nil pointer — the state every engine is in unless
-// WithFlightRecorder was passed) a Note is a single pointer check and
-// allocates nothing. The enabled path writes into the preallocated ring
-// and must not allocate either.
+// WithFlightRecorder was passed) an emit into Ring() is a single pointer
+// check and allocates nothing. The enabled path writes into the
+// preallocated ring and must not allocate either.
 func TestFlightDisabledZeroAlloc(t *testing.T) {
 	var off *FlightRecorder
 	err := errors.New("sticky")
 	if n := testing.AllocsPerRun(1000, func() {
-		off.Note(42, "delivery", 3, 7, 1, err)
+		note(off, 42, trace.KindDelivery, 3, 7, 1, err)
 	}); n != 0 {
-		t.Fatalf("disabled Note allocates %v per call, want 0", n)
+		t.Fatalf("disabled emit allocates %v per call, want 0", n)
 	}
 	on := NewFlightRecorder(FlightConfig{Rank: 1, Cap: 64})
 	if n := testing.AllocsPerRun(1000, func() {
-		on.Note(42, "delivery", 3, 7, 1, err)
+		note(on, 42, trace.KindDelivery, 3, 7, 1, err)
 	}); n != 0 {
-		t.Fatalf("enabled Note allocates %v per call, want 0", n)
+		t.Fatalf("enabled emit allocates %v per call, want 0", n)
 	}
 	// The rest of the nil-receiver surface must be no-ops, not panics.
 	off.SetHealth(nil)
 	off.SetBaseline(NewRegistry())
 	off.AutoDump("x", 0)
-	if off.Len() != 0 || off.Postmortem("x", 0) != nil || off.Dumps() != nil {
+	if off.Ring() != nil || off.Postmortem("x", 0) != nil || off.Dumps() != nil {
 		t.Fatal("nil recorder returned non-empty state")
 	}
 }
@@ -45,25 +52,22 @@ func TestFlightDisabledZeroAlloc(t *testing.T) {
 func TestFlightRingEvictsOldest(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{Rank: 0, Cap: 4})
 	for i := 1; i <= 6; i++ {
-		f.Note(int64(i), "delivery", i, 0, 0, nil)
-	}
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", f.Len())
+		note(f, i, trace.KindDelivery, i, 0, 0, nil)
 	}
 	pm := f.Postmortem("test", 6)
 	if pm.Recorded != 6 || len(pm.Events) != 4 {
 		t.Fatalf("recorded=%d events=%d, want 6 and 4", pm.Recorded, len(pm.Events))
 	}
 	for i, ev := range pm.Events {
-		if want := int64(i + 3); ev.At != want {
+		if want := vtime.Time(i + 3); ev.At != want {
 			t.Fatalf("event %d at=%d, want %d (oldest evicted, chronological)", i, ev.At, want)
 		}
 	}
 }
 
-// TestFlightPostmortemContents: the dump stringifies stored errors,
-// embeds the health snapshot, and reports counter deltas since the
-// baseline was armed.
+// TestFlightPostmortemContents: the dump embeds the health snapshot,
+// reports counter deltas since the baseline was armed, and its JSON
+// round-trips with the link-failure event's error text preserved.
 func TestFlightPostmortemContents(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{Rank: 2, Cap: 8})
 	reg := NewRegistry()
@@ -77,7 +81,7 @@ func TestFlightPostmortemContents(t *testing.T) {
 		return HealthReport{Rank: 2, VTime: 99, Sticky: []string{"link 0 failed"}}
 	})
 	retries.Add(3)
-	f.Note(10, "link-failed", 0, 0, 0, errors.New("retry budget exhausted"))
+	note(f, 10, trace.KindLinkFailed, 0, 0, 0, errors.New("retry budget exhausted"))
 
 	pm := f.Postmortem("link-failed", 10)
 	if pm.Health == nil || pm.Health.VTime != 99 || len(pm.Health.Sticky) != 1 {
@@ -86,16 +90,20 @@ func TestFlightPostmortemContents(t *testing.T) {
 	if pm.MetricDeltas["net.retries"] != 3 {
 		t.Fatalf("metric delta = %d, want 3 (movement since baseline only)", pm.MetricDeltas["net.retries"])
 	}
-	if pm.Events[0].Err != "retry budget exhausted" {
-		t.Fatalf("event error not stringified: %+v", pm.Events[0])
+	if pm.Events[0].Rank != 2 || pm.Events[0].Err == nil {
+		t.Fatalf("event lost its rank or error: %+v", pm.Events[0])
 	}
 	var buf bytes.Buffer
 	if err := f.WritePostmortem(&buf, "link-failed", 10); err != nil {
 		t.Fatalf("WritePostmortem: %v", err)
 	}
-	var check map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &check); err != nil {
+	var back Postmortem
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("postmortem JSON does not parse: %v", err)
+	}
+	ev := back.Events[0]
+	if ev.Kind != trace.KindLinkFailed || ev.Rank != 2 || ev.Peer != 0 || ev.Err == nil || ev.Err.Error() != "retry budget exhausted" {
+		t.Fatalf("link-failed event did not round-trip: %+v", ev)
 	}
 }
 
@@ -105,7 +113,7 @@ func TestFlightPostmortemContents(t *testing.T) {
 func TestFlightAutoDumpOnce(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(FlightConfig{Rank: 3, Dir: dir})
-	f.Note(1, "retransmit", 0, 11, 2, nil)
+	note(f, 1, trace.KindRetransmit, 0, 11, 2, nil)
 	f.AutoDump("link-failed", 5)
 	f.AutoDump("apply-fault", 6)
 	dumps := f.Dumps()

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
-	"errors"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,19 +85,19 @@ func TestSpansAcrossRanks(t *testing.T) {
 	// origin — which must land in a distinct span.
 	per := map[int][]trace.Event{
 		1: {
-			{At: 10, Cat: "issue", Peer: 0, ID: 9},
-			{At: 50, Cat: "ack", Peer: 0, ID: 9},
-			{At: 55, Cat: "complete", Peer: 0, ID: 9},
+			{At: 10, Kind: trace.KindIssue, Peer: 0, ID: 9},
+			{At: 50, Kind: trace.KindAck, Peer: 0, ID: 9},
+			{At: 55, Kind: trace.KindComplete, Peer: 0, ID: 9},
 		},
 		0: {
-			{At: 30, Cat: "apply", Peer: 1, ID: 9},
-			{At: 12, Cat: "issue", Peer: 2, ID: 9},
+			{At: 30, Kind: trace.KindApply, Peer: 1, ID: 9},
+			{At: 12, Kind: trace.KindIssue, Peer: 2, ID: 9},
 		},
 		2: {
-			{At: 40, Cat: "apply", Peer: 0, ID: 9},
+			{At: 40, Kind: trace.KindApply, Peer: 0, ID: 9},
 		},
 	}
-	events := Timeline(per)
+	events := trace.MergeRanks(per)
 	if len(events) != 6 {
 		t.Fatalf("timeline has %d events", len(events))
 	}
@@ -129,16 +130,18 @@ func TestSpansAcrossRanks(t *testing.T) {
 		t.Fatalf("apply should be recorded by rank 0: %v", mine.Ranks)
 	}
 
-	var buf bytes.Buffer
-	if err := WriteTraceJSON(&buf, events); err != nil {
+	// The timeline survives its JSON encoding: the spans rebuilt from the
+	// decoded events are the spans of the original.
+	raw, err := json.Marshal(events)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var dump TraceDump
-	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+	var back []trace.RankEvent
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
-	if len(dump.Spans) != 2 || len(dump.Events) != 6 {
-		t.Fatalf("round-tripped dump: %d spans, %d events", len(dump.Spans), len(dump.Events))
+	if !reflect.DeepEqual(Spans(back), spans) {
+		t.Fatalf("round-tripped timeline rebuilds %+v, want %+v", Spans(back), spans)
 	}
 }
 

@@ -1,69 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 
 	"mpi3rma/internal/trace"
 )
-
-// TraceEvent is one protocol trace event in exporter form: the recording
-// rank is explicit, virtual time is a plain integer (nanoseconds).
-type TraceEvent struct {
-	At     int64  `json:"at"`
-	Rank   int    `json:"rank"`
-	Cat    string `json:"cat"`
-	Peer   int    `json:"peer"`
-	ID     uint64 `json:"id,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// Timeline merges per-rank trace rings' snapshots into one chronological
-// event list.
-func Timeline(perRank map[int][]trace.Event) []TraceEvent {
-	merged := trace.MergeRanks(perRank)
-	out := make([]TraceEvent, len(merged))
-	for i, e := range merged {
-		out[i] = TraceEvent{
-			At:     int64(e.At),
-			Rank:   e.Rank,
-			Cat:    e.Cat,
-			Peer:   e.Peer,
-			ID:     e.ID,
-			Detail: e.Detail,
-		}
-	}
-	return out
-}
-
-// originSideCats classifies event categories recorded at the operation's
-// origin rank; everything else ("apply", "probe") is recorded at the
-// target with Peer naming the origin. The classification matters because
-// request ids are allocated per origin engine: a span's identity is
-// (origin rank, id), and each event must contribute its view of the origin.
-var originSideCats = map[string]bool{
-	"issue":     true,
-	"enqueue":   true,
-	"pack":      true,
-	"batch":     true,
-	"ack":       true,
-	"reply":     true,
-	"notify":    true,
-	"probe-ack": true,
-	"complete":  true,
-	"fence":     true,
-}
-
-// originOf returns the origin rank of an event: the recording rank for
-// origin-side categories, the peer for target-side ones (falling back to
-// the recording rank when no peer was recorded).
-func originOf(e TraceEvent) int {
-	if originSideCats[e.Cat] || e.Peer < 0 {
-		return e.Rank
-	}
-	return e.Peer
-}
 
 // Span is the reconstructed lifetime of one operation (or batch
 // envelope): every event across all ranks that carried its id, keyed by
@@ -81,53 +22,61 @@ type Span struct {
 	Ranks []int `json:"ranks"`
 }
 
-// Spans groups correlated events (id != 0) into per-operation spans,
-// ordered by begin time. events must be chronological (Timeline output).
-func Spans(events []TraceEvent) []Span {
+// opSpan is one operation's events, in timeline order, under the identity
+// (origin rank, id) — what Spans summarizes and the critical-path analyzer
+// decomposes.
+type opSpan struct {
+	origin int
+	id     uint64
+	events []trace.RankEvent
+}
+
+// groupSpans collects the correlated events (id != 0) of a chronological
+// timeline (trace.MergeRanks output) into per-operation spans, in order of
+// first appearance. Link-level retransmit records carry a relay sequence
+// number, not an operation id: they must not pollute span identity and are
+// left out.
+func groupSpans(events []trace.RankEvent) []*opSpan {
 	type key struct {
 		origin int
 		id     uint64
 	}
-	byOp := make(map[key]*Span)
-	var order []key
+	byOp := make(map[key]*opSpan)
+	var out []*opSpan
 	for _, e := range events {
-		if e.ID == 0 {
+		if e.ID == 0 || e.Kind == trace.KindRetransmit {
 			continue
 		}
-		k := key{originOf(e), e.ID}
+		// The origin is the recording rank, except for kinds recorded at
+		// the target, whose Peer names it.
+		k := key{e.Rank, e.ID}
+		if e.Kind.AtTarget() && e.Peer >= 0 {
+			k.origin = e.Peer
+		}
 		sp := byOp[k]
 		if sp == nil {
-			sp = &Span{Origin: k.origin, ID: k.id, Begin: e.At, End: e.At}
+			sp = &opSpan{origin: k.origin, id: k.id}
 			byOp[k] = sp
-			order = append(order, k)
+			out = append(out, sp)
 		}
-		if e.At < sp.Begin {
-			sp.Begin = e.At
-		}
-		if e.At > sp.End {
-			sp.End = e.At
-		}
-		sp.Path = append(sp.Path, e.Cat)
-		sp.Ranks = append(sp.Ranks, e.Rank)
+		sp.events = append(sp.events, e)
 	}
-	out := make([]Span, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byOp[k])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Begin < out[j].Begin })
 	return out
 }
 
-// TraceDump is the JSON trace sidecar: the full merged timeline plus the
-// spans reconstructed from it.
-type TraceDump struct {
-	Events []TraceEvent `json:"events"`
-	Spans  []Span       `json:"spans"`
-}
-
-// WriteTraceJSON emits the timeline and its spans as indented JSON.
-func WriteTraceJSON(w io.Writer, events []TraceEvent) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(TraceDump{Events: events, Spans: Spans(events)})
+// Spans summarizes every operation span of a chronological timeline,
+// ordered by begin time.
+func Spans(events []trace.RankEvent) []Span {
+	groups := groupSpans(events)
+	out := make([]Span, len(groups))
+	for i, g := range groups {
+		sp := Span{Origin: g.origin, ID: g.id, Begin: int64(g.events[0].At), End: int64(g.events[len(g.events)-1].At)}
+		for _, e := range g.events {
+			sp.Path = append(sp.Path, e.Kind.String())
+			sp.Ranks = append(sp.Ranks, e.Rank)
+		}
+		out[i] = sp
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Begin < out[j].Begin })
+	return out
 }

@@ -1,19 +1,23 @@
-// Package trace is a lightweight per-rank protocol event recorder — the
-// observability layer a production RMA implementation ships with. Layers
-// that want tracing (the strawman engine exposes SetTracer) append typed
-// events into a bounded ring; tests and tools snapshot the ring to check
-// or display protocol timelines in virtual time.
+// Package trace is the one schema for what the RMA engine observes about
+// itself: a fixed-size typed event record, a bounded ring to keep the most
+// recent ones in, and the one encoding they are exported in. The protocol
+// tracer (rma.WithTracing) and the postmortem flight recorder
+// (rma.WithFlightRecorder) are two rings of the same record; which kinds
+// each keeps is a column of the kind table in kind.go.
 //
 // Events carry an optional operation id (the origin's request id, or the
 // aggregate id for batch envelopes) so one put can be followed
 // issue→enqueue→flush→wire→apply→ack→complete across ranks: merge the
 // per-rank rings with MergeRanks and group by (origin, id).
 //
-// Recording is lock-protected and allocation-light; a nil *Ring is a
-// valid no-op recorder so call sites need no nil checks.
+// Emitting is a mutex-guarded write of one record into preallocated
+// storage: nothing is formatted or allocated until an event is printed or
+// exported. A nil *Ring is a valid no-op recorder.
 package trace
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,28 +33,46 @@ const NoPeer = -1
 type Event struct {
 	// At is the virtual time of the event.
 	At vtime.Time
-	// Cat is a short category ("issue", "apply", "ack", "probe", ...).
-	Cat string
+	// Kind says what happened; it fixes the meaning of A and B.
+	Kind Kind
 	// Peer is the other rank involved (NoPeer if none).
 	Peer int
 	// ID correlates the events of one operation across layers and ranks:
 	// the origin request id for single operations, the aggregate id for
 	// batch envelopes. 0 means uncorrelated.
 	ID uint64
-	// Detail is a short free-form description.
-	Detail string
+	// A and B are the kind's two integer arguments (see the kind table).
+	A, B int64
+	// Err is the failure the event reports: nil except on a failed
+	// request-done and on the fault kinds.
+	Err error
+}
+
+// Detail renders A and B under the names the kind table gives them, e.g.
+// "bytes=64 arrive=300". Arguments the kind does not use are omitted.
+func (e Event) Detail() string {
+	switch a, b := e.Kind.Args(); {
+	case b != "":
+		return fmt.Sprintf("%s=%d %s=%d", a, e.A, b, e.B)
+	case a != "":
+		return fmt.Sprintf("%s=%d", a, e.A)
+	}
+	return ""
 }
 
 // String renders the event for timeline dumps.
 func (e Event) String() string {
-	id := ""
+	peer, id, errText := "        ", "", ""
+	if e.Peer >= 0 {
+		peer = fmt.Sprintf("peer=%-3d", e.Peer)
+	}
 	if e.ID != 0 {
 		id = fmt.Sprintf(" id=%d", e.ID)
 	}
-	if e.Peer >= 0 {
-		return fmt.Sprintf("%10d %-8s peer=%-3d%s %s", e.At, e.Cat, e.Peer, id, e.Detail)
+	if e.Err != nil {
+		errText = " err=" + e.Err.Error()
 	}
-	return fmt.Sprintf("%10d %-8s         %s %s", e.At, e.Cat, id, e.Detail)
+	return fmt.Sprintf("%10d %-15s %s%s %s%s", e.At, e.Kind, peer, id, e.Detail(), errText)
 }
 
 // Ring is a bounded event recorder. The zero value is unusable; use New.
@@ -58,13 +80,9 @@ func (e Event) String() string {
 type Ring struct {
 	mu     sync.Mutex
 	events []Event
-	next   int
-	filled bool
-
-	// Dropped counts events discarded after the ring wrapped (the
-	// earliest events are overwritten, so Dropped is the overwrite
-	// count).
-	dropped int64
+	// total is the lifetime number of events emitted; total % len(events)
+	// is the next slot, so the ring holds the newest min(total, cap).
+	total uint64
 }
 
 // DefaultCapacity is the ring size used by New(0).
@@ -78,48 +96,19 @@ func New(capacity int) *Ring {
 	return &Ring{events: make([]Event, capacity)}
 }
 
-// Record appends an uncorrelated event; on a nil ring it is a no-op.
-// Negative peers normalize to NoPeer.
-func (r *Ring) Record(at vtime.Time, cat string, peer int, detail string) {
-	r.RecordOp(at, cat, peer, 0, detail)
-}
-
-// RecordOp appends an event correlated to operation id (0 = none); on a
+// Emit appends one event, evicting the oldest when the ring is full; on a
 // nil ring it is a no-op. Negative peers normalize to NoPeer.
-func (r *Ring) RecordOp(at vtime.Time, cat string, peer int, id uint64, detail string) {
+func (r *Ring) Emit(ev Event) {
 	if r == nil {
 		return
 	}
-	if peer < 0 {
-		peer = NoPeer
+	if ev.Peer < 0 {
+		ev.Peer = NoPeer
 	}
 	r.mu.Lock()
-	if r.filled {
-		r.dropped++
-	}
-	r.events[r.next] = Event{At: at, Cat: cat, Peer: peer, ID: id, Detail: detail}
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.filled = true
-	}
+	r.events[r.total%uint64(len(r.events))] = ev
+	r.total++
 	r.mu.Unlock()
-}
-
-// Recordf is Record with a formatted detail.
-func (r *Ring) Recordf(at vtime.Time, cat string, peer int, format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.RecordOp(at, cat, peer, 0, fmt.Sprintf(format, args...))
-}
-
-// RecordOpf is RecordOp with a formatted detail.
-func (r *Ring) RecordOpf(at vtime.Time, cat string, peer int, id uint64, format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.RecordOp(at, cat, peer, id, fmt.Sprintf(format, args...))
 }
 
 // Snapshot returns the recorded events in stable chronological order:
@@ -132,29 +121,30 @@ func (r *Ring) Snapshot() []Event {
 	}
 	r.mu.Lock()
 	var out []Event
-	if r.filled {
-		out = append(out, r.events[r.next:]...)
+	if n := uint64(len(r.events)); r.total > n {
+		next := r.total % n
+		out = append(out, r.events[next:]...)
+		out = append(out, r.events[:next]...)
+	} else {
+		out = append(out, r.events[:r.total]...)
 	}
-	out = append(out, r.events[:r.next]...)
 	r.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 
-// Dropped returns how many events were overwritten after the ring filled.
+// Dropped returns how many events were overwritten after the ring filled;
+// Dropped plus the length of a Snapshot is the lifetime event count.
 func (r *Ring) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// ByVirtualTime is Snapshot (kept for callers that predate Snapshot
-// returning chronological order).
-func (r *Ring) ByVirtualTime() []Event {
-	return r.Snapshot()
+	if n := uint64(len(r.events)); r.total > n {
+		return int64(r.total - n)
+	}
+	return 0
 }
 
 // Timeline renders the events in chronological order, one per line.
@@ -167,19 +157,70 @@ func (r *Ring) Timeline() string {
 	return sb.String()
 }
 
-// CountByCat tallies events per category, for test assertions.
+// CountByCat tallies events per kind name, for test assertions.
 func (r *Ring) CountByCat() map[string]int {
 	counts := make(map[string]int)
 	for _, e := range r.Snapshot() {
-		counts[e.Cat]++
+		counts[e.Kind.String()]++
 	}
 	return counts
 }
 
-// RankEvent is an Event annotated with the rank that recorded it.
+// RankEvent is an Event annotated with the rank that recorded it. It is
+// the exported form: trace sidecars and postmortems both hold RankEvents
+// and share its JSON encoding.
 type RankEvent struct {
 	Rank int
 	Event
+}
+
+// eventJSON is the one wire encoding of an event. A and B travel as
+// numbers so a dump can be analyzed again; detail is their rendering for
+// human readers and is ignored on the way back in.
+type eventJSON struct {
+	At     int64  `json:"at"`
+	Rank   int    `json:"rank"`
+	Cat    string `json:"cat"`
+	Peer   int    `json:"peer"`
+	ID     uint64 `json:"id,omitempty"`
+	A      int64  `json:"a,omitempty"`
+	B      int64  `json:"b,omitempty"`
+	Err    string `json:"err,omitempty"`
+	Detail string `json:"detail,omitempty"`
+}
+
+// MarshalJSON renders the event with its kind as a name and its error as
+// text.
+func (e RankEvent) MarshalJSON() ([]byte, error) {
+	out := eventJSON{
+		At: int64(e.At), Rank: e.Rank, Cat: e.Kind.String(), Peer: e.Peer,
+		ID: e.ID, A: e.A, B: e.B, Detail: e.Detail(),
+	}
+	if e.Err != nil {
+		out.Err = e.Err.Error()
+	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON reverses MarshalJSON. The error comes back as its text
+// (errors.Is against the original sentinel no longer holds); an unknown
+// kind name is rejected.
+func (e *RankEvent) UnmarshalJSON(data []byte) error {
+	var in eventJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	kind, ok := KindByName(in.Cat)
+	if !ok {
+		return fmt.Errorf("trace: unknown event kind %q", in.Cat)
+	}
+	*e = RankEvent{Rank: in.Rank, Event: Event{
+		At: vtime.Time(in.At), Kind: kind, Peer: in.Peer, ID: in.ID, A: in.A, B: in.B,
+	}}
+	if in.Err != "" {
+		e.Err = errors.New(in.Err)
+	}
+	return nil
 }
 
 // MergeRanks folds per-rank event lists into one chronological timeline

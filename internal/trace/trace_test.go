@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -8,10 +10,14 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
+// ev keeps test call sites short.
+func ev(at int, kind Kind, peer int) Event {
+	return Event{At: vtime.Time(at), Kind: kind, Peer: peer}
+}
+
 func TestNilRingIsSafe(t *testing.T) {
 	var r *Ring
-	r.Record(0, "x", -1, "")
-	r.Recordf(0, "x", -1, "%d", 1)
+	r.Emit(ev(0, KindIssue, -1))
 	if r.Snapshot() != nil || r.Dropped() != 0 {
 		t.Fatal("nil ring should discard everything")
 	}
@@ -19,14 +25,14 @@ func TestNilRingIsSafe(t *testing.T) {
 
 func TestRecordAndSnapshot(t *testing.T) {
 	r := New(8)
-	r.Record(10, "issue", 1, "put")
-	r.Record(20, "apply", 0, "put")
-	r.Recordf(30, "probe", 1, "threshold=%d", 5)
+	r.Emit(ev(10, KindIssue, 1))
+	r.Emit(ev(20, KindApply, 0))
+	r.Emit(Event{At: 30, Kind: KindProbe, Peer: 1, A: 5})
 	evs := r.Snapshot()
 	if len(evs) != 3 {
 		t.Fatalf("snapshot has %d events", len(evs))
 	}
-	if evs[0].Cat != "issue" || evs[2].Detail != "threshold=5" {
+	if evs[0].Kind != KindIssue || evs[2].Detail() != "threshold=5" {
 		t.Fatalf("events %v", evs)
 	}
 	if r.Dropped() != 0 {
@@ -37,7 +43,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 func TestRingWrap(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Record(0, "e", i, "")
+		r.Emit(ev(0, KindIssue, i))
 	}
 	evs := r.Snapshot()
 	if len(evs) != 4 {
@@ -56,15 +62,15 @@ func TestRingWrap(t *testing.T) {
 
 func TestByVirtualTimeAndTimeline(t *testing.T) {
 	r := New(8)
-	r.Record(30, "late", -1, "c")
-	r.Record(10, "early", 1, "a")
-	r.Record(20, "mid", -1, "b")
-	sorted := r.ByVirtualTime()
-	if sorted[0].Cat != "early" || sorted[2].Cat != "late" {
+	r.Emit(ev(30, KindComplete, -1))
+	r.Emit(ev(10, KindIssue, 1))
+	r.Emit(ev(20, KindApply, -1))
+	sorted := r.Snapshot()
+	if sorted[0].Kind != KindIssue || sorted[2].Kind != KindComplete {
 		t.Fatalf("sorted %v", sorted)
 	}
 	tl := r.Timeline()
-	if !strings.Contains(tl, "early") || strings.Index(tl, "early") > strings.Index(tl, "late") {
+	if !strings.Contains(tl, "issue") || strings.Index(tl, "issue") > strings.Index(tl, "complete") {
 		t.Fatalf("timeline order wrong:\n%s", tl)
 	}
 	if !strings.Contains(tl, "peer=1") {
@@ -74,11 +80,11 @@ func TestByVirtualTimeAndTimeline(t *testing.T) {
 
 func TestCountByCat(t *testing.T) {
 	r := New(0)
-	r.Record(0, "a", -1, "")
-	r.Record(0, "a", -1, "")
-	r.Record(0, "b", -1, "")
+	r.Emit(ev(0, KindAck, -1))
+	r.Emit(ev(0, KindAck, -1))
+	r.Emit(ev(0, KindNotify, -1))
 	counts := r.CountByCat()
-	if counts["a"] != 2 || counts["b"] != 1 {
+	if counts["ack"] != 2 || counts["notify"] != 1 {
 		t.Fatalf("counts %v", counts)
 	}
 }
@@ -91,7 +97,7 @@ func TestConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Record(0, "e", -1, "")
+				r.Emit(ev(0, KindIssue, -1))
 			}
 		}()
 	}
@@ -103,9 +109,9 @@ func TestConcurrentRecord(t *testing.T) {
 
 func TestRecordOpAndNoPeerNormalization(t *testing.T) {
 	r := New(8)
-	r.RecordOp(10, "issue", 2, 7, "put")
-	r.Record(20, "flush", -3, "")
-	r.RecordOpf(30, "apply", 0, 7, "bytes=%d", 64)
+	r.Emit(Event{At: 10, Kind: KindIssue, Peer: 2, ID: 7})
+	r.Emit(ev(20, KindFence, -3))
+	r.Emit(Event{At: 30, Kind: KindApply, Peer: 0, ID: 7, A: 64})
 	evs := r.Snapshot()
 	if evs[0].ID != 7 || evs[2].ID != 7 || evs[1].ID != 0 {
 		t.Fatalf("ids %v", evs)
@@ -116,6 +122,9 @@ func TestRecordOpAndNoPeerNormalization(t *testing.T) {
 	if s := evs[0].String(); !strings.Contains(s, "id=7") {
 		t.Fatalf("String misses id: %q", s)
 	}
+	if s := evs[2].String(); !strings.Contains(s, "bytes=64 cost=0") {
+		t.Fatalf("String misses the rendered arguments: %q", s)
+	}
 }
 
 func TestSnapshotChronologicalAcrossWrap(t *testing.T) {
@@ -123,7 +132,7 @@ func TestSnapshotChronologicalAcrossWrap(t *testing.T) {
 	// time, and wrap the ring so the raw storage order is rotated too.
 	r := New(4)
 	for i := 0; i < 6; i++ {
-		r.Record(vtimeOf(100-i), "e", i, "")
+		r.Emit(ev(100-i, KindIssue, i))
 	}
 	evs := r.Snapshot()
 	if len(evs) != 4 {
@@ -148,17 +157,17 @@ func TestSnapshotChronologicalAcrossWrap(t *testing.T) {
 
 func TestMergeRanks(t *testing.T) {
 	per := map[int][]Event{
-		1: {{At: 10, Cat: "issue", Peer: 0, ID: 1}, {At: 40, Cat: "complete", Peer: 0, ID: 1}},
-		0: {{At: 25, Cat: "apply", Peer: 1, ID: 1}},
+		1: {{At: 10, Kind: KindIssue, Peer: 0, ID: 1}, {At: 40, Kind: KindComplete, Peer: 0, ID: 1}},
+		0: {{At: 25, Kind: KindApply, Peer: 1, ID: 1}},
 	}
 	merged := MergeRanks(per)
 	if len(merged) != 3 {
 		t.Fatalf("merged %d events", len(merged))
 	}
-	want := []string{"issue", "apply", "complete"}
-	for i, cat := range want {
-		if merged[i].Cat != cat {
-			t.Fatalf("merged[%d] = %v, want %s", i, merged[i], cat)
+	want := []Kind{KindIssue, KindApply, KindComplete}
+	for i, kind := range want {
+		if merged[i].Kind != kind {
+			t.Fatalf("merged[%d] = %v, want %s", i, merged[i], kind)
 		}
 	}
 	if merged[0].Rank != 1 || merged[1].Rank != 0 {
@@ -166,5 +175,34 @@ func TestMergeRanks(t *testing.T) {
 	}
 }
 
-// vtimeOf keeps test call sites short.
-func vtimeOf(n int) (t vtime.Time) { return vtime.Time(n) }
+// TestEventJSONRoundTrip: the one exported encoding carries the numeric
+// arguments back in, renders them as detail for readers, and keeps the
+// error's text.
+func TestEventJSONRoundTrip(t *testing.T) {
+	in := []RankEvent{
+		{Rank: 1, Event: Event{At: 100, Kind: KindIssue, Peer: 0, ID: 7, A: 64, B: 300}},
+		{Rank: 0, Event: Event{At: 10, Kind: KindLinkFailed, Peer: 1, Err: errors.New("retry budget exhausted")}},
+	}
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"cat":"issue"`, `"detail":"bytes=64 arrive=300"`, `"err":"retry budget exhausted"`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("encoding %s misses %s", raw, want)
+		}
+	}
+	var out []RankEvent
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != in[0] {
+		t.Errorf("round trip changed %+v into %+v", in[0], out[0])
+	}
+	if out[1].Kind != KindLinkFailed || out[1].Err == nil || out[1].Err.Error() != "retry budget exhausted" {
+		t.Errorf("fault event came back as %+v", out[1])
+	}
+	if err := json.Unmarshal([]byte(`[{"at":1,"cat":"no-such-kind"}]`), &out); err == nil {
+		t.Error("an unknown kind name decoded without error")
+	}
+}

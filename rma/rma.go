@@ -173,7 +173,7 @@ func Open(p *runtime.Proc, opts ...SessionOption) *Session {
 		s.eng.EnableFlightRecorder(telemetry.FlightConfig{Dir: cfg.flightDir})
 	}
 	if cfg.checker {
-		s.eng.SetAccessRecorder(checker.ForWorld(p.NIC().Endpoint().Network()))
+		s.eng.AddAccessRecorder(checker.ForWorld(p.NIC().Endpoint().Network()))
 	}
 	if cfg.faults != nil {
 		p.NIC().Endpoint().Network().SetFaults(cfg.faults)
@@ -252,8 +252,12 @@ func (s *Session) Tracer() *trace.Ring {
 // enabled checking sees the same instance, so any rank can collect the
 // world's conflicts after a CompleteCollective.
 func (s *Session) Checker() *checker.Checker {
-	c, _ := s.eng.AccessRecorder().(*checker.Checker)
-	return c
+	for _, r := range s.eng.AccessRecorders() {
+		if c, ok := r.(*checker.Checker); ok {
+			return c
+		}
+	}
+	return nil
 }
 
 // DumpTimeline writes this rank's recorded protocol events to w in
@@ -297,7 +301,7 @@ func (s *Session) CriticalPath() (*telemetry.CriticalPathReport, error) {
 			perRank[r] = ring.Snapshot()
 		}
 	}
-	rep := telemetry.AnalyzeCriticalPath(telemetry.Timeline(perRank))
+	rep := telemetry.AnalyzeCriticalPath(trace.MergeRanks(perRank))
 	if reg := s.eng.Metrics(); reg != nil {
 		rep.Observe(reg)
 	}
