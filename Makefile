@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake
+.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake loc
 
 # check is the PR gate: vet, the rmalint static analyzers, build, full
 # tests, the race detector over every package, a short E13 smoke bench
@@ -80,7 +80,10 @@ chaos:
 # fault matrix: the buddy must promote its replicas onto a spare, origins
 # targeting the dead rank must get ErrRankFailed (never ErrLinkFailed) in
 # bounded time, ops to survivors must keep completing, and the rebuilt
-# regions must converge byte-exactly with the fault-free run.
+# regions must converge byte-exactly with the fault-free run. The
+# kill-instant mini-sweep (RankKillInstantSweep) rides along: a wait on a
+# delivery counter must come back when its target dies after admitting the
+# operation and before reporting it.
 chaos-rankdeath:
 	$(GO) test -race -count=1 -run 'RankDeath|RankKill|Replication|Membership|Spare|Postmortem' ./internal/core/ ./internal/simnet/ ./internal/runtime/ ./rma/
 
@@ -95,13 +98,14 @@ benchmark-check:
 
 # flake looks for scheduling-dependent failures where they have been seen
 # before: the postmortem that must be on disk before the error surfaces,
-# the rank-death matrix, and the event-driven chaos run whose OnDone
-# callbacks may trail the Select that reaps the request. Twenty repeats
-# each on one and on two scheduler threads (one thread reorders goroutines
-# the most).
+# the rank-death matrix, the kill-instant mini-sweep (which side of the
+# delivery report a kill lands on moves run to run), and the event-driven
+# chaos run whose OnDone callbacks may trail the Select that reaps the
+# request. Twenty repeats each on one and on two scheduler threads (one
+# thread reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|EventChaos' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|EventChaos' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos' ./internal/core/
 
 bench:
 	$(GO) run ./cmd/rmabench
@@ -129,3 +133,14 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff BENCH_E14.json /tmp/rmabench-e14.json
 	$(GO) run ./cmd/benchdiff BENCH_E15.json /tmp/rmabench-e15.json
 	$(GO) run ./cmd/benchdiff -model-tol 0.25 BENCH_E16.json /tmp/rmabench-e16.json
+
+# loc counts Go lines per top-level package and in total, tests split out,
+# over the committed files: "it should shrink" as a command both sides of a
+# PR run, instead of a number each CHANGES.md entry recomputes by hand.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		n = split($$2, p, "/"); pkg = n > 2 ? p[1] "/" p[2] : n == 2 ? p[1] : "."; \
+		if ($$2 ~ /_test\.go$$/) test[pkg] += $$1; else code[pkg] += $$1; seen[pkg] = 1 } \
+		END { fmt = "%-22s %7d non-test %7d total\n"; \
+		for (pkg in seen) { printf fmt, pkg, code[pkg], code[pkg] + test[pkg] | "sort"; c += code[pkg]; a += code[pkg] + test[pkg] } \
+		close("sort"); printf fmt, "all packages", c, a }'

@@ -266,6 +266,15 @@ func render(w *runtime.World, frame int, plain bool) {
 		}
 		fmt.Fprintf(&b, "%-5d %-11s %-12d %-22s %-8s %-16s %-14s %s\n",
 			r, live, h.VTime, links, budget, shards, evq, sticky)
+		// What the rank's blocked calls (and probes parked on it) wait for:
+		// peer, counter, how far it got of what it needs.
+		if len(h.Waits) > 0 {
+			parts := make([]string, 0, len(h.Waits))
+			for _, wt := range h.Waits {
+				parts = append(parts, fmt.Sprintf("%d:%s %d/%d", wt.Peer, wt.Counter, wt.Have, wt.Threshold))
+			}
+			fmt.Fprintf(&b, "      waits: %s\n", strings.Join(parts, ", "))
+		}
 		if ring := eng.Tracer(); ring != nil {
 			perRank[r] = ring.Snapshot()
 		}

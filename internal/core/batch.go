@@ -473,7 +473,7 @@ func (e *Engine) sendNotify(dst int, id uint64, count int64, at vtime.Time, soft
 func (e *Engine) appliedCount(src int) int64 {
 	e.tgtMu.Lock()
 	defer e.tgtMu.Unlock()
-	return e.applied[src]
+	return e.applied[src].count
 }
 
 // handleBatch unpacks an aggregate message at the target and applies each
@@ -547,21 +547,14 @@ func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 	if count <= 0 {
 		return
 	}
-	raised := false
-	var fired []*countWaiter
 	e.cmplMu.Lock()
-	if count > e.confirmed[target] {
-		e.confirmed[target] = count
-		e.confirmedAt[target] = vtime.Later(e.confirmedAt[target], at)
-		raised = true
-		fired = serviceWaiters(&e.confirmWaiters, target, count, at, nil)
-		e.cmplCond.Broadcast()
-	}
-	e.cmplMu.Unlock()
-	closeWaiters(fired)
-	if !raised {
+	if count <= e.confirmed[target].count {
+		e.cmplMu.Unlock()
 		return
 	}
+	ready := e.confirmed[target].raise(count, at)
+	e.cmplMu.Unlock()
+	wakeAll(ready, count, at)
 	e.emit(trace.KindConfirm, at, target, 0, count, 0)
 	if q := e.observers().evq; q != nil {
 		q.push(Event{Kind: EvConfirm, At: at, Rank: target, Count: count})
@@ -577,59 +570,5 @@ func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 		if sent > 0 && count >= sent {
 			q.push(Event{Kind: EvQuiescent, At: at, Rank: target, Count: count})
 		}
-	}
-}
-
-// tryConfirmed reports whether the target has already confirmed
-// application of the first threshold operations, and at what virtual time.
-func (e *Engine) tryConfirmed(target int, threshold int64) (vtime.Time, bool) {
-	e.cmplMu.Lock()
-	defer e.cmplMu.Unlock()
-	if e.confirmed[target] >= threshold {
-		return e.confirmedAt[target], true
-	}
-	return 0, false
-}
-
-// waitConfirmed blocks until the target's confirmation counter reaches
-// threshold, returning the virtual time of the confirming report. Callers
-// must have established that every outstanding operation reports a counter
-// (willConfirm >= sent), or the wait could hang. A failed link to the
-// target ends the wait with the wrapped ErrLinkFailed instead — and a
-// confirmed-dead target with the wrapped ErrRankFailed: the missing
-// confirmations will never arrive. Under the progress serializer
-// the waiter drains its own deferred queue, like waitAppliedFrom.
-func (e *Engine) waitConfirmed(target int, threshold int64) (vtime.Time, error) {
-	for {
-		e.cmplMu.Lock()
-		if e.confirmed[target] >= threshold {
-			at := e.confirmedAt[target]
-			e.cmplMu.Unlock()
-			return at, nil
-		}
-		if err := e.failedRanks[target]; err != nil {
-			// Confirmed death outranks a mere link failure: the target's
-			// state is gone, not just the path to it.
-			e.cmplMu.Unlock()
-			return 0, err
-		}
-		if err := e.failedLinks[target]; err != nil {
-			e.cmplMu.Unlock()
-			return 0, err
-		}
-		if err := e.applyErr; err != nil {
-			// Engine-fatal (shard worker panic): the missing confirmations
-			// can never arrive from a poisoned apply pipeline.
-			e.cmplMu.Unlock()
-			return 0, err
-		}
-		if e.progQ == nil {
-			e.cmplCond.Wait()
-			e.cmplMu.Unlock()
-			continue
-		}
-		e.cmplMu.Unlock()
-		e.Progress()
-		gosched()
 	}
 }

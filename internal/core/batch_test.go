@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -116,7 +117,7 @@ func FuzzBatchUnpack(f *testing.F) {
 // pending sends no aggregate and is safe with batching both on and off.
 func TestFlushEmptyRings(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		for _, batch := range []int{0, 8} {
 			e := Attach(p, Options{BatchOps: batch})
 			e.Flush()
@@ -127,9 +128,6 @@ func TestFlushEmptyRings(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCompleteNoProbeWhenNothingOutstanding is the regression test for the
@@ -139,7 +137,7 @@ func TestFlushEmptyRings(t *testing.T) {
 // no second probe.
 func TestCompleteNoProbeWhenNothingOutstanding(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -193,9 +191,6 @@ func TestCompleteNoProbeWhenNothingOutstanding(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBatchMixedAtomicity: one aggregate carrying both plain puts and
@@ -203,7 +198,7 @@ func TestCompleteNoProbeWhenNothingOutstanding(t *testing.T) {
 // class, and Complete finishes on the batch notification without probing.
 func TestBatchMixedAtomicity(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{BatchOps: 8})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -267,9 +262,6 @@ func TestBatchMixedAtomicity(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBatchSevenWriterContention: seven origins batching atomic
@@ -283,7 +275,7 @@ func TestBatchSevenWriterContention(t *testing.T) {
 		perRing = 4
 	)
 	w := newWorld(t, runtime.Config{Ranks: writers + 1})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{BatchOps: perRing})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -332,9 +324,6 @@ func TestBatchSevenWriterContention(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBatchRemoteCompleteMember: an AttrRemoteComplete member of a batch
@@ -342,7 +331,7 @@ func TestBatchSevenWriterContention(t *testing.T) {
 // engine still classify via the sentinel taxonomy.
 func TestBatchRemoteCompleteMember(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{BatchOps: 4})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -377,7 +366,4 @@ func TestBatchRemoteCompleteMember(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

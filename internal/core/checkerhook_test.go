@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -35,7 +36,7 @@ func (r *countingRecorder) RetireTarget(target int) {}
 func TestAccessRecorderObservesApplies(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	rec, second := &countingRecorder{}, &countingRecorder{}
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		// Like the facade's WithChecker: every rank reports into the same
@@ -77,9 +78,6 @@ func TestAccessRecorderObservesApplies(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	if len(rec.accesses) != 2 {
 		t.Fatalf("recorder saw %d accesses, want 2: %+v", len(rec.accesses), rec.accesses)

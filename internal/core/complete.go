@@ -6,6 +6,7 @@ import (
 
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/trace"
+	"mpi3rma/internal/vtime"
 )
 
 // Complete blocks until every operation previously issued by this rank to
@@ -54,30 +55,18 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 		if sent == 0 {
 			continue
 		}
-		if !e.opts.ProbeCompletion {
-			at, ok := e.tryConfirmed(world, sent)
-			if !ok && will >= sent {
-				// Every outstanding operation reports a delivery counter;
-				// ride the notifications instead of probing.
-				if at, err = e.waitConfirmed(world, sent); err != nil {
-					return fmt.Errorf("core: complete: %w", err)
-				}
-				ok = true
-			}
-			if ok {
-				e.FastPaths.Inc()
-				e.proc.NIC().CPU().AdvanceTo(at)
-				e.emit(trace.KindComplete, at, world, 0, sent, will)
-				continue
-			}
+		at, probe, err := e.confirm(world, sent, will)
+		if err != nil {
+			return fmt.Errorf("core: complete: %w", err)
+		}
+		if probe == nil {
+			e.FastPaths.Inc()
+			e.emit(trace.KindComplete, at, world, 0, sent, will)
+			continue
 		}
 		e.ProbeFallbacks.Inc()
-		r, err := e.sendProbe(world, sent)
-		if err != nil {
-			return err
-		}
-		e.emit(trace.KindComplete, e.proc.Now(), world, r.id, sent, will)
-		reqs = append(reqs, r)
+		e.emit(trace.KindComplete, e.proc.Now(), world, probe.id, sent, will)
+		reqs = append(reqs, probe)
 	}
 	WaitAll(reqs...)
 	// A probe whose link failed completes with the error instead of an
@@ -137,19 +126,18 @@ func (e *Engine) CompleteCollective(comm *runtime.Comm) error {
 		return fmt.Errorf("core: collective completion exchanged %d bytes, want %d: %w", len(flat), 8*n*n, ErrEpoch)
 	}
 
-	// Expected inbound at this rank = column `me` of the matrix.
-	var expected int64
-	for r := 0; r < n; r++ {
-		expected += int64(binary.LittleEndian.Uint64(flat[8*(r*n+me):]))
+	// Wait locally for everything addressed to us — column `me` of the
+	// matrix — member by member (the last wait's stamp is the latest
+	// application of all), then barrier so every member's wait has
+	// finished before anyone proceeds.
+	for r, world := range members {
+		inbound := int64(binary.LittleEndian.Uint64(flat[8*(r*n+me):]))
+		_, ev := e.wait([]SelectCase{{kind: selInbound, rank: world, threshold: inbound}})
+		if ev.Err != nil {
+			return fmt.Errorf("core: collective completion: %w", ev.Err)
+		}
+		e.proc.NIC().CPU().AdvanceTo(ev.At)
 	}
-
-	// Wait locally for everything addressed to us, then barrier so every
-	// member's wait has finished before anyone proceeds.
-	at, err := e.waitAppliedFrom(members, expected)
-	if err != nil {
-		return fmt.Errorf("core: collective completion: %w", err)
-	}
-	e.proc.NIC().CPU().AdvanceTo(at)
 	// Everything addressed to this rank has been applied and recorded, and
 	// no member can issue again until the barrier releases it — retire the
 	// whole target-side window before publishing completion.
@@ -291,27 +279,34 @@ func (e *Engine) maybeFence(comm *runtime.Comm, world int) error {
 	}
 	e.FenceStalls.Inc()
 	e.emit(trace.KindFence, e.proc.Now(), world, 0, sent, will)
-	if !e.opts.ProbeCompletion {
-		if at, ok := e.tryConfirmed(world, sent); ok {
-			e.proc.NIC().CPU().AdvanceTo(at)
-			return nil
-		}
-		if will >= sent {
-			at, err := e.waitConfirmed(world, sent)
-			if err != nil {
-				return fmt.Errorf("core: fence: %w", err)
-			}
-			e.proc.NIC().CPU().AdvanceTo(at)
-			return nil
-		}
+	_, probe, err := e.confirm(world, sent, will)
+	if err == nil && probe != nil {
+		err = probe.Await()
 	}
-	r, err := e.sendProbe(world, sent)
 	if err != nil {
-		return err
-	}
-	r.Wait()
-	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: fence: %w", err)
 	}
 	return nil
+}
+
+// confirm is the ladder Complete and the Order fence share (Complete's
+// documentation walks its three steps): establish that world has applied
+// the first sent operations of this rank. A nil request means the counters
+// answered — the virtual clock has been advanced to the confirming report's
+// time, which is returned; otherwise the caller waits on the probe.
+func (e *Engine) confirm(world int, sent, will int64) (vtime.Time, *Request, error) {
+	if !e.opts.ProbeCompletion {
+		rc := SelectCase{kind: selConfirmed, rank: world, threshold: sent}
+		ev, ok := e.tryCase(&rc)
+		if !ok && will >= sent {
+			_, ev = e.wait([]SelectCase{rc})
+			ok = true
+		}
+		if ok {
+			e.proc.NIC().CPU().AdvanceTo(ev.At)
+			return ev.At, nil, ev.Err
+		}
+	}
+	probe, err := e.sendProbe(world, sent)
+	return 0, probe, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -12,7 +13,7 @@ import (
 // hang.
 func TestCompleteInvalidRank(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		if err := e.Complete(p.Comm(), 7); err == nil {
 			t.Error("Complete(7) on a 2-rank comm accepted")
@@ -22,16 +23,13 @@ func TestCompleteInvalidRank(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCompleteWithNoTraffic: completing against ranks never targeted is
 // trivial and cheap.
 func TestCompleteWithNoTraffic(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 3})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		before := e.Probes.Value()
 		if err := e.Complete(p.Comm(), AllRanks); err != nil {
@@ -43,16 +41,13 @@ func TestCompleteWithNoTraffic(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestOrderCollective: the collective ordering call runs on a
 // sub-communicator and the following puts respect it on an unordered net.
 func TestOrderCollective(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 3, UnorderedNet: true, Seed: 41})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -91,15 +86,12 @@ func TestOrderCollective(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestEngineAccessors covers the small introspection surface.
 func TestEngineAccessors(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 1})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		if e.Proc() != p {
 			t.Error("Proc() mismatch")
@@ -111,15 +103,12 @@ func TestEngineAccessors(t *testing.T) {
 			t.Errorf("fresh lock holder %d", e.LockHolder())
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRetractErrors covers Retract misuse.
 func TestRetractErrors(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		if p.Rank() == 0 {
 			tm, _ := e.ExposeNew(8)
@@ -137,16 +126,13 @@ func TestRetractErrors(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestGetBlockingAttr: a blocking get returns with the data already
 // local.
 func TestGetBlockingAttr(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -172,9 +158,6 @@ func TestGetBlockingAttr(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestTracerRecordsProtocol: an attached tracer sees the issue, apply and
@@ -182,7 +165,7 @@ func TestGetBlockingAttr(t *testing.T) {
 func TestTracerRecordsProtocol(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	var originRing, targetRing *trace.Ring
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		ring := trace.New(64)
@@ -204,9 +187,6 @@ func TestTracerRecordsProtocol(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := originRing.CountByCat(); got["issue"] != 1 {
 		t.Errorf("origin events %v, want 1 issue", got)
 	}

@@ -6,6 +6,7 @@ import (
 	gort "runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -73,7 +74,7 @@ func TestTargetMemDecodeRejectsBadInput(t *testing.T) {
 
 func TestBlockingPutCompletesLocally(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		tm := shipTM(p, e, 64)
 		if p.Rank() == 0 {
@@ -91,14 +92,11 @@ func TestBlockingPutCompletesLocally(t *testing.T) {
 		}
 		e.CompleteCollective(p.Comm())
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestNonblockingPutRequestLifecycle(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		tm := shipTM(p, e, 64)
 		if p.Rank() == 0 {
@@ -123,9 +121,6 @@ func TestNonblockingPutRequestLifecycle(t *testing.T) {
 		}
 		e.CompleteCollective(p.Comm())
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRemoteCompleteOrdering: with AttrRemoteComplete the request finishes
@@ -133,7 +128,7 @@ func TestNonblockingPutRequestLifecycle(t *testing.T) {
 // data is at the target when the request completes.
 func TestRemoteCompleteVirtualTime(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		tm := shipTM(p, e, 8)
 		if p.Rank() == 0 {
@@ -159,9 +154,6 @@ func TestRemoteCompleteVirtualTime(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCompleteGuaranteesApplication: after Complete(comm, 0) returns, the
@@ -169,7 +161,7 @@ func TestRemoteCompleteVirtualTime(t *testing.T) {
 // remote-complete attribute.
 func TestCompleteGuaranteesApplication(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -197,9 +189,6 @@ func TestCompleteGuaranteesApplication(t *testing.T) {
 		}
 		p.Send(0, 1, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestOrderingAttrOnUnorderedNet: a chain of single-byte ordered puts to
@@ -208,7 +197,7 @@ func TestCompleteGuaranteesApplication(t *testing.T) {
 func TestOrderingAttrOnUnorderedNet(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 11})
 	var held int64
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -236,9 +225,6 @@ func TestOrderingAttrOnUnorderedNet(t *testing.T) {
 		}
 		p.Send(0, 1, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if held == 0 {
 		t.Log("note: scrambler never reordered the stream (legal but unusual)")
 	}
@@ -248,7 +234,7 @@ func TestOrderingAttrOnUnorderedNet(t *testing.T) {
 // issued before it, on an unordered network, without per-op ordering.
 func TestOrderFence(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 13})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -284,16 +270,13 @@ func TestOrderFence(t *testing.T) {
 		}
 		p.Send(0, 1, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestOrderIsFreeOnOrderedNet: on an ordered network Order must not stall
 // anything.
 func TestOrderIsFreeOnOrderedNet(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -310,14 +293,11 @@ func TestOrderIsFreeOnOrderedNet(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestValidationErrors(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 64)
@@ -367,14 +347,11 @@ func TestValidationErrors(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCommLevelDefaultAttrs(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -400,14 +377,11 @@ func TestCommLevelDefaultAttrs(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRetractRejectsFurtherAccess(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -439,9 +413,6 @@ func TestRetractRejectsFurtherAccess(t *testing.T) {
 		e.Complete(comm, 0)
 		p.Send(0, 3, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAttrString(t *testing.T) {
@@ -472,7 +443,7 @@ func TestOpTypeAccOpStrings(t *testing.T) {
 // through the network loopback like any other.
 func TestSelfPut(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 1})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm, region := e.ExposeNew(16)
@@ -488,9 +459,6 @@ func TestSelfPut(t *testing.T) {
 			t.Error("self put did not land")
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMechanismsProduceExactAtomicSums: under every serializer mechanism,
@@ -502,7 +470,7 @@ func TestMechanismsProduceExactAtomicSums(t *testing.T) {
 			const origins = 4
 			const iters = 50
 			w := newWorld(t, runtime.Config{Ranks: origins + 1})
-			err := w.Run(func(p *runtime.Proc) {
+			runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 				e := Attach(p, Options{Atomicity: mech})
 				comm := p.Comm()
 				if p.Rank() == 0 {
@@ -541,9 +509,6 @@ func TestMechanismsProduceExactAtomicSums(t *testing.T) {
 				}
 				p.Barrier()
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }

@@ -153,13 +153,6 @@ type originTarget struct {
 	fencePending bool   // an Order() is pending; next op must stall for drain
 }
 
-// probeWaiter is a queued completion probe at the target.
-type probeWaiter struct {
-	origin    int
-	threshold int64
-	reqID     uint64
-}
-
 // reorderBuf holds ordered-stream ops that arrived out of order.
 type reorderBuf struct {
 	expected uint64                         // next sequence number to apply
@@ -182,58 +175,44 @@ type Engine struct {
 	comms   map[uint64]Attr // per-communicator default attributes
 	rings   map[int]*issueRing
 
-	// Origin-side confirmation counters, guarded by cmplMu: confirmed[t]
-	// is the highest cumulative applied-operation count target t has
-	// reported back (via notifications, acks, replies, or probe answers);
-	// confirmedAt is the virtual arrival time of the latest report.
-	// cmplCond wakes Complete calls waiting for counters instead of
-	// probing. pendingBatches routes batch notifications to the
+	// Origin-side completion state, guarded by cmplMu. confirmed[t] is the
+	// watermark of target t's reports (notifications, acks, replies, probe
+	// answers), indexed by world rank and sized once at Attach: the highest
+	// cumulative applied-operation count t has reported back, the virtual
+	// arrival time of that report, and the calls waiting on it (see
+	// watermark.go). pendingBatches routes batch notifications to the
 	// remote-completion requests of the batch's member operations.
 	cmplMu         sync.Mutex //rmalint:lockrank 20
-	cmplCond       *sync.Cond
-	confirmed      map[int]int64
-	confirmedAt    map[int]vtime.Time
+	confirmed      []watermark
 	pendingBatches map[uint64]*pendingBatch
 	// failedLinks records links whose reliable-delivery retry budget ran
 	// out (graceful degradation: requests to those targets fail with
-	// ErrLinkFailed instead of waiting forever); linkErr is the first such
-	// failure, reported sticky by Err().
-	failedLinks map[int]error
-	linkErr     error
-	// failedRanks records peers the membership service confirmed dead:
-	// requests toward them fail with ErrRankFailed (not ErrLinkFailed —
-	// the rank is gone, not the path). rankErr is the first such death,
-	// one tier above linkErr in Err()'s degradation report. Both are
-	// per-peer: operations toward live ranks keep completing.
-	failedRanks map[int]error
-	rankErr     error
-	// applyErr is the engine-fatal sticky failure (a shard worker panic):
-	// unlike a single failed link it poisons every wait, because the
-	// target-side apply pipeline itself is no longer trustworthy.
-	applyErr error
-
-	// confirmWaiters are Select count-threshold waiters on the
-	// confirmation counters, serviced by noteConfirmed and failed by
-	// failOutstanding (guarded by cmplMu like the counters).
-	confirmWaiters []*countWaiter
+	// ErrLinkFailed instead of waiting forever). failedRanks records peers
+	// the membership service confirmed dead: requests toward them fail
+	// with ErrRankFailed (not ErrLinkFailed — the rank is gone, not the
+	// path). Both are per-peer — operations toward live ranks keep
+	// completing — and each files its first failure under AllRanks too,
+	// for Err(). applyErr is the engine-fatal sticky failure (a shard
+	// worker panic): unlike a single failed link it poisons every wait,
+	// because the target-side apply pipeline itself is no longer
+	// trustworthy. All three are read through stickyLocked.
+	failedLinks map[int]fault
+	failedRanks map[int]fault
+	applyErr    fault
 
 	// Target-side state, guarded by tgtMu because applies may run on the
-	// NIC agent, the thread serializer, or a Progress call. tgtCond wakes
-	// local waiters (the collective-completion fast path). appliedAt is
-	// the per-origin virtual time of the latest application, the stamp
-	// Select's already-satisfied fast path reports. applyWaiters are
-	// Select count-threshold waiters on the delivery counters, serviced
-	// by noteApplied.
-	tgtMu        sync.Mutex //rmalint:lockrank 10
-	tgtCond      *sync.Cond
-	lastApplied  vtime.Time
-	applied      map[int]int64
-	appliedAt    map[int]vtime.Time
-	applyWaiters []*countWaiter
-	probeWaiters []probeWaiter
-	reorder      map[int]*reorderBuf
-	lanes        map[int]*vtime.Clock
-	atomicLane   vtime.Clock
+	// NIC agent, the thread serializer, or a Progress call. applied[o] is
+	// the delivery watermark of origin o, indexed like confirmed: what this
+	// rank has applied from o, the virtual time of the latest application,
+	// and who waits on it — local calls and o's parked completion probes
+	// alike. lastApplied is the latest application from anyone, the stamp
+	// collective completion returns.
+	tgtMu       sync.Mutex //rmalint:lockrank 10
+	lastApplied vtime.Time
+	applied     []watermark
+	reorder     map[int]*reorderBuf
+	lanes       map[int]*vtime.Clock
+	atomicLane  vtime.Clock
 
 	lock      *serializer.LockState
 	applyQ    *serializer.ApplyQueue
@@ -308,20 +287,16 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			targets:        make(map[int]*originTarget),
 			comms:          make(map[uint64]Attr),
 			rings:          make(map[int]*issueRing),
-			confirmed:      make(map[int]int64),
-			confirmedAt:    make(map[int]vtime.Time),
+			confirmed:      make([]watermark, p.World().TotalRanks()),
 			pendingBatches: make(map[uint64]*pendingBatch),
-			failedLinks:    make(map[int]error),
-			failedRanks:    make(map[int]error),
-			applied:        make(map[int]int64),
-			appliedAt:      make(map[int]vtime.Time),
+			failedLinks:    make(map[int]fault),
+			failedRanks:    make(map[int]fault),
+			applied:        make([]watermark, p.World().TotalRanks()),
 			reorder:        make(map[int]*reorderBuf),
 			lanes:          make(map[int]*vtime.Clock),
 			lock:           serializer.NewLockState(),
 			am:             make(map[uint64]AMHandler),
 		}
-		e.tgtCond = sync.NewCond(&e.tgtMu)
-		e.cmplCond = sync.NewCond(&e.cmplMu)
 		e.repl.init()
 		switch e.opts.Atomicity {
 		case serializer.MechThread:
@@ -456,79 +431,30 @@ func (e *Engine) Progress() int {
 	return e.progQ.Progress(e.proc.Now())
 }
 
-// noteApplied is shared post-apply bookkeeping: count the op, wake
-// satisfied completion probes and Select waiters, publish the EvDelivery
-// event, and return the new cumulative applied count for src — the value
-// every target→origin report carries back as the delivery counter of the
-// notified-completion protocol. This is the watermark join: every applied
-// operation, on every path (serial, sharded, serialized), funnels through
-// here under tgtMu, so feeding events at this point gives the queue the
-// exact counter movements Complete/Order observe.
+// noteApplied is shared post-apply bookkeeping: count the op, wake whoever
+// the new count satisfies — local waits and the origin's parked completion
+// probes — publish the EvDelivery event, and return the new cumulative
+// applied count for src — the value every target→origin report carries
+// back as the delivery counter of the notified-completion protocol. This
+// is the watermark join: every applied operation, on every path (serial,
+// sharded, serialized), funnels through here under tgtMu, so feeding
+// events at this point gives the queue the exact counter movements
+// Complete/Order observe.
 func (e *Engine) noteApplied(src int, at vtime.Time) int64 {
 	e.OpsApplied.Inc()
 	e.tgtMu.Lock()
-	e.applied[src]++
-	count := e.applied[src]
-	e.appliedAt[src] = vtime.Later(e.appliedAt[src], at)
+	count := e.applied[src].count + 1
+	ready := e.applied[src].raise(count, at)
 	if at > e.lastApplied {
 		e.lastApplied = at
 	}
-	var ready []probeWaiter
-	rest := e.probeWaiters[:0]
-	for _, w := range e.probeWaiters {
-		if w.origin == src && count >= w.threshold {
-			ready = append(ready, w)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	e.probeWaiters = rest
-	fired := serviceWaiters(&e.applyWaiters, src, count, at, nil)
-	e.tgtCond.Broadcast()
 	e.tgtMu.Unlock()
-	closeWaiters(fired)
+	wakeAll(ready, count, at)
 	if q := e.observers().evq; q != nil {
 		q.push(Event{Kind: EvDelivery, At: at, Rank: src, Count: count})
 	}
 	e.emit(trace.KindDelivery, at, src, 0, count, 0)
-	for _, w := range ready {
-		e.sendProbeAck(w, count, at)
-	}
 	return count
-}
-
-// waitAppliedFrom blocks until the total applied count from the given
-// world ranks reaches expected, returning the virtual time of the last
-// application. The collective-completion fast path uses it in place of
-// per-origin probe round trips. If any of this rank's links has failed
-// the wait aborts with the wrapped ErrLinkFailed — a degraded world
-// cannot promise collective completion. Under the progress serializer the
-// waiter must drain its own deferred queue (it is inside the library, so
-// it IS the progress engine).
-func (e *Engine) waitAppliedFrom(origins []int, expected int64) (vtime.Time, error) {
-	for {
-		if err := e.Err(); err != nil {
-			return 0, err
-		}
-		e.tgtMu.Lock()
-		var total int64
-		for _, o := range origins {
-			total += e.applied[o]
-		}
-		if total >= expected {
-			at := e.lastApplied
-			e.tgtMu.Unlock()
-			return at, nil
-		}
-		if e.progQ == nil {
-			e.tgtCond.Wait()
-			e.tgtMu.Unlock()
-			continue
-		}
-		e.tgtMu.Unlock()
-		e.Progress()
-		gosched()
-	}
 }
 
 // sendReply ships a handler-generated protocol reply. A failed send can
@@ -546,40 +472,6 @@ func (e *Engine) sendReplyNIC(at vtime.Time, m *simnet.Message) {
 	if _, err := e.proc.NIC().SendNIC(at, m); err != nil {
 		e.proc.NIC().BadReq.Inc()
 	}
-}
-
-// stickyFor returns the sticky failure that would keep operations to a
-// world rank from ever completing: the engine-fatal apply fault, the
-// target's confirmed death, or the target's failed link — in that order
-// of severity.
-func (e *Engine) stickyFor(world int) error {
-	e.cmplMu.Lock()
-	defer e.cmplMu.Unlock()
-	if e.applyErr != nil {
-		return e.applyErr
-	}
-	if err := e.failedRanks[world]; err != nil {
-		return err
-	}
-	return e.failedLinks[world]
-}
-
-// Err reports the engine's sticky degradation, most severe tier first:
-// the engine-fatal apply fault (this rank's own memory is untrustworthy),
-// the first confirmed rank death (ErrRankFailed), then the first
-// exhausted link (ErrLinkFailed). A non-nil Err does not stop operations
-// toward live, reachable peers — degradation is per-peer; Err only lets
-// callers notice it without tracking every request.
-func (e *Engine) Err() error {
-	e.cmplMu.Lock()
-	defer e.cmplMu.Unlock()
-	if e.applyErr != nil {
-		return e.applyErr
-	}
-	if e.rankErr != nil {
-		return e.rankErr
-	}
-	return e.linkErr
 }
 
 // onLinkFailed is the NIC's link-failure callback: the reliable-delivery
@@ -604,7 +496,7 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 		}
 	}
 	err := fmt.Errorf("core: %w", cause)
-	if e.recordSticky(e.failedLinks, &e.linkErr, dst, err) {
+	if e.recordSticky(e.failedLinks, dst, fault{err, at}) {
 		e.failOutstanding(trace.KindLinkFailed, dst, at, err)
 	}
 }
@@ -620,24 +512,25 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 // a rank whose buddy died flushes its deferred completions).
 func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: rank %d declared dead (%v): %w", dead, cause, ErrRankFailed)
-	if e.recordSticky(e.failedRanks, &e.rankErr, dead, err) {
+	if e.recordSticky(e.failedRanks, dead, fault{err, at}) {
 		e.replOnRankDead(dead, at)
 		e.failOutstanding(trace.KindRankDeath, dead, at, err)
 	}
 }
 
-// recordSticky installs err as rank's sticky failure in byRank (failedLinks
-// or failedRanks) and, when it is the first of its tier, in *first. It
-// reports false for a rank that already failed: the fan-out runs once.
-func (e *Engine) recordSticky(byRank map[int]error, first *error, rank int, err error) bool {
+// recordSticky installs f as rank's sticky failure in byRank (failedLinks
+// or failedRanks) and, when it is the first of its tier, under AllRanks as
+// well. It reports false for a rank that already failed: the fan-out runs
+// once.
+func (e *Engine) recordSticky(byRank map[int]fault, rank int, f fault) bool {
 	e.cmplMu.Lock()
 	defer e.cmplMu.Unlock()
 	if _, dup := byRank[rank]; dup {
 		return false
 	}
-	byRank[rank] = err
-	if *first == nil {
-		*first = err
+	byRank[rank] = f
+	if _, later := byRank[AllRanks]; !later {
+		byRank[AllRanks] = f
 	}
 	return true
 }
@@ -646,14 +539,15 @@ func (e *Engine) recordSticky(byRank map[int]error, first *error, rank int, err 
 // (onLinkFailed, onRankDead, failEngine), run once the caller has recorded
 // the sticky error: note → AutoDump → fail requests and waiters → publish
 // EvFault. Evidence comes first, so a caller that sees the error and reads
-// FlightRecorder().Dumps() finds the postmortem already written. fault is
+// FlightRecorder().Dumps() finds the postmortem already written. kind is
 // the event kind noted, and its name the postmortem's reason. rank selects
 // the victims — requests, pending batches and confirmation waiters toward
-// that peer; AllRanks (engine-fatal) takes every one of them and the
-// target-side Select waiters as well.
-func (e *Engine) failOutstanding(fault trace.Kind, rank int, at vtime.Time, err error) {
-	e.record(fault, at, rank, 0, 0, 0, err)
-	e.FlightRecorder().AutoDump(fault.String(), int64(at))
+// that peer; AllRanks (engine-fatal) takes every one of them. Target-side
+// waiters are woken whatever the rank: collective completion gives up on
+// any degradation.
+func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err error) {
+	e.record(kind, at, rank, 0, 0, 0, err)
+	e.FlightRecorder().AutoDump(kind.String(), int64(at))
 	all := rank == AllRanks
 	e.cmplMu.Lock()
 	var victims []*Request
@@ -663,8 +557,7 @@ func (e *Engine) failOutstanding(fault trace.Kind, rank int, at vtime.Time, err 
 			victims = append(victims, pb.reqs...)
 		}
 	}
-	failed := serviceWaiters(&e.confirmWaiters, rank, 0, at, err)
-	e.cmplCond.Broadcast()
+	woken := poke(e.confirmed, rank)
 	e.cmplMu.Unlock()
 
 	e.mu.Lock()
@@ -677,26 +570,21 @@ func (e *Engine) failOutstanding(fault trace.Kind, rank int, at vtime.Time, err 
 	for _, r := range victims {
 		r.completeErr(at, err)
 	}
-	// Wake target-side waiters too (collective completion): they re-check
-	// under waitConfirmed/waitAppliedFrom and observe the failure there.
 	e.tgtMu.Lock()
-	if all {
-		failed = append(failed, serviceWaiters(&e.applyWaiters, rank, 0, at, err)...)
-	}
-	e.tgtCond.Broadcast()
+	woken = append(woken, poke(e.applied, AllRanks)...)
 	e.tgtMu.Unlock()
-	closeWaiters(failed)
+	wakeAll(woken, 0, at)
 	if q := e.observers().evq; q != nil {
 		q.push(Event{Kind: EvFault, At: at, Rank: rank, Err: err})
 	}
 }
 
-// sendProbeAck answers a completion probe at virtual time at. The answer
-// carries the cumulative applied count, so a probe also feeds the origin's
-// confirmation counters.
-func (e *Engine) sendProbeAck(w probeWaiter, count int64, at vtime.Time) {
-	m := newMsg(w.origin, kProbeAck)
-	m.Hdr[hReq] = w.reqID
+// sendProbeAck answers origin's completion probe reqID at virtual time at.
+// The answer carries the cumulative applied count, so a probe also feeds
+// the origin's confirmation counters.
+func (e *Engine) sendProbeAck(origin int, reqID uint64, count int64, at vtime.Time) {
+	m := newMsg(origin, kProbeAck)
+	m.Hdr[hReq] = reqID
 	m.Hdr[hCount] = uint64(count)
 	e.sendReply(at, m)
 }

@@ -33,7 +33,7 @@ func runSevenWriterEvents(t *testing.T, plan *simnet.FaultPlan) []byte {
 	w := newWorld(t, runtime.Config{Ranks: fcWriters + 1, Seed: 7, Faults: plan})
 	size := 2 * fcWriters * fcSlot
 	final := make([]byte, size)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -129,9 +129,6 @@ func runSevenWriterEvents(t *testing.T, plan *simnet.FaultPlan) []byte {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 	return final
 }
 
@@ -269,7 +266,7 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 // and the queue publishes the engine-wide fault (Rank == AllRanks).
 func TestEventChaosApplyFaultTerminal(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 43})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{ApplyShards: 2, ApplyWorkers: 2})
 		comm := p.Comm()
 		if p.Rank() == 1 {
@@ -344,7 +341,4 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }

@@ -42,8 +42,8 @@ import (
 // block on a slow consumer, so a full queue drops the incoming event and
 // counts it in Dropped. Counters — not the queue — remain the source of
 // truth; the queue is a wakeup/telemetry surface. Waiters that must not
-// miss anything use Select, whose count-threshold waiters are serviced
-// under the counter locks and are therefore lossless.
+// miss anything use Select, which registers on the watermarks themselves
+// (watermark.go), under the counter locks, and is therefore lossless.
 
 // EventKind discriminates completion events.
 type EventKind uint8
@@ -237,82 +237,13 @@ func registerEventMetrics(reg *telemetry.Registry, q *CompletionQueue) {
 	reg.RegisterGauge("events.queue_depth", &q.depth)
 }
 
-// countWaiter is a lossless count-threshold waiter registered by Select:
-// it fires (fields set, ch closed) when a cumulative counter for rank
-// reaches threshold, or fails (err set, ch closed) when a sticky failure
-// makes the threshold unreachable. All fields except ch are guarded by
-// the lock of the list holding the waiter (tgtMu for applyWaiters,
-// cmplMu for confirmWaiters); they are published by the close(ch) that
-// follows the final write.
-type countWaiter struct {
-	rank      int
-	threshold int64
-	ch        chan struct{}
-	at        vtime.Time
-	count     int64
-	err       error
-	fired     bool // closed (or about to be closed) by a service sweep
-	abandoned bool // the Select that registered it lost interest
-}
-
-// serviceWaiters removes and returns the waiters in *list satisfied by
-// rank's counter reaching count at virtual time at. rank < 0 matches
-// every waiter (used with a non-nil err to fail the whole list). Caller
-// holds the list's lock and must close each returned waiter's ch after
-// releasing it.
-func serviceWaiters(list *[]*countWaiter, rank int, count int64, at vtime.Time, err error) []*countWaiter {
-	if len(*list) == 0 {
-		return nil
-	}
-	var fired []*countWaiter
-	rest := (*list)[:0]
-	for _, w := range *list {
-		switch {
-		case w.abandoned:
-			// Prune: its Select already returned through another case.
-		case err != nil && (rank < 0 || w.rank == rank):
-			w.err, w.at = err, at
-			w.fired = true
-			fired = append(fired, w)
-		case err == nil && w.rank == rank && count >= w.threshold:
-			w.count, w.at = count, at
-			w.fired = true
-			fired = append(fired, w)
-		default:
-			rest = append(rest, w)
-		}
-	}
-	for i := len(rest); i < len(*list); i++ {
-		(*list)[i] = nil
-	}
-	*list = rest
-	return fired
-}
-
-// closeWaiters completes a service sweep outside the list lock.
-func closeWaiters(fired []*countWaiter) {
-	for _, w := range fired {
-		close(w.ch)
-	}
-}
-
-// selKind discriminates Select cases. The zero value is invalid so a
-// zero SelectCase{} literal is rejected rather than silently never firing.
-type selKind uint8
-
-const (
-	selRequest selKind = iota + 1
-	selApplied
-	selConfirmed
-	selQuiescent
-)
-
-// SelectCase is one arm of a Select call; build it with OnRequest,
-// OnApplied, OnConfirmed, or OnQuiescent.
+// SelectCase is one arm of a Select call — one thing a wait blocks on: a
+// request, or a watermark toward rank reaching threshold. Build it with
+// OnRequest, OnApplied, OnConfirmed, or OnQuiescent.
 type SelectCase struct {
 	kind      selKind
 	req       *Request
-	rank      int
+	rank      int // of the communicator as built; of the world once Select resolved it
 	threshold int64
 }
 
@@ -351,18 +282,11 @@ func OnQuiescent(target int) SelectCase {
 	return SelectCase{kind: selQuiescent, rank: target, threshold: -1}
 }
 
-// resolvedCase is a SelectCase after rank mapping and threshold capture.
-type resolvedCase struct {
-	kind      selKind
-	req       *Request
-	world     int
-	threshold int64
-}
-
 // Select blocks until any of the cases fires and returns the index of the
 // winning case, its event, and a validation error (asynchronous failures
 // are delivered as EvFault or EvRequestDone events, not as the error
-// return). Like Wait it advances the rank's virtual clock to the winning
+// return). When several cases are satisfied at once the lowest index
+// wins. Like Wait it advances the rank's virtual clock to the winning
 // event's time. With zero cases Select fails immediately — there is
 // nothing it could wait for — wrapping ErrBadHandle.
 func (e *Engine) Select(comm *runtime.Comm, cases ...SelectCase) (int, Event, error) {
@@ -370,14 +294,14 @@ func (e *Engine) Select(comm *runtime.Comm, cases ...SelectCase) (int, Event, er
 		return -1, Event{}, fmt.Errorf("core: select with no cases: %w", ErrBadHandle)
 	}
 	e.Progress()
-	res := make([]resolvedCase, len(cases))
+	res := make([]SelectCase, len(cases))
 	for i, c := range cases {
 		switch c.kind {
 		case selRequest:
 			if c.req == nil {
 				return -1, Event{}, fmt.Errorf("core: select case %d: nil request: %w", i, ErrBadHandle)
 			}
-			res[i] = resolvedCase{kind: selRequest, req: c.req}
+			res[i] = c
 		case selApplied, selConfirmed, selQuiescent:
 			if c.rank < 0 || c.rank >= comm.Size() {
 				return -1, Event{}, fmt.Errorf("core: select case %d: rank %d out of range for communicator of size %d: %w", i, c.rank, comm.Size(), ErrBadHandle)
@@ -393,196 +317,13 @@ func (e *Engine) Select(comm *runtime.Comm, cases ...SelectCase) (int, Event, er
 				}
 				e.mu.Unlock()
 			}
-			res[i] = resolvedCase{kind: c.kind, world: world, threshold: th}
+			res[i] = SelectCase{kind: c.kind, rank: world, threshold: th}
 		default:
 			return -1, Event{}, fmt.Errorf("core: select case %d: zero case — construct cases with OnRequest/OnApplied/OnConfirmed/OnQuiescent: %w", i, ErrBadHandle)
 		}
 	}
 
-	// Fast path: some case is already satisfied (or already failed).
-	for i := range res {
-		if ev, ok := e.tryCase(&res[i]); ok {
-			e.proc.NIC().CPU().AdvanceTo(ev.At)
-			return i, ev, nil
-		}
-	}
-
-	// Under the progress serializer blocked waiting would deadlock: this
-	// rank is the progress engine for its own deferred applies. Poll,
-	// draining the queue, like waitConfirmed.
-	if e.progQ != nil {
-		for {
-			e.Progress()
-			gosched()
-			for i := range res {
-				if ev, ok := e.tryCase(&res[i]); ok {
-					e.proc.NIC().CPU().AdvanceTo(ev.At)
-					return i, ev, nil
-				}
-			}
-		}
-	}
-
-	// Slow path: one goroutine per case funnels into a buffered channel;
-	// stop releases the losers, whose waiters are marked abandoned and
-	// pruned by the next service sweep.
-	winner := make(chan selWin, len(res))
-	stop := make(chan struct{})
-	defer close(stop)
-	for i := range res {
-		rc := &res[i]
-		switch rc.kind {
-		case selRequest:
-			go func(i int, r *Request) {
-				select {
-				case <-r.waitCh():
-					winner <- selWin{i: i}
-				case <-stop:
-				}
-			}(i, rc.req)
-		case selApplied:
-			w := &countWaiter{rank: rc.world, threshold: rc.threshold, ch: make(chan struct{})}
-			e.tgtMu.Lock()
-			if c := e.applied[rc.world]; c >= rc.threshold {
-				w.count, w.at, w.fired = c, e.appliedAt[rc.world], true
-				close(w.ch)
-			} else {
-				e.applyWaiters = append(e.applyWaiters, w)
-			}
-			e.tgtMu.Unlock()
-			if !waiterFired(&e.tgtMu, w) {
-				// An apply fault may have swept the list between the fast
-				// path and registration; re-check so the waiter cannot be
-				// stranded behind a poisoned pipeline.
-				e.cmplMu.Lock()
-				aerr := e.applyErr
-				e.cmplMu.Unlock()
-				if aerr != nil {
-					e.tgtMu.Lock()
-					fired := serviceWaiters(&e.applyWaiters, -1, 0, e.proc.Now(), aerr)
-					e.tgtMu.Unlock()
-					closeWaiters(fired)
-				}
-			}
-			go waitCase(i, w, winner, stop, &e.tgtMu)
-		case selConfirmed, selQuiescent:
-			w := &countWaiter{rank: rc.world, threshold: rc.threshold, ch: make(chan struct{})}
-			e.cmplMu.Lock()
-			switch {
-			case e.confirmed[rc.world] >= rc.threshold:
-				w.count, w.at, w.fired = e.confirmed[rc.world], e.confirmedAt[rc.world], true
-				close(w.ch)
-			case e.applyErr != nil:
-				w.err, w.at, w.fired = e.applyErr, e.proc.Now(), true
-				close(w.ch)
-			case e.failedRanks[rc.world] != nil:
-				w.err, w.at, w.fired = e.failedRanks[rc.world], e.proc.Now(), true
-				close(w.ch)
-			case e.failedLinks[rc.world] != nil:
-				w.err, w.at, w.fired = e.failedLinks[rc.world], e.proc.Now(), true
-				close(w.ch)
-			default:
-				e.confirmWaiters = append(e.confirmWaiters, w)
-			}
-			e.cmplMu.Unlock()
-			go waitCase(i, w, winner, stop, &e.cmplMu)
-		}
-	}
-
-	win := <-winner
-	rc := &res[win.i]
-	var ev Event
-	switch {
-	case rc.kind == selRequest:
-		r := rc.req
-		r.mu.Lock()
-		ev = Event{Kind: EvRequestDone, At: r.at, Rank: r.target, Req: r, Err: r.err}
-		r.mu.Unlock()
-	case win.w.err != nil:
-		ev = Event{Kind: EvFault, At: win.w.at, Rank: rc.world, Err: win.w.err}
-	case rc.kind == selApplied:
-		ev = Event{Kind: EvDelivery, At: win.w.at, Rank: rc.world, Count: win.w.count}
-	case rc.kind == selQuiescent:
-		ev = Event{Kind: EvQuiescent, At: win.w.at, Rank: rc.world, Count: win.w.count}
-	default:
-		ev = Event{Kind: EvConfirm, At: win.w.at, Rank: rc.world, Count: win.w.count}
-	}
+	i, ev := e.wait(res)
 	e.proc.NIC().CPU().AdvanceTo(ev.At)
-	return win.i, ev, nil
-}
-
-// selWin identifies the winning case of a Select slow path.
-type selWin struct {
-	i int
-	w *countWaiter
-}
-
-// waiterFired reports (under the owning lock) whether a waiter has been
-// serviced.
-func waiterFired(mu *sync.Mutex, w *countWaiter) bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return w.fired
-}
-
-// waitCase funnels one count-threshold case into the Select winner
-// channel, or marks its waiter abandoned when another case wins first.
-func waitCase(i int, w *countWaiter, winner chan<- selWin, stop <-chan struct{}, mu *sync.Mutex) {
-	select {
-	case <-w.ch:
-		winner <- selWin{i: i, w: w}
-	case <-stop:
-		mu.Lock()
-		w.abandoned = true
-		mu.Unlock()
-	}
-}
-
-// tryCase reports whether a resolved case is already satisfied (or has
-// already failed), without registering a waiter.
-func (e *Engine) tryCase(rc *resolvedCase) (Event, bool) {
-	switch rc.kind {
-	case selRequest:
-		r := rc.req
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.done {
-			return Event{Kind: EvRequestDone, At: r.at, Rank: r.target, Req: r, Err: r.err}, true
-		}
-	case selApplied:
-		e.tgtMu.Lock()
-		c, at := e.applied[rc.world], e.appliedAt[rc.world]
-		e.tgtMu.Unlock()
-		if c >= rc.threshold {
-			return Event{Kind: EvDelivery, At: at, Rank: rc.world, Count: c}, true
-		}
-		e.cmplMu.Lock()
-		aerr := e.applyErr
-		e.cmplMu.Unlock()
-		if aerr != nil {
-			return Event{Kind: EvFault, At: e.proc.Now(), Rank: rc.world, Err: aerr}, true
-		}
-	case selConfirmed, selQuiescent:
-		e.cmplMu.Lock()
-		c, at := e.confirmed[rc.world], e.confirmedAt[rc.world]
-		aerr, rerr, lerr := e.applyErr, e.failedRanks[rc.world], e.failedLinks[rc.world]
-		e.cmplMu.Unlock()
-		if c >= rc.threshold {
-			kind := EvConfirm
-			if rc.kind == selQuiescent {
-				kind = EvQuiescent
-			}
-			return Event{Kind: kind, At: at, Rank: rc.world, Count: c}, true
-		}
-		if aerr != nil {
-			return Event{Kind: EvFault, At: e.proc.Now(), Rank: rc.world, Err: aerr}, true
-		}
-		if rerr != nil {
-			return Event{Kind: EvFault, At: e.proc.Now(), Rank: rc.world, Err: rerr}, true
-		}
-		if lerr != nil {
-			return Event{Kind: EvFault, At: e.proc.Now(), Rank: rc.world, Err: lerr}, true
-		}
-	}
-	return Event{}, false
+	return i, ev, nil
 }

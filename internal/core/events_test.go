@@ -68,14 +68,14 @@ func TestCompletionQueueBounds(t *testing.T) {
 func TestEventsDeliveryAndQuiescence(t *testing.T) {
 	const ops = 8
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 21})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		q := e.EnableEvents(64)
 		comm := p.Comm()
 		if p.Rank() == 1 {
 			tm, _ := e.ExposeNew(64)
 			p.Send(0, 9999, tm.Encode())
-			if _, err := e.waitAppliedFrom([]int{0}, ops); err != nil {
+			if _, _, err := e.Select(comm, OnApplied(0, ops)); err != nil {
 				t.Errorf("target wait: %v", err)
 			}
 			p.Barrier()
@@ -159,9 +159,6 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 			t.Error("origin never saw the quiescent event")
 		}
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestOnDoneExactlyOnce: callbacks registered before completion fire once
@@ -170,7 +167,7 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 func TestOnDoneExactlyOnce(t *testing.T) {
 	const ops = 16
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 23})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 64)
@@ -209,9 +206,6 @@ func TestOnDoneExactlyOnce(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestSelectArms exercises each Select arm in a healthy 2-rank world:
@@ -221,7 +215,7 @@ func TestOnDoneExactlyOnce(t *testing.T) {
 func TestSelectArms(t *testing.T) {
 	const ops = 4
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 29})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 
@@ -301,17 +295,14 @@ func TestSelectArms(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestSelectMixedArms: a Select over a slow counter case and a fast
-// request case returns the fast one; the loser's waiter is abandoned and
-// pruned by later traffic rather than leaking a wakeup.
+// request case returns the fast one; the loser's waiter is unregistered
+// on the way out rather than leaking a wakeup.
 func TestSelectMixedArms(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 31})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 64)
@@ -337,9 +328,6 @@ func TestSelectMixedArms(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestRequestErrVisibleBeforeDone is the lost-wakeup regression test for
@@ -348,7 +336,7 @@ func TestSelectMixedArms(t *testing.T) {
 // failed asynchronously by a link failure.
 func TestRequestErrVisibleBeforeDone(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 33})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		if p.Rank() != 0 {
 			return
@@ -377,19 +365,16 @@ func TestRequestErrVisibleBeforeDone(t *testing.T) {
 			t.Errorf("Err = %v, want %v", r.Err(), wantErr)
 		}
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestIssueFailureCompletesRequest is the orphaned-request regression
 // test: when the issue path fails after the request has entered the
 // engine table (send refused by a failed link), the request must be
 // completed with the error — Done fires, OnDone fires, the table does
-// not leak — instead of being abandoned undone.
+// not leak — instead of being left behind undone.
 func TestIssueFailureCompletesRequest(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 35})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() != 0 {
@@ -426,9 +411,6 @@ func TestIssueFailureCompletesRequest(t *testing.T) {
 		// returned the request (if created) was completed with it.
 		_ = xerr
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestSingletonIssueFailureIsComplete: every operation that pays its own
@@ -439,7 +421,7 @@ func TestIssueFailureCompletesRequest(t *testing.T) {
 // error: a fast fail, nothing may be counted. Then with the engine's record
 // of the failure erased, so the issue reaches the relay, which still
 // refuses the link: the request already sits in the engine table and must
-// be completed with the error, not abandoned (under the coarse lock the
+// be completed with the error, not left behind (under the coarse lock the
 // refused send is the lock request's, which must not leak either). An
 // out-of-range active-message target is an error, not a panic.
 func TestSingletonIssueFailureIsComplete(t *testing.T) {
@@ -507,7 +489,7 @@ func TestSingletonIssueFailureIsComplete(t *testing.T) {
 // parking it in the issue ring (the Await-before-flush lost wakeup).
 func TestBatchedIssueFailsFastOnDeadLink(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 37})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{BatchOps: 8})
 		comm := p.Comm()
 		if p.Rank() != 0 {
@@ -527,7 +509,4 @@ func TestBatchedIssueFailsFastOnDeadLink(t *testing.T) {
 			t.Errorf("batched put to dead link = %v, want synchronous wrapped ErrLinkFailed", perr)
 		}
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }

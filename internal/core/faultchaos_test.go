@@ -77,7 +77,7 @@ func runSevenWriter(t *testing.T, plan *simnet.FaultPlan, topts Options) []byte 
 	w := newWorld(t, runtime.Config{Ranks: fcWriters + 1, Seed: 7, Faults: plan})
 	size := 2 * fcWriters * fcSlot
 	final := make([]byte, size)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		opts := Options{}
 		if p.Rank() == 0 {
 			opts = topts
@@ -130,9 +130,6 @@ func runSevenWriter(t *testing.T, plan *simnet.FaultPlan, topts Options) []byte 
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 	return final
 }
 
@@ -202,7 +199,7 @@ func runStencil(t *testing.T, plan *simnet.FaultPlan) []byte {
 	t.Helper()
 	w := newWorld(t, runtime.Config{Ranks: stRanks, Seed: 13, Faults: plan})
 	final := make([]byte, stRanks*2*stHalo)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		me := p.Rank()
@@ -244,9 +241,6 @@ func runStencil(t *testing.T, plan *simnet.FaultPlan) []byte {
 		}
 		copy(final[me*2*stHalo:], p.Mem().Snapshot(region.Offset, 2*stHalo))
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 	return final
 }
 
@@ -281,7 +275,7 @@ func TestFaultChaosStencil(t *testing.T) {
 func TestFaultChaosRetriesObserved(t *testing.T) {
 	plan := chaosPlans()[0].plan
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 7, Faults: plan})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 64)
@@ -301,9 +295,6 @@ func TestFaultChaosRetriesObserved(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 	if w.Net().Retries.Value() == 0 {
 		t.Fatal("guaranteed drop burst produced no retransmissions")
 	}

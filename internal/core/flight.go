@@ -33,26 +33,28 @@ func (e *Engine) EnableFlightRecorder(cfg telemetry.FlightConfig) *telemetry.Fli
 func (e *Engine) FlightRecorder() *telemetry.FlightRecorder { return e.observers().flight }
 
 // Health assembles this rank's point-in-time health report: sticky
-// errors, per-link relay state and retry budget, shard queue depths,
-// completion-queue occupancy, and per-origin applied watermarks. It is
-// what postmortems embed and what rmatop renders.
+// errors, what its blocked calls wait for, per-link relay state and retry
+// budget, shard queue depths, completion-queue occupancy, and per-origin
+// applied watermarks. It is what postmortems embed and what rmatop
+// renders.
 func (e *Engine) Health() telemetry.HealthReport {
 	h := telemetry.HealthReport{
 		Rank:  e.proc.Rank(),
 		VTime: int64(e.proc.Now()),
 	}
 
+	// One line per peer a sticky failure cuts off, through the one
+	// precedence: an apply fault cuts off every peer and is listed once.
 	e.cmplMu.Lock()
-	if e.applyErr != nil {
-		h.Sticky = append(h.Sticky, e.applyErr.Error())
-	}
-	for _, err := range e.failedRanks {
-		h.Sticky = append(h.Sticky, err.Error())
-	}
-	for _, err := range e.failedLinks {
-		h.Sticky = append(h.Sticky, err.Error())
+	var last error
+	for peer := range e.confirmed {
+		if f := e.stickyLocked(peer); f.err != nil && f.err != last {
+			h.Sticky = append(h.Sticky, f.err.Error())
+			last = f.err
+		}
 	}
 	e.cmplMu.Unlock()
+	h.Waits = e.waits()
 
 	// Membership liveness: meaningful once the failure detector has run
 	// (a world without faults reports every rank ALIVE and spares SPARE).
@@ -98,9 +100,11 @@ func (e *Engine) Health() telemetry.HealthReport {
 	}
 
 	e.tgtMu.Lock()
-	if len(e.applied) > 0 {
-		h.AppliedFrom = make(map[int]int64, len(e.applied))
-		for src, n := range e.applied {
+	for src := range e.applied {
+		if n := e.applied[src].count; n > 0 {
+			if h.AppliedFrom == nil {
+				h.AppliedFrom = make(map[int]int64)
+			}
 			h.AppliedFrom[src] = n
 		}
 	}

@@ -13,12 +13,6 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// heldOp is an ordered-stream operation waiting for its predecessors.
-type heldOp struct {
-	at vtime.Time
-	fn func(at vtime.Time)
-}
-
 // gateOrdered runs process immediately for unordered operations (seq 0)
 // and otherwise enforces the per-origin ordered stream: out-of-order
 // arrivals are buffered until every predecessor has been processed — the
@@ -257,22 +251,27 @@ func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
 	}
 }
 
-// handleProbe answers (or queues) a completion probe: the origin asks
-// "have you applied my first N operations yet?".
+// handleProbe answers a completion probe — the origin asks "have you
+// applied my first N operations yet?" — or parks it on the origin's
+// delivery watermark, whose raise to N answers it.
 func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 	e.Probes.Inc()
 	threshold := int64(m.Hdr[hHandle])
-	e.emit(trace.KindProbe, at, m.Src, m.Hdr[hReq], threshold, 0)
-	w := probeWaiter{origin: m.Src, threshold: threshold, reqID: m.Hdr[hReq]}
+	origin, reqID := m.Src, m.Hdr[hReq]
+	e.emit(trace.KindProbe, at, origin, reqID, threshold, 0)
 	e.tgtMu.Lock()
-	count := e.applied[m.Src]
-	satisfied := count >= threshold
-	if !satisfied {
-		e.probeWaiters = append(e.probeWaiters, w)
+	wm := &e.applied[origin]
+	count := wm.count
+	if count < threshold {
+		wm.waiters = append(wm.waiters, &waiter{threshold: threshold, probe: true, wake: func(count int64, at vtime.Time) {
+			if count >= threshold { // else a failure's poke: nothing to answer yet
+				e.sendProbeAck(origin, reqID, count, at)
+			}
+		}})
 	}
 	e.tgtMu.Unlock()
-	if satisfied {
-		e.sendProbeAck(w, count, at)
+	if count >= threshold {
+		e.sendProbeAck(origin, reqID, count, at)
 	}
 }
 

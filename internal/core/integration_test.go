@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
@@ -53,7 +54,7 @@ const (
 func runChaos(t *testing.T, unordered bool, baseAttrs Attr, mech serializer.Mechanism) {
 	w := newWorld(t, runtime.Config{Ranks: chaosOrigins + 1, UnorderedNet: unordered, Seed: 99})
 	shadows := make([][]byte, chaosOrigins+1)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{Atomicity: mech})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -181,9 +182,6 @@ func runChaos(t *testing.T, unordered bool, baseAttrs Attr, mech serializer.Mech
 		p.Barrier()
 		p.Send(0, 7777, shadow)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // subRegion narrows a region (test helper mirroring armci.sub).

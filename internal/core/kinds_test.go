@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -55,7 +56,7 @@ func TestAccumulateElementKinds(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			w := newWorld(t, runtime.Config{Ranks: 2})
-			err := w.Run(func(p *runtime.Proc) {
+			runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 				e := Attach(p, Options{})
 				comm := p.Comm()
 				if p.Rank() == 0 {
@@ -89,9 +90,6 @@ func TestAccumulateElementKinds(t *testing.T) {
 				e.Complete(comm, 0)
 				p.Send(0, 1, nil)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -99,7 +97,7 @@ func TestAccumulateElementKinds(t *testing.T) {
 // TestRequestDoneChannel covers the select-based completion channel.
 func TestRequestDoneChannel(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -118,16 +116,13 @@ func TestRequestDoneChannel(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestExplicitLockRelease exercises the standalone release message (the
 // path used when an issue fails after the grant).
 func TestExplicitLockRelease(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		if p.Rank() == 1 {
 			if err := e.acquireLock(0); err != nil {
@@ -159,7 +154,4 @@ func TestExplicitLockRelease(t *testing.T) {
 			t.Errorf("lock still held by %d", e.LockHolder())
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
@@ -28,7 +29,7 @@ func writeFloat64s(p *runtime.Proc, vals []float64) (off int, region memsim.Regi
 // dense origin buffer.
 func TestGetStrided(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -62,9 +63,6 @@ func TestGetStrided(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestGetLandingSkipsHoles pins that a strided Get lands with the same
@@ -80,7 +78,7 @@ func TestGetLandingSkipsHoles(t *testing.T) {
 		}
 		return memsim.Coherent
 	}})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -122,9 +120,6 @@ func TestGetLandingSkipsHoles(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestAccumulateOps checks every combining operation's arithmetic end to
@@ -146,7 +141,7 @@ func TestAccumulateOps(t *testing.T) {
 		c := c
 		t.Run(c.op.String(), func(t *testing.T) {
 			w := newWorld(t, runtime.Config{Ranks: 2})
-			err := w.Run(func(p *runtime.Proc) {
+			runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 				e := Attach(p, Options{})
 				comm := p.Comm()
 				if p.Rank() == 0 {
@@ -171,9 +166,6 @@ func TestAccumulateOps(t *testing.T) {
 				e.Complete(comm, 0)
 				p.Send(0, 1, nil)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -182,7 +174,7 @@ func TestAccumulateOps(t *testing.T) {
 // ARMCI-compatible accumulate.
 func TestAccumulateAxpy(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -212,9 +204,6 @@ func TestAccumulateAxpy(t *testing.T) {
 		e.Complete(comm, 0)
 		p.Send(0, 1, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCrossEndianPutGet: a little-endian origin puts int64s into a
@@ -231,7 +220,7 @@ func TestCrossEndianPutGet(t *testing.T) {
 		},
 	})
 	defer w.Close()
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -281,9 +270,6 @@ func TestCrossEndianPutGet(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCrossEndianAccumulate: arithmetic must happen on values, not raw
@@ -299,7 +285,7 @@ func TestCrossEndianAccumulate(t *testing.T) {
 		},
 	})
 	defer w.Close()
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -327,9 +313,6 @@ func TestCrossEndianAccumulate(t *testing.T) {
 		e.Complete(comm, 0)
 		p.Send(0, 1, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestFetchAddConcurrent: RMW fetch-and-add from many ranks yields every
@@ -339,7 +322,7 @@ func TestFetchAddConcurrent(t *testing.T) {
 	const iters = 25
 	w := newWorld(t, runtime.Config{Ranks: origins + 1})
 	seen := make([]atomic.Bool, origins*iters)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -365,9 +348,6 @@ func TestFetchAddConcurrent(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range seen {
 		if !seen[i].Load() {
 			t.Fatalf("ticket %d never issued", i)
@@ -379,7 +359,7 @@ func TestFetchAddConcurrent(t *testing.T) {
 func TestCompareSwap(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 3})
 	var wins atomic.Int64
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -397,9 +377,6 @@ func TestCompareSwap(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if wins.Load() != 1 {
 		t.Fatalf("%d CAS winners, want exactly 1", wins.Load())
 	}
@@ -407,7 +384,7 @@ func TestCompareSwap(t *testing.T) {
 
 func TestRMWValidation(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -421,9 +398,6 @@ func TestRMWValidation(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestActiveMessages: the AM extension invokes registered handlers, counts
@@ -432,7 +406,7 @@ func TestActiveMessages(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	var calls atomic.Int64
 	var lastPayload atomic.Value
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -466,9 +440,6 @@ func TestActiveMessages(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if calls.Load() != 2 {
 		t.Fatalf("handler ran %d times, want 2", calls.Load())
 	}
@@ -481,7 +452,7 @@ func TestActiveMessages(t *testing.T) {
 // counted so Complete does not deadlock.
 func TestUnregisteredAM(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 1 {
@@ -494,16 +465,13 @@ func TestUnregisteredAM(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestXferDispatch: the single-interface form routes to the right
 // operation.
 func TestXferDispatch(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -545,16 +513,13 @@ func TestXferDispatch(t *testing.T) {
 		e.Complete(comm, 0)
 		p.Send(0, 1, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestAddrBits32Validation: a 32-bit target's address space bounds
 // accesses.
 func TestAddrBits32(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{AddrBits: 32})
 		comm := p.Comm()
 		tm := shipTM(p, e, 64)
@@ -571,9 +536,6 @@ func TestAddrBits32(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestXferInvoke: the optype expansion routes Xfer to a remote method
@@ -581,7 +543,7 @@ func TestAddrBits32(t *testing.T) {
 func TestXferInvoke(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	var got atomic.Value
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -611,9 +573,6 @@ func TestXferInvoke(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if b, ok := got.Load().([]byte); !ok || !bytes.Equal(b, []byte{0xFE, 0xED, 0xFA, 0xCE}) {
 		t.Fatalf("handler payload %v", got.Load())
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	gort "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -122,8 +126,11 @@ func rdPutComplete(e *Engine, comm *runtime.Comm, scratch memsim.Region, dst Tar
 }
 
 // runBounded runs fn on every rank of w and fails the test, with every
-// goroutine's stack, if the world has not finished within limit: a wedged
-// detection or rebuild must diagnose itself, not hang the suite.
+// attached engine's health report (what each rank is waiting for, whom it
+// believes alive) and every goroutine's stack, if the world has not
+// finished within limit: a wedged detection or rebuild must diagnose
+// itself, not hang the suite. It reports with Errorf, so it may run off
+// the test goroutine.
 func runBounded(t *testing.T, w *runtime.World, limit time.Duration, fn func(p *runtime.Proc)) {
 	t.Helper()
 	done := make(chan error, 1)
@@ -131,11 +138,18 @@ func runBounded(t *testing.T, w *runtime.World, limit time.Duration, fn func(p *
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("world: %v", err)
+			t.Errorf("world: %v", err)
 		}
 	case <-time.After(limit):
+		var health bytes.Buffer
+		for r := 0; r < w.TotalRanks(); r++ {
+			if e := Attached(w.Proc(r)); e != nil {
+				js, _ := json.Marshal(e.Health()) // a report of plain fields cannot fail to marshal
+				fmt.Fprintf(&health, "%s\n", js)
+			}
+		}
 		buf := make([]byte, 1<<22)
-		t.Fatalf("world wedged for %v; goroutines:\n%s", limit, buf[:gort.Stack(buf, true)])
+		t.Errorf("world wedged for %v; health:\n%sgoroutines:\n%s", limit, health.Bytes(), buf[:gort.Stack(buf, true)])
 	}
 }
 
@@ -431,4 +445,113 @@ func TestRankDeathNoReplica(t *testing.T) {
 		Links:     map[simnet.LinkKey]simnet.LinkFaults{{Src: rdVictim, Dst: rdVictim + 1}: {Drop: 1}},
 		RankKills: []simnet.RankKill{{Rank: rdVictim, At: rdKillAt}},
 	}, true, false)
+}
+
+// The kill-instant mini-sweep: a wait that rides delivery counters must
+// come back when its target dies in the window the relay cannot see — the
+// victim's NIC admitted (and relay-acked) the operation, and the rank died
+// before its engine reported the delivery counter, which under replication
+// waits for the buddy's acknowledgement. Nothing is then in flight toward
+// the victim, so only the progress sentinel's bait ping can find the
+// death: the wait has to be a surface the sentinel watches, and the ping
+// has to be stamped late enough in virtual time to meet a rank that died
+// after the waiter's clock stopped.
+
+// ksWaits are the counter-riding waits under test.
+var ksWaits = map[string]func(e *Engine, comm *runtime.Comm) error{
+	"Complete":        func(e *Engine, comm *runtime.Comm) error { return e.Complete(comm, rdVictim) },
+	"SelectQuiescent": func(e *Engine, comm *runtime.Comm) error { return selectErr(e, comm, OnQuiescent(rdVictim)) },
+	"SelectConfirmed": func(e *Engine, comm *runtime.Comm) error {
+		return selectErr(e, comm, OnConfirmed(rdVictim, e.PairCounters(rdVictim).Sent))
+	},
+}
+
+// ksRun builds the 4 + 1 replicated world, kills the victim at killAt (0 =
+// never), has rank 0 — the single origin — issue one notified put (or,
+// batched, four puts and a Flush) toward the victim and then wait. It
+// returns the operation's modelled arrival at the victim (the B of its
+// issue or batch trace event) and what issue or wait reported; a world
+// that wedges has failed the test through runBounded.
+func ksRun(t *testing.T, batched bool, wait func(*Engine, *runtime.Comm) error, killAt vtime.Time) (arrive vtime.Time, werr error) {
+	plan := &simnet.FaultPlan{Seed: 1201}
+	if killAt > 0 {
+		plan.RankKills = []simnet.RankKill{{Rank: rdVictim, At: killAt}}
+	}
+	var opts Options
+	if batched {
+		opts.BatchOps = 4
+	}
+	w := newWorld(t, runtime.Config{Ranks: rdCompute, Spares: 1, MemSize: 1 << 16, Seed: 7, Faults: plan})
+	runBounded(t, w, 10*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, opts)
+		if err := e.EnableReplication(); err != nil {
+			t.Errorf("enable replication: %v", err)
+			return
+		}
+		switch p.Rank() {
+		case rdVictim:
+			tm, _ := e.ExposeNew(64)
+			p.Send(0, rdTagDesc, tm.Encode())
+		case 0:
+			ring := trace.New(0)
+			e.SetTracer(ring)
+			enc, _ := p.Recv(rdVictim, rdTagDesc)
+			tm, err := DecodeTargetMem(enc)
+			if err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			comm, scratch := p.Comm(), p.Alloc(8)
+			attrs := AttrNotify
+			if batched {
+				attrs = AttrNone // an aggregate always notifies
+			}
+			for i := 0; i < max(1, opts.BatchOps) && werr == nil; i++ {
+				_, werr = e.Put(scratch, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, rdVictim, comm, attrs)
+			}
+			e.Flush()
+			for _, ev := range ring.Snapshot() {
+				if ev.Kind == trace.KindIssue || ev.Kind == trace.KindBatch {
+					arrive = vtime.Time(ev.B)
+				}
+			}
+			if werr == nil {
+				werr = wait(e, comm)
+			}
+		}
+	})
+	return arrive, werr
+}
+
+// TestRankKillInstantSweep kills the victim at the operation's arrival plus
+// each offset, for each wait and each issue path, and asks only that the
+// wait returns within runBounded's limit, with nil or the wrapped
+// ErrRankFailed. Which of the two is not asserted: the arrival instant is
+// taken from a fault-free pass of the same world, and it moves between
+// passes with host scheduling before the first put, so a kill may land on
+// either side of the delivery report — and which rank's budget exhaustion
+// confirms the death first depends on host scheduling too. A row spends
+// its half second asleep on the detector's real-time tickers, so the rows
+// of one issue path run side by side.
+func TestRankKillInstantSweep(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		arrive, err := ksRun(t, batched, ksWaits["Complete"], 0)
+		if err != nil || arrive == 0 {
+			t.Fatalf("batched=%v, fault-free pass: arrival %d, wait returned %v", batched, arrive, err)
+		}
+		var rows sync.WaitGroup
+		for name, wait := range ksWaits {
+			for _, off := range []vtime.Time{0, 50, 100, 200, 300, 1000} {
+				rows.Add(1)
+				go func() {
+					defer rows.Done()
+					_, err := ksRun(t, batched, wait, arrive+off)
+					if err != nil && (!errors.Is(err, ErrRankFailed) || errors.Is(err, ErrLinkFailed)) {
+						t.Errorf("%s, batched=%v, kill at arrival %d + %d: %v, want nil or a wrapped ErrRankFailed only", name, batched, arrive, off, err)
+					}
+				}()
+			}
+		}
+		rows.Wait()
+	}
 }

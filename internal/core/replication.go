@@ -588,12 +588,15 @@ func (e *Engine) finishRebuild(dead, promoter int, at vtime.Time) {
 // applies were acknowledged.
 //
 // The sentinel closes the loop end-to-end: a per-engine ticker watches
-// every surface that waits on a remote engine — outstanding requests,
-// confirmation-counter waiters, and unacknowledged replication
-// deferrals — and when one makes no progress across consecutive ticks it
-// sends a kPing to the stalled peer through the relay. The ping carries
-// no semantics; it is bait. A live peer's NIC relay-acks it and nothing
-// else happens (whatever reply is owed will arrive by retransmission).
+// every surface that waits on a remote engine — every registered counter
+// waiter (Engine.waits: whichever call is blocked, it is one of those),
+// every outstanding request, every unacknowledged replication deferral —
+// and when one makes no progress across consecutive ticks it sends a
+// kPing to the stalled peer through the relay, stamped later in virtual
+// time with every ping that changes nothing (sentinelSweep). The ping
+// carries no semantics; it is bait. A live peer's NIC relay-acks it and
+// nothing else happens (whatever reply is owed will arrive by
+// retransmission).
 // A dead peer blackholes it, the relay exhausts the ping's retry budget,
 // and the ordinary detection path — onLinkFailed, membership Suspect
 // against RAS ground truth, onRankDead fan-out — fails the stalled work
@@ -623,6 +626,7 @@ const (
 type sentinelWatch struct {
 	mark     uint64
 	strikes  int
+	pings    int // consecutive pings sent while mark stood still
 	lastPing time.Time
 }
 
@@ -668,13 +672,9 @@ func (e *Engine) sentinelMarks() map[int]uint64 {
 		mix(r.target, id)
 	}
 	e.mu.Unlock()
-	e.cmplMu.Lock()
-	for _, w := range e.confirmWaiters {
-		if !w.abandoned && !w.fired {
-			mix(w.rank, uint64(w.threshold)<<16^uint64(e.confirmed[w.rank]))
-		}
+	for _, w := range e.waits() {
+		mix(w.Peer, uint64(w.Threshold)<<16^uint64(w.Have))
 	}
-	e.cmplMu.Unlock()
 	return marks
 }
 
@@ -710,9 +710,17 @@ func (e *Engine) sentinelSweep(watch map[int]*sentinelWatch, now time.Time) {
 			continue
 		}
 		w.lastPing = now
+		w.pings++
 		e.Pings.Inc()
-		e.emit(trace.KindSentinelPing, e.proc.Now(), rank, 0, int64(w.strikes), 0)
-		e.sendReplyNIC(e.proc.Now(), newMsg(rank, kPing))
+		// This rank's clock stands where its last send left it, so a ping
+		// stamped Now() can never meet a peer that dies after that instant:
+		// in virtual time it arrives before the death, every time. The k-th
+		// ping in a row is stamped as the relay would stamp a k-th
+		// retransmission — virtual patience for the real time that passed
+		// with no progress.
+		at := e.proc.Now() + vtime.Time(e.proc.NIC().RetryPatience(w.pings))
+		e.emit(trace.KindSentinelPing, at, rank, 0, int64(w.strikes), 0)
+		e.sendReplyNIC(at, newMsg(rank, kPing))
 	}
 }
 

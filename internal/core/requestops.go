@@ -28,16 +28,11 @@ func WaitAny(reqs ...*Request) int {
 			return i
 		}
 	}
-	// Slow path: wait on all channels; the simulator's request count per
-	// call site is small, so a goroutine per request is fine.
-	done := make(chan int, len(reqs))
+	cases := make([]SelectCase, len(reqs))
 	for i, r := range reqs {
-		go func(i int, r *Request) {
-			<-r.waitCh()
-			done <- i
-		}(i, r)
+		cases[i] = OnRequest(r)
 	}
-	i := <-done
+	i, _ := reqs[0].e.wait(cases)
 	reqs[i].Wait()
 	return i
 }

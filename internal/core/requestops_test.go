@@ -11,7 +11,7 @@ import (
 
 func TestWaitAnyTestAll(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 64)
@@ -51,14 +51,11 @@ func TestWaitAnyTestAll(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestExposeCollective(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 4})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tms, region, err := e.ExposeCollective(comm, 32)
@@ -89,16 +86,13 @@ func TestExposeCollective(t *testing.T) {
 			t.Errorf("ring value %d, want %d", got, prev)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestStrictDebugAttrs: the requirement-5 preset makes every put ordered,
 // remote-complete, and atomic without changing call sites.
 func TestStrictDebugAttrs(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -126,9 +120,6 @@ func TestStrictDebugAttrs(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestProgressQuantumDelaysApplies: with MechProgress and a large poll
@@ -136,7 +127,7 @@ func TestStrictDebugAttrs(t *testing.T) {
 func TestProgressQuantumDelays(t *testing.T) {
 	const quantum = 1 * time.Millisecond
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{Atomicity: serializer.MechProgress, ProgressQuantum: quantum})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -162,9 +153,6 @@ func TestProgressQuantumDelays(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // depositRecorder is an AccessRecorder that forwards each applied access.
@@ -181,7 +169,7 @@ func TestDepositHook(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	type dep struct{ src, disp, length int }
 	got := make(chan dep, 1)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -203,9 +191,6 @@ func TestDepositHook(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case d := <-got:
 		if d.src != 1 || d.disp != 8 || d.length != 16 {
@@ -220,7 +205,7 @@ func TestDepositHook(t *testing.T) {
 // (no panic, applied work preserved).
 func TestEngineCloseViaWorld(t *testing.T) {
 	w := runtime.NewWorld(runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{Atomicity: serializer.MechThread})
 		comm := p.Comm()
 		tm := shipTM(p, e, 8)
@@ -233,9 +218,6 @@ func TestEngineCloseViaWorld(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	w.Close()
 	w.Close() // second Close must be safe for the network; engines are closed once
 }

@@ -140,13 +140,14 @@ func (e *Engine) onApplyPanic(shard int, recovered any) {
 // are woken so Complete/Order/fence observe it instead of hanging on
 // counters that will never advance.
 func (e *Engine) failEngine(err error) {
+	at := e.proc.Now()
 	e.cmplMu.Lock()
-	first := e.applyErr == nil
+	first := e.applyErr.err == nil
 	if first {
-		e.applyErr = err
+		e.applyErr = fault{err, at}
 	}
 	e.cmplMu.Unlock()
 	if first {
-		e.failOutstanding(trace.KindApplyFault, AllRanks, e.proc.Now(), err)
+		e.failOutstanding(trace.KindApplyFault, AllRanks, at, err)
 	}
 }

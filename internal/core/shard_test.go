@@ -18,7 +18,7 @@ func runOverlapWorkload(t *testing.T, topts Options) []byte {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 11})
 	const size = 64
 	final := make([]byte, size)
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		opts := Options{}
 		if p.Rank() == 0 {
 			opts = topts
@@ -55,9 +55,6 @@ func runOverlapWorkload(t *testing.T, topts Options) []byte {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 	return final
 }
 
@@ -78,7 +75,7 @@ func TestShardedConvergesWithSerial(t *testing.T) {
 // wrapped ErrApplyFault from the target's Err().
 func TestShardApplyPanicSticky(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 3})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		opts := Options{}
 		if p.Rank() == 0 {
 			opts = Options{ApplyShards: 4, ApplyWorkers: 2}
@@ -110,9 +107,6 @@ func TestShardApplyPanicSticky(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }
 
 // TestShardTelemetryReconciles pins the watermark-join equation from
@@ -122,7 +116,7 @@ func TestShardApplyPanicSticky(t *testing.T) {
 func TestShardTelemetryReconciles(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 5})
 	var target *Engine
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		opts := Options{}
 		if p.Rank() == 0 {
 			opts = Options{ApplyShards: 4, ApplyWorkers: 2}
@@ -155,9 +149,6 @@ func TestShardTelemetryReconciles(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 	pool := target.ShardPool()
 	if pool == nil {
 		t.Fatal("target engine has no shard pool")
@@ -188,7 +179,7 @@ func TestShardTelemetryReconciles(t *testing.T) {
 // explicit spelling of the same thing.
 func TestCompleteVariadic(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 3, Seed: 9})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		tm := shipTM(p, e, 32)
@@ -217,7 +208,4 @@ func TestCompleteVariadic(t *testing.T) {
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		t.Fatalf("world: %v", err)
-	}
 }

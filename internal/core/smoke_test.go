@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -13,7 +14,7 @@ import (
 func TestSmokePutGetComplete(t *testing.T) {
 	w := runtime.NewWorld(runtime.Config{Ranks: 3})
 	defer w.Close()
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		const n = 64
@@ -75,7 +76,4 @@ func TestSmokePutGetComplete(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

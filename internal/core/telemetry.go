@@ -175,7 +175,7 @@ func (e *Engine) PairCounters(world int) PairCounters {
 	}
 	e.mu.Unlock()
 	e.cmplMu.Lock()
-	pc.Confirmed = e.confirmed[world]
+	pc.Confirmed = e.confirmed[world].count
 	e.cmplMu.Unlock()
 	return pc
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -26,7 +27,7 @@ func TestTelemetryReconciliation(t *testing.T) {
 		perRing    = 4
 	)
 	w := newWorld(t, runtime.Config{Ranks: writers + 1})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{BatchOps: perRing})
 		reg := e.EnableTelemetry(nil)
 		comm := p.Comm()
@@ -113,9 +114,6 @@ func TestTelemetryReconciliation(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestTelemetrySpanCrossRank drives one remote-complete put through two
@@ -127,7 +125,7 @@ func TestTelemetrySpanCrossRank(t *testing.T) {
 	var mu sync.Mutex
 	rings := make(map[int]*trace.Ring)
 	var putID uint64
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		e.SetTracer(trace.New(0))
 		mu.Lock()
@@ -160,9 +158,6 @@ func TestTelemetrySpanCrossRank(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	perRank := make(map[int][]trace.Event)
 	for r, ring := range rings {
@@ -220,7 +215,7 @@ func pinPutAllocs(t *testing.T, steps []allocStep) *Engine {
 	t.Helper()
 	var origin *Engine
 	w := newWorld(t, runtime.Config{Ranks: 2})
-	err := w.Run(func(p *runtime.Proc) {
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		if p.Rank() == 0 {
@@ -261,9 +256,6 @@ func pinPutAllocs(t *testing.T, steps []allocStep) *Engine {
 			p.Barrier()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return origin
 }
 

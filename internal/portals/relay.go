@@ -106,6 +106,12 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+// backoff is the virtual wait before retransmission k (counting from 0):
+// Timeout·Backoff^k.
+func (p RetryPolicy) backoff(k int) time.Duration {
+	return time.Duration(float64(p.Timeout) * math.Pow(p.Backoff, float64(k)))
+}
+
 // castagnoli is the CRC-32C table used for payload checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -362,7 +368,7 @@ func (r *relay) tick(now time.Time) {
 			}
 			// Virtual stamp: previous transmission plus the policy's
 			// backed-off timeout plus seeded jitter.
-			step := time.Duration(float64(r.pol.Timeout) * math.Pow(r.pol.Backoff, float64(f.attempts)))
+			step := r.pol.backoff(f.attempts)
 			step += time.Duration(r.rng.Float64() * r.pol.Jitter * float64(r.pol.Timeout))
 			f.attempts++
 			f.vt += vtime.Time(step)
@@ -534,6 +540,21 @@ func (n *NIC) RelayStatus() []LinkStatus {
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
+}
+
+// RetryPatience returns the virtual time the relay lets pass before it has
+// retransmitted a frame k times — the first k backed-off timeouts, without
+// jitter — or 0 when reliable delivery is not enabled. A sender that knows
+// real time has passed with no progress stamps its next frame that much
+// later, as the relay would a retransmission.
+func (n *NIC) RetryPatience(k int) time.Duration {
+	var d time.Duration
+	if r := n.relay.Load(); r != nil {
+		for i := 0; i < k; i++ {
+			d += r.pol.backoff(i)
+		}
+	}
+	return d
 }
 
 // RetryBudget reports the relay's per-frame retransmission budget, or 0

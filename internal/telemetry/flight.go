@@ -96,6 +96,10 @@ type HealthReport struct {
 	// Sticky lists sticky engine errors (rank deaths, link failures,
 	// apply faults).
 	Sticky []string `json:"sticky,omitempty"`
+	// Waits lists what this rank's blocked calls (and the completion
+	// probes parked here) are waiting for, one entry per registered
+	// counter waiter: on a wedge, what is stuck and how far it got.
+	Waits []WaitHealth `json:"waits,omitempty"`
 	// RetryBudget is the per-frame retry budget links are allowed
 	// before being declared failed (0 when reliability is off).
 	RetryBudget int           `json:"retry_budget,omitempty"`
@@ -104,6 +108,18 @@ type HealthReport struct {
 	Queue       *QueueHealth  `json:"queue,omitempty"`
 	// AppliedFrom counts applied ops per origin rank (watermarks).
 	AppliedFrom map[int]int64 `json:"applied_from,omitempty"`
+}
+
+// WaitHealth is one registered counter waiter: a call of this rank
+// blocked until Peer's "confirmed" (origin-side) or "applied" (target-side)
+// count reaches Threshold, or — "probe" — Peer's completion probe parked
+// here until this rank has applied Threshold of its operations. Have is
+// the count when the report was taken.
+type WaitHealth struct {
+	Peer      int    `json:"peer"`
+	Counter   string `json:"counter"`
+	Threshold int64  `json:"threshold"`
+	Have      int64  `json:"have"`
 }
 
 // Postmortem is the dump format: the reason, the recent-event ring in

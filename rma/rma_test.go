@@ -137,3 +137,77 @@ func TestFacadeTargetLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFacadeFlagAfterData is the two-location handoff on a network that
+// scrambles messages: rank 0 publishes data, then a flag, into rank 1's
+// memory, while rank 1 spins on the flag through loopback gets; whenever
+// it sees round r in the flag the data must already be r*100. The two
+// writes are kept in order once by an Order between them (the shmem_fence
+// idiom) and once by per-operation attributes alone (UPC's strict
+// accesses: both writes ordered, remotely complete and blocking — a
+// relaxed data write is outside the ordered stream and may pass a later
+// strict flag write).
+func TestFacadeFlagAfterData(t *testing.T) {
+	const rounds = 30
+	for name, write := range map[string][]rma.OpOption{
+		"Order":                    {rma.WithBlocking()},
+		"per-operation attributes": {rma.WithOrdering(), rma.WithRemoteComplete(), rma.WithBlocking()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			world := runtime.NewWorld(runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 5})
+			defer world.Close()
+			err := world.Run(func(p *runtime.Proc) {
+				defer p.Barrier() // whatever happens, both ranks get here: no early return may strand the other
+				s := rma.Open(p)
+				tms, _, err := s.ExposeCollective(16) // [0,8): data, [8,16): flag
+				if err != nil {
+					t.Errorf("expose: %v", err)
+					return
+				}
+				word := p.Alloc(8)
+				xfer := func(op func(rma.Region, int, rma.Type, rma.TargetMem, int, ...rma.OpOption) (*rma.Request, error), disp int, opts ...rma.OpOption) {
+					if _, err := op(word, 1, rma.Int64, tms[1], disp, opts...); err != nil {
+						t.Errorf("transfer at %d: %v", disp, err)
+					}
+				}
+				if p.Rank() == 0 {
+					for round := uint64(1); round <= rounds; round++ {
+						p.WriteLocal(word, 0, binary.LittleEndian.AppendUint64(nil, round*100))
+						xfer(s.Put, 0, write...)
+						if name == "Order" {
+							if err := s.Order(); err != nil {
+								t.Errorf("order: %v", err)
+							}
+						}
+						p.WriteLocal(word, 0, binary.LittleEndian.AppendUint64(nil, round))
+						xfer(s.Put, 8, write...)
+						if err := s.Complete(); err != nil {
+							t.Errorf("complete: %v", err)
+						}
+					}
+					// On this network the fence is software: every flag put
+					// must have stalled for the data put's confirmation.
+					if stalls := s.Engine().FenceStalls.Value(); name == "Order" && stalls < rounds {
+						t.Errorf("Order stalled %d flag puts, want %d", stalls, rounds)
+					}
+					return
+				}
+				get := func(disp int) uint64 {
+					xfer(s.Get, disp, rma.WithBlocking())
+					return binary.LittleEndian.Uint64(p.ReadLocal(word, 0, 8))
+				}
+				for seen := uint64(0); seen < rounds && !t.Failed(); {
+					if flag := get(8); flag > seen {
+						if data := get(0); data < flag*100 {
+							t.Errorf("flag %d visible but data %d (want >= %d): the writes were reordered", flag, data, flag*100)
+						}
+						seen = flag
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
