@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake loc
+.PHONY: check build vet lint lint-json test race allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake loc
 
 # check is the PR gate: vet, the rmalint static analyzers, build, full
-# tests, the race detector over every package, a short E13 smoke bench
-# proving batching still pays, an E14 smoke bench proving the sharded
-# apply engine still scales, a telemetry smoke run proving the JSON
-# exporters parse, a profiling smoke run proving the critical-path and
-# pprof sidecars come out attributable, the seeded chaos fault matrix
-# under the race detector, and the repository benchmark's own vet and quick
-# pass.
-check: lint build test race smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
+# tests, the race detector over every package, the per-primitive
+# allocation tables, a short E13 smoke bench proving batching still pays,
+# an E14 smoke bench proving the sharded apply engine still scales, a
+# telemetry smoke run proving the JSON exporters parse, a profiling smoke
+# run proving the critical-path and pprof sidecars come out attributable,
+# the seeded chaos fault matrix under the race detector, and the repository
+# benchmark's own vet and quick pass.
+check: lint build test race allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# allocs runs the per-primitive allocation tables — the engine's and the
+# facade's, each row asserted == its committed number — and prints one line
+# per primitive: heap objects per call, origin and target together.
+allocs:
+	@out=$$($(GO) test -count=1 -v -run 'TestPutHotPathNoAllocsWhenDisabled|TestFacadeAllocsPerPrimitive' ./internal/core/ ./rma/); rc=$$?; \
+	echo "$$out" | grep -E 'allocs/op|^(---|FAIL|ok|panic)'; exit $$rc
+
 smoke:
 	$(GO) test -run 'TestE13Smoke|TestE15Smoke|TestE16Smoke' -count=1 ./internal/bench/
 
@@ -72,9 +79,11 @@ profile-smoke:
 # chaos runs the seeded fault-matrix harness under the race detector:
 # reliable delivery must converge byte-exactly with the fault-free run,
 # retransmissions must actually happen, and an exhausted retry budget
-# must surface ErrLinkFailed instead of hanging.
+# must surface ErrLinkFailed instead of hanging. The recycle-safety run
+# rides along: operation records reused and quarantined under the same
+# plan must leave no race, no stale use and a byte-exact target.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|LinkFailed|ChaosSmoke|Relay|FacadeWithFaults|FacadeLinkFailure' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|FacadeWithFaults|FacadeLinkFailure' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -99,13 +108,14 @@ benchmark-check:
 # flake looks for scheduling-dependent failures where they have been seen
 # before: the postmortem that must be on disk before the error surfaces,
 # the rank-death matrix, the kill-instant mini-sweep (which side of the
-# delivery report a kill lands on moves run to run), and the event-driven
+# delivery report a kill lands on moves run to run), the event-driven
 # chaos run whose OnDone callbacks may trail the Select that reaps the
-# request. Twenty repeats each on one and on two scheduler threads (one
-# thread reorders goroutines the most).
+# request, and the recycle-safety run (which goroutine releases an
+# operation record moves with the schedule). Twenty repeats each on one and
+# on two scheduler threads (one thread reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety' ./internal/core/
 
 bench:
 	$(GO) run ./cmd/rmabench

@@ -44,29 +44,35 @@ func (e *Engine) InvokeAM(id uint64, payload []byte, trank int, comm *runtime.Co
 	if err != nil {
 		return nil, err
 	}
-	m := newMsg(target, kAM)
+	m := newMsg(target, kAM, len(payload))
 	m.Hdr[hHandle] = id
-	m.Payload = append([]byte(nil), payload...)
+	copy(m.Payload, payload)
 	// A handler is a critical section: always atomic, so it holds the
 	// target's coarse lock where that is the serializer, and it sees
 	// ring-held deposits applied in order.
-	return e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs), true, latNone, nil)
+	return e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs), true, latNone, landing{})
 }
 
-// handleAM runs a registered handler at the target.
+// handleAM receives an active message.
 func (e *Engine) handleAM(m *simnet.Message, at vtime.Time) {
-	attrs := Attr(m.Hdr[hMeta] & 0xffff)
-	e.gateOrdered(m.Src, m.Hdr[hSeq], at, func(at vtime.Time) {
-		e.amMu.Lock()
-		handler := e.am[m.Hdr[hHandle]]
-		e.amMu.Unlock()
-		e.scheduleApply(m.Src, at, len(m.Payload), true, func(end vtime.Time) {
-			if handler == nil {
-				e.proc.NIC().BadReq.Inc()
-			} else {
-				handler(m.Src, m.Payload, end)
-			}
-			e.finishApply(m, attrs, true, end, e.applyCost(len(m.Payload)))
-		})
-	})
+	e.gateOrdered(e.takeOp(m), at)
+}
+
+// startAM finds the handler and schedules it on the serializer.
+func (r *applyOp) startAM(at vtime.Time) {
+	e := r.e
+	e.amMu.Lock()
+	r.am = e.am[r.handle]
+	e.amMu.Unlock()
+	e.scheduleApply(r, at, len(r.m.Payload))
+}
+
+// applyAM runs the registered handler at the target.
+func (r *applyOp) applyAM(end vtime.Time) {
+	if r.am == nil {
+		r.e.proc.NIC().BadReq.Inc()
+	} else {
+		r.am(r.m.Src, r.m.Payload, end)
+	}
+	r.fin(end)
 }

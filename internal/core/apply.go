@@ -4,61 +4,217 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
-// forRuns pairs every run of count instances of dt, the first placed at
-// base, with its slice of the canonical wire bytes, stopping at the first
-// error. It is where core's deposits meet datatype's one iterator: a
-// contiguous layout is one run, so one call of fn.
-func forRuns(base int, wire []byte, count int, dt datatype.Type, fn func(at int, seg []byte, k datatype.Kind) error) error {
+// applyOp is one incoming operation on its way through the target: its
+// message, what the header and body decode to, and what each stage leaves
+// for the next. One record carries the operation from the handler that
+// first sees the message through the ordered-stream gate (start), the apply
+// schedule (apply) and the wait for the buddy's replica to its completion
+// bookkeeping (fin), so no stage hands the next a closure. Records come
+// from the engine's free list and return to it in fin and nowhere else.
+// The message is not the record's to recycle: the relay, a fault plan's
+// clone or a parked backlog may hold it for longer than any handler.
+type applyOp struct {
+	e *Engine
+	m *simnet.Message
+	// wireOp is what a put, accumulate or get touches; an RMW uses its
+	// handle and displacement. atomic covers every kind: RMWs and active
+	// messages always are.
+	wireOp
+	attrs Attr
+	exp   *exposure
+	cost  time.Duration // modelled apply duration; 0 until (or if never) scheduled
+
+	member int         // index within a batch, -1 for an operation with a message of its own
+	track  *batchTrack // a batch member's aggregate
+	subop  int         // kRMW: which read-modify-write
+	ok     bool        // kRMW: the access is valid
+	am     AMHandler   // kAM: the registered handler, if any
+	reply  *simnet.Message
+
+	designated bool       // routed through the designated shard, whose envelope apply shrinks
+	heldAt     vtime.Time // arrival, for the reorder buffer's chain
+	next       *applyOp   // released successor in the ordered stream
+
+	// run is apply, bound once in the record's life: what a serializer
+	// task or a shard task calls.
+	run func(end vtime.Time)
+	// free marks a record fin has released. Every stage checks it; the
+	// recycle-safety test also runs with a free list that keeps nothing, so
+	// that a stale use cannot hide behind a reuse.
+	free bool
+}
+
+// takeOp returns a record for m with the header fields every kind shares
+// decoded into it.
+func (e *Engine) takeOp(m *simnet.Message) *applyOp {
+	r := e.ops.get()
+	if r == nil {
+		r = &applyOp{e: e}
+		r.run = r.apply
+	}
+	r.free = false
+	r.m = m
+	r.attrs = Attr(m.Hdr[hMeta] & 0xffff)
+	r.wireOp = wireOp{
+		handle:  m.Hdr[hHandle],
+		disp:    int(m.Hdr[hDisp]),
+		tcount:  int(m.Hdr[hCount]),
+		atomic:  r.attrs&AttrAtomic != 0 || m.Kind == kRMW || m.Kind == kAM,
+		ordered: r.attrs&AttrOrdering != 0,
+		scale:   1,
+	}
+	r.member = -1
+	return r
+}
+
+// live panics on a stage entered with a released record: only a bug in
+// this file's ownership rule — fin is the last touch — can cause it.
+func (r *applyOp) live() {
+	if r.free {
+		panic("core: operation record used after its release")
+	}
+}
+
+// start runs once the ordered stream lets the operation through: decode
+// the body, find the exposure, schedule the apply — or, for a body that
+// cannot be applied, go straight to fin so the operation still counts.
+func (r *applyOp) start(at vtime.Time) {
+	r.live()
+	switch r.m.Kind {
+	case kPut:
+		r.startPut(at)
+	case kGet:
+		r.startGet(at)
+	case kRMW:
+		r.startRMW(at)
+	case kAM:
+		r.startAM(at)
+	case kBatch:
+		r.startBatch(at)
+	}
+}
+
+// apply runs at the operation's scheduled time end, on whichever goroutine
+// its serialization path runs on. Every branch ends in fin, at once or when
+// the buddy has acknowledged the bytes.
+func (r *applyOp) apply(end vtime.Time) {
+	r.live()
+	e, designated := r.e, r.designated
+	switch r.m.Kind {
+	case kPut, kBatch:
+		e.applyDeposit(r, end)
+	case kGet:
+		r.applyGet(end)
+	case kRMW:
+		r.applyRMW(end)
+	case kAM:
+		r.applyAM(end)
+	}
+	if designated {
+		e.designatedDone()
+	}
+}
+
+// fin is the end of every operation: the completion bookkeeping of its
+// kind, then the record's release — the only one. After a mutating apply
+// it runs once the buddy holds the bytes; an operation that could not be
+// applied comes here directly, so it still counts toward completion
+// thresholds.
+func (r *applyOp) fin(end vtime.Time) {
+	r.live()
+	e, m := r.e, r.m
+	switch {
+	case r.track != nil:
+		// A batch member: its counter bump and, after the last member, the
+		// aggregate's one notification.
+		e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(r.wire)), int64(r.cost))
+		r.track.opDone(e.noteApplied(m.Src, end), end)
+	case m.Kind == kPut, m.Kind == kAM:
+		e.finishApply(r, r.attrs, end)
+	case m.Kind == kGet:
+		r.sendValue(kGetReply, end)
+	case m.Kind == kRMW:
+		r.sendValue(kRMWReply, end)
+	}
+	// A kBatch envelope's members did its counting.
+	*r = applyOp{e: e, run: r.run, free: true}
+	e.ops.put(r)
+}
+
+// wireFits checks that wire is exactly the canonical bytes of count
+// instances of dt, so a walk of the layout can slice it run by run.
+func wireFits(wire []byte, count int, dt datatype.Type) error {
 	if want := datatype.PackedSize(count, dt); len(wire) != want {
 		return fmt.Errorf("core: transfer carries %d wire bytes, layout needs %d", len(wire), want)
 	}
-	pos := 0
-	var err error
-	datatype.WalkN(count, dt, func(off, n int, k datatype.Kind) {
-		seg := wire[pos : pos+n*k.Width()]
-		pos += len(seg)
-		if err == nil {
-			err = fn(base+off, seg, k)
-		}
-	})
-	return err
+	return nil
 }
 
 // scatter writes canonical wire data into this rank's memory at base, laid
 // out as count instances of dt in the rank's byte order: the landing of a
 // put at its target and of a get reply at its origin. Each run is one
-// memory write, so holes in the layout are never written — a deposit that
-// lands in a hole meanwhile survives, and a non-cache-coherent rank sees
-// no version bump on hole lines. On such a rank the data lands in main
-// memory and the owner must Fence/Invalidate before reading it locally —
-// memsim models that, the protocol does not hide it (Section III-B2).
+// memory write — a contiguous layout is one run — so holes in the layout
+// are never written: a deposit that lands in a hole meanwhile survives, and
+// a non-cache-coherent rank sees no version bump on hole lines. On such a
+// rank the data lands in main memory and the owner must Fence/Invalidate
+// before reading it locally — memsim models that, the protocol does not
+// hide it (Section III-B2).
 func (e *Engine) scatter(base int, wire []byte, count int, dt datatype.Type) error {
+	if err := wireFits(wire, count, dt); err != nil {
+		return err
+	}
 	mem := e.proc.Mem()
-	order := e.proc.ByteOrder()
-	return forRuns(base, wire, count, dt, func(at int, seg []byte, k datatype.Kind) error {
-		if order == datatype.BigEndian && k.Width() > 1 {
-			local := make([]byte, len(seg))
-			combineSegment(local, seg, k, order, AccReplace, 0)
-			seg = local
+	swap := e.proc.ByteOrder() == datatype.BigEndian
+	var scratch []byte // a big-endian rank's swapped run, grown to the longest
+	var c datatype.Cursor
+	c.Reset(count, dt)
+	for off, n, k, ok := c.Next(); ok; off, n, k, ok = c.Next() {
+		seg := wire[:n*k.Width()]
+		wire = wire[len(seg):]
+		if swap && k.Width() > 1 {
+			if cap(scratch) < len(seg) {
+				scratch = make([]byte, len(seg))
+			}
+			scratch = scratch[:len(seg)]
+			combineSegment(scratch, seg, k, datatype.BigEndian, AccReplace, 0)
+			seg = scratch
 		}
-		return mem.RemoteWrite(at, seg)
-	})
+		if err := mem.RemoteWrite(base+off, seg); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// gather reads tcount instances of tdt from target memory at base and
-// packs them into canonical wire format.
-func (e *Engine) gather(base int, tcount int, tdt datatype.Type) ([]byte, error) {
-	snap := make([]byte, datatype.ExtentOf(tcount, tdt))
-	if err := e.proc.Mem().RemoteRead(base, snap); err != nil {
-		return nil, err
+// packFrom packs count instances of dt laid out at base in this rank's
+// memory into wire, canonical format, reading the memory in place under its
+// lock: as the NIC serving a get when remote (a counted remote read), as the
+// rank itself otherwise. wire must be PackedSize(count, dt) bytes long.
+func (e *Engine) packFrom(wire []byte, base, count int, dt datatype.Type, remote bool) error {
+	mem, n := e.proc.Mem(), datatype.ExtentOf(count, dt)
+	var packErr error
+	pack := func(cur []byte) {
+		packErr = datatype.PackInto(wire, cur, count, dt, e.proc.ByteOrder())
 	}
-	return datatype.Pack(snap, tcount, tdt, e.proc.ByteOrder())
+	// Direct calls: through a function value the closure would escape.
+	var err error
+	if remote {
+		err = mem.RemoteView(base, n, pack)
+	} else {
+		err = mem.View(base, n, pack)
+	}
+	if err != nil {
+		return err
+	}
+	return packErr
 }
 
 // depositAcc combines canonical wire data into target memory elementwise
@@ -67,51 +223,60 @@ func (e *Engine) gather(base int, tcount int, tdt datatype.Type) ([]byte, error)
 // atomicity attribute (MPI-2 accumulate granularity); whole-operation
 // atomicity is the serializer's job.
 func (e *Engine) depositAcc(base int, wire []byte, tcount int, tdt datatype.Type, op AccOp, scale float64) error {
+	if err := wireFits(wire, tcount, tdt); err != nil {
+		return err
+	}
 	mem := e.proc.Mem()
 	order := e.proc.ByteOrder()
-	return forRuns(base, wire, tcount, tdt, func(at int, seg []byte, k datatype.Kind) error {
-		return mem.Update(at, len(seg), func(cur []byte) {
+	var c datatype.Cursor
+	c.Reset(tcount, tdt)
+	for off, n, k, ok := c.Next(); ok; off, n, k, ok = c.Next() {
+		seg := wire[:n*k.Width()]
+		wire = wire[len(seg):]
+		err := mem.Update(base+off, len(seg), func(cur []byte) {
 			combineSegment(cur, seg, k, order, op, scale)
 		})
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyDeposit is the target-side body of every put and accumulate, a
-// single operation (member -1) or a batch member, run at its scheduled
-// apply time end: deposit → BadReq or access record → replicate → fin.
-// fin is the caller's completion bookkeeping. After a
-// successful deposit it waits until the buddy holds the mutated bytes (a
-// pass-through when unreplicated); a lost deposit — unexposed memory, wire
-// bytes that do not fit the layout — runs it at once, so the op still
-// counts toward completion thresholds.
-func (e *Engine) applyDeposit(m *simnet.Message, op *wireOp, exp *exposure, member int, end vtime.Time, fin func(end vtime.Time)) {
-	ext := datatype.ExtentOf(op.tcount, op.tdt)
-	acc := op.accOp != AccNone && op.accOp != AccReplace
+// single operation or a batch member, run at its scheduled apply time end:
+// deposit → BadReq or access record → replicate → fin. After a successful
+// deposit fin waits until the buddy holds the mutated bytes (a pass-through
+// when unreplicated); a lost deposit — unexposed memory, wire bytes that do
+// not fit the layout — runs it at once.
+func (e *Engine) applyDeposit(r *applyOp, end vtime.Time) {
+	ext := datatype.ExtentOf(r.tcount, r.tdt)
+	acc := r.accOp != AccNone && r.accOp != AccReplace
 	deposited := false
-	if exp != nil {
-		base := exp.region.Offset + op.disp
+	if r.exp != nil {
+		base := r.exp.region.Offset + r.disp
 		var err error
 		if acc {
-			err = e.depositAcc(base, op.wire, op.tcount, op.tdt, op.accOp, op.scale)
+			err = e.depositAcc(base, r.wire, r.tcount, r.tdt, r.accOp, r.scale)
 		} else {
-			err = e.scatter(base, op.wire, op.tcount, op.tdt)
+			err = e.scatter(base, r.wire, r.tcount, r.tdt)
 		}
 		deposited = err == nil
 	}
 	if !deposited {
 		e.proc.NIC().BadReq.Inc()
-		fin(end)
+		r.fin(end)
 		return
 	}
 	kind := AccessPut
 	if acc {
 		kind = AccessAcc
 	}
-	e.recordAccess(m, Access{
-		Handle: op.handle, Disp: op.disp, Len: ext,
-		Kind: kind, Atomic: op.atomic, Ordered: op.ordered, Member: member, At: end,
+	e.recordAccess(r.m, Access{
+		Handle: r.handle, Disp: r.disp, Len: ext,
+		Kind: kind, Atomic: r.atomic, Ordered: r.ordered, Member: r.member, At: end,
 	})
-	e.replicate(op.handle, exp, op.disp, ext, end, fin)
+	e.replicate(r, r.disp, ext, end)
 }
 
 // loadElem reads the element at buf in the given byte order as raw bits.

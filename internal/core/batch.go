@@ -128,7 +128,7 @@ func (e *Engine) appendBatch(accOp AccOp, scale float64, origin memsim.Region, o
 		return nil, fmt.Errorf("core: batch to rank %d: %w", tm.Owner, err)
 	}
 	wire := wireBuf(datatype.PackedSize(ocount, odt))
-	if err := e.packOrigin(wire, origin, ocount, odt); err != nil {
+	if err := e.packFrom(wire, origin.Offset, ocount, odt, false); err != nil {
 		wirePool.Put(wire)
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func (e *Engine) flushTarget(world int) {
 		e.cmplMu.Unlock()
 	}
 
-	m := newMsg(world, kBatch)
+	m := newMsg(world, kBatch, 0)
 	m.Hdr[hReq] = id
 	m.Hdr[hCount] = uint64(len(ops))
 	m.Hdr[hMeta] = (epoch & 0xffffffff) << 32
@@ -459,7 +459,7 @@ func (t *batchTrack) opDone(count int64, end vtime.Time) {
 // deposit, and the CPU path when software (the atomic serializer) applied
 // it.
 func (e *Engine) sendNotify(dst int, id uint64, count int64, at vtime.Time, software bool) {
-	m := newMsg(dst, kNotify)
+	m := newMsg(dst, kNotify, 0)
 	m.Hdr[hReq] = id
 	m.Hdr[hCount] = uint64(count)
 	if !software && e.proc.NIC().HardwareAcks() {
@@ -476,46 +476,47 @@ func (e *Engine) appliedCount(src int) int64 {
 	return e.applied[src].count
 }
 
-// handleBatch unpacks an aggregate message at the target and applies each
-// member through the normal serialization paths; one notification answers
-// the whole batch.
+// handleBatch receives an aggregate message; its members are applied
+// through the normal serialization paths and one notification answers the
+// whole batch.
 func (e *Engine) handleBatch(m *simnet.Message, at vtime.Time) {
-	e.gateOrdered(m.Src, m.Hdr[hSeq], at, func(at vtime.Time) {
-		ops, err := decodeBatch(m.Payload)
-		if err != nil {
-			// Malformed aggregate: the members are lost, but they must
-			// still count toward completion thresholds or the origin's
-			// Complete would hang. Hdr[hCount] carries the origin's claim.
-			e.proc.NIC().BadReq.Inc()
-			count := e.appliedCount(m.Src)
-			for i := uint64(0); i < m.Hdr[hCount]; i++ {
-				count = e.noteApplied(m.Src, at)
-			}
-			e.sendNotify(m.Src, m.Hdr[hReq], count, at, true)
-			return
+	e.gateOrdered(e.takeOp(m), at)
+}
+
+// startBatch unpacks the aggregate into one record per member and
+// schedules each; the envelope's own record is finished with.
+func (r *applyOp) startBatch(at vtime.Time) {
+	e, m := r.e, r.m
+	ops, err := decodeBatch(m.Payload)
+	switch {
+	case err != nil:
+		// Malformed aggregate: the members are lost, but they must
+		// still count toward completion thresholds or the origin's
+		// Complete would hang. Hdr[hCount] carries the origin's claim.
+		e.proc.NIC().BadReq.Inc()
+		count := e.appliedCount(m.Src)
+		for i := uint64(0); i < m.Hdr[hCount]; i++ {
+			count = e.noteApplied(m.Src, at)
 		}
-		if len(ops) == 0 {
-			e.sendNotify(m.Src, m.Hdr[hReq], e.appliedCount(m.Src), at, true)
-			return
-		}
+		e.sendNotify(m.Src, m.Hdr[hReq], count, at, true)
+	case len(ops) == 0:
+		e.sendNotify(m.Src, m.Hdr[hReq], e.appliedCount(m.Src), at, true)
+	default:
 		track := &batchTrack{e: e, src: m.Src, id: m.Hdr[hReq], payload: m.Payload, remaining: len(ops)}
 		for i := range ops {
-			op := &ops[i]
-			if op.atomic {
+			if ops[i].atomic {
 				track.software = true
 			}
-			exp := e.lookupExposure(op.handle)
-			e.scheduleApplyRange(m.Src, at, len(op.wire), op.atomic, op.ordered, exp, op.disp, datatype.ExtentOf(op.tcount, op.tdt), func(end vtime.Time) {
-				// The member's counter bump (and, once all members are done,
-				// the batch notification) is the completion bookkeeping
-				// applyDeposit holds back until the buddy has its bytes.
-				e.applyDeposit(m, op, exp, i, end, func(end vtime.Time) {
-					e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(op.wire)), int64(e.applyCost(len(op.wire))))
-					track.opDone(e.noteApplied(m.Src, end), end)
-				})
-			})
+			// The member's counter bump (and, once all members are done,
+			// the batch notification) is the completion bookkeeping fin
+			// holds back until the buddy has its bytes.
+			mr := e.takeOp(m)
+			mr.wireOp, mr.member, mr.track = ops[i], i, track
+			mr.exp = e.lookupExposure(mr.handle)
+			e.scheduleApplyRange(mr, at, len(mr.wire), datatype.ExtentOf(mr.tcount, mr.tdt))
 		}
-	})
+	}
+	r.fin(at)
 }
 
 // handleNotify folds a delivery-counter report into the origin's

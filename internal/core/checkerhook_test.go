@@ -7,6 +7,7 @@ import (
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 )
 
 // countingRecorder is a minimal AccessRecorder for engine-side tests.
@@ -108,14 +109,14 @@ func TestAccessRecorderObservesApplies(t *testing.T) {
 
 // TestPutHotPathNoAllocsWhenCheckerDisabled pins the access recorders'
 // cost: with none installed the apply path's observation is one atomic
-// load, so the remote-complete put budget of the telemetry test holds; and
-// the engine's side of an installed recorder is free too — the Access is
-// passed by value, so a recorder that keeps nothing costs no allocation on
-// either rank.
+// load, so every primitive costs its committed number of the telemetry
+// test's table; and the engine's side of an installed recorder is free too
+// — the Access is passed by value, so a recorder that keeps nothing costs
+// no allocation on either rank.
 func TestPutHotPathNoAllocsWhenCheckerDisabled(t *testing.T) {
 	seen := 0
 	count := depositRecorder(func(Access) { seen++ })
-	pinPutAllocs(t, []allocStep{
+	pinAllocs(t, serializer.MechThread, []allocStep{
 		{"no recorder", func(*Engine) {}},
 		{"a recorder that keeps nothing", func(e *Engine) { e.AddAccessRecorder(&count) }},
 	})

@@ -239,7 +239,7 @@ func (e *Engine) resolveTargets(comm *runtime.Comm, tranks []int) ([]int, error)
 // down; the error is reported rather than crashing the caller.
 func (e *Engine) sendProbe(world int, threshold int64) (*Request, error) {
 	req := e.newRequest(world, latNone)
-	m := newMsg(world, kProbe)
+	m := newMsg(world, kProbe, 0)
 	m.Hdr[hHandle] = uint64(threshold)
 	m.Hdr[hReq] = req.id
 	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {

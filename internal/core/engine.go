@@ -153,11 +153,48 @@ type originTarget struct {
 	fencePending bool   // an Order() is pending; next op must stall for drain
 }
 
-// reorderBuf holds ordered-stream ops that arrived out of order.
+// reorderBuf holds ordered-stream ops that arrived out of order, each
+// record stamped with its own arrival (applyOp.heldAt).
 type reorderBuf struct {
-	expected uint64                         // next sequence number to apply
-	held     map[uint64]func(at vtime.Time) // seq -> deferred processing
-	heldAt   map[uint64]vtime.Time
+	expected uint64 // sequence number of the last op let through
+	held     map[uint64]*applyOp
+}
+
+// freeListCap bounds every per-engine free list: enough for the operations
+// a rank has in flight in the steady state, too few to show in its memory.
+const freeListCap = 64
+
+// freeList is a stack of at most limit objects to reuse, empty until
+// something is put back. Takers run on the rank's goroutines and the NIC
+// agent, putters on whichever goroutine finishes an operation, hence the
+// lock.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	limit int
+	items []*T
+}
+
+// get pops an object, or returns nil when there is none.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return nil
+	}
+	x := f.items[n-1]
+	f.items[n-1] = nil
+	f.items = f.items[:n-1]
+	return x
+}
+
+// put pushes x, or drops it for the collector when the list is full.
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	if len(f.items) < f.limit {
+		f.items = append(f.items, x)
+	}
+	f.mu.Unlock()
 }
 
 // Engine is one rank's strawman RMA engine. Obtain it with Attach; there
@@ -213,6 +250,12 @@ type Engine struct {
 	reorder     map[int]*reorderBuf
 	lanes       map[int]*vtime.Clock
 	atomicLane  vtime.Clock
+
+	// Per-operation objects that never leave the engine are reused: ops are
+	// the target-side operation records (apply.go), slots what a blocked
+	// call sleeps on (watermark.go).
+	ops   freeList[applyOp]
+	slots freeList[wakeSlot]
 
 	lock      *serializer.LockState
 	applyQ    *serializer.ApplyQueue
@@ -296,6 +339,8 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			lanes:          make(map[int]*vtime.Clock),
 			lock:           serializer.NewLockState(),
 			am:             make(map[uint64]AMHandler),
+			ops:            freeList[applyOp]{limit: freeListCap},
+			slots:          freeList[wakeSlot]{limit: freeListCap},
 		}
 		e.repl.init()
 		switch e.opts.Atomicity {
@@ -583,7 +628,7 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 // The answer carries the cumulative applied count, so a probe also feeds
 // the origin's confirmation counters.
 func (e *Engine) sendProbeAck(origin int, reqID uint64, count int64, at vtime.Time) {
-	m := newMsg(origin, kProbeAck)
+	m := newMsg(origin, kProbeAck, 0)
 	m.Hdr[hReq] = reqID
 	m.Hdr[hCount] = uint64(count)
 	e.sendReply(at, m)

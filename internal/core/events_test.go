@@ -108,8 +108,27 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
+		// The origin drains its queue before every put, tagging each event
+		// with how many puts had been issued by then: a notification may
+		// outrun the issue loop, so quiescence is checked against the issue
+		// progress at that instant, not only against the final count.
+		type tagged struct {
+			Event
+			issued int64
+		}
+		var evs []tagged
+		drain := func(issued int64) {
+			for {
+				ev, ok := q.Poll()
+				if !ok {
+					return
+				}
+				evs = append(evs, tagged{ev, issued})
+			}
+		}
 		scratch := p.Alloc(8)
 		for i := 0; i < ops; i++ {
+			drain(int64(i))
 			if _, err := e.PutNotify(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil {
 				t.Fatalf("put %d: %v", i, err)
 			}
@@ -118,32 +137,39 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 			t.Fatalf("complete: %v", err)
 		}
 		p.Barrier()
-		var confirmed int64
+		drain(ops)
+		var confirmed, confirmIssued, quiescent int64
 		var lastAt vtime.Time
-		sawQuiescent := false
-		for {
-			ev, ok := q.Poll()
-			if !ok {
-				break
-			}
+		for _, ev := range evs {
 			switch ev.Kind {
 			case EvConfirm:
 				if ev.Count <= confirmed {
 					t.Errorf("confirm count %d after %d, want strictly rising", ev.Count, confirmed)
 				}
-				confirmed = ev.Count
+				if ev.Count > ev.issued {
+					t.Errorf("confirm count %d with only %d puts issued", ev.Count, ev.issued)
+				}
+				confirmed, confirmIssued = ev.Count, ev.issued
 				if ev.At < lastAt {
 					t.Errorf("confirm at %d after %d, want monotone stamps", ev.At, lastAt)
 				}
 				lastAt = ev.At
 			case EvQuiescent:
-				if ev.Count != ops {
-					t.Errorf("quiescent at count %d, want %d", ev.Count, ops)
+				// Published by the fold that raised confirmed to Count, and only
+				// if nothing more had been issued at that instant. That instant
+				// is after the drain before the one that saw the confirm, when
+				// confirmIssued-1 puts were out: fewer confirmed is a false
+				// positive. Before the last put it is legitimate, not a bug.
+				if ev.Count != confirmed {
+					t.Errorf("quiescent at count %d right after confirm %d", ev.Count, confirmed)
 				}
-				if confirmed != ops {
-					t.Errorf("quiescent published before final confirm (confirmed=%d)", confirmed)
+				if ev.Count < confirmIssued-1 {
+					t.Errorf("quiescent at count %d with at least %d puts issued", ev.Count, confirmIssued-1)
 				}
-				sawQuiescent = true
+				if ev.Count <= quiescent {
+					t.Errorf("quiescent count %d after %d, want strictly rising", ev.Count, quiescent)
+				}
+				quiescent = ev.Count
 			case EvRequestDone:
 				if ev.Err != nil {
 					t.Errorf("request %d failed: %v", ev.Req.ID(), ev.Err)
@@ -155,8 +181,8 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 		if confirmed != ops {
 			t.Errorf("origin confirmed %d, want %d", confirmed, ops)
 		}
-		if !sawQuiescent {
-			t.Error("origin never saw the quiescent event")
+		if quiescent != ops {
+			t.Errorf("last quiescent event at count %d, want %d", quiescent, ops)
 		}
 	})
 }

@@ -33,10 +33,10 @@ func FuzzDecodeTargetMem(f *testing.F) {
 // FuzzPutPayloadFrame hardens the put-body framing parser that every
 // incoming put runs through.
 func FuzzPutPayloadFrame(f *testing.F) {
-	put, _ := putPayload(datatype.Contiguous(4, datatype.Int64), AccNone, 0, 32)
-	axpy, _ := putPayload(datatype.Float64, AccAxpy, 2.5, 8)
-	f.Add(put)
-	f.Add(axpy)
+	put, _ := newFramed(0, kPut, datatype.Contiguous(4, datatype.Int64), AccNone, 0, 32)
+	axpy, _ := newFramed(0, kPut, datatype.Float64, AccAxpy, 2.5, 8)
+	f.Add(put.Payload)
+	f.Add(axpy.Payload)
 	f.Add([]byte{0xFF})
 	f.Add([]byte{})
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/serializer"
@@ -13,57 +12,57 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// gateOrdered runs process immediately for unordered operations (seq 0)
+// gateOrdered lets r start at once when its operation is unordered (seq 0)
 // and otherwise enforces the per-origin ordered stream: out-of-order
-// arrivals are buffered until every predecessor has been processed — the
-// "counter for messages" software support the paper prescribes for
-// networks that do not order messages themselves.
-func (e *Engine) gateOrdered(src int, seq uint64, at vtime.Time, process func(at vtime.Time)) {
+// arrivals are buffered until every predecessor has started — the "counter
+// for messages" software support the paper prescribes for networks that do
+// not order messages themselves.
+func (e *Engine) gateOrdered(r *applyOp, at vtime.Time) {
+	src, seq := r.m.Src, r.m.Hdr[hSeq]
 	if seq == 0 {
-		process(at)
+		r.start(at)
 		return
 	}
+	r.heldAt = at
 	e.tgtMu.Lock()
 	rb := e.reorder[src]
 	if rb == nil {
-		rb = &reorderBuf{held: make(map[uint64]func(at vtime.Time)), heldAt: make(map[uint64]vtime.Time)}
+		rb = &reorderBuf{held: make(map[uint64]*applyOp)}
 		e.reorder[src] = rb
 	}
 	if seq != rb.expected+1 {
-		rb.held[seq] = process
-		rb.heldAt[seq] = at
+		rb.held[seq] = r
 		e.tgtMu.Unlock()
 		e.HeldOps.Inc()
 		return
 	}
-	// This op is next; it may release a run of held successors.
-	type run struct {
-		at vtime.Time
-		fn func(at vtime.Time)
-	}
-	ready := []run{{at, process}}
+	// This op is next; it may release a run of held successors, chained
+	// behind it in stream order.
 	rb.expected = seq
-	for {
-		fn, ok := rb.held[rb.expected+1]
+	for tail := r; ; tail = tail.next {
+		h, ok := rb.held[rb.expected+1]
 		if !ok {
 			break
 		}
 		rb.expected++
-		ready = append(ready, run{rb.heldAt[rb.expected], fn})
 		delete(rb.held, rb.expected)
-		delete(rb.heldAt, rb.expected)
+		tail.next = h
 	}
 	e.tgtMu.Unlock()
-	// A held op cannot be processed before the op that released it.
+	// A held op cannot start before the op that released it.
 	chain := vtime.Time(0)
-	for _, r := range ready {
-		chain = vtime.Later(chain, r.at)
-		r.fn(chain)
+	for r != nil {
+		next := r.next
+		r.next = nil
+		chain = vtime.Later(chain, r.heldAt)
+		r.start(chain) // r may be released by the time this returns
+		r = next
 	}
 }
 
-// scheduleApply routes a target memory update through the appropriate
-// serialization path and virtual-time lane.
+// scheduleApply routes r's target memory update of nbytes through the
+// appropriate serialization path and virtual-time lane; r.apply runs at the
+// scheduled time.
 //
 //   - Non-atomic updates run inline on per-origin lanes: concurrent
 //     origins' deposits overlap in modelled time, as independent DMA
@@ -71,51 +70,48 @@ func (e *Engine) gateOrdered(src int, seq uint64, at vtime.Time, process func(at
 //   - Atomic updates serialize on the mechanism configured at this target:
 //     the communication-thread queue, the progress queue, or (under the
 //     coarse lock, which the origin already holds) the single atomic lane.
-func (e *Engine) scheduleApply(src int, at vtime.Time, nbytes int, atomic bool, fn func(end vtime.Time)) {
+func (e *Engine) scheduleApply(r *applyOp, at vtime.Time, nbytes int) {
 	if e.shardPool != nil {
 		// Sharding is on but this update is not pool-eligible (atomic, or a
 		// caller without range information); counted so shard telemetry
 		// reconciles against ops.applied.
 		e.ShardBypass.Inc()
 	}
-	cost := e.applyCost(nbytes)
-	if !atomic {
+	r.cost = e.applyCost(nbytes)
+	if !r.atomic {
 		e.tgtMu.Lock()
-		lane := e.laneForLocked(src)
+		lane := e.laneForLocked(r.m.Src)
 		e.tgtMu.Unlock()
-		_, end := lane.Reserve(at, cost)
-		fn(end)
+		_, end := lane.Reserve(at, r.cost)
+		r.apply(end)
 		return
 	}
 	switch e.opts.Atomicity {
 	case serializer.MechThread:
-		e.applyQ.Submit(serializer.Task{Ready: at, Cost: cost, Fn: fn})
+		e.applyQ.Submit(serializer.Task{Ready: at, Cost: r.cost, Fn: r.run})
 	case serializer.MechProgress:
-		e.progQ.Submit(serializer.Task{Ready: at, Cost: cost, Fn: fn})
-	case serializer.MechCoarseLock:
-		_, end := e.atomicLane.Reserve(at, cost)
-		fn(end)
+		e.progQ.Submit(serializer.Task{Ready: at, Cost: r.cost, Fn: r.run})
 	default:
-		_, end := e.atomicLane.Reserve(at, cost)
-		fn(end)
+		_, end := e.atomicLane.Reserve(at, r.cost)
+		r.apply(end)
 	}
 }
 
 // finishApply performs the bookkeeping shared by every applied operation:
 // probe accounting, acknowledgement or notification, coarse-lock release.
-// It returns the cumulative applied count so reply-bearing handlers (get,
-// RMW) can piggyback the delivery counter on their replies. cost is the
-// modelled apply duration the caller scheduled — the apply event's B, so
-// the critical-path analyzer can split target-side time into
-// queueing vs applying (error-path callers that never scheduled an apply
-// pass 0).
-func (e *Engine) finishApply(m *simnet.Message, attrs Attr, atomic bool, end vtime.Time, cost time.Duration) int64 {
+// It returns the cumulative applied count so reply-bearing kinds (get, RMW)
+// can piggyback the delivery counter on their replies. The apply event's B
+// is r.cost, the modelled apply duration scheduled — so the critical-path
+// analyzer can split target-side time into queueing vs applying — and 0 on
+// error paths that never scheduled one.
+func (e *Engine) finishApply(r *applyOp, attrs Attr, end vtime.Time) int64 {
+	m := r.m
 	count := e.noteApplied(m.Src, end)
 	if attrs&AttrRemoteComplete != 0 {
-		ack := newMsg(m.Src, kAck)
+		ack := newMsg(m.Src, kAck, 0)
 		ack.Hdr[hReq] = m.Hdr[hReq]
 		ack.Hdr[hCount] = uint64(count)
-		if !atomic && e.proc.NIC().HardwareAcks() {
+		if !r.atomic && e.proc.NIC().HardwareAcks() {
 			// The NIC observed the deposit and acknowledges in hardware.
 			e.sendReplyNIC(end, ack)
 		} else {
@@ -128,97 +124,103 @@ func (e *Engine) finishApply(m *simnet.Message, attrs Attr, atomic bool, end vti
 	} else if attrs&AttrNotify != 0 {
 		// A notified operation without remote completion still reports its
 		// delivery counter (the ack above already carries it).
-		e.sendNotify(m.Src, 0, count, end, atomic)
+		e.sendNotify(m.Src, 0, count, end, r.atomic)
 	}
 	if m.Flags&flagUnlockAfter != 0 {
 		e.releaseLockLocal(m.Src, end)
 	}
-	e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(m.Payload)), int64(cost))
+	e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(m.Payload)), int64(r.cost))
 	return count
 }
 
-// handlePut processes an incoming put or accumulate.
+// handlePut receives a put or accumulate.
 func (e *Engine) handlePut(m *simnet.Message, at vtime.Time) {
-	attrs := Attr(m.Hdr[hMeta] & 0xffff)
-	op := wireOp{
-		handle:  m.Hdr[hHandle],
-		disp:    int(m.Hdr[hDisp]),
-		tcount:  int(m.Hdr[hCount]),
-		accOp:   AccOp(m.Hdr[hMeta] >> 16 & 0xff),
-		atomic:  attrs&AttrAtomic != 0,
-		ordered: attrs&AttrOrdering != 0,
-		scale:   1,
+	r := e.takeOp(m)
+	r.accOp = AccOp(m.Hdr[hMeta] >> 16 & 0xff)
+	e.gateOrdered(r, at)
+}
+
+// startPut decodes the body and schedules the deposit.
+func (r *applyOp) startPut(at vtime.Time) {
+	e := r.e
+	r.exp = e.lookupExposure(r.handle)
+	var err error
+	r.tdt, r.wire, err = parseTypeFrame(r.m.Payload)
+	if err == nil && r.accOp == AccAxpy {
+		if len(r.wire) < 8 {
+			err = fmt.Errorf("core: truncated axpy scale")
+		} else {
+			r.scale = math.Float64frombits(binary.LittleEndian.Uint64(r.wire))
+			r.wire = r.wire[8:]
+		}
 	}
-	e.gateOrdered(m.Src, m.Hdr[hSeq], at, func(at vtime.Time) {
-		exp := e.lookupExposure(op.handle)
-		var err error
-		op.tdt, op.wire, err = parseTypeFrame(m.Payload)
-		if err == nil && op.accOp == AccAxpy {
-			if len(op.wire) < 8 {
-				err = fmt.Errorf("core: truncated axpy scale")
-			} else {
-				op.scale = math.Float64frombits(binary.LittleEndian.Uint64(op.wire))
-				op.wire = op.wire[8:]
-			}
-		}
-		if err != nil || exp == nil {
-			// Count the op so completion probes do not deadlock, but the
-			// deposit is lost (malformed body or access to unexposed memory).
-			e.proc.NIC().BadReq.Inc()
-			e.finishApply(m, attrs, op.atomic, at, 0)
-			return
-		}
-		cost := e.applyCost(len(op.wire))
-		e.scheduleApplyRange(m.Src, at, len(op.wire), op.atomic, op.ordered, exp, op.disp, datatype.ExtentOf(op.tcount, op.tdt), func(end vtime.Time) {
-			e.applyDeposit(m, &op, exp, -1, end, func(end vtime.Time) {
-				e.finishApply(m, attrs, op.atomic, end, cost)
-			})
-		})
-	})
+	if err != nil || r.exp == nil {
+		// Count the op so completion probes do not deadlock, but the
+		// deposit is lost (malformed body or access to unexposed memory).
+		e.proc.NIC().BadReq.Inc()
+		r.fin(at)
+		return
+	}
+	e.scheduleApplyRange(r, at, len(r.wire), datatype.ExtentOf(r.tcount, r.tdt))
 }
 
-// handleGet processes an incoming get: gather the requested layout and
-// reply with canonical wire data.
+// handleGet receives a get: gather the requested layout and reply with
+// canonical wire data.
 func (e *Engine) handleGet(m *simnet.Message, at vtime.Time) {
-	attrs := Attr(m.Hdr[hMeta] & 0xffff)
-	atomic := attrs&AttrAtomic != 0
-	e.gateOrdered(m.Src, m.Hdr[hSeq], at, func(at vtime.Time) {
-		exp := e.lookupExposure(m.Hdr[hHandle])
-		tdt, _, err := parseTypeFrame(m.Payload)
-		if err != nil || exp == nil {
-			e.proc.NIC().BadReq.Inc()
-			// Reply with an empty payload so the origin's request errors
-			// out rather than hanging.
-			reply := newMsg(m.Src, kGetReply)
-			reply.Hdr[hReq] = m.Hdr[hReq]
-			e.sendReply(at, reply)
-			e.finishApply(m, attrs&^AttrRemoteComplete, atomic, at, 0)
-			return
-		}
-		tcount := int(m.Hdr[hCount])
-		disp := int(m.Hdr[hDisp])
-		nbytes := tcount * tdt.Size()
-		e.scheduleApplyRange(m.Src, at, nbytes, atomic, attrs&AttrOrdering != 0, exp, disp, datatype.ExtentOf(tcount, tdt), func(end vtime.Time) {
-			wire, err := e.gather(exp.region.Offset+disp, tcount, tdt)
-			if err != nil {
-				e.proc.NIC().BadReq.Inc()
-				wire = nil
-			}
-			e.recordAccess(m, Access{
-				Handle: m.Hdr[hHandle], Disp: disp, Len: datatype.ExtentOf(tcount, tdt),
-				Kind: AccessGet, Atomic: atomic, Ordered: attrs&AttrOrdering != 0, Member: -1, At: end,
-			})
-			count := e.finishApply(m, attrs&^(AttrRemoteComplete|AttrNotify), atomic, end, e.applyCost(nbytes))
-			reply := newMsg(m.Src, kGetReply)
-			reply.Hdr[hReq] = m.Hdr[hReq]
-			reply.Hdr[hCount] = uint64(count)
-			reply.Payload = wire
-			e.sendReply(end, reply)
-		})
-	})
+	e.gateOrdered(e.takeOp(m), at)
 }
 
-// handleGetReply completes a pending get at the origin.
+// startGet decodes the requested layout and schedules the read.
+func (r *applyOp) startGet(at vtime.Time) {
+	e := r.e
+	r.exp = e.lookupExposure(r.handle)
+	var err error
+	r.tdt, _, err = parseTypeFrame(r.m.Payload)
+	if err != nil || r.exp == nil {
+		// fin replies with an empty payload, so the origin's request errors
+		// out rather than hanging.
+		e.proc.NIC().BadReq.Inc()
+		r.fin(at)
+		return
+	}
+	e.scheduleApplyRange(r, at, datatype.PackedSize(r.tcount, r.tdt), datatype.ExtentOf(r.tcount, r.tdt))
+}
+
+// applyGet packs the layout straight out of this rank's memory into the
+// reply fin will send.
+func (r *applyOp) applyGet(end vtime.Time) {
+	e := r.e
+	r.reply = newMsg(r.m.Src, kGetReply, datatype.PackedSize(r.tcount, r.tdt))
+	if err := e.packFrom(r.reply.Payload, r.exp.region.Offset+r.disp, r.tcount, r.tdt, true); err != nil {
+		e.proc.NIC().BadReq.Inc()
+		r.reply.Payload = nil
+	}
+	e.recordAccess(r.m, Access{
+		Handle: r.handle, Disp: r.disp, Len: datatype.ExtentOf(r.tcount, r.tdt),
+		Kind: AccessGet, Atomic: r.atomic, Ordered: r.ordered, Member: -1, At: end,
+	})
+	r.fin(end)
+}
+
+// sendValue ends a get or RMW: the reply — whatever the apply prepared, or
+// an empty one when it never ran — carries the delivery counter itself, so
+// the operation is counted without an ack or a notification of its own.
+func (r *applyOp) sendValue(kind uint8, end vtime.Time) {
+	e := r.e
+	count := e.finishApply(r, r.attrs&^(AttrRemoteComplete|AttrNotify), end)
+	reply := r.reply
+	if reply == nil {
+		reply = newMsg(r.m.Src, kind, 0)
+	}
+	reply.Hdr[hReq] = r.m.Hdr[hReq]
+	reply.Hdr[hCount] = uint64(count)
+	e.sendReply(end, reply)
+}
+
+// handleGetReply completes a pending get at the origin: the reply lands
+// through the same scatter a put deposit uses, so the holes of the origin
+// layout are never written. A failure is reported through the request
+// (Err), not a panic on the delivery goroutine.
 func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	e.emit(trace.KindReply, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), int64(len(m.Payload)))
@@ -226,16 +228,16 @@ func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
 	if req == nil {
 		return
 	}
-	if req.onData != nil {
+	if land := req.land; land.dt != nil {
 		if len(m.Payload) == 0 {
 			// The target could not serve the get (unexposed or out-of-range
 			// memory); fail the request instead of leaving stale data.
 			req.completeErr(at, fmt.Errorf("core: get failed at the target: %w", ErrBadHandle))
 			return
 		}
-		if err := req.onData(m.Payload, at); err != nil {
+		if err := e.scatter(land.region.Offset, m.Payload, land.count, land.dt); err != nil {
 			e.proc.NIC().BadReq.Inc()
-			req.completeErr(at, err)
+			req.completeErr(at, fmt.Errorf("core: get landing: %w", err))
 			return
 		}
 	}
@@ -263,11 +265,7 @@ func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 	wm := &e.applied[origin]
 	count := wm.count
 	if count < threshold {
-		wm.waiters = append(wm.waiters, &waiter{threshold: threshold, probe: true, wake: func(count int64, at vtime.Time) {
-			if count >= threshold { // else a failure's poke: nothing to answer yet
-				e.sendProbeAck(origin, reqID, count, at)
-			}
-		}})
+		wm.waiters = append(wm.waiters, &waiter{threshold: threshold, probe: e, origin: origin, reqID: reqID})
 	}
 	e.tgtMu.Unlock()
 	if count >= threshold {

@@ -89,7 +89,7 @@ func (r *replica) apply(disp int, data []byte) {
 type deferredFin struct {
 	version uint64
 	end     vtime.Time
-	fin     func(end vtime.Time)
+	op      *applyOp
 }
 
 // replState is one engine's replication bookkeeping: primary-side version
@@ -208,38 +208,43 @@ func (e *Engine) replOnExpose(h uint64, region memsim.Region) {
 		st.mu.Unlock()
 		return
 	}
-	buf := make([]byte, region.Size)
-	if err := e.proc.Mem().RemoteRead(region.Offset, buf); err != nil {
+	m := replUpdate(buddy, h, 0, region.Size)
+	if err := e.proc.Mem().RemoteRead(region.Offset, m.Payload); err != nil {
 		st.mu.Unlock()
 		return
 	}
 	st.version[h]++
-	v := st.version[h]
+	m.Hdr[hCount] = st.version[h]
 	st.mu.Unlock()
 	e.replSendExpose(buddy, h, region.Size)
-	e.replSendUpdate(buddy, h, 0, v, buf, e.proc.Now())
+	e.replSend(m, e.proc.Now())
 }
 
 // replSendExpose ships one kReplExpose announcement.
 func (e *Engine) replSendExpose(buddy int, h uint64, size int) {
-	m := newMsg(buddy, kReplExpose)
+	m := newMsg(buddy, kReplExpose, 0)
 	m.Hdr[hHandle] = h
 	m.Hdr[hCount] = uint64(size)
 	e.sendReply(e.proc.Now(), m)
 }
 
-// replSendUpdate ships one versioned snapshot.
-func (e *Engine) replSendUpdate(buddy int, h uint64, disp int, v uint64, data []byte, at vtime.Time) {
-	m := newMsg(buddy, kReplUpdate)
+// replUpdate builds the frame of one snapshot of length bytes at disp of
+// exposure h, for the caller to read the region into, stamp with the
+// version it draws (hCount) and hand to replSend.
+func replUpdate(buddy int, h uint64, disp, length int) *simnet.Message {
+	m := newMsg(buddy, kReplUpdate, length)
 	m.Hdr[hHandle] = h
 	m.Hdr[hDisp] = uint64(disp)
-	m.Hdr[hCount] = v
-	m.Payload = data
+	return m
+}
+
+// replSend ships one versioned snapshot.
+func (e *Engine) replSend(m *simnet.Message, at vtime.Time) {
 	e.ReplUpdates.Inc()
 	e.sendReply(at, m)
 }
 
-// replicate is the deferral point of every mutating apply: fin is the
+// replicate is the deferral point of every mutating apply: r.fin is the
 // operation's completion bookkeeping (finishApply plus any reply). For an
 // unreplicated exposure — replication off, buddy down, or a handle
 // exposed before EnableReplication — fin runs immediately and the apply
@@ -247,37 +252,30 @@ func (e *Engine) replSendUpdate(buddy int, h uint64, disp int, v uint64, data []
 // bytes are snapshotted under the replication mutex (so version order
 // equals snapshot order), shipped to the buddy, and fin runs only when
 // the buddy's cumulative acknowledgement covers the drawn version.
-func (e *Engine) replicate(h uint64, exp *exposure, disp, length int, end vtime.Time, fin func(end vtime.Time)) {
+func (e *Engine) replicate(r *applyOp, disp, length int, end vtime.Time) {
 	st := &e.repl
+	h := r.handle
 	st.mu.Lock()
-	if !st.enabled || st.down || st.buddy < 0 {
+	_, tracked := st.sizes[h]
+	// An untracked handle is unreplicated; a rejected deposit (or one
+	// clipped to nothing) mutated nothing.
+	if !st.enabled || st.down || st.buddy < 0 || !tracked ||
+		disp < 0 || length <= 0 || disp+length > r.exp.region.Size {
 		st.mu.Unlock()
-		fin(end)
+		r.fin(end)
 		return
 	}
-	if _, tracked := st.sizes[h]; !tracked {
+	m := replUpdate(st.buddy, h, disp, length)
+	if err := e.proc.Mem().RemoteRead(r.exp.region.Offset+disp, m.Payload); err != nil {
 		st.mu.Unlock()
-		fin(end)
-		return
-	}
-	if disp < 0 || length <= 0 || disp+length > exp.region.Size {
-		// The deposit rejected (or clipped to nothing); nothing mutated.
-		st.mu.Unlock()
-		fin(end)
-		return
-	}
-	buf := make([]byte, length)
-	if err := e.proc.Mem().RemoteRead(exp.region.Offset+disp, buf); err != nil {
-		st.mu.Unlock()
-		fin(end)
+		r.fin(end)
 		return
 	}
 	st.version[h]++
-	v := st.version[h]
-	buddy := st.buddy
-	st.deferred[h] = append(st.deferred[h], deferredFin{version: v, end: end, fin: fin})
+	m.Hdr[hCount] = st.version[h]
+	st.deferred[h] = append(st.deferred[h], deferredFin{version: st.version[h], end: end, op: r})
 	st.mu.Unlock()
-	e.replSendUpdate(buddy, h, disp, v, buf, end)
+	e.replSend(m, end)
 }
 
 // handleReplExpose creates (or sizes) the replica for a ward's exposure.
@@ -321,7 +319,7 @@ func (e *Engine) handleReplUpdate(m *simnet.Message, at vtime.Time) {
 	}
 	ackv := r.next - 1
 	st.mu.Unlock()
-	ack := newMsg(m.Src, kReplAck)
+	ack := newMsg(m.Src, kReplAck, 0)
 	ack.Hdr[hHandle] = m.Hdr[hHandle]
 	ack.Hdr[hCount] = ackv
 	e.ReplAcks.Inc()
@@ -348,7 +346,7 @@ func (e *Engine) handleReplAck(m *simnet.Message, at vtime.Time) {
 	st.deferred[h] = q[n:]
 	st.mu.Unlock()
 	for _, d := range ready {
-		d.fin(vtime.Later(d.end, at))
+		d.op.fin(vtime.Later(d.end, at))
 	}
 }
 
@@ -392,7 +390,7 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 
 	// Flush first: completion must not wait on a dead buddy.
 	for _, d := range flushed {
-		d.fin(vtime.Later(d.end, at))
+		d.op.fin(vtime.Later(d.end, at))
 	}
 	if orphaned {
 		e.emit(trace.KindBuddyLost, at, dead, 0, int64(len(flushed)), 0)
@@ -433,16 +431,16 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 		if r.next-1 > maxV {
 			maxV = r.next - 1
 		}
-		m := newMsg(spare, kRebuild)
+		m := newMsg(spare, kRebuild, len(r.buf))
 		m.Hdr[hHandle] = key.handle
 		m.Hdr[hCount] = r.next - 1
 		m.Hdr[hDisp] = uint64(dead)
-		m.Payload = append([]byte(nil), r.buf...)
+		copy(m.Payload, r.buf)
 		e.Rebuilds.Inc()
 		e.sendReply(e.proc.Now(), m)
 	}
 	st.mu.Unlock()
-	done := newMsg(spare, kRebuildDone)
+	done := newMsg(spare, kRebuildDone, 0)
 	done.Hdr[hHandle] = uint64(len(mine))
 	done.Hdr[hDisp] = uint64(dead)
 	e.sendReply(e.proc.Now(), done)
@@ -497,15 +495,15 @@ func (e *Engine) replRebind(dead int) {
 		}
 		e.replSendExpose(spare, h, sz)
 		st.mu.Lock()
-		buf := make([]byte, sz)
-		if err := e.proc.Mem().RemoteRead(exp.region.Offset, buf); err != nil {
+		m := replUpdate(spare, h, 0, sz)
+		if err := e.proc.Mem().RemoteRead(exp.region.Offset, m.Payload); err != nil {
 			st.mu.Unlock()
 			continue
 		}
 		st.version[h]++
-		v := st.version[h]
+		m.Hdr[hCount] = st.version[h]
 		st.mu.Unlock()
-		e.replSendUpdate(spare, h, 0, v, buf, e.proc.Now())
+		e.replSend(m, e.proc.Now())
 	}
 	e.emit(trace.KindBuddyRebound, e.proc.Now(), spare, 0, int64(len(handles)), 0)
 }
@@ -720,7 +718,7 @@ func (e *Engine) sentinelSweep(watch map[int]*sentinelWatch, now time.Time) {
 		// with no progress.
 		at := e.proc.Now() + vtime.Time(e.proc.NIC().RetryPatience(w.pings))
 		e.emit(trace.KindSentinelPing, at, rank, 0, int64(w.strikes), 0)
-		e.sendReplyNIC(at, newMsg(rank, kPing))
+		e.sendReplyNIC(at, newMsg(rank, kPing, 0))
 	}
 }
 

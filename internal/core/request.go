@@ -3,9 +3,19 @@ package core
 import (
 	"sync"
 
+	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
+
+// landing is where a get's reply goes: count instances of dt in region of
+// the origin's memory. The zero value (nil dt) lands nothing.
+type landing struct {
+	region memsim.Region
+	count  int
+	dt     datatype.Type
+}
 
 // Request tracks completion of one nonblocking RMA operation (the paper's
 // request parameter, checked with MPI_Wait/MPI_Test analogues). For
@@ -24,7 +34,10 @@ type Request struct {
 	at   vtime.Time
 	val  []byte
 	err  error
-	ch   chan struct{} // created lazily on the first Wait/Done
+	ch   chan struct{} // created lazily on the first Done
+	// waker is the engine wake slot's channel a Wait is parked on, if one
+	// is: finish sends it a token.
+	waker chan struct{}
 
 	// onDone holds completion callbacks registered before the request
 	// finished; finish captures and clears them under mu, so each runs
@@ -32,10 +45,10 @@ type Request struct {
 	// OnDone instead).
 	onDone []func(error)
 
-	// onData, if set, consumes reply payload (get data) on the delivery
-	// goroutine before the request is completed; an error fails the
-	// request instead of completing it.
-	onData func(wire []byte, at vtime.Time) error
+	// land is where a get's reply payload is scattered, on the delivery
+	// goroutine, before the request is completed; a failure there fails
+	// the request instead of completing it.
+	land landing
 
 	// latKind/issuedAt route the request's completion into a latency.*
 	// histogram. Populated by newRequest only while telemetry is enabled,
@@ -65,10 +78,9 @@ func (e *Engine) newRequest(target int, latKind uint8) *Request {
 	return r
 }
 
-// waitCh returns the completion channel, creating it on first use. Most
-// requests — batched operations completing at issue, blocking calls that
-// never escape — are completed before anyone waits, so the channel (one
-// allocation per operation otherwise) is made only on demand.
+// waitCh returns the completion channel, creating it on first use: only a
+// caller that asks for Done pays for one. Wait parks on a reusable wake
+// slot instead.
 func (r *Request) waitCh() chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -116,6 +128,12 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 	r.onDone = nil
 	if r.ch != nil {
 		close(r.ch)
+	}
+	if r.waker != nil {
+		select {
+		case r.waker <- struct{}{}:
+		default: // a token is there already
+		}
 	}
 	r.mu.Unlock()
 	r.e.mu.Lock()
@@ -167,14 +185,24 @@ func (r *Request) OnDone(fn func(error)) {
 // clock to the completion time.
 func (r *Request) Wait() {
 	r.mu.Lock()
-	done, at := r.done, r.at
-	r.mu.Unlock()
-	if !done {
-		<-r.waitCh()
-		r.mu.Lock()
-		at = r.at
+	for !r.done {
+		if r.waker != nil {
+			// Another Wait holds the slot; share the Done channel.
+			r.mu.Unlock()
+			<-r.waitCh()
+			r.mu.Lock()
+			continue
+		}
+		slot := r.e.takeSlot()
+		r.waker = slot.ch
 		r.mu.Unlock()
+		<-slot.ch // or a token left from the slot's earlier use: look again
+		r.mu.Lock()
+		r.waker = nil
+		r.e.slots.put(slot)
 	}
+	at := r.at
+	r.mu.Unlock()
 	r.e.proc.NIC().CPU().AdvanceTo(at)
 }
 

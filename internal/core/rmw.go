@@ -51,14 +51,14 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 	if tdisp < 0 || tdisp+8 > tm.Size {
 		return 0, fmt.Errorf("core: RMW at [%d,%d) exceeds target_mem of %d bytes: %w", tdisp, tdisp+8, tm.Size, ErrBounds)
 	}
-	m := newMsg(tm.Owner, kRMW)
+	m := newMsg(tm.Owner, kRMW, len(operand))
 	m.Hdr[hHandle] = tm.Handle
 	m.Hdr[hDisp] = uint64(tdisp)
 	m.Hdr[hMeta] = uint64(subop) << 24
-	m.Payload = operand
+	copy(m.Payload, operand)
 	// Always atomic; the old-value reply completes the request and carries
 	// the delivery counter.
-	req, err := e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs)|AttrAtomic, true, latRMW, nil)
+	req, err := e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs)|AttrAtomic, true, latRMW, landing{})
 	if err != nil {
 		return 0, fmt.Errorf("core: RMW: %w", err)
 	}
@@ -73,75 +73,67 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 	return int64(binary.LittleEndian.Uint64(val)), nil
 }
 
-// handleRMW applies a fetch-add or compare-and-swap at the target and
-// replies with the old value.
+// handleRMW receives a fetch-add, compare-and-swap or fetch; the old value
+// goes back in the reply.
 func (e *Engine) handleRMW(m *simnet.Message, at vtime.Time) {
-	attrs := Attr(m.Hdr[hMeta] & 0xffff)
-	subop := int(m.Hdr[hMeta] >> 24 & 0xff)
-	e.gateOrdered(m.Src, m.Hdr[hSeq], at, func(at vtime.Time) {
-		exp := e.lookupExposure(m.Hdr[hHandle])
-		disp := int(m.Hdr[hDisp])
-		bad := exp == nil || !exp.region.Contains(disp, 8) ||
-			(subop == rmwFetchAdd && len(m.Payload) != 8) ||
-			(subop == rmwCompSwap && len(m.Payload) != 16) ||
-			(subop == rmwFetch && len(m.Payload) != 0)
-		e.scheduleApply(m.Src, at, 8, true, func(end vtime.Time) {
-			var old [8]byte
-			ok := !bad
-			if ok {
-				order := e.proc.ByteOrder()
-				err := e.proc.Mem().Update(exp.region.Offset+disp, 8, func(cur []byte) {
-					prev := loadElem(cur, 8, order)
-					binary.LittleEndian.PutUint64(old[:], prev)
-					switch subop {
-					case rmwFetchAdd:
-						delta := binary.LittleEndian.Uint64(m.Payload)
-						storeElem(cur, 8, order, prev+delta)
-					case rmwCompSwap:
-						compare := binary.LittleEndian.Uint64(m.Payload[0:])
-						swap := binary.LittleEndian.Uint64(m.Payload[8:])
-						if prev == compare {
-							storeElem(cur, 8, order, swap)
-						}
-					case rmwFetch:
-						// Pure read: the old value is the whole result.
-					default:
-						ok = false
-					}
-				})
-				if err != nil {
-					ok = false
+	r := e.takeOp(m)
+	r.subop = int(m.Hdr[hMeta] >> 24 & 0xff)
+	e.gateOrdered(r, at)
+}
+
+// startRMW validates the access and schedules it on the serializer. An
+// invalid one is scheduled all the same, so it is counted in its turn.
+func (r *applyOp) startRMW(at vtime.Time) {
+	r.exp = r.e.lookupExposure(r.handle)
+	operand := len(r.m.Payload)
+	r.ok = r.exp != nil && r.exp.region.Contains(r.disp, 8) &&
+		(r.subop == rmwFetchAdd && operand == 8 ||
+			r.subop == rmwCompSwap && operand == 16 ||
+			r.subop == rmwFetch && operand == 0)
+	r.e.scheduleApply(r, at, 8)
+}
+
+// applyRMW updates the word under the memory lock, the old value landing
+// in the reply fin will send: a reply without one tells the origin that the
+// access failed.
+func (r *applyOp) applyRMW(end vtime.Time) {
+	e, operand := r.e, r.m.Payload
+	if r.ok {
+		order, subop := e.proc.ByteOrder(), r.subop
+		reply := newMsg(r.m.Src, kRMWReply, 8)
+		err := e.proc.Mem().Update(r.exp.region.Offset+r.disp, 8, func(cur []byte) {
+			prev := loadElem(cur, 8, order)
+			binary.LittleEndian.PutUint64(reply.Payload, prev)
+			switch subop {
+			case rmwFetchAdd:
+				storeElem(cur, 8, order, prev+binary.LittleEndian.Uint64(operand))
+			case rmwCompSwap:
+				if prev == binary.LittleEndian.Uint64(operand[0:]) {
+					storeElem(cur, 8, order, binary.LittleEndian.Uint64(operand[8:]))
 				}
-			}
-			if exp != nil {
-				e.recordAccess(m, Access{
-					Handle: m.Hdr[hHandle], Disp: disp, Len: 8,
-					Kind: AccessRMW, Atomic: true, Ordered: attrs&AttrOrdering != 0, Member: -1, At: end,
-				})
-			}
-			mutated := ok && subop != rmwFetch
-			fin := func(end vtime.Time) {
-				count := e.finishApply(m, attrs&^(AttrRemoteComplete|AttrNotify), true, end, e.applyCost(8))
-				reply := newMsg(m.Src, kRMWReply)
-				reply.Hdr[hReq] = m.Hdr[hReq]
-				reply.Hdr[hCount] = uint64(count)
-				if ok {
-					reply.Payload = append([]byte(nil), old[:]...)
-				} else {
-					e.proc.NIC().BadReq.Inc()
-				}
-				e.sendReply(end, reply)
-			}
-			if mutated {
-				// The old-value reply must not outrun the replica: an RMW
-				// whose origin saw the old value is durable at the buddy
-				// (pass-through when unreplicated).
-				e.replicate(m.Hdr[hHandle], exp, disp, 8, end, fin)
-			} else {
-				fin(end)
 			}
 		})
-	})
+		if err == nil {
+			r.reply = reply
+		}
+	}
+	if r.reply == nil {
+		e.proc.NIC().BadReq.Inc()
+	}
+	if r.exp != nil {
+		e.recordAccess(r.m, Access{
+			Handle: r.handle, Disp: r.disp, Len: 8,
+			Kind: AccessRMW, Atomic: true, Ordered: r.ordered, Member: -1, At: end,
+		})
+	}
+	if r.reply != nil && r.subop != rmwFetch {
+		// The old-value reply must not outrun the replica: an RMW whose
+		// origin saw the old value is durable at the buddy (pass-through
+		// when unreplicated). A fetch mutated nothing.
+		e.replicate(r, r.disp, 8, end)
+	} else {
+		r.fin(end)
+	}
 }
 
 // handleRMWReply completes a pending RMW at the origin with the old value.

@@ -48,18 +48,19 @@ import (
 // per-shard watermarks (ShardPool task counts) exist for telemetry and
 // reconciliation: sum(shard.tasks.*) + shard.bypass == ops.applied.
 
-// scheduleApplyRange routes one decoded target update with a known byte
-// range [disp, disp+ext) inside exp's region. It falls back to the serial
-// scheduleApply path when sharding is off, the operation is atomic, or the
-// exposure is unknown (the deposit will fail and be counted by the fn).
-func (e *Engine) scheduleApplyRange(src int, at vtime.Time, nbytes int, atomic, ordered bool, exp *exposure, disp, ext int, fn func(end vtime.Time)) {
+// scheduleApplyRange routes r's decoded target update of nbytes with a
+// known byte range [disp, disp+ext) inside its exposure's region. It falls
+// back to the serial scheduleApply path when sharding is off, the operation
+// is atomic, or the exposure is unknown (the deposit will fail and be
+// counted).
+func (e *Engine) scheduleApplyRange(r *applyOp, at vtime.Time, nbytes, ext int) {
 	pool := e.shardPool
-	if pool == nil || atomic || exp == nil {
-		e.scheduleApply(src, at, nbytes, atomic, fn)
+	if pool == nil || r.atomic || r.exp == nil {
+		e.scheduleApply(r, at, nbytes)
 		return
 	}
 	n := pool.Shards()
-	stride := (exp.region.Size + n - 1) / n
+	stride := (r.exp.region.Size + n - 1) / n
 	if stride < 1 {
 		stride = 1
 	}
@@ -69,14 +70,14 @@ func (e *Engine) scheduleApplyRange(src int, at vtime.Time, nbytes int, atomic, 
 	// Shard indices from the region-relative range; out-of-range
 	// displacements (the deposit will reject them) are clamped so routing
 	// never faults.
-	s1 := clampShard(disp/stride, n)
-	s2 := clampShard((disp+ext-1)/stride, n)
-	base := exp.region.Offset + disp
+	s1 := clampShard(r.disp/stride, n)
+	s2 := clampShard((r.disp+ext-1)/stride, n)
+	base := r.exp.region.Offset + r.disp
 
 	e.shardMu.Lock()
 	overlapsDesig := e.desigOpen > 0 && base < e.desigHi && e.desigLo < base+ext
-	designate := ordered || s1 != s2 || overlapsDesig
-	if designate {
+	r.designated = r.ordered || s1 != s2 || overlapsDesig
+	if r.designated {
 		if e.desigOpen == 0 {
 			e.desigLo, e.desigHi = base, base+ext
 		} else {
@@ -91,26 +92,24 @@ func (e *Engine) scheduleApplyRange(src int, at vtime.Time, nbytes int, atomic, 
 	}
 	e.shardMu.Unlock()
 
-	cost := e.applyCost(nbytes)
-	if designate {
+	r.cost = e.applyCost(nbytes)
+	if r.designated {
 		e.ShardDesignated.Inc()
-		pool.Submit(0, portals.ShardTask{
-			Ready: at,
-			Cost:  cost,
-			After: pool.Snapshot(),
-			Run: func(end vtime.Time) {
-				fn(end)
-				e.shardMu.Lock()
-				e.desigOpen--
-				if e.desigOpen == 0 {
-					e.desigLo, e.desigHi = 0, 0
-				}
-				e.shardMu.Unlock()
-			},
-		})
+		pool.Submit(0, portals.ShardTask{Ready: at, Cost: r.cost, After: pool.Snapshot(), Run: r.run})
 		return
 	}
-	pool.Submit(s1, portals.ShardTask{Ready: at, Cost: cost, Run: fn})
+	pool.Submit(s1, portals.ShardTask{Ready: at, Cost: r.cost, Run: r.run})
+}
+
+// designatedDone closes a designated operation's stay in the in-flight
+// envelope, once its apply has returned.
+func (e *Engine) designatedDone() {
+	e.shardMu.Lock()
+	e.desigOpen--
+	if e.desigOpen == 0 {
+		e.desigLo, e.desigHi = 0, 0
+	}
+	e.shardMu.Unlock()
 }
 
 // clampShard pins a computed shard index into [0, n).

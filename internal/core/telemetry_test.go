@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/telemetry"
 	"mpi3rma/internal/trace"
 )
@@ -191,13 +193,86 @@ func TestTelemetrySpanCrossRank(t *testing.T) {
 	}
 }
 
-// putAllocBudget is the steady-state allocation cost of one blocking
-// remote-complete 64-byte put, both ranks together: wire message, framed
-// payload, request, completion channel, ack. Measured 17 allocs/op,
-// deterministic under the simulator; the budget is that + 1. A single
+// pinned is one row of the allocation table: a primitive, the serializer
+// mechanism it runs under, and the exact number of heap objects one call
+// costs in the steady state, origin and target together. The simulator is
+// deterministic here, so the numbers are asserted with ==; a single
 // instrumentation call that escapes its nil guard, boxes an argument or
-// formats a string shows up against it.
-const putAllocBudget = 18.0
+// formats a string, a closure built per delivery, a channel made per wait
+// shows up as a failure that names the primitive. DESIGN.md §5 says what
+// each object is.
+type pinned struct {
+	name string
+	mech serializer.Mechanism
+	want float64
+	op   func(c *pinCtx)
+}
+
+// pinCtx is what a row's op works with, on the origin rank.
+type pinCtx struct {
+	t         *testing.T
+	e, target *Engine
+	comm      *runtime.Comm
+	tm        TargetMem
+	src, dst  memsim.Region
+	issued    int64 // operations issued so far; settle waits for the target to have applied them
+	notified  int64 // of those, the ones that come back as a notification
+}
+
+// settle returns once the target has applied everything issued and the
+// origin has handled every notification owed, so both ranks' handler
+// allocations fall inside the measurement that issued the operation.
+func (c *pinCtx) settle() {
+	c.issued++
+	for c.target.OpsApplied.Value() < c.issued || c.e.Notifies.Value() < c.notified {
+		gosched()
+	}
+}
+
+func (c *pinCtx) put(attrs Attr) {
+	req, err := c.e.Put(c.src, 1, datatype.Int64, c.tm, 0, 1, datatype.Int64, 0, c.comm, attrs)
+	if err != nil {
+		c.t.Fatalf("put: %v", err)
+	}
+	req.Wait()
+	c.settle()
+}
+
+// pinVec is the benchmark's strided shape.
+var pinVec = datatype.Vector(8, 1, 2, datatype.Int64)
+
+// allocTable is the committed per-primitive table. `make allocs` prints it.
+var allocTable = []pinned{
+	{"put", serializer.MechThread, 2, func(c *pinCtx) { c.put(0) }},
+	{"put notify", serializer.MechThread, 3, func(c *pinCtx) { c.notified++; c.put(AttrNotify) }},
+	{"put remote-complete", serializer.MechThread, 3, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
+	{"put atomic (thread)", serializer.MechThread, 2, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 5, func(c *pinCtx) {
+		if _, err := c.e.Get(c.dst, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, AttrBlocking); err != nil {
+			c.t.Fatalf("get: %v", err)
+		}
+		c.settle()
+	}},
+	{"fetch word", serializer.MechThread, 3, func(c *pinCtx) {
+		if _, err := c.e.FetchWord(c.tm, 0, 0, c.comm, 0); err != nil {
+			c.t.Fatalf("fetch word: %v", err)
+		}
+		c.settle()
+	}},
+	{"compare-and-swap", serializer.MechThread, 3, func(c *pinCtx) {
+		if _, err := c.e.CompareSwap(c.tm, 0, 0, 1, 0, c.comm, 0); err != nil {
+			c.t.Fatalf("compare-and-swap: %v", err)
+		}
+		c.settle()
+	}},
+	{"fetch-and-add", serializer.MechThread, 3, func(c *pinCtx) {
+		if _, err := c.e.FetchAdd(c.tm, 0, 1, 0, c.comm, 0); err != nil {
+			c.t.Fatalf("fetch-and-add: %v", err)
+		}
+		c.settle()
+	}},
+}
 
 // allocStep installs something on a rank's engine before a measurement.
 type allocStep struct {
@@ -205,21 +280,19 @@ type allocStep struct {
 	install func(e *Engine)
 }
 
-// pinPutAllocs runs the steps in order on both ranks of a two-rank world
-// and measures the put after each: the first must stay inside
-// putAllocBudget, every later one must cost exactly what the first did.
-// Remote-complete blocking semantics quiesce the world each iteration, so
-// the target's handler allocations are part of the steady per-op cost
-// rather than noise. It returns the origin's engine.
-func pinPutAllocs(t *testing.T, steps []allocStep) *Engine {
+// pinAllocs measures every row of allocTable that runs under mech on a
+// two-rank world, once after each step has been installed on both ranks:
+// whatever is installed, a primitive must cost exactly its committed
+// number. It returns the origin's engine.
+func pinAllocs(t *testing.T, mech serializer.Mechanism, steps []allocStep) *Engine {
 	t.Helper()
-	var origin *Engine
+	var origin, target *Engine
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
-		e := Attach(p, Options{})
-		comm := p.Comm()
+		e := Attach(p, Options{Atomicity: mech})
 		if p.Rank() == 0 {
-			tm, _ := e.ExposeNew(64)
+			target = e
+			tm, _ := e.ExposeNew(datatype.ExtentOf(8, pinVec))
 			p.Send(1, 0, tm.Encode())
 			for _, step := range steps {
 				step.install(e)
@@ -231,27 +304,25 @@ func pinPutAllocs(t *testing.T, steps []allocStep) *Engine {
 		origin = e
 		enc, _ := p.Recv(0, 0)
 		tm, _ := DecodeTargetMem(enc)
-		src := p.Alloc(64)
-		put := func() {
-			req, err := e.Put(src, 64, datatype.Byte, tm, 0, 64, datatype.Byte, 0, comm, AttrRemoteComplete)
-			if err != nil {
-				t.Fatalf("put: %v", err)
-			}
-			req.Wait()
-		}
-		var plain float64
+		c := &pinCtx{t: t, e: e, comm: p.Comm(), tm: tm,
+			src: p.Alloc(8), dst: p.Alloc(datatype.ExtentOf(8, pinVec))}
 		for i, step := range steps {
 			step.install(e)
 			p.Barrier()
-			put() // warm pools and lazy state before measuring
-			got := testing.AllocsPerRun(50, put)
-			if i == 0 {
-				plain = got
-				if plain > putAllocBudget {
-					t.Errorf("put with %s costs %.1f allocs/op, budget %.1f", step.name, plain, putAllocBudget)
+			c.target = target
+			for _, row := range allocTable {
+				if row.mech != mech {
+					continue
 				}
-			} else if got != plain {
-				t.Errorf("put with %s costs %.1f allocs/op, want the plain put's %.1f", step.name, got, plain)
+				run := func() { row.op(c) }
+				run() // warm free lists and lazy state before measuring
+				got := testing.AllocsPerRun(50, run)
+				if i == 0 {
+					t.Logf("%-30s %2.0f allocs/op", row.name, got)
+				}
+				if got != row.want {
+					t.Errorf("%s with %s costs %v allocs/op, want exactly %v", row.name, step.name, got, row.want)
+				}
 			}
 			p.Barrier()
 		}
@@ -259,26 +330,27 @@ func pinPutAllocs(t *testing.T, steps []allocStep) *Engine {
 	return origin
 }
 
-// TestPutHotPathNoAllocsWhenDisabled pins the allocation cost of the
-// remote-complete put hot path against the event rings: with nothing
-// installed it stays inside putAllocBudget, and installing the metrics
-// registry, the protocol tracer, the flight recorder, or all of them costs
-// exactly nothing more — every event is a fixed-size record written into
-// a preallocated ring.
+// TestPutHotPathNoAllocsWhenDisabled pins the allocation cost of every
+// primitive against the event rings: with nothing installed each costs its
+// committed number, and installing the metrics registry, the protocol
+// tracer, the flight recorder, or all of them costs exactly nothing more —
+// every event is a fixed-size record written into a preallocated ring.
 func TestPutHotPathNoAllocsWhenDisabled(t *testing.T) {
-	e := pinPutAllocs(t, []allocStep{
-		{"nothing installed", func(*Engine) {}},
-		{"metrics + tracer", func(e *Engine) { e.EnableTelemetry(nil); e.SetTracer(trace.New(0)) }},
-		{"flight recorder alone", func(e *Engine) {
-			e.SetTracer(nil)
-			e.EnableFlightRecorder(telemetry.FlightConfig{Dir: t.TempDir()})
-		}},
-		{"metrics + tracer + flight recorder", func(e *Engine) { e.SetTracer(trace.New(0)) }},
-	})
-	if n := len(e.Tracer().Snapshot()); n == 0 {
-		t.Error("the tracer recorded nothing: the traced steps measured a disabled path")
-	}
-	if pm := e.FlightRecorder().Postmortem("probe", 0); pm.Recorded == 0 {
-		t.Error("the flight recorder recorded nothing: its steps measured a disabled path")
+	for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock} {
+		e := pinAllocs(t, mech, []allocStep{
+			{"nothing installed", func(*Engine) {}},
+			{"metrics + tracer", func(e *Engine) { e.EnableTelemetry(nil); e.SetTracer(trace.New(0)) }},
+			{"flight recorder alone", func(e *Engine) {
+				e.SetTracer(nil)
+				e.EnableFlightRecorder(telemetry.FlightConfig{Dir: t.TempDir()})
+			}},
+			{"metrics + tracer + flight recorder", func(e *Engine) { e.SetTracer(trace.New(0)) }},
+		})
+		if n := len(e.Tracer().Snapshot()); n == 0 {
+			t.Error("the tracer recorded nothing: the traced steps measured a disabled path")
+		}
+		if pm := e.FlightRecorder().Postmortem("probe", 0); pm.Recorded == 0 {
+			t.Error("the flight recorder recorded nothing: its steps measured a disabled path")
+		}
 	}
 }

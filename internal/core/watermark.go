@@ -14,14 +14,53 @@ import (
 // this rank has applied from the origin) — and every call that blocks on
 // one, on a request, or on any mix of them is the loop in wait.
 
-// waiter is one registration on a watermark: wake runs, outside the
-// owner's lock, when the count reaches threshold or a sticky failure makes
-// that moot. A local wait's wake is a non-blocking send on the waiting
-// call's channel; a parked completion probe's wake sends the kProbeAck.
+// waiter is one registration on a watermark, woken outside the owner's
+// lock when the count reaches threshold or a sticky failure makes that
+// moot. A local wait's waiter feeds the channel the waiting call sleeps on;
+// a parked completion probe's answers the remote origin with a kProbeAck.
 type waiter struct {
 	threshold int64
-	wake      func(count int64, at vtime.Time)
-	probe     bool // a remote origin's completion probe, not a local call
+	ch        chan struct{} // a local call's wake slot channel; nil for a probe
+	probe     *Engine       // a parked probe: the engine that answers it
+	origin    int           // ... whom
+	reqID     uint64        // ... and about which request
+}
+
+// wake tells the waiter to look again: a non-blocking send for a local
+// call (which re-tries its cases, so a token too many is harmless), the
+// answer for a probe — unless it was a failure's poke below the threshold,
+// which leaves nothing to answer yet.
+func (wt *waiter) wake(count int64, at vtime.Time) {
+	if wt.ch != nil {
+		select {
+		case wt.ch <- struct{}{}:
+		default:
+		}
+	} else if count >= wt.threshold {
+		wt.probe.sendProbeAck(wt.origin, wt.reqID, count, at)
+	}
+}
+
+// wakeSlot is what a blocked call sleeps on: a one-token channel and, for
+// the common wait on a single case, the waiter feeding it. Slots are reused
+// (Engine.slots) and a wakeup may trail the wait it was meant for — a
+// request's OnDone, a raise's wake after the waker moved on — so a slot can
+// hold a token from an earlier life; every sleeper re-checks what it waits
+// for. one[0].ch is set once, here: a late waker may read it while the
+// slot's next user sets the threshold.
+type wakeSlot struct {
+	ch  chan struct{}
+	one [1]waiter
+}
+
+// takeSlot returns a wake slot, a reused one when there is one.
+func (e *Engine) takeSlot() *wakeSlot {
+	s := e.slots.get()
+	if s == nil {
+		s = &wakeSlot{ch: make(chan struct{}, 1)}
+		s.one[0].ch = s.ch
+	}
+	return s
 }
 
 // watermark is a cumulative count, the virtual stamp of the latest report
@@ -222,9 +261,9 @@ func (e *Engine) linkCase(rc *SelectCase, wt *waiter, on bool) {
 // registers a waiter per case and tries again; later misses sleep until a
 // waiter is woken; the way out unregisters them from the watermarks. It
 // starts no goroutine. Every wakeup — a raise, a request's end, a
-// failure's poke — is a non-blocking send on one buffered channel, and the
-// state it announces is written before the send, so the try after
-// registering cannot miss one.
+// failure's poke — is a non-blocking send on the channel of one reusable
+// wake slot, and the state it announces is written before the send, so the
+// try after registering cannot miss one.
 //
 // Under the progress serializer sleeping would deadlock: this rank is
 // inside the library, so it IS the progress engine for its own deferred
@@ -232,36 +271,39 @@ func (e *Engine) linkCase(rc *SelectCase, wt *waiter, on bool) {
 //
 // It does not advance the virtual clock; callers do, to the event's At.
 func (e *Engine) wait(cases []SelectCase) (int, Event) {
+	var slot *wakeSlot
 	var ws []waiter
-	var ch chan struct{}
 	for {
 		for i := range cases {
 			if ev, ok := e.tryCase(&cases[i]); ok {
 				for j := range ws {
 					e.linkCase(&cases[j], &ws[j], false)
 				}
+				if slot != nil {
+					e.slots.put(slot)
+				}
 				return i, ev
 			}
 		}
 		switch {
-		case ws == nil:
-			ch = make(chan struct{}, 1)
-			wake := func(int64, vtime.Time) {
-				select {
-				case ch <- struct{}{}:
-				default:
+		case slot == nil:
+			slot = e.takeSlot()
+			ws = slot.one[:]
+			if len(cases) > 1 {
+				ws = make([]waiter, len(cases))
+				for i := range ws {
+					ws[i].ch = slot.ch
 				}
 			}
-			ws = make([]waiter, len(cases))
 			for i := range cases {
-				ws[i] = waiter{threshold: cases[i].threshold, wake: wake}
+				ws[i].threshold = cases[i].threshold
 				e.linkCase(&cases[i], &ws[i], true)
 			}
 		case e.progQ != nil:
 			e.Progress()
 			gosched()
 		default:
-			<-ch
+			<-slot.ch
 		}
 	}
 }
@@ -275,7 +317,7 @@ func (e *Engine) waits() []telemetry.WaitHealth {
 		for peer := range marks {
 			for _, wt := range marks[peer].waiters {
 				c := counter
-				if wt.probe {
+				if wt.probe != nil {
 					c = "probe"
 				}
 				out = append(out, telemetry.WaitHealth{Peer: peer, Counter: c, Threshold: wt.threshold, Have: marks[peer].count})

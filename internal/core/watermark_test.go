@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,5 +153,82 @@ func TestWaitsStartNoGoroutine(t *testing.T) {
 		if i, _, _ := e.Select(comm, OnApplied(0, 1<<30), OnConfirmed(0, 0), OnRequest(a)); i != 1 {
 			t.Errorf("Select over (pending, satisfied, satisfied) returned %d, want 1", i)
 		}
+	})
+}
+
+// TestRequestWaitConcurrent: any number of goroutines may Wait on one
+// request. One parks on an engine wake slot, the others — the slot is
+// taken — share the Done channel, and a token left in the slot by an
+// earlier life wakes nobody for good: the sleeper looks again. First on a
+// request held open until everyone is asleep, a stale token planted in the
+// slot; then on remote-complete puts racing their waiters.
+func TestRequestWaitConcurrent(t *testing.T) {
+	const waiters, rounds = 4, 50
+	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 29})
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		e := Attach(p, Options{})
+		comm := p.Comm()
+		if p.Rank() == 1 {
+			tm, _ := e.ExposeNew(8)
+			p.Send(0, 9999, tm.Encode())
+			p.Barrier()
+			return
+		}
+		waitAll := func(r *Request) (returned *atomic.Int32, wg *sync.WaitGroup) {
+			returned, wg = new(atomic.Int32), new(sync.WaitGroup)
+			for i := 0; i < waiters; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r.Wait()
+					if !r.Test() {
+						t.Error("Wait returned before the request was done")
+					}
+					returned.Add(1)
+				}()
+			}
+			return returned, wg
+		}
+
+		slot := e.takeSlot()
+		slot.ch <- struct{}{} // a wakeup that trailed the slot's last user
+		e.slots.put(slot)
+		r := e.newRequest(1, latNone)
+		returned, wg := waitAll(r)
+		for asleep := false; !asleep; time.Sleep(100 * time.Microsecond) {
+			r.mu.Lock()
+			// The stale token is spent, one Wait holds the slot and another
+			// has fallen back to the channel.
+			asleep = len(slot.ch) == 0 && r.waker == slot.ch && r.ch != nil
+			r.mu.Unlock()
+		}
+		if n := returned.Load(); n != 0 {
+			t.Errorf("%d waiters returned from a pending request", n)
+		}
+		r.complete(p.Now(), nil)
+		wg.Wait()
+		if got := e.slots.get(); got != slot || len(slot.ch) != 0 {
+			t.Errorf("after the wait the free list holds slot %p with %d tokens, want %p with none", got, len(slot.ch), slot)
+		}
+		e.slots.put(slot)
+
+		enc, _ := p.Recv(1, 9999)
+		tm, err := DecodeTargetMem(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		src := p.Alloc(8)
+		for i := 0; i < rounds; i++ {
+			r, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrRemoteComplete)
+			if err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+			_, wg := waitAll(r)
+			wg.Wait()
+			if err := r.Err(); err != nil {
+				t.Errorf("put %d: %v", i, err)
+			}
+		}
+		p.Barrier()
 	})
 }

@@ -11,12 +11,33 @@ import (
 	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/trace"
-	"mpi3rma/internal/vtime"
 )
 
-// newMsg builds a protocol message skeleton.
-func newMsg(dst int, kind uint8) *simnet.Message {
-	return &simnet.Message{Dst: dst, Kind: kind}
+// frameInline is the largest payload a protocol message carries inside its
+// own allocation: an 8-byte put with its type frame, a get's type frame, an
+// RMW's operands, an old value.
+const frameInline = 32
+
+// frame is a message with room for a small payload behind it.
+type frame struct {
+	simnet.Message
+	body [frameInline]byte
+}
+
+// newMsg builds a protocol message skeleton with an n-byte payload for the
+// caller to fill: none for n = 0, inside the message's own allocation up to
+// frameInline, a second one beyond.
+func newMsg(dst int, kind uint8, n int) *simnet.Message {
+	switch {
+	case n == 0:
+		return &simnet.Message{Dst: dst, Kind: kind}
+	case n <= frameInline:
+		f := &frame{Message: simnet.Message{Dst: dst, Kind: kind}}
+		f.Payload = f.body[:n:n]
+		return &f.Message
+	default:
+		return &simnet.Message{Dst: dst, Kind: kind, Payload: make([]byte, n)}
+	}
 }
 
 // Put transfers origin data into target memory (the paper's MPI_RMA_put).
@@ -182,25 +203,16 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	}
 
 	var m *simnet.Message
-	var onData func(wire []byte, at vtime.Time) error
+	var land landing
 	if op == OpGet {
-		m = newMsg(tm.Owner, kGet)
-		m.Payload = typeFrame(tdt, 0)
-		// The reply handler runs the landing. It is the same scatter a put
-		// deposit uses, so the holes of the origin layout are never
-		// written. A failure is reported through the request (Err), not a
-		// panic on the delivery goroutine.
-		onData = func(wire []byte, at vtime.Time) error {
-			if err := e.scatter(origin.Offset, wire, ocount, odt); err != nil {
-				return fmt.Errorf("core: get landing: %w", err)
-			}
-			return nil
-		}
+		// A get ships only the target type; the reply lands in the origin
+		// layout.
+		m, _ = newFramed(tm.Owner, kGet, tdt, AccNone, 0, 0)
+		land = landing{origin, ocount, odt}
 	} else {
-		m = newMsg(tm.Owner, kPut)
 		var wire []byte
-		m.Payload, wire = putPayload(tdt, accOp, scale, datatype.PackedSize(ocount, odt))
-		if err := e.packOrigin(wire, origin, ocount, odt); err != nil {
+		m, wire = newFramed(tm.Owner, kPut, tdt, accOp, scale, datatype.PackedSize(ocount, odt))
+		if err := e.packFrom(wire, origin.Offset, ocount, odt, false); err != nil {
 			return nil, err
 		}
 	}
@@ -208,7 +220,7 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	m.Hdr[hDisp] = uint64(tdisp)
 	m.Hdr[hCount] = uint64(tcount)
 	m.Hdr[hMeta] = uint64(accOp) << 16
-	return e.issueSingleton(comm, m, attrs, attrs&AttrAtomic != 0, latKindOf(op), onData)
+	return e.issueSingleton(comm, m, attrs, attrs&AttrAtomic != 0, latKindOf(op), land)
 }
 
 // issueSingleton is the issue path of every operation that pays its own
@@ -217,14 +229,14 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 // destination, handle/displacement/count, the op bits of hMeta, payload);
 // everything else is shared and happens here. A put, accumulate or active
 // message without RemoteComplete is done once the data has left the
-// origin; a get or RMW completes on its reply, which onData, if set,
-// consumes.
+// origin; a get or RMW completes on its reply. land is where a get's reply
+// goes, and zero for every other kind.
 //
 // A lock or send failure completes the request with the error instead of
 // abandoning it in the engine table: that keeps every observation surface
 // — Done, Err, OnDone, Select, the event queue — in agreement with the
 // returned error. This is the only place that has to.
-func (e *Engine) issueSingleton(comm *runtime.Comm, m *simnet.Message, attrs Attr, atomic bool, latKind uint8, onData func(wire []byte, at vtime.Time) error) (*Request, error) {
+func (e *Engine) issueSingleton(comm *runtime.Comm, m *simnet.Message, attrs Attr, atomic bool, latKind uint8, land landing) (*Request, error) {
 	target := m.Dst
 	if err := e.stickyFor(target); err != nil {
 		// Fast-fail toward a dead rank or failed link: issuing would only
@@ -260,7 +272,7 @@ func (e *Engine) issueSingleton(comm *runtime.Comm, m *simnet.Message, attrs Att
 	e.SingletonOps.Inc()
 
 	req := e.newRequest(target, latKind)
-	req.onData = onData
+	req.land = land
 	m.Hdr[hMeta] |= uint64(attrs)&0xffff | (epoch&0xffffffff)<<32
 	m.Hdr[hReq] = req.id
 	m.Hdr[hSeq] = seq
@@ -301,32 +313,25 @@ func (e *Engine) targetUsesCoarseLock() bool {
 	return e.opts.Atomicity == serializer.MechCoarseLock
 }
 
-// packOrigin packs ocount instances of odt from a snapshot of the origin
-// region into wire, which must be PackedSize(ocount, odt) bytes long.
-func (e *Engine) packOrigin(wire []byte, origin memsim.Region, ocount int, odt datatype.Type) error {
-	src := e.proc.Mem().Snapshot(origin.Offset, datatype.ExtentOf(ocount, odt))
-	return datatype.PackInto(wire, src, ocount, odt, e.proc.ByteOrder())
-}
-
-// typeFrame starts a framed body — varint(len(dt)) dt, all a get carries —
-// in one allocation with room for extra more bytes.
-func typeFrame(tdt datatype.Type, extra int) []byte {
+// newFramed builds a message of kind whose body opens with the framed
+// target type — varint(len(dt)) dt, all a get carries — followed, for a put
+// or accumulate, by the scale's f64 bits if accOp is AccAxpy and by packed
+// bytes for the caller to pack the origin data into, returned as wire.
+func newFramed(dst int, kind uint8, tdt datatype.Type, accOp AccOp, scale float64, packed int) (m *simnet.Message, wire []byte) {
 	dt := datatype.Encode(tdt)
-	out := make([]byte, 0, binary.MaxVarintLen64+len(dt)+extra)
-	out = binary.AppendUvarint(out, uint64(len(dt)))
-	return append(out, dt...)
-}
-
-// putPayload frames a put/accumulate body in one sized allocation:
-// varint(len(dt)) dt [scale f64 bits if AccAxpy] wire. wire is the
-// trailing packed bytes of payload, for the caller to pack into.
-func putPayload(tdt datatype.Type, accOp AccOp, scale float64, packed int) (payload, wire []byte) {
-	out := typeFrame(tdt, 8+packed)
+	var pre [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(pre[:], uint64(len(dt)))
+	head := n + len(dt)
 	if accOp == AccAxpy {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(scale))
+		head += 8
 	}
-	payload = out[:len(out)+packed]
-	return payload, payload[len(out):]
+	m = newMsg(dst, kind, head+packed)
+	copy(m.Payload, pre[:n])
+	copy(m.Payload[n:], dt)
+	if accOp == AccAxpy {
+		binary.LittleEndian.PutUint64(m.Payload[head-8:], math.Float64bits(scale))
+	}
+	return m, m.Payload[head:]
 }
 
 // parseTypeFrame splits a framed body into the decoded type and the rest.

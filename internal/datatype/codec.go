@@ -34,24 +34,51 @@ const (
 	maxDecodeBlocks = 1 << 20
 )
 
-// Encode serializes t.
-func Encode(t Type) []byte { return appendType(nil, t) }
+// primitiveEncodings holds every primitive's two-byte wire form.
+var primitiveEncodings = func() (enc [KFloat64 + 1][2]byte) {
+	for k := range enc {
+		enc[k] = [2]byte{tagPrimitive, byte(k)}
+	}
+	return enc
+}()
+
+// Encode serializes t. The bytes are computed once per type value and
+// shared by every caller, which must not modify them.
+func Encode(t Type) []byte {
+	var enc *encoding
+	switch x := t.(type) {
+	case primitive:
+		return primitiveEncodings[x.kind][:]
+	case *contiguous:
+		enc = &x.enc
+	case *vector:
+		enc = &x.enc
+	case *indexed:
+		enc = &x.enc
+	case *structT:
+		enc = &x.enc
+	default:
+		panic(fmt.Sprintf("datatype: cannot encode type %T", t))
+	}
+	enc.once.Do(func() { enc.bytes = appendType(nil, t) })
+	return enc.bytes
+}
 
 func appendType(out []byte, t Type) []byte {
 	switch x := t.(type) {
 	case primitive:
 		out = append(out, tagPrimitive, byte(x.kind))
-	case contiguous:
+	case *contiguous:
 		out = append(out, tagContig)
 		out = binary.AppendUvarint(out, uint64(x.count))
 		out = appendType(out, x.base)
-	case vector:
+	case *vector:
 		out = append(out, tagVector)
 		out = binary.AppendUvarint(out, uint64(x.count))
 		out = binary.AppendUvarint(out, uint64(x.blocklen))
 		out = binary.AppendUvarint(out, uint64(x.stride))
 		out = appendType(out, x.base)
-	case indexed:
+	case *indexed:
 		out = append(out, tagIndexed)
 		out = binary.AppendUvarint(out, uint64(len(x.displs)))
 		for i := range x.displs {
@@ -59,7 +86,7 @@ func appendType(out []byte, t Type) []byte {
 			out = binary.AppendUvarint(out, uint64(x.displs[i]))
 		}
 		out = appendType(out, x.base)
-	case structT:
+	case *structT:
 		out = append(out, tagStruct)
 		out = binary.AppendUvarint(out, uint64(len(x.fields)))
 		for _, f := range x.fields {
@@ -111,7 +138,7 @@ func decodeType(buf []byte) (Type, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return contiguous{int(count), base}, pos + n, nil
+		return &contiguous{count: int(count), base: base}, pos + n, nil
 	case tagVector:
 		count, pos, err := decodeUvarint(buf, 1)
 		if err != nil {
@@ -132,7 +159,7 @@ func decodeType(buf []byte) (Type, int, error) {
 		if int(stride) < int(blocklen) {
 			return nil, 0, fmt.Errorf("datatype: decoded vector stride %d < blocklen %d", stride, blocklen)
 		}
-		return vector{int(count), int(blocklen), int(stride), base}, pos + n, nil
+		return &vector{count: int(count), blocklen: int(blocklen), stride: int(stride), base: base}, pos + n, nil
 	case tagIndexed:
 		nblocks, pos, err := decodeUvarint(buf, 1)
 		if err != nil {
@@ -200,10 +227,15 @@ func decodeType(buf []byte) (Type, int, error) {
 // Walk exposes the contiguous-segment iteration of one instance of t: fn
 // is called, in layout order, for every run of n same-kind elements at
 // byte offset off from the instance start.
-func Walk(t Type, fn func(off, n int, k Kind)) { t.walk(0, fn) }
+func Walk(t Type, fn func(off, n int, k Kind)) { WalkN(1, t, fn) }
 
 // WalkN is Walk over count consecutive instances of t, offsets relative to
-// the first — the iterator every transfer path runs on (PackInto, Unpack,
-// SignatureOf, and core's scatter and accumulate). count instances of a
-// dense type are one run, so a contiguous transfer costs one callback.
-func WalkN(count int, t Type, fn func(off, n int, k Kind)) { walkN(0, 1, 0, count, t, fn) }
+// the first: a Cursor driven to the end, for callers off the per-operation
+// path that prefer a callback. count instances of a dense type are one run.
+func WalkN(count int, t Type, fn func(off, n int, k Kind)) {
+	var c Cursor
+	c.Reset(count, t)
+	for off, n, k, ok := c.Next(); ok; off, n, k, ok = c.Next() {
+		fn(off, n, k)
+	}
+}

@@ -16,6 +16,7 @@ package datatype
 
 import (
 	"fmt"
+	"sync"
 )
 
 // ByteOrder is the endianness of a rank's memory representation.
@@ -98,11 +99,10 @@ type Type interface {
 	Extent() int
 	// Name returns a human-readable description.
 	Name() string
-	// walk invokes fn for every contiguous run of same-kind elements in
-	// one instance of the type placed at byte offset at, in layout order.
-	// off is the run's byte offset (at included), n its element count.
-	// Nested types hand the same fn down with an adjusted at.
-	walk(at int, fn func(off int, n int, k Kind))
+	// part returns the j-th constituent of one instance of the type placed
+	// at byte offset at, as a block for the iterator to descend into, and
+	// false past the last one. A dense type has none: it is a run.
+	part(j, at int) (block, bool)
 	// dense reports whether one instance is a single hole-free run of n
 	// elements of kind k starting at offset 0 (so Extent == Size ==
 	// n*k.Width(), and count instances form one run of count*n elements).
@@ -112,27 +112,99 @@ type Type interface {
 	dense() (k Kind, n int, ok bool)
 }
 
-// walkN is the package's one layout iterator. It invokes fn for every run
-// of nblocks blocks of t, block b being count consecutive instances
-// starting at byte offset at+b*step — a vector's shape, of which count
-// plain instances (one block) is the common case. A dense type is a layout
-// with one run per block, emitted as such; anything else is walked instance
-// by instance.
-func walkN(at, nblocks, step, count int, t Type, fn func(off, n int, k Kind)) {
-	if k, n, ok := t.dense(); ok {
-		if n *= count; n > 0 {
-			for b := 0; b < nblocks; b++ {
-				fn(at+b*step, n, k)
-			}
-		}
+// block is the iterator's unit, a vector's shape: nblocks blocks of count
+// consecutive instances of t, block b starting at byte offset at+b*step.
+// count plain instances (one block) is the common case.
+type block struct {
+	at, nblocks, step, count int
+	t                        Type
+}
+
+// frame is a block being iterated: how far it has got, and what push read
+// off its type once — a dense type is one run of n elements per block,
+// anything else is descended into instance by instance, part by part.
+type frame struct {
+	block
+	b, i, j int // next block, instance within it, part within that
+	ext     int // t.Extent(), when not dense
+	n       int // elements per run, when dense
+	k       Kind
+	isDense bool
+}
+
+// Cursor is the package's one layout iterator: it yields, in layout order,
+// every run of same-kind elements of count instances of a type, and unlike
+// a callback walk it keeps its position in itself, so a transfer loop over
+// it builds no closure and allocates nothing (types nested deeper than the
+// inline stack spill to the heap). The zero value is empty; Reset aims it.
+type Cursor struct {
+	depth int
+	stack [4]frame
+	spill []frame
+}
+
+// Reset aims the cursor at count consecutive instances of t, offsets
+// relative to the first.
+func (c *Cursor) Reset(count int, t Type) {
+	c.depth, c.spill = 0, c.spill[:0]
+	c.push(block{0, 1, 0, count, t})
+}
+
+// push enters blk, unless it holds no element at all.
+func (c *Cursor) push(blk block) {
+	k, n, dense := blk.t.dense()
+	if blk.nblocks <= 0 || blk.count <= 0 || dense && n == 0 {
 		return
 	}
-	ext := t.Extent()
-	for b := 0; b < nblocks; b++ {
-		for i := 0; i < count; i++ {
-			t.walk(at+b*step+i*ext, fn)
+	f := frame{block: blk, k: k, n: n * blk.count, isDense: dense}
+	if !dense {
+		f.ext = blk.t.Extent()
+	}
+	if c.depth < len(c.stack) {
+		c.stack[c.depth] = f
+	} else {
+		c.spill = append(c.spill[:c.depth-len(c.stack)], f)
+	}
+	c.depth++
+}
+
+// top returns the innermost frame.
+func (c *Cursor) top() *frame {
+	if c.depth <= len(c.stack) {
+		return &c.stack[c.depth-1]
+	}
+	return &c.spill[c.depth-1-len(c.stack)]
+}
+
+// Next returns the next run — n elements of kind k at byte offset off — or
+// ok false once the layout is exhausted.
+func (c *Cursor) Next() (off, n int, k Kind, ok bool) {
+	for c.depth > 0 {
+		f := c.top()
+		switch {
+		case f.b >= f.nblocks:
+			c.depth--
+		case f.isDense:
+			f.b++
+			return f.at + (f.b-1)*f.step, f.n, f.k, true
+		default:
+			blk, more := f.t.part(f.j, f.at+f.b*f.step+f.i*f.ext)
+			if more {
+				f.j++
+				c.push(blk) // may move the spill: f is dead from here
+			} else if f.j, f.i = 0, f.i+1; f.i >= f.count {
+				f.i, f.b = 0, f.b+1
+			}
 		}
 	}
+	return 0, 0, 0, false
+}
+
+// encoding caches a derived type's wire form (codec.go), built on first
+// use: a type is immutable, so every transfer that ships it shares one.
+type encoding struct {
+	once  sync.Once
+	bytes []byte
 }
 
 // --- Predefined types -------------------------------------------------
@@ -141,13 +213,11 @@ type primitive struct {
 	kind Kind
 }
 
-func (p primitive) Size() int    { return p.kind.Width() }
-func (p primitive) Extent() int  { return p.kind.Width() }
-func (p primitive) Name() string { return p.kind.String() }
-func (p primitive) walk(at int, fn func(off, n int, k Kind)) {
-	fn(at, 1, p.kind)
-}
-func (p primitive) dense() (Kind, int, bool) { return p.kind, 1, true }
+func (p primitive) Size() int                   { return p.kind.Width() }
+func (p primitive) Extent() int                 { return p.kind.Width() }
+func (p primitive) Name() string                { return p.kind.String() }
+func (p primitive) part(int, int) (block, bool) { return block{}, false }
+func (p primitive) dense() (Kind, int, bool)    { return p.kind, 1, true }
 
 // Predefined primitive types.
 var (
@@ -163,6 +233,7 @@ var (
 type contiguous struct {
 	count int
 	base  Type
+	enc   encoding
 }
 
 // Contiguous returns a type of count consecutive instances of base.
@@ -170,18 +241,18 @@ func Contiguous(count int, base Type) Type {
 	if count < 0 {
 		panic("datatype: Contiguous count must be non-negative")
 	}
-	return contiguous{count, base}
+	return &contiguous{count: count, base: base}
 }
 
-func (t contiguous) Size() int   { return t.count * t.base.Size() }
-func (t contiguous) Extent() int { return t.count * t.base.Extent() }
-func (t contiguous) Name() string {
+func (t *contiguous) Size() int   { return t.count * t.base.Size() }
+func (t *contiguous) Extent() int { return t.count * t.base.Extent() }
+func (t *contiguous) Name() string {
 	return fmt.Sprintf("contiguous(%d,%s)", t.count, t.base.Name())
 }
-func (t contiguous) walk(at int, fn func(off, n int, k Kind)) {
-	walkN(at, 1, 0, t.count, t.base, fn)
+func (t *contiguous) part(j, at int) (block, bool) {
+	return block{at, 1, 0, t.count, t.base}, j == 0
 }
-func (t contiguous) dense() (Kind, int, bool) {
+func (t *contiguous) dense() (Kind, int, bool) {
 	k, n, ok := t.base.dense()
 	return k, t.count * n, ok
 }
@@ -191,6 +262,7 @@ type vector struct {
 	blocklen int // base instances per block
 	stride   int // base extents between block starts
 	base     Type
+	enc      encoding
 }
 
 // Vector returns a strided type: count blocks of blocklen consecutive base
@@ -203,26 +275,26 @@ func Vector(count, blocklen, stride int, base Type) Type {
 	if stride < blocklen {
 		panic("datatype: Vector stride must be >= blocklen (overlapping blocks are not supported)")
 	}
-	return vector{count, blocklen, stride, base}
+	return &vector{count: count, blocklen: blocklen, stride: stride, base: base}
 }
 
-func (t vector) Size() int { return t.count * t.blocklen * t.base.Size() }
-func (t vector) Extent() int {
+func (t *vector) Size() int { return t.count * t.blocklen * t.base.Size() }
+func (t *vector) Extent() int {
 	if t.count == 0 {
 		return 0
 	}
 	return ((t.count-1)*t.stride + t.blocklen) * t.base.Extent()
 }
-func (t vector) Name() string {
+func (t *vector) Name() string {
 	return fmt.Sprintf("vector(%d,%d,%d,%s)", t.count, t.blocklen, t.stride, t.base.Name())
 }
-func (t vector) walk(at int, fn func(off, n int, k Kind)) {
-	walkN(at, t.count, t.stride*t.base.Extent(), t.blocklen, t.base, fn)
+func (t *vector) part(j, at int) (block, bool) {
+	return block{at, t.count, t.stride * t.base.Extent(), t.blocklen, t.base}, j == 0
 }
 
 // A vector is dense when its blocks abut (stride == blocklen) or there is
 // at most one of them, over a dense base.
-func (t vector) dense() (Kind, int, bool) {
+func (t *vector) dense() (Kind, int, bool) {
 	k, n, ok := t.base.dense()
 	return k, t.count * t.blocklen * n, ok && (t.stride == t.blocklen || t.count <= 1)
 }
@@ -232,6 +304,7 @@ type indexed struct {
 	displs    []int // block displacements in base extents
 	base      Type
 	extent    int
+	enc       encoding
 }
 
 // Indexed returns a scatter/gather type: len(displs) blocks, block i
@@ -251,7 +324,7 @@ func Indexed(blocklens, displs []int, base Type) Type {
 			ext = end
 		}
 	}
-	return indexed{
+	return &indexed{
 		blocklens: append([]int(nil), blocklens...),
 		displs:    append([]int(nil), displs...),
 		base:      base,
@@ -259,24 +332,24 @@ func Indexed(blocklens, displs []int, base Type) Type {
 	}
 }
 
-func (t indexed) Size() int {
+func (t *indexed) Size() int {
 	n := 0
 	for _, b := range t.blocklens {
 		n += b
 	}
 	return n * t.base.Size()
 }
-func (t indexed) Extent() int { return t.extent }
-func (t indexed) Name() string {
+func (t *indexed) Extent() int { return t.extent }
+func (t *indexed) Name() string {
 	return fmt.Sprintf("indexed(%d blocks,%s)", len(t.displs), t.base.Name())
 }
-func (t indexed) walk(at int, fn func(off, n int, k Kind)) {
-	ext := t.base.Extent()
-	for b, d := range t.displs {
-		walkN(at+d*ext, 1, 0, t.blocklens[b], t.base, fn)
+func (t *indexed) part(j, at int) (block, bool) {
+	if j >= len(t.displs) {
+		return block{}, false
 	}
+	return block{at + t.displs[j]*t.base.Extent(), 1, 0, t.blocklens[j], t.base}, true
 }
-func (t indexed) dense() (Kind, int, bool) { return 0, 0, false }
+func (t *indexed) dense() (Kind, int, bool) { return 0, 0, false }
 
 // Field is one member of a Struct type.
 type Field struct {
@@ -291,6 +364,7 @@ type Field struct {
 type structT struct {
 	fields []Field
 	extent int
+	enc    encoding
 }
 
 // Struct returns a heterogeneous record type assembled from fields, like
@@ -307,23 +381,25 @@ func Struct(fields []Field) Type {
 			ext = end
 		}
 	}
-	return structT{fields: append([]Field(nil), fields...), extent: ext}
+	return &structT{fields: append([]Field(nil), fields...), extent: ext}
 }
 
-func (t structT) Size() int {
+func (t *structT) Size() int {
 	n := 0
 	for _, f := range t.fields {
 		n += f.Count * f.Type.Size()
 	}
 	return n
 }
-func (t structT) Extent() int { return t.extent }
-func (t structT) Name() string {
+func (t *structT) Extent() int { return t.extent }
+func (t *structT) Name() string {
 	return fmt.Sprintf("struct(%d fields)", len(t.fields))
 }
-func (t structT) walk(at int, fn func(off, n int, k Kind)) {
-	for _, f := range t.fields {
-		walkN(at+f.Offset, 1, 0, f.Count, f.Type, fn)
+func (t *structT) part(j, at int) (block, bool) {
+	if j >= len(t.fields) {
+		return block{}, false
 	}
+	f := t.fields[j]
+	return block{at + f.Offset, 1, 0, f.Count, f.Type}, true
 }
-func (t structT) dense() (Kind, int, bool) { return 0, 0, false }
+func (t *structT) dense() (Kind, int, bool) { return 0, 0, false }

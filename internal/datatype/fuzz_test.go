@@ -1,6 +1,8 @@
 package datatype
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -64,6 +66,48 @@ func FuzzDecode(f *testing.F) {
 			if err := Unpack(src, wire, 1, dt, LittleEndian); err != nil {
 				t.Fatalf("unpack: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzCursor drives the run cursor — the iterator under WalkN, PackInto,
+// Unpack, Compatible and core's deposits — over random nests of every
+// constructor, deeper than its inline stack, against the recursive
+// reference walk: the same runs in the same order once adjacent runs are
+// merged, never an empty one. It then checks Compatible's walk in step of
+// two such layouts against the signatures it no longer builds.
+func FuzzCursor(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), int64(2), uint8(1), uint8(3))
+	f.Add(int64(17), uint8(6), uint8(1), int64(17), uint8(6), uint8(1))
+	f.Add(int64(-5), uint8(0), uint8(0), int64(99), uint8(5), uint8(4))
+
+	f.Fuzz(func(t *testing.T, seedA int64, depthA, countA uint8, seedB int64, depthB, countB uint8) {
+		a := nestedType(rand.New(rand.NewSource(seedA)), int(depthA%7))
+		b := nestedType(rand.New(rand.NewSource(seedB)), int(depthB%7))
+		na, nb := int(countA%6), int(countB%6)
+		for _, c := range []struct {
+			count int
+			dt    Type
+		}{{na, a}, {nb, b}} {
+			var got []run
+			var cur Cursor
+			cur.Reset(c.count, c.dt)
+			for off, n, k, ok := cur.Next(); ok; off, n, k, ok = cur.Next() {
+				if n <= 0 {
+					t.Fatalf("%s x%d: empty run at %d", c.dt.Name(), c.count, off)
+				}
+				got = append(got, run{off, n, k})
+			}
+			if want := merged(refRuns(c.count, c.dt)); !reflect.DeepEqual(merged(got), want) {
+				t.Fatalf("%s x%d: cursor runs %v, reference %v", c.dt.Name(), c.count, merged(got), want)
+			}
+		}
+		want := SignatureOf(na, a).Equal(SignatureOf(nb, b))
+		if got := Compatible(na, a, nb, b); got != want {
+			t.Fatalf("Compatible(%d x %s, %d x %s) = %v, signatures equal = %v", na, a.Name(), nb, b.Name(), got, want)
+		}
+		if !Compatible(na, a, na, a) {
+			t.Fatalf("%d x %s is not compatible with itself", na, a.Name())
 		}
 	})
 }

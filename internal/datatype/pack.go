@@ -33,12 +33,14 @@ func PackInto(dst, src []byte, count int, t Type, order ByteOrder) error {
 	if need := ExtentOf(count, t); len(src) < need {
 		return fmt.Errorf("datatype: source buffer is %d bytes, type %s x%d spans %d", len(src), t.Name(), count, need)
 	}
+	var c Cursor
+	c.Reset(count, t)
 	pos := 0
-	WalkN(count, t, func(off, n int, k Kind) {
+	for off, n, k, ok := c.Next(); ok; off, n, k, ok = c.Next() {
 		w := k.Width()
 		copyRun(dst[pos:pos+n*w], src[off:off+n*w], w, order)
 		pos += n * w
-	})
+	}
 	if pos != len(dst) {
 		return fmt.Errorf("datatype: internal error: packed %d of %d bytes", pos, len(dst))
 	}
@@ -54,12 +56,14 @@ func Unpack(dst []byte, wire []byte, count int, t Type, order ByteOrder) error {
 	if need := ExtentOf(count, t); len(dst) < need {
 		return fmt.Errorf("datatype: destination buffer is %d bytes, type %s x%d spans %d", len(dst), t.Name(), count, need)
 	}
+	var c Cursor
+	c.Reset(count, t)
 	pos := 0
-	WalkN(count, t, func(off, n int, k Kind) {
+	for off, n, k, ok := c.Next(); ok; off, n, k, ok = c.Next() {
 		w := k.Width()
 		copyRun(dst[off:off+n*w], wire[pos:pos+n*w], w, order)
 		pos += n * w
-	})
+	}
 	if pos != len(wire) {
 		return fmt.Errorf("datatype: internal error: unpacked %d of %d bytes", pos, len(wire))
 	}
@@ -115,13 +119,41 @@ func (s Signature) Equal(o Signature) bool { return slices.Equal(s, o) }
 
 // Compatible reports whether a transfer of ocount instances of ot matches
 // tcount instances of tt — identical flattened element sequences. Two
-// dense sides are one run each, so kind and element total decide without
-// building signatures.
+// dense sides are one run each, so kind and element total decide, and one
+// type value against itself needs only the counts: the usual case of a
+// strided transfer, which would otherwise spend on the walk below all it
+// gains elsewhere (CHANGES.md, PR 23: strided_getput with and without).
+// Otherwise the two layouts are walked in step and compared run against
+// run. No signature is built.
 func Compatible(ocount int, ot Type, tcount int, tt Type) bool {
 	okind, on, odense := ot.dense()
 	tkind, tn, tdense := tt.dense()
 	if odense && tdense {
 		return ocount*on == tcount*tn && (okind == tkind || ocount*on == 0)
 	}
-	return SignatureOf(ocount, ot).Equal(SignatureOf(tcount, tt))
+	if ot == tt && ocount == tcount {
+		return true
+	}
+	var o, t Cursor
+	o.Reset(ocount, ot)
+	t.Reset(tcount, tt)
+	// on and tn are what is left of each side's current run.
+	on, tn = 0, 0
+	for {
+		var omore, tmore = true, true
+		if on == 0 {
+			_, on, okind, omore = o.Next()
+		}
+		if tn == 0 {
+			_, tn, tkind, tmore = t.Next()
+		}
+		if !omore || !tmore {
+			return omore == tmore
+		}
+		if okind != tkind {
+			return false
+		}
+		n := min(on, tn)
+		on, tn = on-n, tn-n
+	}
 }

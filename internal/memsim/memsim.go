@@ -472,20 +472,42 @@ func (m *Memory) CachedLines() int {
 	return len(m.cache)
 }
 
-// Snapshot returns a copy of the n bytes at off read directly from main
-// memory, bypassing all cache modelling. It is intended for test
-// verification only.
-func (m *Memory) Snapshot(off, n int) []byte {
+// View runs fn on the n bytes at off in main memory, under the memory lock
+// and without copying them: the read half of Update, for a caller that
+// packs or sends what it sees. It bypasses all cache modelling and counts
+// nothing. fn must neither keep cur nor write to it.
+func (m *Memory) View(off, n int, fn func(cur []byte)) error {
 	if err := m.check(off, n); err != nil {
-		panic(err)
+		return err
 	}
 	if m.stripes != nil {
 		m.lockRange(off, n)
-		out := append([]byte(nil), m.data[off:off+n]...)
+		fn(m.data[off : off+n])
 		m.unlockRange(off, n)
-		return out
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]byte(nil), m.data[off:off+n]...)
+	fn(m.data[off : off+n])
+	return nil
+}
+
+// RemoteView is View as the NIC reads: a range that checks out counts in
+// RemoteReads, like RemoteRead's.
+func (m *Memory) RemoteView(off, n int, fn func(cur []byte)) error {
+	if err := m.check(off, n); err != nil {
+		return err
+	}
+	m.RemoteReads.Inc()
+	return m.View(off, n, fn)
+}
+
+// Snapshot returns a copy of the n bytes at off read directly from main
+// memory, bypassing all cache modelling. It is intended for test
+// verification only.
+func (m *Memory) Snapshot(off, n int) (out []byte) {
+	if err := m.View(off, n, func(cur []byte) { out = append(out, cur...) }); err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -52,6 +52,32 @@ func TestBoundsChecks(t *testing.T) {
 	}
 }
 
+// TestViewCounting: View is uncounted, RemoteView counts as RemoteRead
+// does — a remote read per range that checks out, none for a rejected one.
+func TestViewCounting(t *testing.T) {
+	m := coherentMem(16)
+	if err := m.RemoteWrite(4, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	see := func(cur []byte) { got = append(got[:0], cur...) }
+	if err := m.View(4, 3, see); err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("View saw %v, %v", got, err)
+	}
+	if n := m.RemoteReads.Value(); n != 0 {
+		t.Errorf("View counted %d remote reads", n)
+	}
+	if err := m.RemoteView(4, 3, see); err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("RemoteView saw %v, %v", got, err)
+	}
+	if err := m.RemoteView(12, 8, see); err == nil {
+		t.Error("out-of-bounds remote view should fail")
+	}
+	if n := m.RemoteReads.Value(); n != 1 {
+		t.Errorf("one good and one rejected RemoteView counted %d remote reads, want 1", n)
+	}
+}
+
 func TestCoherentRemoteVisibleLocally(t *testing.T) {
 	m := coherentMem(64)
 	if err := m.RemoteWrite(0, []byte{1, 2, 3, 4}); err != nil {

@@ -1,0 +1,134 @@
+package rma_test
+
+import (
+	gort "runtime"
+	"testing"
+
+	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
+	"mpi3rma/rma"
+)
+
+// facadeVec is the benchmark's strided shape.
+var facadeVec = rma.Vector(8, 1, 2, rma.Int64)
+
+// facadeCtx is what a row of the facade's allocation table works with, on
+// the origin rank.
+type facadeCtx struct {
+	t         *testing.T
+	s, target *rma.Session
+	tm        rma.TargetMem
+	src, dst  rma.Region
+	issued    int64 // operations issued so far; settle waits for the target to have applied them
+	notified  int64 // of those, the ones that come back as a notification
+}
+
+// settle returns once the target has applied everything issued and the
+// origin has handled every notification owed, so both ranks' handler
+// allocations fall inside the measurement that issued the operation.
+func (c *facadeCtx) settle() {
+	c.issued++
+	for c.target.Engine().OpsApplied.Value() < c.issued || c.s.Engine().Notifies.Value() < c.notified {
+		gort.Gosched()
+	}
+}
+
+func (c *facadeCtx) put(opts ...rma.OpOption) {
+	req, err := c.s.Put(c.src, 1, rma.Int64, c.tm, 0, opts...)
+	if err != nil {
+		c.t.Fatalf("put: %v", err)
+	}
+	req.Wait()
+	c.settle()
+}
+
+// facadeAllocs is internal/core's allocation table (allocTable there, and
+// DESIGN.md §5) asserted again where users call: the option list of a
+// transfer folds into its attributes without leaving the caller's stack, so
+// every primitive costs through the facade exactly what it costs the
+// engine. `make allocs` prints both.
+var facadeAllocs = []struct {
+	name string
+	mech serializer.Mechanism
+	want float64
+	op   func(c *facadeCtx)
+}{
+	{"put", serializer.MechThread, 2, func(c *facadeCtx) { c.put() }},
+	{"put notify", serializer.MechThread, 3, func(c *facadeCtx) {
+		c.notified++
+		req, err := c.s.PutNotify(c.src, 1, rma.Int64, c.tm, 0)
+		if err != nil {
+			c.t.Fatalf("put notify: %v", err)
+		}
+		req.Wait()
+		c.settle()
+	}},
+	{"put remote-complete", serializer.MechThread, 3, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
+	{"put atomic (thread)", serializer.MechThread, 2, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 5, func(c *facadeCtx) {
+		if _, err := c.s.Get(c.dst, 8, facadeVec, c.tm, 0, rma.WithBlocking()); err != nil {
+			c.t.Fatalf("get: %v", err)
+		}
+		c.settle()
+	}},
+	{"fetch word", serializer.MechThread, 3, func(c *facadeCtx) {
+		if _, err := c.s.FetchWord(c.tm, 0); err != nil {
+			c.t.Fatalf("fetch word: %v", err)
+		}
+		c.settle()
+	}},
+	{"compare-and-swap", serializer.MechThread, 3, func(c *facadeCtx) {
+		if _, err := c.s.CompareSwap(c.tm, 0, 0, 1); err != nil {
+			c.t.Fatalf("compare-and-swap: %v", err)
+		}
+		c.settle()
+	}},
+	{"fetch-and-add", serializer.MechThread, 3, func(c *facadeCtx) {
+		if _, err := c.s.FetchAdd(c.tm, 0, 1); err != nil {
+			c.t.Fatalf("fetch-and-add: %v", err)
+		}
+		c.settle()
+	}},
+}
+
+// TestFacadeAllocsPerPrimitive asserts every row of facadeAllocs with ==.
+func TestFacadeAllocsPerPrimitive(t *testing.T) {
+	for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock} {
+		var target *rma.Session
+		world := runtime.NewWorld(runtime.Config{Ranks: 2})
+		err := world.Run(func(p *runtime.Proc) {
+			s := rma.Open(p, rma.WithAtomicity(mech))
+			if p.Rank() == 0 {
+				target = s
+				tm, _ := s.Expose(facadeVec.Extent() * 8)
+				p.Send(1, 0, tm.Encode())
+				p.Barrier() // origin done measuring
+				return
+			}
+			enc, _ := p.Recv(0, 0)
+			tm, err := rma.DecodeTargetMem(enc)
+			if err != nil {
+				t.Fatalf("decode descriptor: %v", err)
+			}
+			c := &facadeCtx{t: t, s: s, target: target, tm: tm, src: p.Alloc(8), dst: p.Alloc(facadeVec.Extent() * 8)}
+			for _, row := range facadeAllocs {
+				if row.mech != mech {
+					continue
+				}
+				run := func() { row.op(c) }
+				run() // warm free lists and lazy state before measuring
+				got := testing.AllocsPerRun(50, run)
+				t.Logf("%-30s %2.0f allocs/op", row.name, got)
+				if got != row.want {
+					t.Errorf("%s costs %v allocs/op through the facade, want exactly %v", row.name, got, row.want)
+				}
+			}
+			p.Barrier()
+		})
+		world.Close()
+		if err != nil {
+			t.Fatalf("world: %v", err)
+		}
+	}
+}

@@ -34,7 +34,9 @@ type SessionOption interface {
 // CompareSwap, ...). Attribute options are OpOptions; WithTargetLayout is
 // the one operation-only non-attribute option.
 type OpOption interface {
-	applyOp(*opConfig)
+	// applyOp folds the option into c. It takes and returns the config by
+	// value so a transfer call's config stays on its stack.
+	applyOp(c opConfig) opConfig
 }
 
 // AttrOption is a per-operation attribute usable in both positions: as an
@@ -44,7 +46,10 @@ type OpOption interface {
 type AttrOption core.Attr
 
 func (a AttrOption) applySession(c *sessionConfig) { c.attrs |= core.Attr(a) }
-func (a AttrOption) applyOp(c *opConfig)           { c.attrs |= core.Attr(a) }
+func (a AttrOption) applyOp(c opConfig) opConfig {
+	c.attrs |= core.Attr(a)
+	return c
+}
 
 // Option is the pre-split any-position option type.
 //
@@ -60,10 +65,16 @@ type sessionOption func(*sessionConfig)
 
 func (f sessionOption) applySession(c *sessionConfig) { f(c) }
 
-// opOption adapts a config mutator into an OpOption (WithTargetLayout).
-type opOption func(*opConfig)
+// layoutOption is WithTargetLayout's OpOption.
+type layoutOption struct {
+	tcount int
+	tdt    Type
+}
 
-func (f opOption) applyOp(c *opConfig) { f(c) }
+func (l layoutOption) applyOp(c opConfig) opConfig {
+	c.tcount, c.tdt = l.tcount, l.tdt
+	return c
+}
 
 // sessionConfig collects everything Open can install.
 type sessionConfig struct {
@@ -100,7 +111,7 @@ func buildSessionConfig(opts []SessionOption) sessionConfig {
 func buildOpConfig(opts []OpOption) opConfig {
 	var c opConfig
 	for _, o := range opts {
-		o.applyOp(&c)
+		c = o.applyOp(c)
 	}
 	return c
 }
@@ -153,7 +164,7 @@ func WithStrictDebug() AttrOption { return AttrOption(core.StrictDebugAttrs) }
 // origin's (e.g. scattering a contiguous origin buffer into a Vector).
 // The type signatures must still match element-wise.
 func WithTargetLayout(tcount int, tdt Type) OpOption {
-	return opOption(func(c *opConfig) { c.tcount, c.tdt = tcount, tdt })
+	return layoutOption{tcount, tdt}
 }
 
 // WithBatch enables origin-side operation batching: up to maxOps small

@@ -353,7 +353,9 @@ func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp in
 // operation's application on a delivery counter, feeding Complete's
 // probe-free fast path.
 func (s *Session) PutNotify(origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
-	return s.Put(origin, count, dt, dst, tdisp, append(opts, OpOption(WithNotify()))...)
+	c := buildOpConfig(opts)
+	tcount, tdt := c.targetLayout(count, dt)
+	return s.eng.PutNotify(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.comm, c.attrs)
 }
 
 // Get transfers count elements of dt from src at byte displacement tdisp
