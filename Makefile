@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake loc
+.PHONY: check build vet lint lint-json layering test race allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke benchmark-check flake loc
 
-# check is the PR gate: vet, the rmalint static analyzers, build, full
-# tests, the race detector over every package, the per-primitive
-# allocation tables, a short E13 smoke bench proving batching still pays,
-# an E14 smoke bench proving the sharded apply engine still scales, a
-# telemetry smoke run proving the JSON exporters parse, a profiling smoke
-# run proving the critical-path and pprof sidecars come out attributable,
-# the seeded chaos fault matrix under the race detector, and the repository
-# benchmark's own vet and quick pass.
-check: lint build test race allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
+# check is the PR gate: vet, the rmalint static analyzers, the package
+# layering rule, build, full tests, the race detector over every package,
+# the per-primitive allocation tables, a short E13 smoke bench proving
+# batching still pays, an E14 smoke bench proving the sharded apply engine
+# still scales, a telemetry smoke run proving the JSON exporters parse, a
+# profiling smoke run proving the critical-path and pprof sidecars come out
+# attributable, the seeded chaos fault matrix under the race detector, and
+# the repository benchmark's own vet and quick pass.
+check: lint layering build test race allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,16 @@ vet:
 # deprecated); see cmd/rmalint.
 lint: vet
 	$(GO) run ./cmd/rmalint ./...
+
+# layering keeps the engine behind the facade: no package but rma, the
+# checker and the bench harness may import internal/core (core's own tests
+# aside). The compatibility layers, examples and tools ride rma.Session,
+# so they show the interface — not the engine — can host them.
+layering:
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk '$$1 !~ /^mpi3rma\/(rma|internal\/(checker|bench))$$/ { \
+		for (i = 2; i <= NF; i++) if ($$i == "mpi3rma/internal/core") print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "layering: only rma, internal/checker and internal/bench may import mpi3rma/internal/core, but so do:" >&2; echo "$$bad" >&2; exit 1; fi; \
+	echo "layering: ok"
 
 # lint-json emits the versioned machine-readable findings report (CI
 # uploads it as an artifact so suppression counts stay auditable even on

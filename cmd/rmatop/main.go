@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mpi3rma/internal/core"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/telemetry"
@@ -85,11 +84,14 @@ func main() {
 			simnet.RankKill{Rank: *kill, At: vtime.Time(150 * time.Microsecond)})
 	}
 	w := runtime.NewWorld(cfg)
+	// Each rank publishes its session here once open, so the console
+	// goroutine can read its health.
+	sessions := make([]atomic.Pointer[rma.Session], w.TotalRanks())
 
 	var stop atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		done <- w.Run(func(p *runtime.Proc) { workload(p, *shards, *diagDir, *kill, &stop) })
+		done <- w.Run(func(p *runtime.Proc) { workload(p, &sessions[p.Rank()], *shards, *diagDir, *kill, &stop) })
 	}()
 
 	sig := make(chan os.Signal, 1)
@@ -104,7 +106,7 @@ func main() {
 			running = false
 		case <-ticker.C:
 			frame++
-			render(w, frame, *plain)
+			render(w, sessions, frame, *plain)
 			if *frames > 0 && frame >= *frames {
 				running = false
 			}
@@ -125,7 +127,7 @@ func main() {
 // same descriptor at the successor spare. The real-time sleep paces the
 // loop so the console stays responsive and the simulation does not spin
 // a core per rank.
-func workload(p *runtime.Proc, shards int, diagDir string, kill int, stop *atomic.Bool) {
+func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], shards int, diagDir string, kill int, stop *atomic.Bool) {
 	opts := []rma.SessionOption{
 		rma.WithMetrics(),
 		rma.WithTracing(4096),
@@ -139,6 +141,7 @@ func workload(p *runtime.Proc, shards int, diagDir string, kill int, stop *atomi
 		opts = append(opts, rma.WithReplication())
 	}
 	s := rma.Open(p, opts...)
+	publish.Store(s)
 	if p.IsSpare() {
 		// Parked in the spare pool; after the rebuild the NIC agent serves
 		// the redirected ring traffic, so this goroutine only has to stay
@@ -191,7 +194,7 @@ func workload(p *runtime.Proc, shards int, diagDir string, kill int, stop *atomi
 
 // render draws one frame: a per-rank health table plus the current top
 // critical-path stages of the merged timeline.
-func render(w *runtime.World, frame int, plain bool) {
+func render(w *runtime.World, sessions []atomic.Pointer[rma.Session], frame int, plain bool) {
 	var b strings.Builder
 	if !plain {
 		b.WriteString("\033[H\033[2J")
@@ -213,12 +216,12 @@ func render(w *runtime.World, frame int, plain bool) {
 		if r < len(states) {
 			live = states[r].String()
 		}
-		eng := core.Attached(w.Proc(r))
-		if eng == nil {
+		s := sessions[r].Load()
+		if s == nil {
 			fmt.Fprintf(&b, "%-5d %-11s %s\n", r, live, "(attaching)")
 			continue
 		}
-		h := eng.Health()
+		h := s.Health()
 		links := "-"
 		if len(h.Links) > 0 {
 			parts := make([]string, 0, len(h.Links))
@@ -275,7 +278,7 @@ func render(w *runtime.World, frame int, plain bool) {
 			}
 			fmt.Fprintf(&b, "      waits: %s\n", strings.Join(parts, ", "))
 		}
-		if ring := eng.Tracer(); ring != nil {
+		if ring := s.Tracer(); ring != nil {
 			perRank[r] = ring.Snapshot()
 		}
 	}

@@ -63,7 +63,7 @@ func main() {
 			}
 		}
 		p.WriteLocal(aRegion, 0, buf)
-		ac.Barrier(comm)
+		ac.Barrier()
 
 		// Assemble my block of At: row gi of At is column gi of A.
 		// Column gi at owner r is rowsPer elements with stride n*8 —
@@ -76,13 +76,13 @@ func main() {
 					armci.StridedSpec{Off: (li*n + owner*rowsPer) * 8, Strides: []int{8}},
 					aTMs[owner],
 					armci.StridedSpec{Off: gi * 8, Strides: []int{n * 8}},
-					8, []int{rowsPer}, owner, comm)
+					8, []int{rowsPer})
 				if err != nil {
 					log.Fatal(err)
 				}
 			}
 		}
-		ac.Barrier(comm)
+		ac.Barrier()
 
 		// Verify: At[i][j] must equal A[j][i] = j*n + i.
 		got := p.ReadLocal(atRegion, 0, blockBytes)

@@ -21,9 +21,8 @@ import (
 	"log"
 	"time"
 
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 const (
@@ -36,15 +35,15 @@ func main() {
 	defer world.Close()
 
 	err := world.Run(func(p *runtime.Proc) {
-		rma := core.Attach(p, core.Options{})
+		s := rma.Open(p)
 		comm := p.Comm()
 		me := p.Rank()
 
 		// Rank 0 owns the counter (8B), a per-rank work tally
 		// (ranks x 8B), and the election flag (8B).
-		var tm core.TargetMem
+		var tm rma.TargetMem
 		if me == 0 {
-			tm, _ = rma.ExposeNew(8 + ranks*8 + 8)
+			tm, _ = s.Expose(8 + ranks*8 + 8)
 			enc := tm.Encode()
 			for r := 1; r < ranks; r++ {
 				p.Send(r, 0, enc)
@@ -52,7 +51,7 @@ func main() {
 		} else {
 			enc, _ := p.Recv(0, 0)
 			var err error
-			tm, err = core.DecodeTargetMem(enc)
+			tm, err = rma.DecodeTargetMem(enc)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -66,7 +65,7 @@ func main() {
 		// Everyone (including rank 0) works the task pool.
 		grabbed := 0
 		for {
-			id, err := rma.FetchAdd(tm, offCounter, 1, 0, comm, core.AttrNone)
+			id, err := s.FetchAdd(tm, offCounter, 1)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -86,17 +85,16 @@ func main() {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], uint64(grabbed))
 		p.WriteLocal(src, 0, b[:])
-		if _, err := rma.Accumulate(core.AccSum, src, 1, datatype.Int64,
-			tm, offTally+me*8, 1, datatype.Int64,
-			0, comm, core.AttrAtomic|core.AttrBlocking); err != nil {
+		if _, err := s.Accumulate(rma.Sum, src, 1, rma.Int64, tm, offTally+me*8,
+			rma.WithAtomic(), rma.WithBlocking()); err != nil {
 			log.Fatal(err)
 		}
-		if err := rma.CompleteCollective(comm); err != nil {
+		if err := s.CompleteCollective(); err != nil {
 			log.Fatal(err)
 		}
 
 		// Conditional RMW: first rank to swap 0->rank+1 wins reporting.
-		old, err := rma.CompareSwap(tm, offElect, 0, int64(me+1), 0, comm, core.AttrNone)
+		old, err := s.CompareSwap(tm, offElect, 0, int64(me+1))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,11 +17,10 @@ import (
 	"fmt"
 	"log"
 
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/mpi2rma"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/vtime"
+	"mpi3rma/rma"
 )
 
 const payload = 256
@@ -32,8 +31,8 @@ func main() {
 	defer world.Close()
 
 	err := world.Run(func(p *runtime.Proc) {
-		r2 := mpi2rma.Attach(p, mpi2rma.Options{})
-		rma := r2.Engine()
+		r2 := mpi2rma.Attach(p)
+		s := rma.Open(p)
 		comm := p.Comm()
 		me := p.Rank()
 		region := p.Alloc(payload)
@@ -55,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if me != 0 {
-			if err := win.Put(src, payload, datatype.Byte, 0, 0, payload, datatype.Byte); err != nil {
+			if err := win.Put(src, payload, rma.Byte, 0, 0, payload, rma.Byte); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -78,7 +77,7 @@ func main() {
 			if err := win.Start([]int{0}); err != nil {
 				log.Fatal(err)
 			}
-			if err := win.Put(src, payload, datatype.Byte, 0, 0, payload, datatype.Byte); err != nil {
+			if err := win.Put(src, payload, rma.Byte, 0, 0, payload, rma.Byte); err != nil {
 				log.Fatal(err)
 			}
 			if err := win.Complete(); err != nil {
@@ -94,7 +93,7 @@ func main() {
 			if err := win.Lock(mpi2rma.LockShared, 0); err != nil {
 				log.Fatal(err)
 			}
-			if err := win.Put(src, payload, datatype.Byte, 0, 0, payload, datatype.Byte); err != nil {
+			if err := win.Put(src, payload, rma.Byte, 0, 0, payload, rma.Byte); err != nil {
 				log.Fatal(err)
 			}
 			if err := win.Unlock(0); err != nil {
@@ -107,23 +106,14 @@ func main() {
 		// --- The strawman alternative: one blocking put ----------------
 		// Same bytes moved, no epochs anywhere; Complete only when the
 		// origin actually needs remote completion.
-		tm := rma.Expose(region)
-		descs := comm.Gather(0, tm.Encode())
-		var flat []byte
-		if me == 0 {
-			for _, d := range descs {
-				flat = append(flat, d...)
-			}
-		}
-		flat = comm.Bcast(0, flat)
-		tm0, err := core.DecodeTargetMem(flat[:len(flat)/3])
+		tms, err := s.Exchange(s.ExposeRegion(region))
 		if err != nil {
 			log.Fatal(err)
 		}
 		comm.Barrier()
 		start = p.Now()
 		if me != 0 {
-			if _, err := rma.Put(src, payload, datatype.Byte, tm0, 0, payload, datatype.Byte, 0, comm, core.AttrBlocking); err != nil {
+			if _, err := s.Put(src, payload, rma.Byte, tms[0], 0, rma.WithBlocking()); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -131,10 +121,10 @@ func main() {
 		comm.Barrier()
 		start = p.Now()
 		if me != 0 {
-			if _, err := rma.Put(src, payload, datatype.Byte, tm0, 0, payload, datatype.Byte, 0, comm, core.AttrBlocking); err != nil {
+			if _, err := s.Put(src, payload, rma.Byte, tms[0], 0, rma.WithBlocking()); err != nil {
 				log.Fatal(err)
 			}
-			if err := rma.Complete(comm, 0); err != nil {
+			if err := s.Complete(0); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -21,10 +21,9 @@ import (
 	"fmt"
 	"log"
 
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 func run(coherent bool) {
@@ -46,10 +45,9 @@ func run(coherent bool) {
 	defer world.Close()
 
 	err := world.Run(func(p *runtime.Proc) {
-		rma := core.Attach(p, core.Options{})
-		comm := p.Comm()
+		s := rma.Open(p)
 		if p.Rank() == 0 {
-			tm, region := rma.ExposeNew(64)
+			tm, region := s.Expose(64)
 			p.WriteLocal(region, 0, []byte{11})
 			// Prime the scalar cache.
 			before := p.ReadLocal(region, 0, 1)[0]
@@ -68,16 +66,16 @@ func run(coherent bool) {
 			return
 		}
 		enc, _ := p.Recv(0, 0)
-		tm, err := core.DecodeTargetMem(enc)
+		tm, err := rma.DecodeTargetMem(enc)
 		if err != nil {
 			log.Fatal(err)
 		}
 		src := p.Alloc(1)
 		p.WriteLocal(src, 0, []byte{42})
-		if _, err := rma.Put(src, 1, datatype.Byte, tm, 0, 1, datatype.Byte, 0, comm, core.AttrBlocking); err != nil {
+		if _, err := s.Put(src, 1, rma.Byte, tm, 0, rma.WithBlocking()); err != nil {
 			log.Fatal(err)
 		}
-		if err := rma.Complete(comm, 0); err != nil {
+		if err := s.Complete(0); err != nil {
 			log.Fatal(err)
 		}
 		p.Send(0, 1, nil)

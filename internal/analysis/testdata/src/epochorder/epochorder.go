@@ -7,7 +7,7 @@ import (
 )
 
 func unlockWithoutLock(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -36,7 +36,7 @@ func distinctRanksAreFine(w *mpi2rma.Win) {
 }
 
 func completeWithoutStart(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -45,7 +45,7 @@ func completeWithoutStart(p *runtime.Proc) {
 }
 
 func waitWithoutPost(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -81,7 +81,7 @@ func useAfterFree(w *mpi2rma.Win) {
 }
 
 func accessOutsideEpoch(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -91,7 +91,7 @@ func accessOutsideEpoch(p *runtime.Proc) {
 }
 
 func accessInsideFenceIsFine(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -141,7 +141,7 @@ func suppressed(w *mpi2rma.Win) {
 // deferred Unlock must not close the epoch before the Put that follows
 // it textually.
 func deferUnlockIsFine(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -155,7 +155,7 @@ func deferUnlockIsFine(p *runtime.Proc) {
 // A deferred Unlock with no lock ever taken is still a violation — it is
 // applied (and reported) at the point the list ends.
 func deferUnlockWithoutLock(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -166,7 +166,7 @@ func deferUnlockWithoutLock(p *runtime.Proc) {
 // Defers run LIFO: the Unlock defer registered last runs first, so the
 // pair below balances exactly once in the right order.
 func deferLifoIsFine(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return

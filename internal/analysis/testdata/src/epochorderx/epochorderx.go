@@ -21,7 +21,7 @@ func closeWin(w *mpi2rma.Win) {
 // the helper's spliced Unlock is a definite violation, reported at the
 // call site.
 func unlockViaHelperWithoutLock(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -58,7 +58,7 @@ func closeRank2(w *mpi2rma.Win) {
 // summary would end with the lock still open and the Free would be a
 // false positive.
 func freeAfterBalancedHelperIsFine(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return
@@ -70,7 +70,7 @@ func freeAfterBalancedHelperIsFine(p *runtime.Proc) {
 // makeWin creates and returns a window: callers know it starts with every
 // epoch closed.
 func makeWin(p *runtime.Proc) *mpi2rma.Win {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, _ := r.WinCreate(p.Comm(), p.Alloc(64))
 	return w
 }
@@ -96,7 +96,7 @@ func escapeHelper(w *mpi2rma.Win) {
 // unknown; the Unlock that would have been a definite violation must not
 // be reported.
 func escapeResetsState(p *runtime.Proc) {
-	r := mpi2rma.Attach(p, mpi2rma.Options{})
+	r := mpi2rma.Attach(p)
 	w, err := r.WinCreate(p.Comm(), p.Alloc(64))
 	if err != nil {
 		return

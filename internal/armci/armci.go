@@ -14,26 +14,25 @@
 //     previous operations.
 //   - Memory participates via collective allocation (ARMCI_Malloc).
 //
-// The implementation maps each rule onto strawman attributes — the mapping
-// itself documents the paper's claim that the strawman subsumes ARMCI
-// (blocking⇒Blocking|Ordering, accumulate⇒Atomic, fence⇒Complete) — while
-// the strawman additionally offers what ARMCI cannot express: blocking
-// *unordered* operations and completion checks for operation subsets.
+// The implementation is a client of the public rma facade alone and maps
+// each rule onto strawman attributes — the mapping itself documents the
+// paper's claim that the strawman interface subsumes ARMCI
+// (blocking⇒WithBlocking+WithOrdering, accumulate⇒WithAtomic,
+// fence⇒Complete) — while the strawman additionally offers what ARMCI
+// cannot express: blocking *unordered* operations and completion checks for
+// operation subsets. Remote memory is named by its descriptor alone: a
+// TargetMem carries its owner's rank.
 package armci
 
 import (
-	"fmt"
-
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/datatype"
-	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 // ARMCI is one rank's ARMCI library state.
 type ARMCI struct {
 	proc *runtime.Proc
-	eng  *core.Engine
+	s    *rma.Session
 }
 
 // extKey is the Proc extension slot.
@@ -42,140 +41,73 @@ const extKey = "armci"
 // Attach returns the rank's ARMCI layer, creating it on first use.
 func Attach(p *runtime.Proc) *ARMCI {
 	return p.Ext(extKey, func() any {
-		return &ARMCI{proc: p, eng: core.Attach(p, core.Options{})}
+		return &ARMCI{proc: p, s: rma.Open(p)}
 	}).(*ARMCI)
-}
-
-// Handle tracks a nonblocking operation (ARMCI's armci_hdl_t).
-type Handle struct {
-	req *core.Request
-}
-
-// Wait blocks until the operation is locally complete (ARMCI_Wait).
-func (h *Handle) Wait() {
-	if h != nil && h.req != nil {
-		h.req.Wait()
-	}
-}
-
-// Test reports whether the operation is complete (ARMCI_Test).
-func (h *Handle) Test() bool {
-	if h == nil || h.req == nil {
-		return true
-	}
-	return h.req.Test()
 }
 
 // Malloc is ARMCI_Malloc: every member of comm contributes size bytes and
 // receives the descriptors of all members' allocations, indexed by comm
 // rank. The local region is returned alongside.
-func (a *ARMCI) Malloc(comm *runtime.Comm, size int) ([]core.TargetMem, memsim.Region, error) {
-	tm, region := a.eng.ExposeNew(size)
-	parts := comm.Gather(0, tm.Encode())
-	var flat []byte
-	if comm.Rank() == 0 {
-		for _, part := range parts {
-			flat = append(flat, part...)
-		}
-	}
-	flat = comm.Bcast(0, flat)
-	n := comm.Size()
-	if n == 0 || len(flat)%n != 0 {
-		return nil, memsim.Region{}, fmt.Errorf("armci: malloc exchange returned %d bytes for %d ranks", len(flat), n)
-	}
-	per := len(flat) / n
-	tms := make([]core.TargetMem, n)
-	for i := 0; i < n; i++ {
-		var err error
-		tms[i], err = core.DecodeTargetMem(flat[i*per : (i+1)*per])
-		if err != nil {
-			return nil, memsim.Region{}, err
-		}
-	}
-	return tms, region, nil
+func (a *ARMCI) Malloc(comm *runtime.Comm, size int) ([]rma.TargetMem, rma.Region, error) {
+	return a.s.On(comm).ExposeCollective(size)
 }
 
-// blockingAttrs are ARMCI's blocking-call semantics: single-call (the
-// strawman Blocking attribute) and ordered (the library orders all
-// blocking operations).
-const blockingAttrs = core.AttrBlocking | core.AttrOrdering
-
-// Put copies n bytes from src (at srcOff) into rank's memory at dstOff —
-// ARMCI_Put. Blocking and ordered.
-func (a *ARMCI) Put(src memsim.Region, srcOff int, dst core.TargetMem, dstOff, n, rank int, comm *runtime.Comm) error {
-	_, err := a.eng.Put(sub(src, srcOff, n), n, datatype.Byte, dst, dstOff, n, datatype.Byte, rank, comm, blockingAttrs)
+// Put copies n bytes from src (at srcOff) into dst at dstOff — ARMCI_Put.
+// Blocking and ordered.
+func (a *ARMCI) Put(src rma.Region, srcOff int, dst rma.TargetMem, dstOff, n int) error {
+	_, err := a.s.Put(sub(src, srcOff, n), n, rma.Byte, dst, dstOff, rma.WithBlocking(), rma.WithOrdering())
 	return err
 }
 
-// PutNB is ARMCI_NbPut: nonblocking and unordered.
-func (a *ARMCI) PutNB(src memsim.Region, srcOff int, dst core.TargetMem, dstOff, n, rank int, comm *runtime.Comm) (*Handle, error) {
-	req, err := a.eng.Put(sub(src, srcOff, n), n, datatype.Byte, dst, dstOff, n, datatype.Byte, rank, comm, core.AttrNone)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{req: req}, nil
+// PutNB is ARMCI_NbPut: nonblocking and unordered. Wait or Test the
+// returned request (ARMCI_Wait / ARMCI_Test).
+func (a *ARMCI) PutNB(src rma.Region, srcOff int, dst rma.TargetMem, dstOff, n int) (*rma.Request, error) {
+	return a.s.Put(sub(src, srcOff, n), n, rma.Byte, dst, dstOff)
 }
 
-// Get copies n bytes from rank's memory at srcOff into dst at dstOff —
-// ARMCI_Get. Blocking.
-func (a *ARMCI) Get(dst memsim.Region, dstOff int, src core.TargetMem, srcOff, n, rank int, comm *runtime.Comm) error {
-	_, err := a.eng.Get(sub(dst, dstOff, n), n, datatype.Byte, src, srcOff, n, datatype.Byte, rank, comm, blockingAttrs)
+// Get copies n bytes from src at srcOff into dst at dstOff — ARMCI_Get.
+// Blocking.
+func (a *ARMCI) Get(dst rma.Region, dstOff int, src rma.TargetMem, srcOff, n int) error {
+	_, err := a.s.Get(sub(dst, dstOff, n), n, rma.Byte, src, srcOff, rma.WithBlocking(), rma.WithOrdering())
 	return err
 }
 
 // GetNB is ARMCI_NbGet.
-func (a *ARMCI) GetNB(dst memsim.Region, dstOff int, src core.TargetMem, srcOff, n, rank int, comm *runtime.Comm) (*Handle, error) {
-	req, err := a.eng.Get(sub(dst, dstOff, n), n, datatype.Byte, src, srcOff, n, datatype.Byte, rank, comm, core.AttrNone)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{req: req}, nil
+func (a *ARMCI) GetNB(dst rma.Region, dstOff int, src rma.TargetMem, srcOff, n int) (*rma.Request, error) {
+	return a.s.Get(sub(dst, dstOff, n), n, rma.Byte, src, srcOff)
 }
 
 // Acc is ARMCI_Acc: remote[i] += scale * local[i] over float64 elements —
 // the daxpy-style accumulate, serialized (atomic) per ARMCI semantics.
 // count is the number of float64 elements.
-func (a *ARMCI) Acc(scale float64, src memsim.Region, srcOff int, dst core.TargetMem, dstOff, count, rank int, comm *runtime.Comm) error {
-	_, err := a.eng.AccumulateAxpy(scale,
-		sub(src, srcOff, count*8), count, datatype.Float64,
-		dst, dstOff, count, datatype.Float64,
-		rank, comm, blockingAttrs|core.AttrAtomic)
+func (a *ARMCI) Acc(scale float64, src rma.Region, srcOff int, dst rma.TargetMem, dstOff, count int) error {
+	_, err := a.s.AccumulateAxpy(scale, sub(src, srcOff, count*8), count, rma.Float64, dst, dstOff,
+		rma.WithBlocking(), rma.WithOrdering(), rma.WithAtomic())
 	return err
 }
 
 // AccNB is the nonblocking accumulate (still serialized at the target).
-func (a *ARMCI) AccNB(scale float64, src memsim.Region, srcOff int, dst core.TargetMem, dstOff, count, rank int, comm *runtime.Comm) (*Handle, error) {
-	req, err := a.eng.AccumulateAxpy(scale,
-		sub(src, srcOff, count*8), count, datatype.Float64,
-		dst, dstOff, count, datatype.Float64,
-		rank, comm, core.AttrAtomic)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{req: req}, nil
+func (a *ARMCI) AccNB(scale float64, src rma.Region, srcOff int, dst rma.TargetMem, dstOff, count int) (*rma.Request, error) {
+	return a.s.AccumulateAxpy(scale, sub(src, srcOff, count*8), count, rma.Float64, dst, dstOff, rma.WithAtomic())
 }
 
 // Fence is ARMCI_Fence: blocks until all operations issued to rank are
 // remotely complete.
-func (a *ARMCI) Fence(comm *runtime.Comm, rank int) error {
-	return a.eng.Complete(comm, rank)
-}
+func (a *ARMCI) Fence(rank int) error { return a.s.Complete(rank) }
 
 // AllFence is ARMCI_AllFence: remote completion at every rank.
-func (a *ARMCI) AllFence(comm *runtime.Comm) error {
-	return a.eng.Complete(comm, core.AllRanks)
-}
+func (a *ARMCI) AllFence() error { return a.s.Complete() }
 
 // Barrier is ARMCI_Barrier: AllFence plus a barrier.
-func (a *ARMCI) Barrier(comm *runtime.Comm) error {
-	if err := a.AllFence(comm); err != nil {
+func (a *ARMCI) Barrier() error {
+	if err := a.AllFence(); err != nil {
 		return err
 	}
-	comm.Barrier()
+	a.proc.Barrier()
 	return nil
 }
 
 // sub narrows a region to [off, off+n).
-func sub(r memsim.Region, off, n int) memsim.Region {
-	return memsim.Region{Offset: r.Offset + off, Size: n}
+func sub(r rma.Region, off, n int) rma.Region {
+	return rma.Region{Offset: r.Offset + off, Size: n}
 }

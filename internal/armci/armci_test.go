@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 func newWorld(t *testing.T, ranks int) *runtime.World {
@@ -47,8 +48,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 64)
+		tms, region, err := a.Malloc(p.Comm(), 64)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -56,23 +56,23 @@ func TestPutGetRoundtrip(t *testing.T) {
 		if p.Rank() == 1 {
 			src := p.Alloc(32)
 			p.WriteLocal(src, 0, bytes.Repeat([]byte{0xAA}, 32))
-			if err := a.Put(src, 0, tms[0], 16, 32, 0, comm); err != nil {
+			if err := a.Put(src, 0, tms[0], 16, 32); err != nil {
 				t.Errorf("put: %v", err)
 			}
 			// Blocking put is ordered but only locally complete; fence for
 			// remote completion.
-			if err := a.Fence(comm, 0); err != nil {
+			if err := a.Fence(0); err != nil {
 				t.Errorf("fence: %v", err)
 			}
 			dst := p.Alloc(32)
-			if err := a.Get(dst, 0, tms[0], 16, 32, 0, comm); err != nil {
+			if err := a.Get(dst, 0, tms[0], 16, 32); err != nil {
 				t.Errorf("get: %v", err)
 			}
 			if got := p.ReadLocal(dst, 0, 32); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, 32)) {
 				t.Error("get returned wrong data")
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 0 {
 			got := p.Mem().Snapshot(region.Offset+16, 32)
 			if !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, 32)) {
@@ -89,17 +89,16 @@ func TestNonblockingHandles(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, _, err := a.Malloc(comm, 256)
+		tms, _, err := a.Malloc(p.Comm(), 256)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
 		}
 		if p.Rank() == 1 {
 			src := p.Alloc(256)
-			var handles []*Handle
+			var handles []*rma.Request
 			for i := 0; i < 4; i++ {
-				h, err := a.PutNB(src, 0, tms[0], 0, 64, 0, comm)
+				h, err := a.PutNB(src, 0, tms[0], 0, 64)
 				if err != nil {
 					t.Errorf("putnb: %v", err)
 					return
@@ -113,19 +112,16 @@ func TestNonblockingHandles(t *testing.T) {
 				}
 			}
 			dst := p.Alloc(64)
-			h, err := a.GetNB(dst, 0, tms[0], 0, 64, 0, comm)
+			h, err := a.GetNB(dst, 0, tms[0], 0, 64)
 			if err != nil {
 				t.Errorf("getnb: %v", err)
 				return
 			}
-			h.Wait()
-			var nilH *Handle
-			nilH.Wait() // nil handle wait must be a no-op
-			if !nilH.Test() {
-				t.Error("nil handle should test complete")
+			if err := h.Await(); err != nil {
+				t.Errorf("getnb: %v", err)
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +136,7 @@ func TestAccDaxpy(t *testing.T) {
 	w := newWorld(t, origins+1)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 8)
+		tms, region, err := a.Malloc(p.Comm(), 8)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -152,12 +147,12 @@ func TestAccDaxpy(t *testing.T) {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(1.0))
 			p.WriteLocal(src, 0, buf)
 			for i := 0; i < iters; i++ {
-				if err := a.Acc(2.0, src, 0, tms[0], 0, 1, 0, comm); err != nil {
+				if err := a.Acc(2.0, src, 0, tms[0], 0, 1); err != nil {
 					t.Errorf("acc: %v", err)
 				}
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 0 {
 			got := math.Float64frombits(binary.LittleEndian.Uint64(p.Mem().Snapshot(region.Offset, 8)))
 			want := float64(origins * iters * 2)
@@ -177,8 +172,7 @@ func TestPutSStrided2D(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 256)
+		tms, region, err := a.Malloc(p.Comm(), 256)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -193,13 +187,13 @@ func TestPutSStrided2D(t *testing.T) {
 				StridedSpec{Off: 0, Strides: []int{16}},
 				tms[0],
 				StridedSpec{Off: 8, Strides: []int{32}},
-				8, []int{4}, 0, comm)
+				8, []int{4})
 			if err != nil {
 				t.Errorf("puts: %v", err)
 			}
-			a.Fence(comm, 0)
+			a.Fence(0)
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 0 {
 			for row := 0; row < 4; row++ {
 				got := p.Mem().Snapshot(region.Offset+8+row*32, 8)
@@ -218,8 +212,7 @@ func TestGetSStrided(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 128)
+		tms, region, err := a.Malloc(p.Comm(), 128)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -229,14 +222,14 @@ func TestGetSStrided(t *testing.T) {
 				p.WriteLocal(region, row*32, bytes.Repeat([]byte{byte(0x10 + row)}, 8))
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 1 {
 			dst := p.Alloc(24)
 			err := a.GetS(dst,
 				StridedSpec{Off: 0, Strides: []int{8}},
 				tms[0],
 				StridedSpec{Off: 0, Strides: []int{32}},
-				8, []int{3}, 0, comm)
+				8, []int{3})
 			if err != nil {
 				t.Errorf("gets: %v", err)
 			}
@@ -247,7 +240,7 @@ func TestGetSStrided(t *testing.T) {
 				}
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +251,7 @@ func TestAccSStrided(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 64)
+		tms, region, err := a.Malloc(p.Comm(), 64)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -275,12 +267,12 @@ func TestAccSStrided(t *testing.T) {
 				StridedSpec{Off: 0, Strides: []int{8}},
 				tms[0],
 				StridedSpec{Off: 0, Strides: []int{32}},
-				8, []int{2}, 0, comm)
+				8, []int{2})
 			if err != nil {
 				t.Errorf("accs: %v", err)
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 0 {
 			v0 := math.Float64frombits(binary.LittleEndian.Uint64(p.Mem().Snapshot(region.Offset, 8)))
 			v1 := math.Float64frombits(binary.LittleEndian.Uint64(p.Mem().Snapshot(region.Offset+32, 8)))
@@ -298,8 +290,7 @@ func TestPutVGetV(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 64)
+		tms, region, err := a.Malloc(p.Comm(), 64)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -310,18 +301,16 @@ func TestPutVGetV(t *testing.T) {
 			err := a.PutV(src,
 				[]Segment{{Off: 0, Len: 4}, {Off: 4, Len: 8}},
 				tms[0],
-				[]Segment{{Off: 0, Len: 6}, {Off: 20, Len: 6}},
-				0, comm)
+				[]Segment{{Off: 0, Len: 6}, {Off: 20, Len: 6}})
 			if err != nil {
 				t.Errorf("putv: %v", err)
 			}
-			a.Fence(comm, 0)
+			a.Fence(0)
 			dst := p.Alloc(12)
 			err = a.GetV(dst,
 				[]Segment{{Off: 0, Len: 12}},
 				tms[0],
-				[]Segment{{Off: 0, Len: 6}, {Off: 20, Len: 6}},
-				0, comm)
+				[]Segment{{Off: 0, Len: 6}, {Off: 20, Len: 6}})
 			if err != nil {
 				t.Errorf("getv: %v", err)
 			}
@@ -330,7 +319,7 @@ func TestPutVGetV(t *testing.T) {
 				t.Errorf("getv = %v", got)
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 0 {
 			got := p.Mem().Snapshot(region.Offset, 6)
 			if !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6}) {
@@ -347,20 +336,19 @@ func TestPutVLengthMismatch(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, _, err := a.Malloc(comm, 64)
+		tms, _, err := a.Malloc(p.Comm(), 64)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
 		}
 		if p.Rank() == 1 {
 			src := p.Alloc(8)
-			err := a.PutV(src, []Segment{{Off: 0, Len: 8}}, tms[0], []Segment{{Off: 0, Len: 4}}, 0, comm)
+			err := a.PutV(src, []Segment{{Off: 0, Len: 8}}, tms[0], []Segment{{Off: 0, Len: 4}})
 			if err == nil {
 				t.Error("length mismatch accepted")
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -371,22 +359,21 @@ func TestStridedValidation(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, _, err := a.Malloc(comm, 64)
+		tms, _, err := a.Malloc(p.Comm(), 64)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
 		}
 		if p.Rank() == 1 {
 			src := p.Alloc(64)
-			if err := a.PutS(src, StridedSpec{Strides: []int{8}}, tms[0], StridedSpec{Strides: []int{8, 8}}, 8, []int{2}, 0, comm); err == nil {
+			if err := a.PutS(src, StridedSpec{Strides: []int{8}}, tms[0], StridedSpec{Strides: []int{8, 8}}, 8, []int{2}); err == nil {
 				t.Error("stride/count arity mismatch accepted")
 			}
-			if err := a.AccS(1, src, StridedSpec{Strides: []int{8}}, tms[0], StridedSpec{Strides: []int{8}}, 5, []int{2}, 0, comm); err == nil {
+			if err := a.AccS(1, src, StridedSpec{Strides: []int{8}}, tms[0], StridedSpec{Strides: []int{8}}, 5, []int{2}); err == nil {
 				t.Error("non-float64 accumulate block accepted")
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -399,8 +386,7 @@ func TestAccNB(t *testing.T) {
 	const iters = 10
 	err := w.Run(func(p *runtime.Proc) {
 		a := Attach(p)
-		comm := p.Comm()
-		tms, region, err := a.Malloc(comm, 8)
+		tms, region, err := a.Malloc(p.Comm(), 8)
 		if err != nil {
 			t.Errorf("malloc: %v", err)
 			return
@@ -410,9 +396,9 @@ func TestAccNB(t *testing.T) {
 			buf := make([]byte, 8)
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(1.0))
 			p.WriteLocal(src, 0, buf)
-			var hs []*Handle
+			var hs []*rma.Request
 			for i := 0; i < iters; i++ {
-				h, err := a.AccNB(1.0, src, 0, tms[0], 0, 1, 0, comm)
+				h, err := a.AccNB(1.0, src, 0, tms[0], 0, 1)
 				if err != nil {
 					t.Errorf("accnb: %v", err)
 					return
@@ -423,7 +409,7 @@ func TestAccNB(t *testing.T) {
 				h.Wait()
 			}
 		}
-		a.Barrier(comm)
+		a.Barrier()
 		if p.Rank() == 0 {
 			got := math.Float64frombits(binary.LittleEndian.Uint64(p.Mem().Snapshot(region.Offset, 8)))
 			if got != float64(2*iters) {

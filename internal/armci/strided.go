@@ -3,10 +3,7 @@ package armci
 import (
 	"fmt"
 
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/datatype"
-	"mpi3rma/internal/memsim"
-	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 // Strided and vector operations (ARMCI_PutS / ARMCI_GetS / ARMCI_AccS and
@@ -15,8 +12,8 @@ import (
 // byte strides for source and destination independently; a vector transfer
 // is an explicit list of (offset, length) segments.
 //
-// Both are lowered onto datatype.Indexed layouts over bytes, one for the
-// origin and one for the target — which is precisely how the strawman
+// Both are lowered onto Indexed layouts, one for the origin and one for the
+// target (rma.WithTargetLayout) — which is precisely how the strawman
 // proposal absorbs ARMCI's noncontiguous API into MPI datatypes.
 
 // StridedSpec describes one side of an N-level strided transfer.
@@ -57,68 +54,67 @@ func stridedLayout(off int, blockBytes int, counts []int, strides []int) ([]int,
 // PutS is ARMCI_PutS: an N-level strided put of blockBytes-byte blocks,
 // counts[i] blocks at level i, with independent source and destination
 // strides. Blocking and ordered.
-func (a *ARMCI) PutS(src memsim.Region, srcSpec StridedSpec, dst core.TargetMem, dstSpec StridedSpec, blockBytes int, counts []int, rank int, comm *runtime.Comm) error {
-	return a.strided(core.OpPut, 0, src, srcSpec, dst, dstSpec, blockBytes, counts, rank, comm, blockingAttrs)
+func (a *ARMCI) PutS(src rma.Region, srcSpec StridedSpec, dst rma.TargetMem, dstSpec StridedSpec, blockBytes int, counts []int) error {
+	sdt, ddt, err := stridedTypes(srcSpec, dstSpec, blockBytes, counts, rma.Byte)
+	if err != nil {
+		return err
+	}
+	_, err = a.s.Put(src, 1, sdt, dst, 0, rma.WithTargetLayout(1, ddt), rma.WithBlocking(), rma.WithOrdering())
+	return err
 }
 
 // GetS is ARMCI_GetS: the strided get.
-func (a *ARMCI) GetS(dst memsim.Region, dstSpec StridedSpec, src core.TargetMem, srcSpec StridedSpec, blockBytes int, counts []int, rank int, comm *runtime.Comm) error {
-	return a.strided(core.OpGet, 0, dst, dstSpec, src, srcSpec, blockBytes, counts, rank, comm, blockingAttrs)
+func (a *ARMCI) GetS(dst rma.Region, dstSpec StridedSpec, src rma.TargetMem, srcSpec StridedSpec, blockBytes int, counts []int) error {
+	ddt, sdt, err := stridedTypes(dstSpec, srcSpec, blockBytes, counts, rma.Byte)
+	if err != nil {
+		return err
+	}
+	_, err = a.s.Get(dst, 1, ddt, src, 0, rma.WithTargetLayout(1, sdt), rma.WithBlocking(), rma.WithOrdering())
+	return err
 }
 
 // AccS is ARMCI_AccS: the strided daxpy accumulate over float64 blocks
 // (blockBytes must be a multiple of 8). Serialized.
-func (a *ARMCI) AccS(scale float64, src memsim.Region, srcSpec StridedSpec, dst core.TargetMem, dstSpec StridedSpec, blockBytes int, counts []int, rank int, comm *runtime.Comm) error {
+func (a *ARMCI) AccS(scale float64, src rma.Region, srcSpec StridedSpec, dst rma.TargetMem, dstSpec StridedSpec, blockBytes int, counts []int) error {
 	if blockBytes%8 != 0 {
 		return fmt.Errorf("armci: AccS block of %d bytes is not a whole number of float64 elements", blockBytes)
 	}
-	return a.strided(core.OpAccumulate, scale, src, srcSpec, dst, dstSpec, blockBytes, counts, rank, comm, blockingAttrs|core.AttrAtomic)
-}
-
-func (a *ARMCI) strided(op core.OpType, scale float64, local memsim.Region, localSpec StridedSpec, remote core.TargetMem, remoteSpec StridedSpec, blockBytes int, counts []int, rank int, comm *runtime.Comm, attrs core.Attr) error {
-	ldt, _, err := a.sideType(op, localSpec, blockBytes, counts)
+	sdt, ddt, err := stridedTypes(srcSpec, dstSpec, blockBytes, counts, rma.Float64)
 	if err != nil {
 		return err
 	}
-	rdt, _, err := a.sideType(op, remoteSpec, blockBytes, counts)
-	if err != nil {
-		return err
-	}
-	// Every caller (PutS/GetS/AccS) passes blockingAttrs: the engine call
-	// returns only after the request would have completed, so the request
-	// itself carries no further information. The blocking bit just isn't
-	// provable through the parameter.
-	switch op {
-	case core.OpPut:
-		_, err = a.eng.Put(local, 1, ldt, remote, 0, 1, rdt, rank, comm, attrs) //rmalint:ignore lostrequest attrs always carries AttrBlocking
-	case core.OpGet:
-		_, err = a.eng.Get(local, 1, ldt, remote, 0, 1, rdt, rank, comm, attrs) //rmalint:ignore lostrequest attrs always carries AttrBlocking
-	case core.OpAccumulate:
-		_, err = a.eng.AccumulateAxpy(scale, local, 1, ldt, remote, 0, 1, rdt, rank, comm, attrs) //rmalint:ignore lostrequest attrs always carries AttrBlocking
-	}
+	_, err = a.s.AccumulateAxpy(scale, src, 1, sdt, dst, 0, rma.WithTargetLayout(1, ddt),
+		rma.WithBlocking(), rma.WithOrdering(), rma.WithAtomic())
 	return err
 }
 
-// sideType builds one side's layout; accumulate sides are float64-typed so
-// the daxpy combine sees elements, others are plain bytes.
-func (a *ARMCI) sideType(op core.OpType, spec StridedSpec, blockBytes int, counts []int) (datatype.Type, int, error) {
+// stridedTypes builds the local and remote layouts of a strided transfer
+// as Indexed types over elem: bytes for puts and gets, float64 for
+// accumulates, so the daxpy combine sees elements.
+func stridedTypes(local, remote StridedSpec, blockBytes int, counts []int, elem rma.Type) (rma.Type, rma.Type, error) {
+	ldt, err := sideType(local, blockBytes, counts, elem)
+	if err != nil {
+		return nil, nil, err
+	}
+	rdt, err := sideType(remote, blockBytes, counts, elem)
+	return ldt, rdt, err
+}
+
+// sideType builds one side's layout in units of elem.
+func sideType(spec StridedSpec, blockBytes int, counts []int, elem rma.Type) (rma.Type, error) {
 	blocklens, displs, err := stridedLayout(spec.Off, blockBytes, counts, spec.Strides)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if op == core.OpAccumulate {
-		elems := make([]int, len(blocklens))
-		elemDispls := make([]int, len(displs))
-		for i := range blocklens {
-			if blocklens[i]%8 != 0 || displs[i]%8 != 0 {
-				return nil, 0, fmt.Errorf("armci: accumulate layout not float64-aligned (block %d bytes at offset %d)", blocklens[i], displs[i])
-			}
-			elems[i] = blocklens[i] / 8
-			elemDispls[i] = displs[i] / 8
+	w := elem.Size()
+	for i := range blocklens {
+		if blocklens[i]%w != 0 || displs[i]%w != 0 {
+			return nil, fmt.Errorf("armci: layout not %s-aligned (block %d bytes at offset %d)", elem.Name(), blocklens[i], displs[i])
 		}
-		return datatype.Indexed(elems, elemDispls, datatype.Float64), 0, nil
+		blocklens[i] /= w
+		displs[i] /= w
 	}
-	return datatype.Indexed(blocklens, displs, datatype.Byte), 0, nil
+	return rma.Indexed(blocklens, displs, elem), nil
 }
 
 // Segment is one (offset, length) piece of a vector operation.
@@ -127,7 +123,7 @@ type Segment struct {
 }
 
 // vectorType lowers a segment list to an Indexed byte layout.
-func vectorType(segs []Segment) (datatype.Type, int) {
+func vectorType(segs []Segment) (rma.Type, int) {
 	blocklens := make([]int, len(segs))
 	displs := make([]int, len(segs))
 	total := 0
@@ -136,29 +132,29 @@ func vectorType(segs []Segment) (datatype.Type, int) {
 		displs[i] = s.Off
 		total += s.Len
 	}
-	return datatype.Indexed(blocklens, displs, datatype.Byte), total
+	return rma.Indexed(blocklens, displs, rma.Byte), total
 }
 
 // PutV is ARMCI_PutV: scatter the source segments into the destination
 // segments (total lengths must match). Blocking and ordered.
-func (a *ARMCI) PutV(src memsim.Region, srcSegs []Segment, dst core.TargetMem, dstSegs []Segment, rank int, comm *runtime.Comm) error {
+func (a *ARMCI) PutV(src rma.Region, srcSegs []Segment, dst rma.TargetMem, dstSegs []Segment) error {
 	sdt, sn := vectorType(srcSegs)
 	ddt, dn := vectorType(dstSegs)
 	if sn != dn {
 		return fmt.Errorf("armci: PutV source carries %d bytes but destination expects %d", sn, dn)
 	}
-	_, err := a.eng.Put(src, 1, sdt, dst, 0, 1, ddt, rank, comm, blockingAttrs)
+	_, err := a.s.Put(src, 1, sdt, dst, 0, rma.WithTargetLayout(1, ddt), rma.WithBlocking(), rma.WithOrdering())
 	return err
 }
 
 // GetV is ARMCI_GetV: gather the source segments of the remote memory into
 // the local destination segments.
-func (a *ARMCI) GetV(dst memsim.Region, dstSegs []Segment, src core.TargetMem, srcSegs []Segment, rank int, comm *runtime.Comm) error {
+func (a *ARMCI) GetV(dst rma.Region, dstSegs []Segment, src rma.TargetMem, srcSegs []Segment) error {
 	ddt, dn := vectorType(dstSegs)
 	sdt, sn := vectorType(srcSegs)
 	if sn != dn {
 		return fmt.Errorf("armci: GetV source carries %d bytes but destination expects %d", sn, dn)
 	}
-	_, err := a.eng.Get(dst, 1, ddt, src, 0, 1, sdt, rank, comm, blockingAttrs)
+	_, err := a.s.Get(dst, 1, ddt, src, 0, rma.WithTargetLayout(1, sdt), rma.WithBlocking(), rma.WithOrdering())
 	return err
 }

@@ -48,26 +48,18 @@ func runFig1Cell(series string, size, iters int) Row {
 	var meas measure
 	err := w.Run(func(p *runtime.Proc) {
 		e := core.Attach(p, core.Options{})
-		r2 := mpi2rma.Attach(p, mpi2rma.Options{})
+		r2 := mpi2rma.Attach(p)
 		comm := p.Comm()
 		region := p.Alloc(size)
 		win, err := r2.WinCreate(comm, region)
 		if err != nil {
 			panic(err)
 		}
-		tm := e.Expose(region)
-		encs := comm.Gather(0, tm.Encode())
-		var flat []byte
-		if comm.Rank() == 0 {
-			for _, enc := range encs {
-				flat = append(flat, enc...)
-			}
-		}
-		flat = comm.Bcast(0, flat)
-		tm0, err := core.DecodeTargetMem(flat[:len(flat)/2])
+		tms, err := core.ExchangeTargetMem(comm, e.Expose(region))
 		if err != nil {
 			panic(err)
 		}
+		tm0 := tms[0]
 		src := p.Alloc(size)
 
 		p.Barrier()
@@ -217,7 +209,7 @@ func runE7Cell(series string, size, iters int) Row {
 						panic(err)
 					}
 				case "armci contiguous put":
-					if err := ac.Put(src, 0, tms[0], 0, size, 0, comm); err != nil {
+					if err := ac.Put(src, 0, tms[0], 0, size); err != nil {
 						panic(err)
 					}
 				case "gasnet contiguous put":
@@ -229,7 +221,7 @@ func runE7Cell(series string, size, iters int) Row {
 						panic(err)
 					}
 				case "armci strided put":
-					if err := ac.PutS(src, spec, tms[0], spec, 16, counts, 0, comm); err != nil {
+					if err := ac.PutS(src, spec, tms[0], spec, 16, counts); err != nil {
 						panic(err)
 					}
 				case "strawman accumulate":
@@ -237,7 +229,7 @@ func runE7Cell(series string, size, iters int) Row {
 						panic(err)
 					}
 				case "armci accumulate":
-					if err := ac.Acc(1.0, src, 0, tms[0], 0, nf64, 0, comm); err != nil {
+					if err := ac.Acc(1.0, src, 0, tms[0], 0, nf64); err != nil {
 						panic(err)
 					}
 				}
@@ -385,23 +377,9 @@ func runE10Cell(series string, ranks, puts int) Row {
 		e := core.Attach(p, core.Options{})
 		comm := p.Comm()
 		const size = 64
-		tm, _ := e.ExposeNew(size * ranks)
-		encs := comm.Gather(0, tm.Encode())
-		var flat []byte
-		if comm.Rank() == 0 {
-			for _, enc := range encs {
-				flat = append(flat, enc...)
-			}
-		}
-		flat = comm.Bcast(0, flat)
-		per := len(flat) / ranks
-		tms := make([]core.TargetMem, ranks)
-		for i := range tms {
-			var err error
-			tms[i], err = core.DecodeTargetMem(flat[i*per : (i+1)*per])
-			if err != nil {
-				panic(err)
-			}
+		tms, _, err := e.ExposeCollective(comm, size*ranks)
+		if err != nil {
+			panic(err)
 		}
 		src := p.Alloc(size)
 		p.Barrier()

@@ -519,13 +519,12 @@ func (r *applyOp) startBatch(at vtime.Time) {
 	r.fin(at)
 }
 
-// handleNotify folds a delivery-counter report into the origin's
-// confirmation state and completes any remote-completion members of the
-// batch it answers.
+// handleNotify completes any remote-completion members of the batch a
+// delivery-counter report answers, then folds the report into the origin's
+// confirmation state (see handleGetReply for the order).
 func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 	e.Notifies.Inc()
 	e.emit(trace.KindNotify, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
-	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	if id := m.Hdr[hReq]; id != 0 {
 		e.cmplMu.Lock()
 		pb := e.pendingBatches[id]
@@ -537,6 +536,7 @@ func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 			}
 		}
 	}
+	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 }
 
 // noteConfirmed raises the origin-side cumulative confirmation counter for

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +25,61 @@ func TestCompleteInvalidRank(t *testing.T) {
 		}
 		p.Barrier()
 	})
+}
+
+// TestCompleteImpliesRequestsDone: when Complete(target) returns, every
+// request it covers tests done and its OnDone has run — on each path that
+// reports a delivery counter with a request in hand: an ack and a get
+// reply (unbatched), a batch notification (batched).
+func TestCompleteImpliesRequestsDone(t *testing.T) {
+	const rounds, ops = 50, 8
+	for name, opts := range map[string]Options{"ack+reply": {}, "notify+reply": {BatchOps: 4}} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, runtime.Config{Ranks: 2, Seed: 37})
+			runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+				e := Attach(p, opts)
+				comm := p.Comm()
+				tm := shipTM(p, e, 64)
+				buf := p.Alloc(8)
+				round := func() error {
+					var fired atomic.Int32
+					reqs := make([]*Request, ops)
+					for i := range reqs {
+						var err error
+						if i%2 == 0 {
+							reqs[i], err = e.Put(buf, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, 0, comm, AttrRemoteComplete)
+						} else {
+							reqs[i], err = e.Get(buf, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, 0, comm, AttrNone)
+						}
+						if err != nil {
+							return err
+						}
+						reqs[i].OnDone(func(error) { fired.Add(1) })
+					}
+					if err := e.Complete(comm, 0); err != nil {
+						return err
+					}
+					// No waiting: the contract holds the instant Complete returns.
+					if n := fired.Load(); n != ops {
+						return fmt.Errorf("%d of %d OnDone callbacks had run when Complete returned", n, ops)
+					}
+					for i, r := range reqs {
+						if !r.Test() {
+							return fmt.Errorf("request %d not done when Complete returned", i)
+						}
+					}
+					return nil
+				}
+				for i := 0; i < rounds && p.Rank() == 1; i++ {
+					if err := round(); err != nil {
+						t.Errorf("round %d: %v", i, err)
+						break
+					}
+				}
+				p.Barrier()
+			})
+		})
+	}
 }
 
 // TestCompleteWithNoTraffic: completing against ranks never targeted is

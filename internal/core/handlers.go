@@ -217,40 +217,44 @@ func (r *applyOp) sendValue(kind uint8, end vtime.Time) {
 	e.sendReply(end, reply)
 }
 
-// handleGetReply completes a pending get at the origin: the reply lands
-// through the same scatter a put deposit uses, so the holes of the origin
-// layout are never written. A failure is reported through the request
-// (Err), not a panic on the delivery goroutine.
+// handleGetReply completes a pending get at the origin, then folds the
+// reply's delivery counter: a Complete the counter releases finds the get
+// done. The reply lands through the same scatter a put deposit uses, so
+// the holes of the origin layout are never written; a failure is reported
+// through the request (Err), not a panic on the delivery goroutine.
 func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
-	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	e.emit(trace.KindReply, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), int64(len(m.Payload)))
-	req := e.lookupRequest(m.Hdr[hReq])
-	if req == nil {
-		return
+	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
+		req.finish(at, nil, e.landReply(req.land, m.Payload))
 	}
-	if land := req.land; land.dt != nil {
-		if len(m.Payload) == 0 {
-			// The target could not serve the get (unexposed or out-of-range
-			// memory); fail the request instead of leaving stale data.
-			req.completeErr(at, fmt.Errorf("core: get failed at the target: %w", ErrBadHandle))
-			return
-		}
-		if err := e.scatter(land.region.Offset, m.Payload, land.count, land.dt); err != nil {
-			e.proc.NIC().BadReq.Inc()
-			req.completeErr(at, fmt.Errorf("core: get landing: %w", err))
-			return
-		}
-	}
-	req.complete(at, nil)
+	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 }
 
-// handleAck completes a remote-completion request at the origin.
+// landReply scatters a get reply's payload into the request's landing.
+func (e *Engine) landReply(land landing, payload []byte) error {
+	if land.dt == nil {
+		return nil
+	}
+	if len(payload) == 0 {
+		// The target could not serve the get (unexposed or out-of-range
+		// memory); fail the request instead of leaving stale data.
+		return fmt.Errorf("core: get failed at the target: %w", ErrBadHandle)
+	}
+	if err := e.scatter(land.region.Offset, payload, land.count, land.dt); err != nil {
+		e.proc.NIC().BadReq.Inc()
+		return fmt.Errorf("core: get landing: %w", err)
+	}
+	return nil
+}
+
+// handleAck completes a remote-completion request at the origin, then
+// folds the ack's delivery counter (see handleGetReply for the order).
 func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
-	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	e.emit(trace.KindAck, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
 	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
 		req.complete(at, nil)
 	}
+	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 }
 
 // handleProbe answers a completion probe — the origin asks "have you

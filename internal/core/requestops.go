@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 )
@@ -79,26 +77,6 @@ const StrictDebugAttrs = AttrOrdering | AttrRemoteComplete | AttrAtomic
 // over the non-collective Expose — nothing in the engine requires it.
 func (e *Engine) ExposeCollective(comm *runtime.Comm, size int) ([]TargetMem, memsim.Region, error) {
 	tm, region := e.ExposeNew(size)
-	parts := comm.Gather(0, tm.Encode())
-	var flat []byte
-	if comm.Rank() == 0 {
-		for _, part := range parts {
-			flat = append(flat, part...)
-		}
-	}
-	flat = comm.Bcast(0, flat)
-	n := comm.Size()
-	per := encodedTargetMemLen
-	if len(flat) != n*per {
-		return nil, memsim.Region{}, fmt.Errorf("core: collective expose exchanged %d bytes for %d ranks: %w", len(flat), n, ErrEpoch)
-	}
-	tms := make([]TargetMem, n)
-	for i := 0; i < n; i++ {
-		var err error
-		tms[i], err = DecodeTargetMem(flat[i*per : (i+1)*per])
-		if err != nil {
-			return nil, memsim.Region{}, err
-		}
-	}
-	return tms, region, nil
+	tms, err := ExchangeTargetMem(comm, tm)
+	return tms, region, err
 }

@@ -136,10 +136,11 @@ func (r *applyOp) applyRMW(end vtime.Time) {
 	}
 }
 
-// handleRMWReply completes a pending RMW at the origin with the old value.
+// handleRMWReply completes a pending RMW at the origin with the old value,
+// then folds the reply's delivery counter (see handleGetReply).
 func (e *Engine) handleRMWReply(m *simnet.Message, at vtime.Time) {
-	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
 		req.complete(at, m.Payload)
 	}
+	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 }

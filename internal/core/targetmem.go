@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
+	"mpi3rma/internal/runtime"
 )
 
 // TargetMem is the object representing remotely accessible memory (the
@@ -69,6 +71,30 @@ func DecodeTargetMem(buf []byte) (TargetMem, error) {
 		return TargetMem{}, fmt.Errorf("core: decoded invalid target_mem descriptor %+v: %w", tm, ErrBadHandle)
 	}
 	return tm, nil
+}
+
+// ExchangeTargetMem is the descriptor all-gather every collective exposure
+// is built on: each member of comm contributes tm and receives all
+// members' descriptors, indexed by comm rank.
+func ExchangeTargetMem(comm *runtime.Comm, tm TargetMem) ([]TargetMem, error) {
+	parts := comm.Gather(0, tm.Encode())
+	var flat []byte
+	if comm.Rank() == 0 {
+		flat = bytes.Join(parts, nil)
+	}
+	flat = comm.Bcast(0, flat)
+	const per = encodedTargetMemLen
+	if len(flat) != comm.Size()*per {
+		return nil, fmt.Errorf("core: descriptor exchange returned %d bytes for %d ranks: %w", len(flat), comm.Size(), ErrEpoch)
+	}
+	tms := make([]TargetMem, comm.Size())
+	for i := range tms {
+		var err error
+		if tms[i], err = DecodeTargetMem(flat[i*per : (i+1)*per]); err != nil {
+			return nil, err
+		}
+	}
+	return tms, nil
 }
 
 // exposure is the owner-side state behind a TargetMem handle.

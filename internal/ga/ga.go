@@ -18,9 +18,8 @@ import (
 	"math"
 
 	"mpi3rma/internal/armci"
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 // Toolkit is one rank's GA library state.
@@ -48,9 +47,9 @@ type Array struct {
 	// rowsPer is the row-block size: owner of global row i is i/rowsPer
 	// (the last owner may hold fewer rows).
 	rowsPer int
-	tms     []core.TargetMem
-	local   memsim.Region
-	scratch memsim.Region
+	tms     []rma.TargetMem
+	local   rma.Region
+	scratch rma.Region
 }
 
 // Create collectively builds a rows x cols global array over comm. rows
@@ -157,7 +156,7 @@ func (a *Array) Put(row, col, nrows, ncols int, buf []float64) error {
 			armci.StridedSpec{Off: bufRow * ncols * 8, Strides: []int{ncols * 8}},
 			a.tms[owner],
 			armci.StridedSpec{Off: (lRow*a.Cols + col) * 8, Strides: []int{a.Cols * 8}},
-			ncols*8, []int{count}, owner, a.comm)
+			ncols*8, []int{count})
 	})
 }
 
@@ -172,7 +171,7 @@ func (a *Array) Get(row, col, nrows, ncols int, buf []float64) error {
 			armci.StridedSpec{Off: bufRow * ncols * 8, Strides: []int{ncols * 8}},
 			a.tms[owner],
 			armci.StridedSpec{Off: (lRow*a.Cols + col) * 8, Strides: []int{a.Cols * 8}},
-			ncols*8, []int{count}, owner, a.comm)
+			ncols*8, []int{count})
 	})
 	if err != nil {
 		return err
@@ -193,7 +192,7 @@ func (a *Array) Acc(row, col, nrows, ncols int, scale float64, buf []float64) er
 			armci.StridedSpec{Off: bufRow * ncols * 8, Strides: []int{ncols * 8}},
 			a.tms[owner],
 			armci.StridedSpec{Off: (lRow*a.Cols + col) * 8, Strides: []int{a.Cols * 8}},
-			ncols*8, []int{count}, owner, a.comm)
+			ncols*8, []int{count})
 	})
 }
 
@@ -213,11 +212,15 @@ func (a *Array) Fill(v float64) {
 }
 
 // Sync is GA_Sync: all outstanding operations complete everywhere, then a
-// barrier.
+// barrier over the array's communicator.
 func (a *Array) Sync() error {
-	return a.tk.ac.Barrier(a.comm)
+	if err := a.tk.ac.AllFence(); err != nil {
+		return err
+	}
+	a.comm.Barrier()
+	return nil
 }
 
 // Local returns this rank's block region (rowsPer x Cols, row-major; only
 // MyRows rows are meaningful).
-func (a *Array) Local() memsim.Region { return a.local }
+func (a *Array) Local() rma.Region { return a.local }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"mpi3rma/internal/core"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
+	"mpi3rma/rma"
 )
 
 // Passive-target synchronization (Figure 1c): MPI_Win_lock /
@@ -32,7 +32,7 @@ func (w *Win) Lock(typ LockType, trank int) error {
 	}
 	if w.epoch.locked[trank] {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Lock(%d) while already holding a lock on that rank: %w", trank, core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Lock(%d) while already holding a lock on that rank: %w", trank, rma.ErrEpoch)
 	}
 	w.mu.Unlock()
 
@@ -56,11 +56,11 @@ func (w *Win) Unlock(trank int) error {
 	w.mu.Lock()
 	if !w.epoch.locked[trank] {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Unlock(%d) without holding the lock: %w", trank, core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Unlock(%d) without holding the lock: %w", trank, rma.ErrEpoch)
 	}
 	delete(w.epoch.locked, trank)
 	w.mu.Unlock()
-	if err := w.rma.eng.Complete(w.comm, trank); err != nil {
+	if err := w.s.Complete(trank); err != nil {
 		return err
 	}
 	w.sendCtl(kWLockRel, trank, 0, 0)

@@ -14,7 +14,7 @@ import (
 func TestWinCreateMultipleWindows(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		regA := p.Alloc(16)
 		regB := p.Alloc(16)
@@ -62,7 +62,7 @@ func TestWinCreateMultipleWindows(t *testing.T) {
 func TestPSCWTest(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		region := p.Alloc(8)
 		win, err := r.WinCreate(comm, region)
@@ -116,7 +116,7 @@ func TestSharedThenExclusive(t *testing.T) {
 	var concurrentShared atomic.Int32
 	var sawTwoShared atomic.Bool
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		region := p.Alloc(8)
 		win, err := r.WinCreate(comm, region)
@@ -164,7 +164,7 @@ func TestSharedThenExclusive(t *testing.T) {
 func TestFenceRejectsOpenEpochs(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		region := p.Alloc(8)
 		win, err := r.WinCreate(comm, region)
@@ -206,7 +206,7 @@ func TestFenceRejectsOpenEpochs(t *testing.T) {
 func TestMisuseErrors(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		win, err := r.WinCreate(comm, p.Alloc(8))
 		if err != nil {
@@ -258,7 +258,7 @@ func TestMisuseErrors(t *testing.T) {
 func TestGetFromWindow(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		region := p.Alloc(32)
 		if p.Rank() == 0 {
@@ -292,7 +292,7 @@ func TestGetFromWindow(t *testing.T) {
 func TestWindowOnSubComm(t *testing.T) {
 	w := newWorld(t, 4)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		comm := p.Comm()
 		if p.Rank() >= 2 {
 			return // not a member

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"mpi3rma/internal/checker"
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 func newWorld(t *testing.T, ranks int) *runtime.World {
@@ -22,7 +22,7 @@ func newWorld(t *testing.T, ranks int) *runtime.World {
 func TestFenceExchange(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		region := p.Alloc(8)
 		win, err := r.WinCreate(p.Comm(), region)
 		if err != nil {
@@ -62,7 +62,7 @@ func TestFenceExchange(t *testing.T) {
 func TestPSCW(t *testing.T) {
 	w := newWorld(t, 3)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		region := p.Alloc(64)
 		if p.Rank() == 0 {
 			p.WriteLocal(region, 32, bytes.Repeat([]byte{9}, 16))
@@ -120,7 +120,7 @@ func TestLockUnlock(t *testing.T) {
 	w := newWorld(t, 3)
 	const itersPerRank = 20
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		region := p.Alloc(8)
 		win, err := r.WinCreate(p.Comm(), region)
 		if err != nil {
@@ -166,7 +166,7 @@ func TestLockAccumulateSum(t *testing.T) {
 	w := newWorld(t, 4)
 	const itersPerRank = 25
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		region := p.Alloc(8)
 		win, err := r.WinCreate(p.Comm(), region)
 		if err != nil {
@@ -209,7 +209,7 @@ func TestLockAccumulateSum(t *testing.T) {
 func TestEpochLegality(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{})
+		r := Attach(p)
 		region := p.Alloc(8)
 		win, err := r.WinCreate(p.Comm(), region)
 		if err != nil {
@@ -228,21 +228,16 @@ func TestEpochLegality(t *testing.T) {
 	}
 }
 
-// TestOverlapDetection verifies the optional checker flags the MPI-2
-// "erroneous" pattern: two origins storing to overlapping bytes in one
-// epoch. The strawman's semantic checker rides the same engines as a
-// second access recorder and must see the same pair: one access stream
-// feeds both.
+// TestOverlapDetection: the MPI-2 "erroneous" pattern — two origins
+// storing to overlapping bytes in one fence epoch — is flagged by the
+// strawman's semantic checker, enabled on the session the window rides
+// (rma.WithChecker): the layer needs no overlap ledger of its own.
 func TestOverlapDetection(t *testing.T) {
 	w := newWorld(t, 3)
-	var target *RMA
-	strawman := checker.New()
+	var chk *rma.Checker
 	err := w.Run(func(p *runtime.Proc) {
-		r := Attach(p, Options{DetectOverlap: true})
-		r.Engine().AddAccessRecorder(strawman)
-		if p.Rank() == 0 {
-			target = r
-		}
+		s := rma.Open(p, rma.WithChecker())
+		r := Attach(p)
 		region := p.Alloc(64)
 		win, err := r.WinCreate(p.Comm(), region)
 		if err != nil {
@@ -259,14 +254,20 @@ func TestOverlapDetection(t *testing.T) {
 		}
 		win.Fence()
 		win.Free()
+		if p.Rank() == 0 {
+			chk = s.Checker()
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target.OverlapViolations.Value() == 0 {
-		t.Error("overlapping concurrent stores not detected")
+	cs := chk.Conflicts()
+	if len(cs) != 1 {
+		t.Fatalf("checker reported %d conflicts, want the one overlapping pair: %v", len(cs), cs)
 	}
-	if strawman.ConflictCount() == 0 {
-		t.Error("the semantic checker, installed beside the overlap ledger, saw no conflict")
+	c := cs[0]
+	origins := [2]int{c.First.Origin, c.Second.Origin}
+	if c.Target != 0 || c.Lo != 0 || c.Hi != 32 || (origins != [2]int{1, 2} && origins != [2]int{2, 1}) {
+		t.Errorf("conflict %v, want ranks 1 and 2 overlapping on rank 0 bytes [0,32)", c)
 	}
 }

@@ -3,9 +3,9 @@ package mpi2rma
 import (
 	"fmt"
 
-	"mpi3rma/internal/core"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
+	"mpi3rma/rma"
 )
 
 // Fence closes the previous fence epoch (completing all RMA issued from
@@ -17,26 +17,17 @@ func (w *Win) Fence() error {
 	w.mu.Lock()
 	if w.freed {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Fence on freed window: %w", core.ErrBadHandle)
+		return fmt.Errorf("mpi2rma: Fence on freed window: %w", rma.ErrBadHandle)
 	}
 	if w.epoch.accessGroup != nil || w.epoch.postGroup != nil || len(w.epoch.locked) > 0 {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Fence while a PSCW or lock epoch is open: %w", core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Fence while a PSCW or lock epoch is open: %w", rma.ErrEpoch)
 	}
 	w.mu.Unlock()
 	// Complete all of this rank's outstanding accesses, then barrier so
 	// every member's accesses are complete before anyone proceeds.
-	if err := w.rma.eng.CompleteCollective(w.comm); err != nil {
+	if err := w.s.CompleteCollective(); err != nil {
 		return err
-	}
-	w.resetOverlapEpoch()
-	if w.rma.opts.DetectOverlap {
-		// CompleteCollective's barrier already released the other members:
-		// a fast origin could have a new-epoch store applied here before
-		// the reset above ran, and the reset would wipe it. A second
-		// barrier keeps every member out of the new epoch until every
-		// ledger is clear; only paid when overlap detection is on.
-		w.comm.Barrier()
 	}
 	w.rma.Fences.Inc()
 	w.mu.Lock()
@@ -51,7 +42,7 @@ func (w *Win) Post(group []int) error {
 	w.mu.Lock()
 	if w.epoch.postGroup != nil {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Post while an exposure epoch is already open: %w", core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Post while an exposure epoch is already open: %w", rma.ErrEpoch)
 	}
 	pg := make(map[int]bool, len(group))
 	for _, g := range group {
@@ -72,7 +63,7 @@ func (w *Win) Start(group []int) error {
 	w.mu.Lock()
 	if w.epoch.accessGroup != nil {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Start while an access epoch is already open: %w", core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Start while an access epoch is already open: %w", rma.ErrEpoch)
 	}
 	ag := make(map[int]bool, len(group))
 	for _, g := range group {
@@ -109,12 +100,12 @@ func (w *Win) Complete() error {
 	group := w.epoch.accessGroup
 	if group == nil {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Complete without a matching Start: %w", core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Complete without a matching Start: %w", rma.ErrEpoch)
 	}
 	w.epoch.accessGroup = nil
 	w.mu.Unlock()
 	for g := range group {
-		if err := w.rma.eng.Complete(w.comm, g); err != nil {
+		if err := w.s.Complete(g); err != nil {
 			return err
 		}
 		w.sendCtl(kDone, g, 0, 0)
@@ -130,7 +121,7 @@ func (w *Win) Wait() error {
 	group := w.epoch.postGroup
 	if group == nil {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Wait without a matching Post: %w", core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Wait without a matching Post: %w", rma.ErrEpoch)
 	}
 	for {
 		all := true
@@ -150,7 +141,6 @@ func (w *Win) Wait() error {
 	at := w.noticeAt
 	w.mu.Unlock()
 	w.rma.proc.NIC().CPU().AdvanceTo(at)
-	w.resetOverlapEpoch()
 	return nil
 }
 
@@ -161,7 +151,7 @@ func (w *Win) Test() (bool, error) {
 	group := w.epoch.postGroup
 	if group == nil {
 		w.mu.Unlock()
-		return false, fmt.Errorf("mpi2rma: Test without a matching Post: %w", core.ErrEpoch)
+		return false, fmt.Errorf("mpi2rma: Test without a matching Post: %w", rma.ErrEpoch)
 	}
 	for g := range group {
 		if !w.donesSeen[g] {
@@ -174,7 +164,6 @@ func (w *Win) Test() (bool, error) {
 	at := w.noticeAt
 	w.mu.Unlock()
 	w.rma.proc.NIC().CPU().AdvanceTo(at)
-	w.resetOverlapEpoch()
 	return true, nil
 }
 

@@ -6,30 +6,31 @@
 //
 // It exists as the baseline the strawman is measured against: experiment
 // E6 compares single-call strawman transfers with the per-epoch costs of
-// each MPI-2 mode, and the epoch-legality and overlapping-access rules the
-// paper calls out as limitations are enforced here (overlap checking
-// optional, matching MPI-2's "erroneous, not detected" stance).
+// each MPI-2 mode, and the epoch-legality rules the paper calls out as
+// limitations are enforced here. MPI-2's overlapping-access rule
+// ("erroneous, not detected") is checked, when asked for, by the strawman's
+// own semantic checker: open the rank's session with rma.WithChecker().
 //
-// The package is deliberately built *on top of* the strawman engine
-// (internal/core): one of the paper's implicit claims is that the new
-// interface is strictly more expressive, and constructing MPI-2 windows,
-// epochs and passive-target locking from target_mem + attributes +
-// completion probes demonstrates it.
+// The package is deliberately built *on top of* the strawman interface —
+// the public rma facade, nothing beneath it: one of the paper's implicit
+// claims is that the new interface is strictly more expressive, and
+// constructing MPI-2 windows, epochs and passive-target locking from
+// target_mem + attributes + completion demonstrates it. Only the window
+// protocol's own control messages (PSCW notices, window locks) travel as
+// NIC kinds of their own.
 package mpi2rma
 
 import (
 	"fmt"
 	"sync"
 
-	"mpi3rma/internal/core"
-	"mpi3rma/internal/datatype"
-	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/portals"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/stats"
 	"mpi3rma/internal/telemetry"
 	"mpi3rma/internal/vtime"
+	"mpi3rma/rma"
 )
 
 // Message kinds of the MPI-2 window protocol (PSCW notices, window locks).
@@ -67,19 +68,10 @@ func (t LockType) String() string {
 	return "MPI_LOCK_SHARED"
 }
 
-// Options configures a rank's MPI-2 RMA layer.
-type Options struct {
-	// DetectOverlap enables the (expensive, diagnostic) detection of
-	// concurrent overlapping stores within one exposure epoch — accesses
-	// MPI-2 declares erroneous but implementations do not detect.
-	DetectOverlap bool
-}
-
 // RMA is one rank's MPI-2 RMA layer.
 type RMA struct {
 	proc *runtime.Proc
-	eng  *core.Engine
-	opts Options
+	s    *rma.Session
 
 	mu     sync.Mutex
 	wins   map[uint64]*Win
@@ -89,8 +81,6 @@ type RMA struct {
 	lockWaits  map[uint64]*pendingLock
 	lockReqSeq uint64
 
-	// OverlapViolations counts detected concurrent overlapping stores.
-	OverlapViolations stats.Counter
 	// Fences counts completed Win.Fence synchronizations.
 	Fences stats.Counter
 	// PSCWEpochs counts access epochs opened with Win.Start.
@@ -103,14 +93,13 @@ type RMA struct {
 const extKey = "mpi2rma"
 
 // Attach returns the rank's MPI-2 layer, creating it on first use. The
-// strawman engine is attached implicitly with default options if the rank
-// has not configured one yet.
-func Attach(p *runtime.Proc, opts Options) *RMA {
+// rank's rma session is opened implicitly with default options if the rank
+// has not opened one yet.
+func Attach(p *runtime.Proc) *RMA {
 	return p.Ext(extKey, func() any {
 		r := &RMA{
 			proc:   p,
-			eng:    core.Attach(p, core.Options{}),
-			opts:   opts,
+			s:      rma.Open(p),
 			wins:   make(map[uint64]*Win),
 			winSeq: make(map[uint64]uint64),
 		}
@@ -120,10 +109,7 @@ func Attach(p *runtime.Proc, opts Options) *RMA {
 		nic.RegisterHandler(kWLockReq, r.handleLockReq)
 		nic.RegisterHandler(kWLockGnt, r.handleLockGrant)
 		nic.RegisterHandler(kWLockRel, r.handleLockRel)
-		if opts.DetectOverlap {
-			r.eng.AddAccessRecorder(overlapLedger{r})
-		}
-		if reg := r.eng.Metrics(); reg != nil {
+		if reg := r.s.Engine().Metrics(); reg != nil {
 			r.RegisterMetrics(reg)
 		}
 		return r
@@ -132,7 +118,7 @@ func Attach(p *runtime.Proc, opts Options) *RMA {
 
 // RegisterMetrics registers the MPI-2 layer's counters on a metrics
 // registry under mpi2.* names. Attach calls it automatically when the
-// underlying engine already has telemetry enabled.
+// rank's session already has telemetry enabled.
 func (r *RMA) RegisterMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -140,11 +126,7 @@ func (r *RMA) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("mpi2.fences", &r.Fences)
 	reg.Register("mpi2.pscw_epochs", &r.PSCWEpochs)
 	reg.Register("mpi2.win_locks", &r.WinLocks)
-	reg.Register("mpi2.overlap_violations", &r.OverlapViolations)
 }
-
-// Engine exposes the underlying strawman engine.
-func (r *RMA) Engine() *core.Engine { return r.eng }
 
 // epochState tracks which epoch(s) a window is in at this rank.
 type epochState struct {
@@ -158,9 +140,10 @@ type epochState struct {
 type Win struct {
 	rma  *RMA
 	comm *runtime.Comm
+	s    *rma.Session // the rank's session, bound to comm
 	id   uint64
-	tms  []core.TargetMem // per comm rank
-	mine memsim.Region
+	tms  []rma.TargetMem // per comm rank
+	mine rma.Region
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -176,10 +159,6 @@ type Win struct {
 	lockHolders map[int]LockType // comm rank -> type
 	lockQueue   []lockWaiter
 	lockLane    vtime.Clock
-
-	// Overlap detection state (exposure side).
-	overlapMu sync.Mutex
-	writes    []writeRecord
 }
 
 type lockWaiter struct {
@@ -189,37 +168,15 @@ type lockWaiter struct {
 	at     vtime.Time
 }
 
-type writeRecord struct {
-	origin     int // world rank
-	start, end int
-}
-
 // WinCreate collectively creates a window over each member's region (the
 // MPI-2 model the paper contrasts with non-collective target_mem
 // creation). All members of comm must call it in the same order with
 // their own region; a zero-size region is allowed.
-func (r *RMA) WinCreate(comm *runtime.Comm, region memsim.Region) (*Win, error) {
-	tm := r.eng.Expose(region)
-	parts := comm.Gather(0, tm.Encode())
-	var flat []byte
-	if comm.Rank() == 0 {
-		for _, part := range parts {
-			flat = append(flat, part...)
-		}
-	}
-	flat = comm.Bcast(0, flat)
-	n := comm.Size()
-	if len(flat)%n != 0 {
-		return nil, fmt.Errorf("mpi2rma: descriptor exchange returned %d bytes for %d ranks: %w", len(flat), n, core.ErrEpoch)
-	}
-	per := len(flat) / n
-	tms := make([]core.TargetMem, n)
-	for i := 0; i < n; i++ {
-		var err error
-		tms[i], err = core.DecodeTargetMem(flat[i*per : (i+1)*per])
-		if err != nil {
-			return nil, fmt.Errorf("mpi2rma: rank %d descriptor: %w", i, err)
-		}
+func (r *RMA) WinCreate(comm *runtime.Comm, region rma.Region) (*Win, error) {
+	s := r.s.On(comm)
+	tms, err := s.Exchange(s.ExposeRegion(region))
+	if err != nil {
+		return nil, fmt.Errorf("mpi2rma: %w", err)
 	}
 
 	r.mu.Lock()
@@ -231,6 +188,7 @@ func (r *RMA) WinCreate(comm *runtime.Comm, region memsim.Region) (*Win, error) 
 	w := &Win{
 		rma:         r,
 		comm:        comm,
+		s:           s,
 		id:          id,
 		tms:         tms,
 		mine:        region,
@@ -251,11 +209,11 @@ func (w *Win) Free() error {
 	w.mu.Lock()
 	if w.freed {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: window already freed: %w", core.ErrBadHandle)
+		return fmt.Errorf("mpi2rma: window already freed: %w", rma.ErrBadHandle)
 	}
 	if w.epoch.accessGroup != nil || w.epoch.postGroup != nil || len(w.epoch.locked) > 0 {
 		w.mu.Unlock()
-		return fmt.Errorf("mpi2rma: Win_free inside an open epoch: %w", core.ErrEpoch)
+		return fmt.Errorf("mpi2rma: Win_free inside an open epoch: %w", rma.ErrEpoch)
 	}
 	w.freed = true
 	w.mu.Unlock()
@@ -263,14 +221,14 @@ func (w *Win) Free() error {
 	w.rma.mu.Lock()
 	delete(w.rma.wins, w.id)
 	w.rma.mu.Unlock()
-	return w.rma.eng.Retract(w.tms[w.comm.Rank()])
+	return w.s.Retract(w.tms[w.comm.Rank()])
 }
 
 // Comm returns the window's communicator.
 func (w *Win) Comm() *runtime.Comm { return w.comm }
 
 // Region returns this rank's window memory.
-func (w *Win) Region() memsim.Region { return w.mine }
+func (w *Win) Region() rma.Region { return w.mine }
 
 // lookup resolves a window id at this rank.
 func (r *RMA) lookup(id uint64) *Win {
@@ -286,7 +244,7 @@ func (w *Win) accessAllowed(trank int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.freed {
-		return fmt.Errorf("mpi2rma: RMA call on freed window: %w", core.ErrBadHandle)
+		return fmt.Errorf("mpi2rma: RMA call on freed window: %w", rma.ErrBadHandle)
 	}
 	if w.epoch.fenceOpen {
 		return nil
@@ -297,12 +255,12 @@ func (w *Win) accessAllowed(trank int) error {
 	if w.epoch.locked[trank] {
 		return nil
 	}
-	return fmt.Errorf("mpi2rma: RMA access to rank %d outside any epoch (MPI-2 requires fence, start, or lock): %w", trank, core.ErrEpoch)
+	return fmt.Errorf("mpi2rma: RMA access to rank %d outside any epoch (MPI-2 requires fence, start, or lock): %w", trank, rma.ErrEpoch)
 }
 
 // Put transfers origin data into target rank trank's window memory at
 // byte displacement tdisp. Legal only inside an epoch covering trank.
-func (w *Win) Put(origin memsim.Region, ocount int, odt datatype.Type, trank, tdisp, tcount int, tdt datatype.Type) error {
+func (w *Win) Put(origin rma.Region, ocount int, odt rma.Type, trank, tdisp, tcount int, tdt rma.Type) error {
 	if err := w.accessAllowed(trank); err != nil {
 		return err
 	}
@@ -310,18 +268,18 @@ func (w *Win) Put(origin memsim.Region, ocount int, odt datatype.Type, trank, td
 	// (Fence, Complete, Unlock) completes every pending operation at the
 	// engine level, so the request is deliberately dropped here.
 	//rmalint:ignore lostrequest completion happens at the epoch-closing synchronization
-	_, err := w.rma.eng.Put(origin, ocount, odt, w.tms[trank], tdisp, tcount, tdt, trank, w.comm, core.AttrNone)
+	_, err := w.s.Put(origin, ocount, odt, w.tms[trank], tdisp, rma.WithTargetLayout(tcount, tdt))
 	return err
 }
 
 // Get transfers target window memory into origin memory. Blocking at the
 // data level (MPI-2 gets complete at the closing synchronization; here the
 // data is fetched eagerly, which is a legal implementation).
-func (w *Win) Get(origin memsim.Region, ocount int, odt datatype.Type, trank, tdisp, tcount int, tdt datatype.Type) error {
+func (w *Win) Get(origin rma.Region, ocount int, odt rma.Type, trank, tdisp, tcount int, tdt rma.Type) error {
 	if err := w.accessAllowed(trank); err != nil {
 		return err
 	}
-	req, err := w.rma.eng.Get(origin, ocount, odt, w.tms[trank], tdisp, tcount, tdt, trank, w.comm, core.AttrNone)
+	req, err := w.s.Get(origin, ocount, odt, w.tms[trank], tdisp, rma.WithTargetLayout(tcount, tdt))
 	if err != nil {
 		return err
 	}
@@ -331,57 +289,14 @@ func (w *Win) Get(origin memsim.Region, ocount int, odt datatype.Type, trank, td
 
 // Accumulate combines origin data into the target window with op. MPI-2
 // accumulates are element-atomic; that is depositAcc's granularity too.
-func (w *Win) Accumulate(op core.AccOp, origin memsim.Region, ocount int, odt datatype.Type, trank, tdisp, tcount int, tdt datatype.Type) error {
+func (w *Win) Accumulate(op rma.AccOp, origin rma.Region, ocount int, odt rma.Type, trank, tdisp, tcount int, tdt rma.Type) error {
 	if err := w.accessAllowed(trank); err != nil {
 		return err
 	}
 	// As with Put: MPI-2 accumulates complete at the epoch-closing call.
 	//rmalint:ignore lostrequest completion happens at the epoch-closing synchronization
-	_, err := w.rma.eng.Accumulate(op, origin, ocount, odt, w.tms[trank], tdisp, tcount, tdt, trank, w.comm, core.AttrNone)
+	_, err := w.s.Accumulate(op, origin, ocount, odt, w.tms[trank], tdisp, rma.WithTargetLayout(tcount, tdt))
 	return err
-}
-
-// overlapLedger is the overlap checker, installed as one of the engine's
-// access recorders: it records stores into this rank's windows and counts
-// concurrent stores from different origins to overlapping bytes within the
-// same epoch. MPI-2 epochs, not the strawman's Complete, bound the ledger
-// (reset at each Fence/Wait), so the retire calls are not its concern.
-type overlapLedger struct{ *RMA }
-
-func (overlapLedger) RetireOrigin(origin, target int) {}
-func (overlapLedger) RetireTarget(target int)         {}
-
-func (r overlapLedger) RecordAccess(a core.Access) {
-	if a.Kind != core.AccessPut && a.Kind != core.AccessAcc {
-		return
-	}
-	r.mu.Lock()
-	var win *Win
-	for _, w := range r.wins {
-		if w.tms[w.comm.Rank()].Handle == a.Handle {
-			win = w
-			break
-		}
-	}
-	r.mu.Unlock()
-	if win == nil {
-		return
-	}
-	win.overlapMu.Lock()
-	defer win.overlapMu.Unlock()
-	for _, rec := range win.writes {
-		if rec.origin != a.Origin && a.Disp < rec.end && rec.start < a.Disp+a.Len {
-			r.OverlapViolations.Inc()
-		}
-	}
-	win.writes = append(win.writes, writeRecord{origin: a.Origin, start: a.Disp, end: a.Disp + a.Len})
-}
-
-// resetOverlapEpoch clears the overlap ledger at epoch boundaries.
-func (w *Win) resetOverlapEpoch() {
-	w.overlapMu.Lock()
-	w.writes = w.writes[:0]
-	w.overlapMu.Unlock()
 }
 
 // sendCtl ships a window-protocol control message. A failed send can only

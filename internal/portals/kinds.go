@@ -20,8 +20,6 @@ const (
 	KindCoreBase uint8 = 20
 	// KindMPI2Base is the first kind owned by internal/mpi2rma.
 	KindMPI2Base uint8 = 40
-	// KindARMCIBase is the first kind owned by internal/armci.
-	KindARMCIBase uint8 = 60
 	// KindGASNetBase is the first kind owned by internal/gasnet.
 	KindGASNetBase uint8 = 70
 )

@@ -70,11 +70,18 @@ type NIC struct {
 	// pending holds messages that arrived before their kind's handler was
 	// registered: rank startup is not synchronized, so a fast origin can
 	// have traffic in flight before the target's upper layers attach.
-	// RegisterHandler drains a kind's backlog in arrival order.
+	// Only the agent parks and drains it, so handlers run on the agent
+	// alone; RegisterHandler pokes it to deliver a kind's backlog in
+	// arrival order.
 	pending map[uint8][]*simnet.Message
 	mds     []*MD
 	table   map[int]*MD // portal index -> MD exposed for remote access
 
+	// wake interrupts the agent's wait on the delivery queue: to drain a
+	// backlog RegisterHandler has just made deliverable, or to stop once
+	// quit is closed. One channel serves both so the per-message select
+	// stays two-way.
+	wake chan struct{}
 	quit chan struct{}
 	done chan struct{}
 
@@ -115,6 +122,7 @@ func NewNIC(ep *simnet.Endpoint, mem *memsim.Memory, cfg Config) *NIC {
 		handlers: make(map[uint8]Handler),
 		pending:  make(map[uint8][]*simnet.Message),
 		table:    make(map[int]*MD),
+		wake:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -147,29 +155,30 @@ func (n *NIC) Now() vtime.Time { return n.cpu.Now() }
 // HardwareAcks reports whether the NIC generates acknowledgements itself.
 func (n *NIC) HardwareAcks() bool { return n.cfg.HardwareAcks }
 
-// RegisterHandler installs h for message kind k and delivers, in arrival
-// order, any messages of that kind that arrived before registration.
-// Registering a kind twice panics: kinds are statically partitioned
-// between layers (see kinds.go).
+// RegisterHandler installs h for message kind k. Messages of that kind
+// that arrived before registration are delivered by the agent, in arrival
+// order, shortly after: the agent is the only goroutine that runs
+// handlers, so a layer's handlers never race each other. Registering a
+// kind twice panics: kinds are statically partitioned between layers (see
+// kinds.go).
 func (n *NIC) RegisterHandler(k uint8, h Handler) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if _, dup := n.handlers[k]; dup {
-		n.mu.Unlock()
 		panic(fmt.Sprintf("portals: duplicate handler for kind %d on rank %d", k, n.ep.ID()))
 	}
 	n.handlers[k] = h
-	// Drain the backlog one message at a time: dispatch keeps parking new
-	// arrivals of this kind while a backlog exists, so per-kind delivery
-	// order is preserved even against the concurrent agent.
-	for len(n.pending[k]) > 0 {
-		m := n.pending[k][0]
-		n.pending[k] = n.pending[k][1:]
-		n.mu.Unlock()
-		n.deliver(h, m)
-		n.mu.Lock()
+	if len(n.pending[k]) > 0 {
+		n.poke()
 	}
-	delete(n.pending, k)
-	n.mu.Unlock()
+}
+
+// poke wakes the agent; a wakeup already pending covers this one too.
+func (n *NIC) poke() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Send injects m at virtual time now and returns its arrival time at the
@@ -217,6 +226,7 @@ func (n *NIC) Stop() {
 	default:
 		close(n.quit)
 	}
+	n.poke()
 	<-n.done
 	if r := n.relay.Load(); r != nil {
 		<-r.done
@@ -234,14 +244,40 @@ func (n *NIC) agent() {
 	defer close(n.done)
 	for {
 		select {
-		case <-n.quit:
-			return
 		case m, ok := <-n.ep.Queue():
 			if !ok {
 				return
 			}
 			n.dispatch(m)
+		case <-n.wake:
+			select {
+			case <-n.quit:
+				return
+			default:
+				n.drainParked()
+			}
 		}
+	}
+}
+
+// drainParked delivers every parked backlog whose handler has since been
+// registered, each in arrival order. Arrivals of a kind keep parking
+// behind its backlog until this runs, and only the agent runs either, so
+// no arrival overtakes the backlog.
+func (n *NIC) drainParked() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for k, backlog := range n.pending {
+		h := n.handlers[k]
+		if h == nil {
+			continue
+		}
+		delete(n.pending, k)
+		n.mu.Unlock()
+		for _, m := range backlog {
+			n.deliver(h, m)
+		}
+		n.mu.Lock()
 	}
 }
 

@@ -35,15 +35,30 @@ func newRig(t *testing.T, ranks int, hwAcks bool) *rig {
 	return r
 }
 
+// hangGuard bounds every wait in this file. It catches a hang, not a slow
+// delivery: several -race test binaries sharing a small host can stall a
+// healthy agent for seconds.
+const hangGuard = time.Minute
+
+// waitEvent returns the next event of type want on eq. Events of other
+// types go back on the queue for a later wait: an ACK can overtake the
+// SEND_END its origin posts only after Send returns.
 func waitEvent(t *testing.T, eq *EQ, want EventType) Event {
 	t.Helper()
-	deadline := time.After(2 * time.Second)
+	var skipped []Event
+	defer func() {
+		for _, ev := range skipped {
+			eq.post(ev)
+		}
+	}()
+	deadline := time.After(hangGuard)
 	for {
 		select {
 		case ev := <-eq.Chan():
 			if ev.Type == want {
 				return ev
 			}
+			skipped = append(skipped, ev)
 		case <-deadline:
 			t.Fatalf("timed out waiting for %v", want)
 		}
@@ -159,7 +174,7 @@ func TestBadRequestsCounted(t *testing.T) {
 	if _, err := srcMD.Put(0, 0, 8, 1, 2, 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
+	deadline := time.After(hangGuard)
 	for r.nics[1].BadReq.Value() < 3 {
 		select {
 		case <-deadline:
@@ -204,7 +219,7 @@ func TestUnexpose(t *testing.T) {
 	if _, err := srcMD.Put(0, 0, 8, 1, 3, 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
+	deadline := time.After(hangGuard)
 	for r.nics[1].BadReq.Value() < 1 {
 		select {
 		case <-deadline:
@@ -251,4 +266,60 @@ func TestRegisterHandlerDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r.nics[0].RegisterHandler(200, func(*simnet.Message, vtime.Time) {})
+}
+
+// TestParkedBacklogsRunOnAgent: messages of two kinds park before their
+// handlers exist, then both kinds register while the agent is delivering
+// more of them. The handlers share unsynchronized state, which is safe
+// only if one goroutine runs them all — the race detector is the
+// assertion — and each kind must still arrive in order.
+func TestParkedBacklogsRunOnAgent(t *testing.T) {
+	const kA, kB, perKind = 201, 202, 50
+	r := newRig(t, 2, true)
+	send := func(kind uint8, seq int) {
+		m := &simnet.Message{Dst: 1, Kind: kind}
+		m.Hdr[0] = uint64(seq)
+		if _, err := r.nics[0].Send(0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < perKind; i++ {
+		send(kA, i)
+		send(kB, i)
+	}
+	deadline := time.After(hangGuard)
+	for r.nics[1].Parked.Value() < 2*perKind {
+		select {
+		case <-deadline:
+			t.Fatalf("parked %d messages, want %d", r.nics[1].Parked.Value(), 2*perKind)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var delivered int // shared by both handlers, deliberately unguarded
+	next := map[uint8]int{}
+	done := make(chan struct{})
+	handler := func(m *simnet.Message, _ vtime.Time) {
+		if got := int(m.Hdr[0]); got != next[m.Kind] {
+			t.Errorf("kind %d: message %d delivered, want %d", m.Kind, got, next[m.Kind])
+		}
+		next[m.Kind]++
+		if delivered++; delivered == 4*perKind {
+			close(done)
+		}
+	}
+	r.nics[1].RegisterHandler(kA, handler)
+	for i := perKind; i < 2*perKind; i++ {
+		send(kA, i) // live traffic for kA while kB's backlog waits
+	}
+	r.nics[1].RegisterHandler(kB, handler)
+	for i := perKind; i < 2*perKind; i++ {
+		send(kB, i)
+	}
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatal("backlogs were not delivered")
+	}
 }

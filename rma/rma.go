@@ -146,6 +146,9 @@ var DecodeTargetMem = core.DecodeTargetMem
 type Session struct {
 	eng  *core.Engine
 	proc *runtime.Proc
+	// comm scopes the collective and rank-numbered calls (the world unless
+	// the session is a view from On). Transfers address a descriptor's
+	// owner by world rank and never consult it.
 	comm *runtime.Comm
 }
 
@@ -199,6 +202,17 @@ func Open(p *runtime.Proc, opts ...SessionOption) *Session {
 		p.NIC().EnableReliability(pol)
 	}
 	return s
+}
+
+// On returns a view of the session bound to comm: ExposeCollective,
+// Exchange and CompleteCollective run over comm's members, and the ranks
+// given to Complete, Order and the Select cases are ranks of comm. The
+// view shares the rank's engine, so transfers and everything else behave
+// exactly as on s.
+func (s *Session) On(comm *runtime.Comm) *Session {
+	v := *s
+	v.comm = comm
+	return &v
 }
 
 // Err reports the session's sticky failure: non-nil once any link's
@@ -278,6 +292,11 @@ func (s *Session) FlightRecorder() *telemetry.FlightRecorder {
 	return s.eng.FlightRecorder()
 }
 
+// Health reports this rank's point-in-time health — sticky errors, link
+// and retry state, shard and completion-queue depths, blocked waits — the
+// report every postmortem embeds. It is safe to call from any goroutine.
+func (s *Session) Health() telemetry.HealthReport { return s.eng.Health() }
+
 // CriticalPath merges every traced rank's protocol events into one
 // cross-rank timeline and decomposes each operation span into named
 // stages (issue-queue, pack, wire, retransmit-stall, shard-queue, apply,
@@ -336,6 +355,13 @@ func (s *Session) ExposeCollective(size int) ([]TargetMem, Region, error) {
 	return s.eng.ExposeCollective(s.comm, size)
 }
 
+// Exchange is the collective descriptor all-gather behind ExposeCollective,
+// for memory exposed some other way (ExposeRegion): every rank contributes
+// tm and receives all ranks' descriptors, indexed by rank.
+func (s *Session) Exchange(tm TargetMem) ([]TargetMem, error) {
+	return core.ExchangeTargetMem(s.comm, tm)
+}
+
 // Retract withdraws an exposure this rank owns.
 func (s *Session) Retract(tm TargetMem) error { return s.eng.Retract(tm) }
 
@@ -346,7 +372,7 @@ func (s *Session) Retract(tm TargetMem) error { return s.eng.Retract(tm) }
 func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
-	return s.eng.Put(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.comm, c.attrs)
+	return s.eng.Put(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.proc.Comm(), c.attrs)
 }
 
 // PutNotify is Put with the Notify attribute: the target reports the
@@ -355,7 +381,7 @@ func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp in
 func (s *Session) PutNotify(origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
-	return s.eng.PutNotify(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.comm, c.attrs)
+	return s.eng.PutNotify(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.proc.Comm(), c.attrs)
 }
 
 // Get transfers count elements of dt from src at byte displacement tdisp
@@ -364,7 +390,7 @@ func (s *Session) PutNotify(origin Region, count int, dt Type, dst TargetMem, td
 func (s *Session) Get(origin Region, count int, dt Type, src TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
-	return s.eng.Get(origin, count, dt, src, tdisp, tcount, tdt, src.Owner, s.comm, c.attrs)
+	return s.eng.Get(origin, count, dt, src, tdisp, tcount, tdt, src.Owner, s.proc.Comm(), c.attrs)
 }
 
 // Accumulate combines count elements of dt from the origin region into dst
@@ -372,7 +398,7 @@ func (s *Session) Get(origin Region, count int, dt Type, src TargetMem, tdisp in
 func (s *Session) Accumulate(op AccOp, origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
-	return s.eng.Accumulate(op, origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.comm, c.attrs)
+	return s.eng.Accumulate(op, origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.proc.Comm(), c.attrs)
 }
 
 // AccumulateAxpy performs target = scale*origin + target over
@@ -380,14 +406,14 @@ func (s *Session) Accumulate(op AccOp, origin Region, count int, dt Type, dst Ta
 func (s *Session) AccumulateAxpy(scale float64, origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
-	return s.eng.AccumulateAxpy(scale, origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.comm, c.attrs)
+	return s.eng.AccumulateAxpy(scale, origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.proc.Comm(), c.attrs)
 }
 
 // FetchAdd atomically adds delta to the int64 at tm+tdisp, returning the
 // previous value (the unconditional read-modify-write of Section V).
 func (s *Session) FetchAdd(tm TargetMem, tdisp int, delta int64, opts ...OpOption) (int64, error) {
 	c := buildOpConfig(opts)
-	return s.eng.FetchAdd(tm, tdisp, delta, tm.Owner, s.comm, c.attrs)
+	return s.eng.FetchAdd(tm, tdisp, delta, tm.Owner, s.proc.Comm(), c.attrs)
 }
 
 // FetchWord atomically reads the int64 at tm+tdisp — the read half of the
@@ -397,14 +423,14 @@ func (s *Session) FetchAdd(tm TargetMem, tdisp int, delta int64, opts ...OpOptio
 // sequence number.
 func (s *Session) FetchWord(tm TargetMem, tdisp int, opts ...OpOption) (int64, error) {
 	c := buildOpConfig(opts)
-	return s.eng.FetchWord(tm, tdisp, tm.Owner, s.comm, c.attrs)
+	return s.eng.FetchWord(tm, tdisp, tm.Owner, s.proc.Comm(), c.attrs)
 }
 
 // CompareSwap atomically compares the int64 at tm+tdisp with compare and,
 // if equal, stores swap; it returns the previous value.
 func (s *Session) CompareSwap(tm TargetMem, tdisp int, compare, swap int64, opts ...OpOption) (int64, error) {
 	c := buildOpConfig(opts)
-	return s.eng.CompareSwap(tm, tdisp, compare, swap, tm.Owner, s.comm, c.attrs)
+	return s.eng.CompareSwap(tm, tdisp, compare, swap, tm.Owner, s.proc.Comm(), c.attrs)
 }
 
 // Flush transmits every batched operation still held in this rank's issue
