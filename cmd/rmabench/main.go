@@ -1,10 +1,14 @@
-// Command rmabench regenerates the paper's evaluation.
+// Command rmabench regenerates the paper's evaluation in modelled
+// virtual time. It exits 1 when any experiment reports a FAIL: note (a
+// shape claim or a verification that did not hold).
 //
 // Usage:
 //
 //	rmabench                 # run every experiment, print tables
 //	rmabench -exp fig2       # one experiment
 //	rmabench -exp fig2 -csv  # CSV to stdout (for plotting)
+//	rmabench -exp fig1,e7,e9 -csv > internal/bench/testdata/exact.csv
+//	                         # regenerate the exact gate's golden file
 //	rmabench -exp e13 -metrics -trace e13-trace.json
 //	                         # telemetry sidecars: metrics JSON on stdout,
 //	                         # merged protocol timeline + spans to a file
@@ -46,7 +50,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "collect telemetry and print each experiment's metrics snapshot as JSON")
 	traceOut := flag.String("trace", "", "collect telemetry and write the merged trace timeline + spans JSON to this file")
 	critOut := flag.String("critpath", "", "collect telemetry and write the critical-path stage breakdown JSON to this file")
-	jsonOut := flag.String("json", "", "write the benchmark artifact (model+wall time, allocs) for a single -exp to this file (see cmd/benchdiff)")
 	profile := flag.String("profile", "", "comma list of pprof profiles to capture across the run: cpu,heap,mutex,block (sidecar files, see -profiledir)")
 	profileDir := flag.String("profiledir", ".", "directory receiving the pprof sidecar files")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -63,14 +66,9 @@ func main() {
 	if *metrics || *traceOut != "" || *critOut != "" {
 		bench.SetTelemetry(true)
 	}
+	stopProfiles := func() {}
 	if *profile != "" {
-		stop := startProfiles(*profile, *profileDir)
-		defer stop()
-	}
-
-	if *jsonOut != "" {
-		writeBenchArtifact(*exp, *jsonOut)
-		return
+		stopProfiles = startProfiles(*profile, *profileDir)
 	}
 
 	var results []bench.Result
@@ -86,6 +84,7 @@ func main() {
 			results = append(results, res)
 		}
 	}
+	failed := false
 	for _, res := range results {
 		if *csv {
 			bench.WriteCSV(os.Stdout, res)
@@ -104,6 +103,14 @@ func main() {
 		if *critOut != "" {
 			writeCritPath(res, *critOut, len(results) > 1)
 		}
+		for _, n := range res.Failures() {
+			fmt.Fprintf(os.Stderr, "rmabench: %s: %s\n", res.Name, n)
+			failed = true
+		}
+	}
+	stopProfiles()
+	if failed {
+		os.Exit(1)
 	}
 }
 
@@ -225,36 +232,6 @@ func startProfiles(kinds, dir string) func() {
 			stop()
 		}
 	}
-}
-
-// writeBenchArtifact runs one experiment with allocation accounting and
-// writes its benchmark artifact — the file cmd/benchdiff compares against
-// the committed BENCH_<ID>.json baselines.
-func writeBenchArtifact(exp, path string) {
-	if exp == "all" || strings.Contains(exp, ",") {
-		fmt.Fprintln(os.Stderr, "rmabench: -json needs a single -exp id (one artifact per experiment)")
-		os.Exit(2)
-	}
-	res, allocs, ok := bench.ByNameWithAllocs(exp)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rmabench: unknown experiment %q (try -list)\n", exp)
-		os.Exit(2)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rmabench: %v\n", err)
-		os.Exit(1)
-	}
-	art := bench.BenchArtifact(res, allocs)
-	if err := bench.WriteBenchJSON(f, art); err != nil {
-		fmt.Fprintf(os.Stderr, "rmabench: writing %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "rmabench: closing %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("benchmark artifact written to %s (%d rows, %d allocs)\n", path, len(art.Rows), art.TotalAllocs)
 }
 
 // emitMetrics prints one experiment's metrics snapshot as JSON, validating

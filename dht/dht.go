@@ -365,7 +365,7 @@ func (m *Map) snapshot(sr, off int) (word, key int64, err error) {
 // was lost — treating it as a lost race would leave the claimer spinning
 // forever on its own lock. (A racer's identical claim in that window is
 // indistinguishable; recovery stays sound because each key has a single
-// writer while a stripe fails over, which the tests and E16 arrange.)
+// writer while a stripe fails over, which the tests arrange.)
 func (m *Map) claim(sr, off int, observed int64) (claimed bool, err error) {
 	locked := pack(wordVersion(observed)+1, stateLocked)
 	var old int64

@@ -195,13 +195,16 @@ func TestMapContention(t *testing.T) {
 			return v
 		}
 		const key = int64(42)
+		issued := int64(0) // public requests this rank makes
 		if p.Rank() == 0 {
+			issued++
 			if err := m.Put(key, enc(0)); err != nil {
 				t.Errorf("seed put: %v", err)
 			}
 		}
 		p.Barrier()
 		for wins := 0; wins < eachWins; {
+			issued += 2 // the Get and the CAS below
 			cur, ok, err := m.Get(key)
 			if err != nil || !ok {
 				t.Errorf("rank %d get counter: ok=%v err=%v", p.Rank(), ok, err)
@@ -217,9 +220,24 @@ func TestMapContention(t *testing.T) {
 			}
 		}
 		p.Barrier()
+		issued++
 		got, ok, err := m.Get(key)
 		if err != nil || !ok || dec(got) != ranks*eachWins {
 			t.Errorf("rank %d final counter = %d ok=%v err=%v, want %d", p.Rank(), dec(got), ok, err, ranks*eachWins)
+		}
+		// Every request is counted once in the latency histogram and the
+		// op counters, none missed the seeded key, and contention is
+		// attributed per stripe.
+		st, lat := m.Stats(), m.Latency()
+		if lat.Count() != issued || st.Gets+st.Puts+st.CASes != issued || st.Misses != 0 {
+			t.Errorf("rank %d issued %d requests: latency count %d, gets+puts+cases %d, misses %d",
+				p.Rank(), issued, lat.Count(), st.Gets+st.Puts+st.CASes, st.Misses)
+		}
+		if p50, p99 := lat.Quantile(0.50), lat.Quantile(0.99); p50 <= 0 || p99 < p50 {
+			t.Errorf("rank %d latency percentiles p50 %d p99 %d", p.Rank(), p50, p99)
+		}
+		if n := len(m.StripeContention()); n != m.Servers() {
+			t.Errorf("rank %d contention covers %d stripes, want %d", p.Rank(), n, m.Servers())
 		}
 	})
 	if err != nil {

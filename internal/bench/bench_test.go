@@ -15,9 +15,9 @@ func fakeResult() Result {
 		Title:       "Fake experiment",
 		SeriesOrder: []string{"alpha", "beta"},
 		Rows: []Row{
-			{Series: "alpha", Size: 8, WallNS: 1000, ModelUS: 1.5, Extra: map[string]float64{"msgs": 7}},
-			{Series: "alpha", Size: 16, WallNS: 2000, ModelUS: 2.5, Extra: map[string]float64{"msgs": 9}},
-			{Series: "beta", Size: 8, WallNS: 1500, ModelUS: 9.5, Extra: map[string]float64{}},
+			{Series: "alpha", Size: 8, ModelUS: 1.5, Extra: map[string]float64{"msgs": 7}},
+			{Series: "alpha", Size: 16, ModelUS: 2.5, Extra: map[string]float64{"msgs": 9}},
+			{Series: "beta", Size: 8, ModelUS: 9.5, Extra: map[string]float64{}},
 		},
 		Notes: []string{"a note"},
 	}
@@ -42,10 +42,10 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("CSV has %d lines, want header + 3 rows:\n%s", len(lines), out)
 	}
-	if !strings.HasPrefix(lines[0], "experiment,series,size,model_us,wall_ns") {
+	if lines[0] != "experiment,series,size,model_us,msgs" {
 		t.Errorf("CSV header %q", lines[0])
 	}
-	if !strings.Contains(lines[1], `fake,"alpha",8,1.500,1000`) {
+	if lines[1] != `fake,"alpha",8,1.500,7` {
 		t.Errorf("CSV row %q", lines[1])
 	}
 }
@@ -154,10 +154,8 @@ func TestE12ShapeInvariants(t *testing.T) {
 		t.Skip("sensitivity sweep in -short mode")
 	}
 	res := RunE12()
-	for _, note := range res.Notes {
-		if strings.HasPrefix(note, "FAIL") {
-			t.Error(note)
-		}
+	for _, note := range res.Failures() {
+		t.Error(note)
 	}
 	if len(res.Notes) < 7 {
 		t.Errorf("only %d variants ran", len(res.Notes))

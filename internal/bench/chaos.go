@@ -116,7 +116,6 @@ func runChaosCell(plan *simnet.FaultPlan) chaosOutcome {
 		accSlot := chaosBenchWriters*chaosBenchSlot + putSlot
 		scratch := p.Alloc(chaosBenchSlot)
 		startVT := p.Now()
-		startWall := time.Now()
 		for round := 0; round < chaosBenchRounds; round++ {
 			pattern := bytes.Repeat([]byte{byte(16*p.Rank() + round)}, chaosBenchSlot)
 			p.WriteLocal(scratch, 0, pattern)
@@ -136,7 +135,7 @@ func runChaosCell(plan *simnet.FaultPlan) chaosOutcome {
 				panic(err)
 			}
 		}
-		meas.record(time.Since(startWall), p.Now()-startVT)
+		meas.record(p.Now() - startVT)
 		p.Barrier()
 	})
 	if err != nil {
@@ -174,11 +173,11 @@ func RunChaos() Result {
 		row.Extra["faults_injected"] = float64(out.FaultsInjected)
 		res.Add(row)
 		if !bytes.Equal(out.Final, baseline.Final) {
-			res.Notef("VERIFY FAILED: series %q diverged from the fault-free bytes", s.Name)
+			res.Notef("FAIL: series %q diverged from the fault-free bytes", s.Name)
 			ok = false
 		}
 		if out.Retries == 0 {
-			res.Notef("VERIFY FAILED: series %q saw no retransmissions despite the guaranteed drop burst", s.Name)
+			res.Notef("FAIL: series %q saw no retransmissions despite the guaranteed drop burst", s.Name)
 			ok = false
 		}
 	}

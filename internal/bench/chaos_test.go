@@ -42,10 +42,8 @@ func TestChaosRegistered(t *testing.T) {
 	if !ok {
 		t.Fatal("ByName(chaos) not found")
 	}
-	for _, note := range res.Notes {
-		if strings.Contains(note, "VERIFY FAILED") {
-			t.Errorf("chaos verification failed: %s", note)
-		}
+	for _, note := range res.Failures() {
+		t.Errorf("chaos verification failed: %s", note)
 	}
 	seedSeen := false
 	for _, note := range res.Notes {

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"mpi3rma/internal/core"
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -77,7 +75,6 @@ func runE11Cell(mode int, unordered bool, batches, perBatch int) (Row, *Telemetr
 			panic(err)
 		}
 		src := p.Alloc(64)
-		start := time.Now()
 		startVT := p.Now()
 		for b := 0; b < batches; b++ {
 			for i := 0; i < perBatch; i++ {
@@ -99,7 +96,7 @@ func runE11Cell(mode int, unordered bool, batches, perBatch int) (Row, *Telemetr
 		if err := e.Complete(comm, 0); err != nil {
 			panic(err)
 		}
-		meas.record(time.Since(start), p.Now()-startVT)
+		meas.record(p.Now() - startVT)
 		fenceStalls = e.FenceStalls.Value()
 		p.Barrier()
 	})

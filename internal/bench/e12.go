@@ -83,12 +83,8 @@ func RunE12() Result {
 			means["atomicity + thread serializer"] < means["atomicity + coarse lock"]/2 &&
 			means["atomicity + coarse lock"] > none*2 &&
 			means["remote complete"] > none
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		res.Notef("%s: %s — ordering/none=%.2f rc/none=%.2f thread/none=%.2f coarse/none=%.2f",
-			status, v.name,
+		res.Check(ok, "%s — ordering/none=%.2f rc/none=%.2f thread/none=%.2f coarse/none=%.2f",
+			v.name,
 			means["ordering"]/none, means["remote complete"]/none,
 			means["atomicity + thread serializer"]/none, means["atomicity + coarse lock"]/none)
 	}

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"mpi3rma/internal/serializer"
-)
+import "mpi3rma/internal/serializer"
 
 // E13 — operation batching and notified completion, measured on the
 // Figure 2 workload (7 origins, 100 puts each, one Complete toward the
@@ -26,7 +22,6 @@ import (
 //	unbatched nonblock + probe  — nonblocking issue, probe-based Complete
 //	unbatched nonblock + notify — per-put notifications, counter Complete
 //	batched(16) + notify        — aggregation, counter Complete
-//	batched(16) + probe         — aggregation, probe forced (A/B)
 //
 // plus a batch-size sweep at 64 B where the Size column is the batch
 // size b, not the payload.
@@ -43,32 +38,31 @@ const E13Batch = 16
 var E13BatchSweep = []int{1, 2, 4, 8, 16, 32, 64}
 
 // e13Series is one legend entry of the payload sweep.
+// Plain non-blocking puts report no delivery counter, so the "+ probe"
+// series reaches Complete's probe round-trip without any switch.
 type e13Series struct {
-	name            string
-	nonBlocking     bool
-	notifyPuts      bool
-	batchOps        int
-	probeCompletion bool
+	name        string
+	nonBlocking bool
+	notifyPuts  bool
+	batchOps    int
 }
 
 var e13SeriesSet = []e13Series{
 	{name: "unbatched blocking"},
-	{name: "unbatched nonblock + probe", nonBlocking: true, probeCompletion: true},
+	{name: "unbatched nonblock + probe", nonBlocking: true},
 	{name: "unbatched nonblock + notify", nonBlocking: true, notifyPuts: true},
 	{name: "batched(16) + notify", nonBlocking: true, batchOps: E13Batch},
-	{name: "batched(16) + probe", nonBlocking: true, batchOps: E13Batch, probeCompletion: true},
 }
 
 func e13Cell(s e13Series, size, batchOps int) PutsCompleteOutcome {
 	return RunPutsComplete(PutsCompleteConfig{
-		Origins:         Fig2Origins,
-		Puts:            Fig2Puts,
-		Size:            size,
-		Mech:            serializer.MechThread,
-		NonBlocking:     s.nonBlocking,
-		NotifyPuts:      s.notifyPuts,
-		BatchOps:        batchOps,
-		ProbeCompletion: s.probeCompletion,
+		Origins:     Fig2Origins,
+		Puts:        Fig2Puts,
+		Size:        size,
+		Mech:        serializer.MechThread,
+		NonBlocking: s.nonBlocking,
+		NotifyPuts:  s.notifyPuts,
+		BatchOps:    batchOps,
 	})
 }
 
@@ -89,7 +83,7 @@ func RunE13() Result {
 			row.Extra["batches"] = float64(out.Batches)
 			row.Extra["fast_paths"] = float64(out.FastPaths)
 			if !out.Verified {
-				res.Notef("VERIFY FAILED: series %q size %d left inconsistent target memory", s.name, size)
+				res.Notef("FAIL: series %q size %d left inconsistent target memory", s.name, size)
 			}
 			res.absorbTelemetry(out.Telemetry)
 			res.Add(row)
@@ -108,27 +102,19 @@ func RunE13() Result {
 		row.Extra["logical_ops"] = float64(out.LogicalOps)
 		row.Extra["batches"] = float64(out.Batches)
 		if !out.Verified {
-			res.Notef("VERIFY FAILED: batch sweep b=%d left inconsistent target memory", b)
+			res.Notef("FAIL: batch sweep b=%d left inconsistent target memory", b)
 		}
 		res.absorbTelemetry(out.Telemetry)
 		res.Add(row)
 	}
 
-	res.Notes = append(res.Notes, e13ShapeNotes(&res)...)
+	e13ShapeNotes(&res)
 	res.noteTelemetry()
 	return res
 }
 
 // e13ShapeNotes checks the acceptance claims on the model-time series.
-func e13ShapeNotes(res *Result) []string {
-	var notes []string
-	check := func(ok bool, format string, args ...any) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		notes = append(notes, fmt.Sprintf(status+": "+format, args...))
-	}
+func e13ShapeNotes(res *Result) {
 	at := func(series string, size int) float64 {
 		for _, r := range res.SeriesRows(series) {
 			if r.Size == size {
@@ -142,12 +128,12 @@ func e13ShapeNotes(res *Result) []string {
 	// path, isolating aggregation, and against the blocking baseline).
 	for _, size := range []int{8, 16, 32, 64} {
 		un, ba := at("unbatched nonblock + probe", size), at("batched(16) + notify", size)
-		check(ba > 0 && un >= 2*ba,
+		res.Check(ba > 0 && un >= 2*ba,
 			"batched issue >=2x cheaper than unbatched at %dB (%.1fus vs %.1fus, %.1fx)",
 			size, un, ba, un/ba)
 	}
 	// Claim 2: notified completion beats probe-based Complete on the
-	// Fig. 2 workload, batched and unbatched alike.
+	// Fig. 2 workload.
 	mean := func(series string) float64 {
 		rows := res.SeriesRows(series)
 		if len(rows) == 0 {
@@ -160,9 +146,7 @@ func e13ShapeNotes(res *Result) []string {
 		return sum / float64(len(rows))
 	}
 	np, nn := mean("unbatched nonblock + probe"), mean("unbatched nonblock + notify")
-	check(nn < np, "notified completion beats probe-based Complete unbatched (%.1fus vs %.1fus)", nn, np)
-	bp, bn := mean("batched(16) + probe"), mean("batched(16) + notify")
-	check(bn < bp, "notified completion beats probe-based Complete batched (%.1fus vs %.1fus)", bn, bp)
+	res.Check(nn < np, "notified completion beats probe-based Complete unbatched (%.1fus vs %.1fus)", nn, np)
 	// The sweep should fall monotonically-ish: b=16 well under b=1.
 	sweep := res.SeriesRows("batch-size sweep @64B (Size column = b)")
 	var b1, b16 float64
@@ -174,6 +158,5 @@ func e13ShapeNotes(res *Result) []string {
 			b16 = r.ModelUS
 		}
 	}
-	check(b16 > 0 && b1 >= 2*b16, "64B sweep: b=16 >=2x cheaper than b=1 (%.1fus vs %.1fus)", b1, b16)
-	return notes
+	res.Check(b16 > 0 && b1 >= 2*b16, "64B sweep: b=16 >=2x cheaper than b=1 (%.1fus vs %.1fus)", b1, b16)
 }

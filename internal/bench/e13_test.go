@@ -7,7 +7,7 @@ import "testing"
 // cuts modelled time >=2x, sends fewer wire messages than logical
 // operations, and completes without probing.
 func TestE13Smoke(t *testing.T) {
-	unbatched := e13Cell(e13Series{nonBlocking: true, probeCompletion: true}, 16, 0)
+	unbatched := e13Cell(e13Series{nonBlocking: true}, 16, 0)
 	batched := e13Cell(e13Series{nonBlocking: true, batchOps: E13Batch}, 16, E13Batch)
 	if !unbatched.Verified || !batched.Verified {
 		t.Fatal("a cell left inconsistent target memory")
@@ -25,6 +25,21 @@ func TestE13Smoke(t *testing.T) {
 	if batched.FastPaths != int64(Fig2Origins) {
 		t.Errorf("%d Complete fast paths, want %d (one per origin, no probes)",
 			batched.FastPaths, Fig2Origins)
+	}
+}
+
+// TestE13ProbeCell: plain non-blocking puts report no delivery counter, so
+// the "+ probe" series pays one probe round trip per origin without any
+// engine switch, while per-put notifications let every origin's Complete
+// finish locally.
+func TestE13ProbeCell(t *testing.T) {
+	probe := e13Cell(e13SeriesSet[1], 8, 0)
+	if probe.FastPaths != 0 || probe.Msgs != 745 {
+		t.Errorf("%q at 8B: fast_paths %d msgs %d, want 0 and 745", e13SeriesSet[1].name, probe.FastPaths, probe.Msgs)
+	}
+	notify := e13Cell(e13SeriesSet[2], 8, 0)
+	if notify.FastPaths != int64(Fig2Origins) {
+		t.Errorf("%q at 8B: fast_paths %d, want %d", e13SeriesSet[2].name, notify.FastPaths, Fig2Origins)
 	}
 }
 

@@ -92,7 +92,7 @@ func RunE14() Result {
 			row.Extra["model_mb_per_s"] = bytes / row.ModelUS // B/us == MB/s
 		}
 		if !out.Verified {
-			res.Notef("VERIFY FAILED: series %q size %d left inconsistent slots", series, size)
+			res.Notef("FAIL: series %q size %d left inconsistent slots", series, size)
 		}
 		res.absorbTelemetry(out.Telemetry)
 		res.Add(row)
@@ -111,7 +111,7 @@ func RunE14() Result {
 		}
 	}
 
-	res.Notes = append(res.Notes, e14ShapeNotes(&res)...)
+	e14ShapeNotes(&res)
 	res.Notef("note: the serial series models apply cost on unbounded per-origin lanes "+
 		"(an optimistic ~workers=%d bound), so it may undercut workers=1; the scaling claim "+
 		"is within the sharded series", Fig2Origins)
@@ -121,15 +121,7 @@ func RunE14() Result {
 
 // e14ShapeNotes checks the acceptance claim: sharded model time is
 // nonincreasing across the worker sweep at payloads >= E14ClaimSize.
-func e14ShapeNotes(res *Result) []string {
-	var notes []string
-	check := func(ok bool, format string, args ...any) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		notes = append(notes, fmt.Sprintf(status+": "+format, args...))
-	}
+func e14ShapeNotes(res *Result) {
 	at := func(workers, size int) float64 {
 		for _, r := range res.SeriesRows(e14SeriesName(workers)) {
 			if r.Size == size {
@@ -152,8 +144,7 @@ func e14ShapeNotes(res *Result) []string {
 			times += fmt.Sprintf(" -> %.1fus", cur)
 			prev = cur
 		}
-		check(ok, "aggregate model time nonincreasing workers %v at %dB (%s)",
+		res.Check(ok, "aggregate model time nonincreasing workers %v at %dB (%s)",
 			E14Workers, size, times)
 	}
-	return notes
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/vtime"
@@ -57,18 +56,15 @@ const E15Halo = 4096
 var E15Grains = []vtime.Duration{0, 5_000, 20_000, 80_000, 320_000}
 
 // e15Outcome is one variant's run: the slowest rank's virtual finish
-// time, host wall time, and every rank's final accumulator (the
-// byte-identical check).
+// time and every rank's final accumulator (the byte-identical check).
 type e15Outcome struct {
 	model vtime.Time
-	wall  time.Duration
 	accs  []int64
 }
 
 // runE15Halo drives one variant of the halo pipeline.
 func runE15Halo(pipelined bool, grain vtime.Duration) e15Outcome {
 	var out e15Outcome
-	start := time.Now()
 	world := runtime.NewWorld(runtime.Config{Ranks: E15Ranks})
 	defer world.Close()
 
@@ -175,7 +171,6 @@ func runE15Halo(pipelined bool, grain vtime.Duration) e15Outcome {
 	if err != nil {
 		panic(err)
 	}
-	out.wall = time.Since(start)
 	return out
 }
 
@@ -203,7 +198,6 @@ func RunE15() Result {
 		row := Row{
 			Series:  series,
 			Size:    int(grain) / 1000, // column: compute grain in us
-			WallNS:  float64(out.wall.Nanoseconds()),
 			ModelUS: float64(out.model) / 1e3,
 			Extra:   map[string]float64{},
 		}
@@ -230,13 +224,6 @@ func RunE15() Result {
 	}
 
 	// Shape notes: the acceptance claims, self-validating.
-	check := func(ok bool, format string, args ...any) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		res.Notef(status+": "+format, args...)
-	}
 	for i, g := range E15Grains {
 		c := cells[i]
 		same := len(c.block.accs) == len(c.pipe.accs) && len(c.block.accs) > 0
@@ -245,12 +232,12 @@ func RunE15() Result {
 				same = same && c.block.accs[r] == c.pipe.accs[r]
 			}
 		}
-		check(same, "grain %dus: pipelined accumulators byte-identical to blocking", int(g)/1000)
+		res.Check(same, "grain %dus: pipelined accumulators byte-identical to blocking", int(g)/1000)
 		if g == 0 {
 			continue
 		}
 		win := float64(c.block.model) - float64(c.pipe.model)
-		check(win > 0, "grain %dus: pipelined modelled time strictly below blocking (%.1fus < %.1fus, overlap efficiency > 0)",
+		res.Check(win > 0, "grain %dus: pipelined modelled time strictly below blocking (%.1fus < %.1fus, overlap efficiency > 0)",
 			int(g)/1000, float64(c.pipe.model)/1e3, float64(c.block.model)/1e3)
 	}
 	res.Notef("comm-only reference (blocking, grain 0): %.1fus; efficiency = won time / min(total compute, comm-only); "+

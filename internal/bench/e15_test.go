@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestE15Smoke runs one blocking/pipelined pair at a single compute grain
 // and checks the acceptance shape on that cell: the two variants fold
@@ -37,10 +34,8 @@ func TestE15Notes(t *testing.T) {
 		t.Skip("full E15 sweep in -short mode")
 	}
 	res := RunE15()
-	for _, n := range res.Notes {
-		if strings.HasPrefix(n, "FAIL") {
-			t.Errorf("self-check failed: %s", n)
-		}
+	for _, n := range res.Failures() {
+		t.Errorf("self-check failed: %s", n)
 	}
 	if len(res.Rows) != 2*len(E15Grains) {
 		t.Errorf("%d rows, want %d", len(res.Rows), 2*len(E15Grains))

@@ -158,7 +158,7 @@ func runE5Cell(size int, nonCoherent bool) Row {
 			invalidated = int64(n)
 			p.Advance(time.Duration(n) * lineInvalidateCost)
 			_ = p.ReadLocal(region, 0, size)
-			meas.record(0, p.Now())
+			meas.record(p.Now())
 			return
 		}
 		enc, _ := p.Recv(0, 0)
@@ -168,7 +168,6 @@ func runE5Cell(size int, nonCoherent bool) Row {
 		}
 		src := p.Alloc(size)
 		p.Barrier()
-		start := time.Now()
 		startVT := p.Now()
 		for i := 0; i < Fig2Puts; i++ {
 			if _, err := e.Put(src, size, datatype.Byte, tm, 0, size, datatype.Byte, 0, comm, core.AttrBlocking); err != nil {
@@ -178,7 +177,7 @@ func runE5Cell(size int, nonCoherent bool) Row {
 		if err := e.Complete(comm, 0); err != nil {
 			panic(err)
 		}
-		meas.record(time.Since(start), p.Now()-startVT)
+		meas.record(p.Now() - startVT)
 		p.Barrier()
 	})
 	if err != nil {

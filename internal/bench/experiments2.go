@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"mpi3rma/internal/armci"
 	"mpi3rma/internal/core"
 	"mpi3rma/internal/datatype"
@@ -63,7 +61,6 @@ func runFig1Cell(series string, size, iters int) Row {
 		src := p.Alloc(size)
 
 		p.Barrier()
-		start := time.Now()
 		startVT := p.Now()
 		for i := 0; i < iters; i++ {
 			switch series {
@@ -128,7 +125,7 @@ func runFig1Cell(series string, size, iters int) Row {
 			}
 		}
 		if p.Rank() == 1 || series == "mpi2 fence epoch" || series == "mpi2 post-start-complete-wait" {
-			meas.record(time.Since(start), p.Now()-startVT)
+			meas.record(p.Now() - startVT)
 		}
 		p.Barrier()
 	})
@@ -136,7 +133,6 @@ func runFig1Cell(series string, size, iters int) Row {
 		panic(err)
 	}
 	row := meas.row("", size)
-	row.WallNS /= float64(iters)
 	row.ModelUS /= float64(iters)
 	return row
 }
@@ -199,7 +195,6 @@ func runE7Cell(series string, size, iters int) Row {
 		vec := datatype.Vector(blocks, 16, 32, datatype.Byte)
 
 		p.Barrier()
-		start := time.Now()
 		startVT := p.Now()
 		if p.Rank() == 1 {
 			for i := 0; i < iters; i++ {
@@ -234,7 +229,7 @@ func runE7Cell(series string, size, iters int) Row {
 					}
 				}
 			}
-			meas.record(time.Since(start), p.Now()-startVT)
+			meas.record(p.Now() - startVT)
 		}
 		p.Barrier()
 	})
@@ -242,7 +237,6 @@ func runE7Cell(series string, size, iters int) Row {
 		panic(err)
 	}
 	row := meas.row("", size)
-	row.WallNS /= float64(iters)
 	row.ModelUS /= float64(iters)
 	return row
 }
@@ -322,7 +316,6 @@ func runE9Cell(series string, elems, iters int) Row {
 			panic(err)
 		}
 		src := p.Alloc(span)
-		start := time.Now()
 		startVT := p.Now()
 		for i := 0; i < iters; i++ {
 			if _, err := e.Put(src, 1, dt, tm, 0, 1, dt, 0, comm, core.AttrBlocking); err != nil {
@@ -332,14 +325,13 @@ func runE9Cell(series string, elems, iters int) Row {
 		if err := e.Complete(comm, 0); err != nil {
 			panic(err)
 		}
-		meas.record(time.Since(start), p.Now()-startVT)
+		meas.record(p.Now() - startVT)
 		p.Barrier()
 	})
 	if err != nil {
 		panic(err)
 	}
 	row := meas.row("", elems)
-	row.WallNS /= float64(iters)
 	row.ModelUS /= float64(iters)
 	return row
 }
@@ -383,7 +375,6 @@ func runE10Cell(series string, ranks, puts int) Row {
 		}
 		src := p.Alloc(size)
 		p.Barrier()
-		start := time.Now()
 		startVT := p.Now()
 		for t := 0; t < ranks; t++ {
 			if t == p.Rank() {
@@ -411,7 +402,7 @@ func runE10Cell(series string, ranks, puts int) Row {
 				panic(err)
 			}
 		}
-		meas.record(time.Since(start), p.Now()-startVT)
+		meas.record(p.Now() - startVT)
 		p.Barrier()
 	})
 	if err != nil {

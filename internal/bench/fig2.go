@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	gort "runtime"
 	"sync"
 	"time"
@@ -85,9 +84,6 @@ type PutsCompleteConfig struct {
 	// BatchOps enables origin-side operation batching of that many ops
 	// per aggregate (E13); 0 leaves batching off.
 	BatchOps int
-	// ProbeCompletion forces Complete's probe round-trip even when
-	// delivery counters could answer locally (E13 A/B).
-	ProbeCompletion bool
 	// DisjointSlots exposes Origins*Size bytes at rank 0 and gives each
 	// origin its own Size-byte slot at displacement (rank-1)*Size (E14):
 	// disjoint target ranges a sharded target can apply in parallel.
@@ -189,7 +185,6 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 			Atomicity:       cfg.Mech,
 			ProgressQuantum: cfg.TargetPolls,
 			BatchOps:        cfg.BatchOps,
-			ProbeCompletion: cfg.ProbeCompletion,
 			ApplyPerKB:      cfg.ApplyPerKB,
 		}
 		if p.Rank() == 0 {
@@ -268,7 +263,6 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 			tdisp = (p.Rank() - 1) * cfg.Size
 		}
 		startVT := p.Now()
-		startWall := time.Now()
 		for i := 0; i < cfg.Puts; i++ {
 			if _, err := e.Put(src, cfg.Size, datatype.Byte, tm, tdisp, cfg.Size, datatype.Byte, 0, comm, attrs); err != nil {
 				panic(err)
@@ -277,7 +271,7 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 		if err := e.Complete(comm, 0); err != nil {
 			panic(err)
 		}
-		meas.record(time.Since(startWall), p.Now()-startVT)
+		meas.record(p.Now() - startVT)
 		outMu.Lock()
 		out.Batches += e.Batches.Value()
 		out.Notifies += e.Notifies.Value()
@@ -324,21 +318,20 @@ func RunFig2() Result {
 			row.Extra["msgs"] = float64(out.Msgs)
 			row.Extra["lock_grants"] = float64(out.LockGrants)
 			if !out.Verified {
-				res.Notef("VERIFY FAILED: series %q size %d left inconsistent target memory", s.Name, size)
+				res.Notef("FAIL: series %q size %d left inconsistent target memory", s.Name, size)
 			}
 			res.absorbTelemetry(out.Telemetry)
 			res.Add(row)
 		}
 	}
-	res.Notes = append(res.Notes, fig2ShapeNotes(&res)...)
+	fig2ShapeNotes(&res)
 	res.noteTelemetry()
 	return res
 }
 
 // fig2ShapeNotes checks the paper's qualitative claims on the model-time
 // series and reports pass/fail notes.
-func fig2ShapeNotes(res *Result) []string {
-	var notes []string
+func fig2ShapeNotes(res *Result) {
 	mean := func(series string) float64 {
 		rows := res.SeriesRows(series)
 		if len(rows) == 0 {
@@ -354,17 +347,10 @@ func fig2ShapeNotes(res *Result) []string {
 	rc := mean("remote complete")
 	thread := mean("atomicity + thread serializer")
 	coarse := mean("atomicity + coarse lock")
-	check := func(ok bool, format string, args ...any) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		notes = append(notes, fmt.Sprintf(status+": "+format, args...))
-	}
-	check(ord <= none*1.05, "ordering is free on an ordered network (%.1fus vs %.1fus)", ord, none)
-	check(thread < coarse/2, "thread serializer ≪ coarse lock (%.1fus vs %.1fus)", thread, coarse)
-	check(coarse > none*2, "coarse lock pays a significant penalty over no attributes (%.1fus vs %.1fus)", coarse, none)
-	check(rc > none, "remote completion costs more than local completion (%.1fus vs %.1fus)", rc, none)
+	res.Check(ord <= none*1.05, "ordering is free on an ordered network (%.1fus vs %.1fus)", ord, none)
+	res.Check(thread < coarse/2, "thread serializer ≪ coarse lock (%.1fus vs %.1fus)", thread, coarse)
+	res.Check(coarse > none*2, "coarse lock pays a significant penalty over no attributes (%.1fus vs %.1fus)", coarse, none)
+	res.Check(rc > none, "remote completion costs more than local completion (%.1fus vs %.1fus)", rc, none)
 	// The paper's curves rise with payload size.
 	first := func(series string) float64 {
 		rows := res.SeriesRows(series)
@@ -380,8 +366,7 @@ func fig2ShapeNotes(res *Result) []string {
 		}
 		return rows[len(rows)-1].ModelUS
 	}
-	check(last("no attributes") > first("no attributes")*1.5,
+	res.Check(last("no attributes") > first("no attributes")*1.5,
 		"cost grows with payload size (%.1fus at %dB vs %.1fus at %dB)",
 		first("no attributes"), Fig2Sizes[0], last("no attributes"), Fig2Sizes[len(Fig2Sizes)-1])
-	return notes
 }

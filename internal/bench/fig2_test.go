@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"mpi3rma/internal/core"
@@ -48,9 +47,7 @@ func TestFig2Shape(t *testing.T) {
 	if len(res.Rows) != len(Fig2SeriesSet)*len(Fig2Sizes) {
 		t.Fatalf("got %d rows, want %d", len(res.Rows), len(Fig2SeriesSet)*len(Fig2Sizes))
 	}
-	for _, note := range res.Notes {
-		if strings.HasPrefix(note, "FAIL") || strings.HasPrefix(note, "VERIFY FAILED") {
-			t.Error(note)
-		}
+	for _, note := range res.Failures() {
+		t.Error(note)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // WriteTable renders a result as an aligned text table: one block per
-// series, one row per size, with wall and model columns plus any extras.
+// series, one row per size, with the model column plus any extras.
 func WriteTable(w io.Writer, res Result) {
 	fmt.Fprintf(w, "== %s ==\n", res.Title)
 	extras := extraColumns(res)
@@ -18,13 +18,13 @@ func WriteTable(w io.Writer, res Result) {
 			continue
 		}
 		fmt.Fprintf(w, "\n-- %s --\n", series)
-		fmt.Fprintf(w, "%10s %14s %14s", "size", "model(us)", "wall(us)")
+		fmt.Fprintf(w, "%10s %14s", "size", "model(us)")
 		for _, col := range extras {
 			fmt.Fprintf(w, " %16s", col)
 		}
 		fmt.Fprintln(w)
 		for _, r := range rows {
-			fmt.Fprintf(w, "%10d %14.2f %14.2f", r.Size, r.ModelUS, r.WallNS/1e3)
+			fmt.Fprintf(w, "%10d %14.2f", r.Size, r.ModelUS)
 			for _, col := range extras {
 				if v, ok := r.Extra[col]; ok {
 					fmt.Fprintf(w, " %16.0f", v)
@@ -47,13 +47,13 @@ func WriteTable(w io.Writer, res Result) {
 // WriteCSV renders a result as CSV with a header row.
 func WriteCSV(w io.Writer, res Result) {
 	extras := extraColumns(res)
-	fmt.Fprintf(w, "experiment,series,size,model_us,wall_ns")
+	fmt.Fprintf(w, "experiment,series,size,model_us")
 	for _, col := range extras {
 		fmt.Fprintf(w, ",%s", col)
 	}
 	fmt.Fprintln(w)
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%s,%q,%d,%.3f,%.0f", res.Name, r.Series, r.Size, r.ModelUS, r.WallNS)
+		fmt.Fprintf(w, "%s,%q,%d,%.3f", res.Name, r.Series, r.Size, r.ModelUS)
 		for _, col := range extras {
 			if v, ok := r.Extra[col]; ok {
 				fmt.Fprintf(w, ",%.0f", v)
@@ -151,7 +151,6 @@ func All() []Result {
 		RunE13(),
 		RunE14(),
 		RunE15(),
-		RunE16(),
 	}
 }
 
@@ -186,8 +185,6 @@ func ByName(name string) (Result, bool) {
 		return RunE14(), true
 	case "e15":
 		return RunE15(), true
-	case "e16":
-		return RunE16(), true
 	case "chaos":
 		return RunChaos(), true
 	default:
@@ -197,5 +194,5 @@ func ByName(name string) (Result, bool) {
 
 // Names lists the experiment ids ByName accepts.
 func Names() []string {
-	return []string{"fig2", "fig1", "e3", "e4", "e5", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "chaos"}
+	return []string{"fig2", "fig1", "e3", "e4", "e5", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "chaos"}
 }

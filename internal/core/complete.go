@@ -29,8 +29,8 @@ import (
 //     per target carrying the count of operations issued to it; the target
 //     replies once its applied count reaches that threshold.
 //
-// Options.ProbeCompletion forces path 3 for measurement. Cases 1 and 2 are
-// counted in FastPaths.
+// Cases 1 and 2 are counted in FastPaths. Operations that report no counter
+// (plain non-blocking puts) always take path 3.
 func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	e.Progress()
 	e.CompleteCalls.Inc()
@@ -295,17 +295,15 @@ func (e *Engine) maybeFence(comm *runtime.Comm, world int) error {
 // answered — the virtual clock has been advanced to the confirming report's
 // time, which is returned; otherwise the caller waits on the probe.
 func (e *Engine) confirm(world int, sent, will int64) (vtime.Time, *Request, error) {
-	if !e.opts.ProbeCompletion {
-		rc := SelectCase{kind: selConfirmed, rank: world, threshold: sent}
-		ev, ok := e.tryCase(&rc)
-		if !ok && will >= sent {
-			_, ev = e.wait([]SelectCase{rc})
-			ok = true
-		}
-		if ok {
-			e.proc.NIC().CPU().AdvanceTo(ev.At)
-			return ev.At, nil, ev.Err
-		}
+	rc := SelectCase{kind: selConfirmed, rank: world, threshold: sent}
+	ev, ok := e.tryCase(&rc)
+	if !ok && will >= sent {
+		_, ev = e.wait([]SelectCase{rc})
+		ok = true
+	}
+	if ok {
+		e.proc.NIC().CPU().AdvanceTo(ev.At)
+		return ev.At, nil, ev.Err
 	}
 	probe, err := e.sendProbe(world, sent)
 	return 0, probe, err

@@ -98,10 +98,6 @@ type Options struct {
 	// DefaultBatchBytes). Operations larger than BatchBytes bypass the
 	// batch entirely — aggregation only pays off for small operations.
 	BatchBytes int
-	// ProbeCompletion forces Complete to use the probe round-trip even
-	// when delivery-counter notifications could answer locally. For A/B
-	// measurement (experiment E13); leave false.
-	ProbeCompletion bool
 	// ApplyShards partitions each exposed target memory into this many
 	// fixed byte-range shards applied by a worker pool instead of the
 	// serial target path. Operations confined to one shard apply in

@@ -225,8 +225,8 @@ func (r *Request) Done() <-chan struct{} { return r.waitCh() }
 // Await is Wait followed by Err: it blocks until the operation completes,
 // advances the rank's virtual clock to the completion time, and returns
 // the operation's asynchronous failure, if any. It is the one-call
-// completion surface — callers that used to poll with ProbeCompletion or
-// pair Wait with Err should use Await.
+// completion surface — callers that would pair Wait with Err should use
+// Await.
 func (r *Request) Await() error {
 	r.Wait()
 	return r.Err()

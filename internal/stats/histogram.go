@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a fixed-bucket concurrent histogram for hot paths. Unlike
-// Sample it never allocates or sorts: observations land in power-of-two
+// Histogram is a fixed-bucket concurrent histogram for hot paths. It never
+// allocates or sorts: observations land in power-of-two
 // buckets (bucket i holds values in [2^(i-1), 2^i), bucket 0 holds zero),
 // so Observe is a pair of atomic adds and quantile queries walk 64 fixed
 // counters. The price is resolution — quantiles are exact only to the

@@ -92,21 +92,3 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("max = %d", h.Max())
 	}
 }
-
-func TestSampleQuantileReuse(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{5, 1, 4, 2, 3} {
-		s.Observe(v)
-	}
-	if q := s.Quantile(0.5); q != 3 {
-		t.Fatalf("p50 = %f", q)
-	}
-	// A second query reuses the sorted state; a new observation invalidates.
-	if q := s.Quantile(1); q != 5 {
-		t.Fatalf("p100 = %f", q)
-	}
-	s.Observe(0)
-	if q := s.Quantile(0); q != 0 {
-		t.Fatalf("p0 after new observation = %f", q)
-	}
-}

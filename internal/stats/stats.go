@@ -1,15 +1,10 @@
-// Package stats provides lightweight counters, timers, and histograms used
-// by the benchmark harness and by tests that assert on operation counts
-// (messages sent, bytes moved, locks taken, cache invalidations).
+// Package stats provides the lightweight concurrent counters, gauges and
+// power-of-two latency histograms the layers keep for operation counts
+// (messages sent, bytes moved, locks taken, cache invalidations) and
+// per-request virtual-time latency.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing concurrent counter.
 // The zero value is ready to use.
@@ -43,160 +38,3 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the gauge's current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Sample accumulates observations and reports simple summary statistics.
-// It is safe for concurrent use. Quantile queries sort the observations in
-// place once and reuse the ordering until the next Observe, so repeated
-// queries (p50, p90, p99, ...) cost one sort, not one copy-and-sort each.
-// For hot paths that cannot afford the mutex or the O(n) storage, use
-// Histogram instead.
-type Sample struct {
-	mu     sync.Mutex
-	vals   []float64
-	sorted bool
-}
-
-// Observe records one observation.
-func (s *Sample) Observe(v float64) {
-	s.mu.Lock()
-	s.vals = append(s.vals, v)
-	s.sorted = false
-	s.mu.Unlock()
-}
-
-// N returns the number of observations recorded.
-func (s *Sample) N() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.vals)
-}
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (s *Sample) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Min returns the smallest observation, or +Inf with no observations.
-func (s *Sample) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	min := math.Inf(1)
-	for _, v := range s.vals {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest observation, or -Inf with no observations.
-func (s *Sample) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	max := math.Inf(-1)
-	for _, v := range s.vals {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank on the
-// sorted observations, or 0 with no observations.
-func (s *Sample) Quantile(q float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.vals)
-		s.sorted = true
-	}
-	idx := int(math.Ceil(q*float64(len(s.vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.vals) {
-		idx = len(s.vals) - 1
-	}
-	return s.vals[idx]
-}
-
-// Reset discards all observations.
-func (s *Sample) Reset() {
-	s.mu.Lock()
-	s.vals = s.vals[:0]
-	s.mu.Unlock()
-}
-
-// Registry is a named collection of counters, for dumping operation counts
-// after an experiment. The zero value is ready to use.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Snapshot returns the current value of every registered counter.
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Reset zeroes every registered counter.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.Reset()
-	}
-}
-
-// String renders the registry as "name=value" pairs in sorted name order.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", n, snap[n])
-	}
-	return out
-}

@@ -1,11 +1,8 @@
 package stats
 
 import (
-	"math"
-	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -40,81 +37,5 @@ func TestGauge(t *testing.T) {
 	g.Set(-7)
 	if g.Value() != -7 {
 		t.Fatalf("gauge = %d", g.Value())
-	}
-}
-
-func TestSampleStats(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		s.Observe(v)
-	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if q := s.Quantile(0.5); q != 3 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := s.Quantile(1.0); q != 5 {
-		t.Fatalf("p100 = %v", q)
-	}
-	s.Reset()
-	if s.N() != 0 || s.Mean() != 0 {
-		t.Fatal("reset failed")
-	}
-	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
-		t.Fatal("empty min/max should be infinities")
-	}
-}
-
-// Property: quantile is always one of the observed values and lies within
-// [min, max].
-func TestQuantileProperty(t *testing.T) {
-	f := func(vals []float64, qRaw uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				return true
-			}
-		}
-		var s Sample
-		for _, v := range vals {
-			s.Observe(v)
-		}
-		q := float64(qRaw) / 255
-		got := s.Quantile(q)
-		return got >= s.Min() && got <= s.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	var r Registry
-	r.Counter("a").Add(2)
-	r.Counter("b").Inc()
-	r.Counter("a").Inc()
-	snap := r.Snapshot()
-	if snap["a"] != 3 || snap["b"] != 1 {
-		t.Fatalf("snapshot %v", snap)
-	}
-	str := r.String()
-	if !strings.Contains(str, "a=3") || !strings.Contains(str, "b=1") {
-		t.Fatalf("string %q", str)
-	}
-	if !strings.HasPrefix(str, "a=") {
-		t.Fatalf("registry string not sorted: %q", str)
-	}
-	r.Reset()
-	if r.Counter("a").Value() != 0 {
-		t.Fatal("reset failed")
 	}
 }
