@@ -91,9 +91,11 @@ profile-smoke:
 # retransmissions must actually happen, and an exhausted retry budget
 # must surface ErrLinkFailed instead of hanging. The recycle-safety run
 # rides along: operation records reused and quarantined under the same
-# plan must leave no race, no stale use and a byte-exact target.
+# plan must leave no race, no stale use and a byte-exact target. So do the
+# NIC delivery tests: handlers that run on senders and the agent alike
+# must never overlap and must keep each sender's order.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|FacadeWithFaults|FacadeLinkFailure' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -120,12 +122,16 @@ benchmark-check:
 # the rank-death matrix, the kill-instant mini-sweep (which side of the
 # delivery report a kill lands on moves run to run), the event-driven
 # chaos run whose OnDone callbacks may trail the Select that reaps the
-# request, and the recycle-safety run (which goroutine releases an
-# operation record moves with the schedule). Twenty repeats each on one and
-# on two scheduler threads (one thread reorders goroutines the most).
+# request, the recycle-safety run (which goroutine releases an operation
+# record moves with the schedule), and the NIC delivery tests (which
+# goroutine runs a handler — the sender or the agent — moves with it too).
+# Twenty repeats each on one and on two scheduler threads (one thread
+# reorders goroutines the most).
 flake:
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety' ./internal/core/
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 
 # bench runs every paper-figure experiment in modelled time and exits 1 on
 # any FAIL: shape note. The exact cells (Fig. 1 / E6, E7, E9) are pinned

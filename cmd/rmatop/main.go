@@ -143,7 +143,7 @@ func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], shards int,
 	s := rma.Open(p, opts...)
 	publish.Store(s)
 	if p.IsSpare() {
-		// Parked in the spare pool; after the rebuild the NIC agent serves
+		// Parked in the spare pool; after the rebuild the NIC serves
 		// the redirected ring traffic, so this goroutine only has to stay
 		// alive for the console to render its health.
 		for !stop.Load() {

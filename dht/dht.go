@@ -44,6 +44,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	gort "runtime"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -405,10 +406,12 @@ func (m *Map) finish(sr, off int, payload rma.Region, n, payloadOff int, unlock 
 }
 
 // backoff yields a little virtual time before re-reading a contended
-// bucket, so retry storms cost model time instead of spinning for free.
+// bucket, so retry storms cost model time instead of spinning for free,
+// and yields the host core: the writer it waits for needs it to finish.
 func (m *Map) backoff(attempt int) {
 	d := vtime.Duration(50 * (1 << min(attempt, 6)))
 	m.p.Advance(d)
+	gort.Gosched()
 }
 
 func (m *Map) observe(start vtime.Time) {

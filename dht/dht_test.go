@@ -383,7 +383,7 @@ func TestMapRankDeath(t *testing.T) {
 		s := rma.Open(p, rma.WithReplication())
 		if p.IsSpare() {
 			// Parked: the buddy replays the victim's regions onto this
-			// rank's NIC agent; the process function has nothing to do.
+			// rank's NIC; the process function has nothing to do.
 			return
 		}
 		m, err := Open(s, WithBuckets(64), WithValueSize(8), WithFailover())

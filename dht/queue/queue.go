@@ -36,6 +36,7 @@ package queue
 import (
 	"encoding/binary"
 	"fmt"
+	gort "runtime"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -215,10 +216,12 @@ func (q *Queue) slotOff(ticket int64) int {
 // protocol, not the backoff — backing off past the RTT only coarsens the
 // wait granularity and inflates modelled latency without saving a single
 // remote operation (measured: polls/item is flat from 100ns to 800us
-// caps, while modelled drain time scales with the cap).
+// caps, while modelled drain time scales with the cap). It also yields the
+// host core: the peer being waited for needs it to make the poll succeed.
 func (q *Queue) backoff(attempt int) {
 	d := vtime.Duration(100 * (1 << min(attempt, 4)))
 	q.p.Advance(d)
+	gort.Gosched()
 }
 
 // Enqueue publishes payload (exactly SlotSize bytes). It blocks while the

@@ -53,7 +53,7 @@ func main() {
 		s := rma.Open(p, rma.WithReplication())
 
 		if p.IsSpare() {
-			// The spare's NIC agent does all the work: it parks until the
+			// The spare's NIC does all the work: it idles until the
 			// promoting buddy replays the dead rank's regions onto it.
 			return
 		}
@@ -63,15 +63,15 @@ func main() {
 		tm, _ := s.Expose(slot)
 
 		if p.Rank() == victim {
-			// Ship the descriptor, then serve puts from the NIC agent
-			// until the crash. The process function has nothing left to
+			// Ship the descriptor, then serve puts from the NIC until
+			// the crash. The process function has nothing left to
 			// do — dying is handled by the fault plan.
 			p.Send(0, 0, tm.Encode())
 			return
 		}
 		if p.Rank() != 0 {
-			// The buddy also serves passively; promotion runs on its NIC
-			// agent when the detector declares the victim dead.
+			// The buddy also serves passively; promotion runs when the
+			// detector declares the victim dead.
 			return
 		}
 

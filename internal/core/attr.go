@@ -46,7 +46,8 @@ const (
 	// are applied by the same target mechanism — among non-atomic
 	// operations, and among atomic operations. A stream mixing atomic and
 	// non-atomic accesses to the same location is applied by different
-	// engines (the NIC agent vs the serializer) and may interleave;
+	// mechanisms (per-origin lanes or the shard pool vs the serializer)
+	// and may interleave;
 	// programs needing a totally ordered mixed stream should give every
 	// operation in it the same atomicity attribute. (The paper leaves
 	// this granularity open; MPI-3's eventual accumulate-ordering rules

@@ -8,7 +8,9 @@ import (
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/trace"
+	"mpi3rma/internal/vtime"
 )
 
 // TestCompleteInvalidRank: an out-of-range target rank is an error, not a
@@ -265,4 +267,46 @@ func TestTracerRecordsProtocol(t *testing.T) {
 	if applyIdx < 0 || probeIdx < 0 || applyIdx > probeIdx {
 		t.Errorf("timeline order wrong:\n%s", targetRing.Timeline())
 	}
+}
+
+// TestParkedProbeAnswersAfterArrival: a completion probe that parks
+// because its operation has not been applied yet is answered no earlier
+// than it arrived, even when the apply that releases it is stamped
+// earlier in virtual time. Under the progress serializer the target
+// applies an atomic put only when it next enters the library — here after
+// the probe has parked — at the put's own, earlier, modelled time.
+func TestParkedProbeAnswersAfterArrival(t *testing.T) {
+	w := newWorld(t, runtime.Config{Ranks: 2})
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		e := Attach(p, Options{Atomicity: serializer.MechProgress})
+		comm := p.Comm()
+		tm := shipTM(p, e, 8)
+		if p.Rank() == 0 {
+			for e.Probes.Value() < 1 {
+				pollYield()
+			}
+			for e.OpsApplied.Value() < 1 {
+				e.Progress()
+				pollYield()
+			}
+			p.Barrier()
+			return
+		}
+		if _, err := e.Put(p.Alloc(8), 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrAtomic); err != nil {
+			t.Errorf("put: %v", err)
+		}
+		probeAt := p.Now()
+		if err := e.Complete(comm, 0); err != nil {
+			t.Errorf("complete: %v", err)
+		}
+		// The probe leaves at probeAt plus one injection, arrives a wire
+		// time later and is delivered after the NIC's ingress overhead; its
+		// answer then pays its own injection and wire time.
+		c := p.NIC().Endpoint().Cost()
+		arrival := probeAt + vtime.Time(c.Inject(0)+c.Wire(0)+c.Deliver(0))
+		if bound := arrival + vtime.Time(c.Inject(0)+c.Wire(0)); p.Now() < bound {
+			t.Errorf("Complete returned at %d, before the probe's arrival %d plus an answer's injection and wire time (%d)", p.Now(), arrival, bound)
+		}
+		p.Barrier()
+	})
 }

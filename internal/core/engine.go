@@ -161,9 +161,9 @@ type reorderBuf struct {
 const freeListCap = 64
 
 // freeList is a stack of at most limit objects to reuse, empty until
-// something is put back. Takers run on the rank's goroutines and the NIC
-// agent, putters on whichever goroutine finishes an operation, hence the
-// lock.
+// something is put back. Takers run on the rank's goroutine and on
+// whichever goroutine delivers, putters on whichever goroutine finishes an
+// operation, hence the lock.
 type freeList[T any] struct {
 	mu    sync.Mutex
 	limit int
@@ -233,8 +233,9 @@ type Engine struct {
 	failedRanks map[int]fault
 	applyErr    fault
 
-	// Target-side state, guarded by tgtMu because applies may run on the
-	// NIC agent, the thread serializer, or a Progress call. applied[o] is
+	// Target-side state, guarded by tgtMu because applies may run on any
+	// delivering goroutine (a sender inline, the NIC agent), a shard
+	// worker, or a Progress call. applied[o] is
 	// the delivery watermark of origin o, indexed like confirmed: what this
 	// rank has applied from o, the virtual time of the latest application,
 	// and who waits on it — local calls and o's parked completion probes
@@ -306,8 +307,8 @@ type Engine struct {
 	Pings           stats.Counter // liveness probes sent by the progress sentinel
 }
 
-// gosched yields to let agent and serializer goroutines run between
-// progress polls.
+// gosched yields the host core between progress polls, so the goroutines
+// that deliver to this rank — NIC agent, shard workers, peers — can run.
 func gosched() { gort.Gosched() }
 
 // extKey is the Proc extension slot the engine lives in.
@@ -441,14 +442,11 @@ func (e *Engine) applyCost(n int) time.Duration {
 	return e.opts.ApplyOverhead + time.Duration(int64(n)*int64(e.opts.ApplyPerKB)/1024)
 }
 
-// Close shuts down the engine's serializer goroutine, if any, and wakes
-// completion-queue waiters. World.Close invokes it for every attached
-// engine; it is idempotent.
+// Close wakes completion-queue waiters and stops the replication
+// sentinel, if any. World.Close invokes it for every attached engine; it
+// is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.applyQ != nil {
-			e.applyQ.Close()
-		}
 		if q := e.observers().evq; q != nil {
 			q.close()
 		}
@@ -501,7 +499,9 @@ func (e *Engine) noteApplied(src int, at vtime.Time) int64 {
 // sendReply ships a handler-generated protocol reply. A failed send can
 // only mean the world is shutting down (the network refuses senders after
 // close); the reply is dropped and counted rather than crashing the
-// serializer or agent goroutine that carries it.
+// goroutine that carries it. The caller must hold no engine lock: the send
+// can run the destination's handlers — and, down a reply chain, this
+// rank's own — on this goroutine.
 func (e *Engine) sendReply(at vtime.Time, m *simnet.Message) {
 	if _, err := e.proc.NIC().Send(at, m); err != nil {
 		e.proc.NIC().BadReq.Inc()

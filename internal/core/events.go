@@ -37,9 +37,9 @@ import (
 // published only after every EvDelivery that made t quiescent, and an
 // event's At never precedes the At of the counter movement it reports.
 //
-// The queue is deliberately lossy at the rim: producers are delivery
-// goroutines (NIC agents, shard workers, serializers) and must never
-// block on a slow consumer, so a full queue drops the incoming event and
+// The queue is deliberately lossy at the rim: producers are whichever
+// goroutines deliver (a sender running a handler inline, a NIC agent, a
+// shard worker) and must never block on a slow consumer, so a full queue drops the incoming event and
 // counts it in Dropped. Counters — not the queue — remain the source of
 // truth; the queue is a wakeup/telemetry surface. Waiters that must not
 // miss anything use Select, which registers on the watermarks themselves

@@ -202,7 +202,7 @@ func pmDeathRank(t *testing.T, w *runtime.World, p *runtime.Proc, dir string) {
 	}
 	tm, _ := e.ExposeNew(rdSlot)
 	if p.Rank() != 0 {
-		return // victim and buddy serve from the NIC agent
+		return // victim and buddy serve from their NICs
 	}
 	// Exposures are symmetric (one identical ExposeNew per compute rank),
 	// so the writer forms the victim's descriptor locally instead of

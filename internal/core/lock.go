@@ -49,8 +49,8 @@ func (e *Engine) releaseLockExplicit(world int) error {
 	return nil
 }
 
-// handleLockReq queues or grants the process-level lock. Runs on the NIC
-// agent goroutine, which is the lock state machine's single driver.
+// handleLockReq queues or grants the process-level lock. Handlers hold the
+// NIC's delivery token, so they drive the state machine one at a time.
 func (e *Engine) handleLockReq(m *simnet.Message, at vtime.Time) {
 	reqID := m.Hdr[hReq]
 	e.lock.Acquire(m.Src, at, func(origin int, grantAt vtime.Time) {
@@ -75,8 +75,9 @@ func (e *Engine) handleLockRel(m *simnet.Message, at vtime.Time) {
 }
 
 // releaseLockLocal releases the lock at the end of an unlock-after
-// operation. With the coarse-lock mechanism the apply runs inline on the
-// NIC agent goroutine, so driving the state machine here is safe.
+// operation. With the coarse-lock mechanism the apply runs inline in its
+// handler, under the delivery token, so driving the state machine here is
+// safe.
 func (e *Engine) releaseLockLocal(origin int, at vtime.Time) {
 	if err := e.lock.Release(origin, at); err != nil {
 		e.proc.NIC().BadReq.Inc()

@@ -196,7 +196,7 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 	comm := p.Comm()
 	size := len(rdWriters) * rdSlot
 	// The victim's mirror must be the first thing its NIC injects. The
-	// rank function shares the injection lane with the agent's software
+	// rank function shares the injection lane with its NIC's software
 	// replies (probe answers, replica acks: 2 µs of origin overhead each),
 	// so writers that reach their rounds before the victim's goroutine has
 	// exposed back the lane up until the mirror departs past the kill
@@ -219,8 +219,8 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 	}
 	tm, region := e.ExposeNew(size)
 	if me == rdVictim {
-		// Pure target: applying (and replicating) happens on the NIC
-		// agent, which keeps serving after the rank function returns —
+		// Pure target: applying (and replicating) happens in the NIC's
+		// handlers, which keep serving after the rank function returns —
 		// until the kill blackholes the rank entirely. The victim sends
 		// no descriptor: a rank that dies before its descriptor lands
 		// would wedge receivers that have no failure signal to select

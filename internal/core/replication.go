@@ -417,6 +417,7 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 	}
 	st := &e.repl
 	var maxV uint64
+	var frames []*simnet.Message
 	st.mu.Lock()
 	for _, key := range mine {
 		r := st.replicas[key]
@@ -436,10 +437,14 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 		m.Hdr[hCount] = r.next - 1
 		m.Hdr[hDisp] = uint64(dead)
 		copy(m.Payload, r.buf)
+		frames = append(frames, m)
+	}
+	st.mu.Unlock()
+	// Sent after unlocking: a send may run the spare's handlers here.
+	for _, m := range frames {
 		e.Rebuilds.Inc()
 		e.sendReply(e.proc.Now(), m)
 	}
-	st.mu.Unlock()
 	done := newMsg(spare, kRebuildDone, 0)
 	done.Hdr[hHandle] = uint64(len(mine))
 	done.Hdr[hDisp] = uint64(dead)

@@ -12,12 +12,13 @@ import (
 //
 // With Options.ApplyShards > 1 the exposed byte space is partitioned into
 // fixed ranges of stride ceil(region/shards) per exposure, and each decoded
-// incoming operation is routed — still on the NIC agent, so routing is
-// single-threaded per target — to the shard its byte range falls in. The
-// portals.ShardPool drains each shard strictly in routing order on at most
-// one worker at a time, so operations that could conflict apply in the same
-// order the serial engine would, while disjoint-range traffic (the Figure 2
-// seven-writer workload with per-origin slots) spreads across workers.
+// incoming operation is routed — still under the NIC's delivery token, so
+// routing is serialized per target — to the shard its byte range falls in.
+// The portals.ShardPool drains each shard strictly in routing order on at
+// most one worker at a time, so operations that could conflict apply in
+// the same order the serial engine would, while disjoint-range traffic
+// (the Figure 2 seven-writer workload with per-origin slots) spreads
+// across workers.
 //
 // Three classes of operations cannot be pinned to one shard and route
 // through the designated shard (shard 0) instead:

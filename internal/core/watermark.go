@@ -23,13 +23,16 @@ type waiter struct {
 	ch        chan struct{} // a local call's wake slot channel; nil for a probe
 	probe     *Engine       // a parked probe: the engine that answers it
 	origin    int           // ... whom
-	reqID     uint64        // ... and about which request
+	reqID     uint64        // ... about which request
+	arrival   vtime.Time    // ... and when the probe arrived
 }
 
 // wake tells the waiter to look again: a non-blocking send for a local
 // call (which re-tries its cases, so a token too many is harmless), the
 // answer for a probe — unless it was a failure's poke below the threshold,
-// which leaves nothing to answer yet.
+// which leaves nothing to answer yet. A probe is answered no earlier than
+// it arrived: the raise that satisfies it can be stamped before that in
+// virtual time, having merely run later on the host.
 func (wt *waiter) wake(count int64, at vtime.Time) {
 	if wt.ch != nil {
 		select {
@@ -37,7 +40,7 @@ func (wt *waiter) wake(count int64, at vtime.Time) {
 		default:
 		}
 	} else if count >= wt.threshold {
-		wt.probe.sendProbeAck(wt.origin, wt.reqID, count, at)
+		wt.probe.sendProbeAck(wt.origin, wt.reqID, count, vtime.Later(wt.arrival, at))
 	}
 }
 

@@ -60,8 +60,9 @@ const MaxMedium = 4096
 // Handler runs at the target when an active message arrives. payload is
 // nil for short AMs, a bounce buffer for medium AMs, and the deposited
 // segment bytes for long AMs (already written to the segment). Handlers
-// execute on the NIC agent goroutine — the implicit communication thread —
-// and may send at most one reply through the token.
+// execute under the NIC's delivery token — the implicit communication
+// thread, on the requester's goroutine or the NIC agent — and may send at
+// most one reply through the token.
 type Handler func(tok *Token, payload []byte, args [MaxArgs]uint64)
 
 // Token identifies the requester within a handler, enabling a reply.

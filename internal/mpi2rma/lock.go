@@ -115,9 +115,9 @@ func (w *Win) grantLocked(origin int, typ LockType, reqID uint64, at vtime.Time)
 }
 
 // sendCtlAt is sendCtl with an explicit virtual send time (grants are
-// issued by the agent at the grant time, not the user clock). A failed
+// issued by a handler at the grant time, not the user clock). A failed
 // send can only mean the world is shutting down; the grant is dropped
-// rather than crashing the agent goroutine.
+// rather than crashing the delivering goroutine.
 func (w *Win) sendCtlAt(kind uint8, commDst int, arg uint64, reqID uint64, at vtime.Time) {
 	p := w.rma.proc
 	m := &simnet.Message{Dst: w.comm.WorldRank(commDst), Kind: kind}
@@ -129,8 +129,8 @@ func (w *Win) sendCtlAt(kind uint8, commDst int, arg uint64, reqID uint64, at vt
 	}
 }
 
-// handleLockReq grants or queues a window lock request. Runs on the NIC
-// agent goroutine.
+// handleLockReq grants or queues a window lock request. Runs under the
+// NIC's delivery token, like every handler.
 func (r *RMA) handleLockReq(m *simnet.Message, at vtime.Time) {
 	w := r.lookup(m.Hdr[hWin])
 	if w == nil {

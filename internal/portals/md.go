@@ -104,8 +104,9 @@ func (q *EQ) Chan() <-chan Event { return q.ch }
 // full (the Portals EQ-overflow error state).
 func (q *EQ) Overflowed() bool { return q.overflow.Load() }
 
-// post enqueues ev, recording overflow instead of blocking: the poster is
-// the rank's only delivery thread and must never stall on a slow consumer.
+// post enqueues ev, recording overflow instead of blocking: a handler
+// posting it holds its NIC's delivery token and must never stall on a slow
+// consumer.
 func (q *EQ) post(ev Event) {
 	select {
 	case q.ch <- ev:

@@ -13,11 +13,19 @@
 //     (remote completion), PUT_END/GET_END (target side), and REPLY_END.
 //   - Put and Get operations with an optional acknowledgement request.
 //
-// It also hosts the NIC: one goroutine per rank that consumes the rank's
-// delivery queue and dispatches by message kind. That goroutine is the
-// paper's "implicit communication thread" — higher layers (the strawman
-// RMA core, MPI-2 RMA, ARMCI, GASNet, the MPI-like runtime) register
-// handlers for their own message kinds on it.
+// It also hosts the NIC, which dispatches every arriving message by kind to
+// the handlers higher layers (the strawman RMA core, MPI-2 RMA, ARMCI,
+// GASNet, the MPI-like runtime) register for their own message kinds. It
+// is the paper's "implicit communication thread" as a mechanism, not as a
+// host thread: the model charges its cost (the delivery lane, the
+// serializer lane), so delivery runs to completion on the sending
+// goroutine whenever the NIC is idle. A NIC holds one delivery token; a
+// sender that can take it (TryLock, never a blocking Lock) while nothing
+// is queued runs the handler right there. Otherwise the message queues for
+// the NIC's agent goroutine, which drains the backlog under the same
+// token. So a NIC's handlers never run concurrently, and each sender's
+// messages run in send order. Unordered networks keep the scrambler and
+// always queue for the agent.
 //
 // A NIC can be configured without hardware ACK generation (HardwareAcks =
 // false), modelling networks that can order messages but cannot report
@@ -40,10 +48,14 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// Handler processes one incoming message on the NIC agent goroutine.
-// at is the virtual time the NIC finished delivering the message (arrival
-// plus per-message overhead). Handlers must not block indefinitely: they
-// run on the rank's only delivery thread.
+// Handler processes one incoming message while its NIC's delivery token is
+// held: on the sending goroutine when the NIC was idle, on the NIC agent
+// when the message had to queue. Either way no other handler of the same
+// NIC runs meanwhile. at is the virtual time the NIC finished delivering
+// the message (arrival plus per-message overhead). Handlers must not block
+// indefinitely: the token stops every other delivery to the rank. Like
+// every sender, a handler must not send while holding a lock some handler
+// takes: the send can run the destination's handler on this goroutine.
 type Handler func(m *simnet.Message, at vtime.Time)
 
 // Config configures a NIC.
@@ -61,6 +73,17 @@ type NIC struct {
 	mem *memsim.Memory
 	cfg Config
 
+	// token is the delivery token: whoever holds it runs this NIC's
+	// handlers. Inline senders only TryLock it, so a reply chain A→B→A
+	// holds each NIC's token at most once per stack and cannot deadlock;
+	// the agent and Stop Lock it. queued counts messages handed to the
+	// delivery queue and not yet dispatched; it falls under the token, so
+	// an inline delivery never overtakes a queued one. stopped (guarded by
+	// the token) refuses inline delivery once Stop has begun.
+	token   sync.Mutex
+	queued  atomic.Int64
+	stopped bool
+
 	// cpu is the rank's virtual CPU clock: the latest virtual time the
 	// rank's user code has observed. Blocking calls advance it.
 	cpu vtime.Clock
@@ -70,8 +93,8 @@ type NIC struct {
 	// pending holds messages that arrived before their kind's handler was
 	// registered: rank startup is not synchronized, so a fast origin can
 	// have traffic in flight before the target's upper layers attach.
-	// Only the agent parks and drains it, so handlers run on the agent
-	// alone; RegisterHandler pokes it to deliver a kind's backlog in
+	// Messages park and drain only under the delivery token, and
+	// RegisterHandler pokes the agent to deliver a kind's backlog in
 	// arrival order.
 	pending map[uint8][]*simnet.Message
 	mds     []*MD
@@ -87,7 +110,7 @@ type NIC struct {
 
 	// relay is the transmit-side reliability engine (nil until
 	// EnableReliability); rx is the always-on receive-side state, touched
-	// only on the agent goroutine. linkFail and retransObs are the
+	// only under the delivery token. linkFail and retransObs are the
 	// optional callbacks the layer above installs (see relay.go).
 	relay      atomic.Pointer[relay]
 	rx         map[int]*rxLink
@@ -105,9 +128,11 @@ type NIC struct {
 	// portal index, out-of-bounds access, disallowed operation).
 	BadReq stats.Counter
 	// Delivered and DeliveredBytes count messages (and their payload bytes)
-	// this NIC handed to a handler.
+	// this NIC handed to a handler. Inline counts the arrivals it took on
+	// the sending goroutine instead of queueing them for the agent.
 	Delivered      stats.Counter
 	DeliveredBytes stats.Counter
+	Inline         stats.Counter
 	// Parked counts messages that arrived before their kind's handler was
 	// registered and had to wait in the pending backlog.
 	Parked stats.Counter
@@ -127,9 +152,11 @@ func NewNIC(ep *simnet.Endpoint, mem *memsim.Memory, cfg Config) *NIC {
 		done:     make(chan struct{}),
 	}
 	n.registerPortalsHandlers()
+	ep.SetInline(n.offer)
 	go func() {
-		// Label the delivery agent so profiles separate NIC work from
-		// rank compute (go tool pprof -tagfocus role=nic-agent).
+		// Label the delivery agent so profiles separate queued deliveries
+		// from rank compute (go tool pprof -tagfocus role=nic-agent); a
+		// delivery run inline carries its sender's labels.
 		pprof.Do(context.Background(), pprof.Labels("rank", strconv.Itoa(ep.ID()), "role", "nic-agent"), func(context.Context) {
 			n.agent()
 		})
@@ -157,10 +184,9 @@ func (n *NIC) HardwareAcks() bool { return n.cfg.HardwareAcks }
 
 // RegisterHandler installs h for message kind k. Messages of that kind
 // that arrived before registration are delivered by the agent, in arrival
-// order, shortly after: the agent is the only goroutine that runs
-// handlers, so a layer's handlers never race each other. Registering a
-// kind twice panics: kinds are statically partitioned between layers (see
-// kinds.go).
+// order, shortly after; a later arrival of the kind parks behind them
+// until then. Registering a kind twice panics: kinds are statically
+// partitioned between layers (see kinds.go).
 func (n *NIC) RegisterHandler(k uint8, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -218,9 +244,13 @@ func (n *NIC) EnableSharding(shards, workers int) *ShardPool {
 func (n *NIC) Sharding() *ShardPool { return n.shardPool.Load() }
 
 // Stop terminates the agent goroutine and drains the shard pool, if any.
-// Messages still queued are left for the network's Close to discard. Stop
-// is idempotent.
+// It waits out a delivery running on a sender's goroutine, and no message
+// is delivered inline afterwards. Messages still queued are left for the
+// network's Close to discard. Stop is idempotent.
 func (n *NIC) Stop() {
+	n.token.Lock()
+	n.stopped = true
+	n.token.Unlock()
 	select {
 	case <-n.quit:
 	default:
@@ -236,10 +266,33 @@ func (n *NIC) Stop() {
 	}
 }
 
-// agent is the rank's communication thread: it consumes the delivery queue
-// and dispatches by kind. Each delivery reserves the endpoint's delivery
-// clock for the per-message overhead, so target-side virtual time accrues
-// per message exactly once regardless of which layer handles it.
+// offer is the endpoint's inline hook: run m's delivery on the sending
+// goroutine if the token is free, nothing is queued ahead of it and the
+// NIC is not stopping; otherwise count it queued and let simnet hand it to
+// the agent. Counting before the push keeps a later inline offer from
+// slipping past it. The deferred unlock keeps a handler that panics into
+// its sender from leaving the NIC undeliverable.
+func (n *NIC) offer(m *simnet.Message) bool {
+	if !n.token.TryLock() {
+		n.queued.Add(1)
+		return false
+	}
+	defer n.token.Unlock()
+	if n.queued.Load() != 0 || n.stopped {
+		n.queued.Add(1)
+		return false
+	}
+	n.Inline.Inc()
+	n.dispatch(m)
+	return true
+}
+
+// agent is the rank's communication thread for the backlog: it consumes
+// the delivery queue — messages that found the NIC busy — and dispatches by
+// kind, under the delivery token. Each delivery reserves the endpoint's
+// delivery clock for the per-message overhead, so target-side virtual time
+// accrues per message exactly once regardless of which goroutine or layer
+// handles it.
 func (n *NIC) agent() {
 	defer close(n.done)
 	for {
@@ -248,13 +301,20 @@ func (n *NIC) agent() {
 			if !ok {
 				return
 			}
+			n.token.Lock()
+			if n.ep.Ordered() { // the scrambler's arrivals were never offered
+				n.queued.Add(-1)
+			}
 			n.dispatch(m)
+			n.token.Unlock()
 		case <-n.wake:
 			select {
 			case <-n.quit:
 				return
 			default:
+				n.token.Lock()
 				n.drainParked()
+				n.token.Unlock()
 			}
 		}
 	}
@@ -262,8 +322,9 @@ func (n *NIC) agent() {
 
 // drainParked delivers every parked backlog whose handler has since been
 // registered, each in arrival order. Arrivals of a kind keep parking
-// behind its backlog until this runs, and only the agent runs either, so
-// no arrival overtakes the backlog.
+// behind its backlog until this runs, and both happen only under the
+// delivery token, so no arrival overtakes the backlog. Caller holds the
+// token.
 func (n *NIC) drainParked() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -285,7 +346,7 @@ func (n *NIC) drainParked() {
 // layer — acks complete inflight frames, tracked frames are checksummed,
 // deduplicated and reassembled — before kind dispatch. Reception is
 // always on: tracked frames are admitted whether or not this rank
-// enabled its own transmit relay.
+// enabled its own transmit relay. Caller holds the delivery token.
 func (n *NIC) dispatch(m *simnet.Message) {
 	if m.Kind == KindRelAck {
 		if r := n.relay.Load(); r != nil {

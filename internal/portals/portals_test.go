@@ -268,12 +268,13 @@ func TestRegisterHandlerDuplicatePanics(t *testing.T) {
 	r.nics[0].RegisterHandler(200, func(*simnet.Message, vtime.Time) {})
 }
 
-// TestParkedBacklogsRunOnAgent: messages of two kinds park before their
-// handlers exist, then both kinds register while the agent is delivering
-// more of them. The handlers share unsynchronized state, which is safe
-// only if one goroutine runs them all — the race detector is the
-// assertion — and each kind must still arrive in order.
-func TestParkedBacklogsRunOnAgent(t *testing.T) {
+// TestDeliveryParkedBacklogsInOrder: messages of two kinds park before
+// their handlers exist, then both kinds register while senders keep
+// delivering more of them. The handlers share unsynchronized state, which
+// is safe only if they never overlap — the race detector is the assertion
+// — and each kind must still arrive in order: no live arrival overtakes
+// its kind's backlog, whichever goroutine delivers it.
+func TestDeliveryParkedBacklogsInOrder(t *testing.T) {
 	const kA, kB, perKind = 201, 202, 50
 	r := newRig(t, 2, true)
 	send := func(kind uint8, seq int) {
@@ -321,5 +322,148 @@ func TestParkedBacklogsRunOnAgent(t *testing.T) {
 	case <-done:
 	case <-time.After(hangGuard):
 		t.Fatal("backlogs were not delivered")
+	}
+}
+
+// sendSeq sends one message of kind to dst from nic carrying seq.
+func sendSeq(t *testing.T, nic *NIC, dst int, kind uint8, seq int) {
+	t.Helper()
+	m := &simnet.Message{Dst: dst, Kind: kind}
+	m.Hdr[0] = uint64(seq)
+	if _, err := nic.Send(0, m); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDeliveryFIFOBehindBacklog: a handler blocks while holding rank 1's
+// delivery token, so rank 0's next messages cannot run inline and queue
+// for the agent. Once it is released they, and a message rank 0 sends the
+// moment the token comes free, arrive in send order.
+func TestDeliveryFIFOBehindBacklog(t *testing.T) {
+	const kBlock, kSeq, queued = 203, 204, 20
+	r := newRig(t, 3, true)
+	entered, release := make(chan struct{}), make(chan struct{})
+	r.nics[1].RegisterHandler(kBlock, func(*simnet.Message, vtime.Time) {
+		close(entered)
+		<-release
+	})
+	var got []int // touched only by kSeq's handler
+	done := make(chan struct{})
+	r.nics[1].RegisterHandler(kSeq, func(m *simnet.Message, _ vtime.Time) {
+		got = append(got, int(m.Hdr[0]))
+		if len(got) == queued+1 {
+			close(done)
+		}
+	})
+
+	go func() {
+		sendSeq(t, r.nics[2], 1, kBlock, 0) // runs the blocking handler inline
+		// The token is free now and the agent has yet to wake: the last
+		// message must still queue behind the backlog.
+		sendSeq(t, r.nics[0], 1, kSeq, queued)
+	}()
+	select {
+	case <-entered:
+	case <-time.After(hangGuard):
+		t.Fatal("blocking handler never ran")
+	}
+	for i := 0; i < queued; i++ {
+		sendSeq(t, r.nics[0], 1, kSeq, i)
+	}
+	if n := r.nics[1].Delivered.Value(); n != 1 {
+		t.Fatalf("%d deliveries while the token was held, want only the blocker's", n)
+	}
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatalf("delivered %d of %d", len(got), queued+1)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("delivery order %v, want send order", got)
+		}
+	}
+	if in := r.nics[1].Inline.Value(); in > 2 {
+		t.Fatalf("%d inline deliveries; only the blocker and, once the backlog drained, the last message could run inline", in)
+	}
+}
+
+// TestDeliveryNoOverlap: four senders hammer one NIC at once. Its handler
+// keeps unguarded shared state, which is safe only if its handlers never
+// run concurrently — the race detector is the assertion — and each
+// sender's messages must arrive in its send order.
+func TestDeliveryNoOverlap(t *testing.T) {
+	const kind, senders, per = 205, 4, 500
+	r := newRig(t, senders+1, true)
+	target := r.nics[senders]
+	var total int         // deliberately unguarded
+	next := map[int]int{} // per sender, deliberately unguarded
+	done := make(chan struct{})
+	target.RegisterHandler(kind, func(m *simnet.Message, _ vtime.Time) {
+		if got := int(m.Hdr[0]); got != next[m.Src] {
+			t.Errorf("sender %d: message %d delivered, want %d", m.Src, got, next[m.Src])
+		}
+		next[m.Src]++
+		if total++; total == senders*per {
+			close(done)
+		}
+	})
+	for s := 0; s < senders; s++ {
+		go func(nic *NIC) {
+			for i := 0; i < per; i++ {
+				sendSeq(t, nic, senders, kind, i)
+			}
+		}(r.nics[s])
+	}
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatal("deliveries did not finish")
+	}
+}
+
+// TestDeliveryPingPongInline: a request/reply between two idle NICs runs
+// to completion on the caller's goroutine — the reply handler has run by
+// the time Send returns — and neither agent delivers anything.
+func TestDeliveryPingPongInline(t *testing.T) {
+	const kPing, kPong = 206, 207
+	r := newRig(t, 2, true)
+	r.nics[1].RegisterHandler(kPing, func(m *simnet.Message, at vtime.Time) {
+		if _, err := r.nics[1].Send(at, &simnet.Message{Dst: m.Src, Kind: kPong}); err != nil {
+			t.Error(err)
+		}
+	})
+	answered := false // written by the pong handler, read below unguarded
+	r.nics[0].RegisterHandler(kPong, func(*simnet.Message, vtime.Time) { answered = true })
+	for i := 0; i < 10; i++ {
+		answered = false
+		sendSeq(t, r.nics[0], 1, kPing, i)
+		if !answered {
+			t.Fatalf("round %d: the reply had not run when Send returned", i)
+		}
+	}
+	for i, n := range r.nics {
+		if d, in := n.Delivered.Value(), n.Inline.Value(); d != 10 || in != 10 {
+			t.Errorf("rank %d: delivered %d, inline %d; want 10 and 10 (the agent delivered %d)", i, d, in, d-in)
+		}
+	}
+}
+
+// TestDeliveryAfterStop: once a NIC has stopped, nothing runs inline — a
+// send to it neither runs the handler nor counts an inline delivery.
+func TestDeliveryAfterStop(t *testing.T) {
+	const kind = 208
+	r := newRig(t, 2, true)
+	ran := make(chan struct{}, 2)
+	r.nics[1].RegisterHandler(kind, func(*simnet.Message, vtime.Time) { ran <- struct{}{} })
+	sendSeq(t, r.nics[0], 1, kind, 0)
+	if len(ran) != 1 || r.nics[1].Inline.Value() != 1 {
+		t.Fatalf("before Stop: ran %d, inline %d; want 1 and 1", len(ran), r.nics[1].Inline.Value())
+	}
+	r.nics[1].Stop()
+	sendSeq(t, r.nics[0], 1, kind, 1)
+	if len(ran) != 1 || r.nics[1].Inline.Value() != 1 {
+		t.Fatalf("after Stop: ran %d, inline %d; want 1 and 1", len(ran), r.nics[1].Inline.Value())
 	}
 }

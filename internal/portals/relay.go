@@ -400,7 +400,7 @@ func (r *relay) tick(now time.Time) {
 	}
 }
 
-// handleAck processes one KindRelAck on the agent goroutine. Hdr[0] is
+// handleAck processes one KindRelAck under the delivery token. Hdr[0] is
 // the selective ack (the RSeq that triggered it); Hdr[1] is the
 // receiver's cumulative base — everything at or below it is delivered.
 func (r *relay) handleAck(m *simnet.Message) {
@@ -428,7 +428,7 @@ func (n *NIC) sendRelAck(src int, sel, cum uint64, at vtime.Time) {
 	_, _ = n.ep.SendNIC(at, ack)
 }
 
-// rxAdmit filters one tracked inbound frame on the agent goroutine:
+// rxAdmit filters one tracked inbound frame under the delivery token:
 // checksum, dedup, ack, and (on ordered networks) RSeq reassembly.
 // Admitted frames continue to kind dispatch exactly once, in RSeq order
 // when the network promises order.

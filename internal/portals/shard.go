@@ -25,10 +25,11 @@ import (
 // shards steals from the others, so a skewed workload still saturates the
 // pool. Each worker owns one vtime.WorkLane, and every task's modelled
 // apply cost is charged to its shard's HOME worker's lane at submit time —
-// submission is single-threaded (the NIC agent), so the model series is
-// deterministic and independent of host scheduling, while stealing remains
-// a wall-clock optimization that never moves virtual time. The per-worker
-// lanes are what make the E14 model series improve as workers are added.
+// submission is serialized (under the NIC's delivery token), so the model
+// series is deterministic and independent of host scheduling, while
+// stealing remains a wall-clock optimization that never moves virtual
+// time. The per-worker lanes are what make the E14 model series improve as
+// workers are added.
 type ShardPool struct {
 	shards  []shardQ
 	lanes   []vtime.WorkLane
@@ -154,9 +155,9 @@ func (p *ShardPool) SetPanicHandler(fn func(shard int, recovered any)) {
 }
 
 // Snapshot returns the current per-shard enqueue counts, for use as a
-// ShardTask.After ticket. Routing is single-threaded (the NIC agent), so a
-// snapshot taken while routing covers exactly the operations routed before
-// the ticketed one.
+// ShardTask.After ticket. Routing is serialized (under the NIC's delivery
+// token), so a snapshot taken while routing covers exactly the operations
+// routed before the ticketed one.
 func (p *ShardPool) Snapshot() []int64 {
 	p.mu.Lock()
 	out := make([]int64, len(p.shards))

@@ -183,8 +183,8 @@ func (p *Proc) ReadLocal(r memsim.Region, off, n int) []byte {
 	return buf
 }
 
-// handlePt2pt enqueues an arrived message for matching. It runs on the NIC
-// agent goroutine.
+// handlePt2pt enqueues an arrived message for matching. It runs under the
+// NIC's delivery token, on the sender's goroutine or the NIC agent.
 func (p *Proc) handlePt2pt(m *simnet.Message, at vtime.Time) {
 	p.mu.Lock()
 	p.inbox = append(p.inbox, &pending{

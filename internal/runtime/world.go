@@ -186,8 +186,8 @@ func (w *World) Run(fn func(p *Proc)) error {
 	}
 }
 
-// Close stops every rank's NIC agent, shuts down attached layer engines
-// (serializer goroutines), and tears the network down. Call it after all
+// Close stops every rank's NIC, shuts down attached layer engines (their
+// background goroutines), and tears the network down. Call it after all
 // Run invocations are finished.
 func (w *World) Close() {
 	for _, p := range w.procs {

@@ -8,7 +8,11 @@
 //   - A communication thread (implicit or explicit) that applies incoming
 //     operations one at a time — "serialized handling of incoming messages
 //     without the requirement of locks". Cheap. (Figure 2: "Atomicity +
-//     thread serializer".)
+//     thread serializer".) Here the thread is a mechanism, not a host
+//     goroutine: its submitters are the handlers of one NIC, which its
+//     delivery token already runs one at a time, so ApplyQueue applies each
+//     task on the submitting goroutine and charges it to the thread's
+//     virtual-time lane in submission order.
 //   - A coarse-grain, MPI-process-level lock the origin must hold across
 //     the update — required on systems like Catamount/Cray XT where user
 //     threads are unavailable and the network library has no active
@@ -35,8 +39,9 @@ import (
 type Mechanism int
 
 const (
-	// MechThread applies atomic operations on a dedicated handler
-	// goroutine (the communication-thread serializer).
+	// MechThread applies atomic operations one at a time on a single
+	// virtual-time lane, in delivery order (the communication-thread
+	// serializer).
 	MechThread Mechanism = iota
 	// MechCoarseLock requires origins to hold a process-level lock across
 	// the whole operation.
@@ -71,51 +76,34 @@ type Task struct {
 	Fn    func(end vtime.Time)
 }
 
-// ApplyQueue is the communication-thread serializer: a goroutine applying
-// tasks strictly in submission order on a single virtual-time lane.
+// ApplyQueue is the communication-thread serializer: tasks apply strictly
+// in submission order on a single virtual-time lane. Submit runs the task
+// on the calling goroutine; callers serialize their submissions (the core
+// engine submits only from handlers, under the NIC's delivery token), and
+// no lock is held across a task, because tasks send.
 type ApplyQueue struct {
-	ch   chan Task
 	lane vtime.WorkLane
-	done chan struct{}
 
 	// Applied counts tasks executed.
 	Applied stats.Counter
 }
 
-// DefaultApplyQueueDepth is the submission queue capacity.
-const DefaultApplyQueueDepth = 4096
+// NewApplyQueue returns an idle serializer.
+func NewApplyQueue() *ApplyQueue { return &ApplyQueue{} }
 
-// NewApplyQueue starts the serializer goroutine.
-func NewApplyQueue() *ApplyQueue {
-	q := &ApplyQueue{
-		ch:   make(chan Task, DefaultApplyQueueDepth),
-		done: make(chan struct{}),
-	}
-	go q.run()
-	return q
+// Submit applies t now: its completion is charged to the lane, then t.Fn
+// runs with the completion time.
+func (q *ApplyQueue) Submit(t Task) {
+	end := q.lane.Complete(t.Ready, t.Cost)
+	t.Fn(end)
+	q.Applied.Inc()
 }
-
-func (q *ApplyQueue) run() {
-	defer close(q.done)
-	for t := range q.ch {
-		end := q.lane.Complete(t.Ready, t.Cost)
-		t.Fn(end)
-		q.Applied.Inc()
-	}
-}
-
-// Submit enqueues a task. It blocks only if the queue is full
-// (back-pressure from a badly overloaded serializer).
-func (q *ApplyQueue) Submit(t Task) { q.ch <- t }
 
 // Lane exposes the serializer's virtual-time lane.
 func (q *ApplyQueue) Lane() *vtime.WorkLane { return &q.lane }
 
-// Close stops the serializer after draining queued tasks.
-func (q *ApplyQueue) Close() {
-	close(q.ch)
-	<-q.done
-}
+// Close is a no-op: Submit leaves nothing queued and nothing running.
+func (q *ApplyQueue) Close() {}
 
 // ProgressQueue is the progress-dependent serializer: tasks accumulate
 // until the target calls Progress.
@@ -184,9 +172,10 @@ func (q *ProgressQueue) Pending() int {
 }
 
 // LockState is the process-level lock state machine for the coarse-grain
-// serializer. The owning rank's NIC agent drives it from protocol
-// handlers; grants are delivered through the callback passed to Acquire.
-// All methods must be called from a single goroutine (the NIC agent).
+// serializer. The owning rank's protocol handlers drive it; grants are
+// delivered through the callback passed to Acquire. It has no lock of its
+// own: calls must be serialized by the caller (the owning NIC's delivery
+// token, which every handler holds).
 type LockState struct {
 	held    bool
 	holder  int

@@ -8,33 +8,19 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
+// TestApplyQueueOrderAndTimes: each task runs before its Submit returns,
+// in submission order, serialized on the lane.
 func TestApplyQueueOrderAndTimes(t *testing.T) {
 	q := NewApplyQueue()
 	defer q.Close()
-	var mu sync.Mutex
-	var order []int
 	var ends []vtime.Time
-	done := make(chan struct{})
 	for i := 0; i < 10; i++ {
-		i := i
-		last := i == 9
-		q.Submit(Task{Ready: 0, Cost: 5, Fn: func(end vtime.Time) {
-			mu.Lock()
-			order = append(order, i)
-			ends = append(ends, end)
-			mu.Unlock()
-			if last {
-				close(done)
-			}
-		}})
-	}
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 1; i < len(order); i++ {
-		if order[i] != order[i-1]+1 {
-			t.Fatalf("tasks ran out of submission order: %v", order)
+		q.Submit(Task{Ready: 0, Cost: 5, Fn: func(end vtime.Time) { ends = append(ends, end) }})
+		if len(ends) != i+1 {
+			t.Fatalf("task %d had not run when Submit returned", i)
 		}
+	}
+	for i := 1; i < len(ends); i++ {
 		if ends[i] <= ends[i-1] {
 			t.Fatalf("serialized ends not increasing: %v", ends)
 		}
@@ -47,6 +33,8 @@ func TestApplyQueueOrderAndTimes(t *testing.T) {
 	}
 }
 
+// TestApplyQueueConcurrentSubmitters: the lane stays exact when callers
+// that do not serialize their submissions share a queue.
 func TestApplyQueueConcurrentSubmitters(t *testing.T) {
 	q := NewApplyQueue()
 	var count atomic.Int64
@@ -61,9 +49,11 @@ func TestApplyQueueConcurrentSubmitters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	q.Close() // drains before returning
-	if count.Load() != 400 {
-		t.Fatalf("applied %d of 400 tasks", count.Load())
+	if count.Load() != 400 || q.Applied.Value() != 400 {
+		t.Fatalf("applied %d (counted %d) of 400 tasks", count.Load(), q.Applied.Value())
+	}
+	if q.Lane().Work() != 400 {
+		t.Fatalf("lane work = %d, want 400", q.Lane().Work())
 	}
 }
 

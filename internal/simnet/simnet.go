@@ -282,6 +282,10 @@ type Endpoint struct {
 	// in is the delivery queue the rank's agent consumes.
 	in chan *Message
 
+	// inline is the delivery hook SetInline installs; nil queues every
+	// message.
+	inline func(m *Message) bool
+
 	// scramble is the unordered-mode intake; a scrambler goroutine moves
 	// messages from scramble to in, reordering within the window.
 	scramble chan *Message
@@ -333,7 +337,8 @@ func (ep *Endpoint) DeliverLane() *vtime.WorkLane { return &ep.deliver }
 // Send injects m into the network at virtual time now and returns the
 // message's arrival time at the target NIC. simnet assigns m.Seq, m.SentAt
 // and m.ArriveAt. Send never blocks for virtual time; it blocks only if the
-// target's delivery queue is full (back-pressure).
+// target's delivery queue is full (back-pressure). On an ordered network
+// the target's inline hook (SetInline) may deliver m before Send returns.
 func (ep *Endpoint) Send(now vtime.Time, m *Message) (vtime.Time, error) {
 	if m.Dst < 0 || m.Dst >= ep.cfg.Ranks {
 		return 0, fmt.Errorf("simnet: send to invalid rank %d (network has %d)", m.Dst, ep.cfg.Ranks)
@@ -421,9 +426,9 @@ func (ep *Endpoint) transmit(m *Message) vtime.Time {
 
 	dst := ep.net.eps[m.Dst]
 	if ep.cfg.Ordered {
-		dst.in <- m
+		dst.offer(m)
 		if dup != nil {
-			dst.in <- dup
+			dst.offer(dup)
 		}
 	} else {
 		dst.scramble <- m
@@ -432,6 +437,22 @@ func (ep *Endpoint) transmit(m *Message) vtime.Time {
 		}
 	}
 	return arrive
+}
+
+// SetInline installs the endpoint's delivery hook: on an ordered network
+// every message bound here is offered to f on the sending goroutine first,
+// and queued for Recv only when f declines (returns false). The consumer
+// that installs it owns ordering: a message f accepts must not overtake
+// one it declined earlier. Unordered networks never call f — their
+// scrambler is the only route in. Call it before any traffic.
+func (ep *Endpoint) SetInline(f func(m *Message) bool) { ep.inline = f }
+
+// offer hands m to the inline hook, or queues it when there is none or
+// the hook declines.
+func (ep *Endpoint) offer(m *Message) {
+	if ep.inline == nil || !ep.inline(m) {
+		ep.in <- m
+	}
 }
 
 // Recv blocks until a message is delivered to this endpoint, returning

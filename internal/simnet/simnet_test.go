@@ -398,3 +398,46 @@ func TestRankKillRestartWindow(t *testing.T) {
 		t.Fatalf("rank should be alive after RestartAt")
 	}
 }
+
+// TestInlineHookBeforeQueue: on an ordered network every message is
+// offered to the destination's inline hook on the sending goroutine, and
+// only the ones it declines reach the delivery queue, in send order. An
+// unordered network never offers.
+func TestInlineHookBeforeQueue(t *testing.T) {
+	for _, ordered := range []bool{true, false} {
+		n := New(Config{Ranks: 2, Ordered: ordered, Seed: 3})
+		var offered []uint64 // appended on this goroutine only
+		n.Endpoint(1).SetInline(func(m *Message) bool {
+			offered = append(offered, m.Hdr[0])
+			return m.Hdr[0]%2 == 0
+		})
+		const msgs = 20
+		for i := 0; i < msgs; i++ {
+			m := &Message{Dst: 1}
+			m.Hdr[0] = uint64(i)
+			if _, err := n.Endpoint(0).Send(0, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !ordered {
+			if len(offered) != 0 {
+				t.Errorf("unordered network offered %d messages", len(offered))
+			}
+			n.Close()
+			continue
+		}
+		if len(offered) != msgs {
+			t.Fatalf("offered %d of %d messages", len(offered), msgs)
+		}
+		for i := 1; i < msgs; i += 2 {
+			m := n.Endpoint(1).TryRecv()
+			if m == nil || m.Hdr[0] != uint64(i) {
+				t.Fatalf("queue holds %v, want declined message %d", m, i)
+			}
+		}
+		if m := n.Endpoint(1).TryRecv(); m != nil {
+			t.Fatalf("accepted message %d was queued too", m.Hdr[0])
+		}
+		n.Close()
+	}
+}
