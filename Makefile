@@ -20,7 +20,7 @@ vet:
 
 # lint runs go vet plus the repo's own RMA static analyzers (lostrequest,
 # epochorder, remoteconflict, lockorder, attrmisuse, boundscheck,
-# deprecated); see cmd/rmalint.
+# deprecated, dhtraw); see cmd/rmalint.
 lint: vet
 	$(GO) run ./cmd/rmalint ./...
 
@@ -93,9 +93,10 @@ profile-smoke:
 # rides along: operation records reused and quarantined under the same
 # plan must leave no race, no stale use and a byte-exact target. So do the
 # NIC delivery tests: handlers that run on senders and the agent alike
-# must never overlap and must keep each sender's order.
+# must never overlap and must keep each sender's order. So do the shard
+# tests: a sharded apply runs on whichever goroutine delivers it.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -123,13 +124,14 @@ benchmark-check:
 # delivery report a kill lands on moves run to run), the event-driven
 # chaos run whose OnDone callbacks may trail the Select that reaps the
 # request, the recycle-safety run (which goroutine releases an operation
-# record moves with the schedule), and the NIC delivery tests (which
+# record moves with the schedule), the shard tests (which goroutine
+# applies a sharded op moves with it) and the NIC delivery tests (which
 # goroutine runs a handler — the sender or the agent — moves with it too).
 # Twenty repeats each on one and on two scheduler threads (one thread
 # reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard' ./internal/core/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 

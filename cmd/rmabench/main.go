@@ -160,7 +160,7 @@ func writeCritPath(res bench.Result, path string, multi bool) {
 // startProfiles begins the requested pprof captures and returns the stop
 // function that writes the sidecar files. CPU samples stream for the
 // whole run; heap/mutex/block are written at stop. The goroutine labels
-// the runtime layers install (rank=N, role=nic-agent/shard-worker) make
+// the runtime layers install (rank=N, role=rank/nic-agent) make
 // the captures attributable: go tool pprof -tagfocus rank=0 <file>.
 func startProfiles(kinds, dir string) func() {
 	var stops []func()

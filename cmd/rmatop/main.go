@@ -2,9 +2,9 @@
 // simulated RMA world (a ring of ranks streaming puts at each other,
 // optionally under injected faults) and renders each rank's health on a
 // refresh loop — link state from the reliable-delivery relay, retry
-// budget remaining, shard queue depths and steals, completion-queue
-// occupancy and drops, and the top critical-path stages of the recorded
-// timeline.
+// budget remaining, operations applied through the apply shards,
+// completion-queue occupancy and drops, and the top critical-path stages
+// of the recorded timeline.
 //
 // Usage:
 //
@@ -205,7 +205,7 @@ func render(w *runtime.World, sessions []atomic.Pointer[rma.Session], frame int,
 		fmt.Fprintf(&b, "rmatop — frame %d — %d ranks\n\n", frame, w.Size())
 	}
 	fmt.Fprintf(&b, "%-5s %-11s %-12s %-22s %-8s %-16s %-14s %s\n",
-		"rank", "live", "vtime", "links(peer:state)", "budget", "shards(d/s/o)", "evq(d/c/drop)", "sticky")
+		"rank", "live", "vtime", "links(peer:state)", "budget", "shard-tasks", "evq(d/c/drop)", "sticky")
 
 	// Liveness is the membership service's view, one state per world rank
 	// (spares included), shared by every engine.
@@ -248,13 +248,11 @@ func render(w *runtime.World, sessions []atomic.Pointer[rma.Session], frame int,
 		}
 		shards := "-"
 		if len(h.Shards) > 0 {
-			var d, st, o int64
+			var tasks int64
 			for _, sh := range h.Shards {
-				d += sh.Depth
-				st += sh.Steals
-				o += sh.Overflow
+				tasks += sh.Tasks
 			}
-			shards = fmt.Sprintf("%d/%d/%d", d, st, o)
+			shards = fmt.Sprint(tasks)
 		}
 		evq := "-"
 		if h.Queue != nil {

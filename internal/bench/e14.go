@@ -16,9 +16,10 @@ import (
 // bottleneck the paper's Figure 2 shows saturating. E14 measures what the
 // sharded apply engine (Options.ApplyShards/ApplyWorkers, DESIGN.md §10)
 // buys back: the exposure is split into 7 byte-range shards — one per
-// origin slot — drained by a bounded worker pool, so non-overlapping
-// applies proceed in parallel and the critical path shrinks from the sum
-// of all origins' apply work to the busiest worker's share.
+// origin slot — sharing a bounded number of modelled apply lanes, so
+// non-overlapping applies overlap in modelled time and the critical path
+// shrinks from the sum of all origins' apply work to the busiest lane's
+// share.
 //
 // Series:
 //
@@ -26,7 +27,7 @@ import (
 //	                   charges apply cost on unbounded per-origin DMA
 //	                   lanes, so it is an optimistic bound (roughly the
 //	                   workers=origins limit), not a floor for workers=1.
-//	shards=7 workers=1/2/4 — the sharded engine under a real worker bound.
+//	shards=7 workers=1/2/4 — the sharded engine with that many lanes.
 //
 // The acceptance claim is monotone scaling of the sharded series: at
 // payloads >= 256 B (where apply cost dominates per-message overhead)

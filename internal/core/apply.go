@@ -39,12 +39,11 @@ type applyOp struct {
 	am     AMHandler   // kAM: the registered handler, if any
 	reply  *simnet.Message
 
-	designated bool       // routed through the designated shard, whose envelope apply shrinks
-	heldAt     vtime.Time // arrival, for the reorder buffer's chain
-	next       *applyOp   // released successor in the ordered stream
+	heldAt vtime.Time // arrival, for the reorder buffer's chain
+	next   *applyOp   // released successor in the ordered stream
 
 	// run is apply, bound once in the record's life: what a serializer
-	// task or a shard task calls.
+	// task calls.
 	run func(end vtime.Time)
 	// free marks a record fin has released. Every stage checks it; the
 	// recycle-safety test also runs with a free list that keeps nothing, so
@@ -107,19 +106,15 @@ func (r *applyOp) start(at vtime.Time) {
 // the buddy has acknowledged the bytes.
 func (r *applyOp) apply(end vtime.Time) {
 	r.live()
-	e, designated := r.e, r.designated
 	switch r.m.Kind {
 	case kPut, kBatch:
-		e.applyDeposit(r, end)
+		r.e.applyDeposit(r, end)
 	case kGet:
 		r.applyGet(end)
 	case kRMW:
 		r.applyRMW(end)
 	case kAM:
 		r.applyAM(end)
-	}
-	if designated {
-		e.designatedDone()
 	}
 }
 

@@ -46,7 +46,7 @@ const (
 	// are applied by the same target mechanism — among non-atomic
 	// operations, and among atomic operations. A stream mixing atomic and
 	// non-atomic accesses to the same location is applied by different
-	// mechanisms (per-origin lanes or the shard pool vs the serializer)
+	// mechanisms (per-origin or shard lanes vs the serializer)
 	// and may interleave;
 	// programs needing a totally ordered mixed stream should give every
 	// operation in it the same atomicity attribute. (The paper leaves

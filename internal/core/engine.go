@@ -99,16 +99,18 @@ type Options struct {
 	// batch entirely — aggregation only pays off for small operations.
 	BatchBytes int
 	// ApplyShards partitions each exposed target memory into this many
-	// fixed byte-range shards applied by a worker pool instead of the
-	// serial target path. Operations confined to one shard apply in
-	// parallel with other shards; spanning, ordered, and conflicting
-	// operations route through a designated shard that waits for
-	// everything routed before it (see shard.go). 0 or 1 keeps the serial
-	// engine, which is bit-compatible by construction.
+	// fixed byte-range shards, each charging its applies to a modelled
+	// lane instead of the per-origin lanes of the serial target path.
+	// Operations confined to one shard overlap in modelled time with other
+	// lanes' work; spanning and ordered operations route through the
+	// designated shard 0 (see shard.go). Every apply runs inline, in
+	// routing order. 0 or 1 keeps the serial engine, which is
+	// bit-compatible by construction.
 	ApplyShards int
-	// ApplyWorkers bounds the worker pool draining the shard queues
-	// (0 = one worker per shard). Setting ApplyWorkers > 1 with
-	// ApplyShards unset enables sharding with ApplyWorkers shards.
+	// ApplyWorkers is the number of modelled apply lanes the shards share,
+	// shard s charging lane s mod ApplyWorkers (0 = one lane per shard).
+	// Setting ApplyWorkers > 1 with ApplyShards unset enables sharding with
+	// ApplyWorkers shards.
 	ApplyWorkers int
 }
 
@@ -225,8 +227,8 @@ type Engine struct {
 	// with ErrRankFailed (not ErrLinkFailed — the rank is gone, not the
 	// path). Both are per-peer — operations toward live ranks keep
 	// completing — and each files its first failure under AllRanks too,
-	// for Err(). applyErr is the engine-fatal sticky failure (a shard
-	// worker panic): unlike a single failed link it poisons every wait,
+	// for Err(). applyErr is the engine-fatal sticky failure (a sharded
+	// apply panic): unlike a single failed link it poisons every wait,
 	// because the target-side apply pipeline itself is no longer
 	// trustworthy. All three are read through stickyLocked.
 	failedLinks map[int]fault
@@ -234,8 +236,8 @@ type Engine struct {
 	applyErr    fault
 
 	// Target-side state, guarded by tgtMu because applies may run on any
-	// delivering goroutine (a sender inline, the NIC agent), a shard
-	// worker, or a Progress call. applied[o] is
+	// delivering goroutine (a sender inline, the NIC agent) or a Progress
+	// call. applied[o] is
 	// the delivery watermark of origin o, indexed like confirmed: what this
 	// rank has applied from o, the virtual time of the latest application,
 	// and who waits on it — local calls and o's parked completion probes
@@ -259,15 +261,11 @@ type Engine struct {
 	progQ     *serializer.ProgressQueue
 	closeOnce sync.Once
 
-	// Sharded apply engine state (nil/zero when Options.ApplyShards <= 1):
-	// shardPool drains per-shard queues with bounded workers; shardMu
-	// guards the designated-shard in-flight envelope and the per-shard
-	// applied watermarks (see shard.go).
-	shardPool *portals.ShardPool
-	shardMu   sync.Mutex //rmalint:lockrank 30
-	desigOpen int        // designated-shard ops in flight
-	desigLo   int        // envelope: min byte offset covered by those ops
-	desigHi   int        // envelope: one past the max byte offset
+	// Sharded apply state (nil when Options.ApplyShards <= 1; see
+	// shard.go): one set of telemetry cells per shard, and the modelled
+	// apply lanes they share.
+	shards     []shardCells
+	shardLanes []vtime.WorkLane
 
 	amMu sync.Mutex
 	am   map[uint64]AMHandler
@@ -299,8 +297,9 @@ type Engine struct {
 	FastPaths       stats.Counter // Complete calls answered from counters, no probe
 	CompleteCalls   stats.Counter // Complete invocations
 	ProbeFallbacks  stats.Counter // Complete targets that needed the probe round-trip
-	ShardBypass     stats.Counter // applies routed around the shard pool (serializer/serial path)
+	ShardBypass     stats.Counter // applies routed around the shards (serializer/serial path)
 	ShardDesignated stats.Counter // applies routed through the designated shard
+	ShardPanics     stats.Counter // sharded applies that panicked (recovered, engine failed)
 	ReplUpdates     stats.Counter // versioned replica updates shipped to the buddy
 	ReplAcks        stats.Counter // replica acknowledgements answered as buddy
 	Rebuilds        stats.Counter // replayed regions sent to a spare as promoter
@@ -308,7 +307,7 @@ type Engine struct {
 }
 
 // gosched yields the host core between progress polls, so the goroutines
-// that deliver to this rank — NIC agent, shard workers, peers — can run.
+// that deliver to this rank — NIC agent, peers — can run.
 func gosched() { gort.Gosched() }
 
 // extKey is the Proc extension slot the engine lives in.
@@ -348,8 +347,9 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 		}
 		nic := p.NIC()
 		if e.opts.ApplyShards > 1 {
-			e.shardPool = nic.EnableSharding(e.opts.ApplyShards, e.opts.ApplyWorkers)
-			e.shardPool.SetPanicHandler(e.onApplyPanic)
+			e.shards = make([]shardCells, e.opts.ApplyShards)
+			// Lanes past the shard count would never be charged.
+			e.shardLanes = make([]vtime.WorkLane, min(e.opts.ApplyWorkers, e.opts.ApplyShards))
 		}
 		nic.RegisterHandler(kPut, e.handlePut)
 		nic.RegisterHandler(kGet, e.handleGet)

@@ -52,8 +52,8 @@ var ErrLinkFailed = portals.ErrLinkFailed
 var ErrRankFailed = errors.New("rank failed: peer declared dead")
 
 // ErrApplyFault is the sticky sentinel for a target-side apply failure: a
-// shard worker panicked while depositing an operation. The engine survives
-// — the pool recovers the panic — but its memory can no longer be trusted,
+// sharded apply panicked while depositing an operation. The engine survives
+// — the apply recovers the panic — but its memory can no longer be trusted,
 // so every outstanding request and every later completion wait on this
 // rank fails wrapping ErrApplyFault, and Err() reports it.
 var ErrApplyFault = errors.New("target apply fault")

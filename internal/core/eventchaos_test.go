@@ -260,7 +260,7 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 	})
 }
 
-// TestEventChaosApplyFaultTerminal: a shard-worker panic poisons the
+// TestEventChaosApplyFaultTerminal: a sharded-apply panic poisons the
 // engine; every outstanding request gets exactly one OnDone with the
 // wrapped ErrApplyFault, armed Select counter cases fail over to EvFault,
 // and the queue publishes the engine-wide fault (Rank == AllRanks).
@@ -303,7 +303,7 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 			}
 			selDone <- ev
 		}()
-		// Poison the engine the way a shard worker does.
+		// Poison the engine the way a recovered sharded apply does.
 		e.onApplyPanic(0, "injected deposit panic")
 		if !errors.Is(e.Err(), ErrApplyFault) {
 			t.Fatalf("Err = %v, want wrapped ErrApplyFault", e.Err())

@@ -38,9 +38,9 @@ import (
 // event's At never precedes the At of the counter movement it reports.
 //
 // The queue is deliberately lossy at the rim: producers are whichever
-// goroutines deliver (a sender running a handler inline, a NIC agent, a
-// shard worker) and must never block on a slow consumer, so a full queue drops the incoming event and
-// counts it in Dropped. Counters — not the queue — remain the source of
+// goroutines deliver (a sender running a handler inline, a NIC agent)
+// and must never block on a slow consumer, so a full queue drops the
+// incoming event and counts it in Dropped. Counters — not the queue — remain the source of
 // truth; the queue is a wakeup/telemetry surface. Waiters that must not
 // miss anything use Select, which registers on the watermarks themselves
 // (watermark.go), under the counter locks, and is therefore lossless.

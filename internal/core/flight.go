@@ -34,7 +34,7 @@ func (e *Engine) FlightRecorder() *telemetry.FlightRecorder { return e.observers
 
 // Health assembles this rank's point-in-time health report: sticky
 // errors, what its blocked calls wait for, per-link relay state and retry
-// budget, shard queue depths, completion-queue occupancy, and per-origin
+// budget, per-shard task counts, completion-queue occupancy, and per-origin
 // applied watermarks. It is what postmortems embed and what rmatop
 // renders.
 func (e *Engine) Health() telemetry.HealthReport {
@@ -77,17 +77,8 @@ func (e *Engine) Health() telemetry.HealthReport {
 		})
 	}
 
-	if pool := e.shardPool; pool != nil {
-		for s := 0; s < pool.Shards(); s++ {
-			st := pool.Stats(s)
-			h.Shards = append(h.Shards, telemetry.ShardHealth{
-				Shard:    s,
-				Depth:    st.Depth.Value(),
-				Tasks:    st.Tasks.Value(),
-				Steals:   st.Steals.Value(),
-				Overflow: st.Overflow.Value(),
-			})
-		}
+	for s := range e.shards {
+		h.Shards = append(h.Shards, telemetry.ShardHealth{Shard: s, Tasks: e.shards[s].tasks.Value()})
 	}
 
 	if q := e.observers().evq; q != nil {

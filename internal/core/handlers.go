@@ -71,10 +71,10 @@ func (e *Engine) gateOrdered(r *applyOp, at vtime.Time) {
 //     the communication-thread queue, the progress queue, or (under the
 //     coarse lock, which the origin already holds) the single atomic lane.
 func (e *Engine) scheduleApply(r *applyOp, at vtime.Time, nbytes int) {
-	if e.shardPool != nil {
-		// Sharding is on but this update is not pool-eligible (atomic, or a
-		// caller without range information); counted so shard telemetry
-		// reconciles against ops.applied.
+	if e.shards != nil {
+		// Sharding is on but this update does not route to a shard (atomic,
+		// or a caller without range information); counted so shard
+		// telemetry reconciles against ops.applied.
 		e.ShardBypass.Inc()
 	}
 	r.cost = e.applyCost(nbytes)

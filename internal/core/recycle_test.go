@@ -13,7 +13,7 @@ import (
 // Recycle safety. The target carries every incoming operation in a record
 // taken from a per-engine free list and released in applyOp.fin; blocked
 // calls sleep on reused wake slots. A record released while something still
-// holds it — the reorder buffer, a serializer or shard task, a deferred
+// holds it — the reorder buffer, a serializer task, a deferred
 // completion waiting for the buddy's replica — would be handed to the next
 // operation under the holder's feet. This test puts every such holder to
 // work at once: four origins issue ordered chains (held by the reorder

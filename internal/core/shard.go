@@ -3,136 +3,106 @@ package core
 import (
 	"fmt"
 
-	"mpi3rma/internal/portals"
+	"mpi3rma/internal/stats"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
-// Sharded target-side apply engine.
+// Sharded target-side apply (DESIGN.md §10).
 //
 // With Options.ApplyShards > 1 the exposed byte space is partitioned into
 // fixed ranges of stride ceil(region/shards) per exposure, and each decoded
-// incoming operation is routed — still under the NIC's delivery token, so
-// routing is serialized per target — to the shard its byte range falls in.
-// The portals.ShardPool drains each shard strictly in routing order on at
-// most one worker at a time, so operations that could conflict apply in
-// the same order the serial engine would, while disjoint-range traffic
-// (the Figure 2 seven-writer workload with per-origin slots) spreads
-// across workers.
+// incoming operation is routed to the shard its byte range falls in. A
+// shard is a modelled lane index, not a host thread: the operation's apply
+// cost is charged to lane shard mod ApplyWorkers, and the apply runs at
+// once, on the delivering goroutine, under the NIC's delivery token.
+// Routing order is therefore apply order, so per-shard FIFO and "a
+// designated operation observes everything routed before it" hold by
+// construction, and the lanes alone make the modelled apply time shrink as
+// workers are added (E14).
 //
-// Three classes of operations cannot be pinned to one shard and route
-// through the designated shard (shard 0) instead:
-//
-//   - range-spanning operations (their bytes cross a shard boundary),
-//   - ordered operations (AttrOrdering promises cross-operation order the
-//     per-shard FIFO alone cannot give), and
-//   - operations overlapping a designated operation still in flight (the
-//     envelope check below).
-//
-// A designated operation carries a ticket — the per-shard enqueue counts at
-// routing time — and its worker refuses to run it until every shard has
-// drained past the ticket, helping lagging shards along while it waits. It
-// therefore observes everything routed before it, exactly like the serial
-// engine. While designated operations are in flight the engine keeps a
-// coarse [lo,hi) envelope of their bytes; later operations overlapping the
-// envelope are routed behind them on the designated shard, which restores
-// the pairwise ordering a shard-confined route would have lost.
-//
-// Atomic operations bypass the pool entirely and keep their configured
-// serializer mechanism: atomicity is a cross-operation global promise the
-// serializer already implements, and splitting it across workers would
-// re-derive the serializer badly.
+// Range-spanning operations (their bytes cross a shard boundary) and
+// ordered operations (AttrOrdering) route to the designated shard, shard 0,
+// which is lane 0. Atomic operations bypass the shards entirely and keep
+// their configured serializer mechanism: atomicity is a cross-operation
+// promise the serializer already implements.
 //
 // The watermark join: every applied operation — sharded or not — still
-// funnels through noteApplied under tgtMu, which is the cumulative
-// delivery counter Complete/Order/fence and completion probes observe. The
-// per-shard watermarks (ShardPool task counts) exist for telemetry and
-// reconciliation: sum(shard.tasks.*) + shard.bypass == ops.applied.
+// funnels through noteApplied under tgtMu, the cumulative delivery counter
+// Complete/Order/fence and completion probes observe. The per-shard task
+// counts exist for telemetry and reconciliation:
+// sum(shard.tasks.*) + shard.bypass == ops.applied.
 
-// scheduleApplyRange routes r's decoded target update of nbytes with a
-// known byte range [disp, disp+ext) inside its exposure's region. It falls
-// back to the serial scheduleApply path when sharding is off, the operation
-// is atomic, or the exposure is unknown (the deposit will fail and be
-// counted).
-func (e *Engine) scheduleApplyRange(r *applyOp, at vtime.Time, nbytes, ext int) {
-	pool := e.shardPool
-	if pool == nil || r.atomic || r.exp == nil {
-		e.scheduleApply(r, at, nbytes)
-		return
-	}
-	n := pool.Shards()
-	stride := (r.exp.region.Size + n - 1) / n
-	if stride < 1 {
-		stride = 1
-	}
-	if ext < 1 {
-		ext = 1 // zero-extent ops still occupy a routing point
-	}
-	// Shard indices from the region-relative range; out-of-range
-	// displacements (the deposit will reject them) are clamped so routing
-	// never faults.
-	s1 := clampShard(r.disp/stride, n)
-	s2 := clampShard((r.disp+ext-1)/stride, n)
-	base := r.exp.region.Offset + r.disp
-
-	e.shardMu.Lock()
-	overlapsDesig := e.desigOpen > 0 && base < e.desigHi && e.desigLo < base+ext
-	r.designated = r.ordered || s1 != s2 || overlapsDesig
-	if r.designated {
-		if e.desigOpen == 0 {
-			e.desigLo, e.desigHi = base, base+ext
-		} else {
-			if base < e.desigLo {
-				e.desigLo = base
-			}
-			if base+ext > e.desigHi {
-				e.desigHi = base + ext
-			}
-		}
-		e.desigOpen++
-	}
-	e.shardMu.Unlock()
-
-	r.cost = e.applyCost(nbytes)
-	if r.designated {
-		e.ShardDesignated.Inc()
-		pool.Submit(0, portals.ShardTask{Ready: at, Cost: r.cost, After: pool.Snapshot(), Run: r.run})
-		return
-	}
-	pool.Submit(s1, portals.ShardTask{Ready: at, Cost: r.cost, Run: r.run})
+// shardCells are one shard's telemetry cells (shard.tasks.N and
+// shard.apply_latency.N).
+type shardCells struct {
+	tasks stats.Counter
+	// latency observes end-ready per task, in virtual nanoseconds.
+	latency stats.Histogram
 }
 
-// designatedDone closes a designated operation's stay in the in-flight
-// envelope, once its apply has returned.
-func (e *Engine) designatedDone() {
-	e.shardMu.Lock()
-	e.desigOpen--
-	if e.desigOpen == 0 {
-		e.desigLo, e.desigHi = 0, 0
+// routeShard maps an access of ext bytes at displacement disp into a region
+// of size bytes split into n shards: the shard holding its bytes, or the
+// designated shard 0 when the access spans a shard boundary or is ordered.
+// Out-of-range displacements (the deposit will reject them) are clamped so
+// routing never faults, and a zero-extent access still occupies a routing
+// point.
+func routeShard(size, n, disp, ext int, ordered bool) (shard int, designated bool) {
+	stride := max((size+n-1)/n, 1)
+	ext = max(ext, 1)
+	s1 := clampShard(disp/stride, n)
+	s2 := clampShard((disp+ext-1)/stride, n)
+	if ordered || s1 != s2 {
+		return 0, true
 	}
-	e.shardMu.Unlock()
+	return s1, false
 }
 
 // clampShard pins a computed shard index into [0, n).
 func clampShard(s, n int) int {
-	if s < 0 {
-		return 0
-	}
-	if s >= n {
-		return n - 1
-	}
-	return s
+	return min(max(s, 0), n-1)
 }
 
-// ShardPool returns the engine's sharded apply pool, or nil when the
-// target applies serially.
-func (e *Engine) ShardPool() *portals.ShardPool { return e.shardPool }
+// scheduleApplyRange routes r's decoded target update of nbytes with a
+// known byte range [disp, disp+ext) inside its exposure's region, charges
+// its shard's lane and applies it. It falls back to the serial
+// scheduleApply path when sharding is off, the operation is atomic, or the
+// exposure is unknown (the deposit will fail and be counted).
+func (e *Engine) scheduleApplyRange(r *applyOp, at vtime.Time, nbytes, ext int) {
+	if e.shards == nil || r.atomic || r.exp == nil {
+		e.scheduleApply(r, at, nbytes)
+		return
+	}
+	s, designated := routeShard(r.exp.region.Size, len(e.shards), r.disp, ext, r.ordered)
+	if designated {
+		e.ShardDesignated.Inc()
+	}
+	r.cost = e.applyCost(nbytes)
+	end := e.shardLanes[s%len(e.shardLanes)].Complete(at, r.cost)
+	// Counted before the apply, whose completion report may let an
+	// observer read the cells.
+	e.shards[s].tasks.Inc()
+	e.shards[s].latency.Observe(int64(end - at))
+	e.applyShard(s, r, end)
+}
 
-// onApplyPanic is the pool's panic handler: a worker recovered a panic
-// from a deposit. The process survives, but this rank's memory may be
-// half-written, so the whole engine is failed sticky.
+// applyShard runs r's apply, recovering a panic so it never unwinds into
+// the goroutine that delivered the operation — often its sender. The rank's
+// memory may be half-written, so the whole engine is failed sticky.
+func (e *Engine) applyShard(s int, r *applyOp, end vtime.Time) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.ShardPanics.Inc()
+			e.onApplyPanic(s, p)
+		}
+	}()
+	r.apply(end)
+}
+
+// onApplyPanic fails the engine with a wrapped ErrApplyFault for a panic
+// recovered from shard s's apply.
 func (e *Engine) onApplyPanic(shard int, recovered any) {
-	e.failEngine(fmt.Errorf("core: %w: shard %d worker: %v", ErrApplyFault, shard, recovered))
+	e.failEngine(fmt.Errorf("core: %w: shard %d apply: %v", ErrApplyFault, shard, recovered))
 }
 
 // failEngine records an engine-fatal error: every outstanding request,

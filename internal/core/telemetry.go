@@ -97,20 +97,16 @@ func (e *Engine) registerCounters(reg *telemetry.Registry) {
 	reg.Register("lock.grants", &e.lock.Grants)
 	reg.Register("lock.contended", &e.lock.Contended)
 
-	if p := e.shardPool; p != nil {
-		// Per-shard cells of the sharded apply engine. The pool's task
-		// counts are the per-shard watermarks: sum(shard.tasks.*) plus
-		// shard.bypass reconciles against ops.applied.
+	if e.shards != nil {
+		// Per-shard cells of the sharded apply engine. The task counts are
+		// the per-shard watermarks: sum(shard.tasks.*) plus shard.bypass
+		// reconciles against ops.applied.
 		reg.Register("shard.bypass", &e.ShardBypass)
 		reg.Register("shard.designated", &e.ShardDesignated)
-		reg.Register("shard.panics", &p.Panics)
-		for i := 0; i < p.Shards(); i++ {
-			st := p.Stats(i)
-			reg.RegisterGauge(fmt.Sprintf("shard.occupancy.%d", i), &st.Depth)
-			reg.Register(fmt.Sprintf("shard.tasks.%d", i), &st.Tasks)
-			reg.Register(fmt.Sprintf("shard.steals.%d", i), &st.Steals)
-			reg.Register(fmt.Sprintf("shard.overflow.%d", i), &st.Overflow)
-			reg.RegisterHistogram(fmt.Sprintf("shard.apply_latency.%d", i), &st.ApplyLatency)
+		reg.Register("shard.panics", &e.ShardPanics)
+		for i := range e.shards {
+			reg.Register(fmt.Sprintf("shard.tasks.%d", i), &e.shards[i].tasks)
+			reg.RegisterHistogram(fmt.Sprintf("shard.apply_latency.%d", i), &e.shards[i].latency)
 		}
 	}
 

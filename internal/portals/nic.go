@@ -117,11 +117,6 @@ type NIC struct {
 	linkFail   atomic.Pointer[func(dst int, at vtime.Time, err error)]
 	retransObs atomic.Pointer[func(dst int, rseq uint64, attempt int, at vtime.Time)]
 
-	// shardPool is the target-side sharded apply pool (nil until
-	// EnableSharding); the core layer routes decoded operations into it
-	// from this NIC's rx path.
-	shardPool atomic.Pointer[ShardPool]
-
 	// SoftAcks counts acknowledgements that had to be sent in software.
 	SoftAcks stats.Counter
 	// BadReq counts protocol violations observed by this rank (unknown
@@ -228,25 +223,10 @@ func (n *NIC) SendNIC(at vtime.Time, m *simnet.Message) (vtime.Time, error) {
 	return n.ep.SendNIC(at, m)
 }
 
-// EnableSharding installs a sharded apply pool on the NIC. Like
-// EnableReliability it is first-call-wins: the pool that all layers see is
-// the one from the first call. It returns the active pool.
-func (n *NIC) EnableSharding(shards, workers int) *ShardPool {
-	p := NewShardPool(shards, workers)
-	if !n.shardPool.CompareAndSwap(nil, p) {
-		p.Close()
-	}
-	return n.shardPool.Load()
-}
-
-// Sharding returns the active shard pool, or nil when the target applies
-// serially.
-func (n *NIC) Sharding() *ShardPool { return n.shardPool.Load() }
-
-// Stop terminates the agent goroutine and drains the shard pool, if any.
-// It waits out a delivery running on a sender's goroutine, and no message
-// is delivered inline afterwards. Messages still queued are left for the
-// network's Close to discard. Stop is idempotent.
+// Stop terminates the agent goroutine. It waits out a delivery running on
+// a sender's goroutine, and no message is delivered inline afterwards.
+// Messages still queued are left for the network's Close to discard. Stop
+// is idempotent.
 func (n *NIC) Stop() {
 	n.token.Lock()
 	n.stopped = true
@@ -260,9 +240,6 @@ func (n *NIC) Stop() {
 	<-n.done
 	if r := n.relay.Load(); r != nil {
 		<-r.done
-	}
-	if p := n.shardPool.Load(); p != nil {
-		p.Close()
 	}
 }
 

@@ -43,13 +43,10 @@ type LinkHealth struct {
 	Attempts int `json:"attempts"`
 }
 
-// ShardHealth is one apply shard's depth and lifetime counters.
+// ShardHealth is one apply shard's lifetime task count.
 type ShardHealth struct {
-	Shard    int   `json:"shard"`
-	Depth    int64 `json:"depth"`
-	Tasks    int64 `json:"tasks"`
-	Steals   int64 `json:"steals"`
-	Overflow int64 `json:"overflow"`
+	Shard int   `json:"shard"`
+	Tasks int64 `json:"tasks"`
 }
 
 // QueueHealth is the completion queue's occupancy and drop counters.

@@ -14,7 +14,7 @@ import (
 )
 
 // goroutineRoles counts live goroutines by their profile "role" label
-// (rank, nic-agent, shard-worker), from the labelled goroutine profile.
+// (rank, nic-agent), from the labelled goroutine profile.
 func goroutineRoles() (map[string]int, string) {
 	var buf bytes.Buffer
 	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
@@ -36,8 +36,8 @@ func goroutineRoles() (map[string]int, string) {
 // agent per rank, and nothing for the thread serializer, which applies on
 // the delivering goroutine. A goroutine a rank starts inherits the rank's
 // labels, so a helper goroutine per rank would count as one more "rank"
-// each. The sharded apply pool still adds its workers — one per shard per
-// rank — so WithApplyShards(7) records 7 more per rank.
+// each. Sharded applies run on the delivering goroutine too, so
+// WithApplyShards(7) adds none.
 func TestGoroutinesPerRank(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -45,7 +45,7 @@ func TestGoroutinesPerRank(t *testing.T) {
 		want map[string]int
 	}{
 		{"default", nil, map[string]int{"rank": 2, "nic-agent": 2}},
-		{"shards7", []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2, "nic-agent": 2, "shard-worker": 14}},
+		{"shards7", []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2, "nic-agent": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			world := runtime.NewWorld(runtime.Config{Ranks: 2})

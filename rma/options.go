@@ -11,7 +11,7 @@ import (
 //
 //   - SessionOption configures a Session and is accepted only by Open —
 //     batching, the atomicity mechanism, telemetry, events, faults,
-//     replication, the apply-shard pool. Passing one to a transfer call
+//     replication, the apply shards. Passing one to a transfer call
 //     no longer compiles (it used to be silently ignored, caught only by
 //     rmalint's attrmisuse analyzer at lint time).
 //   - OpOption configures a single operation and is accepted only by the
@@ -190,18 +190,19 @@ func WithAtomicity(m serializer.Mechanism) SessionOption {
 }
 
 // WithApplyShards partitions this rank's exposed memory into n byte-range
-// shards applied by a parallel worker pool: operations from different
-// origins to disjoint ranges apply concurrently, while spanning, ordered,
-// conflicting, and atomic operations keep serial-engine semantics through
-// a designated shard and the serializer (DESIGN.md §10). The default (0
-// or 1) is the serial engine, bit-compatible by construction.
+// shards, each charging its applies to a modelled apply lane: operations
+// from different origins to disjoint ranges overlap in modelled time,
+// while spanning and ordered operations route through a designated shard
+// and atomic ones through the serializer (DESIGN.md §10). Every apply runs
+// as it is delivered, in routing order, so the final bytes equal the
+// serial engine's. The default (0 or 1) is the serial engine.
 func WithApplyShards(n int) SessionOption {
 	return sessionOption(func(c *sessionConfig) { c.opts.ApplyShards = n })
 }
 
-// WithApplyWorkers bounds the worker pool draining the apply shards (0 =
-// one worker per shard). Passing WithApplyWorkers alone enables sharding
-// with that many shards.
+// WithApplyWorkers sets the number of modelled apply lanes the shards
+// share, shard s charging lane s mod n (0 = one lane per shard). Passing
+// WithApplyWorkers alone enables sharding with that many shards.
 func WithApplyWorkers(n int) SessionOption {
 	return sessionOption(func(c *sessionConfig) { c.opts.ApplyWorkers = n })
 }

@@ -114,8 +114,8 @@ var (
 	// budget ran out, the affected requests and Complete* calls fail with
 	// it (wrapped), and Session.Err() reports it sticky.
 	ErrLinkFailed = core.ErrLinkFailed
-	// ErrApplyFault marks a recovered target-side apply panic (a shard
-	// worker caught it): the session survives but its requests and waits
+	// ErrApplyFault marks a recovered target-side apply panic (a sharded
+	// apply caught it): the session survives but its requests and waits
 	// fail with it, and Session.Err() reports it sticky.
 	ErrApplyFault = core.ErrApplyFault
 	// ErrRankFailed marks a peer declared dead by the failure detector
@@ -217,7 +217,7 @@ func (s *Session) On(comm *runtime.Comm) *Session {
 
 // Err reports the session's sticky failure: non-nil once any link's
 // reliable-delivery retry budget has been exhausted (see ErrLinkFailed)
-// or a shard apply worker has panicked (see ErrApplyFault). A
+// or a sharded apply has panicked (see ErrApplyFault). A
 // link-degraded session keeps working toward the surviving ranks;
 // requests and Complete* calls addressing the failed target return the
 // error. An apply fault poisons the whole session.
@@ -293,8 +293,9 @@ func (s *Session) FlightRecorder() *telemetry.FlightRecorder {
 }
 
 // Health reports this rank's point-in-time health — sticky errors, link
-// and retry state, shard and completion-queue depths, blocked waits — the
-// report every postmortem embeds. It is safe to call from any goroutine.
+// and retry state, per-shard task counts, completion-queue depth, blocked
+// waits — the report every postmortem embeds. It is safe to call from any
+// goroutine.
 func (s *Session) Health() telemetry.HealthReport { return s.eng.Health() }
 
 // CriticalPath merges every traced rank's protocol events into one
