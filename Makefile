@@ -19,8 +19,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet plus the repo's own RMA static analyzers (lostrequest,
-# epochorder, remoteconflict, lockorder, attrmisuse, boundscheck,
-# deprecated, dhtraw); see cmd/rmalint.
+# remoteconflict, lockorder); see cmd/rmalint.
 lint: vet
 	$(GO) run ./cmd/rmalint ./...
 

@@ -1,7 +1,8 @@
 // Command rmalint is the static analyzer suite for this repository's RMA
-// interfaces: it checks code using the rma facade, internal/core, and the
-// MPI-2 comparison layer for one-sided correctness mistakes the type
-// system cannot express.
+// interfaces: it checks code using the rma facade and internal/core for
+// one-sided correctness mistakes neither the type system nor the
+// runtime's own error returns can report — lost requests, statically
+// overlapping accesses, and inversions of the engine's lock hierarchy.
 //
 // Usage:
 //

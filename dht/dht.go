@@ -239,15 +239,6 @@ func (m *Map) registerMetrics() {
 	_ = reg.RegisterHistogram("latency.dht.request", m.lat)
 }
 
-// Stripes returns the live stripe descriptors, one per server rank.
-// They are the table's raw memory: going around the bucket protocol with
-// Session.Put/Get on them corrupts lock words (rmalint's dhtraw rule
-// flags exactly that). Legitimate uses read converged state — the chaos
-// tests fetch whole stripes for byte-exact comparison.
-func (m *Map) Stripes() []rma.TargetMem {
-	return m.stripes
-}
-
 // Local returns this rank's own stripe region (a zero Region on ranks
 // beyond the server count).
 func (m *Map) Local() rma.Region { return m.local }

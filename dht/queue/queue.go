@@ -171,11 +171,6 @@ func (q *Queue) registerMetrics() {
 	_ = reg.Register("queue.credit_fastpath", &q.fastPaths)
 }
 
-// Mem returns the owner-region descriptor the queue protocol runs on —
-// raw Session access to it bypasses the ticket discipline (rmalint's
-// dhtraw rule flags that).
-func (q *Queue) Mem() rma.TargetMem { return q.owner }
-
 // Slots returns the queue capacity.
 func (q *Queue) Slots() int { return q.slots }
 

@@ -215,12 +215,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 func All() []*Analyzer {
 	return []*Analyzer{
 		LostRequestAnalyzer,
-		EpochOrderAnalyzer,
 		RemoteConflictAnalyzer,
 		LockOrderAnalyzer,
-		AttrMisuseAnalyzer,
-		BoundsCheckAnalyzer,
-		DeprecatedAnalyzer,
-		DHTRawAnalyzer,
 	}
 }

@@ -19,46 +19,6 @@ func TestLostRequest(t *testing.T) {
 	RunGolden(t, LostRequestAnalyzer, "mpi3rma/internal/analysis/testdata/src/lostrequest")
 }
 
-func TestEpochOrder(t *testing.T) {
-	RunGolden(t, EpochOrderAnalyzer, "mpi3rma/internal/analysis/testdata/src/epochorder")
-}
-
-func TestAttrMisuse(t *testing.T) {
-	RunGolden(t, AttrMisuseAnalyzer, "mpi3rma/internal/analysis/testdata/src/attrmisuse")
-}
-
-// TestAttrMisuseRetryPolicy pins the no-op retry-policy combination: a
-// package that tunes the relay but never installs a fault plan is
-// flagged; one that pairs it with WithFaults anywhere is clean.
-func TestAttrMisuseRetryPolicy(t *testing.T) {
-	RunGolden(t, AttrMisuseAnalyzer, "mpi3rma/internal/analysis/testdata/src/retrymisuse")
-	RunGolden(t, AttrMisuseAnalyzer, "mpi3rma/internal/analysis/testdata/src/retryok")
-}
-
-// TestAttrMisuseReplication pins the replication misuse checks:
-// WithReplication is session-only (ignored on transfer calls), and in a
-// package that never installs a fault plan it buys a replica round-trip
-// per mutating operation for protection no death can ever need.
-func TestAttrMisuseReplication(t *testing.T) {
-	RunGolden(t, AttrMisuseAnalyzer, "mpi3rma/internal/analysis/testdata/src/replmisuse")
-	RunGolden(t, AttrMisuseAnalyzer, "mpi3rma/internal/analysis/testdata/src/replok")
-}
-
-func TestBoundsCheck(t *testing.T) {
-	RunGolden(t, BoundsCheckAnalyzer, "mpi3rma/internal/analysis/testdata/src/boundscheck")
-}
-
-func TestDeprecated(t *testing.T) {
-	RunGolden(t, DeprecatedAnalyzer, "mpi3rma/internal/analysis/testdata/src/deprecated")
-}
-
-// TestDHTRaw pins the service-layer ownership rule: descriptors obtained
-// from dht.Map.Stripes() or queue.Queue.Mem() may be read raw but never
-// mutated raw — the protocols own their lock and sequence words.
-func TestDHTRaw(t *testing.T) {
-	RunGolden(t, DHTRawAnalyzer, "mpi3rma/internal/analysis/testdata/src/dhtraw")
-}
-
 func TestLostRequestField(t *testing.T) {
 	RunGolden(t, LostRequestAnalyzer, "mpi3rma/internal/analysis/testdata/src/lostrequestfield")
 }
@@ -72,13 +32,9 @@ func TestLockOrder(t *testing.T) {
 	RunGolden(t, LockOrderAnalyzer, "mpi3rma/internal/analysis/testdata/src/lockorderok")
 }
 
-// TestEpochOrderCross and TestLostRequestCross exercise the findings that
-// need the interprocedural tier (helpers opening/closing epochs, requests
-// returned by helpers, helpers that complete).
-func TestEpochOrderCross(t *testing.T) {
-	RunGolden(t, EpochOrderAnalyzer, "mpi3rma/internal/analysis/testdata/src/epochorderx")
-}
-
+// TestLostRequestCross exercises the findings that need the
+// interprocedural tier (requests returned by helpers, helpers that
+// complete).
 func TestLostRequestCross(t *testing.T) {
 	RunGolden(t, LostRequestAnalyzer, "mpi3rma/internal/analysis/testdata/src/lostrequestx")
 }
@@ -96,16 +52,6 @@ func diagsWithoutInterproc(t *testing.T, analyzer *Analyzer, pkgPath string) []D
 		t.Fatalf("loading %s: %v", pkgPath, err)
 	}
 	return Run(pkgs, []*Analyzer{analyzer}).Diagnostics
-}
-
-// TestEpochOrderCrossPin: every diagnostic in the epochorderx golden
-// crosses a function boundary, so the intraprocedural analyzer must go
-// completely silent on it.
-func TestEpochOrderCrossPin(t *testing.T) {
-	diags := diagsWithoutInterproc(t, EpochOrderAnalyzer, "mpi3rma/internal/analysis/testdata/src/epochorderx")
-	for _, d := range diags {
-		t.Errorf("without summaries epochorderx must be silent, got: %s", d)
-	}
 }
 
 // TestLostRequestCrossPin: without summaries the helper-producer finding
@@ -219,7 +165,7 @@ func f() { f() }
 func TestReportRoundTrip(t *testing.T) {
 	res := &Result{
 		Diagnostics: []Diagnostic{
-			{Pos: token.Position{Filename: "a.go", Line: 3, Column: 7}, Analyzer: "epochorder", Message: "boom"},
+			{Pos: token.Position{Filename: "a.go", Line: 3, Column: 7}, Analyzer: "remoteconflict", Message: "boom"},
 			{Pos: token.Position{Filename: "b.go", Line: 9, Column: 1}, Analyzer: "lockorder", Message: "bang"},
 		},
 		Suppressed: map[string]int{"lostrequest": 2},
@@ -256,7 +202,7 @@ func TestSuppressionValidation(t *testing.T) {
 		{name: "all", reason: "generated file", pos: at(2)},
 		{name: "", reason: "", pos: at(3)},
 		{name: "nosuchanalyzer", reason: "whatever", pos: at(4)},
-		{name: "epochorder", reason: "", pos: at(5)},
+		{name: "lockorder", reason: "", pos: at(5)},
 	}
 	var diags []Diagnostic
 	validateSuppressions(parsed, All(), &diags)
@@ -293,9 +239,9 @@ func TestSuppressionParsing(t *testing.T) {
 		{10, "lostrequest", true},
 		{11, "lostrequest", true}, // line below the comment
 		{12, "lostrequest", false},
-		{10, "boundscheck", false}, // named suppression is per-analyzer
-		{20, "boundscheck", true},  // bare ignore mutes everything
-		{21, "epochorder", true},
+		{10, "lockorder", false}, // named suppression is per-analyzer
+		{20, "lockorder", true},  // bare ignore mutes everything
+		{21, "remoteconflict", true},
 	}
 	for _, c := range cases {
 		got := s.covers(token.Position{Filename: "f.go", Line: c.line}, c.analyzer)

@@ -60,11 +60,10 @@ func checkConflictList(pass *Pass, sums *pkgSummaries, stmts []ast.Stmt) {
 	info := pass.TypesInfo
 	outstanding := map[types.Object][]outstandingAcc{}
 
-	trackWin := func(types.Object) bool { return false }
 	trackTM := func(obj types.Object) bool { return isTargetMem(obj.Type()) }
 
 	apply := func(call *ast.CallExpr) {
-		eff := sums.effectsOfCall(info, call, trackWin, trackTM)
+		eff := sums.effectsOfCall(info, call, trackTM)
 		if eff == nil {
 			return
 		}

@@ -9,31 +9,22 @@ import (
 )
 
 // This file computes per-function effect summaries bottom-up over the
-// call graph's SCCs: the interprocedural tier the epochorder, lostrequest,
+// call graph's SCCs: the interprocedural tier the lostrequest,
 // remoteconflict, and lockorder analyzers consume. A summary records what
 // one function provably does to the RMA objects its caller hands it —
-// epoch transitions on window parameters, constant remote byte-ranges on
-// target-memory parameters, completion calls, requests returned fresh,
-// and annotated locks acquired.
+// constant remote byte-ranges on target-memory parameters, completion
+// calls, requests returned fresh, and annotated locks acquired.
 //
 // The precision discipline mirrors the analyzers themselves: "definite"
-// effects (epoch ops, remote accesses) come only from the body's
-// top-level statement list, so splicing them into a caller never asserts
-// something that might not happen. Conditional or unanalyzable behavior
-// degrades the affected parameter to unknown, which makes the caller
-// forget its state instead of reporting on it. "May" effects (completes,
+// effects (remote accesses) come only from the body's top-level statement
+// list, so splicing them into a caller never asserts something that might
+// not happen. Conditional or unanalyzable behavior degrades the affected
+// parameter to unknown, which makes the caller forget its state instead of
+// reporting on it. "May" effects (completes,
 // legalizes, acquires) go the other way — they are unioned over the whole
 // body including nested blocks and closures — because their consumers
 // only ever use them to stay silent (a helper that may complete is a
 // completion point; a helper that may legalize clears conflict state).
-
-// epochOp is one window synchronization or access call, abstracted to
-// what the epoch state machine needs.
-type epochOp struct {
-	method    string // Lock, Unlock, Fence, Start, Complete, Post, Wait, Test, Free, Put, Get, Accumulate
-	rank      int64  // for Lock/Unlock
-	constRank bool
-}
 
 // remoteAcc is one constant-foldable remote access.
 type remoteAcc struct {
@@ -70,20 +61,6 @@ type funcSummary struct {
 	// fresh, nonblocking, un-awaited request (or -1). Discarding that
 	// result is a lost request exactly like discarding a Session.Put's.
 	returnsRequest int
-
-	// epoch maps window-parameter index -> the definite, ordered epoch
-	// transitions the function performs on that window. Parameters in
-	// epochUnknown were touched in ways the linear model cannot follow.
-	epoch        map[int][]epochOp
-	epochUnknown map[int]bool
-
-	// winResult is the result index of a window the function creates
-	// (WinCreate at top level) and returns, or -1; winResultOps are the
-	// epoch transitions applied to it before the return. The caller
-	// starts the returned window fully-known (everything closed) and
-	// replays the ops.
-	winResult    int
-	winResultOps []epochOp
 
 	// remoteEvents is the definite, ordered remote-effect sequence over
 	// target-memory parameters; remoteUnknown marks parameters with
@@ -135,14 +112,7 @@ func summariesFor(pass *Pass) *pkgSummaries {
 // must be a declared same-package function. Returns nil when the
 // interprocedural tier is disabled or the callee is unknown.
 func (s *pkgSummaries) summaryOf(info *types.Info, call *ast.CallExpr) *funcSummary {
-	if s == nil || interprocDisabled {
-		return nil
-	}
-	fn := callee(info, call)
-	if fn == nil {
-		return nil
-	}
-	return s.funcs[fn]
+	return s.summaryOfFunc(callee(info, call))
 }
 
 // completers are the calls that guarantee completion of previously-issued
@@ -202,9 +172,6 @@ func newSummary(fn *types.Func) *funcSummary {
 	return &funcSummary{
 		fn:             fn,
 		returnsRequest: -1,
-		winResult:      -1,
-		epoch:          map[int][]epochOp{},
-		epochUnknown:   map[int]bool{},
 		remoteUnknown:  map[int]bool{},
 		acquires:       map[*types.Var]bool{},
 	}
@@ -259,17 +226,16 @@ func (s *pkgSummaries) computeMayEffects(pkg *Package, n *cgNode) bool {
 	return sum.completes != before[0] || sum.legalizes != before[1] || len(sum.acquires) != nAcq
 }
 
-// computeDefiniteEffects fills in the epoch, remote, request-return, and
-// window-return parts of the summary from the body's top-level statement
-// list. Everything here must be provable: a parameter used in a way the
-// walk does not recognize degrades to unknown.
+// computeDefiniteEffects fills in the remote and request-return parts of
+// the summary from the body's top-level statement list. Everything here
+// must be provable: a parameter used in a way the walk does not recognize
+// degrades to unknown.
 func (s *pkgSummaries) computeDefiniteEffects(pkg *Package, n *cgNode) {
 	sum := s.funcs[n.fn]
 	decl := n.decl
 	info := pkg.Info
 
-	// Parameter objects by index, split by the types the analyzers track.
-	winParams := map[types.Object]int{}
+	// Target-memory parameter objects by index.
 	tmParams := map[types.Object]int{}
 	if decl.Type.Params != nil {
 		idx := 0
@@ -279,13 +245,8 @@ func (s *pkgSummaries) computeDefiniteEffects(pkg *Package, n *cgNode) {
 				continue
 			}
 			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil {
-					if isWinPtr(obj.Type()) {
-						winParams[obj] = idx
-					}
-					if isTargetMem(obj.Type()) {
-						tmParams[obj] = idx
-					}
+				if obj := info.Defs[name]; obj != nil && isTargetMem(obj.Type()) {
+					tmParams[obj] = idx
 				}
 				idx++
 			}
@@ -294,28 +255,23 @@ func (s *pkgSummaries) computeDefiniteEffects(pkg *Package, n *cgNode) {
 
 	// Recursion defeats the bottom-up order; a return statement buried in
 	// a nested block means the top-level suffix may never run. Either way
-	// the definite sequences would overclaim: degrade to unknown.
+	// the definite sequence would overclaim: degrade to unknown.
 	if s.graph.recursive(n.fn) || hasNestedReturn(decl.Body) {
-		for _, i := range winParams {
-			sum.epochUnknown[i] = true
-		}
 		for _, i := range tmParams {
 			sum.remoteUnknown[i] = true
 		}
 	} else {
-		s.walkDefinite(pkg, sum, decl, winParams, tmParams)
+		s.walkDefinite(pkg, sum, decl, tmParams)
 	}
 
 	sum.returnsRequest = s.requestResultIndex(pkg, decl, sum)
 }
 
 // callEffects is what one recognized call contributes to a summary (or,
-// at analyzer level, to the caller's tracked state): epoch ops and remote
-// events keyed by the caller-side object the effect lands on, plus the
-// objects whose state becomes unknown.
+// at analyzer level, to the caller's tracked state): remote events keyed
+// by the caller-side object the effect lands on, plus the objects whose
+// state becomes unknown.
 type callEffects struct {
-	winOps     map[types.Object][]epochOp
-	winUnknown map[types.Object]bool
 	events     []tmEvent
 	tmUnknown  map[types.Object]bool
 	recognized map[types.Object]int // identifier uses this call accounts for
@@ -330,39 +286,18 @@ type tmEvent struct {
 
 func newCallEffects() *callEffects {
 	return &callEffects{
-		winOps:     map[types.Object][]epochOp{},
-		winUnknown: map[types.Object]bool{},
 		tmUnknown:  map[types.Object]bool{},
 		recognized: map[types.Object]int{},
 	}
 }
 
-// effectsOfCall classifies one direct call against the tracked window and
-// target-memory objects. trackWin/trackTM decide which objects the caller
-// cares about (parameters and locals alike). Returns nil when the call is
-// irrelevant to both domains.
-func (s *pkgSummaries) effectsOfCall(info *types.Info, call *ast.CallExpr,
-	trackWin func(types.Object) bool, trackTM func(types.Object) bool) *callEffects {
+// effectsOfCall classifies one direct call against the tracked
+// target-memory objects; trackTM decides which objects the caller cares
+// about. Returns nil when the call is irrelevant to them.
+func (s *pkgSummaries) effectsOfCall(info *types.Info, call *ast.CallExpr, trackTM func(types.Object) bool) *callEffects {
 	fn := callee(info, call)
 	key := funcKey(fn)
 	eff := newCallEffects()
-
-	// Win method: one epoch op on the receiver.
-	if strings.HasPrefix(key, mpi2Path+".Win.") {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return nil
-		}
-		obj := objectOf(info, sel.X)
-		if obj == nil || !trackWin(obj) {
-			return nil
-		}
-		eff.recognized[obj]++
-		if op, ok := epochOpOf(info, fn.Name(), call); ok {
-			eff.winOps[obj] = append(eff.winOps[obj], op)
-		}
-		return eff
-	}
 
 	// Legalizing barrier: separates every tracked target-memory object.
 	if legalizers[key] {
@@ -396,29 +331,18 @@ func (s *pkgSummaries) effectsOfCall(info *types.Info, call *ast.CallExpr,
 		touched := false
 		for ai, arg := range call.Args {
 			obj := objectOf(info, arg)
-			if obj == nil {
+			if obj == nil || !trackTM(obj) || !isTargetMem(obj.Type()) {
 				continue
 			}
-			if trackWin(obj) && isWinPtr(obj.Type()) {
-				eff.recognized[obj]++
-				touched = true
-				if callee.epochUnknown[ai] {
-					eff.winUnknown[obj] = true
-				} else {
-					eff.winOps[obj] = append(eff.winOps[obj], callee.epoch[ai]...)
-				}
+			eff.recognized[obj]++
+			touched = true
+			if callee.remoteUnknown[ai] {
+				eff.tmUnknown[obj] = true
+				continue
 			}
-			if trackTM(obj) && isTargetMem(obj.Type()) {
-				eff.recognized[obj]++
-				touched = true
-				if callee.remoteUnknown[ai] {
-					eff.tmUnknown[obj] = true
-				} else {
-					for _, ev := range callee.remoteEvents {
-						if !ev.barrier && ev.param == ai {
-							eff.events = append(eff.events, tmEvent{obj: obj, acc: ev.acc})
-						}
-					}
+			for _, ev := range callee.remoteEvents {
+				if !ev.barrier && ev.param == ai {
+					eff.events = append(eff.events, tmEvent{obj: obj, acc: ev.acc})
 				}
 			}
 		}
@@ -436,15 +360,9 @@ func (s *pkgSummaries) effectsOfCall(info *types.Info, call *ast.CallExpr,
 
 	// Unknown call: every tracked object it receives escapes.
 	for _, arg := range call.Args {
-		if obj := objectOf(info, arg); obj != nil {
-			if trackWin(obj) && isWinPtr(obj.Type()) {
-				eff.recognized[obj]++
-				eff.winUnknown[obj] = true
-			}
-			if trackTM(obj) && isTargetMem(obj.Type()) {
-				eff.recognized[obj]++
-				eff.tmUnknown[obj] = true
-			}
+		if obj := objectOf(info, arg); obj != nil && trackTM(obj) && isTargetMem(obj.Type()) {
+			eff.recognized[obj]++
+			eff.tmUnknown[obj] = true
 		}
 	}
 	// An unresolvable call (function value, interface method) could
@@ -467,22 +385,12 @@ func (s *pkgSummaries) summaryOfFunc(fn *types.Func) *funcSummary {
 }
 
 // walkDefinite runs the top-level statement list of decl and records the
-// definite epoch and remote effect sequences onto the summary.
-func (s *pkgSummaries) walkDefinite(pkg *Package, sum *funcSummary, decl *ast.FuncDecl, winParams, tmParams map[types.Object]int) {
+// definite remote-effect sequence onto the summary.
+func (s *pkgSummaries) walkDefinite(pkg *Package, sum *funcSummary, decl *ast.FuncDecl, tmParams map[types.Object]int) {
 	info := pkg.Info
 
 	recognized := map[types.Object]int{}
-	// winLocals tracks windows created by top-level WinCreate (candidates
-	// for winResult).
-	winLocals := map[types.Object][]epochOp{}
 	var deferred []*callEffects
-	var winResultObj types.Object
-
-	trackWin := func(obj types.Object) bool {
-		_, isParam := winParams[obj]
-		_, isLocal := winLocals[obj]
-		return isParam || isLocal
-	}
 	trackTM := func(obj types.Object) bool {
 		_, ok := tmParams[obj]
 		return ok
@@ -491,21 +399,6 @@ func (s *pkgSummaries) walkDefinite(pkg *Package, sum *funcSummary, decl *ast.Fu
 	apply := func(eff *callEffects) {
 		for obj, c := range eff.recognized {
 			recognized[obj] += c
-		}
-		for obj, ops := range eff.winOps {
-			if i, ok := winParams[obj]; ok {
-				sum.epoch[i] = append(sum.epoch[i], ops...)
-			} else if cur, ok := winLocals[obj]; ok {
-				winLocals[obj] = append(cur, ops...)
-			}
-		}
-		for obj := range eff.winUnknown {
-			if i, ok := winParams[obj]; ok {
-				sum.epochUnknown[i] = true
-				delete(sum.epoch, i)
-			} else {
-				delete(winLocals, obj)
-			}
 		}
 		for _, ev := range eff.events {
 			if ev.barrier {
@@ -522,39 +415,14 @@ func (s *pkgSummaries) walkDefinite(pkg *Package, sum *funcSummary, decl *ast.Fu
 	}
 
 	for _, stmt := range decl.Body.List {
-		switch st := stmt.(type) {
-		case *ast.DeferStmt:
-			if eff := s.effectsOfCall(info, st.Call, trackWin, trackTM); eff != nil {
+		if ds, ok := stmt.(*ast.DeferStmt); ok {
+			if eff := s.effectsOfCall(info, ds.Call, trackTM); eff != nil {
 				deferred = append(deferred, eff)
 			}
 			continue
-		case *ast.AssignStmt:
-			// Top-level WinCreate: a window this function may return.
-			if len(st.Rhs) == 1 && len(st.Lhs) > 0 {
-				if call, ok := st.Rhs[0].(*ast.CallExpr); ok &&
-					calleeKey(info, call) == mpi2Path+".RMA.WinCreate" {
-					if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-						if obj := info.Defs[id]; obj != nil {
-							winLocals[obj] = []epochOp{}
-						}
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for i, res := range st.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-					if obj := info.Uses[id]; obj != nil {
-						if _, isLocal := winLocals[obj]; isLocal {
-							recognized[obj]++
-							sum.winResult = i
-							winResultObj = obj
-						}
-					}
-				}
-			}
 		}
 		for _, call := range directCalls(stmt) {
-			if eff := s.effectsOfCall(info, call, trackWin, trackTM); eff != nil {
+			if eff := s.effectsOfCall(info, call, trackTM); eff != nil {
 				apply(eff)
 			}
 		}
@@ -567,47 +435,34 @@ func (s *pkgSummaries) walkDefinite(pkg *Package, sum *funcSummary, decl *ast.Fu
 
 	// Escape analysis: any identifier use the walk did not recognize
 	// makes that object's effects unprovable.
-	for obj, i := range winParams {
-		if countUses(info, decl.Body, obj) > recognized[obj] {
-			sum.epochUnknown[i] = true
-			delete(sum.epoch, i)
-		}
-	}
 	for obj, i := range tmParams {
 		if countUses(info, decl.Body, obj) > recognized[obj] {
 			sum.remoteUnknown[i] = true
 		}
 	}
-	if winResultObj != nil {
-		if ops, ok := winLocals[winResultObj]; ok && countUses(info, decl.Body, winResultObj) <= recognized[winResultObj] {
-			sum.winResultOps = ops
-		} else {
-			sum.winResult = -1
-		}
-	} else {
-		sum.winResult = -1
-	}
 }
 
-// epochOpOf abstracts one Win method call to an epochOp. ok=false means
-// the method is not epoch-relevant (Comm, Region, ... — harmless
-// observers the caller ignores).
-func epochOpOf(info *types.Info, method string, call *ast.CallExpr) (epochOp, bool) {
-	op := epochOp{method: method}
-	switch method {
-	case "Lock":
-		if len(call.Args) >= 2 {
-			op.rank, op.constRank = intConst(info, call.Args[1])
-		}
-	case "Unlock":
-		if len(call.Args) >= 1 {
-			op.rank, op.constRank = intConst(info, call.Args[0])
-		}
-	case "Fence", "Start", "Complete", "Post", "Wait", "Test", "Free", "Put", "Get", "Accumulate":
-	default:
-		return epochOp{}, false
-	}
-	return op, true
+// accessShape describes where one call's target interval sits in its
+// argument list: extent = count(arg countIdx) * sizeof(dt at dtIdx), or a
+// fixed 8 bytes for RMWs (countIdx < 0).
+type accessShape struct {
+	tmIdx, dispIdx   int
+	countIdx, dtIdx  int
+	layoutOverridble bool // WithTargetLayout changes the target extent
+}
+
+var accessShapes = map[string]accessShape{
+	rmaPath + ".Session.Put":            {tmIdx: 3, dispIdx: 4, countIdx: 1, dtIdx: 2, layoutOverridble: true},
+	rmaPath + ".Session.PutNotify":      {tmIdx: 3, dispIdx: 4, countIdx: 1, dtIdx: 2, layoutOverridble: true},
+	rmaPath + ".Session.Get":            {tmIdx: 3, dispIdx: 4, countIdx: 1, dtIdx: 2, layoutOverridble: true},
+	rmaPath + ".Session.Accumulate":     {tmIdx: 4, dispIdx: 5, countIdx: 2, dtIdx: 3, layoutOverridble: true},
+	rmaPath + ".Session.AccumulateAxpy": {tmIdx: 4, dispIdx: 5, countIdx: 2, dtIdx: 3, layoutOverridble: true},
+	rmaPath + ".Session.FetchAdd":       {tmIdx: 0, dispIdx: 1, countIdx: -1},
+	rmaPath + ".Session.CompareSwap":    {tmIdx: 0, dispIdx: 1, countIdx: -1},
+	corePath + ".Engine.Put":            {tmIdx: 3, dispIdx: 4, countIdx: 5, dtIdx: 6},
+	corePath + ".Engine.Get":            {tmIdx: 3, dispIdx: 4, countIdx: 5, dtIdx: 6},
+	corePath + ".Engine.FetchAdd":       {tmIdx: 0, dispIdx: 1, countIdx: -1},
+	corePath + ".Engine.CompareSwap":    {tmIdx: 0, dispIdx: 1, countIdx: -1},
 }
 
 // foldAccess constant-folds one remote access to its byte interval and
@@ -819,20 +674,6 @@ func countUses(info *types.Info, body *ast.BlockStmt, obj types.Object) int {
 		return true
 	})
 	return n
-}
-
-// isWinPtr reports whether t is *mpi2rma.Win.
-func isWinPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == mpi2Path && obj.Name() == "Win"
 }
 
 // isTargetMem reports whether t is core.TargetMem (rma.TargetMem is an

@@ -8,10 +8,8 @@ import (
 
 // Well-known package paths the analyzers key on.
 const (
-	rmaPath     = "mpi3rma/rma"
-	mpi2Path    = "mpi3rma/internal/mpi2rma"
-	corePath    = "mpi3rma/internal/core"
-	runtimePath = "mpi3rma/internal/runtime"
+	rmaPath  = "mpi3rma/rma"
+	corePath = "mpi3rma/internal/core"
 )
 
 // callee resolves the *types.Func a call invokes, or nil for calls through
@@ -177,4 +175,63 @@ func optionCalls(info *types.Info, args []ast.Expr) []*ast.CallExpr {
 		}
 	}
 	return opts
+}
+
+// directCalls extracts the calls a statement performs in order, without
+// descending into nested blocks (their own lists) or function literals
+// (deferred execution). Deferred and spawned calls are skipped here: the
+// statement-list walks model defers themselves (at list exit), and
+// goroutines run at another time entirely.
+func directCalls(stmt ast.Stmt) []*ast.CallExpr {
+	var calls []*ast.CallExpr
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		calls = callsIn(s.X)
+	case *ast.AssignStmt:
+		for _, rhs := range s.Rhs {
+			calls = append(calls, callsIn(rhs)...)
+		}
+	case *ast.ReturnStmt:
+		for _, r := range s.Results {
+			calls = append(calls, callsIn(r)...)
+		}
+	case *ast.IfStmt:
+		if s.Init != nil {
+			calls = directCalls(s.Init)
+		}
+		calls = append(calls, callsIn(s.Cond)...)
+	case *ast.SwitchStmt:
+		if s.Init != nil {
+			calls = directCalls(s.Init)
+		}
+	case *ast.DeclStmt:
+		if gd, ok := s.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, v := range vs.Values {
+						calls = append(calls, callsIn(v)...)
+					}
+				}
+			}
+		}
+	}
+	return calls
+}
+
+// callsIn collects calls within one expression, skipping function literals.
+func callsIn(expr ast.Expr) []*ast.CallExpr {
+	if expr == nil {
+		return nil
+	}
+	var calls []*ast.CallExpr
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			calls = append(calls, call)
+		}
+		return true
+	})
+	return calls
 }

@@ -135,9 +135,12 @@ func TestSmallRunnersExecute(t *testing.T) {
 		}
 	})
 	t.Run("e10-cell", func(t *testing.T) {
-		loop := runE10Cell("loop Complete(r) over ranks", 4, 5)
-		all := runE10Cell("Complete(ALL_RANKS)", 4, 5)
-		coll := runE10Cell("CompleteCollective", 4, 5)
+		// Eight ranks, not four: at four the n² probes are few enough that
+		// a lucky host interleaving lets ALL_RANKS finish under the
+		// collective's fixed count exchange.
+		loop := runE10Cell("loop Complete(r) over ranks", 8, 5)
+		all := runE10Cell("Complete(ALL_RANKS)", 8, 5)
+		coll := runE10Cell("CompleteCollective", 8, 5)
 		if loop.ModelUS <= 0 || all.ModelUS <= 0 || coll.ModelUS <= 0 {
 			t.Error("completion cells did not run")
 		}

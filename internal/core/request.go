@@ -163,9 +163,7 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 // after-the-fact safe: on an already-completed request fn runs inline
 // before OnDone returns. The error fn receives is the same value Err
 // reports, and it is visible to Err before Done's channel closes.
-// Registering multiple callbacks is permitted (each fires exactly once),
-// but usually indicates confused ownership; rmalint's deprecated analyzer
-// flags double registration on the same request.
+// Registering multiple callbacks is permitted: each fires exactly once.
 func (r *Request) OnDone(fn func(error)) {
 	if fn == nil {
 		return

@@ -2,11 +2,13 @@ package mpi2rma
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/rma"
 )
 
 // TestWinCreateMultipleWindows: windows on the same communicator are
@@ -176,8 +178,8 @@ func TestFenceRejectsOpenEpochs(t *testing.T) {
 			if err := win.Post([]int{1}); err != nil {
 				t.Errorf("post: %v", err)
 			}
-			if err := win.Fence(); err == nil {
-				t.Error("fence inside an exposure epoch accepted")
+			if err := win.Fence(); !errors.Is(err, rma.ErrEpoch) {
+				t.Errorf("fence inside an exposure epoch: err = %v, want ErrEpoch", err)
 			}
 			if err := win.Wait(); err != nil {
 				t.Errorf("wait: %v", err)
@@ -186,8 +188,8 @@ func TestFenceRejectsOpenEpochs(t *testing.T) {
 			if err := win.Start([]int{0}); err != nil {
 				t.Errorf("start: %v", err)
 			}
-			if err := win.Fence(); err == nil {
-				t.Error("fence inside an access epoch accepted")
+			if err := win.Fence(); !errors.Is(err, rma.ErrEpoch) {
+				t.Errorf("fence inside an access epoch: err = %v, want ErrEpoch", err)
 			}
 			if err := win.Complete(); err != nil {
 				t.Errorf("complete: %v", err)
@@ -201,57 +203,74 @@ func TestFenceRejectsOpenEpochs(t *testing.T) {
 	}
 }
 
-// TestMisuseErrors: double post, complete without start, wait without
-// post, unlock without lock, double free.
-func TestMisuseErrors(t *testing.T) {
+// epochStep is one call in a scripted walk through a window's epochs and
+// the sentinel it must fail with (nil: the call must succeed): ErrEpoch
+// for a synchronization call out of order, ErrBadHandle for any use of a
+// freed window.
+type epochStep struct {
+	what string
+	do   func() error
+	want error
+}
+
+// walkEpochs runs script on a fresh window on each of two ranks; script
+// receives the rank, its window and the other rank.
+func walkEpochs(t *testing.T, script func(p *runtime.Proc, win *Win, peer int) []epochStep) {
+	t.Helper()
 	w := newWorld(t, 2)
 	err := w.Run(func(p *runtime.Proc) {
 		r := Attach(p)
-		comm := p.Comm()
-		win, err := r.WinCreate(comm, p.Alloc(8))
+		win, err := r.WinCreate(p.Comm(), p.Alloc(8))
 		if err != nil {
 			t.Errorf("wincreate: %v", err)
 			return
 		}
-		if err := win.Complete(); err == nil {
-			t.Error("Complete without Start accepted")
-		}
-		if err := win.Wait(); err == nil {
-			t.Error("Wait without Post accepted")
-		}
-		if err := win.Unlock(1 - p.Rank()); err == nil {
-			t.Error("Unlock without Lock accepted")
-		}
-		if err := win.Post([]int{1 - p.Rank()}); err != nil {
-			t.Errorf("post: %v", err)
-		}
-		if err := win.Post([]int{1 - p.Rank()}); err == nil {
-			t.Error("double Post accepted")
-		}
-		p.Barrier()
-		// Close the epochs so Free succeeds.
-		if err := win.Start([]int{1 - p.Rank()}); err != nil {
-			t.Errorf("start: %v", err)
-		}
-		if err := win.Start([]int{1 - p.Rank()}); err == nil {
-			t.Error("double Start accepted")
-		}
-		if err := win.Complete(); err != nil {
-			t.Errorf("complete: %v", err)
-		}
-		if err := win.Wait(); err != nil {
-			t.Errorf("wait: %v", err)
-		}
-		if err := win.Free(); err != nil {
-			t.Errorf("free: %v", err)
-		}
-		if err := win.Free(); err == nil {
-			t.Error("double Free accepted")
+		for _, st := range script(p, win, 1-p.Rank()) {
+			if err := st.do(); !errors.Is(err, st.want) {
+				t.Errorf("rank %d: %s: err = %v, want %v", p.Rank(), st.what, err, st.want)
+			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMisuseErrors: double post, complete without start, wait without
+// post, unlock without lock, double start, double free.
+func TestMisuseErrors(t *testing.T) {
+	walkEpochs(t, func(_ *runtime.Proc, win *Win, peer int) []epochStep {
+		return []epochStep{
+			{"Complete without Start", win.Complete, rma.ErrEpoch},
+			{"Wait without Post", win.Wait, rma.ErrEpoch},
+			{"Unlock without Lock", func() error { return win.Unlock(peer) }, rma.ErrEpoch},
+			{"Post", func() error { return win.Post([]int{peer}) }, nil},
+			{"double Post", func() error { return win.Post([]int{peer}) }, rma.ErrEpoch},
+			{"Start", func() error { return win.Start([]int{peer}) }, nil},
+			{"double Start", func() error { return win.Start([]int{peer}) }, rma.ErrEpoch},
+			{"Complete", win.Complete, nil},
+			{"Wait", win.Wait, nil},
+			{"Free", win.Free, nil},
+			{"double Free", win.Free, rma.ErrBadHandle},
+		}
+	})
+}
+
+// TestEpochOrderErrors: the remaining illegal orders — test without post,
+// a second lock on one rank, free inside a lock epoch, put after free.
+func TestEpochOrderErrors(t *testing.T) {
+	walkEpochs(t, func(p *runtime.Proc, win *Win, peer int) []epochStep {
+		src := p.Alloc(8)
+		return []epochStep{
+			{"Test without Post", func() error { _, err := win.Test(); return err }, rma.ErrEpoch},
+			{"Lock", func() error { return win.Lock(LockExclusive, peer) }, nil},
+			{"double Lock on one rank", func() error { return win.Lock(LockExclusive, peer) }, rma.ErrEpoch},
+			{"Free inside a lock epoch", win.Free, rma.ErrEpoch},
+			{"Unlock", func() error { return win.Unlock(peer) }, nil},
+			{"Free", win.Free, nil},
+			{"Put after Free", func() error { return win.Put(src, 8, datatype.Byte, peer, 0, 8, datatype.Byte) }, rma.ErrBadHandle},
+		}
+	})
 }
 
 // TestGetFromWindow reads initialized target memory under a fence epoch.

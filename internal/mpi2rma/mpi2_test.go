@@ -3,6 +3,7 @@ package mpi2rma
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"mpi3rma/internal/datatype"
@@ -217,8 +218,8 @@ func TestEpochLegality(t *testing.T) {
 			return
 		}
 		src := p.Alloc(8)
-		if err := win.Put(src, 8, datatype.Byte, 1-p.Rank(), 0, 8, datatype.Byte); err == nil {
-			t.Errorf("rank %d: put outside epoch succeeded, want error", p.Rank())
+		if err := win.Put(src, 8, datatype.Byte, 1-p.Rank(), 0, 8, datatype.Byte); !errors.Is(err, rma.ErrEpoch) {
+			t.Errorf("rank %d: put outside epoch: err = %v, want ErrEpoch", p.Rank(), err)
 		}
 		p.Barrier()
 		win.Free()

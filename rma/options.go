@@ -7,13 +7,12 @@ import (
 	"mpi3rma/internal/simnet"
 )
 
-// The option taxonomy is enforced by the compiler (PR 10's api_redesign):
+// The option taxonomy is enforced by the compiler:
 //
 //   - SessionOption configures a Session and is accepted only by Open —
 //     batching, the atomicity mechanism, telemetry, events, faults,
-//     replication, the apply shards. Passing one to a transfer call
-//     no longer compiles (it used to be silently ignored, caught only by
-//     rmalint's attrmisuse analyzer at lint time).
+//     replication, the apply shards. Passing one to a transfer call does
+//     not compile.
 //   - OpOption configures a single operation and is accepted only by the
 //     transfer calls (Put, Get, Accumulate, FetchAdd, ...). Today that is
 //     the per-operation attributes plus WithTargetLayout.
@@ -42,7 +41,9 @@ type OpOption interface {
 // AttrOption is a per-operation attribute usable in both positions: as an
 // engine-wide default at Open, or on an individual transfer. It is the
 // value type WithOrdering, WithRemoteComplete, WithAtomic, WithBlocking,
-// WithNotify and WithStrictDebug return.
+// WithNotify and WithStrictDebug return. Attributes OR together, so
+// repeating one, or adding one WithStrictDebug already implies, changes
+// nothing.
 type AttrOption core.Attr
 
 func (a AttrOption) applySession(c *sessionConfig) { c.attrs |= core.Attr(a) }
@@ -50,14 +51,6 @@ func (a AttrOption) applyOp(c opConfig) opConfig {
 	c.attrs |= core.Attr(a)
 	return c
 }
-
-// Option is the pre-split any-position option type.
-//
-// Deprecated: the option taxonomy is typed now — use SessionOption in
-// code that forwards options to Open, OpOption for transfer-call options,
-// and AttrOption where only attributes are meant. Option remains one
-// release as an alias of AttrOption so existing declarations compile.
-type Option = AttrOption
 
 // sessionOption adapts a config mutator into a SessionOption (the
 // constructor return type of every Open-only option).

@@ -378,7 +378,7 @@ func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp in
 
 // PutNotify is Put with the Notify attribute: the target reports the
 // operation's application on a delivery counter, feeding Complete's
-// probe-free fast path.
+// probe-free fast path. WithNotify is implied and changes nothing here.
 func (s *Session) PutNotify(origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
@@ -387,7 +387,10 @@ func (s *Session) PutNotify(origin Region, count int, dt Type, dst TargetMem, td
 
 // Get transfers count elements of dt from src at byte displacement tdisp
 // into the origin region (MPI_RMA_get). The request completes when the
-// data has landed; check Request.Err for target-side failures.
+// data has landed; check Request.Err for target-side failures. Get ignores
+// WithRemoteComplete (landing at the origin already implies the target
+// read) and WithNotify (the data reply already feeds the delivery
+// counters).
 func (s *Session) Get(origin Region, count int, dt Type, src TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
@@ -412,6 +415,14 @@ func (s *Session) AccumulateAxpy(scale float64, origin Region, count int, dt Typ
 
 // FetchAdd atomically adds delta to the int64 at tm+tdisp, returning the
 // previous value (the unconditional read-modify-write of Section V).
+//
+// Of the options, the read-modify-write calls (FetchAdd, FetchWord,
+// CompareSwap) honour only the Ordering attribute (WithOrdering, or the
+// part of WithStrictDebug that implies it). They ignore WithAtomic (always
+// atomic), WithBlocking (always block for the old value),
+// WithRemoteComplete (the old value proves remote application), WithNotify
+// (the reply already feeds the delivery counters) and WithTargetLayout
+// (they address one 8-byte word).
 func (s *Session) FetchAdd(tm TargetMem, tdisp int, delta int64, opts ...OpOption) (int64, error) {
 	c := buildOpConfig(opts)
 	return s.eng.FetchAdd(tm, tdisp, delta, tm.Owner, s.proc.Comm(), c.attrs)
@@ -421,14 +432,15 @@ func (s *Session) FetchAdd(tm TargetMem, tdisp int, delta int64, opts ...OpOptio
 // read-modify-write family. Unlike FetchAdd with a zero delta it mutates
 // nothing at the target, so it triggers no replication traffic and is the
 // right primitive for polling a remote lock/version word or a queue
-// sequence number.
+// sequence number. It ignores the same options as FetchAdd.
 func (s *Session) FetchWord(tm TargetMem, tdisp int, opts ...OpOption) (int64, error) {
 	c := buildOpConfig(opts)
 	return s.eng.FetchWord(tm, tdisp, tm.Owner, s.proc.Comm(), c.attrs)
 }
 
 // CompareSwap atomically compares the int64 at tm+tdisp with compare and,
-// if equal, stores swap; it returns the previous value.
+// if equal, stores swap; it returns the previous value. It ignores the
+// same options as FetchAdd.
 func (s *Session) CompareSwap(tm TargetMem, tdisp int, compare, swap int64, opts ...OpOption) (int64, error) {
 	c := buildOpConfig(opts)
 	return s.eng.CompareSwap(tm, tdisp, compare, swap, tm.Owner, s.proc.Comm(), c.attrs)

@@ -94,6 +94,52 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeBoundsErrors: every access outside the exposure or the origin
+// region is refused at issue time with ErrBounds, from the call that
+// issued it.
+func TestFacadeBoundsErrors(t *testing.T) {
+	world := runtime.NewWorld(runtime.Config{Ranks: 2})
+	defer world.Close()
+
+	err := world.Run(func(p *runtime.Proc) {
+		s := rma.Open(p)
+		const end = 16
+		tms, _, err := s.ExposeCollective(end)
+		if err != nil {
+			t.Errorf("expose: %v", err)
+			return
+		}
+		tm := tms[1-p.Rank()]
+		src := p.Alloc(8)
+		// A word at end-4 straddles the end of tm.
+		errOf := func(_ any, err error) error { return err }
+		for _, c := range []struct {
+			what string
+			err  error
+		}{
+			{"Put past the exposure", errOf(s.Put(src, 1, rma.Int64, tm, end*100))},
+			{"Put at a negative displacement", errOf(s.Put(src, 1, rma.Int64, tm, -8))},
+			{"Get running past the exposure", errOf(s.Get(src, 1, rma.Int64, tm, end-4))},
+			{"Accumulate running past the exposure", errOf(s.Accumulate(rma.Sum, src, 1, rma.Int64, tm, end-4))},
+			{"FetchAdd on a word straddling the end", errOf(s.FetchAdd(tm, end-4, 1))},
+			{"CompareSwap on a word straddling the end", errOf(s.CompareSwap(tm, end-4, 0, 1))},
+			{"FetchWord on a word straddling the end", errOf(s.FetchWord(tm, end-4))},
+			{"FetchAdd at a negative displacement", errOf(s.FetchAdd(tm, -8, 1))},
+			{"Put from an origin region too small for its count", errOf(s.Put(src, 2, rma.Int64, tm, 0))},
+		} {
+			if !errors.Is(c.err, rma.ErrBounds) {
+				t.Errorf("rank %d: %s returned %v, want ErrBounds", p.Rank(), c.what, c.err)
+			}
+		}
+		if err := s.CompleteCollective(); err != nil {
+			t.Errorf("complete collective: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFacadeTargetLayout: WithTargetLayout transfers a contiguous origin
 // buffer into a non-symmetric target layout.
 func TestFacadeTargetLayout(t *testing.T) {
