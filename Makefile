@@ -91,8 +91,9 @@ profile-smoke:
 # must surface ErrLinkFailed instead of hanging. The recycle-safety run
 # rides along: operation records reused and quarantined under the same
 # plan must leave no race, no stale use and a byte-exact target. So do the
-# NIC delivery tests: handlers that run on senders and the agent alike
-# must never overlap and must keep each sender's order. So do the shard
+# NIC delivery tests: handlers run by whichever goroutine holds the token
+# must never overlap, must keep each sender's order and must leave no
+# message stranded in the backlog. So do the shard
 # tests: a sharded apply runs on whichever goroutine delivers it.
 chaos:
 	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
@@ -125,7 +126,8 @@ benchmark-check:
 # request, the recycle-safety run (which goroutine releases an operation
 # record moves with the schedule), the shard tests (which goroutine
 # applies a sharded op moves with it) and the NIC delivery tests (which
-# goroutine runs a handler — the sender or the agent — moves with it too).
+# goroutine runs a handler — its sender or the token holder draining the
+# backlog — moves with it too).
 # Twenty repeats each on one and on two scheduler threads (one thread
 # reorders goroutines the most).
 flake:

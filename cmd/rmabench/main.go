@@ -159,9 +159,10 @@ func writeCritPath(res bench.Result, path string, multi bool) {
 
 // startProfiles begins the requested pprof captures and returns the stop
 // function that writes the sidecar files. CPU samples stream for the
-// whole run; heap/mutex/block are written at stop. The goroutine labels
-// the runtime layers install (rank=N, role=rank/nic-agent) make
-// the captures attributable: go tool pprof -tagfocus rank=0 <file>.
+// whole run; heap/mutex/block are written at stop. The labels the runtime
+// puts on each rank goroutine (rank=N, role=rank) make the captures
+// attributable: go tool pprof -tagfocus rank=0 <file>. A handler's samples
+// carry the labels of the rank goroutine that ran it.
 func startProfiles(kinds, dir string) func() {
 	var stops []func()
 	create := func(name string) *os.File {

@@ -100,8 +100,8 @@ type Access struct {
 
 // AccessRecorder observes applied accesses and synchronization events.
 // internal/checker implements it; implementations must be safe for
-// concurrent use (applies run on whichever goroutine delivers: a sender
-// running a handler inline, a NIC agent, a Progress call).
+// concurrent use (applies run on whichever goroutine delivers: the holder
+// of the target NIC's delivery token, or a Progress call).
 type AccessRecorder interface {
 	// RecordAccess is called after each remote access is applied at the
 	// target, before the operation is counted as applied — so an origin's

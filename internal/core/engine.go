@@ -236,8 +236,8 @@ type Engine struct {
 	applyErr    fault
 
 	// Target-side state, guarded by tgtMu because applies may run on any
-	// delivering goroutine (a sender inline, the NIC agent) or a Progress
-	// call. applied[o] is
+	// delivering goroutine (whichever holds the NIC's delivery token) or a
+	// Progress call. applied[o] is
 	// the delivery watermark of origin o, indexed like confirmed: what this
 	// rank has applied from o, the virtual time of the latest application,
 	// and who waits on it — local calls and o's parked completion probes
@@ -306,8 +306,8 @@ type Engine struct {
 	Pings           stats.Counter // liveness probes sent by the progress sentinel
 }
 
-// gosched yields the host core between progress polls, so the goroutines
-// that deliver to this rank — NIC agent, peers — can run.
+// gosched yields the host core between progress polls, so the peer
+// goroutines that deliver to this rank can run.
 func gosched() { gort.Gosched() }
 
 // extKey is the Proc extension slot the engine lives in.

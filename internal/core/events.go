@@ -38,7 +38,7 @@ import (
 // event's At never precedes the At of the counter movement it reports.
 //
 // The queue is deliberately lossy at the rim: producers are whichever
-// goroutines deliver (a sender running a handler inline, a NIC agent)
+// goroutines deliver (whichever holds the target NIC's delivery token)
 // and must never block on a slow consumer, so a full queue drops the
 // incoming event and counts it in Dropped. Counters — not the queue — remain the source of
 // truth; the queue is a wakeup/telemetry surface. Waiters that must not

@@ -61,8 +61,8 @@ const MaxMedium = 4096
 // nil for short AMs, a bounce buffer for medium AMs, and the deposited
 // segment bytes for long AMs (already written to the segment). Handlers
 // execute under the NIC's delivery token — the implicit communication
-// thread, on the requester's goroutine or the NIC agent — and may send at
-// most one reply through the token.
+// thread, on whichever goroutine holds it — and may send at most one
+// reply through the token.
 type Handler func(tok *Token, payload []byte, args [MaxArgs]uint64)
 
 // Token identifies the requester within a handler, enabling a reply.

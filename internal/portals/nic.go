@@ -1,5 +1,5 @@
 // Package portals implements a Portals-3-like communication layer over the
-// simulated network, plus the per-rank communication agent the rest of the
+// simulated network, plus the per-rank delivery token the rest of the
 // stack shares.
 //
 // The paper's prototype (Section V-A) was "written using the Portals
@@ -18,14 +18,14 @@
 // GASNet, the MPI-like runtime) register for their own message kinds. It
 // is the paper's "implicit communication thread" as a mechanism, not as a
 // host thread: the model charges its cost (the delivery lane, the
-// serializer lane), so delivery runs to completion on the sending
-// goroutine whenever the NIC is idle. A NIC holds one delivery token; a
-// sender that can take it (TryLock, never a blocking Lock) while nothing
-// is queued runs the handler right there. Otherwise the message queues for
-// the NIC's agent goroutine, which drains the backlog under the same
-// token. So a NIC's handlers never run concurrently, and each sender's
-// messages run in send order. Unordered networks keep the scrambler and
-// always queue for the agent.
+// serializer lane), so no goroutine of its own runs it. A NIC holds one
+// delivery token and a backlog. A sender that can take the token (TryLock,
+// never a blocking Lock) while the backlog is empty runs the handler right
+// there; otherwise the message joins the backlog, and whoever holds the
+// token drains it before letting go, as in flat combining. So a NIC's
+// handlers never run concurrently, and each sender's messages run in send
+// order. On unordered networks the scrambler hands each message to the
+// same path.
 //
 // A NIC can be configured without hardware ACK generation (HardwareAcks =
 // false), modelling networks that can order messages but cannot report
@@ -35,10 +35,7 @@
 package portals
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -49,13 +46,15 @@ import (
 )
 
 // Handler processes one incoming message while its NIC's delivery token is
-// held: on the sending goroutine when the NIC was idle, on the NIC agent
-// when the message had to queue. Either way no other handler of the same
-// NIC runs meanwhile. at is the virtual time the NIC finished delivering
-// the message (arrival plus per-message overhead). Handlers must not block
-// indefinitely: the token stops every other delivery to the rank. Like
-// every sender, a handler must not send while holding a lock some handler
-// takes: the send can run the destination's handler on this goroutine.
+// held, on whichever goroutine holds it: the sender's when the NIC was
+// idle, otherwise the goroutine that was holding the token and drains the
+// backlog (on unordered networks, the scrambler's). Either way no other
+// handler of the same NIC runs meanwhile. at is the virtual time the NIC
+// finished delivering the message (arrival plus per-message overhead).
+// Handlers must not block indefinitely: the token stops every other
+// delivery to the rank. Like every sender, a handler must not send while
+// holding a lock some handler takes: the send can run the destination's
+// handler on this goroutine.
 type Handler func(m *simnet.Message, at vtime.Time)
 
 // Config configures a NIC.
@@ -67,46 +66,48 @@ type Config struct {
 	HardwareAcks bool
 }
 
-// NIC is one rank's network interface plus its communication agent.
+// NIC is one rank's network interface.
 type NIC struct {
 	ep  *simnet.Endpoint
 	mem *memsim.Memory
 	cfg Config
 
 	// token is the delivery token: whoever holds it runs this NIC's
-	// handlers. Inline senders only TryLock it, so a reply chain A→B→A
-	// holds each NIC's token at most once per stack and cannot deadlock;
-	// the agent and Stop Lock it. queued counts messages handed to the
-	// delivery queue and not yet dispatched; it falls under the token, so
-	// an inline delivery never overtakes a queued one. stopped (guarded by
-	// the token) refuses inline delivery once Stop has begun.
+	// handlers, and drains the backlog before letting go (release).
+	// Senders only TryLock it, so a reply chain A→B→A holds each NIC's
+	// token at most once per stack and cannot deadlock; Stop and
+	// RegisterHandler Lock it. queued counts the backlog — an atomic, so
+	// the inline path reads it without backlogMu — and an inline delivery
+	// never overtakes a backlogged one. stopped (guarded by the token)
+	// drops every delivery once Stop has run.
 	token   sync.Mutex
 	queued  atomic.Int64
 	stopped bool
+
+	// backlog holds the messages that found the token taken, oldest at
+	// head; it is reset to [:0] whenever it empties, so steady state
+	// reuses one array.
+	backlogMu sync.Mutex
+	backlog   []*simnet.Message
+	head      int
 
 	// cpu is the rank's virtual CPU clock: the latest virtual time the
 	// rank's user code has observed. Blocking calls advance it.
 	cpu vtime.Clock
 
-	mu       sync.Mutex
+	// handlers and pending are guarded by the token. pending holds
+	// messages that arrived before their kind's handler was registered:
+	// rank startup is not synchronized, so a fast origin can have traffic
+	// in flight before the target's upper layers attach.
 	handlers map[uint8]Handler
-	// pending holds messages that arrived before their kind's handler was
-	// registered: rank startup is not synchronized, so a fast origin can
-	// have traffic in flight before the target's upper layers attach.
-	// Messages park and drain only under the delivery token, and
-	// RegisterHandler pokes the agent to deliver a kind's backlog in
-	// arrival order.
-	pending map[uint8][]*simnet.Message
-	mds     []*MD
-	table   map[int]*MD // portal index -> MD exposed for remote access
+	pending  map[uint8][]*simnet.Message
 
-	// wake interrupts the agent's wait on the delivery queue: to drain a
-	// backlog RegisterHandler has just made deliverable, or to stop once
-	// quit is closed. One channel serves both so the per-message select
-	// stays two-way.
-	wake chan struct{}
+	mu    sync.Mutex
+	mds   []*MD
+	table map[int]*MD // portal index -> MD exposed for remote access
+
+	// quit closes when the NIC stops, to stop the relay's retransmitter.
 	quit chan struct{}
-	done chan struct{}
 
 	// relay is the transmit-side reliability engine (nil until
 	// EnableReliability); rx is the always-on receive-side state, touched
@@ -123,8 +124,9 @@ type NIC struct {
 	// portal index, out-of-bounds access, disallowed operation).
 	BadReq stats.Counter
 	// Delivered and DeliveredBytes count messages (and their payload bytes)
-	// this NIC handed to a handler. Inline counts the arrivals it took on
-	// the sending goroutine instead of queueing them for the agent.
+	// this NIC handed to a handler. Inline counts the arrivals it ran on
+	// the goroutine that handed them over (the sender's, or the unordered
+	// network's scrambler) instead of passing them through the backlog.
 	Delivered      stats.Counter
 	DeliveredBytes stats.Counter
 	Inline         stats.Counter
@@ -133,7 +135,8 @@ type NIC struct {
 	Parked stats.Counter
 }
 
-// NewNIC binds a NIC to an endpoint and a rank memory and starts its agent.
+// NewNIC binds a NIC to an endpoint and a rank memory and installs it as
+// the endpoint's delivery hook.
 func NewNIC(ep *simnet.Endpoint, mem *memsim.Memory, cfg Config) *NIC {
 	n := &NIC{
 		ep:       ep,
@@ -142,20 +145,10 @@ func NewNIC(ep *simnet.Endpoint, mem *memsim.Memory, cfg Config) *NIC {
 		handlers: make(map[uint8]Handler),
 		pending:  make(map[uint8][]*simnet.Message),
 		table:    make(map[int]*MD),
-		wake:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	n.registerPortalsHandlers()
 	ep.SetInline(n.offer)
-	go func() {
-		// Label the delivery agent so profiles separate queued deliveries
-		// from rank compute (go tool pprof -tagfocus role=nic-agent); a
-		// delivery run inline carries its sender's labels.
-		pprof.Do(context.Background(), pprof.Labels("rank", strconv.Itoa(ep.ID()), "role", "nic-agent"), func(context.Context) {
-			n.agent()
-		})
-	}()
 	return n
 }
 
@@ -178,27 +171,22 @@ func (n *NIC) Now() vtime.Time { return n.cpu.Now() }
 func (n *NIC) HardwareAcks() bool { return n.cfg.HardwareAcks }
 
 // RegisterHandler installs h for message kind k. Messages of that kind
-// that arrived before registration are delivered by the agent, in arrival
-// order, shortly after; a later arrival of the kind parks behind them
-// until then. Registering a kind twice panics: kinds are statically
+// that arrived before registration are delivered, in arrival order, before
+// RegisterHandler returns. It takes the delivery token, waiting out a
+// delivery in progress, so it must not be called from a handler of the
+// same NIC. Registering a kind twice panics: kinds are statically
 // partitioned between layers (see kinds.go).
 func (n *NIC) RegisterHandler(k uint8, h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.token.Lock()
+	defer n.release()
 	if _, dup := n.handlers[k]; dup {
 		panic(fmt.Sprintf("portals: duplicate handler for kind %d on rank %d", k, n.ep.ID()))
 	}
 	n.handlers[k] = h
-	if len(n.pending[k]) > 0 {
-		n.poke()
-	}
-}
-
-// poke wakes the agent; a wakeup already pending covers this one too.
-func (n *NIC) poke() {
-	select {
-	case n.wake <- struct{}{}:
-	default:
+	parked := n.pending[k]
+	delete(n.pending, k)
+	for _, m := range parked {
+		n.deliver(h, m)
 	}
 }
 
@@ -223,99 +211,75 @@ func (n *NIC) SendNIC(at vtime.Time, m *simnet.Message) (vtime.Time, error) {
 	return n.ep.SendNIC(at, m)
 }
 
-// Stop terminates the agent goroutine. It waits out a delivery running on
-// a sender's goroutine, and no message is delivered inline afterwards.
-// Messages still queued are left for the network's Close to discard. Stop
-// is idempotent.
+// Stop stops delivery. It waits out a delivery in progress, drops the
+// backlog and every later arrival, and waits for the relay's
+// retransmitter to exit. Stop is idempotent.
 func (n *NIC) Stop() {
 	n.token.Lock()
-	n.stopped = true
-	n.token.Unlock()
-	select {
-	case <-n.quit:
-	default:
+	if !n.stopped {
+		n.stopped = true
 		close(n.quit)
 	}
-	n.poke()
-	<-n.done
+	n.release()
 	if r := n.relay.Load(); r != nil {
 		<-r.done
 	}
 }
 
-// offer is the endpoint's inline hook: run m's delivery on the sending
-// goroutine if the token is free, nothing is queued ahead of it and the
-// NIC is not stopping; otherwise count it queued and let simnet hand it to
-// the agent. Counting before the push keeps a later inline offer from
-// slipping past it. The deferred unlock keeps a handler that panics into
-// its sender from leaving the NIC undeliverable.
-func (n *NIC) offer(m *simnet.Message) bool {
-	if !n.token.TryLock() {
-		n.queued.Add(1)
-		return false
-	}
-	defer n.token.Unlock()
-	if n.queued.Load() != 0 || n.stopped {
-		n.queued.Add(1)
-		return false
-	}
-	n.Inline.Inc()
-	n.dispatch(m)
-	return true
-}
-
-// agent is the rank's communication thread for the backlog: it consumes
-// the delivery queue — messages that found the NIC busy — and dispatches by
-// kind, under the delivery token. Each delivery reserves the endpoint's
-// delivery clock for the per-message overhead, so target-side virtual time
-// accrues per message exactly once regardless of which goroutine or layer
-// handles it.
-func (n *NIC) agent() {
-	defer close(n.done)
-	for {
-		select {
-		case m, ok := <-n.ep.Queue():
-			if !ok {
-				return
-			}
-			n.token.Lock()
-			if n.ep.Ordered() { // the scrambler's arrivals were never offered
-				n.queued.Add(-1)
-			}
+// offer is the endpoint's delivery hook. It runs m on the calling
+// goroutine if the token is free, nothing is backlogged and the NIC has
+// not stopped; otherwise it appends m to the backlog for the token's
+// holder, or takes the token and drains the backlog itself if the holder
+// has let go meanwhile. It never blocks. The deferred release keeps a
+// handler that panics into its sender from leaving the NIC undeliverable.
+func (n *NIC) offer(m *simnet.Message) {
+	if n.token.TryLock() {
+		if n.queued.Load() == 0 && !n.stopped {
+			defer n.release()
+			n.Inline.Inc()
 			n.dispatch(m)
-			n.token.Unlock()
-		case <-n.wake:
-			select {
-			case <-n.quit:
-				return
-			default:
-				n.token.Lock()
-				n.drainParked()
-				n.token.Unlock()
-			}
+			return
+		}
+		n.token.Unlock()
+	}
+	n.backlogMu.Lock()
+	n.backlog = append(n.backlog, m)
+	n.queued.Add(1)
+	n.backlogMu.Unlock()
+	if n.token.TryLock() {
+		n.release()
+	}
+}
+
+// release drains the backlog and gives up the token. Caller holds the
+// token. A message appended after the last look but before the unlock
+// found the token taken, so its sender left it to the holder: look again
+// after unlocking, or it is stranded until the next arrival.
+func (n *NIC) release() {
+	for {
+		n.drain()
+		if n.queued.Load() == 0 || !n.token.TryLock() {
+			return
 		}
 	}
 }
 
-// drainParked delivers every parked backlog whose handler has since been
-// registered, each in arrival order. Arrivals of a kind keep parking
-// behind its backlog until this runs, and both happen only under the
-// delivery token, so no arrival overtakes the backlog. Caller holds the
-// token.
-func (n *NIC) drainParked() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for k, backlog := range n.pending {
-		h := n.handlers[k]
-		if h == nil {
-			continue
+// drain dispatches the backlog in arrival order — dropping it once the NIC
+// has stopped — then unlocks the token, which the caller holds.
+func (n *NIC) drain() {
+	defer n.token.Unlock()
+	for n.queued.Load() != 0 {
+		n.backlogMu.Lock()
+		m := n.backlog[n.head]
+		n.backlog[n.head] = nil
+		if n.head++; n.head == len(n.backlog) {
+			n.backlog, n.head = n.backlog[:0], 0
 		}
-		delete(n.pending, k)
-		n.mu.Unlock()
-		for _, m := range backlog {
-			n.deliver(h, m)
+		n.queued.Add(-1)
+		n.backlogMu.Unlock()
+		if !n.stopped {
+			n.dispatch(m)
 		}
-		n.mu.Lock()
 	}
 }
 
@@ -339,18 +303,16 @@ func (n *NIC) dispatch(m *simnet.Message) {
 }
 
 // dispatchKind routes one admitted message to its handler, parking it if
-// the owning layer has not registered the kind yet (or is still draining
-// a backlog).
+// the owning layer has not registered the kind yet. Registration drains a
+// kind's parked messages under the token, so none is left behind a live
+// arrival. Caller holds the delivery token.
 func (n *NIC) dispatchKind(m *simnet.Message) {
-	n.mu.Lock()
 	h := n.handlers[m.Kind]
-	if h == nil || len(n.pending[m.Kind]) > 0 {
+	if h == nil {
 		n.pending[m.Kind] = append(n.pending[m.Kind], m)
-		n.mu.Unlock()
 		n.Parked.Inc()
 		return
 	}
-	n.mu.Unlock()
 	n.deliver(h, m)
 }
 

@@ -2,6 +2,9 @@ package portals
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,7 +40,7 @@ func newRig(t *testing.T, ranks int, hwAcks bool) *rig {
 
 // hangGuard bounds every wait in this file. It catches a hang, not a slow
 // delivery: several -race test binaries sharing a small host can stall a
-// healthy agent for seconds.
+// healthy sender for seconds.
 const hangGuard = time.Minute
 
 // waitEvent returns the next event of type want on eq. Events of other
@@ -270,10 +273,11 @@ func TestRegisterHandlerDuplicatePanics(t *testing.T) {
 
 // TestDeliveryParkedBacklogsInOrder: messages of two kinds park before
 // their handlers exist, then both kinds register while senders keep
-// delivering more of them. The handlers share unsynchronized state, which
+// delivering more of them. Each kind's backlog has been delivered when its
+// RegisterHandler returns. The handlers share unsynchronized state, which
 // is safe only if they never overlap — the race detector is the assertion
 // — and each kind must still arrive in order: no live arrival overtakes
-// its kind's backlog, whichever goroutine delivers it.
+// its kind's backlog.
 func TestDeliveryParkedBacklogsInOrder(t *testing.T) {
 	const kA, kB, perKind = 201, 202, 50
 	r := newRig(t, 2, true)
@@ -310,11 +314,17 @@ func TestDeliveryParkedBacklogsInOrder(t *testing.T) {
 			close(done)
 		}
 	}
-	r.nics[1].RegisterHandler(kA, handler)
+	registered := func(kind uint8) {
+		r.nics[1].RegisterHandler(kind, handler)
+		if next[kind] != perKind {
+			t.Fatalf("kind %d: %d of its %d parked messages delivered when RegisterHandler returned", kind, next[kind], perKind)
+		}
+	}
+	registered(kA)
 	for i := perKind; i < 2*perKind; i++ {
 		send(kA, i) // live traffic for kA while kB's backlog waits
 	}
-	r.nics[1].RegisterHandler(kB, handler)
+	registered(kB)
 	for i := perKind; i < 2*perKind; i++ {
 		send(kB, i)
 	}
@@ -336,9 +346,10 @@ func sendSeq(t *testing.T, nic *NIC, dst int, kind uint8, seq int) {
 }
 
 // TestDeliveryFIFOBehindBacklog: a handler blocks while holding rank 1's
-// delivery token, so rank 0's next messages cannot run inline and queue
-// for the agent. Once it is released they, and a message rank 0 sends the
-// moment the token comes free, arrive in send order.
+// delivery token, so rank 0's next messages cannot run inline and join the
+// backlog. Once it is released its goroutine drains them, and they and a
+// message rank 0 sends the moment the token comes free arrive in send
+// order.
 func TestDeliveryFIFOBehindBacklog(t *testing.T) {
 	const kBlock, kSeq, queued = 203, 204, 20
 	r := newRig(t, 3, true)
@@ -357,9 +368,9 @@ func TestDeliveryFIFOBehindBacklog(t *testing.T) {
 	})
 
 	go func() {
-		sendSeq(t, r.nics[2], 1, kBlock, 0) // runs the blocking handler inline
-		// The token is free now and the agent has yet to wake: the last
-		// message must still queue behind the backlog.
+		// Runs the blocking handler inline, then drains the backlog, so
+		// the last message finds the backlog empty and runs inline too.
+		sendSeq(t, r.nics[2], 1, kBlock, 0)
 		sendSeq(t, r.nics[0], 1, kSeq, queued)
 	}()
 	select {
@@ -425,7 +436,7 @@ func TestDeliveryNoOverlap(t *testing.T) {
 
 // TestDeliveryPingPongInline: a request/reply between two idle NICs runs
 // to completion on the caller's goroutine — the reply handler has run by
-// the time Send returns — and neither agent delivers anything.
+// the time Send returns — and nothing passes through a backlog.
 func TestDeliveryPingPongInline(t *testing.T) {
 	const kPing, kPong = 206, 207
 	r := newRig(t, 2, true)
@@ -445,13 +456,13 @@ func TestDeliveryPingPongInline(t *testing.T) {
 	}
 	for i, n := range r.nics {
 		if d, in := n.Delivered.Value(), n.Inline.Value(); d != 10 || in != 10 {
-			t.Errorf("rank %d: delivered %d, inline %d; want 10 and 10 (the agent delivered %d)", i, d, in, d-in)
+			t.Errorf("rank %d: delivered %d, inline %d; want 10 and 10 (%d went through the backlog)", i, d, in, d-in)
 		}
 	}
 }
 
-// TestDeliveryAfterStop: once a NIC has stopped, nothing runs inline — a
-// send to it neither runs the handler nor counts an inline delivery.
+// TestDeliveryAfterStop: once a NIC has stopped, nothing runs — a send to
+// it neither runs the handler nor counts an inline delivery.
 func TestDeliveryAfterStop(t *testing.T) {
 	const kind = 208
 	r := newRig(t, 2, true)
@@ -466,4 +477,88 @@ func TestDeliveryAfterStop(t *testing.T) {
 	if len(ran) != 1 || r.nics[1].Inline.Value() != 1 {
 		t.Fatalf("after Stop: ran %d, inline %d; want 1 and 1", len(ran), r.nics[1].Inline.Value())
 	}
+}
+
+// TestDeliveryDeepSelfSend: a handler on rank 1 sends thousands of
+// messages to rank 1 itself while it holds the delivery token. None can
+// run until the handler returns, so they all wait in the backlog — no
+// bounded queue may fill behind the token and wedge the handler — and
+// the handler's own goroutine delivers them once it lets go.
+func TestDeliveryDeepSelfSend(t *testing.T) {
+	const kStart, kSelf, self = 210, 211, 3000
+	r := newRig(t, 2, true)
+	got := 0 // touched only by kSelf's handler
+	done := make(chan struct{})
+	r.nics[1].RegisterHandler(kStart, func(*simnet.Message, vtime.Time) {
+		for i := 0; i < self; i++ {
+			sendSeq(t, r.nics[1], 1, kSelf, i)
+		}
+	})
+	r.nics[1].RegisterHandler(kSelf, func(m *simnet.Message, _ vtime.Time) {
+		if int(m.Hdr[0]) != got {
+			t.Errorf("self-send %d delivered, want %d", m.Hdr[0], got)
+		}
+		if got++; got == self {
+			close(done)
+		}
+	})
+	go sendSeq(t, r.nics[0], 1, kStart, 0)
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatalf("delivered %d of %d self-sends", r.nics[1].Delivered.Value()-1, self)
+	}
+}
+
+// TestDeliveryNoStrandedMessage: two senders offer one message each to the
+// same NIC, round after round, the second starting a little later each
+// round so that its append sweeps across the first one's release. Once
+// both Sends of a round have returned no goroutine holds the token, so
+// both messages must have been delivered: one appended just as the holder
+// let go is the holder's to pick up, not left for a later arrival. That
+// window is a few instructions wide and needs two goroutines running at
+// once, so the test raises GOMAXPROCS to at least 2; dropping release's
+// look after the unlock fails it within a few ten thousand rounds.
+func TestDeliveryNoStrandedMessage(t *testing.T) {
+	const kind, rounds = 209, 100_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	r := newRig(t, 3, true)
+	var delivered, arrived atomic.Int64
+	var stop atomic.Bool
+	r.nics[2].RegisterHandler(kind, func(*simnet.Message, vtime.Time) { delivered.Add(1) })
+	// barrier spins until both senders have arrived n times in all, so a
+	// round's two offers start within nanoseconds of each other.
+	barrier := func(n int64) {
+		arrived.Add(1)
+		for arrived.Load() < n {
+		}
+	}
+	// A loaded host can stall a spinning sender, so the run is capped in
+	// time too; sender 0 decides, before a barrier both then pass.
+	deadline := time.Now().Add(2 * time.Second)
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for round := int64(1); round <= rounds; round++ {
+				barrier(4*round - 2)
+				for i := int64(s) * (round % 64); i > 0; i-- {
+				}
+				sendSeq(t, r.nics[s], 2, kind, 0)
+				if s == 0 && round%1024 == 0 && time.Now().After(deadline) {
+					stop.Store(true)
+				}
+				barrier(4 * round)
+				if got := delivered.Load(); got != 2*round {
+					t.Errorf("round %d: %d of %d messages delivered once both Sends had returned", round, got, 2*round)
+					return
+				}
+				if stop.Load() {
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
 }

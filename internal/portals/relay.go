@@ -344,8 +344,9 @@ type failedLink struct {
 }
 
 // tick scans the inflight tables for overdue frames. Retransmissions are
-// built under the lock but injected outside it (simnet sends can block on
-// back-pressure).
+// built under the lock but injected outside it: the send may run the
+// peer's delivery inline, and its acknowledgement can come straight back
+// into this relay's handleAck, which takes r.mu.
 func (r *relay) tick(now time.Time) {
 	var resends []resendItem
 	var failures []failedLink

@@ -71,12 +71,13 @@ func TestFaultPlanPlumbed(t *testing.T) {
 	}
 }
 
-// TestQueueDepthPlumbed: a deep exchange works with a custom queue depth.
-func TestQueueDepthPlumbed(t *testing.T) {
-	w := NewWorld(Config{Ranks: 2, QueueDepth: 8})
+// TestDeepExchangeInOrder: one rank sends a run of messages before the
+// other receives any; none wedges the sender and all arrive in order.
+func TestDeepExchangeInOrder(t *testing.T) {
+	w := NewWorld(Config{Ranks: 2})
 	defer w.Close()
 	err := w.Run(func(p *Proc) {
-		const msgs = 100 // far beyond the queue depth: back-pressure works
+		const msgs = 100
 		if p.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
 				p.Send(1, 0, []byte{byte(i)})
@@ -135,7 +136,7 @@ func TestCommSubPanics(t *testing.T) {
 }
 
 // TestWorldCloseReleasesGoroutines: creating and closing many worlds must
-// not leak agent or scrambler goroutines.
+// not leak scrambler goroutines.
 func TestWorldCloseReleasesGoroutines(t *testing.T) {
 	before := gort.NumGoroutine()
 	for i := 0; i < 10; i++ {

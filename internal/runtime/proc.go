@@ -184,7 +184,7 @@ func (p *Proc) ReadLocal(r memsim.Region, off, n int) []byte {
 }
 
 // handlePt2pt enqueues an arrived message for matching. It runs under the
-// NIC's delivery token, on the sender's goroutine or the NIC agent.
+// NIC's delivery token, on whichever goroutine holds it.
 func (p *Proc) handlePt2pt(m *simnet.Message, at vtime.Time) {
 	p.mu.Lock()
 	p.inbox = append(p.inbox, &pending{

@@ -58,8 +58,6 @@ type Config struct {
 	// little-endian. Mixed worlds model the hybrid systems of Section
 	// III-B3.
 	ByteOrder func(rank int) datatype.ByteOrder
-	// QueueDepth overrides the per-endpoint delivery queue capacity.
-	QueueDepth int
 	// Faults installs a deterministic fault-injection plan on the network
 	// and enables the reliable-delivery relay on every NIC so protocol
 	// layers keep their exactly-once view of the wire.
@@ -93,7 +91,6 @@ func NewWorld(cfg Config) *World {
 		ReorderWindow: cfg.ReorderWindow,
 		Seed:          cfg.Seed,
 		Cost:          cfg.Cost,
-		QueueDepth:    cfg.QueueDepth,
 	})
 	if cfg.Faults != nil {
 		net.SetFaults(cfg.Faults)

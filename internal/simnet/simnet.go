@@ -104,18 +104,19 @@ type Config struct {
 	// Cost is the virtual-time cost model; the zero value means
 	// DefaultCost().
 	Cost CostModel
-	// QueueDepth is the per-endpoint delivery queue capacity; 0 means
-	// DefaultQueueDepth.
-	QueueDepth int
 }
 
 // DefaultReorderWindow is the unordered-mode scramble window when
 // Config.ReorderWindow is 0.
 const DefaultReorderWindow = 8
 
-// DefaultQueueDepth is the per-endpoint delivery queue capacity when
-// Config.QueueDepth is 0.
-const DefaultQueueDepth = 1024
+// chanCap sizes an endpoint's two channels: the Recv queue of an endpoint
+// without a delivery hook, and the unordered mode's scramble intake. A
+// sender blocks while either is full; the hook-less consumers (simnet's
+// own tests, the benchmark's send/recv drive) read every message they
+// send, and a hook never blocks its scrambler, so 1024 only absorbs
+// bursts.
+const chanCap = 1024
 
 // Message is one network message. Kind, Flags and Hdr are opaque to simnet;
 // the layers above define their meaning.
@@ -202,9 +203,6 @@ func New(cfg Config) *Network {
 	if cfg.ReorderWindow == 0 {
 		cfg.ReorderWindow = DefaultReorderWindow
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	if (cfg.Cost == CostModel{}) {
 		cfg.Cost = DefaultCost()
 	}
@@ -231,9 +229,9 @@ func (n *Network) Endpoint(id int) *Endpoint {
 }
 
 // Close shuts the network down. It must be called only after every
-// consumer (rank agent) has stopped; sends that start afterwards fail, and
-// sends already under way are waited for. Messages still in flight are
-// drained and discarded.
+// consumer (a stopped NIC, a finished Recv loop) is done; sends that start
+// afterwards fail, and sends already under way are waited for. Messages
+// still in flight are drained and discarded.
 func (n *Network) Close() {
 	n.once.Do(func() {
 		for _, ep := range n.eps {
@@ -241,8 +239,8 @@ func (n *Network) Close() {
 			ep.closed = true
 			ep.mu.Unlock()
 		}
-		// Drain delivery queues so blocked senders and unordered-mode
-		// scramblers can flush and exit even if no agent is consuming
+		// Drain Recv queues so blocked senders and unordered-mode
+		// scramblers can flush and exit even if nothing is receiving
 		// anymore.
 		var drainers sync.WaitGroup
 		for _, ep := range n.eps {
@@ -279,15 +277,16 @@ type Endpoint struct {
 	// demands per-message overhead plus per-byte DMA time of it.
 	deliver vtime.WorkLane
 
-	// in is the delivery queue the rank's agent consumes.
+	// in is the Recv queue; only an endpoint without a delivery hook
+	// uses it.
 	in chan *Message
 
 	// inline is the delivery hook SetInline installs; nil queues every
-	// message.
-	inline func(m *Message) bool
+	// message for Recv.
+	inline func(m *Message)
 
-	// scramble is the unordered-mode intake; a scrambler goroutine moves
-	// messages from scramble to in, reordering within the window.
+	// scramble is the unordered-mode intake; a scrambler goroutine
+	// releases its messages to delivery, reordering within the window.
 	scramble chan *Message
 
 	mu      sync.Mutex
@@ -300,11 +299,11 @@ func newEndpoint(n *Network, id int, cfg Config) *Endpoint {
 		id:      id,
 		net:     n,
 		cfg:     cfg,
-		in:      make(chan *Message, cfg.QueueDepth),
+		in:      make(chan *Message, chanCap),
 		nextSeq: make([]uint64, cfg.Ranks),
 	}
 	if !cfg.Ordered {
-		ep.scramble = make(chan *Message, cfg.QueueDepth)
+		ep.scramble = make(chan *Message, chanCap)
 		n.wg.Add(1)
 		go ep.scrambler(cfg.Seed + int64(id)*7919)
 	}
@@ -336,9 +335,11 @@ func (ep *Endpoint) DeliverLane() *vtime.WorkLane { return &ep.deliver }
 
 // Send injects m into the network at virtual time now and returns the
 // message's arrival time at the target NIC. simnet assigns m.Seq, m.SentAt
-// and m.ArriveAt. Send never blocks for virtual time; it blocks only if the
-// target's delivery queue is full (back-pressure). On an ordered network
-// the target's inline hook (SetInline) may deliver m before Send returns.
+// and m.ArriveAt. Send never blocks for virtual time. On an ordered network
+// a target with a delivery hook (SetInline) is handed m before Send
+// returns; a target without one queues m for Recv, and Send blocks while
+// that queue is full. On an unordered network Send blocks while the
+// target's scramble intake is full.
 func (ep *Endpoint) Send(now vtime.Time, m *Message) (vtime.Time, error) {
 	if m.Dst < 0 || m.Dst >= ep.cfg.Ranks {
 		return 0, fmt.Errorf("simnet: send to invalid rank %d (network has %d)", m.Dst, ep.cfg.Ranks)
@@ -426,9 +427,9 @@ func (ep *Endpoint) transmit(m *Message) vtime.Time {
 
 	dst := ep.net.eps[m.Dst]
 	if ep.cfg.Ordered {
-		dst.offer(m)
+		dst.arrive(m)
 		if dup != nil {
-			dst.offer(dup)
+			dst.arrive(dup)
 		}
 	} else {
 		dst.scramble <- m
@@ -439,20 +440,21 @@ func (ep *Endpoint) transmit(m *Message) vtime.Time {
 	return arrive
 }
 
-// SetInline installs the endpoint's delivery hook: on an ordered network
-// every message bound here is offered to f on the sending goroutine first,
-// and queued for Recv only when f declines (returns false). The consumer
-// that installs it owns ordering: a message f accepts must not overtake
-// one it declined earlier. Unordered networks never call f — their
-// scrambler is the only route in. Call it before any traffic.
-func (ep *Endpoint) SetInline(f func(m *Message) bool) { ep.inline = f }
+// SetInline installs the endpoint's delivery hook: every message bound
+// here is handed to f instead of queueing for Recv — on an ordered network
+// on the sending goroutine, in send order per sender; on an unordered one
+// from the scrambler, once each. f must not block. Call it before any
+// traffic.
+func (ep *Endpoint) SetInline(f func(m *Message)) { ep.inline = f }
 
-// offer hands m to the inline hook, or queues it when there is none or
-// the hook declines.
-func (ep *Endpoint) offer(m *Message) {
-	if ep.inline == nil || !ep.inline(m) {
-		ep.in <- m
+// arrive hands m to the delivery hook, or queues it for Recv when there is
+// none.
+func (ep *Endpoint) arrive(m *Message) {
+	if ep.inline != nil {
+		ep.inline(m)
+		return
 	}
+	ep.in <- m
 }
 
 // Recv blocks until a message is delivered to this endpoint, returning
@@ -461,19 +463,6 @@ func (ep *Endpoint) Recv() (*Message, bool) {
 	m, ok := <-ep.in
 	return m, ok
 }
-
-// TryRecv returns the next delivered message without blocking, or nil.
-func (ep *Endpoint) TryRecv() *Message {
-	select {
-	case m := <-ep.in:
-		return m
-	default:
-		return nil
-	}
-}
-
-// Queue exposes the delivery channel for select-based agents.
-func (ep *Endpoint) Queue() <-chan *Message { return ep.in }
 
 // scrambler implements unordered delivery: it buffers up to the reorder
 // window of in-flight messages and releases them in deterministic-random
@@ -506,7 +495,7 @@ func (ep *Endpoint) scrambler(seed int64) {
 		}
 	release:
 		i := rng.Intn(len(buf))
-		ep.in <- buf[i]
+		ep.arrive(buf[i])
 		buf[i] = buf[len(buf)-1]
 		buf = buf[:len(buf)-1]
 	}
@@ -517,7 +506,7 @@ func (ep *Endpoint) scrambler(seed int64) {
 func (ep *Endpoint) flush(rng *rand.Rand, buf []*Message) {
 	for len(buf) > 0 {
 		i := rng.Intn(len(buf))
-		ep.in <- buf[i]
+		ep.arrive(buf[i])
 		buf[i] = buf[len(buf)-1]
 		buf = buf[:len(buf)-1]
 	}

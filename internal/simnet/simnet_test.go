@@ -187,7 +187,7 @@ func TestFaultPlanDropsMessages(t *testing.T) {
 	}
 }
 
-// dstIn exposes the ordered inbox for the non-delivery assertion above.
+// dstIn exposes an endpoint's Recv queue for non-delivery assertions.
 func dstIn(ep *Endpoint) chan *Message { return ep.in }
 
 func TestFaultPlanDeterministic(t *testing.T) {
@@ -321,27 +321,6 @@ func TestCloseIdempotent(t *testing.T) {
 	n.Close() // must not panic or deadlock
 }
 
-func TestTryRecvAndQueue(t *testing.T) {
-	n := New(Config{Ranks: 2, Ordered: true})
-	defer n.Close()
-	dst := n.Endpoint(1)
-	if m := dst.TryRecv(); m != nil {
-		t.Fatal("TryRecv on empty queue should return nil")
-	}
-	n.Endpoint(0).Send(0, &Message{Dst: 1})
-	deadline := time.After(time.Second)
-	for {
-		if m := dst.TryRecv(); m != nil {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("message never delivered")
-		default:
-		}
-	}
-}
-
 func TestRankKillBlackholesBothDirections(t *testing.T) {
 	n := New(Config{Ranks: 3, Ordered: true})
 	defer n.Close()
@@ -399,45 +378,81 @@ func TestRankKillRestartWindow(t *testing.T) {
 	}
 }
 
-// TestInlineHookBeforeQueue: on an ordered network every message is
-// offered to the destination's inline hook on the sending goroutine, and
-// only the ones it declines reach the delivery queue, in send order. An
-// unordered network never offers.
+// TestInlineHookBeforeQueue pins SetInline's contract. On an ordered
+// network each message reaches the hook on the sending goroutine — it has
+// run by the time Send returns — in send order. On an unordered network
+// each message reaches the hook exactly once, from the scrambler. Either
+// way nothing queues for Recv.
 func TestInlineHookBeforeQueue(t *testing.T) {
-	for _, ordered := range []bool{true, false} {
-		n := New(Config{Ranks: 2, Ordered: ordered, Seed: 3})
-		var offered []uint64 // appended on this goroutine only
-		n.Endpoint(1).SetInline(func(m *Message) bool {
-			offered = append(offered, m.Hdr[0])
-			return m.Hdr[0]%2 == 0
-		})
-		const msgs = 20
-		for i := 0; i < msgs; i++ {
-			m := &Message{Dst: 1}
-			m.Hdr[0] = uint64(i)
-			if _, err := n.Endpoint(0).Send(0, m); err != nil {
-				t.Fatal(err)
+	const msgs = 20
+	send := func(n *Network, dst, i int) {
+		m := &Message{Dst: dst}
+		m.Hdr[0] = uint64(i)
+		if _, err := n.Endpoint(0).Send(0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ordered := New(Config{Ranks: 2, Ordered: true})
+	defer ordered.Close()
+	var got []uint64 // appended by the hook, read here unguarded
+	ordered.Endpoint(1).SetInline(func(m *Message) { got = append(got, m.Hdr[0]) })
+	for i := 0; i < msgs; i++ {
+		send(ordered, 1, i)
+		if len(got) != i+1 || got[i] != uint64(i) {
+			t.Fatalf("after Send %d the hook has seen %v, want 0..%d in order", i, got, i)
+		}
+	}
+
+	unordered := New(Config{Ranks: 2, Seed: 3})
+	defer unordered.Close()
+	hooked := make(chan uint64, msgs)
+	unordered.Endpoint(1).SetInline(func(m *Message) { hooked <- m.Hdr[0] })
+	for i := 0; i < msgs; i++ {
+		send(unordered, 1, i)
+	}
+	seen := map[uint64]bool{}
+	for len(seen) < msgs {
+		select {
+		case v := <-hooked:
+			if seen[v] {
+				t.Fatalf("unordered: message %d reached the hook twice", v)
 			}
+			seen[v] = true
+		case <-time.After(time.Minute):
+			t.Fatalf("unordered: %d of %d messages reached the hook", len(seen), msgs)
 		}
-		if !ordered {
-			if len(offered) != 0 {
-				t.Errorf("unordered network offered %d messages", len(offered))
-			}
-			n.Close()
-			continue
+	}
+
+	for _, n := range []*Network{ordered, unordered} {
+		if q := len(dstIn(n.Endpoint(1))); q != 0 {
+			t.Errorf("ordered=%v: %d hooked messages also queued for Recv", n.Ordered(), q)
 		}
-		if len(offered) != msgs {
-			t.Fatalf("offered %d of %d messages", len(offered), msgs)
+	}
+}
+
+// TestTryRecvAndQueue: an endpoint with no delivery hook queues every
+// message for Recv. On an ordered network the message is queued by the
+// time Send returns, and Recv hands the queue back in send order.
+func TestTryRecvAndQueue(t *testing.T) {
+	n := New(Config{Ranks: 2, Ordered: true})
+	defer n.Close()
+	dst := n.Endpoint(1)
+	if q := len(dstIn(dst)); q != 0 {
+		t.Fatalf("fresh endpoint has %d queued messages", q)
+	}
+	const msgs = 3
+	for i := 0; i < msgs; i++ {
+		if _, err := n.Endpoint(0).Send(0, &Message{Dst: 1, Kind: uint8(i)}); err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < msgs; i += 2 {
-			m := n.Endpoint(1).TryRecv()
-			if m == nil || m.Hdr[0] != uint64(i) {
-				t.Fatalf("queue holds %v, want declined message %d", m, i)
-			}
+		if q := len(dstIn(dst)); q != i+1 {
+			t.Fatalf("after Send %d the queue holds %d messages, want %d", i, q, i+1)
 		}
-		if m := n.Endpoint(1).TryRecv(); m != nil {
-			t.Fatalf("accepted message %d was queued too", m.Hdr[0])
+	}
+	for i := 0; i < msgs; i++ {
+		if m, ok := dst.Recv(); !ok || m.Kind != uint8(i) {
+			t.Fatalf("Recv %d returned %v, want the kind-%d message", i, m, i)
 		}
-		n.Close()
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"mpi3rma/rma"
 )
 
-// goroutineRoles counts live goroutines by their profile "role" label
-// (rank, nic-agent), from the labelled goroutine profile.
+// goroutineRoles counts live goroutines by their profile "role" label,
+// from the labelled goroutine profile.
 func goroutineRoles() (map[string]int, string) {
 	var buf bytes.Buffer
 	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
@@ -32,20 +32,20 @@ func goroutineRoles() (map[string]int, string) {
 }
 
 // TestGoroutinesPerRank pins the host goroutines a two-rank world runs
-// once every rank has opened a session: one rank goroutine and one NIC
-// agent per rank, and nothing for the thread serializer, which applies on
-// the delivering goroutine. A goroutine a rank starts inherits the rank's
-// labels, so a helper goroutine per rank would count as one more "rank"
-// each. Sharded applies run on the delivering goroutine too, so
-// WithApplyShards(7) adds none.
+// once every rank has opened a session: one rank goroutine per rank and
+// nothing else. Delivery runs on whichever goroutine holds the target
+// NIC's token, so the NIC, the thread serializer and sharded applies
+// (WithApplyShards(7)) add none. A goroutine a rank starts inherits the
+// rank's labels, so a helper goroutine per rank would count as one more
+// "rank" each.
 func TestGoroutinesPerRank(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []rma.SessionOption
 		want map[string]int
 	}{
-		{"default", nil, map[string]int{"rank": 2, "nic-agent": 2}},
-		{"shards7", []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2, "nic-agent": 2}},
+		{"default", nil, map[string]int{"rank": 2}},
+		{"shards7", []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			world := runtime.NewWorld(runtime.Config{Ranks: 2})
