@@ -5,8 +5,8 @@ GO ?= go
 # check is the PR gate: vet, the rmalint static analyzers, the package
 # layering rule, build, full tests, the race detector over every package,
 # the per-primitive allocation tables, a short E13 smoke bench proving
-# batching still pays, an E14 smoke bench proving the sharded apply engine
-# still scales, a telemetry smoke run proving the JSON exporters parse, a
+# batching still pays, the kvservice example checking its own output, an
+# E14 smoke bench proving the sharded apply engine still scales, a telemetry smoke run proving the JSON exporters parse, a
 # profiling smoke run proving the critical-path and pprof sidecars come out
 # attributable, the seeded chaos fault matrix under the race detector, and
 # the repository benchmark's own vet and quick pass.
@@ -61,8 +61,12 @@ allocs:
 	@out=$$($(GO) test -count=1 -v -run 'TestPutHotPathNoAllocsWhenDisabled|TestFacadeAllocsPerPrimitive' ./internal/core/ ./rma/); rc=$$?; \
 	echo "$$out" | grep -E 'allocs/op|^(---|FAIL|ok|panic)'; exit $$rc
 
+# smoke runs the E13 and E15 smoke benches and the kvservice example, which
+# exits 1 unless every queued task arrived exactly once and the shared
+# counter holds every CAS increment.
 smoke:
 	$(GO) test -run 'TestE13Smoke|TestE15Smoke' -count=1 ./internal/bench/
+	$(GO) run ./examples/kvservice > /dev/null
 
 # bench-smoke runs the E14 sharded-apply sweep at a single payload: slot
 # contents must verify byte-exactly and model time must not regress as
@@ -94,9 +98,11 @@ profile-smoke:
 # NIC delivery tests: handlers run by whichever goroutine holds the token
 # must never overlap, must keep each sender's order and must leave no
 # message stranded in the backlog. So do the shard
-# tests: a sharded apply runs on whichever goroutine delivers it.
+# tests: a sharded apply runs on whichever goroutine delivers it. So does
+# the torn-read test: a put and a get at one target never interleave, on
+# the serial and sharded engines and on a faulted unordered network.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -125,14 +131,15 @@ benchmark-check:
 # chaos run whose OnDone callbacks may trail the Select that reaps the
 # request, the recycle-safety run (which goroutine releases an operation
 # record moves with the schedule), the shard tests (which goroutine
-# applies a sharded op moves with it) and the NIC delivery tests (which
+# applies a sharded op moves with it), the torn-read test (which puts a
+# get lands between moves with it) and the NIC delivery tests (which
 # goroutine runs a handler — its sender or the token holder draining the
 # backlog — moves with it too).
 # Twenty repeats each on one and on two scheduler threads (one thread
 # reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn' ./internal/core/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 

@@ -9,23 +9,25 @@
 //
 //	off 0   tail ticket   (FetchAdd by producers)
 //	off 8   head ticket   (FetchAdd by consumers)
-//	off 16  consumed      (FetchAdd by consumers after freeing a slot)
+//	off 16  consumed      (FetchAdd by consumers, under WithCredits only)
 //	off 24  credit cell   (on EVERY rank's region: consumers push the
 //	                       consumed watermark here with Accumulate(Max))
 //	off 32  slots[i] = [ seq int64 | payload SlotSize bytes ]
 //
-// A producer claims ticket t, waits for its slot's sequence word to reach
-// t (slot free for this lap), streams the payload and seq=t+1 with
-// ordered puts, and completes. A consumer claims ticket h, waits for
-// seq==h+1 (item published), reads the payload with one blocking Get,
-// marks the slot free for the next lap with seq=h+slots, completes, and
-// bumps the shared consumed counter. Sequence words are monotone per
-// slot, so a late or reordered frame can never alias a lap.
+// A handoff is six RMA operations plus polls. A producer claims ticket t,
+// polls its slot's sequence word until it reads t (free for this lap),
+// and publishes [t+1 | payload] with one put. A consumer claims ticket h,
+// polls with one blocking Get of the whole slot until its sequence word
+// reads h+1 — the payload in the same buffer is then the item, since a
+// put and a get at one target never interleave — and frees the slot for
+// the next lap with seq=h+slots. Each side completes before returning.
+// Sequence words are monotone per slot, so a late or reordered frame can
+// never alias a lap.
 //
-// Waiting is remote polling of the sequence word with exponential
-// virtual-time backoff — deterministic, since every poll is serialized at
-// the target in virtual time. WithCredits adds the streampipe-style fast
-// path: consumers Accumulate(Max) the consumed watermark into every
+// Waiting is remote polling with exponential virtual-time backoff —
+// deterministic, since every poll is serialized at the target in virtual
+// time. WithCredits adds the streampipe-style fast path: consumers bump a
+// shared consumed counter and Accumulate(Max) the watermark into every
 // rank's credit cell every few dequeues, and a stalled producer spins on
 // its LOCAL cell (one memory read) until the watermark proves space,
 // touching the wire only to confirm. That trades the determinism of the
@@ -99,8 +101,10 @@ type Queue struct {
 	stride   int // 8 + slotSize
 	credits  int // grant period; 0 = credits off
 
-	buf  rma.Region // slot-sized scratch: payload put / get
-	word rma.Region // 8-byte scratch: seq puts and credit grants
+	// buf is a slot image, [seq | payload], for publishing puts and polling
+	// gets; its first word also carries the freeing put and credit grants.
+	buf  rma.Region
+	word [8]byte // host-side encoding of buf's first word
 
 	enqueues, dequeues      stats.Counter
 	producerPolls           stats.Counter
@@ -141,16 +145,14 @@ func New(s *rma.Session, owner, slots, slotSize int, opts ...Option) (*Queue, er
 		slotSize: slotSize,
 		stride:   stride,
 		credits:  cfg.creditEvery,
-		buf:      p.Alloc(slotSize),
-		word:     p.Alloc(8),
+		buf:      p.Alloc(stride),
 	}
 	if p.Rank() == owner {
 		// Seed seq[i] = i: lap 0 producers find their slots free without
 		// any traffic. Local writes, before anyone can race them.
-		b := make([]byte, 8)
 		for i := 0; i < slots; i++ {
-			q.enc64(b, uint64(i))
-			p.WriteLocal(local, slotsOff+i*stride, b)
+			q.enc64(q.word[:], uint64(i))
+			p.WriteLocal(local, slotsOff+i*stride, q.word[:])
 		}
 	}
 	p.Barrier()
@@ -205,6 +207,23 @@ func (q *Queue) slotOff(ticket int64) int {
 	return slotsOff + int(ticket%int64(q.slots))*q.stride
 }
 
+// setWord writes v into buf's first word.
+func (q *Queue) setWord(v int64) {
+	q.enc64(q.word[:], uint64(v))
+	q.p.WriteLocal(q.buf, 0, q.word[:])
+}
+
+// publish puts the first n bytes of buf, with v as their sequence word, at
+// slot offset off and completes them. The put is notified, so the Complete
+// waits on the owner's delivery counter instead of probing.
+func (q *Queue) publish(off, n int, v int64) error {
+	q.setWord(v)
+	if _, err := q.s.Put(q.buf, n, rma.Byte, q.owner, off, rma.WithNotify()); err != nil {
+		return err
+	}
+	return q.s.Complete(q.owner.Owner)
+}
+
 // backoff advances virtual time exponentially between polls, capped at
 // about one network round trip. Polls serialize at the owner with the
 // very puts they await, so the number of polls per handoff is set by the
@@ -233,11 +252,9 @@ func (q *Queue) Enqueue(payload []byte) error {
 	off := q.slotOff(t)
 
 	if q.credits > 0 && t >= int64(q.slots) {
-		// Credit fast path: our local cell carries a monotone lower bound
-		// on the consumed watermark. consumed > t-slots proves slot
-		// t-slots was freed, and the freeing consumer's seq put was
-		// completed before the consumed bump, so no wire confirmation is
-		// needed.
+		// Credit fast path: our local cell carries a monotone lower bound on
+		// the consumed watermark, and consumed > t-slots proves slot t-slots
+		// was freed: its freeing put completed before the consumed bump.
 		fast := false
 		for attempt := 0; ; attempt++ {
 			credit := int64(q.dec64(q.p.ReadLocal(q.local, creditOff, 8)))
@@ -268,20 +285,9 @@ func (q *Queue) Enqueue(payload []byte) error {
 		q.backoff(attempt)
 	}
 
-	q.p.WriteLocal(q.buf, 0, payload)
-	if _, err := q.s.Put(q.buf, q.slotSize, rma.Byte, q.owner, off+8,
-		rma.WithOrdering(), rma.WithNotify()); err != nil {
-		return err
-	}
-	// seq=t+1 publishes the item; Ordering keeps it behind the payload.
-	b := make([]byte, 8)
-	q.enc64(b, uint64(t+1))
-	q.p.WriteLocal(q.word, 0, b)
-	if _, err := q.s.Put(q.word, 8, rma.Byte, q.owner, off,
-		rma.WithOrdering(), rma.WithNotify()); err != nil {
-		return err
-	}
-	if err := q.s.Complete(q.owner.Owner); err != nil {
+	// One put lands seq=t+1 with the payload: no reader sees one alone.
+	q.p.WriteLocal(q.buf, 8, payload)
+	if err := q.publish(off, q.stride, t+1); err != nil {
 		return err
 	}
 	q.enqueues.Inc()
@@ -302,58 +308,50 @@ func (q *Queue) Dequeue() ([]byte, error) {
 	// Wait for the producer's publication: seq words are monotone per
 	// slot, and only ticket h's producer ever writes h+1.
 	for attempt := 0; ; attempt++ {
-		seq, err := q.s.FetchWord(q.owner, off)
+		req, err := q.s.Get(q.buf, q.stride, rma.Byte, q.owner, off, rma.WithBlocking())
+		if err == nil {
+			err = req.Err()
+		}
+		if err == nil {
+			err = q.p.Mem().LocalRead(q.buf.Offset, q.word[:])
+		}
 		if err != nil {
 			return nil, err
 		}
-		if seq == h+1 {
+		if int64(q.dec64(q.word[:])) == h+1 {
 			break
 		}
 		q.consumerPolls.Inc()
 		q.backoff(attempt)
 	}
+	payload := q.p.ReadLocal(q.buf, 8, q.slotSize)
 
-	if _, err := q.s.Get(q.buf, q.slotSize, rma.Byte, q.owner, off+8, rma.WithBlocking()); err != nil {
+	// Free the slot for the next lap (seq = h+slots).
+	if err := q.publish(off, 8, h+int64(q.slots)); err != nil {
 		return nil, err
 	}
-	payload := append([]byte(nil), q.p.ReadLocal(q.buf, 0, q.slotSize)...)
-
-	// Free the slot for the next lap (seq = h+slots), then advance the
-	// consumed watermark. The Complete between them guarantees any
-	// producer that observes the new watermark finds the seq already
-	// applied.
-	b := make([]byte, 8)
-	q.enc64(b, uint64(h+int64(q.slots)))
-	q.p.WriteLocal(q.word, 0, b)
-	if _, err := q.s.Put(q.word, 8, rma.Byte, q.owner, off, rma.WithNotify()); err != nil {
-		return nil, err
-	}
-	if err := q.s.Complete(q.owner.Owner); err != nil {
-		return nil, err
-	}
-	c, err := q.s.FetchAdd(q.owner, consumedOff, 1)
-	if err != nil {
-		return nil, err
-	}
-	q.dequeues.Inc()
-
-	if q.credits > 0 && (c+1)%int64(q.credits) == 0 {
-		if err := q.grantCredits(c + 1); err != nil {
+	if q.credits > 0 {
+		if err := q.credit(); err != nil {
 			return nil, err
 		}
 	}
+	q.dequeues.Inc()
 	return payload, nil
 }
 
-// grantCredits broadcasts the consumed watermark into every rank's credit
-// cell. Accumulate(Max) makes grants from racing consumers commute: cells
-// only ever move forward.
-func (q *Queue) grantCredits(watermark int64) error {
-	b := make([]byte, 8)
-	q.enc64(b, uint64(watermark))
-	q.p.WriteLocal(q.word, 0, b)
+// credit advances the consumed watermark and, every q.credits dequeues,
+// broadcasts it into every rank's credit cell. The freeing put was
+// completed first, so a producer that observes the new watermark finds
+// the slot's seq already applied. Accumulate(Max) makes grants from
+// racing consumers commute: cells only ever move forward.
+func (q *Queue) credit() error {
+	c, err := q.s.FetchAdd(q.owner, consumedOff, 1)
+	if err != nil || (c+1)%int64(q.credits) != 0 {
+		return err
+	}
+	q.setWord(c + 1)
 	for _, cell := range q.cells {
-		if _, err := q.s.Accumulate(rma.Max, q.word, 1, rma.Int64, cell, creditOff,
+		if _, err := q.s.Accumulate(rma.Max, q.buf, 1, rma.Int64, cell, creditOff,
 			rma.WithAtomic(), rma.WithNotify()); err != nil {
 			return err
 		}

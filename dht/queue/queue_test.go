@@ -194,6 +194,83 @@ func TestQueueCredits(t *testing.T) {
 	}
 }
 
+// TestQueueRMAOpsPerHandoff pins the protocol's remote cost at the owner,
+// which runs no queue code: six applied operations per handoff (producer
+// FetchAdd, free-slot poll and publishing put; consumer FetchAdd, polling
+// Get and freeing put) plus one per failed poll. Credits add one consumed
+// FetchAdd per dequeue and one Accumulate per grant the owner receives.
+func TestQueueRMAOpsPerHandoff(t *testing.T) {
+	const perProd, slots, slotSize = 24, 4, 16
+	for _, tc := range []struct {
+		name                 string
+		producers, consumers int
+		opts                 []Option
+	}{
+		{"spsc", 1, 1, nil},
+		{"mpmc 2x2", 2, 2, nil},
+		{"mpmc 2x2 credits", 2, 2, []Option{WithCredits(3)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ranks := 1 + tc.producers + tc.consumers // rank 0 owns and idles
+			items := tc.producers * perProd
+			st := make([]Stats, ranks)
+			var applied int64
+			w := newWorld(t, runtime.Config{Ranks: ranks, Seed: 29})
+			err := w.Run(func(p *runtime.Proc) {
+				s := rma.Open(p)
+				q, err := New(s, 0, slots, slotSize, tc.opts...)
+				if err != nil {
+					t.Errorf("new: %v", err)
+					panic("queue: new failed")
+				}
+				before := s.Engine().OpsApplied.Value()
+				p.Barrier()
+				me := p.Rank()
+				switch {
+				case me == 0:
+				case me <= tc.producers:
+					for i := 0; i < perProd; i++ {
+						if err := q.Enqueue(payload(slotSize, me, i)); err != nil {
+							t.Errorf("rank %d enqueue %d: %v", me, i, err)
+							panic("queue: enqueue failed")
+						}
+					}
+				default:
+					for i := 0; i < items/tc.consumers; i++ {
+						if _, err := q.Dequeue(); err != nil {
+							t.Errorf("rank %d dequeue %d: %v", me, i, err)
+							panic("queue: dequeue failed")
+						}
+					}
+				}
+				st[me] = q.Stats()
+				p.Barrier() // every handoff completed, so counted at the owner
+				if me == 0 {
+					applied = s.Engine().OpsApplied.Value() - before
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(6 * items)
+			var dequeues int64
+			for _, r := range st {
+				want += r.ProducerPolls + r.ConsumerPolls + r.CreditGrants
+				dequeues += r.Dequeues
+			}
+			if dequeues != int64(items) {
+				t.Fatalf("dequeued %d items, want %d", dequeues, items)
+			}
+			if len(tc.opts) > 0 {
+				want += dequeues // the consumed FetchAdd
+			}
+			if applied != want {
+				t.Errorf("owner applied %d operations for %d handoffs, want %d (stats %+v)", applied, items, want, st)
+			}
+		})
+	}
+}
+
 // TestQueueValidation: bad geometry and payload sizes are rejected with
 // the rma sentinels.
 func TestQueueValidation(t *testing.T) {

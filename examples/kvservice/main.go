@@ -10,7 +10,8 @@
 // global MPMC queue: rank 3 and 4 produce task descriptors, rank 5
 // consumes and "executes" them. Every byte of coordination — bucket
 // locks, sequence words, tickets — lives in exposed memory and moves by
-// Put/Get/FetchAdd/CompareSwap.
+// Put/Get/FetchAdd/CompareSwap. The run exits 1 unless every task is
+// dequeued exactly once and the counter holds every CAS increment.
 //
 // Run with:
 //
@@ -137,15 +138,22 @@ func main() {
 				}
 			}
 		case servers + 2:
-			got := map[uint64]int{}
+			got := map[[2]uint64]int{} // (producer, i) -> times dequeued
 			for i := 0; i < 2*tasks; i++ {
 				t, err := q.Dequeue()
 				if err != nil {
 					panic(err)
 				}
-				got[binary.LittleEndian.Uint64(t)]++
+				got[[2]uint64{binary.LittleEndian.Uint64(t), binary.LittleEndian.Uint64(t[8:])}]++
 			}
-			fmt.Printf("rank %d drained %d tasks from producers %v\n",
+			for _, prod := range []uint64{servers, servers + 1} {
+				for i := uint64(0); i < tasks; i++ {
+					if n := got[[2]uint64{prod, i}]; n != 1 {
+						panic(fmt.Sprintf("task (%d, %d) dequeued %d times, want once", prod, i, n))
+					}
+				}
+			}
+			fmt.Printf("rank %d drained %d tasks from producers %v, each exactly once\n",
 				me, 2*tasks, []int{servers, servers + 1})
 		}
 
@@ -161,10 +169,12 @@ func main() {
 		if err != nil || !ok {
 			panic(fmt.Sprintf("counter readback: ok=%v err=%v", ok, err))
 		}
+		want := uint64(clients * (requests / 10))
+		if got := binary.LittleEndian.Uint64(cur); got != want {
+			panic(fmt.Sprintf("shared counter holds %d CAS increments, want %d", got, want))
+		}
 		if me == servers {
-			want := uint64(clients * (requests / 10))
-			got := binary.LittleEndian.Uint64(cur)
-			fmt.Printf("shared counter: %d CAS increments (want %d) — %v\n", got, want, got == want)
+			fmt.Printf("shared counter: %d CAS increments, as expected\n", want)
 		}
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/trace"
@@ -35,11 +36,12 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	e.Progress()
 	e.CompleteCalls.Inc()
 	start := e.proc.Now()
-	targets, err := e.resolveTargets(comm, tranks)
+	var buf [8]int
+	targets, err := e.resolveTargets(comm, tranks, buf[:0])
 	if err != nil {
 		return err
 	}
-	reqs := make([]*Request, 0, len(targets))
+	var reqs []*Request // probes, built only when the counters cannot answer
 	for _, world := range targets {
 		if err := e.stickyFor(world); err != nil {
 			// A dead target (ErrRankFailed) or failed link (ErrLinkFailed)
@@ -159,7 +161,8 @@ func (e *Engine) CompleteCollective(comm *runtime.Comm) error {
 // the "slight penalty" of Section III-B.
 func (e *Engine) Order(comm *runtime.Comm, tranks ...int) error {
 	e.Progress()
-	targets, err := e.resolveTargets(comm, tranks)
+	var buf [8]int
+	targets, err := e.resolveTargets(comm, tranks, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -200,38 +203,29 @@ func (e *Engine) OrderCollective(comm *runtime.Comm) error {
 	return nil
 }
 
-// resolveTargets expands a variadic target list into world ranks: an empty
-// list or any AllRanks entry covers the whole communicator; explicit ranks
-// are validated, mapped, and deduplicated preserving call order.
-func (e *Engine) resolveTargets(comm *runtime.Comm, tranks []int) ([]int, error) {
+// resolveTargets expands a variadic target list into world ranks, appended
+// to dst: an empty list or any AllRanks entry covers the whole communicator;
+// explicit ranks are validated, mapped (spare ranks by world rank, as
+// worldRank does for transfers), and deduplicated preserving call order.
+// The duplicate check is a linear scan so that a caller passing a stack
+// buffer as dst completes without a heap allocation.
+func (e *Engine) resolveTargets(comm *runtime.Comm, tranks, dst []int) ([]int, error) {
 	if len(tranks) == 0 {
 		return comm.Ranks(), nil
 	}
-	out := make([]int, 0, len(tranks))
-	seen := make(map[int]bool, len(tranks))
 	for _, trank := range tranks {
 		if trank == AllRanks {
 			return comm.Ranks(), nil
 		}
-		if trank < 0 || trank >= comm.Size() {
-			// Spare ranks live outside the communicator; completion toward a
-			// dead rank's successor addresses it by world rank directly.
-			if w := e.proc.World(); w != nil && trank >= comm.Size() && trank < w.TotalRanks() {
-				if !seen[trank] {
-					seen[trank] = true
-					out = append(out, trank)
-				}
-				continue
-			}
-			return nil, fmt.Errorf("core: target rank %d out of range for communicator of size %d: %w", trank, comm.Size(), ErrBadHandle)
+		world, err := e.worldRank(trank, comm)
+		if err != nil {
+			return nil, err
 		}
-		world := comm.WorldRank(trank)
-		if !seen[world] {
-			seen[world] = true
-			out = append(out, world)
+		if !slices.Contains(dst, world) {
+			dst = append(dst, world)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // sendProbe issues a completion probe to a world rank and returns the

@@ -136,10 +136,16 @@ func TestRankDeathErrorTaxonomy(t *testing.T) {
 			assertRankFailedOnly(t, "Select EvFault", ev.Err)
 		}
 
-		// The queue published the death exactly once, naming the rank.
+		// The queue published the death exactly once, naming the rank. The
+		// fan-out publishes EvFault after failing the requests and waking
+		// the waiters, so the errors above can surface before it is queued:
+		// block for it once the queue runs dry without one.
 		faults := 0
 		for {
 			ev, ok := q.Poll()
+			if !ok && faults == 0 {
+				ev, ok = q.Wait()
+			}
 			if !ok {
 				break
 			}

@@ -577,3 +577,100 @@ func TestXferInvoke(t *testing.T) {
 		t.Fatalf("handler payload %v", got.Load())
 	}
 }
+
+// TestPutGetNeverTorn pins the property the queue's one-put publication
+// and the dht's one-Get snapshot stand on: a put and a get at one target
+// never interleave. Two writers put 3-word [v|v|v] patterns at one
+// displacement while a reader gets it; every read must return three equal
+// words. It runs on the serial engine, on four shards with the put
+// spanning shard boundaries (designated-shard path), and on an unordered
+// network under the drop + dup + delay + corrupt plan with reliable
+// delivery.
+func TestPutGetNeverTorn(t *testing.T) {
+	plans := chaosPlans()
+	for _, tc := range []struct {
+		name  string
+		cfg   runtime.Config
+		topts Options
+	}{
+		{"serial", runtime.Config{Ranks: 4, Seed: 51}, Options{}},
+		{"sharded spanning", runtime.Config{Ranks: 4, Seed: 52}, Options{ApplyShards: 4}},
+		{"unordered faulted", runtime.Config{Ranks: 4, Seed: 53, UnorderedNet: true, Faults: plans[len(plans)-1].plan}, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { putGetNeverTorn(t, tc.cfg, tc.topts) })
+	}
+}
+
+func putGetNeverTorn(t *testing.T, cfg runtime.Config, topts Options) {
+	// A 48-byte exposure on four shards has 12-byte shards, so the 24 bytes
+	// at displacement 8 span three of them.
+	const size, disp, minRounds, minReads = 48, 8, 50, 100
+	var writersDone, reads atomic.Int64
+	var target *Engine
+	distinct := map[uint64]bool{}
+	w := newWorld(t, cfg)
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		opts := Options{}
+		if p.Rank() == 0 {
+			opts = topts
+		}
+		e := Attach(p, opts)
+		comm := p.Comm()
+		tm := shipTM(p, e, size)
+		buf := p.Alloc(24)
+		p.Barrier()
+		switch p.Rank() {
+		case 0:
+			target = e
+		case 1, 2:
+			// Write until the reader has read enough, so reads overlap puts.
+			// Both sides yield after each operation: a call that delivers
+			// inline never blocks, and on one scheduler thread it would
+			// otherwise run until preempted.
+			for round := 0; round < minRounds || reads.Load() < minReads; round++ {
+				v := uint64(p.Rank())<<32 | uint64(round+1)
+				var pat [24]byte
+				for i := 0; i < 3; i++ {
+					binary.LittleEndian.PutUint64(pat[8*i:], v)
+				}
+				p.WriteLocal(buf, 0, pat[:])
+				if _, err := e.Put(buf, 3, datatype.Int64, tm, disp, 3, datatype.Int64, 0, comm, AttrNotify); err != nil {
+					t.Errorf("rank %d put: %v", p.Rank(), err)
+					panic("torn: put failed")
+				}
+				if err := e.Complete(comm, 0); err != nil {
+					t.Errorf("rank %d complete: %v", p.Rank(), err)
+					panic("torn: complete failed")
+				}
+				gosched()
+			}
+			writersDone.Add(1)
+		case 3:
+			for reads.Load() < minReads || writersDone.Load() < 2 {
+				req, err := e.Get(buf, 3, datatype.Int64, tm, disp, 3, datatype.Int64, 0, comm, AttrBlocking)
+				if err == nil {
+					err = req.Err()
+				}
+				if err != nil {
+					t.Errorf("get: %v", err)
+					panic("torn: get failed")
+				}
+				got := p.ReadLocal(buf, 0, 24)
+				a, b, c := binary.LittleEndian.Uint64(got), binary.LittleEndian.Uint64(got[8:]), binary.LittleEndian.Uint64(got[16:])
+				if a != b || b != c {
+					t.Errorf("read %d is torn: [%#x | %#x | %#x]", reads.Load(), a, b, c)
+				}
+				distinct[a] = true
+				reads.Add(1)
+				gosched()
+			}
+		}
+		p.Barrier()
+	})
+	if len(distinct) < 2 {
+		t.Errorf("the reader saw %d distinct patterns: its gets never overlapped the puts", len(distinct))
+	}
+	if topts.ApplyShards > 0 && target.ShardDesignated.Value() == 0 {
+		t.Error("no put took the designated shard: the pattern did not span shards")
+	}
+}

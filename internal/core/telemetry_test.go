@@ -245,6 +245,13 @@ var pinVec = datatype.Vector(8, 1, 2, datatype.Int64)
 var allocTable = []pinned{
 	{"put", serializer.MechThread, 2, func(c *pinCtx) { c.put(0) }},
 	{"put notify", serializer.MechThread, 3, func(c *pinCtx) { c.notified++; c.put(AttrNotify) }},
+	{"put notify + complete", serializer.MechThread, 3, func(c *pinCtx) {
+		c.notified++
+		c.put(AttrNotify)
+		if err := c.e.Complete(c.comm, 0); err != nil {
+			c.t.Fatalf("complete: %v", err)
+		}
+	}},
 	{"put remote-complete", serializer.MechThread, 3, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
 	{"put atomic (thread)", serializer.MechThread, 2, func(c *pinCtx) { c.put(AttrAtomic) }},
 	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *pinCtx) { c.put(AttrAtomic) }},

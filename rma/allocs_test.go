@@ -42,6 +42,16 @@ func (c *facadeCtx) put(opts ...rma.OpOption) {
 	c.settle()
 }
 
+func (c *facadeCtx) putNotify() {
+	c.notified++
+	req, err := c.s.PutNotify(c.src, 1, rma.Int64, c.tm, 0)
+	if err != nil {
+		c.t.Fatalf("put notify: %v", err)
+	}
+	req.Wait()
+	c.settle()
+}
+
 // facadeAllocs is internal/core's allocation table (allocTable there, and
 // DESIGN.md §5) asserted again where users call: the option list of a
 // transfer folds into its attributes without leaving the caller's stack, so
@@ -54,14 +64,12 @@ var facadeAllocs = []struct {
 	op   func(c *facadeCtx)
 }{
 	{"put", serializer.MechThread, 2, func(c *facadeCtx) { c.put() }},
-	{"put notify", serializer.MechThread, 3, func(c *facadeCtx) {
-		c.notified++
-		req, err := c.s.PutNotify(c.src, 1, rma.Int64, c.tm, 0)
-		if err != nil {
-			c.t.Fatalf("put notify: %v", err)
+	{"put notify", serializer.MechThread, 3, func(c *facadeCtx) { c.putNotify() }},
+	{"put notify + complete", serializer.MechThread, 3, func(c *facadeCtx) {
+		c.putNotify()
+		if err := c.s.Complete(0); err != nil {
+			c.t.Fatalf("complete: %v", err)
 		}
-		req.Wait()
-		c.settle()
 	}},
 	{"put remote-complete", serializer.MechThread, 3, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
 	{"put atomic (thread)", serializer.MechThread, 2, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
