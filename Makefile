@@ -100,9 +100,12 @@ profile-smoke:
 # message stranded in the backlog. So do the shard
 # tests: a sharded apply runs on whichever goroutine delivers it. So does
 # the torn-read test: a put and a get at one target never interleave, on
-# the serial and sharded engines and on a faulted unordered network.
+# the serial and sharded engines and on a faulted unordered network. So
+# does the replay test: one seed, the same retransmissions. So do the
+# tests of ranks parked in the progress serializer's wait and in
+# Events().Wait on a lossy or unordered wire.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|CompletionQueueWaitRetransmits' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -132,14 +135,17 @@ benchmark-check:
 # request, the recycle-safety run (which goroutine releases an operation
 # record moves with the schedule), the shard tests (which goroutine
 # applies a sharded op moves with it), the torn-read test (which puts a
-# get lands between moves with it) and the NIC delivery tests (which
+# get lands between moves with it), the NIC delivery tests (which
 # goroutine runs a handler — its sender or the token holder draining the
-# backlog — moves with it too).
+# backlog — moves with it too), the replay test (which rank steps the
+# quiet world moves with it, and its retransmissions must not) and the
+# progress-serializer and completion-queue park tests (whether a deferred
+# apply or an event lands before or after the rank parks moves with it).
 # Twenty repeats each on one and on two scheduler threads (one thread
 # reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|CompletionQueueWaitRetransmits' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|CompletionQueueWaitRetransmits' ./internal/core/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 

@@ -87,11 +87,18 @@ func main() {
 	// Each rank publishes its session here once open, so the console
 	// goroutine can read its health.
 	sessions := make([]atomic.Pointer[rma.Session], w.TotalRanks())
+	// Between rounds the ranks wait for the pace bell, parked in the
+	// library, so the world still goes quiet: it retransmits and detects.
+	pace := w.Proc(0).NewBell()
+	paceTicker := time.NewTicker(2 * time.Millisecond)
+	defer paceTicker.Stop()
 
 	var stop atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		done <- w.Run(func(p *runtime.Proc) { workload(p, &sessions[p.Rank()], *shards, *diagDir, *kill, &stop) })
+		done <- w.Run(func(p *runtime.Proc) {
+			workload(p, &sessions[p.Rank()], pace, *shards, *diagDir, *kill, &stop)
+		})
 	}()
 
 	sig := make(chan os.Signal, 1)
@@ -104,6 +111,8 @@ func main() {
 		select {
 		case <-sig:
 			running = false
+		case <-paceTicker.C:
+			pace.Ring()
 		case <-ticker.C:
 			frame++
 			render(w, sessions, frame, *plain)
@@ -113,6 +122,7 @@ func main() {
 		}
 	}
 	stop.Store(true)
+	pace.Ring() // a rank not yet parked sees the ring in the bell's count
 	if err := <-done; err != nil {
 		fmt.Fprintf(os.Stderr, "rmatop: %v\n", err)
 	}
@@ -124,10 +134,11 @@ func main() {
 // rmatop renders — relay, shards, completion queue, critical path — has
 // live traffic. With -kill the sessions also replicate, and a writer
 // whose downstream neighbor dies awaits the rebuild and re-points the
-// same descriptor at the successor spare. The real-time sleep paces the
-// loop so the console stays responsive and the simulation does not spin
-// a core per rank.
-func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], shards int, diagDir string, kill int, stop *atomic.Bool) {
+// same descriptor at the successor spare. The pace bell keeps the console
+// responsive and the simulation from spinning a core per rank. A rank
+// with nothing to do returns; its NIC keeps serving, and the console reads
+// its health from the published session.
+func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], pace *runtime.Bell, shards int, diagDir string, kill int, stop *atomic.Bool) {
 	opts := []rma.SessionOption{
 		rma.WithMetrics(),
 		rma.WithTracing(4096),
@@ -143,12 +154,8 @@ func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], shards int,
 	s := rma.Open(p, opts...)
 	publish.Store(s)
 	if p.IsSpare() {
-		// Parked in the spare pool; after the rebuild the NIC serves
-		// the redirected ring traffic, so this goroutine only has to stay
-		// alive for the console to render its health.
-		for !stop.Load() {
-			time.Sleep(10 * time.Millisecond)
-		}
+		// In the spare pool: after the rebuild the NIC serves the
+		// redirected ring traffic.
 		return
 	}
 	const slot = 64
@@ -160,7 +167,12 @@ func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], shards int,
 	tm := tms[next]
 	serving := next
 	src := rma.Region{Offset: local.Offset + p.Rank()*slot, Size: slot}
-	for !stop.Load() {
+	for {
+		// Read the bell before stop: the console sets stop, then rings.
+		seen := pace.Rings()
+		if stop.Load() {
+			return
+		}
 		var err error
 		for j := 0; j < 8 && err == nil; j++ {
 			_, err = s.Put(src, slot, rma.Byte, tm, p.Rank()*slot)
@@ -180,15 +192,11 @@ func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], shards int,
 			}
 			if s.Err() != nil {
 				// Sticky (a failed link, or this rank is the victim and its
-				// own traffic black-holed): keep the rank alive so its
-				// health stays observable, but stop issuing.
-				for !stop.Load() {
-					time.Sleep(10 * time.Millisecond)
-				}
+				// own traffic black-holed): stop issuing.
 				return
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		p.Park(pace, seen)
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 // accumulate slot summed commutatively — so the final memory is
 // byte-deterministic no matter how the relay reorders retransmissions.
 //
-// ChaosSeed is the one documented seed of the whole run: the network
-// scrambler derives its per-endpoint streams from the world seed, the
-// fault draws hash it, and the relay's retry jitter reuses it. Reproduce
-// a run by reproducing the seed (it is printed in the result notes).
+// ChaosSeed is the one documented seed of the whole run: it seeds the
+// world, and the fault draws hash it. Reproduce a run by reproducing the
+// seed (it is printed in the result notes).
 const ChaosSeed = 4242
 
 const (
@@ -184,6 +183,6 @@ func RunChaos() Result {
 	if ok {
 		res.Notef("PASS: all %d faulted series converged byte-exactly with the fault-free run, with net.retries > 0", len(chaosBenchSeries))
 	}
-	res.Notef("seed %d drives the scrambler, the fault draws and the retry jitter; rerun with the same seed to reproduce the injected fault sequence", ChaosSeed)
+	res.Notef("seed %d drives the fault draws; rerun with the same seed to reproduce the injected fault sequence", ChaosSeed)
 	return res
 }

@@ -57,7 +57,7 @@ func RunE3() Result {
 			res.Add(row)
 		}
 	}
-	res.Notef("window = how many in-flight messages the network may scramble; held_ops = reorder-buffer work at the target")
+	res.Notef("window = how many messages an unordered link holds before it releases one; held_ops = reorder-buffer work at the target")
 	return res
 }
 

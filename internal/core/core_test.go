@@ -11,6 +11,7 @@ import (
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
+	"mpi3rma/internal/simnet"
 )
 
 // newWorld builds a world with a cleanup hook.
@@ -226,7 +227,7 @@ func TestOrderingAttrOnUnorderedNet(t *testing.T) {
 		p.Send(0, 1, nil)
 	})
 	if held == 0 {
-		t.Log("note: scrambler never reordered the stream (legal but unusual)")
+		t.Log("note: the unordered network never reordered the stream (legal but unusual)")
 	}
 }
 
@@ -464,12 +465,29 @@ func TestSelfPut(t *testing.T) {
 // TestMechanismsProduceExactAtomicSums: under every serializer mechanism,
 // concurrent atomic accumulates sum exactly.
 func TestMechanismsProduceExactAtomicSums(t *testing.T) {
-	for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock, serializer.MechProgress} {
-		mech := mech
-		t.Run(mech.String(), func(t *testing.T) {
+	faults := &simnet.FaultPlan{Seed: 1009, Default: simnet.LinkFaults{Drop: 0.1, Dup: 0.1}}
+	for _, row := range []struct {
+		name string
+		mech serializer.Mechanism
+		cfg  runtime.Config
+	}{
+		{"thread", serializer.MechThread, runtime.Config{}},
+		{"coarse-lock", serializer.MechCoarseLock, runtime.Config{}},
+		{"progress", serializer.MechProgress, runtime.Config{}},
+		// The target waits inside the library, draining its deferred
+		// applies there; on a lossy or unordered wire the world must still
+		// go quiet around it, or nothing retransmits or releases.
+		{"progress-unordered", serializer.MechProgress, runtime.Config{UnorderedNet: true, ReorderWindow: 4, Seed: 5}},
+		{"progress-faults", serializer.MechProgress, runtime.Config{Faults: faults}},
+		{"progress-unordered-faults", serializer.MechProgress, runtime.Config{UnorderedNet: true, ReorderWindow: 4, Seed: 5, Faults: faults}},
+	} {
+		mech := row.mech
+		t.Run(row.name, func(t *testing.T) {
 			const origins = 4
 			const iters = 50
-			w := newWorld(t, runtime.Config{Ranks: origins + 1})
+			cfg := row.cfg
+			cfg.Ranks = origins + 1
+			w := newWorld(t, cfg)
 			runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 				e := Attach(p, Options{Atomicity: mech})
 				comm := p.Comm()
@@ -479,10 +497,17 @@ func TestMechanismsProduceExactAtomicSums(t *testing.T) {
 					for r := 1; r <= origins; r++ {
 						p.Send(r, 9999, enc)
 					}
-					if mech == serializer.MechProgress {
+					switch {
+					case row.name == "progress":
 						for e.OpsApplied.Value() < int64(origins*iters) {
 							e.Progress()
 							pollYield()
+						}
+					case mech == serializer.MechProgress:
+						for r := 1; r <= origins; r++ {
+							if _, _, err := e.Select(comm, OnApplied(r, iters)); err != nil {
+								t.Errorf("select applied from %d: %v", r, err)
+							}
 						}
 					}
 					p.Barrier()
@@ -509,6 +534,9 @@ func TestMechanismsProduceExactAtomicSums(t *testing.T) {
 				}
 				p.Barrier()
 			})
+			if cfg.Faults != nil && w.Net().Retries.Value() == 0 {
+				t.Error("no retransmission: the fault plan never bit")
+			}
 		})
 	}
 }

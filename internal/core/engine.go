@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	gort "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +38,7 @@ const (
 	kReplAck     = portals.KindCoreBase + 16 // buddy -> primary: cumulative replicated version
 	kRebuild     = portals.KindCoreBase + 17 // buddy -> spare: replay one replica
 	kRebuildDone = portals.KindCoreBase + 18 // buddy -> spare: replay finished, start serving
-	kPing        = portals.KindCoreBase + 19 // progress sentinel liveness probe (bait for the relay's failure detector)
+	kPing        = portals.KindCoreBase + 19 // failure ping (bait for the relay's failure detector)
 )
 
 // Header word indices shared by the protocol messages.
@@ -260,6 +259,9 @@ type Engine struct {
 	applyQ    *serializer.ApplyQueue
 	progQ     *serializer.ProgressQueue
 	closeOnce sync.Once
+	// bell is every wake slot's bell; under the progress serializer a
+	// deferred apply rings it too (wait, scheduleApply).
+	bell *runtime.Bell
 
 	// Sharded apply state (nil when Options.ApplyShards <= 1; see
 	// shard.go): one set of telemetry cells per shard, and the modelled
@@ -303,12 +305,8 @@ type Engine struct {
 	ReplUpdates     stats.Counter // versioned replica updates shipped to the buddy
 	ReplAcks        stats.Counter // replica acknowledgements answered as buddy
 	Rebuilds        stats.Counter // replayed regions sent to a spare as promoter
-	Pings           stats.Counter // liveness probes sent by the progress sentinel
+	Pings           stats.Counter // failure pings sent while the world was quiet
 }
-
-// gosched yields the host core between progress polls, so the peer
-// goroutines that deliver to this rank can run.
-func gosched() { gort.Gosched() }
 
 // extKey is the Proc extension slot the engine lives in.
 const extKey = "core.rma"
@@ -320,6 +318,7 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 	return p.Ext(extKey, func() any {
 		e := &Engine{
 			proc:           p,
+			bell:           p.NewBell(),
 			opts:           opts.withDefaults(),
 			tmems:          make(map[uint64]*exposure),
 			reqs:           make(map[uint64]*Request),
@@ -442,20 +441,13 @@ func (e *Engine) applyCost(n int) time.Duration {
 	return e.opts.ApplyOverhead + time.Duration(int64(n)*int64(e.opts.ApplyPerKB)/1024)
 }
 
-// Close wakes completion-queue waiters and stops the replication
-// sentinel, if any. World.Close invokes it for every attached engine; it
-// is idempotent.
+// Close wakes completion-queue waiters. World.Close invokes it for every
+// attached engine; it is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		if q := e.observers().evq; q != nil {
 			q.close()
 		}
-		e.repl.mu.Lock()
-		if e.repl.quit != nil {
-			close(e.repl.quit)
-			e.repl.quit = nil
-		}
-		e.repl.mu.Unlock()
 	})
 }
 

@@ -117,8 +117,9 @@ const DefaultEventQueueCap = 1024
 // clock — events may be consumed long after the virtual instant they
 // report; use Select for clock-advancing waits.
 type CompletionQueue struct {
+	proc   *runtime.Proc // the rank whose consumers park in Wait
+	ready  *runtime.Bell // rings on every push and on close
 	mu     sync.Mutex
-	cond   *sync.Cond
 	buf    []Event
 	head   int
 	n      int
@@ -132,10 +133,8 @@ type CompletionQueue struct {
 	depth     stats.Gauge
 }
 
-func newCompletionQueue(capacity int) *CompletionQueue {
-	q := &CompletionQueue{buf: make([]Event, capacity)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+func newCompletionQueue(capacity int, p *runtime.Proc) *CompletionQueue {
+	return &CompletionQueue{proc: p, ready: p.NewBell(), buf: make([]Event, capacity)}
 }
 
 // push offers an event; it never blocks. The event receives the next
@@ -153,8 +152,8 @@ func (q *CompletionQueue) push(ev Event) {
 	q.buf[(q.head+q.n)%len(q.buf)] = ev
 	q.n++
 	q.depth.Set(int64(q.n))
-	q.cond.Broadcast()
 	q.mu.Unlock()
+	q.ready.Ring()
 }
 
 func (q *CompletionQueue) popLocked() Event {
@@ -179,6 +178,8 @@ func (q *CompletionQueue) Poll() (ev Event, ok bool) {
 
 // Wait blocks until an event is available and returns it; ok is false
 // only when the queue has been closed (the world shut down) and drained.
+// It parks in the library (runtime.Proc.Park), so a rank waiting here
+// lets the world's quiet step retransmit what the events wait on.
 func (q *CompletionQueue) Wait() (ev Event, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -186,7 +187,10 @@ func (q *CompletionQueue) Wait() (ev Event, ok bool) {
 		if q.closed {
 			return Event{}, false
 		}
-		q.cond.Wait()
+		seen := q.ready.Rings()
+		q.mu.Unlock()
+		q.proc.Park(q.ready, seen)
+		q.mu.Lock()
 	}
 	return q.popLocked(), true
 }
@@ -205,8 +209,8 @@ func (q *CompletionQueue) Cap() int { return len(q.buf) }
 func (q *CompletionQueue) close() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Broadcast()
 	q.mu.Unlock()
+	q.ready.Ring()
 }
 
 // EnableEvents installs the completion queue (capacity <= 0 selects
@@ -221,7 +225,7 @@ func (e *Engine) EnableEvents(capacity int) *CompletionQueue {
 		if capacity <= 0 {
 			capacity = DefaultEventQueueCap
 		}
-		o.evq = newCompletionQueue(capacity)
+		o.evq = newCompletionQueue(capacity, e.proc)
 		if o.tel != nil {
 			registerEventMetrics(o.tel, o.evq)
 		}

@@ -17,7 +17,9 @@ import (
 // TestCompletionQueueBounds exercises the queue directly: FIFO order,
 // Poll on empty, drop-with-count at the rim, and Wait unblocking on close.
 func TestCompletionQueueBounds(t *testing.T) {
-	q := newCompletionQueue(4)
+	w := runtime.NewWorld(runtime.Config{Ranks: 1})
+	defer w.Close()
+	q := newCompletionQueue(4, w.Proc(0))
 	if q.Cap() != 4 {
 		t.Fatalf("Cap = %d, want 4", q.Cap())
 	}
@@ -57,6 +59,54 @@ func TestCompletionQueueBounds(t *testing.T) {
 	}()
 	q.close()
 	wg.Wait()
+}
+
+// TestCompletionQueueWaitRetransmits: Wait parks in the library, so when
+// the only origin waits there for a completion whose frame was dropped,
+// and the target is parked in Recv, the world goes quiet and retransmits.
+func TestCompletionQueueWaitRetransmits(t *testing.T) {
+	plan := &simnet.FaultPlan{Seed: 1010, Bursts: []simnet.Burst{{
+		Link:   simnet.LinkKey{Src: 1, Dst: 0},
+		Until:  vtime.Time(20 * time.Microsecond),
+		Faults: simnet.LinkFaults{Drop: 1},
+	}}}
+	w := newWorld(t, runtime.Config{Ranks: 2, Faults: plan})
+	runBounded(t, w, 10*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, Options{})
+		q := e.EnableEvents(8)
+		if p.Rank() == 0 {
+			tm, _ := e.ExposeNew(8)
+			p.Send(1, 9999, tm.Encode())
+			p.Recv(1, 1)
+			return
+		}
+		enc, _ := p.Recv(0, 9999)
+		tm, err := DecodeTargetMem(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		req, err := e.Put(p.Alloc(8), 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrRemoteComplete)
+		if err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		for {
+			ev, ok := q.Wait()
+			if !ok {
+				t.Error("queue closed before the put completed")
+				break
+			}
+			if ev.Kind == EvRequestDone && ev.Req == req {
+				if ev.Err != nil {
+					t.Errorf("put failed: %v", ev.Err)
+				}
+				break
+			}
+		}
+		p.Send(0, 1, nil)
+	})
+	if w.Net().Retries.Value() == 0 {
+		t.Error("no retransmission: the put's first frame was not dropped")
+	}
 }
 
 // TestEventsDeliveryAndQuiescence drives a 2-rank notified-put workload

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -344,4 +347,62 @@ func TestLinkFailedSurfacesFromComplete(t *testing.T) {
 			t.Error("Engine.Err() nil after link failure")
 		}
 	})
+}
+
+// retransmitLog is one run's retransmissions, in firing order.
+type retransmitLog struct {
+	mu      sync.Mutex
+	entries []string
+}
+
+// TestRetransmitReplay: retransmissions fire when the world goes quiet,
+// stamped from virtual time alone, so one seed replays the same run. Rank
+// 1, the only origin, streams notified puts at rank 0 and completes
+// toward it while rank 0 sleeps in Recv, under each plan of the fault
+// matrix; two runs at one seed must retransmit the same frames with the
+// same attempts and stamps, in the same order.
+func TestRetransmitReplay(t *testing.T) {
+	const puts, tagDone = 32, 7701
+	run := func(plan *simnet.FaultPlan) ([]string, int64) {
+		var log retransmitLog
+		w := newWorld(t, runtime.Config{Ranks: 2, Seed: 5, Faults: plan})
+		runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+			e := Attach(p, Options{})
+			src := p.Rank()
+			p.NIC().SetRetransmitObserver(func(dst int, rseq uint64, attempt int, at vtime.Time) {
+				log.mu.Lock()
+				log.entries = append(log.entries, fmt.Sprintf("%d->%d rseq %d attempt %d at %d", src, dst, rseq, attempt, at))
+				log.mu.Unlock()
+			})
+			tm := shipTM(p, e, 8*puts)
+			if p.Rank() == 0 {
+				p.Recv(1, tagDone)
+				return
+			}
+			comm, scratch := p.Comm(), p.Alloc(8)
+			for i := 0; i < puts; i++ {
+				if _, err := e.Put(scratch, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, 0, comm, AttrNotify); err != nil {
+					t.Errorf("put %d: %v", i, err)
+					return
+				}
+			}
+			if err := e.Complete(comm, 0); err != nil {
+				t.Errorf("complete: %v", err)
+			}
+			p.Send(0, tagDone, nil)
+		})
+		return log.entries, w.Net().Retries.Value()
+	}
+	for _, tc := range chaosPlans() {
+		t.Run(tc.name, func(t *testing.T) {
+			first, retries := run(tc.plan)
+			if retries == 0 || len(first) == 0 {
+				t.Fatalf("the plan forced no retransmission (retries %d, observed %d)", retries, len(first))
+			}
+			again, retriesAgain := run(tc.plan)
+			if retriesAgain != retries || !slices.Equal(again, first) {
+				t.Fatalf("one seed, two runs: %d retries then %d\nfirst:  %q\nsecond: %q", retries, retriesAgain, first, again)
+			}
+		})
+	}
 }

@@ -127,15 +127,11 @@ func TestRankDeathPostmortem(t *testing.T) {
 	if eng == nil {
 		t.Fatal("promoter engine not attached")
 	}
-	// The promoter is a bystander: no error surfaces on it, and its
-	// postmortem is written by the NIC service goroutine that detected the
-	// death, which may still be at it when the rank functions have
-	// returned. Give it a bounded moment.
+	// The promoter is a bystander: no error surfaces on it. Its postmortem
+	// is written by the failure fan-out, which runs on the rank goroutine
+	// whose quiet step detected the death, so it is on disk by the time
+	// Run has returned.
 	files := eng.FlightRecorder().Dumps()
-	for deadline := time.Now().Add(10 * time.Second); len(files) == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		files = eng.FlightRecorder().Dumps()
-	}
 	if len(files) != 1 {
 		t.Fatalf("promoter produced %d postmortems, want exactly 1 for the death", len(files))
 	}
@@ -195,12 +191,15 @@ func pmDeathRank(t *testing.T, w *runtime.World, p *runtime.Proc, dir string) {
 	// replica it is going to promote.
 	switch p.Rank() {
 	case 2:
-		rdAwaitReplica(e, 1)
+		rdAwaitReplica(t, p, e, 1)
 		p.Send(0, rdTagReady, nil)
 	case 0:
 		p.Recv(2, rdTagReady)
 	}
 	tm, _ := e.ExposeNew(rdSlot)
+	if p.Rank() == 1 {
+		rdMirrored(p, 2)
+	}
 	if p.Rank() != 0 {
 		return // victim and buddy serve from their NICs
 	}
@@ -219,7 +218,7 @@ func pmDeathRank(t *testing.T, w *runtime.World, p *runtime.Proc, dir string) {
 		t.Errorf("death surfaced as %v, want wrapped ErrRankFailed", failed)
 		panic("postmortem: wrong sentinel")
 	}
-	succ, err := w.Members().AwaitRebuilt(1)
+	succ, err := w.Members().AwaitRebuilt(p, 1)
 	if err != nil {
 		t.Errorf("await rebuild: %v", err)
 		panic("postmortem: rebuild unavailable")

@@ -91,6 +91,7 @@ func (e *Engine) scheduleApply(r *applyOp, at vtime.Time, nbytes int) {
 		e.applyQ.Submit(serializer.Task{Ready: at, Cost: r.cost, Fn: r.run})
 	case serializer.MechProgress:
 		e.progQ.Submit(serializer.Task{Ready: at, Cost: r.cost, Fn: r.run})
+		e.bell.Ring()
 	default:
 		_, end := e.atomicLane.Reserve(at, r.cost)
 		r.apply(end)

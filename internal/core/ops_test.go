@@ -642,7 +642,7 @@ func putGetNeverTorn(t *testing.T, cfg runtime.Config, topts Options) {
 					t.Errorf("rank %d complete: %v", p.Rank(), err)
 					panic("torn: complete failed")
 				}
-				gosched()
+				pollYield()
 			}
 			writersDone.Add(1)
 		case 3:
@@ -662,7 +662,7 @@ func putGetNeverTorn(t *testing.T, cfg runtime.Config, topts Options) {
 				}
 				distinct[a] = true
 				reads.Add(1)
-				gosched()
+				pollYield()
 			}
 		}
 		p.Barrier()

@@ -46,10 +46,11 @@ const (
 	// microseconds) but well inside the write rounds.
 	rdKillAt = vtime.Time(15 * time.Microsecond)
 
-	rdTagDesc  = 8801
-	rdTagDone  = 8802
-	rdTagFin   = 8803
-	rdTagReady = 8804
+	rdTagDesc   = 8801
+	rdTagDone   = 8802
+	rdTagFin    = 8803
+	rdTagReady  = 8804
+	rdTagMirror = 8805
 )
 
 // rdWriters are the compute ranks that issue operations.
@@ -99,21 +100,25 @@ func rdKillPlans() []struct {
 }
 
 // rdAwaitReplica blocks until this rank mirrors an exposure of owner's —
-// the announcement and the initial snapshot have both landed.
-func rdAwaitReplica(e *Engine, owner int) {
-	for {
-		e.repl.mu.Lock()
-		held := false
-		for key, r := range e.repl.replicas {
-			held = held || key.owner == owner && r.size > 0 && r.next > 1
-		}
-		e.repl.mu.Unlock()
-		if held {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
+// the announcement and the initial snapshot have both landed. The owner
+// reports its exposure with rdMirrored; the link delivers the mirror
+// before the report, so the replica is held once the report is.
+func rdAwaitReplica(t *testing.T, p *runtime.Proc, e *Engine, owner int) {
+	p.Recv(owner, rdTagMirror)
+	e.repl.mu.Lock()
+	held := false
+	for key, r := range e.repl.replicas {
+		held = held || key.owner == owner && r.size > 0 && r.next > 1
+	}
+	e.repl.mu.Unlock()
+	if !held {
+		t.Errorf("rank %d: rank %d reported its exposure, but no replica of it is held", p.Rank(), owner)
 	}
 }
+
+// rdMirrored is the owner's side of rdAwaitReplica: its exposure's mirror
+// is on the wire to buddy.
+func rdMirrored(p *runtime.Proc, buddy int) { p.Send(buddy, rdTagMirror, nil) }
 
 // rdPutComplete writes scratch's rdSlot bytes at disp of dst (served by
 // world rank serving) and completes toward it.
@@ -207,7 +212,7 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 	case rdVictim:
 	case rdVictim + 1:
 		if mirrored {
-			rdAwaitReplica(e, rdVictim)
+			rdAwaitReplica(t, p, e, rdVictim)
 		}
 		for _, r := range rdWriters {
 			if r != me {
@@ -218,6 +223,9 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 		p.Recv(rdVictim+1, rdTagReady)
 	}
 	tm, region := e.ExposeNew(size)
+	if me == rdVictim && mirrored {
+		rdMirrored(p, rdVictim+1)
+	}
 	if me == rdVictim {
 		// Pure target: applying (and replicating) happens in the NIC's
 		// handlers, which keep serving after the rank function returns —
@@ -280,7 +288,7 @@ func rdRank(t *testing.T, w *runtime.World, p *runtime.Proc, finals [][]byte, de
 	// slot there; the slot converges regardless of which rounds the replica
 	// already held (last completed version wins).
 	failover := func() {
-		spare, err := w.Members().AwaitRebuilt(rdVictim)
+		spare, err := w.Members().AwaitRebuilt(p, rdVictim)
 		if err != nil {
 			t.Errorf("rank %d: await rebuild: %v", me, err)
 			panic("rankdeath: rebuild unavailable")
@@ -452,10 +460,10 @@ func TestRankDeathNoReplica(t *testing.T) {
 // victim's NIC admitted (and relay-acked) the operation, and the rank died
 // before its engine reported the delivery counter, which under replication
 // waits for the buddy's acknowledgement. Nothing is then in flight toward
-// the victim, so only the progress sentinel's bait ping can find the
-// death: the wait has to be a surface the sentinel watches, and the ping
-// has to be stamped late enough in virtual time to meet a rank that died
-// after the waiter's clock stopped.
+// the victim, so only the quiet world's bait ping can find the death: the
+// wait has to be a surface the pings read, and the ping has to be stamped
+// late enough in virtual time to meet a rank that died after the waiter's
+// clock stopped.
 
 // ksWaits are the counter-riding waits under test.
 var ksWaits = map[string]func(e *Engine, comm *runtime.Comm) error{
@@ -530,9 +538,8 @@ func ksRun(t *testing.T, batched bool, wait func(*Engine, *runtime.Comm) error, 
 // taken from a fault-free pass of the same world, and it moves between
 // passes with host scheduling before the first put, so a kill may land on
 // either side of the delivery report — and which rank's budget exhaustion
-// confirms the death first depends on host scheduling too. A row spends
-// its half second asleep on the detector's real-time tickers, so the rows
-// of one issue path run side by side.
+// confirms the death first depends on host scheduling too. The rows of one
+// issue path run side by side, each in its own world.
 func TestRankKillInstantSweep(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		arrive, err := ksRun(t, batched, ksWaits["Complete"], 0)

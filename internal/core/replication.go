@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/simnet"
@@ -116,9 +116,10 @@ type replState struct {
 	rebuildGot  map[int]int
 	rebuildNeed map[int]int
 
-	// quit stops the progress sentinel goroutine (started by the first
-	// EnableReplication, closed by Engine.Close).
-	quit chan struct{}
+	// pinged counts the failure pings sent to each peer in quiet spell
+	// pingSpell; only the world's quiet step touches them.
+	pinged    map[int]int
+	pingSpell uint64
 }
 
 func (st *replState) init() {
@@ -130,6 +131,7 @@ func (st *replState) init() {
 	st.replicas = make(map[replKey]*replica)
 	st.rebuildGot = make(map[int]int)
 	st.rebuildNeed = make(map[int]int)
+	st.pinged = make(map[int]int)
 }
 
 // replicaLocked returns (creating if needed) the replica for key. Caller
@@ -158,24 +160,13 @@ func (e *Engine) EnableReplication() error {
 	}
 	st := &e.repl
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.enabled = true
 	if !e.proc.IsSpare() {
 		st.buddy = (e.proc.Rank() + 1) % n
 	}
-	if st.quit == nil {
-		st.quit = make(chan struct{})
-		go e.progressSentinel(st.quit)
-	}
+	st.mu.Unlock()
+	e.proc.OnQuiet(e.pingStalled)
 	return nil
-}
-
-// ReplicationEnabled reports whether EnableReplication was called.
-func (e *Engine) ReplicationEnabled() bool {
-	st := &e.repl
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.enabled
 }
 
 // Buddy returns the rank currently mirroring this rank's exposures, or
@@ -394,7 +385,7 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 	}
 	if orphaned {
 		e.emit(trace.KindBuddyLost, at, dead, 0, int64(len(flushed)), 0)
-		go e.replRebind(dead)
+		e.proc.World().Members().OnRebuilt(dead, e.replRebind)
 	}
 	if ward || len(mine) > 0 {
 		e.replPromote(dead, mine, at)
@@ -460,17 +451,13 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 	})
 }
 
-// replRebind runs on its own goroutine after this rank's buddy died: it
-// waits for the spare to finish rebuilding the buddy, then re-arms
-// replication toward it with a full resync (announcement plus full
-// snapshot per tracked handle, each drawing the next version). Operations
-// applied while the buddy was down completed unreplicated; the full
-// snapshot, taken after their deposits, covers every one of them.
-func (e *Engine) replRebind(dead int) {
-	spare, err := e.proc.World().Members().AwaitRebuilt(dead)
-	if err != nil {
-		return // no spare: replication stays degraded
-	}
+// replRebind runs once the spare has rebuilt this rank's dead buddy
+// (Membership.OnRebuilt): it re-arms replication toward the spare with a
+// full resync (announcement plus full snapshot per tracked handle, each
+// drawing the next version). Operations applied while the buddy was down
+// completed unreplicated; the full snapshot, taken after their deposits,
+// covers every one of them.
+func (e *Engine) replRebind(spare int) {
 	st := &e.repl
 	st.mu.Lock()
 	st.buddy = spare
@@ -574,7 +561,7 @@ func (e *Engine) finishRebuild(dead, promoter int, at vtime.Time) {
 	e.emit(trace.KindRebuildDone, at, dead, uint64(promoter), 0, 0)
 }
 
-// The progress sentinel (the failure detector's second trigger).
+// Failure pings (the failure detector's second trigger).
 //
 // The reliable-delivery relay retransmits frames until the receiving NIC
 // acknowledges them, so toward a LIVE peer every engine-level reply —
@@ -590,141 +577,73 @@ func (e *Engine) finishRebuild(dead, promoter int, at vtime.Time) {
 // completion probe was parked at a target that died before its deferred
 // applies were acknowledged.
 //
-// The sentinel closes the loop end-to-end: a per-engine ticker watches
-// every surface that waits on a remote engine — every registered counter
-// waiter (Engine.waits: whichever call is blocked, it is one of those),
-// every outstanding request, every unacknowledged replication deferral —
-// and when one makes no progress across consecutive ticks it sends a
-// kPing to the stalled peer through the relay, stamped later in virtual
-// time with every ping that changes nothing (sentinelSweep). The ping
-// carries no semantics; it is bait. A live peer's NIC relay-acks it and
-// nothing else happens (whatever reply is owed will arrive by
-// retransmission).
-// A dead peer blackholes it, the relay exhausts the ping's retry budget,
-// and the ordinary detection path — onLinkFailed, membership Suspect
-// against RAS ground truth, onRankDead fan-out — fails the stalled work
-// with ErrRankFailed in bounded time.
-//
-// The ticker runs on real time, like the relay's retransmitter: virtual
-// time is advanced by the very completions that are failing to happen,
-// so a virtual-time watchdog could never fire. Pings perturb nothing a
-// run's results depend on (no payload, no handler side effects), and on
-// a world without the relay (no fault plan) the sentinel stays silent —
-// detection is impossible there and the pings would be pure noise.
+// The quiet world closes the loop: when every rank is blocked and no frame
+// is in flight, nothing moves again unless someone speaks, so each
+// replicating engine pings the peers it waits on. The kPing is bait: a
+// live peer's NIC relay-acks it; a dead peer blackholes it, the relay
+// exhausts its budget in the quiet steps that follow, and the ordinary
+// detection path — onLinkFailed, membership Suspect against RAS ground
+// truth, onRankDead fan-out — fails the stalled work with ErrRankFailed.
 
-const (
-	// sentinelTick is the sentinel's real-time sampling period.
-	sentinelTick = 25 * time.Millisecond
-	// sentinelStrikes is how many consecutive unchanged samples a target
-	// must accumulate before it is pinged (one sample can catch a wait
-	// mid-setup; two means a full tick passed with zero progress).
-	sentinelStrikes = 2
-	// sentinelPingEvery rate-limits pings per stalled target; one ping is
-	// enough to arm the relay's detector (~the retry budget, well under a
-	// second, to a verdict), re-pinging just keeps a long stall honest.
-	sentinelPingEvery = 250 * time.Millisecond
-)
-
-// sentinelWatch is the sentinel's per-target memory between ticks.
-type sentinelWatch struct {
-	mark     uint64
-	strikes  int
-	pings    int // consecutive pings sent while mark stood still
-	lastPing time.Time
-}
-
-// progressSentinel runs until quit closes, sampling the engine's remote
-// waits each tick and pinging peers that stall.
-func (e *Engine) progressSentinel(quit chan struct{}) {
-	t := time.NewTicker(sentinelTick)
-	defer t.Stop()
-	watch := make(map[int]*sentinelWatch)
-	for {
-		select {
-		case <-quit:
-			return
-		case now := <-t.C:
-			e.sentinelSweep(watch, now)
+// pingStalled is the engine's quiet hook (runtime.Proc.OnQuiet): it pings
+// each peer this engine waits on, at most RetryPolicy.Budget times — the
+// relay's own patience — per quiet spell, so a genuine deadlock leaves the
+// world quiet, and reports whether it sent any. Without the relay it is
+// silent: detection is impossible there.
+func (e *Engine) pingStalled(spell uint64) bool {
+	st, nic := &e.repl, e.proc.NIC()
+	if spell != st.pingSpell {
+		clear(st.pinged)
+		st.pingSpell = spell
+	}
+	sent := false
+	for _, peer := range e.awaitedPeers() {
+		k := st.pinged[peer] + 1
+		if peer == e.proc.Rank() || k > nic.RetryBudget() || e.stickyFor(peer) != nil {
+			continue
 		}
+		st.pinged[peer] = k
+		e.Pings.Inc()
+		// This rank's clock stands where its last send left it, so a ping
+		// stamped Now() can never meet a peer that dies after that instant:
+		// in virtual time it arrives before the death, every time. The k-th
+		// ping of a spell is stamped as the relay would stamp a k-th
+		// retransmission — virtual patience for the quiet steps that passed
+		// with no progress.
+		at := e.proc.Now() + vtime.Time(nic.RetryPatience(k))
+		e.emit(trace.KindSentinelPing, at, peer, 0, int64(k), 0)
+		e.sendReplyNIC(at, newMsg(peer, kPing, 0))
+		sent = true
 	}
+	return sent
 }
 
-// sentinelMarks samples every wait-on-a-remote-engine surface, returning
-// a progress marker per awaited world rank. Equal marks across ticks
-// mean the same waits saw no movement; any completion, acknowledgement
-// or new registration changes the marker. The mix is order-independent
-// (the maps iterate randomly) and collisions merely delay a ping by one
-// tick.
-func (e *Engine) sentinelMarks() map[int]uint64 {
-	marks := make(map[int]uint64)
-	mix := func(rank int, v uint64) {
-		marks[rank] += v*2654435761 + 1
-	}
+// awaitedPeers lists, in rank order, the peers of every counter waiter
+// (Engine.waits) and outstanding request, and the buddy while replication
+// deferrals are unacknowledged.
+func (e *Engine) awaitedPeers() []int {
+	var peers []int
 	st := &e.repl
 	st.mu.Lock()
 	if st.enabled && !st.down && st.buddy >= 0 {
-		for h, q := range st.deferred {
+		for _, q := range st.deferred {
 			if len(q) > 0 {
-				mix(st.buddy, uint64(len(q))<<40^st.acked[h]<<8^h)
+				peers = append(peers, st.buddy)
+				break
 			}
 		}
 	}
 	st.mu.Unlock()
 	e.mu.Lock()
-	for id, r := range e.reqs {
-		mix(r.target, id)
+	for _, r := range e.reqs {
+		peers = append(peers, r.target)
 	}
 	e.mu.Unlock()
 	for _, w := range e.waits() {
-		mix(w.Peer, uint64(w.Threshold)<<16^uint64(w.Have))
+		peers = append(peers, w.Peer)
 	}
-	return marks
-}
-
-// sentinelSweep is one tick: compare this sample against the last, ping
-// targets stalled long enough, and forget targets no longer waited on
-// (or already sticky-failed — their waiters were unwound by the failure).
-func (e *Engine) sentinelSweep(watch map[int]*sentinelWatch, now time.Time) {
-	if !e.proc.NIC().Reliable() {
-		return
-	}
-	marks := e.sentinelMarks()
-	for rank := range watch {
-		if _, waiting := marks[rank]; !waiting {
-			delete(watch, rank)
-		}
-	}
-	me := e.proc.Rank()
-	for rank, mark := range marks {
-		if rank == me || e.stickyFor(rank) != nil {
-			delete(watch, rank)
-			continue
-		}
-		w := watch[rank]
-		if w == nil || w.mark != mark {
-			watch[rank] = &sentinelWatch{mark: mark}
-			continue
-		}
-		w.strikes++
-		if w.strikes < sentinelStrikes {
-			continue
-		}
-		if !w.lastPing.IsZero() && now.Sub(w.lastPing) < sentinelPingEvery {
-			continue
-		}
-		w.lastPing = now
-		w.pings++
-		e.Pings.Inc()
-		// This rank's clock stands where its last send left it, so a ping
-		// stamped Now() can never meet a peer that dies after that instant:
-		// in virtual time it arrives before the death, every time. The k-th
-		// ping in a row is stamped as the relay would stamp a k-th
-		// retransmission — virtual patience for the real time that passed
-		// with no progress.
-		at := e.proc.Now() + vtime.Time(e.proc.NIC().RetryPatience(w.pings))
-		e.emit(trace.KindSentinelPing, at, rank, 0, int64(w.strikes), 0)
-		e.sendReplyNIC(at, newMsg(rank, kPing, 0))
-	}
+	slices.Sort(peers)
+	return slices.Compact(peers)
 }
 
 // handlePing is the liveness probe's target side: the frame's admission

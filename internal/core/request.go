@@ -35,9 +35,8 @@ type Request struct {
 	val  []byte
 	err  error
 	ch   chan struct{} // created lazily on the first Done
-	// waker is the engine wake slot's channel a Wait is parked on, if one
-	// is: finish sends it a token.
-	waker chan struct{}
+	// waited is set once a Wait parks on the engine's bell: finish rings it.
+	waited bool
 
 	// onDone holds completion callbacks registered before the request
 	// finished; finish captures and clears them under mu, so each runs
@@ -78,21 +77,6 @@ func (e *Engine) newRequest(target int, latKind uint8) *Request {
 	return r
 }
 
-// waitCh returns the completion channel, creating it on first use: only a
-// caller that asks for Done pays for one. Wait parks on a reusable wake
-// slot instead.
-func (r *Request) waitCh() chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ch == nil {
-		r.ch = make(chan struct{})
-		if r.done {
-			close(r.ch)
-		}
-	}
-	return r.ch
-}
-
 // complete marks the request done at virtual time at with optional result
 // value, and removes it from the engine table. Idempotence guards against
 // protocol duplicates.
@@ -129,11 +113,8 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 	if r.ch != nil {
 		close(r.ch)
 	}
-	if r.waker != nil {
-		select {
-		case r.waker <- struct{}{}:
-		default: // a token is there already
-		}
+	if r.waited {
+		r.e.bell.Ring()
 	}
 	r.mu.Unlock()
 	r.e.mu.Lock()
@@ -184,20 +165,11 @@ func (r *Request) OnDone(fn func(error)) {
 func (r *Request) Wait() {
 	r.mu.Lock()
 	for !r.done {
-		if r.waker != nil {
-			// Another Wait holds the slot; share the Done channel.
-			r.mu.Unlock()
-			<-r.waitCh()
-			r.mu.Lock()
-			continue
-		}
-		slot := r.e.takeSlot()
-		r.waker = slot.ch
+		r.waited = true
+		seen := r.e.bell.Rings()
 		r.mu.Unlock()
-		<-slot.ch // or a token left from the slot's earlier use: look again
+		r.e.proc.Park(r.e.bell, seen) // or a ring meant for another wait: look again
 		r.mu.Lock()
-		r.waker = nil
-		r.e.slots.put(slot)
 	}
 	at := r.at
 	r.mu.Unlock()
@@ -217,8 +189,20 @@ func (r *Request) Test() bool {
 	return done
 }
 
-// Done exposes the completion channel for select-based waiting.
-func (r *Request) Done() <-chan struct{} { return r.waitCh() }
+// Done exposes the completion channel for select-based waiting, creating
+// it on first use: only a caller that asks for Done pays for one (Wait
+// parks on a reusable wake slot instead).
+func (r *Request) Done() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ch == nil {
+		r.ch = make(chan struct{})
+		if r.done {
+			close(r.ch)
+		}
+	}
+	return r.ch
+}
 
 // Await is Wait followed by Err: it blocks until the operation completes,
 // advances the rank's virtual clock to the completion time, and returns

@@ -225,7 +225,7 @@ type pinCtx struct {
 func (c *pinCtx) settle() {
 	c.issued++
 	for c.target.OpsApplied.Value() < c.issued || c.e.Notifies.Value() < c.notified {
-		gosched()
+		pollYield()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/telemetry"
 	"mpi3rma/internal/vtime"
 )
@@ -16,43 +17,39 @@ import (
 
 // waiter is one registration on a watermark, woken outside the owner's
 // lock when the count reaches threshold or a sticky failure makes that
-// moot. A local wait's waiter feeds the channel the waiting call sleeps on;
+// moot. A local wait's waiter rings the bell the waiting call sleeps on;
 // a parked completion probe's answers the remote origin with a kProbeAck.
 type waiter struct {
 	threshold int64
-	ch        chan struct{} // a local call's wake slot channel; nil for a probe
+	bell      *runtime.Bell // a local call's: the engine's bell; nil for a probe
 	probe     *Engine       // a parked probe: the engine that answers it
 	origin    int           // ... whom
 	reqID     uint64        // ... about which request
 	arrival   vtime.Time    // ... and when the probe arrived
 }
 
-// wake tells the waiter to look again: a non-blocking send for a local
-// call (which re-tries its cases, so a token too many is harmless), the
+// wake tells the waiter to look again: a ring for a local call (which
+// re-tries its cases, so a ring too many is harmless), the
 // answer for a probe — unless it was a failure's poke below the threshold,
 // which leaves nothing to answer yet. A probe is answered no earlier than
 // it arrived: the raise that satisfies it can be stamped before that in
 // virtual time, having merely run later on the host.
 func (wt *waiter) wake(count int64, at vtime.Time) {
-	if wt.ch != nil {
-		select {
-		case wt.ch <- struct{}{}:
-		default:
-		}
+	if wt.bell != nil {
+		wt.bell.Ring()
 	} else if count >= wt.threshold {
 		wt.probe.sendProbeAck(wt.origin, wt.reqID, count, vtime.Later(wt.arrival, at))
 	}
 }
 
-// wakeSlot is what a blocked call sleeps on: a one-token channel and, for
-// the common wait on a single case, the waiter feeding it. Slots are reused
-// (Engine.slots) and a wakeup may trail the wait it was meant for — a
-// request's OnDone, a raise's wake after the waker moved on — so a slot can
-// hold a token from an earlier life; every sleeper re-checks what it waits
-// for. one[0].ch is set once, here: a late waker may read it while the
-// slot's next user sets the threshold.
+// wakeSlot holds, for the common wait on a single case, the waiter that
+// rings the engine's bell, which every blocked call of the rank parks on.
+// Slots are reused (Engine.slots) and a wakeup may trail the wait it was
+// meant for — a request's OnDone, a raise's wake after the waker moved
+// on — so the bell can ring for another wait; every sleeper re-checks what
+// it waits for. one[0].bell is set once, here: a late waker may read it
+// while the slot's next user sets the threshold.
 type wakeSlot struct {
-	ch  chan struct{}
 	one [1]waiter
 }
 
@@ -60,8 +57,8 @@ type wakeSlot struct {
 func (e *Engine) takeSlot() *wakeSlot {
 	s := e.slots.get()
 	if s == nil {
-		s = &wakeSlot{ch: make(chan struct{}, 1)}
-		s.one[0].ch = s.ch
+		s = &wakeSlot{}
+		s.one[0].bell = e.bell
 	}
 	return s
 }
@@ -264,19 +261,28 @@ func (e *Engine) linkCase(rc *SelectCase, wt *waiter, on bool) {
 // registers a waiter per case and tries again; later misses sleep until a
 // waiter is woken; the way out unregisters them from the watermarks. It
 // starts no goroutine. Every wakeup — a raise, a request's end, a
-// failure's poke — is a non-blocking send on the channel of one reusable
-// wake slot, and the state it announces is written before the send, so the
-// try after registering cannot miss one.
+// failure's poke — rings the bell of one reusable wake slot, and the state
+// it announces is written before the ring, so a ring after the try read the
+// bell's count cannot be missed. It sleeps in Proc.Park, so the rank counts
+// as idle to the world's quiet step meanwhile.
 //
-// Under the progress serializer sleeping would deadlock: this rank is
-// inside the library, so it IS the progress engine for its own deferred
-// applies. It polls instead, draining the queue between tries.
+// Under the progress serializer this rank is inside the library, so it IS
+// the progress engine for its own deferred applies: it drains the queue
+// before every try, and a deferred apply arriving while it sleeps rings the
+// engine's bell, which every slot shares.
 //
 // It does not advance the virtual clock; callers do, to the event's At.
 func (e *Engine) wait(cases []SelectCase) (int, Event) {
 	var slot *wakeSlot
 	var ws []waiter
+	var seen uint64
 	for {
+		if slot != nil {
+			seen = e.bell.Rings()
+			if e.progQ != nil {
+				e.Progress()
+			}
+		}
 		for i := range cases {
 			if ev, ok := e.tryCase(&cases[i]); ok {
 				for j := range ws {
@@ -288,32 +294,28 @@ func (e *Engine) wait(cases []SelectCase) (int, Event) {
 				return i, ev
 			}
 		}
-		switch {
-		case slot == nil:
-			slot = e.takeSlot()
-			ws = slot.one[:]
-			if len(cases) > 1 {
-				ws = make([]waiter, len(cases))
-				for i := range ws {
-					ws[i].ch = slot.ch
-				}
+		if slot != nil {
+			e.proc.Park(e.bell, seen)
+			continue
+		}
+		slot = e.takeSlot()
+		ws = slot.one[:]
+		if len(cases) > 1 {
+			ws = make([]waiter, len(cases))
+			for i := range ws {
+				ws[i].bell = e.bell
 			}
-			for i := range cases {
-				ws[i].threshold = cases[i].threshold
-				e.linkCase(&cases[i], &ws[i], true)
-			}
-		case e.progQ != nil:
-			e.Progress()
-			gosched()
-		default:
-			<-slot.ch
+		}
+		for i := range cases {
+			ws[i].threshold = cases[i].threshold
+			e.linkCase(&cases[i], &ws[i], true)
 		}
 	}
 }
 
 // waits lists every registered counter waiter: the one enumeration Health
-// reports and the progress sentinel watches, so a call blocked on a
-// counter — whichever call — is visible to both.
+// reports and the failure pings read, so a call blocked on a counter —
+// whichever call — is visible to both.
 func (e *Engine) waits() []telemetry.WaitHealth {
 	var out []telemetry.WaitHealth
 	list := func(counter string, marks []watermark) {

@@ -172,11 +172,10 @@ func TestWaitsStartNoGoroutine(t *testing.T) {
 }
 
 // TestRequestWaitConcurrent: any number of goroutines may Wait on one
-// request. One parks on an engine wake slot, the others — the slot is
-// taken — share the Done channel, and a token left in the slot by an
-// earlier life wakes nobody for good: the sleeper looks again. First on a
-// request held open until everyone is asleep, a stale token planted in the
-// slot; then on remote-complete puts racing their waiters.
+// request, all parked on the engine's bell, and a ring meant for another
+// wait wakes nobody for good: the sleepers look again. First on a request
+// held open while a stray ring hits the parked waiters; then on
+// remote-complete puts racing their waiters.
 func TestRequestWaitConcurrent(t *testing.T) {
 	const waiters, rounds = 4, 50
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 29})
@@ -205,27 +204,21 @@ func TestRequestWaitConcurrent(t *testing.T) {
 			return returned, wg
 		}
 
-		slot := e.takeSlot()
-		slot.ch <- struct{}{} // a wakeup that trailed the slot's last user
-		e.slots.put(slot)
 		r := e.newRequest(1, latNone)
 		returned, wg := waitAll(r)
 		for asleep := false; !asleep; time.Sleep(100 * time.Microsecond) {
 			r.mu.Lock()
-			// The stale token is spent, one Wait holds the slot and another
-			// has fallen back to the channel.
-			asleep = len(slot.ch) == 0 && r.waker == slot.ch && r.ch != nil
+			asleep = r.waited
 			r.mu.Unlock()
 		}
+		time.Sleep(5 * time.Millisecond) // let the other waiters park too
+		e.bell.Ring()                    // a wakeup meant for another wait
+		time.Sleep(5 * time.Millisecond)
 		if n := returned.Load(); n != 0 {
 			t.Errorf("%d waiters returned from a pending request", n)
 		}
 		r.complete(p.Now(), nil)
 		wg.Wait()
-		if got := e.slots.get(); got != slot || len(slot.ch) != 0 {
-			t.Errorf("after the wait the free list holds slot %p with %d tokens, want %p with none", got, len(slot.ch), slot)
-		}
-		e.slots.put(slot)
 
 		enc, _ := p.Recv(1, 9999)
 		tm, err := DecodeTargetMem(enc)

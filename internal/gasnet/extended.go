@@ -39,7 +39,7 @@ func (h *Handle) Wait() error {
 	if h == nil || h.w == nil {
 		return nil
 	}
-	<-h.w.ch
+	h.g.proc.Park(h.w.done, 0)
 	h.g.proc.NIC().CPU().AdvanceTo(h.w.at)
 	if h.isGet {
 		if h.w.data == nil {
@@ -58,12 +58,10 @@ func (h *Handle) Try() (bool, error) {
 	if h == nil || h.w == nil {
 		return true, nil
 	}
-	select {
-	case <-h.w.ch:
-		return true, h.Wait()
-	default:
+	if h.w.done.Rings() == 0 {
 		return false, nil
 	}
+	return true, h.Wait()
 }
 
 // initExtended registers the internal extended-API handlers; Attach calls

@@ -124,7 +124,7 @@ type SegmentInfo struct {
 
 // opWait tracks a nonblocking extended-API operation.
 type opWait struct {
-	ch   chan struct{}
+	done *runtime.Bell // rings once, with the reply
 	at   vtime.Time
 	data []byte
 }
@@ -207,7 +207,7 @@ func (g *GASNet) SegmentSize(rank int) (int, error) {
 
 // newWait registers a completion cookie.
 func (g *GASNet) newWait() (uint64, *opWait) {
-	w := &opWait{ch: make(chan struct{})}
+	w := &opWait{done: g.proc.NewBell()}
 	g.waitMu.Lock()
 	g.waitSeq++
 	id := g.waitSeq
@@ -305,7 +305,7 @@ func (g *GASNet) handleReply(m *simnet.Message, at vtime.Time) {
 		if w := g.takeWait(id); w != nil {
 			w.at = at
 			w.data = m.Payload
-			close(w.ch)
+			w.done.Ring()
 			return
 		}
 	}

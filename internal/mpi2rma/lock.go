@@ -2,8 +2,8 @@ package mpi2rma
 
 import (
 	"fmt"
-	"sync"
 
+	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
 	"mpi3rma/rma"
@@ -16,12 +16,11 @@ import (
 // target (the strawman completion probe), then releases — matching MPI-2's
 // rule that operations are complete at unlock.
 
-// pendingLock tracks this origin's in-flight lock request.
+// pendingLock tracks this origin's in-flight lock request. Only the first
+// grant finds it (takeLockWait), sets at and rings granted.
 type pendingLock struct {
-	mu   sync.Mutex
-	ch   chan struct{}
-	at   vtime.Time
-	done bool
+	granted *runtime.Bell
+	at      vtime.Time
 }
 
 // Lock opens a passive-target access epoch on trank's window memory.
@@ -36,10 +35,10 @@ func (w *Win) Lock(typ LockType, trank int) error {
 	}
 	w.mu.Unlock()
 
-	pl := &pendingLock{ch: make(chan struct{})}
+	pl := &pendingLock{granted: w.rma.proc.NewBell()}
 	reqID := w.rma.registerLockWait(pl)
 	w.sendCtl(kWLockReq, trank, uint64(typ), reqID)
-	<-pl.ch
+	w.rma.proc.Park(pl.granted, 0)
 	w.rma.proc.NIC().CPU().AdvanceTo(pl.at)
 
 	w.mu.Lock()
@@ -155,13 +154,8 @@ func (r *RMA) handleLockGrant(m *simnet.Message, at vtime.Time) {
 		r.proc.NIC().BadReq.Inc()
 		return
 	}
-	pl.mu.Lock()
-	if !pl.done {
-		pl.done = true
-		pl.at = at
-		close(pl.ch)
-	}
-	pl.mu.Unlock()
+	pl.at = at
+	pl.granted.Ring()
 }
 
 // handleLockRel releases a holder and grants as many queued requests as

@@ -71,6 +71,7 @@ func (w *Win) Start(group []int) error {
 	}
 	w.epoch.accessGroup = ag
 	for {
+		seen := w.notice.Rings()
 		all := true
 		for _, g := range group {
 			if !w.postsSeen[g] {
@@ -81,7 +82,9 @@ func (w *Win) Start(group []int) error {
 		if all {
 			break
 		}
-		w.cond.Wait()
+		w.mu.Unlock()
+		w.rma.proc.Park(w.notice, seen)
+		w.mu.Lock()
 	}
 	for _, g := range group {
 		delete(w.postsSeen, g)
@@ -124,6 +127,7 @@ func (w *Win) Wait() error {
 		return fmt.Errorf("mpi2rma: Wait without a matching Post: %w", rma.ErrEpoch)
 	}
 	for {
+		seen := w.notice.Rings()
 		all := true
 		for g := range group {
 			if !w.donesSeen[g] {
@@ -134,7 +138,9 @@ func (w *Win) Wait() error {
 		if all {
 			break
 		}
-		w.cond.Wait()
+		w.mu.Unlock()
+		w.rma.proc.Park(w.notice, seen)
+		w.mu.Lock()
 	}
 	w.epoch.postGroup = nil
 	w.donesSeen = make(map[int]bool)
@@ -179,7 +185,7 @@ func (r *RMA) handlePost(m *simnet.Message, at vtime.Time) {
 	w.postsSeen[src] = true
 	w.noticeAt = vtime.Later(w.noticeAt, at)
 	w.mu.Unlock()
-	w.cond.Broadcast()
+	w.notice.Ring()
 }
 
 // handleDone records an origin's access-epoch-closed notice.
@@ -194,5 +200,5 @@ func (r *RMA) handleDone(m *simnet.Message, at vtime.Time) {
 	w.donesSeen[src] = true
 	w.noticeAt = vtime.Later(w.noticeAt, at)
 	w.mu.Unlock()
-	w.cond.Broadcast()
+	w.notice.Ring()
 }

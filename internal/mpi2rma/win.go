@@ -145,10 +145,10 @@ type Win struct {
 	tms  []rma.TargetMem // per comm rank
 	mine rma.Region
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	epoch epochState
-	freed bool
+	mu     sync.Mutex
+	notice *runtime.Bell // rings on every post and complete notice
+	epoch  epochState
+	freed  bool
 
 	// PSCW notification state.
 	postsSeen map[int]bool // origins' exposure epochs we have been told of
@@ -196,7 +196,7 @@ func (r *RMA) WinCreate(comm *runtime.Comm, region rma.Region) (*Win, error) {
 		donesSeen:   make(map[int]bool),
 		lockHolders: make(map[int]LockType),
 	}
-	w.cond = sync.NewCond(&w.mu)
+	w.notice = r.proc.NewBell()
 	r.mu.Lock()
 	r.wins[id] = w
 	r.mu.Unlock()

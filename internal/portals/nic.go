@@ -24,8 +24,8 @@
 // there; otherwise the message joins the backlog, and whoever holds the
 // token drains it before letting go, as in flat combining. So a NIC's
 // handlers never run concurrently, and each sender's messages run in send
-// order. On unordered networks the scrambler hands each message to the
-// same path.
+// order. On unordered networks whichever goroutine releases a message from
+// its link's reorder buffer hands it to the same path.
 //
 // A NIC can be configured without hardware ACK generation (HardwareAcks =
 // false), modelling networks that can order messages but cannot report
@@ -48,13 +48,12 @@ import (
 // Handler processes one incoming message while its NIC's delivery token is
 // held, on whichever goroutine holds it: the sender's when the NIC was
 // idle, otherwise the goroutine that was holding the token and drains the
-// backlog (on unordered networks, the scrambler's). Either way no other
-// handler of the same NIC runs meanwhile. at is the virtual time the NIC
-// finished delivering the message (arrival plus per-message overhead).
-// Handlers must not block indefinitely: the token stops every other
-// delivery to the rank. Like every sender, a handler must not send while
-// holding a lock some handler takes: the send can run the destination's
-// handler on this goroutine.
+// backlog. Either way no other handler of the same NIC runs meanwhile. at
+// is the virtual time the NIC finished delivering the message (arrival
+// plus per-message overhead). Handlers must not block indefinitely: the
+// token stops every other delivery to the rank. Like every sender, a
+// handler must not send while holding a lock some handler takes: the send
+// can run the destination's handler on this goroutine.
 type Handler func(m *simnet.Message, at vtime.Time)
 
 // Config configures a NIC.
@@ -106,9 +105,6 @@ type NIC struct {
 	mds   []*MD
 	table map[int]*MD // portal index -> MD exposed for remote access
 
-	// quit closes when the NIC stops, to stop the relay's retransmitter.
-	quit chan struct{}
-
 	// relay is the transmit-side reliability engine (nil until
 	// EnableReliability); rx is the always-on receive-side state, touched
 	// only under the delivery token. linkFail and retransObs are the
@@ -125,8 +121,8 @@ type NIC struct {
 	BadReq stats.Counter
 	// Delivered and DeliveredBytes count messages (and their payload bytes)
 	// this NIC handed to a handler. Inline counts the arrivals it ran on
-	// the goroutine that handed them over (the sender's, or the unordered
-	// network's scrambler) instead of passing them through the backlog.
+	// the goroutine that handed them over instead of passing them through
+	// the backlog.
 	Delivered      stats.Counter
 	DeliveredBytes stats.Counter
 	Inline         stats.Counter
@@ -145,7 +141,6 @@ func NewNIC(ep *simnet.Endpoint, mem *memsim.Memory, cfg Config) *NIC {
 		handlers: make(map[uint8]Handler),
 		pending:  make(map[uint8][]*simnet.Message),
 		table:    make(map[int]*MD),
-		quit:     make(chan struct{}),
 	}
 	n.registerPortalsHandlers()
 	ep.SetInline(n.offer)
@@ -211,19 +206,12 @@ func (n *NIC) SendNIC(at vtime.Time, m *simnet.Message) (vtime.Time, error) {
 	return n.ep.SendNIC(at, m)
 }
 
-// Stop stops delivery. It waits out a delivery in progress, drops the
-// backlog and every later arrival, and waits for the relay's
-// retransmitter to exit. Stop is idempotent.
+// Stop stops delivery. It waits out a delivery in progress and drops the
+// backlog and every later arrival. Stop is idempotent.
 func (n *NIC) Stop() {
 	n.token.Lock()
-	if !n.stopped {
-		n.stopped = true
-		close(n.quit)
-	}
+	n.stopped = true
 	n.release()
-	if r := n.relay.Load(); r != nil {
-		<-r.done
-	}
 }
 
 // offer is the endpoint's delivery hook. It runs m on the calling

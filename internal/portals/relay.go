@@ -1,11 +1,11 @@
 package portals
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -22,8 +22,8 @@ import (
 //   - The origin stamps every tracked frame with a per-(src,dst) sequence
 //     number (Message.RSeq) and a payload checksum (Message.Sum), keeps a
 //     private copy of the payload, and retransmits on timeout with
-//     exponential backoff + jitter until acknowledged or the retry budget
-//     is exhausted.
+//     exponential backoff until acknowledged or the retry budget is
+//     exhausted.
 //   - The receiver rejects corrupted frames by checksum (silently — the
 //     origin retransmits an intact copy), acknowledges and deduplicates by
 //     RSeq, and on ordered networks reassembles the per-link RSeq stream
@@ -40,13 +40,9 @@ import (
 // and those frames must still be admitted. Transmission is opt-in via
 // EnableReliability.
 //
-// Retransmission timers run in real time (a background ticker per NIC),
-// but every retransmitted frame is stamped with a deterministic virtual
-// send time: the original send time plus the accumulated virtual backoff.
-// Virtual-time results therefore do not depend on the host scheduler,
-// with one caveat documented in DESIGN.md §9: which retransmission
-// attempt first survives the fault plan can vary run to run, so workloads
-// validated under faults must converge independent of delivery order.
+// There is no timer: the runtime calls Fire when every rank of a world is
+// blocked in the library (DESIGN.md §9), and Fire retransmits the lost
+// frame with the earliest virtual deadline, stamped with that deadline.
 
 // ErrLinkFailed is the sentinel wrapped into every error produced by an
 // exhausted retry budget: the relay declares the link down, fails the
@@ -56,15 +52,12 @@ var ErrLinkFailed = errors.New("link failed: retry budget exhausted")
 // RetryPolicy tunes the transmit side of the reliable-delivery relay.
 // Zero fields take the Default* constants.
 type RetryPolicy struct {
-	// Timeout is the virtual-time base retransmission timeout: attempt k
-	// (counting from 0) is stamped Timeout·Backoff^k after the previous
-	// transmission, plus jitter.
+	// Timeout is the virtual-time base retransmission timeout:
+	// retransmission k (counting from 0) is stamped Timeout·Backoff^k
+	// after the transmission before it.
 	Timeout time.Duration
 	// Backoff is the exponential backoff factor (≥ 1).
 	Backoff float64
-	// Jitter is the maximum extra virtual delay per retransmission, as a
-	// fraction of Timeout, drawn from the relay's seeded generator.
-	Jitter float64
 	// Budget is how many retransmissions the relay attempts before
 	// declaring the link failed.
 	Budget int
@@ -73,16 +66,12 @@ type RetryPolicy struct {
 	// Frames beyond the window are dropped unacknowledged (the origin
 	// retransmits them once the gap heals).
 	Window int
-	// Seed seeds the jitter generator. runtime and rma default it to the
-	// fault plan's seed so one seed reproduces a whole chaos run.
-	Seed int64
 }
 
 // Defaults for zero RetryPolicy fields.
 const (
 	DefaultRetryTimeout = 50 * time.Microsecond
 	DefaultRetryBackoff = 2.0
-	DefaultRetryJitter  = 0.25
 	DefaultRetryBudget  = 8
 	DefaultRetryWindow  = 256
 )
@@ -93,9 +82,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Backoff < 1 {
 		p.Backoff = DefaultRetryBackoff
-	}
-	if p.Jitter < 0 {
-		p.Jitter = DefaultRetryJitter
 	}
 	if p.Budget <= 0 {
 		p.Budget = DefaultRetryBudget
@@ -124,27 +110,12 @@ func Checksum(p []byte) uint32 {
 	return crc32.Checksum(p, castagnoli)
 }
 
-// retransTick is the real-time pacing quantum of the retransmitter: due
-// frames are (re)examined this often. It bounds how stale a timeout check
-// can be, not the virtual-time stamps of retransmissions.
-const retransTick = time.Millisecond
-
-// retransRealBase is the real-time deadline of the first retransmission;
-// attempt k waits retransRealBase·Backoff^k, capped at retransRealCap.
-// Real deadlines only pace the host-time ticker — virtual stamps come
-// from RetryPolicy.Timeout.
-const (
-	retransRealBase = 2 * time.Millisecond
-	retransRealCap  = 100 * time.Millisecond
-)
-
 // txFrame is one unacknowledged tracked frame.
 type txFrame struct {
 	tmpl     simnet.Message // header template (payload stripped)
 	payload  []byte         // private master copy of the payload
 	vt       vtime.Time     // virtual send time of the latest transmission
 	attempts int            // retransmissions so far
-	due      time.Time      // real deadline of the next timeout check
 }
 
 // txLink is the transmit state toward one destination rank.
@@ -160,13 +131,7 @@ type relay struct {
 	pol RetryPolicy
 
 	mu    sync.Mutex //rmalint:lockrank 40
-	rng   *rand.Rand // jitter draws; guarded by mu
 	links map[int]*txLink
-
-	// done closes when the retransmitter has exited. NIC.Stop waits for it,
-	// so a link-failure handler it is running — a failure fan-out, a
-	// postmortem half written — finishes before the world is torn down.
-	done chan struct{}
 }
 
 // dedupWindow tracks which RSeqs of one link have been delivered. It is
@@ -219,24 +184,14 @@ type rxLink struct {
 // ranks may all pass the same policy). Without it the send path pays one
 // atomic nil check and nothing else.
 func (n *NIC) EnableReliability(pol RetryPolicy) {
-	pol = pol.withDefaults()
-	r := &relay{
-		n:     n,
-		pol:   pol,
-		rng:   rand.New(rand.NewSource(pol.Seed + int64(n.ep.ID())*104729)),
-		links: make(map[int]*txLink),
-		done:  make(chan struct{}),
-	}
-	if n.relay.CompareAndSwap(nil, r) {
-		go r.retransmitter()
-	}
+	n.relay.CompareAndSwap(nil, &relay{n: n, pol: pol.withDefaults(), links: make(map[int]*txLink)})
 }
 
 // Reliable reports whether the transmit relay is enabled.
 func (n *NIC) Reliable() bool { return n.relay.Load() != nil }
 
-// SetLinkFailureHandler installs the callback invoked (once per failed
-// link, off the caller's goroutine) when a retry budget is exhausted.
+// SetLinkFailureHandler installs the callback invoked once per failed
+// link, on the goroutine that runs Fire, when a retry budget is exhausted.
 // The layer above uses it to fail outstanding requests instead of
 // waiting for acknowledgements that will never come.
 func (n *NIC) SetLinkFailureHandler(h func(dst int, at vtime.Time, err error)) {
@@ -281,7 +236,6 @@ func (r *relay) send(now vtime.Time, m *simnet.Message, viaNIC bool) (vtime.Time
 	f := &txFrame{
 		tmpl:    *m,
 		payload: append([]byte(nil), m.Payload...),
-		due:     time.Now().Add(retransRealBase),
 	}
 	f.tmpl.Payload = nil
 	l.inflight[m.RSeq] = f
@@ -307,98 +261,120 @@ func (r *relay) send(now vtime.Time, m *simnet.Message, viaNIC bool) (vtime.Time
 	return at, err
 }
 
-// retransmitter is the relay's timeout engine: a real-time ticker that
-// retransmits overdue frames and declares links failed when budgets run
-// out. It exits when the NIC stops.
-func (r *relay) retransmitter() {
-	defer close(r.done)
-	t := time.NewTicker(retransTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.n.quit:
-			return
-		case now := <-t.C:
-			r.tick(now)
-		}
-	}
+// deadline is when f times out — its latest transmission plus the
+// backed-off timeout it is due — and the stamp of its retransmission.
+func (r *relay) deadline(f *txFrame) vtime.Time {
+	return f.vt + vtime.Time(r.pol.backoff(f.attempts))
 }
 
-// realDeadline returns the real-time wait before timeout check k+1.
-func (r *relay) realDeadline(attempts int) time.Duration {
-	d := time.Duration(float64(retransRealBase) * math.Pow(r.pol.Backoff, float64(attempts)))
-	if d > retransRealCap || d <= 0 {
-		d = retransRealCap
-	}
-	return d
-}
-
-type resendItem struct {
-	m  *simnet.Message
-	vt vtime.Time
-}
-
-type failedLink struct {
+// frameRef names one in-flight frame and its deadline.
+type frameRef struct {
+	r   *relay
 	dst int
+	seq uint64
 	at  vtime.Time
 }
 
-// tick scans the inflight tables for overdue frames. Retransmissions are
+// before orders frames by deadline, then origin, destination and RSeq, so
+// one world state always picks the same frame.
+func (a frameRef) before(b frameRef) bool {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.r.n.Rank(), b.r.n.Rank()),
+		cmp.Compare(a.dst, b.dst), cmp.Compare(a.seq, b.seq)) < 0
+}
+
+// settled reports whether n's delivery token is free and its backlog
+// empty (taking the token drains a backlog its last holder left).
+func (n *NIC) settled() bool {
+	if !n.token.TryLock() {
+		return false
+	}
+	n.release()
+	return n.queued.Load() == 0
+}
+
+// Fire advances a quiet world's delivery by one event, on any NIC's
+// relay, and reports whether it did anything and whether any tracked frame
+// is in flight. nics are the world's NICs, indexed by rank. It releases
+// what unordered links still hold; failing that, it takes the in-flight
+// frame with the earliest deadline whose fate is settled — neither its
+// origin's NIC nor its destination's is delivering, and delivery runs to
+// completion, so the frame or its acknowledgement was lost — and
+// retransmits it, or, with its retry budget spent, fails its link and runs
+// the link-failure handler on this goroutine. An unsettled frame is left
+// alone: a trigger too early cannot spend budget on a frame only queued.
+func Fire(nics []*NIC) (fired, inflight bool) {
+	for _, n := range nics {
+		fired = n.ep.Flush() || fired
+	}
+	if fired {
+		return true, true
+	}
+	settled := make([]bool, len(nics))
+	for i, n := range nics {
+		settled[i] = n.settled()
+	}
+	var best frameRef
+	for i, n := range nics {
+		r := n.relay.Load()
+		if r == nil {
+			continue
+		}
+		r.mu.Lock()
+		for dst, l := range r.links {
+			inflight = inflight || len(l.inflight) > 0
+			for seq, f := range l.inflight {
+				if c := (frameRef{r, dst, seq, r.deadline(f)}); settled[i] && settled[dst] && (best.r == nil || c.before(best)) {
+					best = c
+				}
+			}
+		}
+		r.mu.Unlock()
+	}
+	if best.r == nil {
+		return false, inflight
+	}
+	best.r.fire(best)
+	return true, true
+}
+
+// fire retransmits the frame ref names at its deadline, or fails its link
+// when the frame has used up the retry budget. The retransmission is
 // built under the lock but injected outside it: the send may run the
 // peer's delivery inline, and its acknowledgement can come straight back
 // into this relay's handleAck, which takes r.mu.
-func (r *relay) tick(now time.Time) {
-	var resends []resendItem
-	var failures []failedLink
-	net := r.n.ep.Network()
-
+func (r *relay) fire(ref frameRef) {
 	r.mu.Lock()
-	for dst, l := range r.links {
-		if l.down {
-			continue
+	l := r.links[ref.dst]
+	f := l.inflight[ref.seq]
+	if f == nil || r.deadline(f) != ref.at {
+		r.mu.Unlock() // acknowledged or advanced meanwhile
+		return
+	}
+	if f.attempts >= r.pol.Budget {
+		l.down = true
+		clear(l.inflight)
+		r.mu.Unlock()
+		err := fmt.Errorf("portals: rank %d to rank %d: %w", r.n.ep.ID(), ref.dst, ErrLinkFailed)
+		if h := r.n.linkFail.Load(); h != nil {
+			(*h)(ref.dst, f.vt, err)
 		}
-		for seq, f := range l.inflight {
-			if now.Before(f.due) {
-				continue
-			}
-			if f.attempts >= r.pol.Budget {
-				l.down = true
-				l.inflight = make(map[uint64]*txFrame)
-				failures = append(failures, failedLink{dst: dst, at: f.vt})
-				break
-			}
-			// Virtual stamp: previous transmission plus the policy's
-			// backed-off timeout plus seeded jitter.
-			step := r.pol.backoff(f.attempts)
-			step += time.Duration(r.rng.Float64() * r.pol.Jitter * float64(r.pol.Timeout))
-			f.attempts++
-			f.vt += vtime.Time(step)
-			f.due = now.Add(r.realDeadline(f.attempts))
-			c := f.tmpl
-			c.RSeq = seq
-			c.Payload = append([]byte(nil), f.payload...)
-			resends = append(resends, resendItem{m: &c, vt: f.vt})
-			net.Retries.Inc()
-			net.RetransmitBytes.Add(int64(len(c.Payload)))
-			if obs := r.n.retransObs.Load(); obs != nil {
-				(*obs)(dst, seq, f.attempts, f.vt)
-			}
-		}
+		return
+	}
+	f.attempts++
+	f.vt = ref.at
+	c := f.tmpl
+	c.RSeq = ref.seq
+	c.Payload = append([]byte(nil), f.payload...)
+	net := r.n.ep.Network()
+	net.Retries.Inc()
+	net.RetransmitBytes.Add(int64(len(c.Payload)))
+	if obs := r.n.retransObs.Load(); obs != nil {
+		(*obs)(ref.dst, ref.seq, f.attempts, f.vt)
 	}
 	r.mu.Unlock()
-
-	for _, it := range resends {
-		// Retransmission is NIC firmware work: no origin CPU cost.
-		if _, err := r.n.ep.SendNIC(it.vt, it.m); err != nil {
-			return // network shutting down
-		}
-	}
-	for _, fl := range failures {
-		err := fmt.Errorf("portals: rank %d to rank %d: %w", r.n.ep.ID(), fl.dst, ErrLinkFailed)
-		if h := r.n.linkFail.Load(); h != nil {
-			(*h)(fl.dst, fl.at, err)
-		}
-	}
+	// NIC firmware work: no origin CPU cost. It fails only on a closed
+	// network.
+	_, _ = r.n.ep.SendNIC(ref.at, &c)
 }
 
 // handleAck processes one KindRelAck under the delivery token. Hdr[0] is
@@ -544,10 +520,10 @@ func (n *NIC) RelayStatus() []LinkStatus {
 }
 
 // RetryPatience returns the virtual time the relay lets pass before it has
-// retransmitted a frame k times — the first k backed-off timeouts, without
-// jitter — or 0 when reliable delivery is not enabled. A sender that knows
-// real time has passed with no progress stamps its next frame that much
-// later, as the relay would a retransmission.
+// retransmitted a frame k times — the first k backed-off timeouts — or 0
+// when reliable delivery is not enabled. A sender that has waited k quiet
+// steps with no progress stamps its next frame that much later, as the
+// relay would a retransmission.
 func (n *NIC) RetryPatience(k int) time.Duration {
 	var d time.Duration
 	if r := n.relay.Load(); r != nil {

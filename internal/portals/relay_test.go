@@ -3,6 +3,8 @@ package portals
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -60,6 +62,22 @@ func relayRig(t *testing.T) (r *rig, srcMD *MD, srcEQ *EQ, tgtOff int) {
 	return r, srcMD, srcEQ, tgtRegion.Offset
 }
 
+// settle plays the quiet world for a rig, which has none: it calls Fire
+// until no tracked frame is in flight, failing if frames are left that
+// Fire will not touch.
+func settle(t *testing.T, r *rig) {
+	t.Helper()
+	for {
+		fired, inflight := Fire(r.nics)
+		if !inflight {
+			return
+		}
+		if !fired {
+			t.Fatal("frames in flight, but none Fire can advance")
+		}
+	}
+}
+
 // TestRelayRetransmitOnDrop: a burst window that drops every frame on
 // 0→1 early in virtual time forces the relay to retransmit; the
 // retransmits carry virtual timestamps past the window, so the put is
@@ -75,11 +93,12 @@ func TestRelayRetransmitOnDrop(t *testing.T) {
 			Faults: simnet.LinkFaults{Drop: 1},
 		}},
 	})
-	r.nics[0].EnableReliability(RetryPolicy{Seed: 5})
+	r.nics[0].EnableReliability(RetryPolicy{})
 
 	if _, err := srcMD.Put(0, 0, 64, 1, 5, 32, true, 1); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, r)
 	waitEvent(t, srcEQ, EvAck)
 	if got := r.mems[1].Snapshot(tgtOff+32, 64); !bytes.Equal(got, bytes.Repeat([]byte{0xCD}, 64)) {
 		t.Fatal("payload not deposited after retransmission")
@@ -106,11 +125,12 @@ func TestRelayCorruptRejected(t *testing.T) {
 			Faults: simnet.LinkFaults{Corrupt: 1},
 		}},
 	})
-	r.nics[0].EnableReliability(RetryPolicy{Seed: 17})
+	r.nics[0].EnableReliability(RetryPolicy{})
 
 	if _, err := srcMD.Put(0, 0, 64, 1, 5, 0, true, 2); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, r)
 	waitEvent(t, srcEQ, EvAck)
 	if got := r.mems[1].Snapshot(tgtOff, 64); !bytes.Equal(got, bytes.Repeat([]byte{0xCD}, 64)) {
 		t.Fatal("target memory saw corrupted bytes")
@@ -124,37 +144,33 @@ func TestRelayCorruptRejected(t *testing.T) {
 }
 
 // TestRelayLinkFailureBudgetExhausted: a permanently dropping link
-// exhausts the retry budget within bounded time; the failure handler
-// fires with ErrLinkFailed and subsequent sends to the dead rank fail
-// fast instead of queueing.
+// exhausts the retry budget after Budget quiet steps; the failure handler
+// fires with ErrLinkFailed, on the goroutine that runs Fire, and
+// subsequent sends to the dead rank fail fast instead of queueing.
 func TestRelayLinkFailureBudgetExhausted(t *testing.T) {
 	r, srcMD, _, _ := relayRig(t)
 	r.net.SetFaults(&simnet.FaultPlan{
 		Seed:  9,
 		Links: map[simnet.LinkKey]simnet.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}},
 	})
-	r.nics[0].EnableReliability(RetryPolicy{Seed: 9, Budget: 2})
-	failed := make(chan error, 1)
+	r.nics[0].EnableReliability(RetryPolicy{Budget: 2})
+	var failed []error
 	r.nics[0].SetLinkFailureHandler(func(dst int, at vtime.Time, err error) {
 		if dst != 1 {
 			t.Errorf("failure reported for rank %d, want 1", dst)
 		}
-		select {
-		case failed <- err:
-		default:
-		}
+		failed = append(failed, err)
 	})
 
 	if _, err := srcMD.Put(0, 0, 64, 1, 5, 0, true, 3); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-failed:
-		if !errors.Is(err, ErrLinkFailed) {
-			t.Fatalf("failure handler got %v, want ErrLinkFailed", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("retry budget never exhausted: link failure did not surface in bounded time")
+	settle(t, r)
+	if len(failed) != 1 || !errors.Is(failed[0], ErrLinkFailed) {
+		t.Fatalf("failure handler got %v, want one ErrLinkFailed", failed)
+	}
+	if got := r.net.Retries.Value(); got != 2 {
+		t.Fatalf("link failed after %d retransmissions, want the budget of 2", got)
 	}
 	if _, err := srcMD.Put(0, 0, 64, 1, 5, 0, true, 4); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("send on a failed link returned %v, want ErrLinkFailed", err)
@@ -175,5 +191,45 @@ func TestRelayDisabledSendUnchanged(t *testing.T) {
 	waitEvent(t, srcEQ, EvAck)
 	if r.net.Retries.Value() != 0 || r.net.DupDropped.Value() != 0 {
 		t.Fatal("relay counters moved with reliability disabled")
+	}
+}
+
+// TestRelayRetransmitStamps: retransmission k of a frame is stamped
+// exactly Timeout·Backoff^k after the transmission before it, whatever the
+// policy, and the budget-th timeout fails the link instead.
+func TestRelayRetransmitStamps(t *testing.T) {
+	for _, pol := range []RetryPolicy{
+		{Budget: 5},
+		{Timeout: 10 * time.Microsecond, Backoff: 1.5, Budget: 6},
+		{Timeout: time.Microsecond, Backoff: 3, Budget: 4},
+	} {
+		t.Run(fmt.Sprintf("%v×%v", pol.Timeout, pol.Backoff), func(t *testing.T) {
+			r, srcMD, _, _ := relayRig(t)
+			r.net.SetFaults(&simnet.FaultPlan{Links: map[simnet.LinkKey]simnet.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}}})
+			r.nics[0].EnableReliability(pol)
+			pol = pol.withDefaults()
+			var stamps []vtime.Time
+			r.nics[0].SetRetransmitObserver(func(dst int, rseq uint64, attempt int, at vtime.Time) {
+				if attempt != len(stamps)+1 {
+					t.Errorf("retransmission %d reported as attempt %d", len(stamps)+1, attempt)
+				}
+				stamps = append(stamps, at)
+			})
+			sent, err := srcMD.Put(0, 0, 64, 1, 5, 0, false, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settle(t, r)
+			if len(stamps) != pol.Budget {
+				t.Fatalf("%d retransmissions before the link failed, want the budget of %d", len(stamps), pol.Budget)
+			}
+			prev := sent
+			for k, at := range stamps {
+				if want := vtime.Time(float64(pol.Timeout) * math.Pow(pol.Backoff, float64(k))); at-prev != want {
+					t.Errorf("retransmission %d stamped %v after the one before, want %v", k, at-prev, want)
+				}
+				prev = at
+			}
+		})
 	}
 }

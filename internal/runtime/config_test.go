@@ -2,6 +2,7 @@ package runtime
 
 import (
 	gort "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,8 +136,8 @@ func TestCommSubPanics(t *testing.T) {
 	}
 }
 
-// TestWorldCloseReleasesGoroutines: creating and closing many worlds must
-// not leak scrambler goroutines.
+// TestWorldCloseReleasesGoroutines: creating, running and closing many
+// worlds, ordered and unordered, leaves no goroutine behind.
 func TestWorldCloseReleasesGoroutines(t *testing.T) {
 	before := gort.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -157,11 +158,76 @@ func TestWorldCloseReleasesGoroutines(t *testing.T) {
 	// Allow the runtime a moment to retire exiting goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if gort.NumGoroutine() <= before+2 {
+		if gort.NumGoroutine() <= before {
 			return
 		}
 		gort.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines grew from %d to %d after closing 10 worlds", before, gort.NumGoroutine())
+}
+
+// TestBellCountsWokenRankRunning: a ring counts the rank it wakes as
+// running before that rank's goroutine has run again, so a quiet step
+// cannot fire in between; a rank counts once however many of its
+// goroutines are parked; one ring wakes every goroutine parked on a bell;
+// and a Park whose seen count a ring already passed returns at once,
+// leaving the count alone.
+func TestBellCountsWokenRankRunning(t *testing.T) {
+	w := NewWorld(Config{Ranks: 1})
+	defer w.Close()
+	b, other := w.Proc(0).NewBell(), w.Proc(0).NewBell()
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(time.Minute); !cond(); gort.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+	parked := func(n int) func() bool {
+		return func() bool {
+			return w.Proc(0).parkedN.Load() == int64(n)
+		}
+	}
+	rung := make(chan int64)
+	go func() {
+		waitFor("three goroutines parked", parked(3))
+		if n := w.running.Load(); n != 0 {
+			t.Errorf("running = %d with every goroutine of the rank parked, want 0", n)
+		}
+		b.Ring()
+		waitFor("one ring woke both goroutines on b", parked(1))
+		if n := w.running.Load(); n != 0 {
+			t.Errorf("running = %d with one goroutine of the rank still parked, want 0", n)
+		}
+		other.Ring()
+		rung <- w.running.Load()
+	}()
+	err := w.Run(func(p *Proc) {
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Park(b, 0)
+			}()
+		}
+		p.Park(other, 0)
+		if n := <-rung; n != 1 {
+			t.Errorf("running = %d right after the last ring, want 1", n)
+		}
+		wg.Wait()
+		seen := b.Rings()
+		b.Ring() // nobody parked: the next Park with seen returns at once
+		p.Park(b, seen)
+		if n := w.running.Load(); n != 1 {
+			t.Errorf("running = %d after a stale Park, want 1", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.running.Load(); n != 0 {
+		t.Errorf("running = %d after Run, want 0", n)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
 )
 
@@ -23,15 +22,17 @@ import (
 // plus the (dead, successor) bindings — matching foMPI's constant-size
 // recovery metadata goal (see DESIGN.md §14).
 type Membership struct {
-	net     *simnet.Network
+	w       *World
 	compute int // ranks [0, compute) are compute ranks; the rest are spares
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	states    []RankState
-	deathAt   map[int]vtime.Time
 	successor map[int]int // dead rank -> spare rank serving its regions
 	subs      []func(dead int, at vtime.Time, cause error)
+	// changed rings on every binding and rebuild, for AwaitRebuilt to park
+	// on; rebuilt holds OnRebuilt callbacks by dead rank.
+	changed *Bell
+	rebuilt map[int][]func(spare int)
 }
 
 // RankState is one rank's liveness as seen by the membership service.
@@ -71,23 +72,20 @@ func (s RankState) String() string {
 	return fmt.Sprintf("RankState(%d)", uint8(s))
 }
 
-func newMembership(net *simnet.Network, compute, total int) *Membership {
+func newMembership(w *World, compute, total int) *Membership {
 	m := &Membership{
-		net:       net,
+		w:         w,
 		compute:   compute,
 		states:    make([]RankState, total),
-		deathAt:   make(map[int]vtime.Time),
 		successor: make(map[int]int),
+		changed:   newBell(),
+		rebuilt:   make(map[int][]func(spare int)),
 	}
 	for r := compute; r < total; r++ {
 		m.states[r] = StateSpare
 	}
-	m.cond = sync.NewCond(&m.mu)
 	return m
 }
-
-// Compute returns the number of compute ranks (spares live above it).
-func (m *Membership) Compute() int { return m.compute }
 
 // State returns rank r's current liveness state.
 func (m *Membership) State(r int) RankState {
@@ -126,7 +124,7 @@ func (m *Membership) Suspect(r int, at vtime.Time, cause error) bool {
 	if r < 0 || r >= len(m.states) {
 		return false
 	}
-	if !m.net.RankDeadAt(r, at) {
+	if !m.w.net.RankDeadAt(r, at) {
 		m.mu.Lock()
 		if m.states[r] == StateAlive {
 			m.states[r] = StateSuspect
@@ -140,7 +138,6 @@ func (m *Membership) Suspect(r int, at vtime.Time, cause error) bool {
 		return true
 	}
 	m.states[r] = StateDead
-	m.deathAt[r] = at
 	subs := make([]func(dead int, at vtime.Time, cause error), len(m.subs))
 	copy(subs, m.subs)
 	m.mu.Unlock()
@@ -164,60 +161,75 @@ func (m *Membership) AllocSpare(dead int) (spare int, ok bool) {
 		if m.states[r] == StateSpare {
 			m.states[r] = StateRebuilding
 			m.successor[dead] = r
-			m.cond.Broadcast()
+			m.changed.Ring()
 			return r, true
 		}
 	}
 	return -1, false
 }
 
-// RebuildComplete marks the spare bound to dead as ALIVE and wakes every
-// AwaitRebuilt waiter: the spare now serves the dead rank's regions.
+// RebuildComplete marks the spare bound to dead as ALIVE, wakes every
+// AwaitRebuilt waiter and runs the OnRebuilt callbacks for dead: the spare
+// now serves the dead rank's regions.
 func (m *Membership) RebuildComplete(dead, spare int) {
 	m.mu.Lock()
 	m.states[spare] = StateAlive
-	m.cond.Broadcast()
+	m.changed.Ring()
+	fns := m.rebuilt[dead]
+	delete(m.rebuilt, dead)
 	m.mu.Unlock()
+	for _, fn := range fns {
+		fn(spare)
+	}
 }
 
-// Successor returns the spare serving dead's regions, if one is bound.
-func (m *Membership) Successor(dead int) (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.successor[dead]
-	return s, ok
-}
-
-// DeathTime returns the virtual time dead was confirmed dead at.
-func (m *Membership) DeathTime(dead int) (vtime.Time, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	at, ok := m.deathAt[dead]
-	return at, ok
+// rebuiltLocked returns the spare serving dead's rebuilt regions (ok), or
+// reports that no rebuild can ever complete (never): nothing is bound to
+// dead and no spare is left to bind. Caller holds m.mu.
+func (m *Membership) rebuiltLocked(dead int) (spare int, ok, never bool) {
+	s, bound := m.successor[dead]
+	if bound {
+		return s, m.states[s] == StateAlive, false
+	}
+	for r := m.compute; r < len(m.states); r++ {
+		if m.states[r] == StateSpare {
+			return -1, false, false
+		}
+	}
+	return -1, false, true
 }
 
 // AwaitRebuilt blocks until a spare has fully rebuilt dead's regions and
 // returns it. It errors immediately when no rebuild can ever complete —
-// the world has no spare left to allocate and none is bound to dead.
-func (m *Membership) AwaitRebuilt(dead int) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// the world has no spare left to allocate and none is bound to dead. p is
+// the calling rank: it parks in the library meanwhile.
+func (m *Membership) AwaitRebuilt(p *Proc, dead int) (int, error) {
 	for {
-		if s, ok := m.successor[dead]; ok && m.states[s] == StateAlive {
+		seen := m.changed.Rings()
+		m.mu.Lock()
+		s, ok, never := m.rebuiltLocked(dead)
+		m.mu.Unlock()
+		switch {
+		case never:
+			return -1, fmt.Errorf("runtime: no spare available to rebuild rank %d", dead)
+		case ok:
 			return s, nil
 		}
-		if _, ok := m.successor[dead]; !ok {
-			free := false
-			for r := m.compute; r < len(m.states); r++ {
-				if m.states[r] == StateSpare {
-					free = true
-					break
-				}
-			}
-			if !free {
-				return -1, fmt.Errorf("runtime: no spare available to rebuild rank %d", dead)
-			}
-		}
-		m.cond.Wait()
+		p.Park(m.changed, seen)
+	}
+}
+
+// OnRebuilt runs fn with the spare once one has fully rebuilt dead's
+// regions — at once, or on the goroutine reporting RebuildComplete — and
+// never when no rebuild can complete (see AwaitRebuilt).
+func (m *Membership) OnRebuilt(dead int, fn func(spare int)) {
+	m.mu.Lock()
+	s, ok, never := m.rebuiltLocked(dead)
+	if !ok && !never {
+		m.rebuilt[dead] = append(m.rebuilt[dead], fn)
+	}
+	m.mu.Unlock()
+	if ok {
+		fn(s)
 	}
 }

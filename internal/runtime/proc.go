@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
@@ -41,8 +42,17 @@ type Proc struct {
 	order datatype.ByteOrder
 
 	mu    sync.Mutex
-	cond  *sync.Cond
 	inbox []*pending
+	// arrived rings on every arrival; Recv parks on it.
+	arrived *Bell
+
+	// parkedN counts the rank's goroutines parked in the library, plus
+	// one while World.Run is not running its function; the rank counts
+	// toward World.running while it is zero.
+	parkedN atomic.Int64
+
+	// quiet is the hook the world's quiet step calls (see OnQuiet).
+	quiet atomic.Pointer[func(spell uint64) bool]
 
 	// commCounters numbers communicator creations per parent, so every
 	// member derives the same id for a collectively created communicator.
@@ -66,7 +76,8 @@ func newProc(w *World, rank int, nic *portals.NIC, mem *memsim.Memory, order dat
 		commCounters: make(map[uint64]uint64),
 		ext:          make(map[string]any),
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.parkedN.Store(1)
+	p.arrived = newBell()
 	nic.RegisterHandler(kindPt2pt, p.handlePt2pt)
 	ranks := make([]int, w.cfg.Ranks)
 	for i := range ranks {
@@ -108,6 +119,88 @@ func (p *Proc) Now() vtime.Time { return p.nic.Now() }
 // Advance models local computation taking d of virtual time.
 func (p *Proc) Advance(d vtime.Duration) { p.nic.CPU().Add(d) }
 
+// Park blocks the calling goroutine in the library — the one way a library
+// call sleeps — until b rings after seen, the b.Rings the caller read
+// before it last looked at what it waits for, so no ring is lost. The rank
+// releases what its unordered links hold and counts as idle while any of
+// its goroutines is parked (one computing meanwhile lets the quiet step run
+// early: spurious retransmissions, never a wrong answer); if that idles
+// the whole world, the caller steps it first (see World).
+func (p *Proc) Park(b *Bell, seen uint64) {
+	p.nic.Endpoint().Flush()
+	b.mu.Lock()
+	if b.rings.Load() != seen {
+		b.mu.Unlock()
+		return
+	}
+	b.parked = append(b.parked, p)
+	if p.idle() {
+		b.mu.Unlock()
+		p.world.quiesce(b, seen)
+		b.mu.Lock()
+	}
+	for b.rings.Load() == seen {
+		b.wake.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// idle counts one more of the rank's goroutines parked (or its function
+// returned) and reports whether that left no rank in the world running.
+func (p *Proc) idle() bool { return p.parkedN.Add(1) == 1 && p.world.running.Add(-1) == 0 }
+
+// unpark undoes one idle.
+func (p *Proc) unpark() {
+	if p.parkedN.Add(-1) == 0 {
+		p.world.running.Add(1)
+	}
+}
+
+// A Bell is what library calls park on (Proc.Park): an event count. Ring
+// bumps the count and wakes every parker, counting each one's rank as
+// running at once — before its goroutine has even been scheduled — so the
+// world's quiet step never takes a woken rank for an idle one.
+type Bell struct {
+	rings  atomic.Uint64 // written under mu
+	mu     sync.Mutex
+	wake   sync.Cond
+	parked []*Proc // the rank of each parked goroutine
+}
+
+// NewBell returns a bell for library calls of this world's ranks to park on.
+func (p *Proc) NewBell() *Bell { return newBell() }
+
+func newBell() *Bell {
+	b := &Bell{}
+	b.wake.L = &b.mu
+	return b
+}
+
+// Rings returns how many times b has rung: read it before looking at what
+// a Park waits for.
+func (b *Bell) Rings() uint64 { return b.rings.Load() }
+
+// Ring wakes every goroutine parked on b and turns away any Park whose
+// seen count predates it.
+func (b *Bell) Ring() {
+	b.mu.Lock()
+	b.rings.Add(1)
+	for _, p := range b.parked {
+		p.unpark()
+	}
+	clear(b.parked)
+	b.parked = b.parked[:0]
+	b.wake.Broadcast()
+	b.mu.Unlock()
+}
+
+// OnQuiet installs fn (replacing any earlier one) as the rank's
+// last-resort event source: with no frame in flight anywhere, the quiet
+// step calls each rank's fn in rank order until one reports that it sent
+// something. spell numbers the step's passes, one each time the world goes
+// quiet again. fn runs on the stepping goroutine and must not block.
+func (p *Proc) OnQuiet(fn func(spell uint64) bool) { p.quiet.Store(&fn) }
+
 // Ext returns the per-rank engine registered under key, creating it with
 // mk on first use. Layers use it to attach exactly one engine (and one set
 // of message handlers) per rank. mk may itself call Ext (a layer attaching
@@ -141,8 +234,8 @@ func (p *Proc) ExtPeek(key string) (any, bool) {
 	return v, ok
 }
 
-// closeExts shuts down attached engines that own background goroutines
-// (anything implementing Close). Called by World.Close.
+// closeExts shuts down attached engines (anything implementing Close).
+// Called by World.Close.
 func (p *Proc) closeExts() {
 	p.extMu.Lock()
 	defer p.extMu.Unlock()
@@ -195,7 +288,7 @@ func (p *Proc) handlePt2pt(m *simnet.Message, at vtime.Time) {
 		at:     at,
 	})
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	p.arrived.Ring()
 }
 
 // sendRaw ships data to a world rank under (commID, tag). It is an eager,
@@ -221,6 +314,7 @@ func (p *Proc) sendRaw(commID uint64, worldDst, tag int, data []byte) {
 func (p *Proc) recvRaw(commID uint64, worldSrc, tag int) ([]byte, int) {
 	p.mu.Lock()
 	for {
+		seen := p.arrived.Rings()
 		for i, msg := range p.inbox {
 			if msg.commID != commID {
 				continue
@@ -236,7 +330,9 @@ func (p *Proc) recvRaw(commID uint64, worldSrc, tag int) ([]byte, int) {
 			p.nic.CPU().AdvanceTo(msg.at)
 			return msg.data, msg.src
 		}
-		p.cond.Wait()
+		p.mu.Unlock()
+		p.Park(p.arrived, seen)
+		p.mu.Lock()
 	}
 }
 

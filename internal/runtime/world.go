@@ -14,8 +14,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
@@ -39,10 +41,10 @@ type Config struct {
 	// (default false in Go zero-value terms, so NewWorld flips the
 	// default: pass UnorderedNet to get an unordered network).
 	UnorderedNet bool
-	// ReorderWindow is the unordered network's scramble window (0 =
+	// ReorderWindow is the unordered network's reorder window (0 =
 	// default).
 	ReorderWindow int
-	// Seed seeds the network scrambler.
+	// Seed seeds the unordered network's release draws.
 	Seed int64
 	// Cost overrides the network cost model (zero value = default).
 	Cost simnet.CostModel
@@ -68,12 +70,24 @@ type Config struct {
 	Retry *portals.RetryPolicy
 }
 
-// World is a set of ranks joined by a simulated network.
+// World is a set of ranks joined by a simulated network. It has no clock:
+// retransmissions, unordered releases and failure pings wait until every
+// rank is parked in the library (Proc.Park) or returned (see quiesce).
 type World struct {
 	cfg     Config
 	net     *simnet.Network
 	procs   []*Proc
+	nics    []*portals.NIC
 	members *Membership
+
+	// running counts the ranks in Run with no goroutine parked (see
+	// Proc.Park); live, the ranks whose function has not returned.
+	running, live atomic.Int64
+	// kick asks for a quiet step; stepMu admits one stepper at a time, and
+	// spell (guarded by stepMu) counts its passes.
+	kick   atomic.Bool
+	stepMu sync.Mutex
+	spell  uint64
 }
 
 // NewWorld builds the network, memories, NICs and rank structures.
@@ -96,8 +110,9 @@ func NewWorld(cfg Config) *World {
 		net.SetFaults(cfg.Faults)
 	}
 	w := &World{cfg: cfg, net: net}
-	w.members = newMembership(net, cfg.Ranks, total)
+	w.members = newMembership(w, cfg.Ranks, total)
 	w.procs = make([]*Proc, total)
+	w.nics = make([]*portals.NIC, total)
 	for r := 0; r < total; r++ {
 		coh := memsim.Coherent
 		if cfg.Coherence != nil {
@@ -108,18 +123,15 @@ func NewWorld(cfg Config) *World {
 			order = cfg.ByteOrder(r)
 		}
 		mem := memsim.New(memsim.Config{Size: cfg.MemSize, Coherence: coh})
-		nic := portals.NewNIC(net.Endpoint(r), mem, portals.Config{HardwareAcks: !cfg.SoftwareAcks})
+		w.nics[r] = portals.NewNIC(net.Endpoint(r), mem, portals.Config{HardwareAcks: !cfg.SoftwareAcks})
+		w.procs[r] = newProc(w, r, w.nics[r], mem, order)
 		if cfg.Faults != nil || cfg.Retry != nil {
 			var pol portals.RetryPolicy
 			if cfg.Retry != nil {
 				pol = *cfg.Retry
 			}
-			if pol.Seed == 0 && cfg.Faults != nil {
-				pol.Seed = cfg.Faults.Seed
-			}
-			nic.EnableReliability(pol)
+			w.nics[r].EnableReliability(pol)
 		}
-		w.procs[r] = newProc(w, r, nic, mem, order)
 	}
 	return w
 }
@@ -142,50 +154,98 @@ func (w *World) Proc(r int) *Proc { return w.procs[r] }
 
 // Run executes fn once per rank (spares included — branch on
 // Proc.IsSpare for spare-specific behaviour), each on its own goroutine,
-// and waits for all of them. A panic in any rank is captured and returned immediately as
-// an error naming the rank; the surviving rank goroutines are then leaked
-// rather than deadlocking the caller (Run is intended for tests and
-// benches, where the failure aborts the process anyway).
+// and waits for all of them. A rank that returns releases what its
+// unordered links hold and counts as idle; if the others are all parked,
+// it steps the quiet world for them before it goes. A panic in any rank
+// is captured and returned immediately as an error naming the rank; the
+// surviving rank goroutines are then leaked rather than deadlocking the
+// caller (Run is intended for tests and benches, where the failure aborts
+// the process anyway).
 func (w *World) Run(fn func(p *Proc)) error {
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(w.procs))
+	results := make(chan error, len(w.procs))
+	w.live.Add(int64(len(w.procs)))
 	for _, p := range w.procs {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
+		p.unpark()
+	}
+	for _, p := range w.procs {
+		go func() {
+			var err error
 			defer func() {
 				if r := recover(); r != nil {
-					errCh <- fmt.Errorf("rank %d panicked: %v", p.rank, r)
+					err = fmt.Errorf("rank %d panicked: %v", p.rank, r)
 				}
+				results <- err
 			}()
 			// Label the rank goroutine so CPU/heap profiles attribute
 			// samples to ranks (go tool pprof -tagfocus rank=N).
 			pprof.Do(context.Background(), pprof.Labels("rank", strconv.Itoa(p.rank), "role", "rank"), func(context.Context) {
 				fn(p)
+				p.nic.Endpoint().Flush()
+				w.live.Add(-1)
+				if p.idle() && w.live.Load() > 0 {
+					w.quiesce(nil, 0)
+				}
 			})
-		}(p)
+		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case err := <-errCh:
-		return err
-	case <-done:
-		select {
-		case err := <-errCh:
+	for range w.procs {
+		if err := <-results; err != nil {
 			return err
-		default:
-			return nil
+		}
+	}
+	return nil
+}
+
+// quiesce is the discrete-event loop of the goroutine that made every
+// rank idle: while no rank runs, some rank is parked and b (the bell the
+// caller parks on, nil once its rank returned) has not rung after seen, it
+// fires one pending event after another. One goroutine steps at a time; a
+// rank idling meanwhile leaves it a kick, so no step is lost.
+func (w *World) quiesce(b *Bell, seen uint64) {
+	if !w.eventful() {
+		return
+	}
+	w.kick.Store(true)
+	for w.kick.Load() && w.stepMu.TryLock() {
+		w.kick.Store(false)
+		w.spell++
+		for w.running.Load() == 0 && w.live.Load() > 0 && (b == nil || b.Rings() == seen) && w.step() {
+		}
+		w.stepMu.Unlock()
+		if b != nil && b.Rings() != seen {
+			return
 		}
 	}
 }
 
-// Close stops every rank's NIC, shuts down attached layer engines (their
-// background goroutines), and tears the network down. Call it after all
-// Run invocations are finished.
+// eventful reports whether a quiet world can have anything to fire: an
+// unordered network, a reliable NIC or a quiet hook. Only an idle world
+// asks, so a world with none of them pays nothing more on a park.
+func (w *World) eventful() bool {
+	return w.cfg.UnorderedNet || slices.ContainsFunc(w.procs, func(p *Proc) bool {
+		return p.nic.Reliable() || p.quiet.Load() != nil
+	})
+}
+
+// step fires one pending event and reports whether there was one: what
+// an unordered link holds or the relay's earliest deadline (portals.Fire),
+// else, with no frame in flight anywhere, a quiet hook in rank order.
+// Caller holds stepMu.
+func (w *World) step() bool {
+	fired, inflight := portals.Fire(w.nics)
+	if fired || inflight {
+		return fired
+	}
+	for _, p := range w.procs {
+		if h := p.quiet.Load(); h != nil && (*h)(w.spell) {
+			return true
+		}
+	}
+	return false
+}
+
+// Close stops every rank's NIC, shuts down attached layer engines, and
+// tears the network down. Call it after all Run invocations are finished.
 func (w *World) Close() {
 	for _, p := range w.procs {
 		p.nic.Stop()

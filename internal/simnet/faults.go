@@ -171,6 +171,7 @@ const (
 	saltCorrupt
 	saltDelay
 	saltCorruptIdx
+	saltReorder // the unordered wire's release draw (simnet.go)
 )
 
 // faultHash is a splitmix64 finalizer over (seed, link, wire sequence,

@@ -7,9 +7,9 @@
 // remote-completion events. simnet reproduces exactly those axes:
 //
 //   - Ordered vs unordered delivery per (source, destination) pair. The
-//     unordered mode scrambles bursts of in-flight messages through a
-//     bounded reorder window, as a multi-rail or adaptively-routed network
-//     would.
+//     unordered mode holds each link's messages in a bounded reorder
+//     window at the sender and releases them in seeded-random order, as a
+//     multi-rail or adaptively-routed network would.
 //   - A LogGP-style cost model (latency L, per-message overhead o, gap g,
 //     per-byte cost G) that drives the virtual-time account described in
 //     DESIGN.md. Every send computes when the message left the origin NIC
@@ -21,7 +21,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,27 +94,25 @@ type Config struct {
 	// Ordered selects whether the network preserves per-(src,dst) message
 	// order (true: XT5/SeaStar-like; false: QSNet-like adaptive routing).
 	Ordered bool
-	// ReorderWindow bounds how many in-flight messages the unordered mode
-	// may scramble at once. 0 means DefaultReorderWindow. Ignored when
-	// Ordered.
+	// ReorderWindow bounds how many messages the unordered mode holds per
+	// link before it releases one. 0 means DefaultReorderWindow. Ignored
+	// when Ordered.
 	ReorderWindow int
-	// Seed seeds the deterministic scrambler of the unordered mode.
+	// Seed seeds the unordered mode's release draws.
 	Seed int64
 	// Cost is the virtual-time cost model; the zero value means
 	// DefaultCost().
 	Cost CostModel
 }
 
-// DefaultReorderWindow is the unordered-mode scramble window when
+// DefaultReorderWindow is the unordered-mode reorder window when
 // Config.ReorderWindow is 0.
 const DefaultReorderWindow = 8
 
-// chanCap sizes an endpoint's two channels: the Recv queue of an endpoint
-// without a delivery hook, and the unordered mode's scramble intake. A
-// sender blocks while either is full; the hook-less consumers (simnet's
-// own tests, the benchmark's send/recv drive) read every message they
-// send, and a hook never blocks its scrambler, so 1024 only absorbs
-// bursts.
+// chanCap sizes the Recv queue of an endpoint without a delivery hook. A
+// sender blocks while it is full; the hook-less consumers (simnet's own
+// tests, the benchmark's send/recv drive) read every message they send, so
+// 1024 only absorbs bursts.
 const chanCap = 1024
 
 // Message is one network message. Kind, Flags and Hdr are opaque to simnet;
@@ -160,13 +157,7 @@ type Message struct {
 type Network struct {
 	cfg  Config
 	eps  []*Endpoint
-	wg   sync.WaitGroup
 	once sync.Once
-	// sending counts Send/SendNIC calls past their closed check. Close
-	// waits for them before it closes a channel: senders outside the rank
-	// functions (relay retransmitters, replication goroutines) cannot all
-	// be stopped first, and a send must not race the close.
-	sending sync.WaitGroup
 
 	// faults is the installed fault plan; nil means a lossless wire.
 	faults atomic.Pointer[FaultPlan]
@@ -228,40 +219,18 @@ func (n *Network) Endpoint(id int) *Endpoint {
 	return n.eps[id]
 }
 
-// Close shuts the network down. It must be called only after every
-// consumer (a stopped NIC, a finished Recv loop) is done; sends that start
-// afterwards fail, and sends already under way are waited for. Messages
-// still in flight are drained and discarded.
+// Close shuts the network down. It must be called only after every sender
+// and consumer (a stopped NIC, a finished Recv loop) is done; sends that
+// start afterwards fail, and Recv reports the network closed once its
+// queue is empty. Messages still held by an unordered link are discarded.
 func (n *Network) Close() {
 	n.once.Do(func() {
 		for _, ep := range n.eps {
 			ep.mu.Lock()
 			ep.closed = true
 			ep.mu.Unlock()
-		}
-		// Drain Recv queues so blocked senders and unordered-mode
-		// scramblers can flush and exit even if nothing is receiving
-		// anymore.
-		var drainers sync.WaitGroup
-		for _, ep := range n.eps {
-			drainers.Add(1)
-			go func(ep *Endpoint) {
-				defer drainers.Done()
-				for range ep.in {
-				}
-			}(ep)
-		}
-		n.sending.Wait()
-		for _, ep := range n.eps {
-			if ep.scramble != nil {
-				close(ep.scramble)
-			}
-		}
-		n.wg.Wait()
-		for _, ep := range n.eps {
 			close(ep.in)
 		}
-		drainers.Wait()
 	})
 }
 
@@ -285,13 +254,12 @@ type Endpoint struct {
 	// message for Recv.
 	inline func(m *Message)
 
-	// scramble is the unordered-mode intake; a scrambler goroutine
-	// releases its messages to delivery, reordering within the window.
-	scramble chan *Message
-
 	mu      sync.Mutex
 	nextSeq []uint64 // per-destination next sequence number
 	closed  bool
+	// held is the unordered mode's reorder buffer per destination (nil on
+	// an ordered network).
+	held [][]*Message
 }
 
 func newEndpoint(n *Network, id int, cfg Config) *Endpoint {
@@ -303,9 +271,7 @@ func newEndpoint(n *Network, id int, cfg Config) *Endpoint {
 		nextSeq: make([]uint64, cfg.Ranks),
 	}
 	if !cfg.Ordered {
-		ep.scramble = make(chan *Message, chanCap)
-		n.wg.Add(1)
-		go ep.scrambler(cfg.Seed + int64(id)*7919)
+		ep.held = make([][]*Message, cfg.Ranks)
 	}
 	return ep
 }
@@ -338,31 +304,15 @@ func (ep *Endpoint) DeliverLane() *vtime.WorkLane { return &ep.deliver }
 // and m.ArriveAt. Send never blocks for virtual time. On an ordered network
 // a target with a delivery hook (SetInline) is handed m before Send
 // returns; a target without one queues m for Recv, and Send blocks while
-// that queue is full. On an unordered network Send blocks while the
-// target's scramble intake is full.
+// that queue is full. On an unordered network m joins its link's reorder
+// buffer (see hold); whatever the buffer releases is delivered the same
+// way.
 func (ep *Endpoint) Send(now vtime.Time, m *Message) (vtime.Time, error) {
-	if m.Dst < 0 || m.Dst >= ep.cfg.Ranks {
-		return 0, fmt.Errorf("simnet: send to invalid rank %d (network has %d)", m.Dst, ep.cfg.Ranks)
+	if err := ep.stamp(m); err != nil {
+		return 0, err
 	}
-	m.Src = ep.id
-
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return 0, fmt.Errorf("simnet: endpoint %d is closed", ep.id)
-	}
-	ep.nextSeq[m.Dst]++
-	m.Seq = ep.nextSeq[m.Dst]
-	ep.net.sending.Add(1)
-	ep.mu.Unlock()
-	defer ep.net.sending.Done()
-
-	cost := ep.cfg.Cost
-	_, sent := ep.inject.Reserve(now, cost.Inject(len(m.Payload)))
-	m.SentAt = sent
-	m.ArriveAt = sent + vtime.Time(cost.Wire(len(m.Payload)))
-
-	return ep.transmit(m), nil
+	_, sent := ep.inject.Reserve(now, ep.cfg.Cost.Inject(len(m.Payload)))
+	return ep.transmit(m, sent), nil
 }
 
 // SendNIC injects a NIC-generated control message (a hardware
@@ -371,34 +321,38 @@ func (ep *Endpoint) Send(now vtime.Time, m *Message) (vtime.Time, error) {
 // produces the message, not the processor. Sequence numbers are still
 // assigned so ordering layers see a consistent stream.
 func (ep *Endpoint) SendNIC(sentAt vtime.Time, m *Message) (vtime.Time, error) {
+	if err := ep.stamp(m); err != nil {
+		return 0, err
+	}
+	return ep.transmit(m, sentAt), nil
+}
+
+// stamp checks m's destination and numbers m on its link, unless the
+// endpoint is closed.
+func (ep *Endpoint) stamp(m *Message) error {
 	if m.Dst < 0 || m.Dst >= ep.cfg.Ranks {
-		return 0, fmt.Errorf("simnet: send to invalid rank %d (network has %d)", m.Dst, ep.cfg.Ranks)
+		return fmt.Errorf("simnet: send to invalid rank %d (network has %d)", m.Dst, ep.cfg.Ranks)
 	}
 	m.Src = ep.id
-
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
-		return 0, fmt.Errorf("simnet: endpoint %d is closed", ep.id)
+		return fmt.Errorf("simnet: endpoint %d is closed", ep.id)
 	}
 	ep.nextSeq[m.Dst]++
 	m.Seq = ep.nextSeq[m.Dst]
-	ep.net.sending.Add(1)
 	ep.mu.Unlock()
-	defer ep.net.sending.Done()
-
-	m.SentAt = sentAt
-	m.ArriveAt = sentAt + vtime.Time(ep.cfg.Cost.Wire(len(m.Payload)))
-
-	return ep.transmit(m), nil
+	return nil
 }
 
-// transmit counts m against the traffic counters, runs it through the
-// installed fault plan (if any) and enqueues the surviving copy or copies
-// for delivery. It returns the arrival time the sender observes — the
-// pre-fault arrival: real NICs do not learn that the wire dropped or
-// delayed a frame.
-func (ep *Endpoint) transmit(m *Message) vtime.Time {
+// transmit stamps m as leaving at sent, counts it against the traffic
+// counters, runs it through the installed fault plan (if any) and hands
+// the surviving copy or copies on for delivery. It returns the arrival
+// time the sender observes — the pre-fault arrival: real NICs do not
+// learn that the wire dropped or delayed a frame.
+func (ep *Endpoint) transmit(m *Message, sent vtime.Time) vtime.Time {
+	m.SentAt = sent
+	m.ArriveAt = sent + vtime.Time(ep.cfg.Cost.Wire(len(m.Payload)))
 	arrive := m.ArriveAt
 
 	ep.net.Msgs.Inc()
@@ -425,26 +379,78 @@ func (ep *Endpoint) transmit(m *Message) vtime.Time {
 		}
 	}
 
-	dst := ep.net.eps[m.Dst]
 	if ep.cfg.Ordered {
+		dst := ep.net.eps[m.Dst]
 		dst.arrive(m)
 		if dup != nil {
 			dst.arrive(dup)
 		}
-	} else {
-		dst.scramble <- m
-		if dup != nil {
-			dst.scramble <- dup
-		}
+		return arrive
+	}
+	ep.hold(m)
+	if dup != nil {
+		ep.hold(dup)
 	}
 	return arrive
 }
 
+// hold adds m to its link's reorder buffer; a full buffer releases one
+// message, chosen by a stateless seeded draw like the fault draws.
+func (ep *Endpoint) hold(m *Message) {
+	ep.mu.Lock()
+	buf := append(ep.held[m.Dst], m)
+	var out *Message
+	if len(buf) >= ep.cfg.ReorderWindow {
+		out, buf = ep.pick(buf, m.Seq)
+	}
+	ep.held[m.Dst] = buf
+	ep.mu.Unlock()
+	if out != nil {
+		ep.net.eps[out.Dst].arrive(out)
+	}
+}
+
+// pick removes the message the draw keyed on seq selects from one link's
+// non-empty reorder buffer. Caller holds ep.mu.
+func (ep *Endpoint) pick(buf []*Message, seq uint64) (*Message, []*Message) {
+	i := faultHash(ep.cfg.Seed, ep.id, buf[0].Dst, seq, saltReorder) % uint64(len(buf))
+	m, last := buf[i], len(buf)-1
+	buf[i], buf[last] = buf[last], nil
+	return m, buf[:last]
+}
+
+// Flush releases everything this endpoint's unordered links still hold,
+// one seeded draw at a time, and reports whether there was anything: a
+// rank does when it blocks or returns, and so does a quiet world.
+func (ep *Endpoint) Flush() bool {
+	if ep.cfg.Ordered {
+		return false
+	}
+	flushed := false
+	for dst := range ep.held {
+		for {
+			ep.mu.Lock()
+			buf := ep.held[dst]
+			if len(buf) == 0 || ep.closed {
+				ep.mu.Unlock()
+				break
+			}
+			var m *Message
+			m, ep.held[dst] = ep.pick(buf, buf[len(buf)-1].Seq)
+			ep.mu.Unlock()
+			ep.net.eps[dst].arrive(m)
+			flushed = true
+		}
+	}
+	return flushed
+}
+
 // SetInline installs the endpoint's delivery hook: every message bound
-// here is handed to f instead of queueing for Recv — on an ordered network
-// on the sending goroutine, in send order per sender; on an unordered one
-// from the scrambler, once each. f must not block. Call it before any
-// traffic.
+// here is handed to f instead of queueing for Recv, on the goroutine that
+// releases it — on an ordered network the sender, in send order per
+// sender; on an unordered one whichever goroutine's send fills the link's
+// reorder buffer or flushes it, once each. f must not block. Call it
+// before any traffic.
 func (ep *Endpoint) SetInline(f func(m *Message)) { ep.inline = f }
 
 // arrive hands m to the delivery hook, or queues it for Recv when there is
@@ -462,52 +468,4 @@ func (ep *Endpoint) arrive(m *Message) {
 func (ep *Endpoint) Recv() (*Message, bool) {
 	m, ok := <-ep.in
 	return m, ok
-}
-
-// scrambler implements unordered delivery: it buffers up to the reorder
-// window of in-flight messages and releases them in deterministic-random
-// order. Per-message delivery remains reliable; only ordering is lost.
-func (ep *Endpoint) scrambler(seed int64) {
-	defer ep.net.wg.Done()
-	rng := rand.New(rand.NewSource(seed))
-	window := ep.cfg.ReorderWindow
-	var buf []*Message
-	for {
-		if len(buf) == 0 {
-			m, ok := <-ep.scramble
-			if !ok {
-				return
-			}
-			buf = append(buf, m)
-		}
-		// Opportunistically gather more of the burst, up to the window.
-		for len(buf) < window {
-			select {
-			case m, ok := <-ep.scramble:
-				if !ok {
-					ep.flush(rng, buf)
-					return
-				}
-				buf = append(buf, m)
-			default:
-				goto release
-			}
-		}
-	release:
-		i := rng.Intn(len(buf))
-		ep.arrive(buf[i])
-		buf[i] = buf[len(buf)-1]
-		buf = buf[:len(buf)-1]
-	}
-}
-
-// flush releases the remaining scramble buffer in random order at
-// shutdown.
-func (ep *Endpoint) flush(rng *rand.Rand, buf []*Message) {
-	for len(buf) > 0 {
-		i := rng.Intn(len(buf))
-		ep.arrive(buf[i])
-		buf[i] = buf[len(buf)-1]
-		buf = buf[:len(buf)-1]
-	}
 }

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"testing"
-	"time"
 
 	"mpi3rma/internal/vtime"
 )
@@ -45,6 +44,7 @@ func TestUnorderedDeliveryScrambles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	src.Flush() // release what the link still holds
 	inOrder := true
 	seen := make(map[uint64]bool)
 	for i := 0; i < msgs; i++ {
@@ -82,6 +82,7 @@ func TestUnorderedReliableUnderLoad(t *testing.T) {
 					t.Errorf("send: %v", err)
 				}
 			}
+			ep.Flush()
 			done <- s
 		}(s)
 	}
@@ -381,8 +382,9 @@ func TestRankKillRestartWindow(t *testing.T) {
 // TestInlineHookBeforeQueue pins SetInline's contract. On an ordered
 // network each message reaches the hook on the sending goroutine — it has
 // run by the time Send returns — in send order. On an unordered network
-// each message reaches the hook exactly once, from the scrambler. Either
-// way nothing queues for Recv.
+// each message reaches the hook exactly once: a send that fills its link's
+// reorder buffer releases one, and Flush releases the rest before it
+// returns. Either way nothing queues for Recv.
 func TestInlineHookBeforeQueue(t *testing.T) {
 	const msgs = 20
 	send := func(n *Network, dst, i int) {
@@ -406,21 +408,20 @@ func TestInlineHookBeforeQueue(t *testing.T) {
 
 	unordered := New(Config{Ranks: 2, Seed: 3})
 	defer unordered.Close()
-	hooked := make(chan uint64, msgs)
-	unordered.Endpoint(1).SetInline(func(m *Message) { hooked <- m.Hdr[0] })
+	seen := map[uint64]int{} // written by the hook on this goroutine
+	unordered.Endpoint(1).SetInline(func(m *Message) { seen[m.Hdr[0]]++ })
 	for i := 0; i < msgs; i++ {
 		send(unordered, 1, i)
+		if held := i + 1 - len(seen); held < 0 || held >= DefaultReorderWindow {
+			t.Fatalf("after Send %d the link holds %d messages, want fewer than the window of %d", i, held, DefaultReorderWindow)
+		}
 	}
-	seen := map[uint64]bool{}
-	for len(seen) < msgs {
-		select {
-		case v := <-hooked:
-			if seen[v] {
-				t.Fatalf("unordered: message %d reached the hook twice", v)
-			}
-			seen[v] = true
-		case <-time.After(time.Minute):
-			t.Fatalf("unordered: %d of %d messages reached the hook", len(seen), msgs)
+	if !unordered.Endpoint(0).Flush() || unordered.Endpoint(0).Flush() {
+		t.Fatal("unordered: Flush released nothing, or something twice")
+	}
+	for i := 0; i < msgs; i++ {
+		if seen[uint64(i)] != 1 {
+			t.Fatalf("unordered: message %d reached the hook %d times, want once", i, seen[uint64(i)])
 		}
 	}
 

@@ -36,7 +36,7 @@ const (
 	KindBuddyLost      // this rank's buddy Peer died; deferred completions flushed
 	KindBuddyRebound   // this rank re-mirrored its exposures onto new buddy Peer
 	KindNoSpare        // dead Peer could not be rebuilt: the spare pool is empty
-	KindSentinelPing   // the progress sentinel probed silent Peer
+	KindSentinelPing   // a quiet world's failure ping probed silent Peer
 
 	NumKinds
 )
@@ -96,7 +96,7 @@ var kinds = [256]kindInfo{
 	KindBuddyLost:      {name: "buddy-lost", a: "flushed", dest: ToFlight},
 	KindBuddyRebound:   {name: "buddy-rebound", a: "regions", dest: ToFlight},
 	KindNoSpare:        {name: "no-spare", a: "regions", dest: ToFlight},
-	KindSentinelPing:   {name: "sentinel-ping", a: "strikes", dest: ToFlight},
+	KindSentinelPing:   {name: "sentinel-ping", a: "ping", dest: ToFlight},
 }
 
 // String returns the kind's name, the "cat" of exported events.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	gort "runtime"
 	"runtime/pprof"
 	"strconv"
 	"testing"
@@ -35,21 +36,32 @@ func goroutineRoles() (map[string]int, string) {
 // once every rank has opened a session: one rank goroutine per rank and
 // nothing else. Delivery runs on whichever goroutine holds the target
 // NIC's token, so the NIC, the thread serializer and sharded applies
-// (WithApplyShards(7)) add none. A goroutine a rank starts inherits the
-// rank's labels, so a helper goroutine per rank would count as one more
-// "rank" each.
+// (WithApplyShards(7)) add none; retransmissions, failure pings and the
+// unordered wire's releases run when the world goes quiet, so faults,
+// replication and an unordered network add none either. A goroutine a
+// rank starts inherits the rank's labels, so a helper goroutine per rank
+// would count as one more "rank" each; NewWorld starts none at all.
 func TestGoroutinesPerRank(t *testing.T) {
+	faults := &rma.FaultPlan{Seed: 7, Default: rma.LinkFaults{Drop: 0.1}}
 	for _, tc := range []struct {
 		name string
+		cfg  runtime.Config
 		opts []rma.SessionOption
 		want map[string]int
 	}{
-		{"default", nil, map[string]int{"rank": 2}},
-		{"shards7", []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2}},
+		{"default", runtime.Config{Ranks: 2}, nil, map[string]int{"rank": 2}},
+		{"shards7", runtime.Config{Ranks: 2}, []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2}},
+		{"faults", runtime.Config{Ranks: 2}, []rma.SessionOption{rma.WithFaults(faults)}, map[string]int{"rank": 2}},
+		{"replication", runtime.Config{Ranks: 2}, []rma.SessionOption{rma.WithFaults(faults), rma.WithReplication()}, map[string]int{"rank": 2}},
+		{"unordered", runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 7}, nil, map[string]int{"rank": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			world := runtime.NewWorld(runtime.Config{Ranks: 2})
+			before := gort.NumGoroutine()
+			world := runtime.NewWorld(tc.cfg)
 			defer world.Close()
+			if after := gort.NumGoroutine(); after > before {
+				t.Errorf("NewWorld started %d goroutines", after-before)
+			}
 			err := world.Run(func(p *runtime.Proc) {
 				s := rma.Open(p, tc.opts...)
 				tm, src := s.Expose(16)

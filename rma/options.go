@@ -242,10 +242,10 @@ func WithFaults(plan *FaultPlan) SessionOption {
 
 // WithRetryPolicy tunes (and enables, even without a fault plan) the
 // reliable-delivery relay at Open: virtual-time retransmit timeout,
-// exponential backoff, jitter, retry budget, and receiver reassembly
-// window. Zero fields take the portals defaults. On a lossless default
-// wire the relay never retransmits — pair this with WithFaults (or a
-// fault plan installed elsewhere) for it to matter.
+// exponential backoff, retry budget, and receiver reassembly window.
+// Zero fields take the portals defaults. On a lossless default wire the
+// relay never retransmits — pair this with WithFaults (or a fault plan
+// installed elsewhere) for it to matter.
 func WithRetryPolicy(p RetryPolicy) SessionOption {
 	return sessionOption(func(c *sessionConfig) { c.retry = &p })
 }

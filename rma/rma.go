@@ -194,11 +194,6 @@ func Open(p *runtime.Proc, opts ...SessionOption) *Session {
 		if cfg.retry != nil {
 			pol = *cfg.retry
 		}
-		if pol.Seed == 0 && cfg.faults != nil {
-			// One seed reproduces the whole chaos run: scrambler, fault
-			// draws, and retry jitter all derive from it.
-			pol.Seed = cfg.faults.Seed
-		}
 		p.NIC().EnableReliability(pol)
 	}
 	return s
@@ -239,7 +234,7 @@ func (s *Session) Buddy() (int, bool) { return s.eng.Buddy() }
 // addresses the rebuilt bytes. It errors when no rebuild can ever
 // complete (the world has no spare left).
 func (s *Session) AwaitRebuilt(dead int) (int, error) {
-	return s.proc.World().Members().AwaitRebuilt(dead)
+	return s.proc.World().Members().AwaitRebuilt(s.proc, dead)
 }
 
 // Engine exposes the underlying core engine — the escape hatch for
