@@ -102,11 +102,11 @@ profile-smoke:
 # the torn-read test: a put and a get at one target never interleave, on
 # the serial and sharded engines and on a faulted unordered network. So
 # does the replay test: one seed, the same retransmissions. So do the
-# tests of ranks parked in the progress serializer's wait and in
-# Events().Wait on a lossy or unordered wire, and the strided-landing test:
+# tests of ranks parked in the progress serializer's wait and in Select
+# on a lossy or unordered wire, and the strided-landing test:
 # a local reader never sees a strided put half landed.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|CompletionQueueWaitRetransmits|StridedLandingIsAtomic' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -140,15 +140,15 @@ benchmark-check:
 # goroutine runs a handler — its sender or the token holder draining the
 # backlog — moves with it too), the replay test (which rank steps the
 # quiet world moves with it, and its retransmissions must not) and the
-# progress-serializer and completion-queue park tests (whether a deferred
-# apply or an event lands before or after the rank parks moves with it) and
+# progress-serializer and Select park tests (whether a deferred apply or a
+# completion lands before or after the rank parks moves with it) and
 # the strided-landing test (where a local read falls in a landing moves
 # with it).
 # Twenty repeats each on one and on two scheduler threads (one thread
 # reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|CompletionQueueWaitRetransmits|StridedLandingIsAtomic' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|CompletionQueueWaitRetransmits|StridedLandingIsAtomic' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic' ./internal/core/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic' ./internal/core/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 

@@ -2,9 +2,8 @@
 // simulated RMA world (a ring of ranks streaming puts at each other,
 // optionally under injected faults) and renders each rank's health on a
 // refresh loop — link state from the reliable-delivery relay, retry
-// budget remaining, operations applied through the apply shards,
-// completion-queue occupancy and drops, and the top critical-path stages
-// of the recorded timeline.
+// budget remaining, operations applied through the apply shards, and the
+// top critical-path stages of the recorded timeline.
 //
 // Usage:
 //
@@ -131,10 +130,10 @@ func main() {
 
 // workload is one rank's traffic generator: stream small puts around the
 // ring (rank -> rank+1) with periodic Complete calls, so every subsystem
-// rmatop renders — relay, shards, completion queue, critical path — has
-// live traffic. With -kill the sessions also replicate, and a writer
-// whose downstream neighbor dies awaits the rebuild and re-points the
-// same descriptor at the successor spare. The pace bell keeps the console
+// rmatop renders — relay, shards, critical path — has live traffic. With
+// -kill the sessions also replicate, and a writer whose downstream
+// neighbor dies awaits the rebuild and re-points the same descriptor at
+// the successor spare. The pace bell keeps the console
 // responsive and the simulation from spinning a core per rank. A rank
 // with nothing to do returns; its NIC keeps serving, and the console reads
 // its health from the published session.
@@ -142,7 +141,6 @@ func workload(p *runtime.Proc, publish *atomic.Pointer[rma.Session], pace *runti
 	opts := []rma.SessionOption{
 		rma.WithMetrics(),
 		rma.WithTracing(4096),
-		rma.WithEvents(256),
 		rma.WithFlightRecorder(diagDir),
 	}
 	if shards > 1 {
@@ -212,8 +210,8 @@ func render(w *runtime.World, sessions []atomic.Pointer[rma.Session], frame int,
 	} else {
 		fmt.Fprintf(&b, "rmatop — frame %d — %d ranks\n\n", frame, w.Size())
 	}
-	fmt.Fprintf(&b, "%-5s %-11s %-12s %-22s %-8s %-16s %-14s %s\n",
-		"rank", "live", "vtime", "links(peer:state)", "budget", "shard-tasks", "evq(d/c/drop)", "sticky")
+	fmt.Fprintf(&b, "%-5s %-11s %-12s %-22s %-8s %-16s %s\n",
+		"rank", "live", "vtime", "links(peer:state)", "budget", "shard-tasks", "sticky")
 
 	// Liveness is the membership service's view, one state per world rank
 	// (spares included), shared by every engine.
@@ -262,10 +260,6 @@ func render(w *runtime.World, sessions []atomic.Pointer[rma.Session], frame int,
 			}
 			shards = fmt.Sprint(tasks)
 		}
-		evq := "-"
-		if h.Queue != nil {
-			evq = fmt.Sprintf("%d/%d/%d", h.Queue.Depth, h.Queue.Cap, h.Queue.Dropped)
-		}
 		sticky := ""
 		if len(h.Sticky) > 0 {
 			sticky = h.Sticky[0]
@@ -273,8 +267,8 @@ func render(w *runtime.World, sessions []atomic.Pointer[rma.Session], frame int,
 				sticky = sticky[:48] + "…"
 			}
 		}
-		fmt.Fprintf(&b, "%-5d %-11s %-12d %-22s %-8s %-16s %-14s %s\n",
-			r, live, h.VTime, links, budget, shards, evq, sticky)
+		fmt.Fprintf(&b, "%-5d %-11s %-12d %-22s %-8s %-16s %s\n",
+			r, live, h.VTime, links, budget, shards, sticky)
 		// What the rank's blocked calls (and probes parked on it) wait for:
 		// peer, counter, how far it got of what it needs.
 		if len(h.Waits) > 0 {

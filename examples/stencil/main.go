@@ -96,7 +96,7 @@ func runStencil(pipelined bool) result {
 	defer world.Close()
 
 	err := world.Run(func(p *runtime.Proc) {
-		s := rma.Open(p, rma.WithEvents(64))
+		s := rma.Open(p)
 		comm := p.Comm()
 		me := p.Rank()
 

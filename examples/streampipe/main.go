@@ -1,5 +1,5 @@
 // Streampipe: a producer/consumer byte stream over one-sided RMA — the
-// fully event-driven shape the completion-queue surface enables.
+// fully event-driven shape that Select and OnDone enable.
 //
 // Rank 0 (the producer) streams fixed-size records into a circular ring
 // of slots exposed by rank 1 (the consumer) with notified puts. Rank 1
@@ -44,7 +44,7 @@ func main() {
 	defer world.Close()
 
 	err := world.Run(func(p *runtime.Proc) {
-		s := rma.Open(p, rma.WithEvents(2*records))
+		s := rma.Open(p)
 		if p.Rank() == 0 {
 			produce(p, s)
 		} else {

@@ -75,7 +75,7 @@ func runE15Halo(pipelined bool, grain vtime.Duration) e15Outcome {
 		slots = 2
 	}
 	err := world.Run(func(p *runtime.Proc) {
-		s := rma.Open(p, rma.WithEvents(4*E15Sweeps))
+		s := rma.Open(p)
 		comm := p.Comm()
 		me := p.Rank()
 		left := (me + E15Ranks - 1) % E15Ranks

@@ -541,9 +541,8 @@ func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 
 // noteConfirmed raises the origin-side cumulative confirmation counter for
 // a target. Reports carry cumulative counts and are folded with max(), so
-// duplicates and reordering are harmless — and because EvConfirm is
-// published only when the fold actually raised the counter, the event
-// stream inherits that monotonicity: duplicates publish nothing.
+// duplicates and reordering are harmless: only a fold that raised the
+// counter wakes waiters or emits.
 func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 	if count <= 0 {
 		return
@@ -557,19 +556,4 @@ func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 	e.cmplMu.Unlock()
 	wakeAll(ready, count, at)
 	e.emit(trace.KindConfirm, at, target, 0, count, 0)
-	if q := e.observers().evq; q != nil {
-		q.push(Event{Kind: EvConfirm, At: at, Rank: target, Count: count})
-		// Quiescence: the target has now confirmed everything issued to
-		// it. sent is read after the fold, so a false positive is
-		// impossible (sent only grows; confirmed <= sent always).
-		e.mu.Lock()
-		var sent int64
-		if ts := e.targets[target]; ts != nil {
-			sent = ts.sent
-		}
-		e.mu.Unlock()
-		if sent > 0 && count >= sent {
-			q.push(Event{Kind: EvQuiescent, At: at, Rank: target, Count: count})
-		}
-	}
 }

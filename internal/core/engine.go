@@ -255,10 +255,9 @@ type Engine struct {
 	ops   freeList[applyOp]
 	slots freeList[wakeSlot]
 
-	lock      *serializer.LockState
-	applyQ    *serializer.ApplyQueue
-	progQ     *serializer.ProgressQueue
-	closeOnce sync.Once
+	lock   *serializer.LockState
+	applyQ *serializer.ApplyQueue
+	progQ  *serializer.ProgressQueue
 	// bell is every wake slot's bell; under the progress serializer a
 	// deferred apply rings it too (wait, scheduleApply).
 	bell *runtime.Bell
@@ -441,16 +440,6 @@ func (e *Engine) applyCost(n int) time.Duration {
 	return e.opts.ApplyOverhead + time.Duration(int64(n)*int64(e.opts.ApplyPerKB)/1024)
 }
 
-// Close wakes completion-queue waiters. World.Close invokes it for every
-// attached engine; it is idempotent.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		if q := e.observers().evq; q != nil {
-			q.close()
-		}
-	})
-}
-
 // Progress drains atomic operations deferred by the MechProgress
 // serializer (a no-op under other mechanisms) and returns how many were
 // applied. Every library entry point of the owning rank implicitly makes
@@ -464,13 +453,11 @@ func (e *Engine) Progress() int {
 
 // noteApplied is shared post-apply bookkeeping: count the op, wake whoever
 // the new count satisfies — local waits and the origin's parked completion
-// probes — publish the EvDelivery event, and return the new cumulative
+// probes and Select's OnApplied cases — and return the new cumulative
 // applied count for src — the value every target→origin report carries
 // back as the delivery counter of the notified-completion protocol. This
 // is the watermark join: every applied operation, on every path (serial,
-// sharded, serialized), funnels through here under tgtMu, so feeding
-// events at this point gives the queue the exact counter movements
-// Complete/Order observe.
+// sharded, serialized), funnels through here under tgtMu.
 func (e *Engine) noteApplied(src int, at vtime.Time) int64 {
 	e.OpsApplied.Inc()
 	e.tgtMu.Lock()
@@ -481,9 +468,6 @@ func (e *Engine) noteApplied(src int, at vtime.Time) int64 {
 	}
 	e.tgtMu.Unlock()
 	wakeAll(ready, count, at)
-	if q := e.observers().evq; q != nil {
-		q.push(Event{Kind: EvDelivery, At: at, Rank: src, Count: count})
-	}
 	e.emit(trace.KindDelivery, at, src, 0, count, 0)
 	return count
 }
@@ -539,7 +523,7 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 // exhaustion confirmed it). It is onLinkFailed's rank-level sibling:
 // outstanding work toward the dead rank fails in bounded time with the
 // wrapped ErrRankFailed, counter waiters and Select cases observe the
-// failure, EvFault carries the dead rank on the event surface, and —
+// failure (as EvFault naming the dead rank), and —
 // before the flight recorder snapshots the postmortem — the replication
 // layer reacts (the dead rank's buddy starts the rebuild onto a spare;
 // a rank whose buddy died flushes its deferred completions).
@@ -570,14 +554,14 @@ func (e *Engine) recordSticky(byRank map[int]fault, rank int, f fault) bool {
 
 // failOutstanding is the ordered tail of every failure fan-out
 // (onLinkFailed, onRankDead, failEngine), run once the caller has recorded
-// the sticky error: note → AutoDump → fail requests and waiters → publish
-// EvFault. Evidence comes first, so a caller that sees the error and reads
-// FlightRecorder().Dumps() finds the postmortem already written. kind is
-// the event kind noted, and its name the postmortem's reason. rank selects
-// the victims — requests, pending batches and confirmation waiters toward
-// that peer; AllRanks (engine-fatal) takes every one of them. Target-side
-// waiters are woken whatever the rank: collective completion gives up on
-// any degradation.
+// the sticky error: note → AutoDump → fail requests and waiters. Evidence
+// comes first, so a caller that sees the error — in Complete, an OnDone
+// callback or a Select EvFault — and reads FlightRecorder().Dumps() finds
+// the postmortem already written. kind is the event kind noted, and its
+// name the postmortem's reason. rank selects the victims — requests,
+// pending batches and confirmation waiters toward that peer; AllRanks
+// (engine-fatal) takes every one of them. Target-side waiters are woken
+// whatever the rank: collective completion gives up on any degradation.
 func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err error) {
 	e.record(kind, at, rank, 0, 0, 0, err)
 	e.FlightRecorder().AutoDump(kind.String(), int64(at))
@@ -607,9 +591,6 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 	woken = append(woken, poke(e.applied, AllRanks)...)
 	e.tgtMu.Unlock()
 	wakeAll(woken, 0, at)
-	if q := e.observers().evq; q != nil {
-		q.push(Event{Kind: EvFault, At: at, Rank: rank, Err: err})
-	}
 }
 
 // sendProbeAck answers origin's completion probe reqID at virtual time at.

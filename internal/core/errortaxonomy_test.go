@@ -9,16 +9,18 @@ import (
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 )
 
 // TestRankDeathErrorTaxonomy pins the error-surface contract of a rank
 // death on every wait path at once: the blocking Complete, requests
 // reaped through Wait/Err, OnDone callbacks, Select, sticky fast-fails
-// on Put/Get/FetchAdd/Order, the tiered Engine.Err, and the completion
-// queue's EvFault. Everywhere the death must surface as a wrapped
-// ErrRankFailed that is disjoint from both ErrLinkFailed (the taxonomy's
-// graceful-degradation tier) and ErrApplyFault — a caller switching on
-// errors.Is gets exactly one true branch.
+// on Put/Get/FetchAdd/Order, and the tiered Engine.Err — and the flight
+// ring records the death exactly once, before any OnDone learns of it.
+// Everywhere the death must surface as a wrapped ErrRankFailed that is
+// disjoint from both ErrLinkFailed (the taxonomy's graceful-degradation
+// tier) and ErrApplyFault — a caller switching on errors.Is gets exactly
+// one true branch.
 func TestRankDeathErrorTaxonomy(t *testing.T) {
 	const (
 		victim   = 1
@@ -40,7 +42,7 @@ func TestRankDeathErrorTaxonomy(t *testing.T) {
 			p.Send(0, 9999, tm.Encode())
 			return
 		}
-		q := e.EnableEvents(64)
+		enableFlight(t, e)
 		enc, _ := p.Recv(victim, 9999)
 		tm, err := DecodeTargetMem(enc)
 		if err != nil {
@@ -54,6 +56,7 @@ func TestRankDeathErrorTaxonomy(t *testing.T) {
 		// the way are reaped later through Wait/Err and OnDone.
 		var mu sync.Mutex
 		onDone := make(map[uint64][]error)
+		recorded := make(map[uint64]int)
 		var victims []*Request
 		var blocking error
 		for blocking == nil {
@@ -65,8 +68,10 @@ func TestRankDeathErrorTaxonomy(t *testing.T) {
 				}
 				id := r.ID()
 				r.OnDone(func(err error) {
+					n := flightFaults(t, e, trace.KindRankDeath, victim, ErrRankFailed)
 					mu.Lock()
 					onDone[id] = append(onDone[id], err)
+					recorded[id] = n
 					mu.Unlock()
 				})
 				victims = append(victims, r)
@@ -100,6 +105,9 @@ func TestRankDeathErrorTaxonomy(t *testing.T) {
 				continue
 			}
 			assertRankFailedOnly(t, "OnDone", errs[0])
+			if n := recorded[r.ID()]; n != 1 {
+				t.Errorf("request %d: OnDone saw %d rank-death records in the flight ring, want 1 (evidence first)", r.ID(), n)
+			}
 		}
 		mu.Unlock()
 
@@ -136,30 +144,11 @@ func TestRankDeathErrorTaxonomy(t *testing.T) {
 			assertRankFailedOnly(t, "Select EvFault", ev.Err)
 		}
 
-		// The queue published the death exactly once, naming the rank. The
-		// fan-out publishes EvFault after failing the requests and waking
-		// the waiters, so the errors above can surface before it is queued:
-		// block for it once the queue runs dry without one.
-		faults := 0
-		for {
-			ev, ok := q.Poll()
-			if !ok && faults == 0 {
-				ev, ok = q.Wait()
-			}
-			if !ok {
-				break
-			}
-			if ev.Kind != EvFault {
-				continue
-			}
-			faults++
-			if ev.Rank != victim {
-				t.Errorf("fault event names rank %d, want %d", ev.Rank, victim)
-			}
-			assertRankFailedOnly(t, "queue EvFault", ev.Err)
-		}
-		if faults != 1 {
-			t.Errorf("queue published %d fault events for one death, want exactly 1", faults)
+		// The flight ring recorded the death exactly once, naming the rank.
+		// The fan-out records it before failing anything, so it is there
+		// by the time any error above surfaced.
+		if n := flightFaults(t, e, trace.KindRankDeath, victim, ErrRankFailed); n != 1 {
+			t.Errorf("flight ring holds %d rank-death records for one death, want exactly 1", n)
 		}
 	})
 }

@@ -12,6 +12,8 @@ import (
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/telemetry"
+	"mpi3rma/internal/trace"
 )
 
 // Event-driven chaos: the PR 4 fault matrix re-observed through the push
@@ -151,12 +153,34 @@ func TestEventChaosSevenWriter(t *testing.T) {
 	}
 }
 
+// enableFlight installs a flight recorder whose ring outlasts a test's
+// whole fault history, dumping into a test-owned directory.
+func enableFlight(t *testing.T, e *Engine) {
+	e.EnableFlightRecorder(telemetry.FlightConfig{Dir: t.TempDir(), Cap: 1 << 14})
+}
+
+// flightFaults counts the kind records in e's flight ring, reporting any
+// that names a peer other than victim or whose error does not wrap cause.
+func flightFaults(t *testing.T, e *Engine, kind trace.Kind, victim int, cause error) int {
+	n := 0
+	for _, ev := range e.FlightRecorder().Ring().Snapshot() {
+		if ev.Kind == kind {
+			n++
+			if ev.Peer != victim || !errors.Is(ev.Err, cause) {
+				t.Errorf("%v record names peer %d with %v, want %d wrapping %v", kind, ev.Peer, ev.Err, victim, cause)
+			}
+		}
+	}
+	return n
+}
+
 // TestEventChaosLinkFailureTerminal: when a link drops everything forever
 // and the retry budget runs out, every in-flight request observed through
 // OnDone gets exactly one terminal event carrying the wrapped
-// ErrLinkFailed, Select over the victims drains them all as EvRequestDone
-// with the error, counter arms fail over to EvFault, and the completion
-// queue publishes the fault — all within bounded time.
+// ErrLinkFailed — by which time the flight ring already holds the
+// failure — Select over the victims drains them all as EvRequestDone
+// with the error, counter arms fail over to EvFault, and the ring records
+// the link failure exactly once — all within bounded time.
 func TestEventChaosLinkFailureTerminal(t *testing.T) {
 	const inflight = 6
 	w := newWorld(t, runtime.Config{
@@ -174,7 +198,7 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 			p.Send(0, 9999, tm.Encode())
 			return
 		}
-		q := e.EnableEvents(64)
+		enableFlight(t, e)
 		enc, _ := p.Recv(1, 9999)
 		tm, err := DecodeTargetMem(enc)
 		if err != nil {
@@ -185,6 +209,7 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 		var mu sync.Mutex
 		fired := make(map[uint64]int)
 		fireErrs := make(map[uint64]error)
+		recorded := make(map[uint64]int)
 		var victims []*Request
 		for i := 0; i < inflight; i++ {
 			r, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrRemoteComplete)
@@ -198,9 +223,11 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 			}
 			id := r.ID()
 			r.OnDone(func(err error) {
+				n := flightFaults(t, e, trace.KindLinkFailed, 1, ErrLinkFailed)
 				mu.Lock()
 				fired[id]++
 				fireErrs[id] = err
+				recorded[id] = n
 				mu.Unlock()
 			})
 			victims = append(victims, r)
@@ -231,6 +258,9 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 			if err := fireErrs[r.ID()]; !errors.Is(err, ErrLinkFailed) {
 				t.Errorf("request %d terminal error = %v, want wrapped ErrLinkFailed", r.ID(), err)
 			}
+			if n := recorded[r.ID()]; n != 1 {
+				t.Errorf("request %d: OnDone saw %d link-failed records in the flight ring, want 1 (evidence first)", r.ID(), n)
+			}
 		}
 		mu.Unlock()
 		// A counter arm on the dead target fails over to EvFault
@@ -240,30 +270,18 @@ func TestEventChaosLinkFailureTerminal(t *testing.T) {
 		} else if ev.Kind != EvFault || !errors.Is(ev.Err, ErrLinkFailed) {
 			t.Errorf("counter arm = kind %v err %v, want fault with wrapped ErrLinkFailed", ev.Kind, ev.Err)
 		}
-		// The queue published the fault event exactly once.
-		faults := 0
-		for {
-			ev, ok := q.Poll()
-			if !ok {
-				break
-			}
-			if ev.Kind == EvFault {
-				faults++
-				if ev.Rank != 1 || !errors.Is(ev.Err, ErrLinkFailed) {
-					t.Errorf("fault event = rank %d err %v, want rank 1 wrapped ErrLinkFailed", ev.Rank, ev.Err)
-				}
-			}
-		}
-		if faults != 1 {
-			t.Errorf("queue published %d fault events, want 1", faults)
+		// The flight ring recorded the link failure exactly once.
+		if n := flightFaults(t, e, trace.KindLinkFailed, 1, ErrLinkFailed); n != 1 {
+			t.Errorf("flight ring holds %d link-failed records, want 1", n)
 		}
 	})
 }
 
 // TestEventChaosApplyFaultTerminal: a sharded-apply panic poisons the
 // engine; every outstanding request gets exactly one OnDone with the
-// wrapped ErrApplyFault, armed Select counter cases fail over to EvFault,
-// and the queue publishes the engine-wide fault (Rank == AllRanks).
+// wrapped ErrApplyFault, after the flight ring recorded the engine-wide
+// fault (naming AllRanks) exactly once, and armed Select counter cases
+// fail over to EvFault.
 func TestEventChaosApplyFaultTerminal(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 43})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
@@ -275,7 +293,7 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 			p.Barrier()
 			return
 		}
-		q := e.EnableEvents(64)
+		enableFlight(t, e)
 		enc, _ := p.Recv(1, 9999)
 		if _, err := DecodeTargetMem(enc); err != nil {
 			t.Fatalf("decode: %v", err)
@@ -284,12 +302,14 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 		// poisoned engine must fail them.
 		var calls [3]atomic.Int32
 		var errs [3]error
+		var recorded [3]int
 		var reqs [3]*Request
 		for i := range reqs {
 			reqs[i] = e.newRequest(1, latNone)
 			i := i
 			reqs[i].OnDone(func(err error) {
 				errs[i] = err
+				recorded[i] = flightFaults(t, e, trace.KindApplyFault, AllRanks, ErrApplyFault)
 				calls[i].Add(1)
 			})
 		}
@@ -315,6 +335,9 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 			if !errors.Is(errs[i], ErrApplyFault) {
 				t.Errorf("request %d terminal error = %v, want wrapped ErrApplyFault", i, errs[i])
 			}
+			if recorded[i] != 1 {
+				t.Errorf("request %d: OnDone saw %d apply-fault records in the flight ring, want 1 (evidence first)", i, recorded[i])
+			}
 		}
 		ev := <-selDone
 		if ev.Kind != EvFault || !errors.Is(ev.Err, ErrApplyFault) {
@@ -326,18 +349,8 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 		} else if ev.Kind != EvFault || !errors.Is(ev.Err, ErrApplyFault) {
 			t.Errorf("applied arm = kind %v err %v, want fault with wrapped ErrApplyFault", ev.Kind, ev.Err)
 		}
-		sawEngineFault := false
-		for {
-			ev, ok := q.Poll()
-			if !ok {
-				break
-			}
-			if ev.Kind == EvFault && ev.Rank == AllRanks && errors.Is(ev.Err, ErrApplyFault) {
-				sawEngineFault = true
-			}
-		}
-		if !sawEngineFault {
-			t.Error("queue never published the engine-wide apply fault")
+		if n := flightFaults(t, e, trace.KindApplyFault, AllRanks, ErrApplyFault); n != 1 {
+			t.Errorf("flight ring holds %d apply-fault records, want 1", n)
 		}
 		p.Barrier()
 	})

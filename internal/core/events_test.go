@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,57 +13,10 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// TestCompletionQueueBounds exercises the queue directly: FIFO order,
-// Poll on empty, drop-with-count at the rim, and Wait unblocking on close.
-func TestCompletionQueueBounds(t *testing.T) {
-	w := runtime.NewWorld(runtime.Config{Ranks: 1})
-	defer w.Close()
-	q := newCompletionQueue(4, w.Proc(0))
-	if q.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", q.Cap())
-	}
-	if _, ok := q.Poll(); ok {
-		t.Fatal("Poll on empty queue returned an event")
-	}
-	for i := 0; i < 6; i++ {
-		q.push(Event{Kind: EvDelivery, Count: int64(i)})
-	}
-	if got := q.Published.Value(); got != 6 {
-		t.Errorf("Published = %d, want 6", got)
-	}
-	if got := q.Dropped.Value(); got != 2 {
-		t.Errorf("Dropped = %d, want 2 (capacity 4, 6 pushed)", got)
-	}
-	if got := q.Len(); got != 4 {
-		t.Errorf("Len = %d, want 4", got)
-	}
-	// Drop-newest: the survivors are the first four, in order, and Seq
-	// numbers publication order.
-	for i := 0; i < 4; i++ {
-		ev, ok := q.Poll()
-		if !ok {
-			t.Fatalf("Poll %d: empty", i)
-		}
-		if ev.Count != int64(i) || ev.Seq != uint64(i+1) {
-			t.Errorf("Poll %d = count %d seq %d, want count %d seq %d", i, ev.Count, ev.Seq, i, i+1)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, ok := q.Wait(); ok {
-			t.Error("Wait on closed empty queue returned an event")
-		}
-	}()
-	q.close()
-	wg.Wait()
-}
-
-// TestCompletionQueueWaitRetransmits: Wait parks in the library, so when
-// the only origin waits there for a completion whose frame was dropped,
-// and the target is parked in Recv, the world goes quiet and retransmits.
-func TestCompletionQueueWaitRetransmits(t *testing.T) {
+// TestSelectWaitRetransmits: Select parks in the library, so when the
+// only origin waits there for a completion whose frame was dropped, and
+// the target is parked in Recv, the world goes quiet and retransmits.
+func TestSelectWaitRetransmits(t *testing.T) {
 	plan := &simnet.FaultPlan{Seed: 1010, Bursts: []simnet.Burst{{
 		Link:   simnet.LinkKey{Src: 1, Dst: 0},
 		Until:  vtime.Time(20 * time.Microsecond),
@@ -73,7 +25,6 @@ func TestCompletionQueueWaitRetransmits(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Faults: plan})
 	runBounded(t, w, 10*time.Second, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
-		q := e.EnableEvents(8)
 		if p.Rank() == 0 {
 			tm, _ := e.ExposeNew(8)
 			p.Send(1, 9999, tm.Encode())
@@ -89,18 +40,12 @@ func TestCompletionQueueWaitRetransmits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("put: %v", err)
 		}
-		for {
-			ev, ok := q.Wait()
-			if !ok {
-				t.Error("queue closed before the put completed")
-				break
-			}
-			if ev.Kind == EvRequestDone && ev.Req == req {
-				if ev.Err != nil {
-					t.Errorf("put failed: %v", ev.Err)
-				}
-				break
-			}
+		_, ev, err := e.Select(p.Comm(), OnRequest(req))
+		if err != nil {
+			t.Fatalf("select: %v", err)
+		}
+		if ev.Kind != EvRequestDone || ev.Req != req || ev.Err != nil {
+			t.Errorf("select event = kind %v req %p err %v, want the put done without error", ev.Kind, ev.Req, ev.Err)
 		}
 		p.Send(0, 1, nil)
 	})
@@ -110,47 +55,38 @@ func TestCompletionQueueWaitRetransmits(t *testing.T) {
 }
 
 // TestEventsDeliveryAndQuiescence drives a 2-rank notified-put workload
-// and checks the event stream at both ends: the target sees one
-// EvDelivery per applied op with monotone cumulative counts; the origin
-// sees monotone EvConfirm events and an EvQuiescent exactly when
-// everything issued has been confirmed; virtual-time stamps never run
-// backwards within a kind.
+// and steps Select along the watermarks at both ends: the target's
+// OnApplied(0, k) and the origin's OnConfirmed(1, k) fire for k = 1..ops
+// with Count >= k and virtual-time stamps that never run backwards, and
+// OnQuiescent fires once the target has confirmed everything sent.
 func TestEventsDeliveryAndQuiescence(t *testing.T) {
 	const ops = 8
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 21})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
-		q := e.EnableEvents(64)
 		comm := p.Comm()
+		// step selects case(k) for k = 1..ops and checks each event.
+		step := func(kind EventKind, peer int, arm func(int64) SelectCase) {
+			var lastAt vtime.Time
+			for k := int64(1); k <= ops; k++ {
+				_, ev, err := e.Select(comm, arm(k))
+				if err != nil {
+					t.Fatalf("select %v %d: %v", kind, k, err)
+				}
+				if ev.Kind != kind || ev.Rank != peer || ev.Count < k {
+					t.Errorf("select %v %d = kind %v rank %d count %d, want %v from %d with count >= %d", kind, k, ev.Kind, ev.Rank, ev.Count, kind, peer, k)
+				}
+				if ev.At < lastAt {
+					t.Errorf("%v %d at %d after %d, want monotone stamps", kind, k, ev.At, lastAt)
+				}
+				lastAt = ev.At
+			}
+		}
 		if p.Rank() == 1 {
 			tm, _ := e.ExposeNew(64)
 			p.Send(0, 9999, tm.Encode())
-			if _, _, err := e.Select(comm, OnApplied(0, ops)); err != nil {
-				t.Errorf("target wait: %v", err)
-			}
+			step(EvDelivery, 0, func(k int64) SelectCase { return OnApplied(0, k) })
 			p.Barrier()
-			// Drain: exactly ops deliveries from rank 0, counts 1..ops.
-			var got int64
-			for {
-				ev, ok := q.Poll()
-				if !ok {
-					break
-				}
-				if ev.Kind != EvDelivery {
-					t.Errorf("target saw %v event, want only delivery", ev.Kind)
-					continue
-				}
-				if ev.Rank != 0 {
-					t.Errorf("delivery from rank %d, want 0", ev.Rank)
-				}
-				if ev.Count != got+1 {
-					t.Errorf("delivery count %d after %d, want cumulative", ev.Count, got)
-				}
-				got = ev.Count
-			}
-			if got != ops {
-				t.Errorf("target saw %d deliveries, want %d", got, ops)
-			}
 			return
 		}
 		enc, _ := p.Recv(1, 9999)
@@ -158,82 +94,24 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		// The origin drains its queue before every put, tagging each event
-		// with how many puts had been issued by then: a notification may
-		// outrun the issue loop, so quiescence is checked against the issue
-		// progress at that instant, not only against the final count.
-		type tagged struct {
-			Event
-			issued int64
-		}
-		var evs []tagged
-		drain := func(issued int64) {
-			for {
-				ev, ok := q.Poll()
-				if !ok {
-					return
-				}
-				evs = append(evs, tagged{ev, issued})
-			}
-		}
 		scratch := p.Alloc(8)
 		for i := 0; i < ops; i++ {
-			drain(int64(i))
 			if _, err := e.PutNotify(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil {
 				t.Fatalf("put %d: %v", i, err)
 			}
+		}
+		step(EvConfirm, 1, func(k int64) SelectCase { return OnConfirmed(1, k) })
+		_, ev, err := e.Select(comm, OnQuiescent(1))
+		if err != nil {
+			t.Fatalf("select quiescent: %v", err)
+		}
+		if pc := e.PairCounters(1); ev.Kind != EvQuiescent || ev.Count < pc.Sent || pc.Confirmed < pc.Sent {
+			t.Errorf("quiescent = kind %v count %d with %d sent, %d confirmed; want confirmed >= sent", ev.Kind, ev.Count, pc.Sent, pc.Confirmed)
 		}
 		if err := e.Complete(comm, 1); err != nil {
 			t.Fatalf("complete: %v", err)
 		}
 		p.Barrier()
-		drain(ops)
-		var confirmed, confirmIssued, quiescent int64
-		var lastAt vtime.Time
-		for _, ev := range evs {
-			switch ev.Kind {
-			case EvConfirm:
-				if ev.Count <= confirmed {
-					t.Errorf("confirm count %d after %d, want strictly rising", ev.Count, confirmed)
-				}
-				if ev.Count > ev.issued {
-					t.Errorf("confirm count %d with only %d puts issued", ev.Count, ev.issued)
-				}
-				confirmed, confirmIssued = ev.Count, ev.issued
-				if ev.At < lastAt {
-					t.Errorf("confirm at %d after %d, want monotone stamps", ev.At, lastAt)
-				}
-				lastAt = ev.At
-			case EvQuiescent:
-				// Published by the fold that raised confirmed to Count, and only
-				// if nothing more had been issued at that instant. That instant
-				// is after the drain before the one that saw the confirm, when
-				// confirmIssued-1 puts were out: fewer confirmed is a false
-				// positive. Before the last put it is legitimate, not a bug.
-				if ev.Count != confirmed {
-					t.Errorf("quiescent at count %d right after confirm %d", ev.Count, confirmed)
-				}
-				if ev.Count < confirmIssued-1 {
-					t.Errorf("quiescent at count %d with at least %d puts issued", ev.Count, confirmIssued-1)
-				}
-				if ev.Count <= quiescent {
-					t.Errorf("quiescent count %d after %d, want strictly rising", ev.Count, quiescent)
-				}
-				quiescent = ev.Count
-			case EvRequestDone:
-				if ev.Err != nil {
-					t.Errorf("request %d failed: %v", ev.Req.ID(), ev.Err)
-				}
-			default:
-				t.Errorf("origin saw unexpected %v event", ev.Kind)
-			}
-		}
-		if confirmed != ops {
-			t.Errorf("origin confirmed %d, want %d", confirmed, ops)
-		}
-		if quiescent != ops {
-			t.Errorf("last quiescent event at count %d, want %d", quiescent, ops)
-		}
 	})
 }
 

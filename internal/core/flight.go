@@ -12,7 +12,7 @@ import (
 // EnableFlightRecorder installs a postmortem flight recorder on the
 // engine. The recorder captures recent protocol milestones and
 // auto-dumps a JSON postmortem (recent events, per-rank health, sticky
-// errors, retry state, queue depths, metric deltas) the first time a
+// errors, retry state, shard task counts, metric deltas) the first time a
 // link fails or the apply engine faults. The first call wins; later
 // calls return the installed recorder unchanged (like Attach). If
 // telemetry is already enabled the registry becomes the recorder's
@@ -34,9 +34,8 @@ func (e *Engine) FlightRecorder() *telemetry.FlightRecorder { return e.observers
 
 // Health assembles this rank's point-in-time health report: sticky
 // errors, what its blocked calls wait for, per-link relay state and retry
-// budget, per-shard task counts, completion-queue occupancy, and per-origin
-// applied watermarks. It is what postmortems embed and what rmatop
-// renders.
+// budget, per-shard task counts, and per-origin applied watermarks. It is
+// what postmortems embed and what rmatop renders.
 func (e *Engine) Health() telemetry.HealthReport {
 	h := telemetry.HealthReport{
 		Rank:  e.proc.Rank(),
@@ -79,15 +78,6 @@ func (e *Engine) Health() telemetry.HealthReport {
 
 	for s := range e.shards {
 		h.Shards = append(h.Shards, telemetry.ShardHealth{Shard: s, Tasks: e.shards[s].tasks.Value()})
-	}
-
-	if q := e.observers().evq; q != nil {
-		h.Queue = &telemetry.QueueHealth{
-			Depth:     q.Len(),
-			Cap:       q.Cap(),
-			Published: q.Published.Value(),
-			Dropped:   q.Dropped.Value(),
-		}
 	}
 
 	e.tgtMu.Lock()

@@ -10,9 +10,8 @@ import (
 // Observation spine (DESIGN.md §12). Event rings — the protocol tracer and
 // the flight recorder — take the one typed trace.Event through emit; access
 // recorders consume an Access synchronously on the applying goroutine,
-// because conflict detection needs all nine of its fields; the completion
-// queue (events.go) carries *Request values users block on and is an API
-// surface, not an observation. The metrics registry is passive.
+// because conflict detection needs all nine of its fields. The metrics
+// registry is passive.
 
 // observers is the immutable snapshot Engine.obs points at. A new one
 // replaces it whole whenever anything is installed.
@@ -25,9 +24,6 @@ type observers struct {
 	tel       *telemetry.Registry
 	lat       *latencyHists
 	recorders []AccessRecorder
-	// evq is the completion queue. It is installed like an observer but is
-	// not one: its sites publish to it beside their emit.
-	evq *CompletionQueue
 }
 
 // noObservers is what observers() answers while nothing is installed.

@@ -128,9 +128,6 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 	for _, cb := range cbs {
 		cb(err)
 	}
-	if q := r.e.observers().evq; q != nil {
-		q.push(Event{Kind: EvRequestDone, At: at, Rank: r.target, Req: r, Err: err})
-	}
 	r.e.record(trace.KindRequestDone, at, r.target, r.id, 0, 0, err)
 }
 

@@ -62,11 +62,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) *telemetry.Registry {
 			reg = telemetry.NewRegistry()
 		}
 		e.registerCounters(reg)
-		if o.evq != nil {
-			// Events enabled before telemetry: register the queue's cells
-			// now (the reverse order registers from EnableEvents).
-			registerEventMetrics(reg, o.evq)
-		}
 		o.tel = reg
 		o.lat = &latencyHists{
 			latPut:      reg.Histogram("latency.put"),

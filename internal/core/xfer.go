@@ -234,8 +234,8 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 //
 // A lock or send failure completes the request with the error instead of
 // abandoning it in the engine table: that keeps every observation surface
-// — Done, Err, OnDone, Select, the event queue — in agreement with the
-// returned error. This is the only place that has to.
+// — Done, Err, OnDone, Select — in agreement with the returned error. This
+// is the only place that has to.
 func (e *Engine) issueSingleton(comm *runtime.Comm, m *simnet.Message, attrs Attr, atomic bool, latKind uint8, land landing) (*Request, error) {
 	target := m.Dst
 	if err := e.stickyFor(target); err != nil {

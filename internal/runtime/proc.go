@@ -234,18 +234,6 @@ func (p *Proc) ExtPeek(key string) (any, bool) {
 	return v, ok
 }
 
-// closeExts shuts down attached engines (anything implementing Close).
-// Called by World.Close.
-func (p *Proc) closeExts() {
-	p.extMu.Lock()
-	defer p.extMu.Unlock()
-	for _, v := range p.ext {
-		if c, ok := v.(interface{ Close() }); ok {
-			c.Close()
-		}
-	}
-}
-
 // Alloc carves a region out of the rank's memory, panicking on exhaustion
 // (rank memory is sized by Config.MemSize).
 func (p *Proc) Alloc(size int) memsim.Region {

@@ -244,14 +244,11 @@ func (w *World) step() bool {
 	return false
 }
 
-// Close stops every rank's NIC, shuts down attached layer engines, and
-// tears the network down. Call it after all Run invocations are finished.
+// Close stops every rank's NIC and tears the network down. Call it after
+// all Run invocations are finished.
 func (w *World) Close() {
 	for _, p := range w.procs {
 		p.nic.Stop()
-	}
-	for _, p := range w.procs {
-		p.closeExts()
 	}
 	w.net.Close()
 }

@@ -49,14 +49,6 @@ type ShardHealth struct {
 	Tasks int64 `json:"tasks"`
 }
 
-// QueueHealth is the completion queue's occupancy and drop counters.
-type QueueHealth struct {
-	Depth     int   `json:"depth"`
-	Cap       int   `json:"cap"`
-	Published int64 `json:"published"`
-	Dropped   int64 `json:"dropped"`
-}
-
 // RankDeathInfo names one confirmed rank death and the recovery that
 // followed: who died, which buddy held the replicas, which spare they
 // were replayed onto, and the version range of the replay. Recorded by
@@ -102,7 +94,6 @@ type HealthReport struct {
 	RetryBudget int           `json:"retry_budget,omitempty"`
 	Links       []LinkHealth  `json:"links,omitempty"`
 	Shards      []ShardHealth `json:"shards,omitempty"`
-	Queue       *QueueHealth  `json:"queue,omitempty"`
 	// AppliedFrom counts applied ops per origin rank (watermarks).
 	AppliedFrom map[int]int64 `json:"applied_from,omitempty"`
 }

@@ -79,24 +79,6 @@ func (r *Registry) Register(name string, c *stats.Counter) error {
 	return nil
 }
 
-// RegisterGauge names an existing live gauge, with the same collision
-// semantics as Register.
-func (r *Registry) RegisterGauge(name string, g *stats.Gauge) error {
-	if r == nil || g == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*stats.Gauge)
-	}
-	if prev, ok := r.gauges[name]; ok && prev != g {
-		return fmt.Errorf("%w: gauge %q", ErrDuplicateName, name)
-	}
-	r.gauges[name] = g
-	return nil
-}
-
 // RegisterHistogram names an existing live histogram, with the same
 // collision semantics as Register.
 func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) error {

@@ -171,13 +171,6 @@ func TestRegisterCollisionRejected(t *testing.T) {
 		t.Fatalf("first binding displaced: snapshot reads %d, want 7", got)
 	}
 
-	var g1, g2 stats.Gauge
-	if err := r.RegisterGauge("shard.depth", &g1); err != nil {
-		t.Fatalf("gauge registration: %v", err)
-	}
-	if err := r.RegisterGauge("shard.depth", &g2); !errors.Is(err, ErrDuplicateName) {
-		t.Fatalf("gauge collision returned %v, want ErrDuplicateName", err)
-	}
 	h1, h2 := &stats.Histogram{}, &stats.Histogram{}
 	if err := r.RegisterHistogram("latency.put", h1); err != nil {
 		t.Fatalf("histogram registration: %v", err)

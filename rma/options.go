@@ -10,7 +10,7 @@ import (
 // The option taxonomy is enforced by the compiler:
 //
 //   - SessionOption configures a Session and is accepted only by Open —
-//     batching, the atomicity mechanism, telemetry, events, faults,
+//     batching, the atomicity mechanism, telemetry, faults,
 //     replication, the apply shards. Passing one to a transfer call does
 //     not compile.
 //   - OpOption configures a single operation and is accepted only by the
@@ -77,8 +77,6 @@ type sessionConfig struct {
 	tracing   bool
 	traceCap  int
 	checker   bool
-	events    bool
-	eventsCap int
 	faults    *simnet.FaultPlan
 	retry     *portals.RetryPolicy
 	flight    bool
@@ -218,15 +216,12 @@ func WithTracing(capacity int) SessionOption {
 	return sessionOption(func(c *sessionConfig) { c.tracing, c.traceCap = true, capacity })
 }
 
-// WithEvents installs the completion-event queue at Open with the given
-// capacity (0 or negative = core.DefaultEventQueueCap), so early events
-// are not missed and the capacity can be sized to the workload's
-// in-flight window. Like WithMetrics it is honoured by any Open of the
-// rank, but the first installed queue (including one Session.Events
-// created implicitly) keeps its capacity. Without it, Session.Events
-// installs a default-capacity queue on first use.
+// WithEvents does nothing and ignores capacity. It once installed a
+// bounded completion-event queue; completion is now observed only through
+// Request.OnDone and Session.Select, which need nothing installed and
+// lose nothing. It is kept so code written against the queue compiles.
 func WithEvents(capacity int) SessionOption {
-	return sessionOption(func(c *sessionConfig) { c.events, c.eventsCap = true, capacity })
+	return sessionOption(func(*sessionConfig) {})
 }
 
 // WithFaults installs a deterministic fault-injection plan on the world's
@@ -282,8 +277,8 @@ func WithChecker() SessionOption {
 // WithFlightRecorder enables the postmortem flight recorder at Open: a
 // bounded ring of recent protocol milestones (deliveries, confirms,
 // retransmissions, faults) that automatically writes a JSON postmortem —
-// recent events, per-rank health, sticky errors, retry state, queue
-// depths, metric deltas — into dir the first time a link fails or the
+// recent events, per-rank health, sticky errors, retry state, shard
+// task counts, metric deltas — into dir the first time a link fails or the
 // apply engine faults. An empty dir falls back to the system temp
 // directory. Dump on demand with Session.FlightRecorder().DumpFile.
 // When not enabled, recorder feed sites pay one atomic load and allocate

@@ -166,9 +166,6 @@ func Open(p *runtime.Proc, opts ...SessionOption) *Session {
 	if cfg.metrics {
 		s.eng.EnableTelemetry(nil)
 	}
-	if cfg.events {
-		s.eng.EnableEvents(cfg.eventsCap)
-	}
 	if cfg.tracing && s.eng.Tracer() == nil {
 		s.eng.SetTracer(trace.New(cfg.traceCap))
 	}
@@ -288,8 +285,7 @@ func (s *Session) FlightRecorder() *telemetry.FlightRecorder {
 }
 
 // Health reports this rank's point-in-time health — sticky errors, link
-// and retry state, per-shard task counts, completion-queue depth, blocked
-// waits — the report every postmortem embeds. It is safe to call from any
+// and retry state, per-shard task counts, blocked waits — the report every postmortem embeds. It is safe to call from any
 // goroutine.
 func (s *Session) Health() telemetry.HealthReport { return s.eng.Health() }
 
@@ -472,13 +468,13 @@ func (s *Session) Order(targets ...int) error {
 // DESIGN.md §11). An Event is one completion transition — a request
 // finishing, an operation applying locally, a target confirming delivery
 // or going quiescent, a link or apply fault — stamped with its
-// deterministic virtual time. A CompletionQueue delivers them in
-// publication order; SelectCase arms a Session.Select call.
+// deterministic virtual time. SelectCase arms a Session.Select call, which
+// returns the Event of the case that fired; Request.OnDone is the other
+// way to learn that a request finished.
 type (
-	Event           = core.Event
-	EventKind       = core.EventKind
-	CompletionQueue = core.CompletionQueue
-	SelectCase      = core.SelectCase
+	Event      = core.Event
+	EventKind  = core.EventKind
+	SelectCase = core.SelectCase
 )
 
 // Event kinds (see the core.EventKind constants for full semantics).
@@ -503,18 +499,6 @@ var (
 	OnConfirmed = core.OnConfirmed
 	OnQuiescent = core.OnQuiescent
 )
-
-// Events returns the session's completion queue, installing one with the
-// default capacity on first use (like Metrics; pass WithEvents to Open to
-// size it). Every completion transition of this rank is published to the
-// queue: drain with Poll (non-blocking) or Wait (blocking). The queue is
-// bounded and never blocks the engine — when the consumer falls behind,
-// new events are dropped and counted in the events.dropped counter
-// (Dropped on the queue); the underlying counters remain exact, so a
-// dropped event means a lost wakeup hint, never lost completion state.
-func (s *Session) Events() *CompletionQueue {
-	return s.eng.EnableEvents(0)
-}
 
 // Select blocks until any of the cases fires, returning the index of the
 // winning case and its event — the any-of multiplexer of the event-driven
