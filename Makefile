@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json layering test race allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench profile-smoke benchmark-check flake loc
+.PHONY: check build vet lint lint-json layering test race fuzz-smoke allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench profile-smoke benchmark-check flake loc
 
 # check is the PR gate: vet, the rmalint static analyzers, the package
 # layering rule, build, full tests, the race detector over every package,
@@ -9,8 +9,9 @@ GO ?= go
 # E14 smoke bench proving the sharded apply engine still scales, a telemetry smoke run proving the JSON exporters parse, a
 # profiling smoke run proving the critical-path and pprof sidecars come out
 # attributable, the seeded chaos fault matrix under the race detector, and
-# the repository benchmark's own vet and quick pass.
-check: lint layering build test race allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
+# the repository benchmark's own vet and quick pass, and a few seconds of
+# fuzzing on each decoder and layout walk that input from the wire reaches.
+check: lint layering build test race fuzz-smoke allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +54,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke fuzzes, 5 s each, past their seed corpora: the datatype
+# codec, the run cursor, the cached layout plans against the cursor, and
+# core's put-frame and batch parsers, which decode types from the wire. Go
+# runs one fuzz target per invocation; a failing input is written under the
+# package's testdata/fuzz to replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/datatype/
+	$(GO) test -run '^$$' -fuzz '^FuzzCursor$$' -fuzztime 5s ./internal/datatype/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 5s ./internal/datatype/
+	$(GO) test -run '^$$' -fuzz '^FuzzPutPayloadFrame$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchUnpack$$' -fuzztime 5s ./internal/core/
 
 # allocs runs the per-primitive allocation tables — the engine's and the
 # facade's, each row asserted == its committed number — and prints one line

@@ -394,14 +394,9 @@ func decodeBatch(p []byte) ([]wireOp, error) {
 		if v > uint64(len(p)) {
 			return nil, fmt.Errorf("core: batch datatype of %d bytes exceeds remaining %d", v, len(p))
 		}
-		dt, used, err := datatype.Decode(p[:v])
-		if err != nil {
+		if op.tdt, err = decodedTypes.decode(p[:v]); err != nil {
 			return nil, err
 		}
-		if used != int(v) {
-			return nil, fmt.Errorf("core: batch datatype frame has %d trailing bytes", int(v)-used)
-		}
-		op.tdt = dt
 		p = p[v:]
 		if v, p, err = batchUvarint(p, "payload length"); err != nil {
 			return nil, err

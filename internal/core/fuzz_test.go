@@ -37,6 +37,7 @@ func FuzzPutPayloadFrame(f *testing.F) {
 	axpy, _ := newFramed(0, kPut, datatype.Float64, AccAxpy, 2.5, 8)
 	f.Add(put.Payload)
 	f.Add(axpy.Payload)
+	f.Add([]byte{0x02, 0x05, 0x00}) // an empty Struct, two bytes like a primitive: it bypasses the intern table
 	f.Add([]byte{0xFF})
 	f.Add([]byte{})
 

@@ -255,7 +255,15 @@ var allocTable = []pinned{
 	{"put remote-complete", serializer.MechThread, 3, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
 	{"put atomic (thread)", serializer.MechThread, 2, func(c *pinCtx) { c.put(AttrAtomic) }},
 	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 5, func(c *pinCtx) {
+	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 3, func(c *pinCtx) {
+		req, err := c.e.Put(c.src, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, 0)
+		if err != nil {
+			c.t.Fatalf("put: %v", err)
+		}
+		req.Wait()
+		c.settle()
+	}},
+	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 4, func(c *pinCtx) {
 		if _, err := c.e.Get(c.dst, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, AttrBlocking); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
@@ -312,7 +320,7 @@ func pinAllocs(t *testing.T, mech serializer.Mechanism, steps []allocStep) *Engi
 		enc, _ := p.Recv(0, 0)
 		tm, _ := DecodeTargetMem(enc)
 		c := &pinCtx{t: t, e: e, comm: p.Comm(), tm: tm,
-			src: p.Alloc(8), dst: p.Alloc(datatype.ExtentOf(8, pinVec))}
+			src: p.Alloc(datatype.ExtentOf(8, pinVec)), dst: p.Alloc(datatype.ExtentOf(8, pinVec))}
 		for i, step := range steps {
 			step.install(e)
 			p.Barrier()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
@@ -340,12 +341,73 @@ func parseTypeFrame(body []byte) (datatype.Type, []byte, error) {
 	if n <= 0 || uint64(len(body)-n) < dtLen {
 		return nil, nil, fmt.Errorf("core: truncated datatype frame")
 	}
-	dt, used, err := datatype.Decode(body[n : n+int(dtLen)])
+	dt, err := decodedTypes.decode(body[n : n+int(dtLen)])
 	if err != nil {
 		return nil, nil, err
 	}
-	if used != int(dtLen) {
-		return nil, nil, fmt.Errorf("core: datatype frame has %d trailing bytes", int(dtLen)-used)
-	}
 	return dt, body[n+int(dtLen):], nil
+}
+
+// Bounds on the decoded-type table. Encodings arrive from the network, so
+// both the number of entries and the length of each are capped; a type
+// whose encoding is too long is decoded for its own operation and not
+// kept, and a new type arriving at a full table empties it first.
+const (
+	maxTypeEntries = 256
+	maxTypeEncLen  = 256
+)
+
+// typeTable interns decoded target types: the same encoding bytes decode
+// to the same Type value, so a type's plan (datatype.EachGroup) is built
+// once per process rather than once per operation, and a derived type
+// costs its decode allocation once. Types are immutable, so an entry is
+// never invalidated; the table is only ever emptied when full, so a burst
+// of distinct layouts costs the live ones one more decode and plan each,
+// rather than locking them out for good. The zero value is empty and
+// ready to use.
+type typeTable struct {
+	mu    sync.Mutex
+	types map[string]datatype.Type
+}
+
+// decodedTypes is the process-wide table every engine decodes through:
+// ranks of one world, and of every world in the process, ship the same
+// encodings.
+var decodedTypes typeTable
+
+// decode decodes enc, which must hold exactly one type encoding. An
+// encoding of two bytes or fewer (a primitive) decodes without allocating
+// and bypasses the table.
+func (tt *typeTable) decode(enc []byte) (datatype.Type, error) {
+	keep := len(enc) > 2 && len(enc) <= maxTypeEncLen
+	if keep {
+		tt.mu.Lock()
+		dt, ok := tt.types[string(enc)]
+		tt.mu.Unlock()
+		if ok {
+			return dt, nil
+		}
+	}
+	dt, used, err := datatype.Decode(enc)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(enc) {
+		return nil, fmt.Errorf("core: datatype frame has %d trailing bytes", len(enc)-used)
+	}
+	if keep {
+		tt.mu.Lock()
+		if prev, ok := tt.types[string(enc)]; ok {
+			dt = prev // decoded meanwhile by another rank: one value per encoding
+		} else {
+			if tt.types == nil {
+				tt.types = make(map[string]datatype.Type)
+			} else if len(tt.types) == maxTypeEntries {
+				clear(tt.types)
+			}
+			tt.types[string(enc)] = dt
+		}
+		tt.mu.Unlock()
+	}
+	return dt, nil
 }

@@ -45,23 +45,12 @@ var primitiveEncodings = func() (enc [KFloat64 + 1][2]byte) {
 // Encode serializes t. The bytes are computed once per type value and
 // shared by every caller, which must not modify them.
 func Encode(t Type) []byte {
-	var enc *encoding
-	switch x := t.(type) {
-	case primitive:
-		return primitiveEncodings[x.kind][:]
-	case *contiguous:
-		enc = &x.enc
-	case *vector:
-		enc = &x.enc
-	case *indexed:
-		enc = &x.enc
-	case *structT:
-		enc = &x.enc
-	default:
-		panic(fmt.Sprintf("datatype: cannot encode type %T", t))
+	m := t.cache()
+	if m == nil {
+		return primitiveEncodings[t.(primitive).kind][:]
 	}
-	enc.once.Do(func() { enc.bytes = appendType(nil, t) })
-	return enc.bytes
+	m.encOnce.Do(func() { m.enc = appendType(nil, t) })
+	return m.enc
 }
 
 func appendType(out []byte, t Type) []byte {

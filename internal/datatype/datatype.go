@@ -110,6 +110,9 @@ type Type interface {
 	// Size() == Extent() is not a proof, because Indexed and Struct maps
 	// may revisit or reorder bytes, so those are never dense.
 	dense() (k Kind, n int, ok bool)
+	// cache returns what the type computes once, or nil for a primitive,
+	// which has nothing worth keeping.
+	cache() *memo
 }
 
 // block is the iterator's unit, a vector's shape: nblocks blocks of count
@@ -232,11 +235,54 @@ func (c *Cursor) runs() *frame {
 	return nil
 }
 
-// encoding caches a derived type's wire form (codec.go), built on first
-// use: a type is immutable, so every transfer that ships it shares one.
-type encoding struct {
-	once  sync.Once
-	bytes []byte
+// Group is one step of a layout walk: Blocks runs of Bytes bytes of
+// Width-byte elements, run b at byte offset Off+b*Step.
+type Group struct{ Off, Bytes, Width, Blocks, Step int }
+
+// maxPlanGroups bounds the walk that builds a plan: a layout whose one
+// instance takes more NextBlocks groups, counted before abutting runs
+// merge, keeps no plan and is walked by the Cursor on every use. So a
+// decoded description claiming 2^31 groups costs O(1) time and memory to
+// plan, however many of them would merge.
+const maxPlanGroups = 64
+
+// memo is what a derived type computes once, on first use, and shares
+// with every transfer that uses it: its wire form (codec.go) and its plan,
+// NextBlocks' groups over one instance with abutting runs merged. A type
+// is immutable, so neither is ever invalidated.
+type memo struct {
+	encOnce, planOnce sync.Once
+	enc               []byte
+	plan              []Group
+	ext               int  // one instance's extent
+	planned           bool // false past maxPlanGroups
+}
+
+func (m *memo) cache() *memo { return m }
+
+// planOf returns t's plan and instance extent, building them on first
+// use, or ok false when one instance takes more than maxPlanGroups groups.
+func (m *memo) planOf(t Type) (plan []Group, ext int, ok bool) {
+	m.planOnce.Do(func() {
+		var c Cursor
+		c.Reset(1, t)
+		steps := 0
+		for off, n, k, nb, step, ok := c.NextBlocks(); ok; off, n, k, nb, step, ok = c.NextBlocks() {
+			if steps++; steps > maxPlanGroups {
+				m.plan = nil
+				return
+			}
+			g := Group{off, n * k.Width(), k.Width(), nb, step}
+			if l := len(m.plan) - 1; l >= 0 && nb == 1 && m.plan[l].Blocks == 1 &&
+				m.plan[l].Width == g.Width && m.plan[l].Off+m.plan[l].Bytes == off {
+				m.plan[l].Bytes += g.Bytes
+				continue
+			}
+			m.plan = append(m.plan, g)
+		}
+		m.ext, m.planned = t.Extent(), true
+	})
+	return m.plan, m.ext, m.planned
 }
 
 // --- Predefined types -------------------------------------------------
@@ -250,6 +296,7 @@ func (p primitive) Extent() int                 { return p.kind.Width() }
 func (p primitive) Name() string                { return p.kind.String() }
 func (p primitive) part(int, int) (block, bool) { return block{}, false }
 func (p primitive) dense() (Kind, int, bool)    { return p.kind, 1, true }
+func (p primitive) cache() *memo                { return nil }
 
 // Predefined primitive types.
 var (
@@ -265,7 +312,7 @@ var (
 type contiguous struct {
 	count int
 	base  Type
-	enc   encoding
+	memo
 }
 
 // Contiguous returns a type of count consecutive instances of base.
@@ -294,7 +341,7 @@ type vector struct {
 	blocklen int // base instances per block
 	stride   int // base extents between block starts
 	base     Type
-	enc      encoding
+	memo
 }
 
 // Vector returns a strided type: count blocks of blocklen consecutive base
@@ -336,7 +383,7 @@ type indexed struct {
 	displs    []int // block displacements in base extents
 	base      Type
 	extent    int
-	enc       encoding
+	memo
 }
 
 // Indexed returns a scatter/gather type: len(displs) blocks, block i
@@ -396,7 +443,7 @@ type Field struct {
 type structT struct {
 	fields []Field
 	extent int
-	enc    encoding
+	memo
 }
 
 // Struct returns a heterogeneous record type assembled from fields, like

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -404,6 +405,33 @@ func merged(runs []run) []run {
 	}
 	return out
 }
+
+// Signature is the flattened element-kind sequence of count instances of
+// a type, run-length encoded as (kind, n) pairs: the MPI matching rule
+// built the slow way, the oracle Compatible's walk in step is checked
+// against.
+type Signature []sigRun
+
+type sigRun struct {
+	Kind Kind
+	N    int
+}
+
+// SignatureOf computes the signature of count instances of t.
+func SignatureOf(count int, t Type) Signature {
+	var sig Signature
+	WalkN(count, t, func(off, n int, k Kind) {
+		if len(sig) > 0 && sig[len(sig)-1].Kind == k {
+			sig[len(sig)-1].N += n
+			return
+		}
+		sig = append(sig, sigRun{k, n})
+	})
+	return sig
+}
+
+// Equal reports whether two signatures describe the same element sequence.
+func (s Signature) Equal(o Signature) bool { return slices.Equal(s, o) }
 
 // refCopy moves count instances of t between mem and the wire with the
 // reference walk: pack when toWire, unpack otherwise.

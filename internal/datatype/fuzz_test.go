@@ -1,6 +1,7 @@
 package datatype
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -125,4 +126,155 @@ func FuzzCursor(f *testing.F) {
 			t.Fatalf("%d x %s is not compatible with itself", na, a.Name())
 		}
 	})
+}
+
+// FuzzPlan checks PackInto and Unpack — one copy for a dense type, the
+// type's plan otherwise — against a copy built from the Cursor's runs,
+// element by element, over random nests of every constructor and their
+// decoded twins, random counts and both byte orders: the same wire bytes,
+// the same memory, holes untouched. A twin whose plan is refused, as one
+// past maxPlanGroups is, must give the same bytes through the Cursor.
+func FuzzPlan(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), false, false)
+	f.Add(int64(17), uint8(6), uint8(5), true, true)
+	f.Add(int64(-5), uint8(2), uint8(1), true, false)
+
+	f.Fuzz(func(t *testing.T, seed int64, depth, count uint8, decoded, bigEndian bool) {
+		r := rand.New(rand.NewSource(seed))
+		dt := nestedType(r, int(depth%7))
+		if decoded {
+			dt = decodeCopy(t, dt)
+		}
+		n, order := int(count%6), LittleEndian
+		if bigEndian {
+			order = BigEndian
+		}
+		refused := decodeCopy(t, dt)
+		if m := refused.cache(); m != nil {
+			m.planOnce.Do(func() {})
+			if _, _, ok := m.planOf(refused); ok {
+				t.Fatalf("%s: a refused plan is still used", refused.Name())
+			}
+		}
+		mem := make([]byte, ExtentOf(n, dt))
+		r.Read(mem)
+		want := make([]byte, PackedSize(n, dt))
+		cursorCopy(mem, want, n, dt, order, true)
+		wantMem := bytes.Repeat([]byte{0xAB}, len(mem))
+		cursorCopy(wantMem, want, n, dt, order, false)
+		for _, typ := range []Type{dt, refused} {
+			wire := make([]byte, len(want))
+			if err := PackInto(wire, mem, n, typ, order); err != nil {
+				t.Fatalf("%s x%d: pack: %v", typ.Name(), n, err)
+			}
+			if !bytes.Equal(wire, want) {
+				t.Fatalf("%s x%d, %v: packed %x, cursor runs %x", typ.Name(), n, order, wire, want)
+			}
+			got := bytes.Repeat([]byte{0xAB}, len(mem))
+			if err := Unpack(got, want, n, typ, order); err != nil {
+				t.Fatalf("%s x%d: unpack: %v", typ.Name(), n, err)
+			}
+			if !bytes.Equal(got, wantMem) {
+				t.Fatalf("%s x%d, %v: unpacked %x, cursor runs %x", typ.Name(), n, order, got, wantMem)
+			}
+		}
+	})
+}
+
+// decodeCopy returns a fresh value of t through the codec, with nothing
+// cached yet.
+func decodeCopy(t *testing.T, dt Type) Type {
+	t.Helper()
+	dec, _, err := Decode(Encode(dt))
+	if err != nil {
+		t.Fatalf("decode %s: %v", dt.Name(), err)
+	}
+	return dec
+}
+
+// cursorCopy moves count instances of t between mem and wire one
+// Cursor.Next run at a time and one byte at a time — the walk a plan
+// memoises, without the plan or the copy helpers: pack when toWire,
+// unpack otherwise.
+func cursorCopy(mem, wire []byte, count int, t Type, order ByteOrder, toWire bool) {
+	var c Cursor
+	c.Reset(count, t)
+	pos := 0
+	for off, n, k, ok := c.Next(); ok; off, n, k, ok = c.Next() {
+		w := k.Width()
+		for e := 0; e < n; e, off, pos = e+1, off+w, pos+w {
+			for j := 0; j < w; j++ {
+				m, x := off+j, pos+j
+				if order == BigEndian {
+					m = off + w - 1 - j
+				}
+				if toWire {
+					wire[x] = mem[m]
+				} else {
+					mem[m] = wire[x]
+				}
+			}
+		}
+	}
+}
+
+// TestPlanBounds pins the limits on a plan: a layout with more than
+// maxPlanGroups groups per instance keeps none and still packs and
+// unpacks right through the Cursor, even when its runs abut and would
+// merge into one; a decoded description claiming 2^31 blocks whose wire
+// or buffer is short fails its length check without building a plan at
+// all; and a transfer of no instances builds none either.
+func TestPlanBounds(t *testing.T) {
+	for _, groups := range []int{maxPlanGroups, maxPlanGroups + 1} {
+		blocklens, displs := make([]int, groups), make([]int, groups)
+		for i := range displs {
+			blocklens[i], displs[i] = 1, 2*i
+		}
+		dt := Indexed(blocklens, displs, Int64)
+		mem := make([]byte, ExtentOf(3, dt))
+		rand.New(rand.NewSource(int64(groups))).Read(mem)
+		want := make([]byte, PackedSize(3, dt))
+		cursorCopy(mem, want, 3, dt, BigEndian, true)
+		wire, err := Pack(mem, 3, dt, BigEndian)
+		if err != nil || !bytes.Equal(wire, want) {
+			t.Fatalf("%d groups: packed %x (%v), cursor runs %x", groups, wire, err, want)
+		}
+		if _, _, ok := dt.cache().planOf(dt); ok != (groups <= maxPlanGroups) {
+			t.Errorf("%d groups: planned = %v, cap is %d", groups, ok, maxPlanGroups)
+		}
+	}
+
+	word := Struct([]Field{{Offset: 0, Count: 1, Type: Int64}})
+	for _, groups := range []int{maxPlanGroups, maxPlanGroups + 1} {
+		dt := decodeCopy(t, Contiguous(groups, word))
+		if _, _, ok := dt.cache().planOf(dt); ok != (groups <= maxPlanGroups) {
+			t.Errorf("%d abutting words: planned = %v, cap is %d", groups, ok, maxPlanGroups)
+		}
+	}
+
+	huge := decodeCopy(t, Vector(1<<31, 1, 2, word))
+	if err := Unpack(make([]byte, 64), make([]byte, 16), 1, huge, LittleEndian); err == nil {
+		t.Fatal("a 16-byte wire for a 2^31-element layout should fail")
+	}
+	if err := PackInto(make([]byte, 16), make([]byte, 64), 1, huge, LittleEndian); err == nil {
+		t.Fatal("a 16-byte pack buffer for a 2^31-element layout should fail")
+	}
+	merging := decodeCopy(t, Contiguous(1<<31, word))
+	for _, dt := range []Type{huge, merging} {
+		if err := Unpack(nil, nil, 0, dt, LittleEndian); err != nil {
+			t.Fatalf("%s x0: unpack: %v", dt.Name(), err)
+		}
+		if err := PackInto(nil, nil, 0, dt, LittleEndian); err != nil {
+			t.Fatalf("%s x0: pack: %v", dt.Name(), err)
+		}
+		built := true
+		dt.cache().planOnce.Do(func() { built = false })
+		if built {
+			t.Errorf("%s: a rejected or empty transfer built its type's plan", dt.Name())
+		}
+	}
+	fresh := decodeCopy(t, merging)
+	if _, _, ok := fresh.cache().planOf(fresh); ok {
+		t.Error("2^31 abutting words were planned")
+	}
 }

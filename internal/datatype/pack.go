@@ -1,9 +1,6 @@
 package datatype
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // PackedSize returns the number of wire bytes count instances of t occupy.
 func PackedSize(count int, t Type) int { return count * t.Size() }
@@ -33,16 +30,12 @@ func PackInto(dst, src []byte, count int, t Type, order ByteOrder) error {
 	if need := ExtentOf(count, t); len(src) < need {
 		return fmt.Errorf("datatype: source buffer is %d bytes, type %s x%d spans %d", len(src), t.Name(), count, need)
 	}
-	var c Cursor
-	c.Reset(count, t)
 	pos := 0
-	for off, n, k, nb, step, ok := c.NextBlocks(); ok; off, n, k, nb, step, ok = c.NextBlocks() {
-		w := k.Width()
-		l := n * w
-		for ; nb > 0; nb, off, pos = nb-1, off+step, pos+l {
-			copyRun(dst[pos:pos+l], src[off:off+l], w, order)
+	EachGroup(count, t, func(g Group) {
+		for off := g.Off; g.Blocks > 0; g.Blocks, off, pos = g.Blocks-1, off+g.Step, pos+g.Bytes {
+			copyRun(dst[pos:pos+g.Bytes], src[off:off+g.Bytes], g.Width, order)
 		}
-	}
+	})
 	if pos != len(dst) {
 		return fmt.Errorf("datatype: internal error: packed %d of %d bytes", pos, len(dst))
 	}
@@ -58,20 +51,48 @@ func Unpack(dst []byte, wire []byte, count int, t Type, order ByteOrder) error {
 	if need := ExtentOf(count, t); len(dst) < need {
 		return fmt.Errorf("datatype: destination buffer is %d bytes, type %s x%d spans %d", len(dst), t.Name(), count, need)
 	}
-	var c Cursor
-	c.Reset(count, t)
 	pos := 0
-	for off, n, k, nb, step, ok := c.NextBlocks(); ok; off, n, k, nb, step, ok = c.NextBlocks() {
-		w := k.Width()
-		l := n * w
-		for ; nb > 0; nb, off, pos = nb-1, off+step, pos+l {
-			copyRun(dst[off:off+l], wire[pos:pos+l], w, order)
+	EachGroup(count, t, func(g Group) {
+		for off := g.Off; g.Blocks > 0; g.Blocks, off, pos = g.Blocks-1, off+g.Step, pos+g.Bytes {
+			copyRun(dst[off:off+g.Bytes], wire[pos:pos+g.Bytes], g.Width, order)
 		}
-	}
+	})
 	if pos != len(wire) {
 		return fmt.Errorf("datatype: internal error: unpacked %d of %d bytes", pos, len(wire))
 	}
 	return nil
+}
+
+// EachGroup calls fn, in layout order, with every group of runs of count
+// instances of t, offsets relative to the first. count instances of a
+// dense type are one run; any other type is walked through its plan, built
+// on its first walk, or by a Cursor past maxPlanGroups. A caller that
+// checks a buffer against the layout checks it first, so a description
+// that fails the check never builds a plan, and no instance builds none.
+func EachGroup(count int, t Type, fn func(Group)) {
+	if count <= 0 {
+		return
+	}
+	if k, n, ok := t.dense(); ok {
+		if n *= count; n > 0 {
+			fn(Group{0, n * k.Width(), k.Width(), 1, 0})
+		}
+		return
+	}
+	if plan, ext, ok := t.cache().planOf(t); ok {
+		for at := 0; count > 0 && len(plan) > 0; count, at = count-1, at+ext {
+			for _, g := range plan {
+				g.Off += at
+				fn(g)
+			}
+		}
+		return
+	}
+	var c Cursor
+	c.Reset(count, t)
+	for off, n, k, nb, step, ok := c.NextBlocks(); ok; off, n, k, nb, step, ok = c.NextBlocks() {
+		fn(Group{off, n * k.Width(), k.Width(), nb, step})
+	}
 }
 
 // copyRun copies one run of w-wide elements between a rank's memory and the
@@ -80,6 +101,10 @@ func Unpack(dst []byte, wire []byte, count int, t Type, order ByteOrder) error {
 func copyRun(dst, src []byte, w int, order ByteOrder) {
 	if order == BigEndian && w > 1 {
 		swapCopy(dst, src, w)
+	} else if len(src) == 8 {
+		// One word, the strided case of a single int64 or float64 per
+		// block: a memmove call costs more than the copy.
+		*(*[8]byte)(dst) = [8]byte(src)
 	} else {
 		copy(dst, src)
 	}
@@ -94,32 +119,6 @@ func swapCopy(dst, src []byte, w int) {
 		}
 	}
 }
-
-// Signature returns the flattened element-kind sequence of count instances
-// of t, run-length encoded as (kind, n) pairs. Two transfers are
-// type-compatible when their signatures are equal — the MPI matching rule.
-type Signature []sigRun
-
-type sigRun struct {
-	Kind Kind
-	N    int
-}
-
-// SignatureOf computes the signature of count instances of t.
-func SignatureOf(count int, t Type) Signature {
-	var sig Signature
-	WalkN(count, t, func(off, n int, k Kind) {
-		if len(sig) > 0 && sig[len(sig)-1].Kind == k {
-			sig[len(sig)-1].N += n
-			return
-		}
-		sig = append(sig, sigRun{k, n})
-	})
-	return sig
-}
-
-// Equal reports whether two signatures describe the same element sequence.
-func (s Signature) Equal(o Signature) bool { return slices.Equal(s, o) }
 
 // Compatible reports whether a transfer of ocount instances of ot matches
 // tcount instances of tt — identical flattened element sequences. Two

@@ -340,13 +340,11 @@ func (m *Memory) RemoteUnpack(off int, wire []byte, count int, dt datatype.Type,
 	if m.version == nil {
 		return nil
 	}
-	var c datatype.Cursor
-	c.Reset(count, dt)
-	for at, n, k, nb, step, ok := c.NextBlocks(); ok; at, n, k, nb, step, ok = c.NextBlocks() {
-		for ; nb > 0; nb, at = nb-1, at+step {
-			m.bumpVersions(off+at, n*k.Width())
+	datatype.EachGroup(count, dt, func(g datatype.Group) {
+		for at := off + g.Off; g.Blocks > 0; g.Blocks, at = g.Blocks-1, at+g.Step {
+			m.bumpVersions(at, g.Bytes)
 		}
-	}
+	})
 	return nil
 }
 

@@ -74,7 +74,15 @@ var facadeAllocs = []struct {
 	{"put remote-complete", serializer.MechThread, 3, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
 	{"put atomic (thread)", serializer.MechThread, 2, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
 	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
-	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 5, func(c *facadeCtx) {
+	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 3, func(c *facadeCtx) {
+		req, err := c.s.Put(c.src, 8, facadeVec, c.tm, 0)
+		if err != nil {
+			c.t.Fatalf("put: %v", err)
+		}
+		req.Wait()
+		c.settle()
+	}},
+	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 4, func(c *facadeCtx) {
 		if _, err := c.s.Get(c.dst, 8, facadeVec, c.tm, 0, rma.WithBlocking()); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
@@ -119,7 +127,7 @@ func TestFacadeAllocsPerPrimitive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode descriptor: %v", err)
 			}
-			c := &facadeCtx{t: t, s: s, target: target, tm: tm, src: p.Alloc(8), dst: p.Alloc(facadeVec.Extent() * 8)}
+			c := &facadeCtx{t: t, s: s, target: target, tm: tm, src: p.Alloc(facadeVec.Extent() * 8), dst: p.Alloc(facadeVec.Extent() * 8)}
 			for _, row := range facadeAllocs {
 				if row.mech != mech {
 					continue
