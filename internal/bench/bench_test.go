@@ -164,3 +164,25 @@ func TestE12ShapeInvariants(t *testing.T) {
 		t.Errorf("only %d variants ran", len(res.Notes))
 	}
 }
+
+// TestE4SoftAcksCounted: nic.soft_acks counts the engine's software echoes.
+// Every remote-complete put of the software-echo cell is acknowledged by
+// the target CPU — one soft ack per put — and the hardware-ack cell sends
+// none, so E4's soft_acks column tells its two series apart.
+func TestE4SoftAcksCounted(t *testing.T) {
+	const origins, puts = 2, 10
+	for _, soft := range []bool{false, true} {
+		out := RunPutsComplete(PutsCompleteConfig{
+			Origins: origins, Puts: puts, Size: 8,
+			Attrs: core.AttrRemoteComplete, Mech: serializer.MechThread,
+			SoftwareAcks: soft,
+		})
+		want := int64(0)
+		if soft {
+			want = origins * puts
+		}
+		if !out.Verified || out.SoftAcks != want {
+			t.Errorf("software acks %v: verified=%v soft_acks=%d, want %d", soft, out.Verified, out.SoftAcks, want)
+		}
+	}
+}

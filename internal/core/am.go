@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpi3rma/internal/runtime"
-	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
 )
 
@@ -50,12 +49,7 @@ func (e *Engine) InvokeAM(id uint64, payload []byte, trank int, comm *runtime.Co
 	// A handler is a critical section: always atomic, so it holds the
 	// target's coarse lock where that is the serializer, and it sees
 	// ring-held deposits applied in order.
-	return e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs), true, latNone, landing{})
-}
-
-// handleAM receives an active message.
-func (e *Engine) handleAM(m *simnet.Message, at vtime.Time) {
-	e.gateOrdered(e.takeOp(m), at)
+	return e.issue(comm, target, e.effectiveAttrs(comm, attrs), latNone, m, landing{}, nil)
 }
 
 // startAM finds the handler and schedules it on the serializer.

@@ -51,8 +51,14 @@ type applyOp struct {
 	free bool
 }
 
-// takeOp returns a record for m with the header fields every kind shares
-// decoded into it.
+// handleOp receives every operation the target applies — a put or
+// accumulate, a get, a read-modify-write, an active message, an aggregate
+// of ring members — and lets it through the ordered-stream gate to start.
+func (e *Engine) handleOp(m *simnet.Message, at vtime.Time) {
+	e.gateOrdered(e.takeOp(m), at)
+}
+
+// takeOp returns a record for m with its header fields decoded into it.
 func (e *Engine) takeOp(m *simnet.Message) *applyOp {
 	r := e.ops.get()
 	if r == nil {
@@ -66,10 +72,12 @@ func (e *Engine) takeOp(m *simnet.Message) *applyOp {
 		handle:  m.Hdr[hHandle],
 		disp:    int(m.Hdr[hDisp]),
 		tcount:  int(m.Hdr[hCount]),
+		accOp:   AccOp(m.Hdr[hMeta] >> 16 & 0xff),
 		atomic:  r.attrs&AttrAtomic != 0 || m.Kind == kRMW || m.Kind == kAM,
 		ordered: r.attrs&AttrOrdering != 0,
 		scale:   1,
 	}
+	r.subop = int(m.Hdr[hMeta] >> 24 & 0xff)
 	r.member = -1
 	return r
 }

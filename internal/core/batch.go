@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,26 +39,28 @@ import (
 //     reports may arrive in any order. Complete then finishes locally when
 //     the counters already cover everything issued — no probe round-trip.
 //
-// Buffers are pooled (sync.Pool): the packed wire form of each ring
-// operation, and the encoded payload of the aggregate itself, which the
-// target hands back after the last member is applied (both ends of the
-// simulated wire live in one process).
+// A ring member is framed, counted and packed by the issue path every
+// operation takes (issue, xfer.go), as
+//
+//	flags accOp uvarint(handle) uvarint(disp) uvarint(tcount) head uvarint(len wire) wire
+//
+// where head is the put head a kPut body opens with. The origin data is
+// packed once, in place, into the ring's aggregate buffer; a flush writes
+// the member count in front and hands that buffer over as the aggregate's
+// payload. Buffers are recycled (batchBufs): the target hands one back
+// after its last member is applied (both ends of the simulated wire live
+// in one process).
 
-// batchOp is one ring-held operation awaiting aggregation: the wireOp the
-// target will decode (wire is the packed origin data, pooled; the target
-// datatype travels encoded in dt, tdt stays nil) plus its request.
-type batchOp struct {
-	wireOp
-	dt  []byte // encoded target datatype
-	req *Request
-	rc  bool // member wants remote completion (completes on batch notify)
-}
-
-// issueRing accumulates batchable operations bound for one target.
+// issueRing accumulates the batchable operations bound for one target
+// (originTarget.ring), as the aggregate message they will travel in.
 type issueRing struct {
-	ops     []batchOp
-	bytes   int  // accumulated packed payload
-	ordered bool // some member carries AttrOrdering
+	max     int        // the most members one aggregate carries (Options.BatchOps)
+	head    int        // bytes reserved ahead of the frames for the member count
+	buf     []byte     // the count reservation, then member frames; nil when empty
+	reqs    []*Request // members, in ring order
+	remote  []*Request // of reqs, those that complete on the aggregate's notification
+	bytes   int        // accumulated packed payload
+	ordered bool       // some member carries AttrOrdering
 }
 
 // pendingBatch routes a batch's notification to the remote-completion
@@ -75,24 +77,57 @@ const (
 	batchFlagOrdered = 1 << 1 // member carried AttrOrdering (semantic-checker metadata)
 )
 
-// wirePool recycles the packed-data buffers of ring operations.
-var wirePool sync.Pool
+// batchBufs recycles aggregate-message payload buffers, process-wide. A
+// ring packs into one; the target returns it after the last member has
+// been applied.
+var batchBufs = freeList[[]byte]{limit: freeListCap}
 
-// wireBuf returns a length-n buffer, reusing pooled storage when large
-// enough.
-func wireBuf(n int) []byte {
-	if v := wirePool.Get(); v != nil {
-		if b := v.([]byte); cap(b) >= n {
-			return b[:n]
-		}
+// add appends op's member frame to the aggregate and has pack fill its
+// packed bytes of wire data in place. On a pack failure the ring is left
+// as it was.
+func (r *issueRing) add(op *wireOp, req *Request, packed int, pack func(wire []byte) error) error {
+	if r.buf == nil {
+		r.head = uvarintLen(uint64(r.max))
+		r.buf = slices.Grow(batchBufs.get()[:0], r.head)[:r.head]
 	}
-	return make([]byte, n)
+	flags := byte(0)
+	if op.atomic {
+		flags |= batchFlagAtomic
+	}
+	if op.ordered {
+		flags |= batchFlagOrdered
+	}
+	b := append(r.buf, flags, byte(op.accOp))
+	b = binary.AppendUvarint(b, op.handle)
+	b = binary.AppendUvarint(b, uint64(op.disp))
+	b = binary.AppendUvarint(b, uint64(op.tcount))
+	b = appendPutHead(b, op.tdt, op.accOp, op.scale)
+	b = binary.AppendUvarint(b, uint64(packed))
+	b = slices.Grow(b, packed)[:len(b)+packed]
+	if err := pack(b[len(b)-packed:]); err != nil {
+		r.buf = b[:len(r.buf)]
+		return err
+	}
+	r.buf = b
+	r.reqs = append(r.reqs, req)
+	r.bytes += packed
+	r.ordered = r.ordered || op.ordered
+	return nil
 }
 
-// batchBufPool recycles aggregate-message payload buffers. The origin
-// encodes into one; the target returns it after the last member has been
-// applied.
-var batchBufPool = sync.Pool{New: func() any { return []byte(nil) }}
+// seal writes the member count in front of the frames and returns the
+// aggregate's payload, emptying the ring. A count shorter than the
+// reservation closes the gap, so the payload is exactly the count and the
+// frames.
+func (r *issueRing) seal() []byte {
+	n, buf := uvarintLen(uint64(len(r.reqs))), r.buf
+	if n < r.head {
+		buf = append(buf[:n], buf[r.head:]...)
+	}
+	binary.PutUvarint(buf, uint64(len(r.reqs)))
+	r.buf, r.reqs, r.remote, r.bytes, r.ordered = nil, nil, nil, 0, false
+	return buf
+}
 
 // batchable reports whether an operation may ride the issue ring: batching
 // enabled, a put or accumulate, nonblocking, not under the coarse-grain
@@ -114,78 +149,6 @@ func (e *Engine) batchable(op OpType, attrs Attr, packed int) bool {
 	return packed <= e.opts.BatchBytes
 }
 
-// appendBatch adds a validated put/accumulate to the target's issue ring,
-// flushing when the ring reaches the configured op or byte bound. The
-// origin data is packed immediately, so the origin buffer is reusable on
-// return and non-remote-complete members complete at once.
-func (e *Engine) appendBatch(accOp AccOp, scale float64, origin memsim.Region, ocount int, odt datatype.Type, tm TargetMem, tdisp, tcount int, tdt datatype.Type, attrs Attr) (*Request, error) {
-	// A sticky failure means the aggregate could never be delivered or
-	// notified. The singleton path surfaces this at issue (the relay
-	// refuses senders to failed links); surfacing it here too keeps the
-	// batched path from parking a request in a ring whose failing flush
-	// may be arbitrarily far away — a lost wakeup for Await/Done/OnDone.
-	if err := e.stickyFor(tm.Owner); err != nil {
-		return nil, fmt.Errorf("core: batch to rank %d: %w", tm.Owner, err)
-	}
-	wire := wireBuf(datatype.PackedSize(ocount, odt))
-	if err := e.packFrom(wire, origin.Offset, ocount, odt, false); err != nil {
-		wirePool.Put(wire)
-		return nil, err
-	}
-	latKind := latPut
-	if accOp != AccNone {
-		latKind = latAcc
-	}
-	req := e.newRequest(tm.Owner, latKind)
-	bop := batchOp{
-		wireOp: wireOp{
-			handle:  tm.Handle,
-			disp:    tdisp,
-			tcount:  tcount,
-			accOp:   accOp,
-			atomic:  attrs&AttrAtomic != 0,
-			ordered: attrs&AttrOrdering != 0,
-			scale:   scale,
-			wire:    wire,
-		},
-		dt:  datatype.Encode(tdt),
-		req: req,
-		rc:  attrs&AttrRemoteComplete != 0,
-	}
-
-	target := tm.Owner
-	e.mu.Lock()
-	ts := e.targetLocked(target)
-	ts.sent++
-	ts.batched++
-	ts.willConfirm++ // the batch always notifies
-	ring := e.rings[target]
-	if ring == nil {
-		ring = &issueRing{}
-		e.rings[target] = ring
-	}
-	ring.ops = append(ring.ops, bop)
-	ring.bytes += len(wire)
-	if attrs&AttrOrdering != 0 {
-		ring.ordered = true
-	}
-	full := len(ring.ops) >= e.opts.BatchOps || ring.bytes >= e.opts.BatchBytes
-	e.mu.Unlock()
-
-	e.OpsIssued.Inc()
-	e.BatchedOps.Inc()
-	e.emit(trace.KindEnqueue, e.proc.Now(), target, req.id, int64(len(wire)), 0)
-	if !bop.rc {
-		// Local completion: the data has been packed out of the origin
-		// buffer already.
-		req.complete(e.proc.Now(), nil)
-	}
-	if full {
-		e.flushTarget(target)
-	}
-	return req, nil
-}
-
 // flushTarget transmits the target's pending issue ring, if any, as one
 // aggregated wire message. It is a no-op when batching is disabled or the
 // ring is empty. Callers must not hold e.mu.
@@ -194,19 +157,14 @@ func (e *Engine) flushTarget(world int) {
 		return
 	}
 	e.mu.Lock()
-	ring := e.rings[world]
-	if ring == nil || len(ring.ops) == 0 {
+	ts := e.targets[world]
+	if ts == nil || len(ts.ring.reqs) == 0 {
 		e.mu.Unlock()
 		return
 	}
-	ops := ring.ops
-	ring.ops = nil
-	ring.bytes = 0
-	ordered := ring.ordered
-	ring.ordered = false
+	ring := &ts.ring
 	var seq uint64
-	if ordered && !e.proc.NIC().Endpoint().Ordered() {
-		ts := e.targetLocked(world)
+	if ring.ordered && !e.proc.NIC().Endpoint().Ordered() {
 		ts.orderSeq++
 		seq = ts.orderSeq
 	}
@@ -218,59 +176,32 @@ func (e *Engine) flushTarget(world int) {
 	// Members were all issued under the current epoch: flushTarget runs
 	// before Order/Complete advance it, so the envelope's stamp speaks
 	// for every member.
-	epoch := e.targetLocked(world).chkEpoch
+	epoch := ts.chkEpoch
+	reqs, remote := ring.reqs, ring.remote
+	payload := ring.seal()
 	e.mu.Unlock()
 
-	buf := batchBufPool.Get().([]byte)[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	var rcReqs []*Request
-	for i := range ops {
-		op := &ops[i]
-		flags := byte(0)
-		if op.atomic {
-			flags |= batchFlagAtomic
-		}
-		if op.ordered {
-			flags |= batchFlagOrdered
-		}
-		buf = append(buf, flags, byte(op.accOp))
-		buf = binary.AppendUvarint(buf, op.handle)
-		buf = binary.AppendUvarint(buf, uint64(op.disp))
-		buf = binary.AppendUvarint(buf, uint64(op.tcount))
-		if op.accOp == AccAxpy {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.scale))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(op.dt)))
-		buf = append(buf, op.dt...)
-		buf = binary.AppendUvarint(buf, uint64(len(op.wire)))
-		buf = append(buf, op.wire...)
-		wirePool.Put(op.wire)
-		op.wire = nil
-		if op.rc {
-			rcReqs = append(rcReqs, op.req)
-		}
-	}
-	if len(rcReqs) > 0 {
+	if len(remote) > 0 {
 		// Registered before the send so the notification cannot race past.
 		e.cmplMu.Lock()
-		e.pendingBatches[id] = &pendingBatch{target: world, reqs: rcReqs}
+		e.pendingBatches[id] = &pendingBatch{target: world, reqs: remote}
 		e.cmplMu.Unlock()
 	}
 
 	m := newMsg(world, kBatch, 0)
 	m.Hdr[hReq] = id
-	m.Hdr[hCount] = uint64(len(ops))
+	m.Hdr[hCount] = uint64(len(reqs))
 	m.Hdr[hMeta] = (epoch & 0xffffffff) << 32
 	m.Hdr[hSeq] = seq
-	m.Ops = len(ops)
-	m.Payload = buf
+	m.Ops = len(reqs)
+	m.Payload = payload
 	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
 		// Either the world is shutting down or the link has failed; the
 		// aggregate is lost, but nothing may be left hanging on it.
 		e.cmplMu.Lock()
 		delete(e.pendingBatches, id)
 		e.cmplMu.Unlock()
-		for _, r := range rcReqs {
+		for _, r := range remote {
 			if errors.Is(err, ErrLinkFailed) {
 				r.completeErr(e.proc.Now(), fmt.Errorf("core: batch to rank %d: %w", world, err))
 			} else {
@@ -284,10 +215,18 @@ func (e *Engine) flushTarget(world int) {
 	// One pack event per member links the member's request id to the
 	// aggregate id, so a span can be followed from enqueue through the
 	// shared wire message to its per-member apply.
-	for i := range ops {
-		e.emit(trace.KindPack, m.SentAt, world, ops[i].req.id, int64(id), int64(i))
+	for i, r := range reqs {
+		e.emit(trace.KindPack, m.SentAt, world, r.id, int64(id), int64(i))
 	}
-	e.emit(trace.KindBatch, m.SentAt, world, id, int64(len(ops)), int64(m.ArriveAt))
+	e.emit(trace.KindBatch, m.SentAt, world, id, int64(len(reqs)), int64(m.ArriveAt))
+	// The member slice serves the ring's next aggregate, unless members
+	// have joined it meanwhile.
+	clear(reqs)
+	e.mu.Lock()
+	if ring.reqs == nil {
+		ring.reqs = reqs[:0]
+	}
+	e.mu.Unlock()
 }
 
 // Flush transmits every pending issue ring of this rank (the request-batch
@@ -298,9 +237,9 @@ func (e *Engine) Flush() {
 		return
 	}
 	e.mu.Lock()
-	worlds := make([]int, 0, len(e.rings))
-	for w, r := range e.rings {
-		if len(r.ops) > 0 {
+	var worlds []int
+	for w, ts := range e.targets {
+		if len(ts.ring.reqs) > 0 {
 			worlds = append(worlds, w)
 		}
 	}
@@ -319,7 +258,8 @@ func (e *Engine) PutNotify(origin memsim.Region, ocount int, odt datatype.Type, 
 }
 
 // wireOp is one put or accumulate as the target applies it: a decoded
-// member of an aggregate message, or the body of a single kPut.
+// member of an aggregate message, or the body of a single kPut. At the
+// origin a ring member is one too, its wire data not packed yet.
 type wireOp struct {
 	handle  uint64
 	disp    int
@@ -380,24 +320,9 @@ func decodeBatch(p []byte) ([]wireOp, error) {
 			return nil, err
 		}
 		op.tcount = int(v)
-		op.scale = 1
-		if op.accOp == AccAxpy {
-			if len(p) < 8 {
-				return nil, fmt.Errorf("core: truncated batch axpy scale")
-			}
-			op.scale = math.Float64frombits(binary.LittleEndian.Uint64(p))
-			p = p[8:]
-		}
-		if v, p, err = batchUvarint(p, "datatype length"); err != nil {
+		if op.tdt, op.scale, p, err = parsePutHead(p, op.accOp); err != nil {
 			return nil, err
 		}
-		if v > uint64(len(p)) {
-			return nil, fmt.Errorf("core: batch datatype of %d bytes exceeds remaining %d", v, len(p))
-		}
-		if op.tdt, err = decodedTypes.decode(p[:v]); err != nil {
-			return nil, err
-		}
-		p = p[v:]
 		if v, p, err = batchUvarint(p, "payload length"); err != nil {
 			return nil, err
 		}
@@ -445,7 +370,7 @@ func (t *batchTrack) opDone(count int64, end vtime.Time) {
 	if !last {
 		return
 	}
-	batchBufPool.Put(t.payload)
+	batchBufs.put(t.payload)
 	t.e.sendNotify(t.src, t.id, count, end, t.software)
 }
 
@@ -457,11 +382,7 @@ func (e *Engine) sendNotify(dst int, id uint64, count int64, at vtime.Time, soft
 	m := newMsg(dst, kNotify, 0)
 	m.Hdr[hReq] = id
 	m.Hdr[hCount] = uint64(count)
-	if !software && e.proc.NIC().HardwareAcks() {
-		e.sendReplyNIC(at, m)
-	} else {
-		e.sendReply(at, m)
-	}
+	e.sendAck(at, m, software)
 }
 
 // appliedCount returns the cumulative applied-operation count for src.
@@ -469,13 +390,6 @@ func (e *Engine) appliedCount(src int) int64 {
 	e.tgtMu.Lock()
 	defer e.tgtMu.Unlock()
 	return e.applied[src].count
-}
-
-// handleBatch receives an aggregate message; its members are applied
-// through the normal serialization paths and one notification answers the
-// whole batch.
-func (e *Engine) handleBatch(m *simnet.Message, at vtime.Time) {
-	e.gateOrdered(e.takeOp(m), at)
 }
 
 // startBatch unpacks the aggregate into one record per member and

@@ -8,72 +8,97 @@ import (
 	"time"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 )
 
-// encodeTestBatch mirrors flushTarget's aggregate framing for codec tests
-// and fuzz seeds.
-func encodeTestBatch(ops []wireOp) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ops)))
+// aggregate frames ops through an issue ring bounded at max members —
+// the member encoder the issue path packs with — and returns the sealed
+// aggregate payload.
+func aggregate(t testing.TB, max int, ops []wireOp) []byte {
+	t.Helper()
+	r := issueRing{max: max}
 	for i := range ops {
 		op := &ops[i]
-		flags := byte(0)
-		if op.atomic {
-			flags |= batchFlagAtomic
+		if err := r.add(op, nil, len(op.wire), func(wire []byte) error { copy(wire, op.wire); return nil }); err != nil {
+			t.Fatalf("add member %d: %v", i, err)
 		}
-		buf = append(buf, flags, byte(op.accOp))
-		buf = binary.AppendUvarint(buf, op.handle)
-		buf = binary.AppendUvarint(buf, uint64(op.disp))
-		buf = binary.AppendUvarint(buf, uint64(op.tcount))
-		if op.accOp == AccAxpy {
-			var s [8]byte
-			binary.LittleEndian.PutUint64(s[:], math.Float64bits(op.scale))
-			buf = append(buf, s[:]...)
-		}
-		dt := datatype.Encode(op.tdt)
-		buf = binary.AppendUvarint(buf, uint64(len(dt)))
-		buf = append(buf, dt...)
-		buf = binary.AppendUvarint(buf, uint64(len(op.wire)))
-		buf = append(buf, op.wire...)
 	}
-	return buf
+	return r.seal()
 }
 
-// TestBatchCodecRoundTrip: the aggregate framing decodes to the member
-// operations it encoded, including the axpy scale and atomic flags.
-func TestBatchCodecRoundTrip(t *testing.T) {
-	in := []wireOp{
+// codecOps covers every field a member frame carries: a plain put, an
+// atomic accumulate, an axpy with its scale, an ordered member and a
+// strided derived type.
+func codecOps() []wireOp {
+	return []wireOp{
 		{handle: 1, disp: 0, tcount: 4, accOp: AccNone, tdt: datatype.Byte, wire: []byte{1, 2, 3, 4}},
 		{handle: 9, disp: 128, tcount: 2, accOp: AccSum, atomic: true, tdt: datatype.Int64, wire: make([]byte, 16)},
 		{handle: 2, disp: 8, tcount: 1, accOp: AccAxpy, scale: 2.5, tdt: datatype.Float64, wire: make([]byte, 8)},
+		{handle: 3, disp: 300, tcount: 1, accOp: AccNone, ordered: true, tdt: datatype.Int32, wire: []byte{9, 8, 7, 6}},
+		{handle: 4, disp: 1 << 20, tcount: 1, accOp: AccMax, tdt: datatype.Vector(8, 1, 2, datatype.Int64), wire: make([]byte, 64)},
 	}
-	out, err := decodeBatch(encodeTestBatch(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d ops, want %d", len(out), len(in))
-	}
-	for i := range in {
-		got, want := out[i], in[i]
-		if got.handle != want.handle || got.disp != want.disp || got.tcount != want.tcount ||
-			got.accOp != want.accOp || got.atomic != want.atomic {
-			t.Errorf("op %d: got %+v want %+v", i, got, want)
+}
+
+// TestBatchCodecRoundTrip: the aggregate the issue ring builds decodes to
+// the member operations it framed, field for field — whether the count
+// fills the ring's reservation or a wider reservation (a larger BatchOps)
+// has to close up.
+func TestBatchCodecRoundTrip(t *testing.T) {
+	in := codecOps()
+	in[4].wire[0] = 0x5A
+	for _, max := range []int{len(in), 1 << 20} {
+		out, err := decodeBatch(aggregate(t, max, in))
+		if err != nil {
+			t.Fatalf("max %d: decode: %v", max, err)
 		}
-		if want.accOp == AccAxpy && got.scale != want.scale {
-			t.Errorf("op %d: scale %v, want %v", i, got.scale, want.scale)
+		if len(out) != len(in) {
+			t.Fatalf("max %d: decoded %d ops, want %d", max, len(out), len(in))
 		}
-		if string(got.wire) != string(want.wire) {
-			t.Errorf("op %d: wire data changed", i)
+		for i := range in {
+			got, want := out[i], in[i]
+			if want.accOp != AccAxpy {
+				want.scale = 1
+			}
+			if got.handle != want.handle || got.disp != want.disp || got.tcount != want.tcount ||
+				got.accOp != want.accOp || got.atomic != want.atomic || got.ordered != want.ordered ||
+				got.scale != want.scale {
+				t.Errorf("max %d: op %d: got %+v want %+v", max, i, got, want)
+			}
+			if string(datatype.Encode(got.tdt)) != string(datatype.Encode(want.tdt)) {
+				t.Errorf("max %d: op %d: type %s, want %s", max, i, got.tdt.Name(), want.tdt.Name())
+			}
+			if string(got.wire) != string(want.wire) {
+				t.Errorf("max %d: op %d: wire data changed", max, i)
+			}
 		}
 	}
 
+	// A member whose data cannot be packed leaves the ring as it was.
+	r := issueRing{max: 8}
+	good := in[0]
+	for i, fail := range []bool{false, true, false} {
+		err := r.add(&good, nil, len(good.wire), func(wire []byte) error {
+			if fail {
+				return errors.New("injected pack failure")
+			}
+			copy(wire, good.wire)
+			return nil
+		})
+		if (err != nil) != fail {
+			t.Fatalf("add %d: err %v", i, err)
+		}
+	}
+	if out, err := decodeBatch(r.seal()); err != nil || len(out) != 2 || string(out[1].wire) != string(good.wire) {
+		t.Errorf("after a failed pack the aggregate decodes to %d members (err %v), want the 2 that packed", len(out), err)
+	}
+
 	// The degenerate empty aggregate is valid and decodes to zero ops.
-	if ops, err := decodeBatch(encodeTestBatch(nil)); err != nil || len(ops) != 0 {
+	if ops, err := decodeBatch([]byte{0}); err != nil || len(ops) != 0 {
 		t.Errorf("empty batch: ops=%d err=%v", len(ops), err)
 	}
 	// Trailing garbage is rejected.
-	if _, err := decodeBatch(append(encodeTestBatch(in), 0xEE)); err == nil {
+	if _, err := decodeBatch(append(aggregate(t, len(in), in), 0xEE)); err == nil {
 		t.Error("decoder accepted trailing bytes")
 	}
 }
@@ -82,17 +107,15 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // on every batched message: it must never panic, and whatever it accepts
 // must be structurally sound.
 func FuzzBatchUnpack(f *testing.F) {
-	f.Add(encodeTestBatch(nil))
-	f.Add(encodeTestBatch([]wireOp{
-		{handle: 1, disp: 0, tcount: 4, accOp: AccNone, tdt: datatype.Byte, wire: []byte{1, 2, 3, 4}},
-	}))
-	f.Add(encodeTestBatch([]wireOp{
-		{handle: 7, disp: 24, tcount: 3, accOp: AccSum, atomic: true, tdt: datatype.Int32, wire: make([]byte, 12)},
-		{handle: 7, disp: 0, tcount: 1, accOp: AccAxpy, scale: -1, tdt: datatype.Float64, wire: make([]byte, 8)},
-	}))
+	ops := codecOps()
+	f.Add([]byte{0}) // the empty aggregate
+	f.Add(aggregate(f, 8, ops[:1]))
+	f.Add(aggregate(f, 8, ops[1:3]))
 	f.Add([]byte{})
 	f.Add([]byte{0x05})             // claims 5 ops, provides none
 	f.Add([]byte{0x01, 0x00, 0xFF}) // unknown accumulate op
+	f.Add(aggregate(f, 8, ops[3:]))
+	f.Add(aggregate(f, 1<<20, ops))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeBatch(data)
@@ -366,4 +389,106 @@ func TestBatchRemoteCompleteMember(t *testing.T) {
 			t.Errorf("complete collective: %v", err)
 		}
 	})
+}
+
+// TestBatchWireSizePinned pins what a fixed batched sequence puts on the
+// modelled wire: eleven puts and accumulates of mixed sizes — one axpy,
+// one atomic, one ordered, one remote-complete, one strided derived type —
+// ride a BatchOps 8 ring as one full aggregate and one flushed by
+// Complete. The aggregate layout is part of the model: every simnet byte
+// and message is charged time, so the totals must not move when the
+// batching code does. The target's bytes are checked too.
+func TestBatchWireSizePinned(t *testing.T) {
+	const (
+		wantBytes = 307
+		wantMsgs  = 7
+	)
+	vec := datatype.Vector(8, 1, 2, datatype.Int64)
+	type step struct {
+		acc    AccOp // AccNone for a put
+		disp   int
+		count  int
+		dt     datatype.Type
+		attrs  Attr
+		expect func(want, src []byte)
+	}
+	copyRuns := func(disp, count int, dt datatype.Type) func(want, src []byte) {
+		return func(want, src []byte) {
+			datatype.WalkN(count, dt, func(off, n int, k datatype.Kind) {
+				copy(want[disp+off:disp+off+n*k.Width()], src[disp+off:])
+			})
+		}
+	}
+	steps := []step{
+		{AccNone, 0, 1, datatype.Byte, AttrNone, nil},
+		{AccNone, 8, 1, datatype.Int64, AttrNone, nil},
+		{AccNone, 16, 24, datatype.Byte, AttrNone, nil},
+		{AccNone, 40, 3, datatype.Int32, AttrNone, nil},
+		{AccAxpy, 56, 2, datatype.Float64, AttrNone, func(want, _ []byte) {
+			binary.LittleEndian.PutUint64(want[56:], math.Float64bits(1))
+			binary.LittleEndian.PutUint64(want[64:], math.Float64bits(2))
+		}},
+		{AccNone, 128, 1, vec, AttrNone, nil},
+		{AccSum, 72, 1, datatype.Int64, AttrAtomic, nil},
+		{AccNone, 80, 1, datatype.Int64, AttrOrdering, nil},
+		{AccNone, 88, 2, datatype.Byte, AttrNone, nil},
+		{AccNone, 96, 1, datatype.Int64, AttrRemoteComplete, nil},
+		{AccNone, 104, 16, datatype.Byte, AttrNone, nil},
+	}
+	const size = 256
+	src := make([]byte, size)
+	for i := range src {
+		src[i] = byte(i*7 + 3)
+	}
+	binary.LittleEndian.PutUint64(src[56:], math.Float64bits(2))
+	binary.LittleEndian.PutUint64(src[64:], math.Float64bits(4))
+	want := make([]byte, size)
+	for _, s := range steps {
+		if s.expect == nil {
+			s.expect = copyRuns(s.disp, s.count, s.dt)
+		}
+		s.expect(want, src)
+	}
+
+	w := newWorld(t, runtime.Config{Ranks: 2})
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		e := Attach(p, Options{BatchOps: 8})
+		comm := p.Comm()
+		tm := shipTM(p, e, size)
+		if p.Rank() == 0 {
+			p.Barrier()
+			exp := e.lookupExposure(tm.Handle)
+			if got := p.Mem().Snapshot(exp.region.Offset, size); string(got) != string(want) {
+				t.Errorf("target bytes\n got %v\nwant %v", got, want)
+			}
+			return
+		}
+		region := p.Alloc(size)
+		p.WriteLocal(region, 0, src)
+		for i, s := range steps {
+			origin := memsim.Region{Offset: region.Offset + s.disp, Size: size - s.disp}
+			var err error
+			switch s.acc {
+			case AccNone:
+				_, err = e.Put(origin, s.count, s.dt, tm, s.disp, s.count, s.dt, 0, comm, s.attrs)
+			case AccAxpy:
+				_, err = e.AccumulateAxpy(0.5, origin, s.count, s.dt, tm, s.disp, s.count, s.dt, 0, comm, s.attrs)
+			default:
+				_, err = e.Accumulate(s.acc, origin, s.count, s.dt, tm, s.disp, s.count, s.dt, 0, comm, s.attrs)
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		if err := e.Complete(comm, 0); err != nil {
+			t.Errorf("complete: %v", err)
+		}
+		if got := e.Batches.Value(); got != 2 {
+			t.Errorf("sent %d aggregates, want 2", got)
+		}
+		p.Barrier()
+	})
+	if got, gotMsgs := w.Net().Bytes.Value(), w.Net().Msgs.Value(); got != wantBytes || gotMsgs != wantMsgs {
+		t.Errorf("wire carried %d bytes in %d messages, want %d in %d", got, gotMsgs, wantBytes, wantMsgs)
+	}
 }

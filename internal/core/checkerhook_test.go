@@ -7,7 +7,6 @@ import (
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
-	"mpi3rma/internal/serializer"
 )
 
 // countingRecorder is a minimal AccessRecorder for engine-side tests.
@@ -116,7 +115,7 @@ func TestAccessRecorderObservesApplies(t *testing.T) {
 func TestPutHotPathNoAllocsWhenCheckerDisabled(t *testing.T) {
 	seen := 0
 	count := depositRecorder(func(Access) { seen++ })
-	pinAllocs(t, serializer.MechThread, []allocStep{
+	pinAllocs(t, pinThread, []allocStep{
 		{"no recorder", func(*Engine) {}},
 		{"a recorder that keeps nothing", func(e *Engine) { e.AddAccessRecorder(&count) }},
 	})

@@ -148,6 +148,8 @@ type originTarget struct {
 	orderSeq     uint64 // ordered-stream sequence for AttrOrdering on unordered networks
 	chkEpoch     uint64 // synchronization epoch stamped on issued ops (advanced by Order/Complete; read by the semantic checker)
 	fencePending bool   // an Order() is pending; next op must stall for drain
+
+	ring issueRing // batched ops waiting for this target's next aggregate
 }
 
 // reorderBuf holds ordered-stream ops that arrived out of order, each
@@ -157,36 +159,37 @@ type reorderBuf struct {
 	held     map[uint64]*applyOp
 }
 
-// freeListCap bounds every per-engine free list: enough for the operations
-// a rank has in flight in the steady state, too few to show in its memory.
+// freeListCap bounds every free list: enough for the operations a rank has
+// in flight in the steady state, too few to show in its memory.
 const freeListCap = 64
 
 // freeList is a stack of at most limit objects to reuse, empty until
 // something is put back. Takers run on the rank's goroutine and on
 // whichever goroutine delivers, putters on whichever goroutine finishes an
-// operation, hence the lock.
+// operation, hence the lock. Unlike a sync.Pool it never drops an object
+// it has room for, so what a call allocates is the same on every run.
 type freeList[T any] struct {
 	mu    sync.Mutex
 	limit int
-	items []*T
+	items []T
 }
 
-// get pops an object, or returns nil when there is none.
-func (f *freeList[T]) get() *T {
+// get pops an object, or returns the zero value when there is none.
+func (f *freeList[T]) get() (x T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.items)
 	if n == 0 {
-		return nil
+		return x
 	}
-	x := f.items[n-1]
-	f.items[n-1] = nil
+	x = f.items[n-1]
+	clear(f.items[n-1:])
 	f.items = f.items[:n-1]
 	return x
 }
 
 // put pushes x, or drops it for the collector when the list is full.
-func (f *freeList[T]) put(x *T) {
+func (f *freeList[T]) put(x T) {
 	f.mu.Lock()
 	if len(f.items) < f.limit {
 		f.items = append(f.items, x)
@@ -207,7 +210,6 @@ type Engine struct {
 	reqSeq  uint64
 	targets map[int]*originTarget
 	comms   map[uint64]Attr // per-communicator default attributes
-	rings   map[int]*issueRing
 
 	// Origin-side completion state, guarded by cmplMu. confirmed[t] is the
 	// watermark of target t's reports (notifications, acks, replies, probe
@@ -252,8 +254,8 @@ type Engine struct {
 	// Per-operation objects that never leave the engine are reused: ops are
 	// the target-side operation records (apply.go), slots what a blocked
 	// call sleeps on (watermark.go).
-	ops   freeList[applyOp]
-	slots freeList[wakeSlot]
+	ops   freeList[*applyOp]
+	slots freeList[*wakeSlot]
 
 	lock   *serializer.LockState
 	applyQ *serializer.ApplyQueue
@@ -323,7 +325,6 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			reqs:           make(map[uint64]*Request),
 			targets:        make(map[int]*originTarget),
 			comms:          make(map[uint64]Attr),
-			rings:          make(map[int]*issueRing),
 			confirmed:      make([]watermark, p.World().TotalRanks()),
 			pendingBatches: make(map[uint64]*pendingBatch),
 			failedLinks:    make(map[int]fault),
@@ -333,8 +334,8 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			lanes:          make(map[int]*vtime.Clock),
 			lock:           serializer.NewLockState(),
 			am:             make(map[uint64]AMHandler),
-			ops:            freeList[applyOp]{limit: freeListCap},
-			slots:          freeList[wakeSlot]{limit: freeListCap},
+			ops:            freeList[*applyOp]{limit: freeListCap},
+			slots:          freeList[*wakeSlot]{limit: freeListCap},
 		}
 		e.repl.init()
 		switch e.opts.Atomicity {
@@ -349,8 +350,9 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			// Lanes past the shard count would never be charged.
 			e.shardLanes = make([]vtime.WorkLane, min(e.opts.ApplyWorkers, e.opts.ApplyShards))
 		}
-		nic.RegisterHandler(kPut, e.handlePut)
-		nic.RegisterHandler(kGet, e.handleGet)
+		for _, k := range []uint8{kPut, kGet, kRMW, kAM, kBatch} {
+			nic.RegisterHandler(k, e.handleOp)
+		}
 		nic.RegisterHandler(kGetReply, e.handleGetReply)
 		nic.RegisterHandler(kAck, e.handleAck)
 		nic.RegisterHandler(kProbe, e.handleProbe)
@@ -358,10 +360,7 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 		nic.RegisterHandler(kLockReq, e.handleLockReq)
 		nic.RegisterHandler(kLockGrant, e.handleLockGrant)
 		nic.RegisterHandler(kLockRel, e.handleLockRel)
-		nic.RegisterHandler(kRMW, e.handleRMW)
 		nic.RegisterHandler(kRMWReply, e.handleRMWReply)
-		nic.RegisterHandler(kAM, e.handleAM)
-		nic.RegisterHandler(kBatch, e.handleBatch)
 		nic.RegisterHandler(kNotify, e.handleNotify)
 		nic.RegisterHandler(kReplExpose, e.handleReplExpose)
 		nic.RegisterHandler(kReplUpdate, e.handleReplUpdate)
@@ -418,7 +417,7 @@ func (e *Engine) effectiveAttrs(comm *runtime.Comm, attrs Attr) Attr {
 func (e *Engine) targetLocked(world int) *originTarget {
 	t := e.targets[world]
 	if t == nil {
-		t = &originTarget{}
+		t = &originTarget{ring: issueRing{max: e.opts.BatchOps}}
 		e.targets[world] = t
 	}
 	return t
@@ -487,6 +486,14 @@ func (e *Engine) sendReply(at vtime.Time, m *simnet.Message) {
 // sendReplyNIC is sendReply through the NIC-generated (hardware) path.
 func (e *Engine) sendReplyNIC(at vtime.Time, m *simnet.Message) {
 	if _, err := e.proc.NIC().SendNIC(at, m); err != nil {
+		e.proc.NIC().BadReq.Inc()
+	}
+}
+
+// sendAck is sendReply for an ack or notification: the NIC decides
+// between its hardware path and a software echo (portals.NIC.SendAck).
+func (e *Engine) sendAck(at vtime.Time, m *simnet.Message, software bool) {
+	if _, err := e.proc.NIC().SendAck(at, m, software); err != nil {
 		e.proc.NIC().BadReq.Inc()
 	}
 }

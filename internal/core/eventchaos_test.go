@@ -114,7 +114,7 @@ func runSevenWriterEvents(t *testing.T, plan *simnet.FaultPlan) []byte {
 				panic("eventchaos: quiescence failed")
 			}
 		}
-		// A request closes Done() before it runs its callbacks, so the
+		// A request is done before it runs its callbacks, so the
 		// Select that reaped the last request can return while that
 		// request's callback is still about to run. "Exactly once" promises
 		// the count, not "already": wait (bounded) for each callback.

@@ -285,8 +285,8 @@ func TestSelectMixedArms(t *testing.T) {
 }
 
 // TestRequestErrVisibleBeforeDone is the lost-wakeup regression test for
-// the Done/Err contract: a goroutine released by <-Done() must observe
-// the request's sticky error, for every terminal path, including requests
+// the Wait/Err contract: a goroutine released by Await must observe the
+// request's sticky error, for every terminal path, including requests
 // failed asynchronously by a link failure.
 func TestRequestErrVisibleBeforeDone(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 33})
@@ -295,18 +295,16 @@ func TestRequestErrVisibleBeforeDone(t *testing.T) {
 		if p.Rank() != 0 {
 			return
 		}
-		// A hand-built request failed on another goroutine: the error must
-		// be readable the instant the channel closes.
+		// A hand-built request failed while another of the rank's
+		// goroutines waits on it: the error must be readable the instant
+		// the waiter wakes.
 		r := e.newRequest(1, latNone)
 		errCh := make(chan error, 1)
-		go func() {
-			<-r.Done()
-			errCh <- r.Err()
-		}()
+		go func() { errCh <- r.Await() }()
 		wantErr := errors.New("injected terminal failure")
 		r.completeErr(p.Now(), wantErr)
 		if got := <-errCh; !errors.Is(got, wantErr) {
-			t.Errorf("observer woken by Done saw Err = %v, want %v", got, wantErr)
+			t.Errorf("waiter woken by the completion saw Err = %v, want %v", got, wantErr)
 		}
 		// And OnDone delivers the same error, inline on the completed
 		// request.
@@ -324,7 +322,7 @@ func TestRequestErrVisibleBeforeDone(t *testing.T) {
 // TestIssueFailureCompletesRequest is the orphaned-request regression
 // test: when the issue path fails after the request has entered the
 // engine table (send refused by a failed link), the request must be
-// completed with the error — Done fires, OnDone fires, the table does
+// completed with the error — Wait returns, OnDone fires, the table does
 // not leak — instead of being left behind undone.
 func TestIssueFailureCompletesRequest(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 35})
@@ -343,7 +341,7 @@ func TestIssueFailureCompletesRequest(t *testing.T) {
 		}
 		// Fail the link by hand (the relay path does this via its
 		// callback), then issue: the relay-less send still succeeds, so
-		// exercise the appendBatch sticky-check and the reqs-table
+		// exercise the issue path's sticky check and the reqs-table
 		// accounting directly.
 		e.onLinkFailed(1, p.Now(), ErrLinkFailed)
 		if !errors.Is(e.Err(), ErrLinkFailed) {
@@ -439,7 +437,7 @@ func TestSingletonIssueFailureIsComplete(t *testing.T) {
 }
 
 // TestBatchedIssueFailsFastOnDeadLink: with batching enabled and the link
-// already failed sticky, appendBatch must refuse the operation instead of
+// already failed sticky, the issue path must refuse the operation instead of
 // parking it in the issue ring (the Await-before-flush lost wakeup).
 func TestBatchedIssueFailsFastOnDeadLink(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 37})

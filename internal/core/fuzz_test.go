@@ -30,8 +30,8 @@ func FuzzDecodeTargetMem(f *testing.F) {
 	})
 }
 
-// FuzzPutPayloadFrame hardens the put-body framing parser that every
-// incoming put runs through.
+// FuzzPutPayloadFrame hardens the put-head parser that every incoming put,
+// get and batch member runs through, with and without an axpy scale.
 func FuzzPutPayloadFrame(f *testing.F) {
 	put, _ := newFramed(0, kPut, datatype.Contiguous(4, datatype.Int64), AccNone, 0, 32)
 	axpy, _ := newFramed(0, kPut, datatype.Float64, AccAxpy, 2.5, 8)
@@ -42,15 +42,17 @@ func FuzzPutPayloadFrame(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dt, rest, err := parseTypeFrame(data)
-		if err != nil {
-			return
-		}
-		if dt == nil {
-			t.Fatal("nil type without error")
-		}
-		if len(rest) > len(data) {
-			t.Fatal("rest longer than input")
+		for _, acc := range []AccOp{AccNone, AccAxpy} {
+			dt, _, rest, err := parsePutHead(data, acc)
+			if err != nil {
+				continue
+			}
+			if dt == nil {
+				t.Fatal("nil type without error")
+			}
+			if len(rest) > len(data) {
+				t.Fatal("rest longer than input")
+			}
 		}
 	})
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/serializer"
@@ -112,15 +110,10 @@ func (e *Engine) finishApply(r *applyOp, attrs Attr, end vtime.Time) int64 {
 		ack := newMsg(m.Src, kAck, 0)
 		ack.Hdr[hReq] = m.Hdr[hReq]
 		ack.Hdr[hCount] = uint64(count)
-		if !r.atomic && e.proc.NIC().HardwareAcks() {
-			// The NIC observed the deposit and acknowledges in hardware.
-			e.sendReplyNIC(end, ack)
-		} else {
-			// Software acknowledgement: atomic updates are applied by
-			// software, and some networks simply cannot report remote
-			// completion (E4) — either way the echo is CPU-injected.
-			e.sendReply(end, ack)
-		}
+		// Atomic updates are applied by software, so their ack is a
+		// software echo; so is every ack on a network that cannot report
+		// remote completion (E4).
+		e.sendAck(end, ack, r.atomic)
 		e.AcksSent.Inc()
 	} else if attrs&AttrNotify != 0 {
 		// A notified operation without remote completion still reports its
@@ -134,27 +127,12 @@ func (e *Engine) finishApply(r *applyOp, attrs Attr, end vtime.Time) int64 {
 	return count
 }
 
-// handlePut receives a put or accumulate.
-func (e *Engine) handlePut(m *simnet.Message, at vtime.Time) {
-	r := e.takeOp(m)
-	r.accOp = AccOp(m.Hdr[hMeta] >> 16 & 0xff)
-	e.gateOrdered(r, at)
-}
-
 // startPut decodes the body and schedules the deposit.
 func (r *applyOp) startPut(at vtime.Time) {
 	e := r.e
 	r.exp = e.lookupExposure(r.handle)
 	var err error
-	r.tdt, r.wire, err = parseTypeFrame(r.m.Payload)
-	if err == nil && r.accOp == AccAxpy {
-		if len(r.wire) < 8 {
-			err = fmt.Errorf("core: truncated axpy scale")
-		} else {
-			r.scale = math.Float64frombits(binary.LittleEndian.Uint64(r.wire))
-			r.wire = r.wire[8:]
-		}
-	}
+	r.tdt, r.scale, r.wire, err = parsePutHead(r.m.Payload, r.accOp)
 	if err != nil || r.exp == nil {
 		// Count the op so completion probes do not deadlock, but the
 		// deposit is lost (malformed body or access to unexposed memory).
@@ -165,18 +143,12 @@ func (r *applyOp) startPut(at vtime.Time) {
 	e.scheduleApplyRange(r, at, len(r.wire), datatype.ExtentOf(r.tcount, r.tdt))
 }
 
-// handleGet receives a get: gather the requested layout and reply with
-// canonical wire data.
-func (e *Engine) handleGet(m *simnet.Message, at vtime.Time) {
-	e.gateOrdered(e.takeOp(m), at)
-}
-
 // startGet decodes the requested layout and schedules the read.
 func (r *applyOp) startGet(at vtime.Time) {
 	e := r.e
 	r.exp = e.lookupExposure(r.handle)
 	var err error
-	r.tdt, _, err = parseTypeFrame(r.m.Payload)
+	r.tdt, _, _, err = parsePutHead(r.m.Payload, AccNone)
 	if err != nil || r.exp == nil {
 		// fin replies with an empty payload, so the origin's request errors
 		// out rather than hanging.

@@ -94,8 +94,9 @@ func TestAccumulateElementKinds(t *testing.T) {
 	}
 }
 
-// TestRequestDoneChannel covers the select-based completion channel.
-func TestRequestDoneChannel(t *testing.T) {
+// TestRequestWaitImpliesTest: once Wait returns on a remote-complete put,
+// Test agrees that the request is done.
+func TestRequestWaitImpliesTest(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
@@ -108,9 +109,9 @@ func TestRequestDoneChannel(t *testing.T) {
 				t.Errorf("put: %v", err)
 				return
 			}
-			<-req.Done()
+			req.Wait()
 			if !req.Test() {
-				t.Error("Done fired but Test is false")
+				t.Error("Wait returned but Test is false")
 			}
 			e.Complete(comm, 0)
 		}

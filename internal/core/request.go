@@ -9,8 +9,9 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// landing is where a get's reply goes: count instances of dt in region of
-// the origin's memory. The zero value (nil dt) lands nothing.
+// landing is an origin layout, count instances of dt in region of the
+// origin's memory: where a get's reply goes, or where a ring member's data
+// is packed from. The zero value (nil dt) lands nothing.
 type landing struct {
 	region memsim.Region
 	count  int
@@ -34,7 +35,6 @@ type Request struct {
 	at   vtime.Time
 	val  []byte
 	err  error
-	ch   chan struct{} // created lazily on the first Done
 	// waited is set once a Wait parks on the engine's bell: finish rings it.
 	waited bool
 
@@ -90,11 +90,10 @@ func (r *Request) completeErr(at vtime.Time, err error) {
 	r.finish(at, nil, err)
 }
 
-// finish is the single terminal transition of a request. The ordering
-// inside the critical section is the Done/Err contract: err (and at, val)
-// are stored strictly before the completion channel is closed, under the
-// same mutex Err acquires, so a goroutine released by <-Done() — or by
-// Wait, Await, or Select — always observes the request's error. Callbacks
+// finish is the single terminal transition of a request. err (and at,
+// val) are stored in the same critical section that marks the request
+// done, under the mutex Err acquires, so a goroutine released by Wait,
+// Await or Select always observes the request's error. Callbacks
 // run after the lock is released (still exactly once: finish is
 // idempotent and captures-and-clears the list), so an OnDone callback may
 // itself call request or engine methods without deadlocking.
@@ -110,9 +109,6 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 	r.err = err
 	cbs := r.onDone
 	r.onDone = nil
-	if r.ch != nil {
-		close(r.ch)
-	}
 	if r.waited {
 		r.e.bell.Ring()
 	}
@@ -135,13 +131,11 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 // request's asynchronous error (nil on success), on the goroutine that
 // completes the request — a delivery goroutine, usually, so fn must be
 // brief and must not block on the request itself. The request is done
-// before fn runs: a goroutine released by Done, Wait, Await or Select may
-// get ahead of fn, so "has run" must be learned from fn itself, not from
-// the request being done. Registration is
-// after-the-fact safe: on an already-completed request fn runs inline
-// before OnDone returns. The error fn receives is the same value Err
-// reports, and it is visible to Err before Done's channel closes.
-// Registering multiple callbacks is permitted: each fires exactly once.
+// before fn runs: a goroutine released by Wait, Await or Select may get
+// ahead of fn, so "has run" must be learned from fn itself, not from the
+// request being done. Registration is after-the-fact safe: on an
+// already-completed request fn runs inline before OnDone returns. The
+// error fn receives is the same value Err reports. Registering multiple callbacks is permitted: each fires exactly once.
 func (r *Request) OnDone(fn func(error)) {
 	if fn == nil {
 		return
@@ -184,21 +178,6 @@ func (r *Request) Test() bool {
 		r.e.proc.NIC().CPU().AdvanceTo(at)
 	}
 	return done
-}
-
-// Done exposes the completion channel for select-based waiting, creating
-// it on first use: only a caller that asks for Done pays for one (Wait
-// parks on a reusable wake slot instead).
-func (r *Request) Done() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ch == nil {
-		r.ch = make(chan struct{})
-		if r.done {
-			close(r.ch)
-		}
-	}
-	return r.ch
 }
 
 // Await is Wait followed by Err: it blocks until the operation completes,

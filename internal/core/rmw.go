@@ -58,7 +58,7 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 	copy(m.Payload, operand)
 	// Always atomic; the old-value reply completes the request and carries
 	// the delivery counter.
-	req, err := e.issueSingleton(comm, m, e.effectiveAttrs(comm, attrs)|AttrAtomic, true, latRMW, landing{})
+	req, err := e.issue(comm, tm.Owner, e.effectiveAttrs(comm, attrs)|AttrAtomic, latRMW, m, landing{}, nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: RMW: %w", err)
 	}
@@ -71,14 +71,6 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 		return 0, fmt.Errorf("core: RMW failed at the target (unexposed or out-of-range memory): %w", ErrBadHandle)
 	}
 	return int64(binary.LittleEndian.Uint64(val)), nil
-}
-
-// handleRMW receives a fetch-add, compare-and-swap or fetch; the old value
-// goes back in the reply.
-func (e *Engine) handleRMW(m *simnet.Message, at vtime.Time) {
-	r := e.takeOp(m)
-	r.subop = int(m.Hdr[hMeta] >> 24 & 0xff)
-	e.gateOrdered(r, at)
 }
 
 // startRMW validates the access and schedules it on the serializer. An

@@ -193,8 +193,8 @@ func TestTelemetrySpanCrossRank(t *testing.T) {
 	}
 }
 
-// pinned is one row of the allocation table: a primitive, the serializer
-// mechanism it runs under, and the exact number of heap objects one call
+// pinned is one row of the allocation table: a primitive, the engine
+// options it runs under, and the exact number of heap objects one call
 // costs in the steady state, origin and target together. The simulator is
 // deterministic here, so the numbers are asserted with ==; a single
 // instrumentation call that escapes its nil guard, boxes an argument or
@@ -203,7 +203,7 @@ func TestTelemetrySpanCrossRank(t *testing.T) {
 // each object is.
 type pinned struct {
 	name string
-	mech serializer.Mechanism
+	opts Options
 	want float64
 	op   func(c *pinCtx)
 }
@@ -241,21 +241,28 @@ func (c *pinCtx) put(attrs Attr) {
 // pinVec is the benchmark's strided shape.
 var pinVec = datatype.Vector(8, 1, 2, datatype.Int64)
 
+// The engine configurations the table's rows run under.
+var (
+	pinThread  = Options{Atomicity: serializer.MechThread}
+	pinCoarse  = Options{Atomicity: serializer.MechCoarseLock}
+	pinBatched = Options{Atomicity: serializer.MechThread, BatchOps: 8}
+)
+
 // allocTable is the committed per-primitive table. `make allocs` prints it.
 var allocTable = []pinned{
-	{"put", serializer.MechThread, 2, func(c *pinCtx) { c.put(0) }},
-	{"put notify", serializer.MechThread, 3, func(c *pinCtx) { c.notified++; c.put(AttrNotify) }},
-	{"put notify + complete", serializer.MechThread, 3, func(c *pinCtx) {
+	{"put", pinThread, 2, func(c *pinCtx) { c.put(0) }},
+	{"put notify", pinThread, 3, func(c *pinCtx) { c.notified++; c.put(AttrNotify) }},
+	{"put notify + complete", pinThread, 3, func(c *pinCtx) {
 		c.notified++
 		c.put(AttrNotify)
 		if err := c.e.Complete(c.comm, 0); err != nil {
 			c.t.Fatalf("complete: %v", err)
 		}
 	}},
-	{"put remote-complete", serializer.MechThread, 3, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
-	{"put atomic (thread)", serializer.MechThread, 2, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 3, func(c *pinCtx) {
+	{"put remote-complete", pinThread, 3, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
+	{"put atomic (thread)", pinThread, 2, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put atomic (coarse lock)", pinCoarse, 6, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put 8 x vector(8,1,2,int64)", pinThread, 3, func(c *pinCtx) {
 		req, err := c.e.Put(c.src, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, 0)
 		if err != nil {
 			c.t.Fatalf("put: %v", err)
@@ -263,28 +270,39 @@ var allocTable = []pinned{
 		req.Wait()
 		c.settle()
 	}},
-	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 4, func(c *pinCtx) {
+	{"get 8 x vector(8,1,2,int64)", pinThread, 4, func(c *pinCtx) {
 		if _, err := c.e.Get(c.dst, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, AttrBlocking); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch word", serializer.MechThread, 3, func(c *pinCtx) {
+	{"fetch word", pinThread, 3, func(c *pinCtx) {
 		if _, err := c.e.FetchWord(c.tm, 0, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("fetch word: %v", err)
 		}
 		c.settle()
 	}},
-	{"compare-and-swap", serializer.MechThread, 3, func(c *pinCtx) {
+	{"compare-and-swap", pinThread, 3, func(c *pinCtx) {
 		if _, err := c.e.CompareSwap(c.tm, 0, 0, 1, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("compare-and-swap: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch-and-add", serializer.MechThread, 3, func(c *pinCtx) {
+	{"fetch-and-add", pinThread, 3, func(c *pinCtx) {
 		if _, err := c.e.FetchAdd(c.tm, 0, 1, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("fetch-and-add: %v", err)
 		}
+		c.settle()
+	}},
+	{"8 puts batched (BatchOps 8)", pinBatched, 12, func(c *pinCtx) {
+		for i := 0; i < 8; i++ {
+			if _, err := c.e.Put(c.src, 1, datatype.Int64, c.tm, 8*i, 1, datatype.Int64, 0, c.comm, 0); err != nil {
+				c.t.Fatalf("batched put %d: %v", i, err)
+			}
+		}
+		c.e.Flush()
+		c.issued += 7
+		c.notified++ // the aggregate's one notification
 		c.settle()
 	}},
 }
@@ -295,16 +313,16 @@ type allocStep struct {
 	install func(e *Engine)
 }
 
-// pinAllocs measures every row of allocTable that runs under mech on a
+// pinAllocs measures every row of allocTable that runs under opts on a
 // two-rank world, once after each step has been installed on both ranks:
 // whatever is installed, a primitive must cost exactly its committed
 // number. It returns the origin's engine.
-func pinAllocs(t *testing.T, mech serializer.Mechanism, steps []allocStep) *Engine {
+func pinAllocs(t *testing.T, opts Options, steps []allocStep) *Engine {
 	t.Helper()
 	var origin, target *Engine
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
-		e := Attach(p, Options{Atomicity: mech})
+		e := Attach(p, opts)
 		if p.Rank() == 0 {
 			target = e
 			tm, _ := e.ExposeNew(datatype.ExtentOf(8, pinVec))
@@ -326,7 +344,7 @@ func pinAllocs(t *testing.T, mech serializer.Mechanism, steps []allocStep) *Engi
 			p.Barrier()
 			c.target = target
 			for _, row := range allocTable {
-				if row.mech != mech {
+				if row.opts != opts {
 					continue
 				}
 				run := func() { row.op(c) }
@@ -351,8 +369,8 @@ func pinAllocs(t *testing.T, mech serializer.Mechanism, steps []allocStep) *Engi
 // tracer, the flight recorder, or all of them costs exactly nothing more —
 // every event is a fixed-size record written into a preallocated ring.
 func TestPutHotPathNoAllocsWhenDisabled(t *testing.T) {
-	for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock} {
-		e := pinAllocs(t, mech, []allocStep{
+	for _, opts := range []Options{pinThread, pinCoarse, pinBatched} {
+		e := pinAllocs(t, opts, []allocStep{
 			{"nothing installed", func(*Engine) {}},
 			{"metrics + tracer", func(e *Engine) { e.EnableTelemetry(nil); e.SetTracer(trace.New(0)) }},
 			{"flight recorder alone", func(e *Engine) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"mpi3rma/internal/datatype"
@@ -195,12 +196,19 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 		return nil, err
 	}
 	attrs = e.effectiveAttrs(comm, attrs)
-	if e.batchable(op, attrs, datatype.PackedSize(ocount, odt)) {
-		e.Progress() // entering the library makes progress (MechProgress)
-		if err := e.maybeFence(comm, tm.Owner); err != nil {
-			return nil, err
-		}
-		return e.appendBatch(accOp, scale, origin, ocount, odt, tm, tdisp, tcount, tdt, attrs)
+	orig := landing{origin, ocount, odt}
+	packed := datatype.PackedSize(ocount, odt)
+	if e.batchable(op, attrs, packed) {
+		return e.issue(comm, tm.Owner, attrs, latKindOf(op), nil, orig, &wireOp{
+			handle:  tm.Handle,
+			disp:    tdisp,
+			tcount:  tcount,
+			accOp:   accOp,
+			atomic:  attrs&AttrAtomic != 0,
+			ordered: attrs&AttrOrdering != 0,
+			scale:   scale,
+			tdt:     tdt,
+		})
 	}
 
 	var m *simnet.Message
@@ -209,10 +217,10 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 		// A get ships only the target type; the reply lands in the origin
 		// layout.
 		m, _ = newFramed(tm.Owner, kGet, tdt, AccNone, 0, 0)
-		land = landing{origin, ocount, odt}
+		land = orig
 	} else {
 		var wire []byte
-		m, wire = newFramed(tm.Owner, kPut, tdt, accOp, scale, datatype.PackedSize(ocount, odt))
+		m, wire = newFramed(tm.Owner, kPut, tdt, accOp, scale, packed)
 		if err := e.packFrom(wire, origin.Offset, ocount, odt, false); err != nil {
 			return nil, err
 		}
@@ -221,67 +229,114 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	m.Hdr[hDisp] = uint64(tdisp)
 	m.Hdr[hCount] = uint64(tcount)
 	m.Hdr[hMeta] = uint64(accOp) << 16
-	return e.issueSingleton(comm, m, attrs, attrs&AttrAtomic != 0, latKindOf(op), land)
+	return e.issue(comm, tm.Owner, attrs, latKindOf(op), m, land, nil)
 }
 
-// issueSingleton is the issue path of every operation that pays its own
-// wire message: non-batched transfers, read-modify-writes, active
-// messages. The caller has validated its arguments and built m (kind,
-// destination, handle/displacement/count, the op bits of hMeta, payload);
-// everything else is shared and happens here. A put, accumulate or active
-// message without RemoteComplete is done once the data has left the
-// origin; a get or RMW completes on its reply. land is where a get's reply
-// goes, and zero for every other kind.
+// issue is the issue path of every operation: transfers, read-modify-
+// writes, active messages. The caller has validated its arguments. An
+// operation that pays its own wire message arrives built as m (kind,
+// destination, handle/displacement/count, the op bits of hMeta, payload).
+// A put or accumulate that rides the target's issue ring arrives as put,
+// with m nil and its origin data in land: its member frame is written, and
+// its data packed, straight into the ring's aggregate, which goes out when
+// it is full or flushed.
+// Everything else — the fast-fail, progress, the fence, the request and
+// the counters — is shared and happens here, once. A put, accumulate or
+// active message without RemoteComplete is done once its data has left the
+// origin buffer; a get or RMW completes on its reply, and a remote-complete
+// ring member on its aggregate's notification. For a message, land is
+// where a get's reply goes, and zero for every other kind.
 //
-// A lock or send failure completes the request with the error instead of
-// abandoning it in the engine table: that keeps every observation surface
-// — Done, Err, OnDone, Select — in agreement with the returned error. This
-// is the only place that has to.
-func (e *Engine) issueSingleton(comm *runtime.Comm, m *simnet.Message, attrs Attr, atomic bool, latKind uint8, land landing) (*Request, error) {
-	target := m.Dst
+// A lock, pack or send failure completes the request with the error
+// instead of abandoning it in the engine table: that keeps every
+// observation surface — Err, OnDone, Select — in agreement with the
+// returned error. This is the only place that has to.
+func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8, m *simnet.Message, land landing, put *wireOp) (*Request, error) {
 	if err := e.stickyFor(target); err != nil {
 		// Fast-fail toward a dead rank or failed link: issuing would only
-		// accumulate requests that the failure handler must then reap.
+		// accumulate requests that the failure handler must then reap, or
+		// park one in a ring whose failing flush may be arbitrarily far
+		// away.
 		return nil, err
 	}
-	e.Progress()          // entering the library makes progress (MechProgress)
-	e.flushTarget(target) // a singleton must not overtake ring-held operations
+	e.Progress() // entering the library makes progress (MechProgress)
+	if m != nil {
+		e.flushTarget(target) // a singleton must not overtake ring-held operations
+	}
 	if err := e.maybeFence(comm, target); err != nil {
 		return nil, err
 	}
+	req := e.newRequest(target, latKind)
+	if m != nil {
+		req.land = land
+	}
 
-	replies := m.Kind == kGet || m.Kind == kRMW
-	var seq, epoch uint64
+	packed, full := 0, false
+	replies := m != nil && (m.Kind == kGet || m.Kind == kRMW)
+	var seq uint64
 	e.mu.Lock()
 	ts := e.targetLocked(target)
-	epoch = ts.chkEpoch
+	if put != nil {
+		ring := &ts.ring
+		packed = datatype.PackedSize(land.count, land.dt)
+		err := ring.add(put, req, packed, func(wire []byte) error {
+			return e.packFrom(wire, land.region.Offset, land.count, land.dt, false)
+		})
+		if err != nil {
+			e.mu.Unlock()
+			req.completeErr(e.proc.Now(), err)
+			return nil, err
+		}
+		if attrs&AttrRemoteComplete != 0 {
+			ring.remote = append(ring.remote, req)
+		}
+		full = len(ring.reqs) >= e.opts.BatchOps || ring.bytes >= e.opts.BatchBytes
+	}
+	epoch := ts.chkEpoch
 	ts.sent++
-	ts.singleton++
-	if replies || attrs&(AttrRemoteComplete|AttrNotify) != 0 {
-		// The operation's reply, ack, or notification reports a delivery
-		// counter; Complete may wait on counters instead of probing.
+	if put != nil || replies || attrs&(AttrRemoteComplete|AttrNotify) != 0 {
+		// The operation's reply, ack, or notification — a ring member's
+		// aggregate always notifies — reports a delivery counter;
+		// Complete may wait on counters instead of probing.
 		ts.willConfirm++
 	}
-	// Ordered-stream sequence number, only needed when the network itself
-	// does not order messages (the Figure 2 "ordering is free" case).
-	if attrs&AttrOrdering != 0 && !e.proc.NIC().Endpoint().Ordered() {
-		ts.orderSeq++
-		seq = ts.orderSeq
+	if put != nil {
+		ts.batched++
+	} else {
+		ts.singleton++
+		// Ordered-stream sequence number, only needed when the network
+		// itself does not order messages (the Figure 2 "ordering is free"
+		// case). A ring's aggregate takes one when it is flushed.
+		if attrs&AttrOrdering != 0 && !e.proc.NIC().Endpoint().Ordered() {
+			ts.orderSeq++
+			seq = ts.orderSeq
+		}
 	}
 	e.mu.Unlock()
 	e.OpsIssued.Inc()
-	e.SingletonOps.Inc()
 
-	req := e.newRequest(target, latKind)
-	req.land = land
+	if put != nil {
+		e.BatchedOps.Inc()
+		e.emit(trace.KindEnqueue, e.proc.Now(), target, req.id, int64(packed), 0)
+		if attrs&AttrRemoteComplete == 0 {
+			req.complete(e.proc.Now(), nil)
+		}
+		if full {
+			e.flushTarget(target)
+		}
+		return req, nil
+	}
+
+	e.SingletonOps.Inc()
 	m.Hdr[hMeta] |= uint64(attrs)&0xffff | (epoch&0xffffffff)<<32
 	m.Hdr[hReq] = req.id
 	m.Hdr[hSeq] = seq
 
 	// The coarse-grain serializer requires the origin to hold the target's
-	// process-level lock across the whole atomic operation.
+	// process-level lock across the whole atomic operation; an active
+	// message's handler is always a critical section.
 	var err error
-	if atomic && e.targetUsesCoarseLock() {
+	if (attrs&AttrAtomic != 0 || m.Kind == kAM) && e.targetUsesCoarseLock() {
 		if err = e.acquireLock(target); err == nil {
 			m.Flags |= flagUnlockAfter
 		}
@@ -314,39 +369,67 @@ func (e *Engine) targetUsesCoarseLock() bool {
 	return e.opts.Atomicity == serializer.MechCoarseLock
 }
 
-// newFramed builds a message of kind whose body opens with the framed
-// target type — varint(len(dt)) dt, all a get carries — followed, for a put
-// or accumulate, by the scale's f64 bits if accOp is AccAxpy and by packed
-// bytes for the caller to pack the origin data into, returned as wire.
+// newFramed builds a message of kind whose body opens with a put head (a
+// get's body is a put head and nothing more) followed by packed bytes for
+// the caller to pack the origin data into, returned as wire.
 func newFramed(dst int, kind uint8, tdt datatype.Type, accOp AccOp, scale float64, packed int) (m *simnet.Message, wire []byte) {
-	dt := datatype.Encode(tdt)
-	var pre [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(pre[:], uint64(len(dt)))
-	head := n + len(dt)
-	if accOp == AccAxpy {
-		head += 8
-	}
-	m = newMsg(dst, kind, head+packed)
-	copy(m.Payload, pre[:n])
-	copy(m.Payload[n:], dt)
-	if accOp == AccAxpy {
-		binary.LittleEndian.PutUint64(m.Payload[head-8:], math.Float64bits(scale))
-	}
-	return m, m.Payload[head:]
+	m = newMsg(dst, kind, putHeadLen(tdt, accOp)+packed)
+	head := appendPutHead(m.Payload[:0], tdt, accOp, scale)
+	return m, m.Payload[len(head):]
 }
 
-// parseTypeFrame splits a framed body into the decoded type and the rest.
-func parseTypeFrame(body []byte) (datatype.Type, []byte, error) {
+// The put head is what a kPut body and a batch member frame both carry
+// ahead of their wire data: the framed target type, then the scale's f64
+// bits when accOp is AccAxpy,
+//
+//	uvarint(len dt) dt [axpy f64]
+//
+// appendPutHead is its one encoder and parsePutHead its one parser.
+
+// putHeadLen is the encoded length of a put head.
+func putHeadLen(tdt datatype.Type, accOp AccOp) int {
+	n := len(datatype.Encode(tdt))
+	n += uvarintLen(uint64(n))
+	if accOp == AccAxpy {
+		n += 8
+	}
+	return n
+}
+
+// appendPutHead appends the put head of tdt, accOp and scale to b.
+func appendPutHead(b []byte, tdt datatype.Type, accOp AccOp, scale float64) []byte {
+	dt := datatype.Encode(tdt)
+	b = binary.AppendUvarint(b, uint64(len(dt)))
+	b = append(b, dt...)
+	if accOp == AccAxpy {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(scale))
+	}
+	return b
+}
+
+// parsePutHead splits a body that opens with a put head into the decoded
+// type, the scale (1 unless accOp is AccAxpy) and the rest.
+func parsePutHead(body []byte, accOp AccOp) (tdt datatype.Type, scale float64, rest []byte, err error) {
 	dtLen, n := binary.Uvarint(body)
 	if n <= 0 || uint64(len(body)-n) < dtLen {
-		return nil, nil, fmt.Errorf("core: truncated datatype frame")
+		return nil, 0, nil, fmt.Errorf("core: truncated datatype frame")
 	}
-	dt, err := decodedTypes.decode(body[n : n+int(dtLen)])
-	if err != nil {
-		return nil, nil, err
+	if tdt, err = decodedTypes.decode(body[n : n+int(dtLen)]); err != nil {
+		return nil, 0, nil, err
 	}
-	return dt, body[n+int(dtLen):], nil
+	rest, scale = body[n+int(dtLen):], 1
+	if accOp == AccAxpy {
+		if len(rest) < 8 {
+			return nil, 0, nil, fmt.Errorf("core: truncated axpy scale")
+		}
+		scale = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		rest = rest[8:]
+	}
+	return tdt, scale, rest, nil
 }
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Bounds on the decoded-type table. Encodings arrive from the network, so
 // both the number of entries and the length of each are capped; a type

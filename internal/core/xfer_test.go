@@ -16,11 +16,11 @@ func TestDecodedTypesAreInterned(t *testing.T) {
 	mk := func() datatype.Type { return datatype.Vector(3, 2, 7, datatype.Float32) }
 	a, _ := newFramed(0, kPut, mk(), AccNone, 0, 24)
 	b, _ := newFramed(1, kPut, mk(), AccNone, 0, 24)
-	da, _, err := parseTypeFrame(a.Payload)
+	da, _, _, err := parsePutHead(a.Payload, AccNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := parseTypeFrame(b.Payload)
+	db, _, _, err := parsePutHead(b.Payload, AccNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestDecodedTypesAreInterned(t *testing.T) {
 	}
 
 	member := wireOp{handle: 1, tcount: 1, accOp: AccNone, tdt: mk(), wire: make([]byte, 24)}
-	ops, err := decodeBatch(encodeTestBatch([]wireOp{member, member, member, member, member}))
+	ops, err := decodeBatch(aggregate(t, 8, []wireOp{member, member, member, member, member}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDecodedTypesAreInterned(t *testing.T) {
 	decodedTypes.mu.Lock()
 	before := len(decodedTypes.types)
 	decodedTypes.mu.Unlock()
-	if dt, _, err := parseTypeFrame(p.Payload); err != nil || dt != datatype.Int64 {
+	if dt, _, _, err := parsePutHead(p.Payload, AccNone); err != nil || dt != datatype.Int64 {
 		t.Fatalf("primitive frame decoded to %v, %v", dt, err)
 	}
 	decodedTypes.mu.Lock()

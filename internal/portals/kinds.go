@@ -6,11 +6,9 @@ package portals
 // panics on a duplicate registration, catching mistakes in tests).
 const (
 	// Portals protocol kinds (this package).
-	KindPtlPut   uint8 = 1 // put request: payload carried, applied to target MD
-	KindPtlAck   uint8 = 2 // hardware acknowledgement of a put (remote completion)
-	KindPtlGet   uint8 = 3 // get request: no payload
-	KindPtlReply uint8 = 4 // get reply: payload carried back to origin MD
-	KindRelAck   uint8 = 5 // reliable-delivery acknowledgement (relay.go)
+	KindPtlPut uint8 = 1 // put request: payload carried, applied to target MD
+	KindPtlAck uint8 = 2 // acknowledgement of a put (remote completion)
+	KindRelAck uint8 = 5 // reliable-delivery acknowledgement (relay.go)
 
 	// KindRuntimeBase is the first kind owned by internal/runtime
 	// (point-to-point send/recv, barrier, collectives).

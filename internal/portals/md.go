@@ -22,12 +22,6 @@ const (
 	// EvPutEnd reports, at the target, that an incoming Put has been
 	// deposited into the memory descriptor.
 	EvPutEnd
-	// EvGetEnd reports, at the target, that an incoming Get has read the
-	// memory descriptor.
-	EvGetEnd
-	// EvReplyEnd reports, at the origin, that the data requested by a Get
-	// has arrived in the origin memory descriptor.
-	EvReplyEnd
 )
 
 // String returns the event type's Portals-style name.
@@ -39,10 +33,6 @@ func (t EventType) String() string {
 		return "ACK"
 	case EvPutEnd:
 		return "PUT_END"
-	case EvGetEnd:
-		return "GET_END"
-	case EvReplyEnd:
-		return "REPLY_END"
 	default:
 		return fmt.Sprintf("EventType(%d)", uint8(t))
 	}
@@ -121,8 +111,6 @@ type MDOptions uint8
 const (
 	// MDPut permits incoming put operations.
 	MDPut MDOptions = 1 << iota
-	// MDGet permits incoming get operations.
-	MDGet
 )
 
 // MD is a memory descriptor: a region of the rank's memory bound for
@@ -158,7 +146,7 @@ func (n *NIC) AttachMD(region memsim.Region, eq *EQ, opts MDOptions) *MD {
 }
 
 // Expose binds md to portal-table index idx, making it addressable by
-// remote Put/Get operations naming that index.
+// remote Put operations naming that index.
 func (n *NIC) Expose(idx int, md *MD) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -193,11 +181,10 @@ func (n *NIC) lookupMD(handle uint64) *MD {
 // Header word layout for portals messages.
 const (
 	hdrMD      = 0 // origin MD handle
-	hdrMDOff   = 1 // origin MD offset (get reply placement)
-	hdrPortal  = 2 // target portal index
-	hdrTgtOff  = 3 // target offset within the exposed MD
-	hdrLen     = 4 // length for get requests
-	hdrUser    = 5 // 64-bit user header data
+	hdrPortal  = 1 // target portal index
+	hdrTgtOff  = 2 // target offset within the exposed MD
+	hdrLen     = 3 // acknowledged length
+	hdrUser    = 4 // 64-bit user header data
 	flagAckReq = 1 // Flags bit: put requests an acknowledgement
 )
 
@@ -235,34 +222,11 @@ func (md *MD) Put(now vtime.Time, mdOff, n int, target, ptlIndex, targetOff int,
 	return m.SentAt, nil
 }
 
-// Get requests n bytes from the memory descriptor exposed at
-// (target, ptlIndex)+targetOff into the MD at mdOff, starting at virtual
-// time now. An EvReplyEnd event on the MD's event queue reports arrival.
-func (md *MD) Get(now vtime.Time, mdOff, n int, target, ptlIndex, targetOff int, userHdr uint64) error {
-	if !md.region.Contains(mdOff, n) {
-		return fmt.Errorf("portals: get destination [%d,%d) outside MD of %d bytes", mdOff, mdOff+n, md.region.Size)
-	}
-	m := &simnet.Message{
-		Dst:  target,
-		Kind: KindPtlGet,
-	}
-	m.Hdr[hdrMD] = md.handle
-	m.Hdr[hdrMDOff] = uint64(mdOff)
-	m.Hdr[hdrPortal] = uint64(ptlIndex)
-	m.Hdr[hdrTgtOff] = uint64(targetOff)
-	m.Hdr[hdrLen] = uint64(n)
-	m.Hdr[hdrUser] = userHdr
-	_, err := md.nic.Send(now, m)
-	return err
-}
-
-// registerPortalsHandlers installs the protocol handlers for put, ack, get
-// and reply messages on the NIC dispatch table.
+// registerPortalsHandlers installs the protocol handlers for put and ack
+// messages on the NIC dispatch table.
 func (n *NIC) registerPortalsHandlers() {
 	n.handlers[KindPtlPut] = n.handlePut
 	n.handlers[KindPtlAck] = n.handleAck
-	n.handlers[KindPtlGet] = n.handleGet
-	n.handlers[KindPtlReply] = n.handleReply
 }
 
 func (n *NIC) handlePut(m *simnet.Message, at vtime.Time) {
@@ -289,14 +253,7 @@ func (n *NIC) handlePut(m *simnet.Message, at vtime.Time) {
 		ack.Hdr[hdrTgtOff] = m.Hdr[hdrTgtOff]
 		ack.Hdr[hdrLen] = uint64(len(m.Payload))
 		ack.Hdr[hdrUser] = m.Hdr[hdrUser]
-		if n.cfg.HardwareAcks {
-			// The NIC generates the acknowledgement: wire time only.
-			_, _ = n.SendNIC(at, ack)
-		} else {
-			// Software echo: charged like any CPU-injected message.
-			n.SoftAcks.Inc()
-			_, _ = n.Send(at, ack)
-		}
+		_, _ = n.SendAck(at, ack, false)
 	}
 }
 
@@ -308,54 +265,5 @@ func (n *NIC) handleAck(m *simnet.Message, at vtime.Time) {
 	}
 	if md.eq != nil {
 		md.eq.post(Event{Type: EvAck, MD: md, Peer: m.Src, Offset: int(m.Hdr[hdrTgtOff]), Length: int(m.Hdr[hdrLen]), UserHdr: m.Hdr[hdrUser], At: at})
-	}
-}
-
-func (n *NIC) handleGet(m *simnet.Message, at vtime.Time) {
-	md := n.lookupPortal(int(m.Hdr[hdrPortal]))
-	if md == nil || md.opts&MDGet == 0 {
-		n.BadReq.Inc()
-		return
-	}
-	off := int(m.Hdr[hdrTgtOff])
-	length := int(m.Hdr[hdrLen])
-	if !md.region.Contains(off, length) {
-		n.BadReq.Inc()
-		return
-	}
-	buf := make([]byte, length)
-	if err := n.mem.RemoteRead(md.region.Offset+off, buf); err != nil {
-		n.BadReq.Inc()
-		return
-	}
-	if md.eq != nil {
-		md.eq.post(Event{Type: EvGetEnd, MD: md, Peer: m.Src, Offset: off, Length: length, UserHdr: m.Hdr[hdrUser], At: at})
-	}
-	reply := &simnet.Message{Dst: m.Src, Kind: KindPtlReply, Payload: buf}
-	reply.Hdr[hdrMD] = m.Hdr[hdrMD]
-	reply.Hdr[hdrMDOff] = m.Hdr[hdrMDOff]
-	reply.Hdr[hdrUser] = m.Hdr[hdrUser]
-	// Get replies are produced by the NIC (Portals firmware), not the
-	// target CPU.
-	_, _ = n.SendNIC(at, reply)
-}
-
-func (n *NIC) handleReply(m *simnet.Message, at vtime.Time) {
-	md := n.lookupMD(m.Hdr[hdrMD])
-	if md == nil {
-		n.BadReq.Inc()
-		return
-	}
-	off := int(m.Hdr[hdrMDOff])
-	if !md.region.Contains(off, len(m.Payload)) {
-		n.BadReq.Inc()
-		return
-	}
-	if err := n.mem.RemoteWrite(md.region.Offset+off, m.Payload); err != nil {
-		n.BadReq.Inc()
-		return
-	}
-	if md.eq != nil {
-		md.eq.post(Event{Type: EvReplyEnd, MD: md, Peer: m.Src, Offset: off, Length: len(m.Payload), UserHdr: m.Hdr[hdrUser], At: at})
 	}
 }

@@ -10,8 +10,8 @@
 //   - Memory descriptors (MD) binding a region of a rank's memory for
 //     remote access, with an optional event queue.
 //   - Event queues (EQ) delivering SEND_END (local completion), ACK
-//     (remote completion), PUT_END/GET_END (target side), and REPLY_END.
-//   - Put and Get operations with an optional acknowledgement request.
+//     (remote completion) and PUT_END (target side).
+//   - Put with an optional acknowledgement request.
 //
 // It also hosts the NIC, which dispatches every arriving message by kind to
 // the handlers higher layers (the strawman RMA core, MPI-2 RMA, ARMCI,
@@ -162,9 +162,6 @@ func (n *NIC) CPU() *vtime.Clock { return &n.cpu }
 // Now returns the rank's current virtual time.
 func (n *NIC) Now() vtime.Time { return n.cpu.Now() }
 
-// HardwareAcks reports whether the NIC generates acknowledgements itself.
-func (n *NIC) HardwareAcks() bool { return n.cfg.HardwareAcks }
-
 // RegisterHandler installs h for message kind k. Messages of that kind
 // that arrived before registration are delivered, in arrival order, before
 // RegisterHandler returns. It takes the delivery token, waiting out a
@@ -204,6 +201,19 @@ func (n *NIC) SendNIC(at vtime.Time, m *simnet.Message) (vtime.Time, error) {
 		return r.send(at, m, true)
 	}
 	return n.ep.SendNIC(at, m)
+}
+
+// SendAck sends an acknowledgement-class reply (a put's ack, a delivery
+// notification) at virtual time at. The NIC generates it, for wire time
+// only, when it has hardware acks and observed the deposit itself; when
+// software applied the operation, or the NIC cannot acknowledge, it is a
+// software echo injected through the CPU send path and counted in SoftAcks.
+func (n *NIC) SendAck(at vtime.Time, m *simnet.Message, software bool) (vtime.Time, error) {
+	if n.cfg.HardwareAcks && !software {
+		return n.SendNIC(at, m)
+	}
+	n.SoftAcks.Inc()
+	return n.Send(at, m)
 }
 
 // Stop stops delivery. It waits out a delivery in progress and drops the

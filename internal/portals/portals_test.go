@@ -73,7 +73,7 @@ func TestPutDeliversAndAcks(t *testing.T) {
 	// Target exposes a region at portal index 5.
 	tgtRegion := r.mems[1].MustAlloc(256)
 	tgtEQ := NewEQ(0)
-	tgtMD := r.nics[1].AttachMD(tgtRegion, tgtEQ, MDPut|MDGet)
+	tgtMD := r.nics[1].AttachMD(tgtRegion, tgtEQ, MDPut)
 	r.nics[1].Expose(5, tgtMD)
 
 	// Origin sets up a source MD.
@@ -127,34 +127,6 @@ func TestSoftwareAckCharged(t *testing.T) {
 	}
 }
 
-func TestGetRoundTrip(t *testing.T) {
-	r := newRig(t, 2, true)
-	tgtRegion := r.mems[1].MustAlloc(128)
-	r.mems[1].LocalWrite(tgtRegion.Offset+16, bytes.Repeat([]byte{0x5A}, 32))
-	tgtEQ := NewEQ(0)
-	tgtMD := r.nics[1].AttachMD(tgtRegion, tgtEQ, MDGet)
-	r.nics[1].Expose(2, tgtMD)
-
-	dstRegion := r.mems[0].MustAlloc(64)
-	dstEQ := NewEQ(0)
-	dstMD := r.nics[0].AttachMD(dstRegion, dstEQ, 0)
-	if err := dstMD.Get(0, 8, 32, 1, 2, 16, 55); err != nil {
-		t.Fatal(err)
-	}
-	ge := waitEvent(t, tgtEQ, EvGetEnd)
-	if ge.Offset != 16 || ge.Length != 32 {
-		t.Fatalf("get event %+v", ge)
-	}
-	re := waitEvent(t, dstEQ, EvReplyEnd)
-	if re.Offset != 8 || re.Length != 32 || re.UserHdr != 55 {
-		t.Fatalf("reply event %+v", re)
-	}
-	got := r.mems[0].Snapshot(dstRegion.Offset+8, 32)
-	if !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 32)) {
-		t.Fatal("get data wrong")
-	}
-}
-
 func TestBadRequestsCounted(t *testing.T) {
 	r := newRig(t, 2, true)
 	srcRegion := r.mems[0].MustAlloc(8)
@@ -170,10 +142,9 @@ func TestBadRequestsCounted(t *testing.T) {
 	if _, err := srcMD.Put(0, 0, 8, 1, 1, 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Put to a get-only MD.
-	getOnly := r.mems[1].MustAlloc(64)
-	gMD := r.nics[1].AttachMD(getOnly, nil, MDGet)
-	r.nics[1].Expose(2, gMD)
+	// Put to an MD that does not permit puts.
+	noPut := r.mems[1].MustAlloc(64)
+	r.nics[1].Expose(2, r.nics[1].AttachMD(noPut, nil, 0))
 	if _, err := srcMD.Put(0, 0, 8, 1, 2, 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +165,6 @@ func TestPutSourceBoundsChecked(t *testing.T) {
 	srcMD := r.nics[0].AttachMD(srcRegion, nil, 0)
 	if _, err := srcMD.Put(0, 4, 8, 1, 0, 0, false, 0); err == nil {
 		t.Fatal("put beyond the source MD should fail locally")
-	}
-	if err := srcMD.Get(0, 6, 4, 1, 0, 0, 0); err == nil {
-		t.Fatal("get beyond the destination MD should fail locally")
 	}
 }
 
@@ -252,7 +220,6 @@ func TestEQOverflowFlag(t *testing.T) {
 func TestEventTypeStrings(t *testing.T) {
 	for ev, want := range map[EventType]string{
 		EvSendEnd: "SEND_END", EvAck: "ACK", EvPutEnd: "PUT_END",
-		EvGetEnd: "GET_END", EvReplyEnd: "REPLY_END",
 	} {
 		if ev.String() != want {
 			t.Errorf("%d.String() = %q, want %q", ev, ev.String(), want)

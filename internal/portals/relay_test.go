@@ -53,7 +53,7 @@ func relayRig(t *testing.T) (r *rig, srcMD *MD, srcEQ *EQ, tgtOff int) {
 	t.Helper()
 	r = newRig(t, 2, true)
 	tgtRegion := r.mems[1].MustAlloc(256)
-	tgtMD := r.nics[1].AttachMD(tgtRegion, nil, MDPut|MDGet)
+	tgtMD := r.nics[1].AttachMD(tgtRegion, nil, MDPut)
 	r.nics[1].Expose(5, tgtMD)
 	srcRegion := r.mems[0].MustAlloc(64)
 	r.mems[0].LocalWrite(srcRegion.Offset, bytes.Repeat([]byte{0xCD}, 64))
