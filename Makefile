@@ -117,9 +117,11 @@ profile-smoke:
 # does the replay test: one seed, the same retransmissions. So do the
 # tests of ranks parked in the progress serializer's wait and in Select
 # on a lossy or unordered wire, and the strided-landing test:
-# a local reader never sees a strided put half landed.
+# a local reader never sees a strided put half landed. So does memsim's
+# growth test: a local reader runs against landings that grow the rank's
+# backing store, which must be replaced only under the memory lock.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic' ./internal/core/ ./internal/bench/ ./internal/portals/ ./rma/
+	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads' ./internal/core/ ./internal/bench/ ./internal/portals/ ./internal/memsim/ ./rma/
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -155,13 +157,13 @@ benchmark-check:
 # quiet world moves with it, and its retransmissions must not) and the
 # progress-serializer and Select park tests (whether a deferred apply or a
 # completion lands before or after the rank parks moves with it) and
-# the strided-landing test (where a local read falls in a landing moves
-# with it).
+# the strided-landing and store-growth tests (where a local read falls in
+# a landing, or in a growth, moves with it).
 # Twenty repeats each on one and on two scheduler threads (one thread
 # reorders goroutines the most).
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic' ./internal/core/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads' ./internal/core/ ./internal/memsim/
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads' ./internal/core/ ./internal/memsim/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
 

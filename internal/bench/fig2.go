@@ -163,6 +163,13 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 	}
 	w := runtime.NewWorld(wcfg)
 	defer w.Close()
+	// Start every cell from a collected heap. A multi-origin cell's model
+	// time depends on how its ranks interleave on the host, and the heap
+	// is small enough that earlier cells' garbage would otherwise set off
+	// a collection across this cell's puts, reordering them (fig2's
+	// "ordering is free" note then failed about one run in eight under
+	// -metrics).
+	gort.GC()
 
 	attrs := cfg.Attrs
 	if !cfg.NonBlocking {

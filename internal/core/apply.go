@@ -214,13 +214,13 @@ func (e *Engine) depositAcc(base int, wire []byte, tcount int, tdt datatype.Type
 // single operation or a batch member, run at its scheduled apply time end:
 // deposit → BadReq or access record → replicate → fin. After a successful
 // deposit fin waits until the buddy holds the mutated bytes (a pass-through
-// when unreplicated); a lost deposit — unexposed memory, wire bytes that do
-// not fit the layout — runs it at once.
+// when unreplicated); a lost deposit — unexposed memory, a layout reaching
+// past its exposure, wire bytes that do not fit the layout — runs it at once.
 func (e *Engine) applyDeposit(r *applyOp, end vtime.Time) {
 	ext := datatype.ExtentOf(r.tcount, r.tdt)
 	acc := r.accOp != AccNone && r.accOp != AccReplace
 	deposited := false
-	if r.exp != nil {
+	if r.exp != nil && r.exp.region.Contains(r.disp, ext) {
 		base := r.exp.region.Offset + r.disp
 		var err error
 		if acc {

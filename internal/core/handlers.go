@@ -160,16 +160,19 @@ func (r *applyOp) startGet(at vtime.Time) {
 }
 
 // applyGet packs the layout straight out of this rank's memory into the
-// reply fin will send.
+// reply fin will send. A layout reaching past its exposure fails as an
+// unexposed handle does.
 func (r *applyOp) applyGet(end vtime.Time) {
 	e := r.e
+	ext := datatype.ExtentOf(r.tcount, r.tdt)
 	r.reply = newMsg(r.m.Src, kGetReply, datatype.PackedSize(r.tcount, r.tdt))
-	if err := e.packFrom(r.reply.Payload, r.exp.region.Offset+r.disp, r.tcount, r.tdt, true); err != nil {
+	if !r.exp.region.Contains(r.disp, ext) ||
+		e.packFrom(r.reply.Payload, r.exp.region.Offset+r.disp, r.tcount, r.tdt, true) != nil {
 		e.proc.NIC().BadReq.Inc()
 		r.reply.Payload = nil
 	}
 	e.recordAccess(r.m, Access{
-		Handle: r.handle, Disp: r.disp, Len: datatype.ExtentOf(r.tcount, r.tdt),
+		Handle: r.handle, Disp: r.disp, Len: ext,
 		Kind: AccessGet, Atomic: r.atomic, Ordered: r.ordered, Member: -1, At: end,
 	})
 	r.fin(end)

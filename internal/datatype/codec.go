@@ -32,7 +32,26 @@ const (
 	// their slices are allocated (further bounded by the buffer length:
 	// every block costs at least two encoded bytes).
 	maxDecodeBlocks = 1 << 20
+	// maxDecodeExtent bounds the size and the extent of every decoded type,
+	// nested ones included. Each value is bounded on its own, but nesting
+	// multiplies them: eleven nested Contiguous(48, ...) wrap int64.
+	maxDecodeExtent = 1 << 40
 )
+
+// scales reports whether n instances of base stay within maxDecodeExtent,
+// in size and in extent, without computing a product that could wrap.
+func scales(n uint64, base Type) bool {
+	for _, x := range [2]int{base.Size(), base.Extent()} {
+		if x > 0 && n > maxDecodeExtent/uint64(x) {
+			return false
+		}
+	}
+	return true
+}
+
+func errTooLarge(what string) error {
+	return fmt.Errorf("datatype: decoded %s exceeds %d bytes", what, maxDecodeExtent)
+}
 
 // primitiveEncodings holds every primitive's two-byte wire form.
 var primitiveEncodings = func() (enc [KFloat64 + 1][2]byte) {
@@ -127,6 +146,9 @@ func decodeType(buf []byte) (Type, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
+		if !scales(count, base) {
+			return nil, 0, errTooLarge("contiguous type")
+		}
 		return &contiguous{count: int(count), base: base}, pos + n, nil
 	case tagVector:
 		count, pos, err := decodeUvarint(buf, 1)
@@ -148,6 +170,10 @@ func decodeType(buf []byte) (Type, int, error) {
 		if int(stride) < int(blocklen) {
 			return nil, 0, fmt.Errorf("datatype: decoded vector stride %d < blocklen %d", stride, blocklen)
 		}
+		// The extent's multiplier bounds the size's too: stride >= blocklen.
+		if count > 0 && !scales((count-1)*stride+blocklen, base) {
+			return nil, 0, errTooLarge("vector type")
+		}
 		return &vector{count: int(count), blocklen: int(blocklen), stride: int(stride), base: base}, pos + n, nil
 	case tagIndexed:
 		nblocks, pos, err := decodeUvarint(buf, 1)
@@ -161,6 +187,7 @@ func decodeType(buf []byte) (Type, int, error) {
 		}
 		blocklens := make([]int, nblocks)
 		displs := make([]int, nblocks)
+		var end, total uint64 // extent and size in base instances
 		for i := range blocklens {
 			var b, d uint64
 			b, pos, err = decodeUvarint(buf, pos)
@@ -173,10 +200,14 @@ func decodeType(buf []byte) (Type, int, error) {
 			}
 			blocklens[i] = int(b)
 			displs[i] = int(d)
+			end, total = max(end, d+b), total+b
 		}
 		base, n, err := decodeType(buf[pos:])
 		if err != nil {
 			return nil, 0, err
+		}
+		if !scales(max(end, total), base) {
+			return nil, 0, errTooLarge("indexed type")
 		}
 		return Indexed(blocklens, displs, base), pos + n, nil
 	case tagStruct:
@@ -204,10 +235,18 @@ func decodeType(buf []byte) (Type, int, error) {
 			if err != nil {
 				return nil, 0, err
 			}
+			if !scales(cnt, ft) {
+				return nil, 0, errTooLarge("struct field")
+			}
 			pos += n
 			fields[i] = Field{Offset: int(off), Count: int(cnt), Type: ft}
 		}
-		return Struct(fields), pos, nil
+		// Each field is bounded, so the sums below cannot wrap.
+		t := Struct(fields)
+		if t.Size() > maxDecodeExtent || t.Extent() > maxDecodeExtent {
+			return nil, 0, errTooLarge("struct type")
+		}
+		return t, pos, nil
 	default:
 		return nil, 0, fmt.Errorf("datatype: unknown type tag %d", buf[0])
 	}

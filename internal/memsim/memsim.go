@@ -10,9 +10,16 @@
 // required target involvement, and why the strawman interface must cost
 // target-side work on these machines.
 //
-// Memory models exactly that: a flat byte store plus, in the non-coherent
+// Memory models exactly that: a byte store plus, in the non-coherent
 // configuration, a per-rank write-through scalar cache with explicit
 // Fence/Invalidate operations and stale-read accounting.
+//
+// The store is backed only up to the highest offset ever touched. Config.Size
+// is the bound every access is checked against, not what a Memory costs: New
+// backs nothing, and an access past the backed length first grows the one
+// contiguous slice (geometrically, copying the old bytes) under the lock.
+// Bytes never touched read as zero. Regions come from a bump allocator that
+// starts at 0, so the backed length is, in practice, the bytes allocated.
 //
 // All remote access in this repository goes through the Remote* methods
 // (the simulated NIC path); rank-local code uses LocalRead/LocalWrite (the
@@ -65,7 +72,8 @@ const DefaultCacheLine = 64
 
 // Config configures a Memory.
 type Config struct {
-	// Size is the size of the rank's memory in bytes.
+	// Size is the size of the rank's memory in bytes: the bound on every
+	// access and allocation. Only the bytes touched are ever backed.
 	Size int
 	// Coherence selects the cache model.
 	Coherence Coherence
@@ -90,14 +98,17 @@ type Memory struct {
 	// under both models. It is the only lock: remote accesses arrive one
 	// at a time under the rank's NIC delivery token, so striping the store
 	// would buy no concurrency, only more lock cycles per landing.
-	mu   sync.Mutex
+	mu sync.Mutex
+	// data backs bytes [0, len(data)); the rest of [0, cfg.Size) has never
+	// been touched and reads as zero. span grows it.
 	data []byte
 	// next allocation offset for Alloc.
 	next int
 
 	// Non-coherent model state: the scalar cache and a per-line version
 	// counter bumped by every write to memory, so stale cache hits can be
-	// detected and counted.
+	// detected and counted. version covers the backed lines and grows with
+	// data.
 	cache   map[int]*cacheLine
 	version []uint64
 
@@ -122,19 +133,48 @@ func New(cfg Config) *Memory {
 	if cfg.CacheLine < 1 {
 		panic("memsim: Config.CacheLine must be positive")
 	}
-	m := &Memory{
-		cfg:  cfg,
-		line: cfg.CacheLine,
-		data: make([]byte, cfg.Size),
-	}
+	m := &Memory{cfg: cfg, line: cfg.CacheLine}
 	if cfg.Coherence == NonCoherentWriteThrough {
 		m.cache = make(map[int]*cacheLine)
-		m.version = make([]uint64, (cfg.Size+cfg.CacheLine-1)/cfg.CacheLine)
 	}
 	return m
 }
 
-// Size returns the total memory size in bytes.
+// growStep is the granule the backed length grows in.
+const growStep = 64 << 10
+
+// span returns the n bytes at off, growing the backed store first if they
+// reach past it. Caller holds m.mu and has bounds-checked the access.
+func (m *Memory) span(off, n int) []byte {
+	if off+n > len(m.data) {
+		m.grow(off + n)
+	}
+	return m.data[off : off+n]
+}
+
+// grow backs the store to at least end bytes: at least double the current
+// length, rounded up to whole growth steps and whole cache lines, capped at
+// Config.Size. The old bytes are copied; the new ones are zero, as untouched
+// memory reads. Caller holds m.mu.
+func (m *Memory) grow(end int) {
+	n := max(end, 2*len(m.data))
+	n = roundUp(roundUp(n, growStep), m.line)
+	n = min(n, m.cfg.Size)
+	data := make([]byte, n)
+	copy(data, m.data)
+	m.data = data
+	if m.cache != nil {
+		version := make([]uint64, (n+m.line-1)/m.line)
+		copy(version, m.version)
+		m.version = version
+	}
+}
+
+func roundUp(n, to int) int {
+	return (n + to - 1) / to * to
+}
+
+// Size returns the memory's bound in bytes, not how many are backed.
 func (m *Memory) Size() int { return m.cfg.Size }
 
 // Coherence returns the configured coherence model.
@@ -151,9 +191,10 @@ type Region struct {
 // End returns the offset one past the region's last byte.
 func (r Region) End() int { return r.Offset + r.Size }
 
-// Contains reports whether [off, off+n) lies within the region.
+// Contains reports whether [off, off+n) lies within the region. It never
+// computes off+n, so a huge off cannot wrap into range.
 func (r Region) Contains(off, n int) bool {
-	return off >= 0 && n >= 0 && off+n <= r.Size
+	return off >= 0 && n >= 0 && n <= r.Size && off <= r.Size-n
 }
 
 // Overlaps reports whether the two regions share any byte.
@@ -170,8 +211,8 @@ func (m *Memory) Alloc(size int) (Region, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.next+size > len(m.data) {
-		return Region{}, fmt.Errorf("memsim: out of memory: want %d bytes, %d free", size, len(m.data)-m.next)
+	if free := m.cfg.Size - m.next; size > free {
+		return Region{}, fmt.Errorf("memsim: out of memory: want %d bytes, %d free", size, free)
 	}
 	r := Region{Offset: m.next, Size: size}
 	m.next += size
@@ -187,9 +228,11 @@ func (m *Memory) MustAlloc(size int) Region {
 	return r
 }
 
+// check bounds [off, off+n) by Config.Size, which never changes, so it needs
+// no lock; like Region.Contains it never computes off+n.
 func (m *Memory) check(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(m.data) {
-		return fmt.Errorf("memsim: access [%d,%d) out of bounds (size %d)", off, off+n, len(m.data))
+	if off < 0 || n < 0 || n > m.cfg.Size || off > m.cfg.Size-n {
+		return fmt.Errorf("memsim: access of %d bytes at %d out of bounds (size %d)", n, off, m.cfg.Size)
 	}
 	return nil
 }
@@ -218,7 +261,7 @@ func (m *Memory) LocalWrite(off int, data []byte) error {
 	m.LocalWrites.Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	copy(m.data[off:], data)
+	copy(m.span(off, len(data)), data)
 	m.bumpVersions(off, len(data))
 	if m.cache != nil {
 		m.refreshCacheLocked(off, len(data))
@@ -239,8 +282,9 @@ func (m *Memory) LocalRead(off int, buf []byte) error {
 	m.LocalReads.Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	cur := m.span(off, len(buf))
 	if m.cache == nil {
-		copy(buf, m.data[off:off+len(buf)])
+		copy(buf, cur)
 		return nil
 	}
 	m.readThroughCacheLocked(off, buf)
@@ -248,7 +292,7 @@ func (m *Memory) LocalRead(off int, buf []byte) error {
 }
 
 // readThroughCacheLocked serves buf from the scalar cache. Caller holds
-// m.mu and has bounds-checked the access.
+// m.mu and has backed the access.
 func (m *Memory) readThroughCacheLocked(off int, buf []byte) {
 	n := len(buf)
 	pos := 0
@@ -316,7 +360,7 @@ func (m *Memory) RemoteWrite(off int, data []byte) error {
 	m.RemoteWrites.Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	copy(m.data[off:], data)
+	copy(m.span(off, len(data)), data)
 	m.bumpVersions(off, len(data))
 	return nil
 }
@@ -333,7 +377,7 @@ func (m *Memory) RemoteUnpack(off int, wire []byte, count int, dt datatype.Type,
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := datatype.Unpack(m.data[off:off+n], wire, count, dt, order); err != nil {
+	if err := datatype.Unpack(m.span(off, n), wire, count, dt, order); err != nil {
 		return err
 	}
 	m.RemoteWrites.Inc()
@@ -357,7 +401,7 @@ func (m *Memory) RemoteRead(off int, buf []byte) error {
 	m.RemoteReads.Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	copy(buf, m.data[off:off+len(buf)])
+	copy(buf, m.span(off, len(buf)))
 	return nil
 }
 
@@ -371,7 +415,7 @@ func (m *Memory) Update(off, n int, fn func(cur []byte)) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fn(m.data[off : off+n])
+	fn(m.span(off, n))
 	m.bumpVersions(off, n)
 	return nil
 }
@@ -437,7 +481,7 @@ func (m *Memory) View(off, n int, fn func(cur []byte)) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fn(m.data[off : off+n])
+	fn(m.span(off, n))
 	return nil
 }
 

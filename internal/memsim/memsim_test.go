@@ -2,7 +2,12 @@ package memsim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -273,6 +278,230 @@ func TestRegionHelpers(t *testing.T) {
 	}
 	if !r.Overlaps(Region{Offset: 29, Size: 5}) || r.Overlaps(Region{Offset: 30, Size: 5}) {
 		t.Error("Overlaps is wrong")
+	}
+}
+
+// TestBoundsNeverWrap: every bounds check compares against the size
+// without computing off+n, so an offset or length near math.MaxInt is out
+// of range rather than wrapped into it.
+func TestBoundsNeverWrap(t *testing.T) {
+	r := Region{Offset: 8, Size: 16}
+	for _, c := range []struct {
+		off, n int
+		want   bool
+	}{
+		{0, 16, true},
+		{16, 0, true},
+		{15, 1, true},
+		{15, 2, false},
+		{17, 0, false},
+		{math.MaxInt, 2, false},
+		{math.MaxInt, 0, false},
+		{2, math.MaxInt, false},
+		{math.MaxInt - 1, math.MaxInt, false},
+		{-1, 1, false},
+		{0, -1, false},
+	} {
+		if got := r.Contains(c.off, c.n); got != c.want {
+			t.Errorf("Region%+v.Contains(%d, %d) = %v, want %v", r, c.off, c.n, got, c.want)
+		}
+	}
+
+	m := coherentMem(100)
+	noop := func([]byte) {}
+	for _, c := range []struct{ off, n int }{
+		{math.MaxInt, 2},
+		{math.MaxInt - 1, 8},
+		{2, math.MaxInt},
+		{math.MaxInt, math.MaxInt},
+	} {
+		if err := m.View(c.off, c.n, noop); err == nil {
+			t.Errorf("View(%d, %d) should be out of bounds", c.off, c.n)
+		}
+		if err := m.Update(c.off, c.n, noop); err == nil {
+			t.Errorf("Update(%d, %d) should be out of bounds", c.off, c.n)
+		}
+	}
+	if err := m.RemoteWrite(math.MaxInt, []byte{1}); err == nil {
+		t.Error("RemoteWrite at math.MaxInt should be out of bounds")
+	}
+	if len(m.data) != 0 {
+		t.Errorf("rejected accesses backed %d bytes", len(m.data))
+	}
+
+	m.MustAlloc(40)
+	for _, size := range []int{math.MaxInt, math.MaxInt - 39, 61} {
+		if _, err := m.Alloc(size); err == nil {
+			t.Errorf("Alloc(%d) with 60 bytes free should fail", size)
+		}
+	}
+	if reg, err := m.Alloc(60); err != nil || reg.Offset != 40 {
+		t.Errorf("Alloc(60) with 60 bytes free = %+v, %v", reg, err)
+	}
+}
+
+// TestStoreGrowsOnTouch pins the backing store: New backs nothing, an
+// access grows it geometrically to cover the highest byte touched, content
+// survives every growth, untouched bytes read as zero, and the last byte
+// below Size is reachable while one more is not.
+func TestStoreGrowsOnTouch(t *testing.T) {
+	const size = 3*growStep + 5 // not a multiple of the growth step
+	m := coherentMem(size)
+	if len(m.data) != 0 {
+		t.Fatalf("New backed %d bytes, want 0", len(m.data))
+	}
+	if m.Size() != size {
+		t.Errorf("Size() = %d, want the bound %d", m.Size(), size)
+	}
+
+	zero := make([]byte, 32)
+	got := make([]byte, 32)
+	if err := m.RemoteRead(1000, got); err != nil || !bytes.Equal(got, zero) {
+		t.Fatalf("untouched bytes read %x, %v; want zeros", got, err)
+	}
+	if len(m.data) != growStep {
+		t.Errorf("a first touch backed %d bytes, want one %d-byte step", len(m.data), growStep)
+	}
+
+	pat := make([]byte, 100)
+	for i := range pat {
+		pat[i] = byte(i + 1)
+	}
+	if err := m.LocalWrite(10, pat); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoteWrite(growStep, []byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.data) != 2*growStep {
+		t.Errorf("a touch one past the backed store backed %d bytes, want it doubled to %d", len(m.data), 2*growStep)
+	}
+	if got := m.Snapshot(10, len(pat)); !bytes.Equal(got, pat) {
+		t.Errorf("content lost in growth: %x", got)
+	}
+	if got := m.Snapshot(growStep+1, 32); !bytes.Equal(got, zero) {
+		t.Errorf("bytes grown but never written read %x, want zeros", got)
+	}
+
+	if err := m.Update(size-1, 1, func(cur []byte) { cur[0] = 7 }); err != nil {
+		t.Fatalf("the last byte below Size: %v", err)
+	}
+	if len(m.data) != size {
+		t.Errorf("a touch at Size-1 backed %d bytes, want the growth capped at Size %d", len(m.data), size)
+	}
+	if got := m.Snapshot(size-1, 1)[0]; got != 7 {
+		t.Errorf("last byte = %d, want 7", got)
+	}
+	if got := m.Snapshot(10, len(pat)); !bytes.Equal(got, pat) {
+		t.Errorf("content lost in the capped growth: %x", got)
+	}
+	if err := m.RemoteWrite(size, []byte{1}); err == nil {
+		t.Error("a write at Size should be out of bounds")
+	}
+	if err := m.View(size-1, 2, func([]byte) {}); err == nil {
+		t.Error("a view one byte past Size should be out of bounds")
+	}
+}
+
+// TestNonCoherentAcrossGrowth: the per-line versions grow with the store,
+// so a line cached before a growth still reads stale after a remote write,
+// is still counted, and Invalidate still reconciles it; so does a line
+// cached in the grown part before a further growth.
+func TestNonCoherentAcrossGrowth(t *testing.T) {
+	m := sxMem(1<<20, 64)
+	buf := make([]byte, 16)
+	for _, at := range []int{0, 3 * growStep} {
+		if err := m.LocalWrite(at, bytes.Repeat([]byte{7}, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LocalRead(at, buf); err != nil { // prime the line
+			t.Fatal(err)
+		}
+		if err := m.RemoteWrite(at, bytes.Repeat([]byte{9}, 16)); err != nil {
+			t.Fatal(err)
+		}
+		backed := len(m.data)
+		if err := m.RemoteWrite(2*backed, []byte{1}); err != nil { // grow
+			t.Fatal(err)
+		}
+		if len(m.data) <= backed || len(m.version) != len(m.data)/64 {
+			t.Fatalf("store %d -> %d bytes with %d line versions", backed, len(m.data), len(m.version))
+		}
+		stale := m.StaleReads.Value()
+		if err := m.LocalRead(at, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 7 || m.StaleReads.Value() != stale+1 {
+			t.Errorf("line at %d read %d across a growth with %d new stale reads; want the stale 7, counted once",
+				at, buf[0], m.StaleReads.Value()-stale)
+		}
+		if n := m.Invalidate(at, 16); n != 1 {
+			t.Errorf("Invalidate dropped %d lines, want 1", n)
+		}
+		if err := m.LocalRead(at, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 9 {
+			t.Errorf("line at %d read %d after Invalidate, want 9", at, buf[0])
+		}
+	}
+}
+
+// TestGrowthUnderLocalReads runs a local reader against datatype landings
+// that keep growing the store: landing i writes i+1 into every word of a
+// 64-byte block at i*gap and of one far past it, so each landing reaches
+// past the backed length at some point, while the reader checks that every
+// block already landed reads whole. Under -race it pins that growth
+// replaces the slice only under the lock; the non-coherent variant drives
+// the cache and the line versions across the same growths.
+func TestGrowthUnderLocalReads(t *testing.T) {
+	const gap, far, landings = 4096, 1 << 18, 1500
+	vec := datatype.Vector(2, 8, far/8, datatype.Int64)
+	wire := make([]byte, datatype.PackedSize(1, vec))
+	for _, m := range []*Memory{coherentMem(8 << 20), sxMem(8<<20, 64)} {
+		var landed atomic.Int64 // blocks [0, landed) have landed
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 64)
+			r := rand.New(rand.NewSource(1))
+			for !stop.Load() {
+				n := landed.Load()
+				if n == 0 {
+					runtime.Gosched()
+					continue
+				}
+				i := r.Int63n(n)
+				m.Invalidate(int(i)*gap, len(buf))
+				if err := m.LocalRead(int(i)*gap, buf); err != nil {
+					t.Errorf("%s: local read: %v", m.Coherence(), err)
+					return
+				}
+				for w := 0; w < len(buf); w += 8 {
+					if v := binary.LittleEndian.Uint64(buf[w:]); v != uint64(i+1) {
+						t.Errorf("%s: block %d word %d reads %d, want %d", m.Coherence(), i, w/8, v, i+1)
+						return
+					}
+				}
+			}
+		}()
+		for i := 0; i < landings; i++ {
+			for w := 0; w < len(wire); w += 8 {
+				binary.LittleEndian.PutUint64(wire[w:], uint64(i+1))
+			}
+			if err := m.RemoteUnpack(i*gap, wire, 1, vec, datatype.LittleEndian); err != nil {
+				t.Errorf("%s: landing %d: %v", m.Coherence(), i, err)
+				break
+			}
+			landed.Store(int64(i + 1))
+		}
+		stop.Store(true)
+		wg.Wait()
+		if want := (landings-1)*gap + far + 64; len(m.data) < want {
+			t.Errorf("%s: store backed %d bytes after landings reaching %d", m.Coherence(), len(m.data), want)
+		}
 	}
 }
 

@@ -9,6 +9,23 @@ import (
 	"mpi3rma/internal/simnet"
 )
 
+// TestWorldCostsORanks pins what a world costs before its first put: rank
+// memory is backed only when touched, so 1024 ranks allocate small
+// per-rank structures, not 1024 rank memories of DefaultMemSize bytes.
+func TestWorldCostsORanks(t *testing.T) {
+	const ranks, budget = 1024, 64 << 20
+	var before, after gort.MemStats
+	gort.ReadMemStats(&before)
+	w := NewWorld(Config{Ranks: ranks})
+	gort.ReadMemStats(&after)
+	w.Close()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewWorld(%d ranks) allocated %.1f MB", ranks, float64(got)/(1<<20))
+	if got >= budget {
+		t.Errorf("NewWorld(%d ranks) allocated %d MB, want < %d MB", ranks, got>>20, budget>>20)
+	}
+}
+
 // TestCustomCostModelPlumbed: a slower configured network yields later
 // virtual times for the same exchange.
 func TestCustomCostModelPlumbed(t *testing.T) {

@@ -235,7 +235,7 @@ func (p *Proc) ExtPeek(key string) (any, bool) {
 }
 
 // Alloc carves a region out of the rank's memory, panicking on exhaustion
-// (rank memory is sized by Config.MemSize).
+// (rank memory is bounded by Config.MemSize).
 func (p *Proc) Alloc(size int) memsim.Region {
 	return p.mem.MustAlloc(size)
 }

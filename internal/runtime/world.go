@@ -25,7 +25,9 @@ import (
 	"mpi3rma/internal/simnet"
 )
 
-// DefaultMemSize is the per-rank memory size when Config.MemSize is 0.
+// DefaultMemSize is the per-rank memory bound when Config.MemSize is 0. It
+// bounds a rank's accesses and allocations; it is not what a rank costs,
+// since memsim backs only the bytes a rank has touched.
 const DefaultMemSize = 16 << 20
 
 // Config configures a World.
@@ -51,7 +53,9 @@ type Config struct {
 	// SoftwareAcks disables hardware acknowledgement generation,
 	// modelling networks that cannot report remote completion (E4).
 	SoftwareAcks bool
-	// MemSize is the per-rank memory size in bytes (0 = DefaultMemSize).
+	// MemSize is the per-rank memory bound in bytes (0 = DefaultMemSize):
+	// the limit on a rank's offsets and allocations, not a cost paid up
+	// front. A rank's memory is backed only up to the highest byte touched.
 	MemSize int
 	// Coherence returns the memory coherence model for a rank; nil means
 	// every rank is cache-coherent.

@@ -1,6 +1,7 @@
 package rma_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -134,6 +135,72 @@ func TestFacadeBoundsErrors(t *testing.T) {
 		if err := s.CompleteCollective(); err != nil {
 			t.Errorf("complete collective: %v", err)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFacadeForgedSizeRefusedAtTarget: the origin checks a displacement
+// against the descriptor's Size, but Size is an exported field an origin can
+// raise. The target checks every landing against the region it exposed, so
+// a put, an accumulate and a get aimed past it with a forged Size are
+// refused there, counted in BadReq, and the region allocated next to the
+// exposure keeps its bytes.
+func TestFacadeForgedSizeRefusedAtTarget(t *testing.T) {
+	const size, disp = 16, 32
+	world := runtime.NewWorld(runtime.Config{Ranks: 2})
+	defer world.Close()
+
+	err := world.Run(func(p *runtime.Proc) {
+		s := rma.Open(p)
+		if p.Rank() == 0 {
+			tm, region := s.Expose(size)
+			next := p.Alloc(64)
+			if next.Offset != region.End() {
+				t.Errorf("neighbour at %d, want it right after the exposure at %d", next.Offset, region.End())
+			}
+			fill := bytes.Repeat([]byte{0xAB}, next.Size)
+			p.WriteLocal(next, 0, fill)
+			p.Send(1, 0, tm.Encode())
+			p.Recv(1, 1)
+			if got := p.Mem().Snapshot(next.Offset, next.Size); !bytes.Equal(got, fill) {
+				t.Errorf("neighbouring region changed: %x", got)
+			}
+			if n := p.NIC().BadReq.Value(); n != 3 {
+				t.Errorf("target counted %d bad requests, want 3 (put, accumulate, get)", n)
+			}
+			return
+		}
+		enc, _ := p.Recv(0, 0)
+		tm, err := rma.DecodeTargetMem(enc)
+		if err != nil {
+			t.Fatalf("decode descriptor: %v", err)
+		}
+		tm.Size = 4 * size
+		src := p.Alloc(8)
+		p.WriteLocal(src, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		if _, err := s.Put(src, 8, rma.Byte, tm, disp); err != nil {
+			t.Errorf("forged put should fail at the target, not the origin: %v", err)
+		}
+		if _, err := s.Accumulate(rma.Sum, src, 1, rma.Int64, tm, disp); err != nil {
+			t.Errorf("forged accumulate should fail at the target, not the origin: %v", err)
+		}
+		if err := s.Complete(tm.Owner); err != nil {
+			t.Errorf("complete: %v", err)
+		}
+		req, err := s.Get(src, 8, rma.Byte, tm, disp)
+		if err != nil {
+			t.Fatalf("forged get should fail at the target, not the origin: %v", err)
+		}
+		req.Wait()
+		if err := req.Err(); !errors.Is(err, rma.ErrBadHandle) {
+			t.Errorf("forged get returned %v, want ErrBadHandle", err)
+		}
+		if got := p.Mem().Snapshot(src.Offset, 8); !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+			t.Errorf("failed get overwrote its origin buffer: %x", got)
+		}
+		p.Send(0, 1, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
