@@ -43,7 +43,7 @@ func (e *Engine) InvokeAM(id uint64, payload []byte, trank int, comm *runtime.Co
 	if err != nil {
 		return nil, err
 	}
-	m := newMsg(target, kAM, len(payload))
+	m := e.newMsg(target, kAM, len(payload))
 	m.Hdr[hHandle] = id
 	copy(m.Payload, payload)
 	// A handler is a critical section: always atomic, so it holds the

@@ -19,8 +19,11 @@ import (
 // schedule (apply) and the wait for the buddy's replica to its completion
 // bookkeeping (fin), so no stage hands the next a closure. Records come
 // from the engine's free list and return to it in fin and nowhere else.
-// The message is not the record's to recycle: the relay, a fault plan's
-// clone or a parked backlog may hold it for longer than any handler.
+// The message goes back to its sender in fin too, after the record's
+// release (frame.go): a put, get or RMW's consume mark is fin's last touch.
+// Only fin may set it; a holder that keeps the message past the handler
+// that first saw it — the reorder buffer, a serializer task, a completion
+// deferred behind the buddy — makes its sender abandon the frame instead.
 type applyOp struct {
 	e *Engine
 	m *simnet.Message
@@ -37,7 +40,7 @@ type applyOp struct {
 	subop  int         // kRMW: which read-modify-write
 	ok     bool        // kRMW: the access is valid
 	am     AMHandler   // kAM: the registered handler, if any
-	reply  *simnet.Message
+	reply  *frame
 
 	heldAt vtime.Time // arrival, for the reorder buffer's chain
 	next   *applyOp   // released successor in the ordered stream
@@ -127,10 +130,11 @@ func (r *applyOp) apply(end vtime.Time) {
 }
 
 // fin is the end of every operation: the completion bookkeeping of its
-// kind, then the record's release — the only one. After a mutating apply
-// it runs once the buddy holds the bytes; an operation that could not be
-// applied comes here directly, so it still counts toward completion
-// thresholds.
+// kind, then the record's release — the only one — and last the message's
+// consume mark, which hands a singleton's frame back to its sender. After a
+// mutating apply it runs once the buddy holds the bytes; an operation that
+// could not be applied comes here directly, so it still counts toward
+// completion thresholds.
 func (r *applyOp) fin(end vtime.Time) {
 	r.live()
 	e, m := r.e, r.m
@@ -150,6 +154,9 @@ func (r *applyOp) fin(end vtime.Time) {
 	// A kBatch envelope's members did its counting.
 	*r = applyOp{e: e, run: r.run, free: true}
 	e.ops.put(r)
+	if recycled(m.Kind) { // a batch member's m is its aggregate's
+		e.consume(m)
+	}
 }
 
 // wireFits checks that wire is exactly the canonical bytes of count

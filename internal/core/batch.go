@@ -188,14 +188,14 @@ func (e *Engine) flushTarget(world int) {
 		e.cmplMu.Unlock()
 	}
 
-	m := newMsg(world, kBatch, 0)
+	m := e.newMsg(world, kBatch, 0)
 	m.Hdr[hReq] = id
 	m.Hdr[hCount] = uint64(len(reqs))
 	m.Hdr[hMeta] = (epoch & 0xffffffff) << 32
 	m.Hdr[hSeq] = seq
 	m.Ops = len(reqs)
 	m.Payload = payload
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
+	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
 		// Either the world is shutting down or the link has failed; the
 		// aggregate is lost, but nothing may be left hanging on it.
 		e.cmplMu.Lock()
@@ -379,7 +379,7 @@ func (t *batchTrack) opDone(count int64, end vtime.Time) {
 // deposit, and the CPU path when software (the atomic serializer) applied
 // it.
 func (e *Engine) sendNotify(dst int, id uint64, count int64, at vtime.Time, software bool) {
-	m := newMsg(dst, kNotify, 0)
+	m := e.newMsg(dst, kNotify, 0)
 	m.Hdr[hReq] = id
 	m.Hdr[hCount] = uint64(count)
 	e.sendAck(at, m, software)
@@ -446,6 +446,7 @@ func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 		}
 	}
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
+	e.consume(m)
 }
 
 // noteConfirmed raises the origin-side cumulative confirmation counter for

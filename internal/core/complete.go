@@ -233,10 +233,10 @@ func (e *Engine) resolveTargets(comm *runtime.Comm, tranks, dst []int) ([]int, e
 // down; the error is reported rather than crashing the caller.
 func (e *Engine) sendProbe(world int, threshold int64) (*Request, error) {
 	req := e.newRequest(world, latNone)
-	m := newMsg(world, kProbe, 0)
+	m := e.newMsg(world, kProbe, 0)
 	m.Hdr[hHandle] = uint64(threshold)
 	m.Hdr[hReq] = req.id
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
+	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
 		req.complete(e.proc.Now(), nil)
 		return nil, fmt.Errorf("core: completion probe to rank %d: %w", world, err)
 	}

@@ -9,7 +9,6 @@ import (
 	"mpi3rma/internal/portals"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
-	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/stats"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
@@ -202,6 +201,10 @@ func (f *freeList[T]) put(x T) {
 type Engine struct {
 	proc *runtime.Proc
 	opts Options
+	// quarantine poisons every consumed frame and keeps none (frame.go):
+	// the recycle-safety test sets it so a stale touch cannot hide behind
+	// a reuse.
+	quarantine bool
 
 	mu      sync.Mutex
 	tmems   map[uint64]*exposure
@@ -256,6 +259,9 @@ type Engine struct {
 	// call sleeps on (watermark.go).
 	ops   freeList[*applyOp]
 	slots freeList[*wakeSlot]
+	// spare is the one frame a consumer handed back, for the next message
+	// of a recycled kind (frame.go).
+	spare spareSlot
 
 	lock   *serializer.LockState
 	applyQ *serializer.ApplyQueue
@@ -296,6 +302,8 @@ type Engine struct {
 	Batches         stats.Counter // aggregated messages sent
 	BatchedOps      stats.Counter // operations that rode an aggregated message
 	SingletonOps    stats.Counter // operations that paid their own wire message
+	FramesReused    stats.Counter // sent frames that came back consumed and became the spare
+	FramesAbandoned stats.Counter // sent frames still held elsewhere when their sender let go
 	Notifies        stats.Counter // delivery-counter notifications received
 	FastPaths       stats.Counter // Complete calls answered from counters, no probe
 	CompleteCalls   stats.Counter // Complete invocations
@@ -471,31 +479,34 @@ func (e *Engine) noteApplied(src int, at vtime.Time) int64 {
 	return count
 }
 
-// sendReply ships a handler-generated protocol reply. A failed send can
-// only mean the world is shutting down (the network refuses senders after
-// close); the reply is dropped and counted rather than crashing the
-// goroutine that carries it. The caller must hold no engine lock: the send
-// can run the destination's handlers — and, down a reply chain, this
-// rank's own — on this goroutine.
-func (e *Engine) sendReply(at vtime.Time, m *simnet.Message) {
-	if _, err := e.proc.NIC().Send(at, m); err != nil {
+// sendReply ships a handler-generated protocol reply and reclaims its
+// frame. A failed send can only mean the world is shutting down (the
+// network refuses senders after close); the reply is dropped and counted
+// rather than crashing the goroutine that carries it. The caller must hold
+// no engine lock: the send can run the destination's handlers — and, down
+// a reply chain, this rank's own — on this goroutine.
+func (e *Engine) sendReply(at vtime.Time, m *frame) {
+	if _, err := e.proc.NIC().Send(at, &m.Message); err != nil {
 		e.proc.NIC().BadReq.Inc()
 	}
+	e.reclaim(m)
 }
 
 // sendReplyNIC is sendReply through the NIC-generated (hardware) path.
-func (e *Engine) sendReplyNIC(at vtime.Time, m *simnet.Message) {
-	if _, err := e.proc.NIC().SendNIC(at, m); err != nil {
+func (e *Engine) sendReplyNIC(at vtime.Time, m *frame) {
+	if _, err := e.proc.NIC().SendNIC(at, &m.Message); err != nil {
 		e.proc.NIC().BadReq.Inc()
 	}
+	e.reclaim(m)
 }
 
 // sendAck is sendReply for an ack or notification: the NIC decides
 // between its hardware path and a software echo (portals.NIC.SendAck).
-func (e *Engine) sendAck(at vtime.Time, m *simnet.Message, software bool) {
-	if _, err := e.proc.NIC().SendAck(at, m, software); err != nil {
+func (e *Engine) sendAck(at vtime.Time, m *frame, software bool) {
+	if _, err := e.proc.NIC().SendAck(at, &m.Message, software); err != nil {
 		e.proc.NIC().BadReq.Inc()
 	}
+	e.reclaim(m)
 }
 
 // onLinkFailed is the NIC's link-failure callback: the reliable-delivery
@@ -604,7 +615,7 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 // The answer carries the cumulative applied count, so a probe also feeds
 // the origin's confirmation counters.
 func (e *Engine) sendProbeAck(origin int, reqID uint64, count int64, at vtime.Time) {
-	m := newMsg(origin, kProbeAck, 0)
+	m := e.newMsg(origin, kProbeAck, 0)
 	m.Hdr[hReq] = reqID
 	m.Hdr[hCount] = uint64(count)
 	e.sendReply(at, m)

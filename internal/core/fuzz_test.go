@@ -33,8 +33,8 @@ func FuzzDecodeTargetMem(f *testing.F) {
 // FuzzPutPayloadFrame hardens the put-head parser that every incoming put,
 // get and batch member runs through, with and without an axpy scale.
 func FuzzPutPayloadFrame(f *testing.F) {
-	put, _ := newFramed(0, kPut, datatype.Contiguous(4, datatype.Int64), AccNone, 0, 32)
-	axpy, _ := newFramed(0, kPut, datatype.Float64, AccAxpy, 2.5, 8)
+	put, _ := new(Engine).newFramed(0, kPut, datatype.Contiguous(4, datatype.Int64), AccNone, 0, 32)
+	axpy, _ := new(Engine).newFramed(0, kPut, datatype.Float64, AccAxpy, 2.5, 8)
 	f.Add(put.Payload)
 	f.Add(axpy.Payload)
 	f.Add([]byte{0x02, 0x05, 0x00}) // an empty Struct, two bytes like a primitive: it bypasses the intern table

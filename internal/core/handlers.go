@@ -107,7 +107,7 @@ func (e *Engine) finishApply(r *applyOp, attrs Attr, end vtime.Time) int64 {
 	m := r.m
 	count := e.noteApplied(m.Src, end)
 	if attrs&AttrRemoteComplete != 0 {
-		ack := newMsg(m.Src, kAck, 0)
+		ack := e.newMsg(m.Src, kAck, 0)
 		ack.Hdr[hReq] = m.Hdr[hReq]
 		ack.Hdr[hCount] = uint64(count)
 		// Atomic updates are applied by software, so their ack is a
@@ -165,7 +165,7 @@ func (r *applyOp) startGet(at vtime.Time) {
 func (r *applyOp) applyGet(end vtime.Time) {
 	e := r.e
 	ext := datatype.ExtentOf(r.tcount, r.tdt)
-	r.reply = newMsg(r.m.Src, kGetReply, datatype.PackedSize(r.tcount, r.tdt))
+	r.reply = e.newMsg(r.m.Src, kGetReply, datatype.PackedSize(r.tcount, r.tdt))
 	if !r.exp.region.Contains(r.disp, ext) ||
 		e.packFrom(r.reply.Payload, r.exp.region.Offset+r.disp, r.tcount, r.tdt, true) != nil {
 		e.proc.NIC().BadReq.Inc()
@@ -186,7 +186,7 @@ func (r *applyOp) sendValue(kind uint8, end vtime.Time) {
 	count := e.finishApply(r, r.attrs&^(AttrRemoteComplete|AttrNotify), end)
 	reply := r.reply
 	if reply == nil {
-		reply = newMsg(r.m.Src, kind, 0)
+		reply = e.newMsg(r.m.Src, kind, 0)
 	}
 	reply.Hdr[hReq] = r.m.Hdr[hReq]
 	reply.Hdr[hCount] = uint64(count)
@@ -197,13 +197,15 @@ func (r *applyOp) sendValue(kind uint8, end vtime.Time) {
 // reply's delivery counter: a Complete the counter releases finds the get
 // done. The reply lands through the same RemoteUnpack a put deposit uses,
 // so the holes of the origin layout are never written; a failure is reported
-// through the request (Err), not a panic on the delivery goroutine.
+// through the request (Err), not a panic on the delivery goroutine. The
+// landed reply goes back to the target that sent it.
 func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
 	e.emit(trace.KindReply, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), int64(len(m.Payload)))
 	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
 		req.finish(at, nil, e.landReply(req.land, m.Payload))
 	}
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
+	e.consume(m)
 }
 
 // landReply unpacks a get reply's payload into the request's landing.
@@ -231,6 +233,7 @@ func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
 		req.complete(at, nil)
 	}
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
+	e.consume(m)
 }
 
 // handleProbe answers a completion probe — the origin asks "have you

@@ -23,9 +23,9 @@ func (e *Engine) acquireLock(world int) error {
 		return fmt.Errorf("core: lock of rank %d: %w", world, err)
 	}
 	req := e.newRequest(world, latNone)
-	m := newMsg(world, kLockReq, 0)
+	m := e.newMsg(world, kLockReq, 0)
 	m.Hdr[hReq] = req.id
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
+	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
 		// No grant will ever come; do not leave the request in the table.
 		req.completeErr(e.proc.Now(), err)
 		return err
@@ -41,8 +41,8 @@ func (e *Engine) acquireLock(world int) error {
 // releaseLockExplicit releases a lock held by this rank without an
 // attached operation (used when an issue path fails after the grant).
 func (e *Engine) releaseLockExplicit(world int) error {
-	m := newMsg(world, kLockRel, 0)
-	if _, err := e.proc.NIC().Send(e.proc.Now(), m); err != nil {
+	m := e.newMsg(world, kLockRel, 0)
+	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
 		return err
 	}
 	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
@@ -54,7 +54,7 @@ func (e *Engine) releaseLockExplicit(world int) error {
 func (e *Engine) handleLockReq(m *simnet.Message, at vtime.Time) {
 	reqID := m.Hdr[hReq]
 	e.lock.Acquire(m.Src, at, func(origin int, grantAt vtime.Time) {
-		g := newMsg(origin, kLockGrant, 0)
+		g := e.newMsg(origin, kLockGrant, 0)
 		g.Hdr[hReq] = reqID
 		e.sendReply(grantAt, g)
 	})

@@ -199,7 +199,7 @@ func (e *Engine) replOnExpose(h uint64, region memsim.Region) {
 		st.mu.Unlock()
 		return
 	}
-	m := replUpdate(buddy, h, 0, region.Size)
+	m := e.replUpdate(buddy, h, 0, region.Size)
 	if err := e.proc.Mem().RemoteRead(region.Offset, m.Payload); err != nil {
 		st.mu.Unlock()
 		return
@@ -213,7 +213,7 @@ func (e *Engine) replOnExpose(h uint64, region memsim.Region) {
 
 // replSendExpose ships one kReplExpose announcement.
 func (e *Engine) replSendExpose(buddy int, h uint64, size int) {
-	m := newMsg(buddy, kReplExpose, 0)
+	m := e.newMsg(buddy, kReplExpose, 0)
 	m.Hdr[hHandle] = h
 	m.Hdr[hCount] = uint64(size)
 	e.sendReply(e.proc.Now(), m)
@@ -222,15 +222,15 @@ func (e *Engine) replSendExpose(buddy int, h uint64, size int) {
 // replUpdate builds the frame of one snapshot of length bytes at disp of
 // exposure h, for the caller to read the region into, stamp with the
 // version it draws (hCount) and hand to replSend.
-func replUpdate(buddy int, h uint64, disp, length int) *simnet.Message {
-	m := newMsg(buddy, kReplUpdate, length)
+func (e *Engine) replUpdate(buddy int, h uint64, disp, length int) *frame {
+	m := e.newMsg(buddy, kReplUpdate, length)
 	m.Hdr[hHandle] = h
 	m.Hdr[hDisp] = uint64(disp)
 	return m
 }
 
 // replSend ships one versioned snapshot.
-func (e *Engine) replSend(m *simnet.Message, at vtime.Time) {
+func (e *Engine) replSend(m *frame, at vtime.Time) {
 	e.ReplUpdates.Inc()
 	e.sendReply(at, m)
 }
@@ -256,7 +256,7 @@ func (e *Engine) replicate(r *applyOp, disp, length int, end vtime.Time) {
 		r.fin(end)
 		return
 	}
-	m := replUpdate(st.buddy, h, disp, length)
+	m := e.replUpdate(st.buddy, h, disp, length)
 	if err := e.proc.Mem().RemoteRead(r.exp.region.Offset+disp, m.Payload); err != nil {
 		st.mu.Unlock()
 		r.fin(end)
@@ -310,7 +310,7 @@ func (e *Engine) handleReplUpdate(m *simnet.Message, at vtime.Time) {
 	}
 	ackv := r.next - 1
 	st.mu.Unlock()
-	ack := newMsg(m.Src, kReplAck, 0)
+	ack := e.newMsg(m.Src, kReplAck, 0)
 	ack.Hdr[hHandle] = m.Hdr[hHandle]
 	ack.Hdr[hCount] = ackv
 	e.ReplAcks.Inc()
@@ -408,7 +408,7 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 	}
 	st := &e.repl
 	var maxV uint64
-	var frames []*simnet.Message
+	var frames []*frame
 	st.mu.Lock()
 	for _, key := range mine {
 		r := st.replicas[key]
@@ -423,7 +423,7 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 		if r.next-1 > maxV {
 			maxV = r.next - 1
 		}
-		m := newMsg(spare, kRebuild, len(r.buf))
+		m := e.newMsg(spare, kRebuild, len(r.buf))
 		m.Hdr[hHandle] = key.handle
 		m.Hdr[hCount] = r.next - 1
 		m.Hdr[hDisp] = uint64(dead)
@@ -436,7 +436,7 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 		e.Rebuilds.Inc()
 		e.sendReply(e.proc.Now(), m)
 	}
-	done := newMsg(spare, kRebuildDone, 0)
+	done := e.newMsg(spare, kRebuildDone, 0)
 	done.Hdr[hHandle] = uint64(len(mine))
 	done.Hdr[hDisp] = uint64(dead)
 	e.sendReply(e.proc.Now(), done)
@@ -487,7 +487,7 @@ func (e *Engine) replRebind(spare int) {
 		}
 		e.replSendExpose(spare, h, sz)
 		st.mu.Lock()
-		m := replUpdate(spare, h, 0, sz)
+		m := e.replUpdate(spare, h, 0, sz)
 		if err := e.proc.Mem().RemoteRead(exp.region.Offset, m.Payload); err != nil {
 			st.mu.Unlock()
 			continue
@@ -612,7 +612,7 @@ func (e *Engine) pingStalled(spell uint64) bool {
 		// with no progress.
 		at := e.proc.Now() + vtime.Time(nic.RetryPatience(k))
 		e.emit(trace.KindSentinelPing, at, peer, 0, int64(k), 0)
-		e.sendReplyNIC(at, newMsg(peer, kPing, 0))
+		e.sendReplyNIC(at, e.newMsg(peer, kPing, 0))
 		sent = true
 	}
 	return sent

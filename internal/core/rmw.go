@@ -48,10 +48,10 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 	if err := e.checkOwner(tm, trank, comm); err != nil {
 		return 0, err
 	}
-	if tdisp < 0 || tdisp+8 > tm.Size {
-		return 0, fmt.Errorf("core: RMW at [%d,%d) exceeds target_mem of %d bytes: %w", tdisp, tdisp+8, tm.Size, ErrBounds)
+	if tdisp < 0 || tdisp > tm.Size-8 {
+		return 0, fmt.Errorf("core: RMW of 8 bytes at %d exceeds target_mem of %d bytes: %w", tdisp, tm.Size, ErrBounds)
 	}
-	m := newMsg(tm.Owner, kRMW, len(operand))
+	m := e.newMsg(tm.Owner, kRMW, len(operand))
 	m.Hdr[hHandle] = tm.Handle
 	m.Hdr[hDisp] = uint64(tdisp)
 	m.Hdr[hMeta] = uint64(subop) << 24
@@ -92,7 +92,7 @@ func (r *applyOp) applyRMW(end vtime.Time) {
 	e, operand := r.e, r.m.Payload
 	if r.ok {
 		order, subop := e.proc.ByteOrder(), r.subop
-		reply := newMsg(r.m.Src, kRMWReply, 8)
+		reply := e.newMsg(r.m.Src, kRMWReply, 8)
 		err := e.proc.Mem().Update(r.exp.region.Offset+r.disp, 8, func(cur []byte) {
 			prev := loadElem(cur, 8, order)
 			binary.LittleEndian.PutUint64(reply.Payload, prev)

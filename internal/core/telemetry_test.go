@@ -241,6 +241,10 @@ func (c *pinCtx) put(attrs Attr) {
 // pinVec is the benchmark's strided shape.
 var pinVec = datatype.Vector(8, 1, 2, datatype.Int64)
 
+// pinBytes sizes the target exposure and the origin's buffers: a 1 KiB put,
+// and 8 instances of pinVec (960 bytes).
+const pinBytes = 1024
+
 // The engine configurations the table's rows run under.
 var (
 	pinThread  = Options{Atomicity: serializer.MechThread}
@@ -250,19 +254,27 @@ var (
 
 // allocTable is the committed per-primitive table. `make allocs` prints it.
 var allocTable = []pinned{
-	{"put", pinThread, 2, func(c *pinCtx) { c.put(0) }},
-	{"put notify", pinThread, 3, func(c *pinCtx) { c.notified++; c.put(AttrNotify) }},
-	{"put notify + complete", pinThread, 3, func(c *pinCtx) {
+	{"put", pinThread, 1, func(c *pinCtx) { c.put(0) }},
+	{"put 1 KiB", pinThread, 1, func(c *pinCtx) {
+		req, err := c.e.Put(c.src, pinBytes, datatype.Byte, c.tm, 0, pinBytes, datatype.Byte, 0, c.comm, 0)
+		if err != nil {
+			c.t.Fatalf("put: %v", err)
+		}
+		req.Wait()
+		c.settle()
+	}},
+	{"put notify", pinThread, 1, func(c *pinCtx) { c.notified++; c.put(AttrNotify) }},
+	{"put notify + complete", pinThread, 1, func(c *pinCtx) {
 		c.notified++
 		c.put(AttrNotify)
 		if err := c.e.Complete(c.comm, 0); err != nil {
 			c.t.Fatalf("complete: %v", err)
 		}
 	}},
-	{"put remote-complete", pinThread, 3, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
-	{"put atomic (thread)", pinThread, 2, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"put atomic (coarse lock)", pinCoarse, 6, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"put 8 x vector(8,1,2,int64)", pinThread, 3, func(c *pinCtx) {
+	{"put remote-complete", pinThread, 1, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
+	{"put atomic (thread)", pinThread, 1, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put atomic (coarse lock)", pinCoarse, 5, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put 8 x vector(8,1,2,int64)", pinThread, 1, func(c *pinCtx) {
 		req, err := c.e.Put(c.src, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, 0)
 		if err != nil {
 			c.t.Fatalf("put: %v", err)
@@ -270,31 +282,31 @@ var allocTable = []pinned{
 		req.Wait()
 		c.settle()
 	}},
-	{"get 8 x vector(8,1,2,int64)", pinThread, 4, func(c *pinCtx) {
+	{"get 8 x vector(8,1,2,int64)", pinThread, 1, func(c *pinCtx) {
 		if _, err := c.e.Get(c.dst, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, AttrBlocking); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch word", pinThread, 3, func(c *pinCtx) {
+	{"fetch word", pinThread, 2, func(c *pinCtx) {
 		if _, err := c.e.FetchWord(c.tm, 0, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("fetch word: %v", err)
 		}
 		c.settle()
 	}},
-	{"compare-and-swap", pinThread, 3, func(c *pinCtx) {
+	{"compare-and-swap", pinThread, 2, func(c *pinCtx) {
 		if _, err := c.e.CompareSwap(c.tm, 0, 0, 1, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("compare-and-swap: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch-and-add", pinThread, 3, func(c *pinCtx) {
+	{"fetch-and-add", pinThread, 2, func(c *pinCtx) {
 		if _, err := c.e.FetchAdd(c.tm, 0, 1, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("fetch-and-add: %v", err)
 		}
 		c.settle()
 	}},
-	{"8 puts batched (BatchOps 8)", pinBatched, 12, func(c *pinCtx) {
+	{"8 puts batched (BatchOps 8)", pinBatched, 11, func(c *pinCtx) {
 		for i := 0; i < 8; i++ {
 			if _, err := c.e.Put(c.src, 1, datatype.Int64, c.tm, 8*i, 1, datatype.Int64, 0, c.comm, 0); err != nil {
 				c.t.Fatalf("batched put %d: %v", i, err)
@@ -325,7 +337,7 @@ func pinAllocs(t *testing.T, opts Options, steps []allocStep) *Engine {
 		e := Attach(p, opts)
 		if p.Rank() == 0 {
 			target = e
-			tm, _ := e.ExposeNew(datatype.ExtentOf(8, pinVec))
+			tm, _ := e.ExposeNew(pinBytes)
 			p.Send(1, 0, tm.Encode())
 			for _, step := range steps {
 				step.install(e)
@@ -338,7 +350,7 @@ func pinAllocs(t *testing.T, opts Options, steps []allocStep) *Engine {
 		enc, _ := p.Recv(0, 0)
 		tm, _ := DecodeTargetMem(enc)
 		c := &pinCtx{t: t, e: e, comm: p.Comm(), tm: tm,
-			src: p.Alloc(datatype.ExtentOf(8, pinVec)), dst: p.Alloc(datatype.ExtentOf(8, pinVec))}
+			src: p.Alloc(pinBytes), dst: p.Alloc(pinBytes)}
 		for i, step := range steps {
 			step.install(e)
 			p.Barrier()

@@ -11,36 +11,8 @@ import (
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
-	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/trace"
 )
-
-// frameInline is the largest payload a protocol message carries inside its
-// own allocation: an 8-byte put with its type frame, a get's type frame, an
-// RMW's operands, an old value.
-const frameInline = 32
-
-// frame is a message with room for a small payload behind it.
-type frame struct {
-	simnet.Message
-	body [frameInline]byte
-}
-
-// newMsg builds a protocol message skeleton with an n-byte payload for the
-// caller to fill: none for n = 0, inside the message's own allocation up to
-// frameInline, a second one beyond.
-func newMsg(dst int, kind uint8, n int) *simnet.Message {
-	switch {
-	case n == 0:
-		return &simnet.Message{Dst: dst, Kind: kind}
-	case n <= frameInline:
-		f := &frame{Message: simnet.Message{Dst: dst, Kind: kind}}
-		f.Payload = f.body[:n:n]
-		return &f.Message
-	default:
-		return &simnet.Message{Dst: dst, Kind: kind, Payload: make([]byte, n)}
-	}
-}
 
 // Put transfers origin data into target memory (the paper's MPI_RMA_put).
 // origin is a region of this rank's memory holding ocount instances of
@@ -127,8 +99,10 @@ func (e *Engine) validateXfer(op OpType, accOp AccOp, origin memsim.Region, ocou
 		return fmt.Errorf("core: origin region of %d bytes cannot hold %d x %s (%d bytes): %w", origin.Size, ocount, odt.Name(), oExt, ErrBounds)
 	}
 	tExt := datatype.ExtentOf(tcount, tdt)
-	if tdisp+tExt > tm.Size {
-		return fmt.Errorf("core: target access [%d,%d) exceeds target_mem of %d bytes: %w", tdisp, tdisp+tExt, tm.Size, ErrBounds)
+	if tdisp > tm.Size-tExt {
+		// Never computes tdisp+tExt: that sum wraps for a displacement
+		// near MaxInt and would pass the access on to the target.
+		return fmt.Errorf("core: target access of %d bytes at %d exceeds target_mem of %d bytes: %w", tExt, tdisp, tm.Size, ErrBounds)
 	}
 	if tm.AddrBits == 32 && uint64(tdisp)+uint64(tExt) > 1<<32 {
 		return fmt.Errorf("core: access beyond the target's 32-bit address space: %w", ErrBounds)
@@ -211,16 +185,16 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 		})
 	}
 
-	var m *simnet.Message
+	var m *frame
 	var land landing
 	if op == OpGet {
 		// A get ships only the target type; the reply lands in the origin
 		// layout.
-		m, _ = newFramed(tm.Owner, kGet, tdt, AccNone, 0, 0)
+		m, _ = e.newFramed(tm.Owner, kGet, tdt, AccNone, 0, 0)
 		land = orig
 	} else {
 		var wire []byte
-		m, wire = newFramed(tm.Owner, kPut, tdt, accOp, scale, packed)
+		m, wire = e.newFramed(tm.Owner, kPut, tdt, accOp, scale, packed)
 		if err := e.packFrom(wire, origin.Offset, ocount, odt, false); err != nil {
 			return nil, err
 		}
@@ -250,8 +224,9 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 // A lock, pack or send failure completes the request with the error
 // instead of abandoning it in the engine table: that keeps every
 // observation surface — Err, OnDone, Select — in agreement with the
-// returned error. This is the only place that has to.
-func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8, m *simnet.Message, land landing, put *wireOp) (*Request, error) {
+// returned error. This is the only place that has to. A message is issue's
+// to reclaim once the send has returned and its stamps have been read.
+func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8, m *frame, land landing, put *wireOp) (*Request, error) {
 	if err := e.stickyFor(target); err != nil {
 		// Fast-fail toward a dead rank or failed link: issuing would only
 		// accumulate requests that the failure handler must then reap, or
@@ -342,17 +317,19 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 		}
 	}
 	if err == nil {
-		_, err = e.proc.NIC().Send(e.proc.Now(), m)
+		_, err = e.proc.NIC().Send(e.proc.Now(), &m.Message)
 	}
+	sent, arrive, n := m.SentAt, m.ArriveAt, len(m.Payload)
+	e.reclaim(m)
 	if err != nil {
 		req.completeErr(e.proc.Now(), err)
 		return nil, err
 	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
-	e.emit(trace.KindIssue, m.SentAt, target, req.id, int64(len(m.Payload)), int64(m.ArriveAt))
+	e.proc.NIC().CPU().AdvanceTo(sent)
+	e.emit(trace.KindIssue, sent, target, req.id, int64(n), int64(arrive))
 
 	if !replies && attrs&AttrRemoteComplete == 0 {
-		req.complete(m.SentAt, nil)
+		req.complete(sent, nil)
 	}
 	if attrs&AttrBlocking != 0 {
 		req.Wait()
@@ -372,8 +349,8 @@ func (e *Engine) targetUsesCoarseLock() bool {
 // newFramed builds a message of kind whose body opens with a put head (a
 // get's body is a put head and nothing more) followed by packed bytes for
 // the caller to pack the origin data into, returned as wire.
-func newFramed(dst int, kind uint8, tdt datatype.Type, accOp AccOp, scale float64, packed int) (m *simnet.Message, wire []byte) {
-	m = newMsg(dst, kind, putHeadLen(tdt, accOp)+packed)
+func (e *Engine) newFramed(dst int, kind uint8, tdt datatype.Type, accOp AccOp, scale float64, packed int) (m *frame, wire []byte) {
+	m = e.newMsg(dst, kind, putHeadLen(tdt, accOp)+packed)
 	head := appendPutHead(m.Payload[:0], tdt, accOp, scale)
 	return m, m.Payload[len(head):]
 }

@@ -14,8 +14,8 @@ import (
 // the table.
 func TestDecodedTypesAreInterned(t *testing.T) {
 	mk := func() datatype.Type { return datatype.Vector(3, 2, 7, datatype.Float32) }
-	a, _ := newFramed(0, kPut, mk(), AccNone, 0, 24)
-	b, _ := newFramed(1, kPut, mk(), AccNone, 0, 24)
+	a, _ := new(Engine).newFramed(0, kPut, mk(), AccNone, 0, 24)
+	b, _ := new(Engine).newFramed(1, kPut, mk(), AccNone, 0, 24)
 	da, _, _, err := parsePutHead(a.Payload, AccNone)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestDecodedTypesAreInterned(t *testing.T) {
 		}
 	}
 
-	p, _ := newFramed(0, kPut, datatype.Int64, AccNone, 0, 8)
+	p, _ := new(Engine).newFramed(0, kPut, datatype.Int64, AccNone, 0, 8)
 	decodedTypes.mu.Lock()
 	before := len(decodedTypes.types)
 	decodedTypes.mu.Unlock()

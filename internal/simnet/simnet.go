@@ -144,14 +144,31 @@ type Message struct {
 	// attaches so receivers can reject frames corrupted in flight. Only
 	// meaningful when RSeq != 0.
 	Sum uint32
-	// Payload is the message body. simnet does not copy it; senders must
-	// not reuse the slice after Send.
+	// consumed is set, atomically, by the layer that consumed the message
+	// (Consume), as its last touch; it sits in the padding after Sum. A
+	// plain word behind sync/atomic calls, not an atomic.Uint32: the relay
+	// and the fault plan copy messages by value.
+	consumed uint32
+	// Payload is the message body. simnet does not copy it. A sender may
+	// reuse the message, payload included, only once Consumed reports
+	// true after Send has returned; until then simnet, the delivery hook
+	// or the consumer may still hold it.
 	Payload []byte
 	// SentAt is the virtual time the message left the origin NIC.
 	SentAt vtime.Time
 	// ArriveAt is the virtual time the message arrives at the target NIC.
 	ArriveAt vtime.Time
 }
+
+// Consume marks m consumed. The layer that handles m calls it as its very
+// last touch of m, payload included: from then on m belongs to its sender
+// again.
+func (m *Message) Consume() { atomic.StoreUint32(&m.consumed, 1) }
+
+// Consumed reports whether m's consumer has let go of it (Consume). A
+// sender that finds it false after Send has returned must leave m alone:
+// a backlog, a reorder buffer or a deferred handler may still hold it.
+func (m *Message) Consumed() bool { return atomic.LoadUint32(&m.consumed) != 0 }
 
 // Network is a simulated interconnect between Ranks endpoints.
 type Network struct {

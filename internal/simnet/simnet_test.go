@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 
 	"mpi3rma/internal/vtime"
@@ -455,5 +456,32 @@ func TestTryRecvAndQueue(t *testing.T) {
 		if m, ok := dst.Recv(); !ok || m.Kind != uint8(i) {
 			t.Fatalf("Recv %d returned %v, want the kind-%d message", i, m, i)
 		}
+	}
+}
+
+// TestMessageConsumedBit: the consumed bit rides in the padding after Sum,
+// so a Message stays 144 bytes, and a fault plan's clones — a corrupted
+// copy and a duplicate — start unconsumed whatever the original says.
+func TestMessageConsumedBit(t *testing.T) {
+	if got := reflect.TypeOf(Message{}).Size(); got != 144 {
+		t.Errorf("Message is %d bytes, want 144", got)
+	}
+	n := New(Config{Ranks: 2, Ordered: true})
+	defer n.Close()
+	m := &Message{Src: 0, Dst: 1, Payload: []byte{1, 2, 3}}
+	if m.Consumed() {
+		t.Fatal("a new message reads consumed")
+	}
+	m.Consume()
+	if !m.Consumed() {
+		t.Fatal("Consume did not mark the message")
+	}
+	plan := &FaultPlan{Default: LinkFaults{Corrupt: 1, Dup: 1}}
+	deliver, dup := n.injectFaults(plan, m)
+	if deliver == m || dup == nil {
+		t.Fatalf("plan should corrupt a copy and duplicate it: deliver %p (original %p), dup %p", deliver, m, dup)
+	}
+	if deliver.Consumed() || dup.Consumed() {
+		t.Errorf("clones start consumed: corrupted %v, duplicate %v", deliver.Consumed(), dup.Consumed())
 	}
 }

@@ -12,6 +12,10 @@ import (
 // facadeVec is the benchmark's strided shape.
 var facadeVec = rma.Vector(8, 1, 2, rma.Int64)
 
+// facadeBytes sizes the target exposure and the origin's buffers: a 1 KiB
+// put, and 8 instances of facadeVec (960 bytes).
+const facadeBytes = 1024
+
 // facadeCtx is what a row of the facade's allocation table works with, on
 // the origin rank.
 type facadeCtx struct {
@@ -63,18 +67,26 @@ var facadeAllocs = []struct {
 	want float64
 	op   func(c *facadeCtx)
 }{
-	{"put", serializer.MechThread, 2, func(c *facadeCtx) { c.put() }},
-	{"put notify", serializer.MechThread, 3, func(c *facadeCtx) { c.putNotify() }},
-	{"put notify + complete", serializer.MechThread, 3, func(c *facadeCtx) {
+	{"put", serializer.MechThread, 1, func(c *facadeCtx) { c.put() }},
+	{"put 1 KiB", serializer.MechThread, 1, func(c *facadeCtx) {
+		req, err := c.s.Put(c.src, facadeBytes, rma.Byte, c.tm, 0)
+		if err != nil {
+			c.t.Fatalf("put: %v", err)
+		}
+		req.Wait()
+		c.settle()
+	}},
+	{"put notify", serializer.MechThread, 1, func(c *facadeCtx) { c.putNotify() }},
+	{"put notify + complete", serializer.MechThread, 1, func(c *facadeCtx) {
 		c.putNotify()
 		if err := c.s.Complete(0); err != nil {
 			c.t.Fatalf("complete: %v", err)
 		}
 	}},
-	{"put remote-complete", serializer.MechThread, 3, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
-	{"put atomic (thread)", serializer.MechThread, 2, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
-	{"put atomic (coarse lock)", serializer.MechCoarseLock, 6, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
-	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 3, func(c *facadeCtx) {
+	{"put remote-complete", serializer.MechThread, 1, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
+	{"put atomic (thread)", serializer.MechThread, 1, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"put atomic (coarse lock)", serializer.MechCoarseLock, 5, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 1, func(c *facadeCtx) {
 		req, err := c.s.Put(c.src, 8, facadeVec, c.tm, 0)
 		if err != nil {
 			c.t.Fatalf("put: %v", err)
@@ -82,25 +94,25 @@ var facadeAllocs = []struct {
 		req.Wait()
 		c.settle()
 	}},
-	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 4, func(c *facadeCtx) {
+	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 1, func(c *facadeCtx) {
 		if _, err := c.s.Get(c.dst, 8, facadeVec, c.tm, 0, rma.WithBlocking()); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch word", serializer.MechThread, 3, func(c *facadeCtx) {
+	{"fetch word", serializer.MechThread, 2, func(c *facadeCtx) {
 		if _, err := c.s.FetchWord(c.tm, 0); err != nil {
 			c.t.Fatalf("fetch word: %v", err)
 		}
 		c.settle()
 	}},
-	{"compare-and-swap", serializer.MechThread, 3, func(c *facadeCtx) {
+	{"compare-and-swap", serializer.MechThread, 2, func(c *facadeCtx) {
 		if _, err := c.s.CompareSwap(c.tm, 0, 0, 1); err != nil {
 			c.t.Fatalf("compare-and-swap: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch-and-add", serializer.MechThread, 3, func(c *facadeCtx) {
+	{"fetch-and-add", serializer.MechThread, 2, func(c *facadeCtx) {
 		if _, err := c.s.FetchAdd(c.tm, 0, 1); err != nil {
 			c.t.Fatalf("fetch-and-add: %v", err)
 		}
@@ -117,7 +129,7 @@ func TestFacadeAllocsPerPrimitive(t *testing.T) {
 			s := rma.Open(p, rma.WithAtomicity(mech))
 			if p.Rank() == 0 {
 				target = s
-				tm, _ := s.Expose(facadeVec.Extent() * 8)
+				tm, _ := s.Expose(facadeBytes)
 				p.Send(1, 0, tm.Encode())
 				p.Barrier() // origin done measuring
 				return
@@ -127,7 +139,7 @@ func TestFacadeAllocsPerPrimitive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode descriptor: %v", err)
 			}
-			c := &facadeCtx{t: t, s: s, target: target, tm: tm, src: p.Alloc(facadeVec.Extent() * 8), dst: p.Alloc(facadeVec.Extent() * 8)}
+			c := &facadeCtx{t: t, s: s, target: target, tm: tm, src: p.Alloc(facadeBytes), dst: p.Alloc(facadeBytes)}
 			for _, row := range facadeAllocs {
 				if row.mech != mech {
 					continue

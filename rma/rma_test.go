@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"mpi3rma/internal/runtime"
@@ -135,6 +136,61 @@ func TestFacadeBoundsErrors(t *testing.T) {
 		if err := s.CompleteCollective(); err != nil {
 			t.Errorf("complete collective: %v", err)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFacadeBoundsNoWrap: a displacement near MaxInt must not wrap the
+// origin's bounds check. Against a 16-byte descriptor every transfer and
+// read-modify-write at such a displacement, and one whose last byte lands
+// one past the end, fails at issue with ErrBounds, and nothing reaches the
+// target for it to refuse.
+func TestFacadeBoundsNoWrap(t *testing.T) {
+	const size = 16
+	world := runtime.NewWorld(runtime.Config{Ranks: 2})
+	defer world.Close()
+
+	err := world.Run(func(p *runtime.Proc) {
+		s := rma.Open(p)
+		if p.Rank() == 0 {
+			tm, _ := s.Expose(size)
+			p.Send(1, 0, tm.Encode())
+			p.Recv(1, 1)
+			if n := p.NIC().BadReq.Value(); n != 0 {
+				t.Errorf("target counted %d bad requests, want 0: an access got past the origin", n)
+			}
+			return
+		}
+		enc, _ := p.Recv(0, 0)
+		tm, err := rma.DecodeTargetMem(enc)
+		if err != nil {
+			t.Fatalf("decode descriptor: %v", err)
+		}
+		src := p.Alloc(8)
+		errOf := func(_ any, err error) error { return err }
+		for _, disp := range []int{math.MaxInt, math.MaxInt - 3, tm.Size - 7} {
+			for _, c := range []struct {
+				what string
+				err  error
+			}{
+				{"Put", errOf(s.Put(src, 8, rma.Byte, tm, disp))},
+				{"Get", errOf(s.Get(src, 8, rma.Byte, tm, disp))},
+				{"Accumulate", errOf(s.Accumulate(rma.Sum, src, 1, rma.Int64, tm, disp))},
+				{"FetchWord", errOf(s.FetchWord(tm, disp))},
+				{"CompareSwap", errOf(s.CompareSwap(tm, disp, 0, 1))},
+				{"FetchAdd", errOf(s.FetchAdd(tm, disp, 1))},
+			} {
+				if !errors.Is(c.err, rma.ErrBounds) {
+					t.Errorf("%s at displacement %d returned %v, want ErrBounds", c.what, disp, c.err)
+				}
+			}
+		}
+		if err := s.Complete(tm.Owner); err != nil {
+			t.Errorf("complete: %v", err)
+		}
+		p.Send(0, 1, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
