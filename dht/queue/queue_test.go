@@ -12,7 +12,12 @@ import (
 func newWorld(t *testing.T, cfg runtime.Config) *runtime.World {
 	t.Helper()
 	w := runtime.NewWorld(cfg)
-	t.Cleanup(w.Close)
+	t.Cleanup(func() {
+		if n := rma.LostRequests(w); n != 0 {
+			t.Errorf("%d nonblocking requests lost: never observed, never completed", n)
+		}
+		w.Close()
+	})
 	return w
 }
 

@@ -13,7 +13,12 @@ import (
 func newWorld(t *testing.T, ranks int) *runtime.World {
 	t.Helper()
 	w := runtime.NewWorld(runtime.Config{Ranks: ranks})
-	t.Cleanup(w.Close)
+	t.Cleanup(func() {
+		if n := rma.LostRequests(w); n != 0 {
+			t.Errorf("%d nonblocking requests lost: never observed, never completed", n)
+		}
+		w.Close()
+	})
 	return w
 }
 

@@ -2,7 +2,7 @@
 // access tracker that records every remotely-applied put/get/accumulate/RMW
 // as a byte interval on the target exposure and flags pairs of overlapping
 // accesses that are not separated by a synchronization call and not both
-// atomic — the dynamic counterpart to the static analyzers in cmd/rmalint.
+// atomic: the runtime check for erroneous overlapping access.
 //
 // One Checker watches one simulated world: every rank's engine reports into
 // the same instance (see ForWorld), so conflicts between different origins
@@ -260,6 +260,15 @@ func (c *Checker) Recorded() int64 {
 	return c.recorded
 }
 
+// Truncated returns how many accesses were not kept live past the
+// per-exposure cap: later accesses were not checked against them, so a
+// nonzero count means the conflicts found may be incomplete.
+func (c *Checker) Truncated() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.truncated
+}
+
 // Dropped returns how many conflicts were discarded beyond the storage cap.
 func (c *Checker) Dropped() int64 {
 	c.mu.Lock()
@@ -276,19 +285,23 @@ func (c *Checker) Reset() {
 	c.recorded, c.dropped, c.truncated = 0, 0, 0
 }
 
-// Report writes a human-readable summary of all conflicts to w.
+// Report writes a human-readable summary of all conflicts to w. A report
+// over truncated state says that it is incomplete.
 func (c *Checker) Report(w io.Writer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.conflicts) == 0 {
 		fmt.Fprintf(w, "rma checker: %d accesses recorded, no conflicts\n", c.recorded)
-		return
+	} else {
+		fmt.Fprintf(w, "rma checker: %d accesses recorded, %d conflicts:\n", c.recorded, len(c.conflicts))
 	}
-	fmt.Fprintf(w, "rma checker: %d accesses recorded, %d conflicts:\n", c.recorded, len(c.conflicts))
 	for i := range c.conflicts {
 		fmt.Fprintf(w, "  %s\n", c.conflicts[i].String())
 	}
 	if c.dropped > 0 {
 		fmt.Fprintf(w, "  ... and %d more conflicts dropped past the %d-entry cap\n", c.dropped, maxConflicts)
+	}
+	if c.truncated > 0 {
+		fmt.Fprintf(w, "  incomplete: %d accesses past the %d-entry live cap were never checked against later ones\n", c.truncated, maxLive)
 	}
 }

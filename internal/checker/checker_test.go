@@ -9,11 +9,17 @@ import (
 )
 
 // runWorld drives a small world with the checker enabled on every rank and
-// returns the shared Checker collected from rank 0.
+// returns the conflicts collected on rank 0. Its cleanup asserts that no
+// rank lost a nonblocking request.
 func runWorld(t *testing.T, ranks int, body func(s *rma.Session, p *runtime.Proc, tm rma.TargetMem)) []rma.Conflict {
 	t.Helper()
 	world := runtime.NewWorld(runtime.Config{Ranks: ranks})
-	defer world.Close()
+	t.Cleanup(func() {
+		if n := rma.LostRequests(world); n != 0 {
+			t.Errorf("%d nonblocking requests lost: never observed, never completed", n)
+		}
+		world.Close()
+	})
 
 	var conflicts []rma.Conflict
 	err := world.Run(func(p *runtime.Proc) {

@@ -43,6 +43,7 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	}
 	var reqs []*Request // probes, built only when the counters cannot answer
 	for _, world := range targets {
+		e.cover(world)
 		if err := e.stickyFor(world); err != nil {
 			// A dead target (ErrRankFailed) or failed link (ErrLinkFailed)
 			// can never confirm; report it instead of probing a black hole.
@@ -111,6 +112,7 @@ func (e *Engine) CompleteCollective(comm *runtime.Comm) error {
 	mine := make([]byte, 8*n)
 	e.mu.Lock()
 	for j, world := range members {
+		e.cover(world)
 		if ts := e.targets[world]; ts != nil {
 			binary.LittleEndian.PutUint64(mine[8*j:], uint64(ts.sent))
 		}

@@ -14,11 +14,24 @@ import (
 	"mpi3rma/internal/simnet"
 )
 
-// newWorld builds a world with a cleanup hook.
+// newWorld builds a world with a cleanup hook that also asserts no rank
+// lost a nonblocking request.
 func newWorld(t *testing.T, cfg runtime.Config) *runtime.World {
 	t.Helper()
+	return newWorldLosing(t, cfg, 0)
+}
+
+// newWorldLosing is newWorld for a test whose ranks lose exactly lost
+// nonblocking requests on purpose.
+func newWorldLosing(t *testing.T, cfg runtime.Config, lost int64) *runtime.World {
+	t.Helper()
 	w := runtime.NewWorld(cfg)
-	t.Cleanup(w.Close)
+	t.Cleanup(func() {
+		if n := LostRequests(w); n != lost {
+			t.Errorf("%d nonblocking requests lost (never observed, never completed), want %d", n, lost)
+		}
+		w.Close()
+	})
 	return w
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/portals"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
@@ -211,6 +212,7 @@ type Engine struct {
 	tmemSeq uint64
 	reqs    map[uint64]*Request
 	reqSeq  uint64
+	loose   []atomic.Uint64 // per target: requests unobserved and uncovered (request.go)
 	targets map[int]*originTarget
 	comms   map[uint64]Attr // per-communicator default attributes
 
@@ -221,7 +223,7 @@ type Engine struct {
 	// arrival time of that report, and the calls waiting on it (see
 	// watermark.go). pendingBatches routes batch notifications to the
 	// remote-completion requests of the batch's member operations.
-	cmplMu         sync.Mutex //rmalint:lockrank 20
+	cmplMu         lockrank.Mutex
 	confirmed      []watermark
 	pendingBatches map[uint64]*pendingBatch
 	// failedLinks records links whose reliable-delivery retry budget ran
@@ -247,7 +249,7 @@ type Engine struct {
 	// and who waits on it — local calls and o's parked completion probes
 	// alike. lastApplied is the latest application from anyone, the stamp
 	// collective completion returns.
-	tgtMu       sync.Mutex //rmalint:lockrank 10
+	tgtMu       lockrank.Mutex
 	lastApplied vtime.Time
 	applied     []watermark
 	reorder     map[int]*reorderBuf
@@ -327,12 +329,15 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 	return p.Ext(extKey, func() any {
 		e := &Engine{
 			proc:           p,
+			tgtMu:          lockrank.Mutex{Rank: lockrank.Target},
+			cmplMu:         lockrank.Mutex{Rank: lockrank.Confirm},
 			bell:           p.NewBell(),
 			opts:           opts.withDefaults(),
 			tmems:          make(map[uint64]*exposure),
 			reqs:           make(map[uint64]*Request),
 			targets:        make(map[int]*originTarget),
 			comms:          make(map[uint64]Attr),
+			loose:          make([]atomic.Uint64, p.World().TotalRanks()),
 			confirmed:      make([]watermark, p.World().TotalRanks()),
 			pendingBatches: make(map[uint64]*pendingBatch),
 			failedLinks:    make(map[int]fault),

@@ -151,6 +151,7 @@ func (e *Engine) Select(comm *runtime.Comm, cases ...SelectCase) (int, Event, er
 			if c.req == nil {
 				return -1, Event{}, fmt.Errorf("core: select case %d: nil request: %w", i, ErrBadHandle)
 			}
+			c.req.observe()
 			res[i] = c
 		case selApplied, selConfirmed, selQuiescent:
 			if c.rank < 0 || c.rank >= comm.Size() {

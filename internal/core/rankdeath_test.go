@@ -514,8 +514,12 @@ func ksRun(t *testing.T, batched bool, wait func(*Engine, *runtime.Comm) error, 
 			if batched {
 				attrs = AttrNone // an aggregate always notifies
 			}
+			var reqs []*Request
 			for i := 0; i < max(1, opts.BatchOps) && werr == nil; i++ {
-				_, werr = e.Put(scratch, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, rdVictim, comm, attrs)
+				var req *Request
+				if req, werr = e.Put(scratch, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, rdVictim, comm, attrs); req != nil {
+					reqs = append(reqs, req)
+				}
 			}
 			e.Flush()
 			for _, ev := range ring.Snapshot() {
@@ -525,6 +529,12 @@ func ksRun(t *testing.T, batched bool, wait func(*Engine, *runtime.Comm) error, 
 			}
 			if werr == nil {
 				werr = wait(e, comm)
+			}
+			// Each put completed locally; a failure can only be the kill.
+			for _, req := range reqs {
+				if err := req.Err(); err != nil && !errors.Is(err, ErrRankFailed) {
+					t.Errorf("put to the victim failed with %v, want nil or wrapped ErrRankFailed", err)
+				}
 			}
 		}
 	})

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/telemetry"
@@ -97,7 +97,7 @@ type deferredFin struct {
 // replicas it holds for its ward, and spare-side rebuild progress. fins
 // are never run with mu held (they take the engine's completion locks).
 type replState struct {
-	mu      sync.Mutex //rmalint:lockrank 35
+	mu      lockrank.Mutex
 	enabled bool
 	buddy   int  // rank mirroring this rank's exposures (-1 = none yet)
 	down    bool // buddy confirmed dead, successor not yet rebuilt
@@ -123,6 +123,7 @@ type replState struct {
 }
 
 func (st *replState) init() {
+	st.mu.Rank = lockrank.Replica
 	st.buddy = -1
 	st.sizes = make(map[uint64]int)
 	st.version = make(map[uint64]uint64)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
+	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
@@ -22,7 +24,9 @@ type landing struct {
 // request parameter, checked with MPI_Wait/MPI_Test analogues). For
 // operations without the RemoteComplete attribute the request completes
 // locally (origin buffer reusable); with it, the request completes only
-// when the operation has been applied at the target.
+// when the operation has been applied at the target. Calling any method
+// observes the request: one never observed, nor covered by a later
+// Complete toward its target, is lost (LostRequests).
 type Request struct {
 	e  *Engine
 	id uint64
@@ -30,13 +34,10 @@ type Request struct {
 	// can find and fail the requests that will never complete.
 	target int
 
-	mu   sync.Mutex
-	done bool
-	at   vtime.Time
-	val  []byte
-	err  error
-	// waited is set once a Wait parks on the engine's bell: finish rings it.
-	waited bool
+	mu  sync.Mutex
+	at  vtime.Time
+	val []byte
+	err error
 
 	// onDone holds completion callbacks registered before the request
 	// finished; finish captures and clears them under mu, so each runs
@@ -53,13 +54,19 @@ type Request struct {
 	// histogram. Populated by newRequest only while telemetry is enabled,
 	// before the request escapes the issuing goroutine, so finish may read
 	// them without the lock.
-	latKind  uint8
+	latKind uint8
+	done    bool
+	// waited is set once a Wait parks on the engine's bell: finish rings it.
+	waited bool
+	// cover is 1 + the cover number a loose request was issued under; 0
+	// once observed, and for every other request (request.go's end).
+	cover    atomic.Uint32
 	issuedAt vtime.Time
 }
 
 // ID returns the request's engine-local id — the operation id its trace
 // events carry, for correlating spans across ranks.
-func (r *Request) ID() uint64 { return r.id }
+func (r *Request) ID() uint64 { r.observe(); return r.id }
 
 // newRequest enters a request toward target into the engine table. While
 // telemetry is enabled, a latKind other than latNone also stamps its issue
@@ -137,6 +144,7 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 // already-completed request fn runs inline before OnDone returns. The
 // error fn receives is the same value Err reports. Registering multiple callbacks is permitted: each fires exactly once.
 func (r *Request) OnDone(fn func(error)) {
+	r.observe()
 	if fn == nil {
 		return
 	}
@@ -154,6 +162,7 @@ func (r *Request) OnDone(fn func(error)) {
 // Wait blocks until the operation completes, advancing the rank's virtual
 // clock to the completion time.
 func (r *Request) Wait() {
+	r.observe()
 	r.mu.Lock()
 	for !r.done {
 		r.waited = true
@@ -171,6 +180,7 @@ func (r *Request) Wait() {
 // it returns true the rank's virtual clock has been advanced to the
 // completion time (MPI_Test semantics).
 func (r *Request) Test() bool {
+	r.observe()
 	r.mu.Lock()
 	done, at := r.done, r.at
 	r.mu.Unlock()
@@ -192,6 +202,7 @@ func (r *Request) Await() error {
 
 // CompletedAt returns the virtual completion time (valid once done).
 func (r *Request) CompletedAt() vtime.Time {
+	r.observe()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.at
@@ -200,6 +211,7 @@ func (r *Request) CompletedAt() vtime.Time {
 // Value returns the operation's result bytes (read-modify-write old
 // values); nil for transfers. Valid once done.
 func (r *Request) Value() []byte {
+	r.observe()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.val
@@ -210,6 +222,7 @@ func (r *Request) Value() []byte {
 // call instead; Err reports failures the target discovered, such as a get
 // from unexposed memory.
 func (r *Request) Err() error {
+	r.observe()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
@@ -231,4 +244,55 @@ func (e *Engine) lookupRequest(id uint64) *Request {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.reqs[id]
+}
+
+// Lost requests (DESIGN.md §8). A nonblocking request is loose until
+// something observes it (a Request method, a Select case) or a later
+// Complete or CompleteCollective toward its target covers it; one still
+// loose when counted is lost. loose[t] packs target t's cover number (high
+// 32 bits) over its loose count; observing a request uncounts it only
+// while the cover number it was issued under is current.
+
+// loosen counts the request issue is about to return as loose.
+func (e *Engine) loosen(r *Request) {
+	r.cover.Store(uint32(e.loose[r.target].Add(1)>>32) + 1)
+}
+
+// observe uncounts r, if it is still loose.
+func (r *Request) observe() {
+	if c := r.cover.Load(); c != 0 && r.cover.CompareAndSwap(c, 0) {
+		w := &r.e.loose[r.target]
+		for v := w.Load(); uint32(v>>32) == c-1; v = w.Load() {
+			if w.CompareAndSwap(v, v-1) {
+				return
+			}
+		}
+	}
+}
+
+// cover forgives every request loose toward target, by a new cover number.
+func (e *Engine) cover(target int) {
+	w := &e.loose[target]
+	for v := w.Load(); uint32(v) != 0; v = w.Load() {
+		if w.CompareAndSwap(v, (v>>32+1)<<32) {
+			return
+		}
+	}
+}
+
+// LostRequests returns how many requests the ranks of w have lost so far,
+// and writes a flight record per target each lost requests toward.
+func LostRequests(w *runtime.World) int64 {
+	var n int64
+	for r := range w.TotalRanks() {
+		if e := Attached(w.Proc(r)); e != nil {
+			for t := range e.loose {
+				if k := int64(uint32(e.loose[t].Load())); k > 0 {
+					n += k
+					e.record(trace.KindLostRequests, e.proc.Now(), t, 0, k, 0, nil)
+				}
+			}
+		}
+	}
+	return n
 }

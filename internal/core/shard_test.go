@@ -196,7 +196,7 @@ func TestShardFIFOPerShard(t *testing.T) {
 // with its shard and value, and the next put routed to the same shard still
 // applies.
 func TestShardPanicKeepsApplying(t *testing.T) {
-	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 17})
+	w := newWorldLosing(t, runtime.Config{Ranks: 2, Seed: 17}, 2) // both puts: the target's failure stops any Complete
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		opts := Options{}
 		if p.Rank() == 0 {
@@ -316,7 +316,7 @@ func TestShardedConvergesWithSerial(t *testing.T) {
 // goroutine that delivered the put; it surfaces as a sticky wrapped
 // ErrApplyFault from the target's Err() and is counted.
 func TestShardApplyPanicSticky(t *testing.T) {
-	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 3})
+	w := newWorldLosing(t, runtime.Config{Ranks: 2, Seed: 3}, 1) // the put nothing completes (below)
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		opts := Options{}
 		if p.Rank() == 0 {

@@ -316,6 +316,9 @@ var allocTable = []pinned{
 		c.issued += 7
 		c.notified++ // the aggregate's one notification
 		c.settle()
+		if err := c.e.Complete(c.comm, 0); err != nil {
+			c.t.Fatalf("complete: %v", err)
+		}
 	}},
 }
 

@@ -247,7 +247,8 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	}
 
 	packed, full := 0, false
-	replies := m != nil && (m.Kind == kGet || m.Kind == kRMW)
+	rmw := m != nil && m.Kind == kRMW
+	replies := rmw || m != nil && m.Kind == kGet
 	var seq uint64
 	e.mu.Lock()
 	ts := e.targetLocked(target)
@@ -299,6 +300,7 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 		if full {
 			e.flushTarget(target)
 		}
+		e.loosen(req)
 		return req, nil
 	}
 
@@ -333,6 +335,8 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	}
 	if attrs&AttrBlocking != 0 {
 		req.Wait()
+	} else if !rmw { // an RMW's caller waits on it itself
+		e.loosen(req)
 	}
 	return req, nil
 }

@@ -266,8 +266,8 @@ func (w *Win) Put(origin rma.Region, ocount int, odt rma.Type, trank, tdisp, tco
 	}
 	// MPI-2 puts have no per-operation completion: the epoch-closing call
 	// (Fence, Complete, Unlock) completes every pending operation at the
-	// engine level, so the request is deliberately dropped here.
-	//rmalint:ignore lostrequest completion happens at the epoch-closing synchronization
+	// engine level, so the request is dropped here, and that call covers it
+	// (it is not a lost request).
 	_, err := w.s.Put(origin, ocount, odt, w.tms[trank], tdisp, rma.WithTargetLayout(tcount, tdt))
 	return err
 }
@@ -294,7 +294,6 @@ func (w *Win) Accumulate(op rma.AccOp, origin rma.Region, ocount int, odt rma.Ty
 		return err
 	}
 	// As with Put: MPI-2 accumulates complete at the epoch-closing call.
-	//rmalint:ignore lostrequest completion happens at the epoch-closing synchronization
 	_, err := w.s.Accumulate(op, origin, ocount, odt, w.tms[trank], tdisp, rma.WithTargetLayout(tcount, tdt))
 	return err
 }

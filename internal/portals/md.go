@@ -2,7 +2,6 @@ package portals
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/simnet"
@@ -57,8 +56,7 @@ type Event struct {
 
 // EQ is a Portals event queue.
 type EQ struct {
-	ch       chan Event
-	overflow atomic.Bool
+	ch chan Event
 }
 
 // DefaultEQDepth is the event queue capacity used by NewEQ(0).
@@ -76,32 +74,13 @@ func NewEQ(depth int) *EQ {
 // Wait blocks until an event is available and returns it.
 func (q *EQ) Wait() Event { return <-q.ch }
 
-// Poll returns the next event without blocking; ok is false if none is
-// pending.
-func (q *EQ) Poll() (ev Event, ok bool) {
-	select {
-	case ev = <-q.ch:
-		return ev, true
-	default:
-		return Event{}, false
-	}
-}
-
-// Chan exposes the queue for select-based consumers.
-func (q *EQ) Chan() <-chan Event { return q.ch }
-
-// Overflowed reports whether any event was dropped because the queue was
-// full (the Portals EQ-overflow error state).
-func (q *EQ) Overflowed() bool { return q.overflow.Load() }
-
-// post enqueues ev, recording overflow instead of blocking: a handler
-// posting it holds its NIC's delivery token and must never stall on a slow
-// consumer.
+// post enqueues ev, or drops it when the queue is full (the Portals
+// EQ-overflow state): a handler posting it holds its NIC's delivery token
+// and must never stall on a slow consumer.
 func (q *EQ) post(ev Event) {
 	select {
 	case q.ch <- ev:
 	default:
-		q.overflow.Store(true)
 	}
 }
 
@@ -122,12 +101,6 @@ type MD struct {
 	eq     *EQ
 	opts   MDOptions
 }
-
-// Region returns the memory region the MD covers.
-func (md *MD) Region() memsim.Region { return md.region }
-
-// EQ returns the MD's event queue (may be nil).
-func (md *MD) EQ() *EQ { return md.eq }
 
 // AttachMD binds a region of the rank's memory as a memory descriptor.
 // eq may be nil if the caller does not want events.
@@ -154,13 +127,6 @@ func (n *NIC) Expose(idx int, md *MD) {
 		panic(fmt.Sprintf("portals: rank %d: portal index %d already exposed", n.ep.ID(), idx))
 	}
 	n.table[idx] = md
-}
-
-// Unexpose removes the binding of portal-table index idx.
-func (n *NIC) Unexpose(idx int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.table, idx)
 }
 
 func (n *NIC) lookupPortal(idx int) *MD {

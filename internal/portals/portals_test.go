@@ -56,8 +56,10 @@ func waitEvent(t *testing.T, eq *EQ, want EventType) Event {
 	}()
 	deadline := time.After(hangGuard)
 	for {
+		next := make(chan Event, 1)
+		go func() { next <- eq.Wait() }()
 		select {
-		case ev := <-eq.Chan():
+		case ev := <-next:
 			if ev.Type == want {
 				return ev
 			}
@@ -180,40 +182,27 @@ func TestExposeDuplicatePanics(t *testing.T) {
 	r.nics[0].Expose(1, md)
 }
 
-func TestUnexpose(t *testing.T) {
-	r := newRig(t, 2, true)
-	tgtRegion := r.mems[1].MustAlloc(16)
-	md := r.nics[1].AttachMD(tgtRegion, nil, MDPut)
-	r.nics[1].Expose(3, md)
-	r.nics[1].Unexpose(3)
-	srcMD := r.nics[0].AttachMD(r.mems[0].MustAlloc(8), nil, 0)
-	if _, err := srcMD.Put(0, 0, 8, 1, 3, 0, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(hangGuard)
-	for r.nics[1].BadReq.Value() < 1 {
-		select {
-		case <-deadline:
-			t.Fatal("put through unexposed portal was not rejected")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-func TestEQOverflowFlag(t *testing.T) {
+// TestEQPostFullDoesNotBlock: a handler posts under its NIC's delivery
+// token, so a post to a full queue drops the event instead of waiting for
+// a consumer.
+func TestEQPostFullDoesNotBlock(t *testing.T) {
 	q := NewEQ(2)
-	q.post(Event{Type: EvAck})
-	q.post(Event{Type: EvAck})
-	if q.Overflowed() {
-		t.Fatal("premature overflow")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3; i++ {
+			q.post(Event{Type: EvAck, UserHdr: uint64(i)})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatal("post on a full event queue blocked")
 	}
-	q.post(Event{Type: EvAck})
-	if !q.Overflowed() {
-		t.Fatal("overflow not recorded")
-	}
-	if ev, ok := q.Poll(); !ok || ev.Type != EvAck {
-		t.Fatal("poll failed")
+	for i := 0; i < 2; i++ {
+		if ev := q.Wait(); ev.UserHdr != uint64(i) {
+			t.Fatalf("event %d carries header %d: the queue kept the wrong events", i, ev.UserHdr)
+		}
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
 )
@@ -130,7 +130,7 @@ type relay struct {
 	n   *NIC
 	pol RetryPolicy
 
-	mu    sync.Mutex //rmalint:lockrank 40
+	mu    lockrank.Mutex
 	links map[int]*txLink
 }
 
@@ -184,7 +184,7 @@ type rxLink struct {
 // ranks may all pass the same policy). Without it the send path pays one
 // atomic nil check and nothing else.
 func (n *NIC) EnableReliability(pol RetryPolicy) {
-	n.relay.CompareAndSwap(nil, &relay{n: n, pol: pol.withDefaults(), links: make(map[int]*txLink)})
+	n.relay.CompareAndSwap(nil, &relay{n: n, pol: pol.withDefaults(), mu: lockrank.Mutex{Rank: lockrank.Relay}, links: make(map[int]*txLink)})
 }
 
 // Reliable reports whether the transmit relay is enabled.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/portals"
 	"mpi3rma/internal/simnet"
@@ -125,8 +126,10 @@ func (p *Proc) Advance(d vtime.Duration) { p.nic.CPU().Add(d) }
 // releases what its unordered links hold and counts as idle while any of
 // its goroutines is parked (one computing meanwhile lets the quiet step run
 // early: spurious retransmissions, never a wrong answer); if that idles
-// the whole world, the caller steps it first (see World).
+// the whole world, the caller steps it first (see World). In a race build
+// on Linux, parking while holding a ranked lock panics (internal/lockrank).
 func (p *Proc) Park(b *Bell, seen uint64) {
+	lockrank.CheckPark()
 	p.nic.Endpoint().Flush()
 	b.mu.Lock()
 	if b.rings.Load() != seen {

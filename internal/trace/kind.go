@@ -37,6 +37,7 @@ const (
 	KindBuddyRebound   // this rank re-mirrored its exposures onto new buddy Peer
 	KindNoSpare        // dead Peer could not be rebuilt: the spare pool is empty
 	KindSentinelPing   // a quiet world's failure ping probed silent Peer
+	KindLostRequests   // requests toward Peer were lost: never observed, never covered
 
 	NumKinds
 )
@@ -97,6 +98,7 @@ var kinds = [256]kindInfo{
 	KindBuddyRebound:   {name: "buddy-rebound", a: "regions", dest: ToFlight},
 	KindNoSpare:        {name: "no-spare", a: "regions", dest: ToFlight},
 	KindSentinelPing:   {name: "sentinel-ping", a: "ping", dest: ToFlight},
+	KindLostRequests:   {name: "lost-requests", a: "lost", dest: ToFlight},
 }
 
 // String returns the kind's name, the "cat" of exported events.

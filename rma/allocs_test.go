@@ -124,7 +124,7 @@ var facadeAllocs = []struct {
 func TestFacadeAllocsPerPrimitive(t *testing.T) {
 	for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock} {
 		var target *rma.Session
-		world := runtime.NewWorld(runtime.Config{Ranks: 2})
+		world := newWorld(t, runtime.Config{Ranks: 2})
 		err := world.Run(func(p *runtime.Proc) {
 			s := rma.Open(p, rma.WithAtomicity(mech))
 			if p.Rank() == 0 {

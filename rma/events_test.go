@@ -17,8 +17,7 @@ import (
 // needed. WithEvents is accepted and installs nothing.
 func TestFacadeEvents(t *testing.T) {
 	const ops = 8
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p, rma.WithEvents(32), rma.WithMetrics())

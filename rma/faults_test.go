@@ -14,8 +14,7 @@ import (
 // lossy wire — the relay retransmits until the put converges — and the
 // injected faults are visible in the metrics registry.
 func TestFacadeWithFaults(t *testing.T) {
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 	plan := &rma.FaultPlan{
 		Seed:    21,
 		Default: rma.LinkFaults{Drop: 0.2, Dup: 0.2},
@@ -62,8 +61,7 @@ func TestFacadeWithFaults(t *testing.T) {
 // budget, Complete surfaces the wrapped ErrLinkFailed sentinel and
 // Session.Err() reports the degradation — within bounded time.
 func TestFacadeLinkFailure(t *testing.T) {
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 	plan := &rma.FaultPlan{
 		Seed:  22,
 		Links: map[rma.LinkKey]rma.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}},

@@ -57,8 +57,7 @@ func TestGoroutinesPerRank(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := gort.NumGoroutine()
-			world := runtime.NewWorld(tc.cfg)
-			defer world.Close()
+			world := newWorld(t, tc.cfg)
 			if after := gort.NumGoroutine(); after > before {
 				t.Errorf("NewWorld started %d goroutines", after-before)
 			}

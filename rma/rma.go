@@ -129,11 +129,15 @@ var (
 // AllRanks, passed as the target of Complete or Order, covers every rank.
 const AllRanks = core.AllRanks
 
-// Re-exported request-completion helpers.
+// Re-exported request-completion helpers. LostRequests counts the
+// nonblocking requests a world's ranks lost: never observed (no Request
+// method, no Select case) and not covered by a later Complete or
+// CompleteCollective toward their target.
 var (
-	WaitAll = core.WaitAll
-	WaitAny = core.WaitAny
-	TestAll = core.TestAll
+	WaitAll      = core.WaitAll
+	WaitAny      = core.WaitAny
+	TestAll      = core.TestAll
+	LostRequests = core.LostRequests
 )
 
 // DecodeTargetMem reverses TargetMem.Encode for descriptors shipped

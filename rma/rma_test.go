@@ -11,13 +11,26 @@ import (
 	"mpi3rma/rma"
 )
 
+// newWorld builds a world with a cleanup hook that also asserts no rank
+// lost a nonblocking request.
+func newWorld(t *testing.T, cfg runtime.Config) *runtime.World {
+	t.Helper()
+	w := runtime.NewWorld(cfg)
+	t.Cleanup(func() {
+		if n := rma.LostRequests(w); n != 0 {
+			t.Errorf("%d nonblocking requests lost: never observed, never completed", n)
+		}
+		w.Close()
+	})
+	return w
+}
+
 // TestFacadeEndToEnd drives the public API the way an application would:
 // batched session, descriptor exchange, puts with per-op attribute
 // options, notified completion, accumulate, and sentinel classification.
 func TestFacadeEndToEnd(t *testing.T) {
 	const ranks = 4
-	world := runtime.NewWorld(runtime.Config{Ranks: ranks})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: ranks})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p, rma.WithBatch(8))
@@ -100,8 +113,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 // region is refused at issue time with ErrBounds, from the call that
 // issued it.
 func TestFacadeBoundsErrors(t *testing.T) {
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p)
@@ -149,8 +161,7 @@ func TestFacadeBoundsErrors(t *testing.T) {
 // target for it to refuse.
 func TestFacadeBoundsNoWrap(t *testing.T) {
 	const size = 16
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p)
@@ -205,8 +216,7 @@ func TestFacadeBoundsNoWrap(t *testing.T) {
 // exposure keeps its bytes.
 func TestFacadeForgedSizeRefusedAtTarget(t *testing.T) {
 	const size, disp = 16, 32
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p)
@@ -266,8 +276,7 @@ func TestFacadeForgedSizeRefusedAtTarget(t *testing.T) {
 // TestFacadeTargetLayout: WithTargetLayout transfers a contiguous origin
 // buffer into a non-symmetric target layout.
 func TestFacadeTargetLayout(t *testing.T) {
-	world := runtime.NewWorld(runtime.Config{Ranks: 2})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: 2})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p)
@@ -323,8 +332,7 @@ func TestFacadeFlagAfterData(t *testing.T) {
 		"per-operation attributes": {rma.WithOrdering(), rma.WithRemoteComplete(), rma.WithBlocking()},
 	} {
 		t.Run(name, func(t *testing.T) {
-			world := runtime.NewWorld(runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 5})
-			defer world.Close()
+			world := newWorld(t, runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 5})
 			err := world.Run(func(p *runtime.Proc) {
 				defer p.Barrier() // whatever happens, both ranks get here: no early return may strand the other
 				s := rma.Open(p)

@@ -17,8 +17,7 @@ func TestFacadeSharding(t *testing.T) {
 		ranks = 5
 		slot  = 16
 	)
-	world := runtime.NewWorld(runtime.Config{Ranks: ranks})
-	defer world.Close()
+	world := newWorld(t, runtime.Config{Ranks: ranks})
 
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p,
