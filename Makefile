@@ -1,6 +1,21 @@
 GO ?= go
 
-.PHONY: check build vet lint layering test race fuzz-smoke allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench profile-smoke benchmark-check flake loc
+.PHONY: check build vet lint layering runlists test race fuzz-smoke allocs smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench profile-smoke benchmark-check flake loc
+
+# The -run lists of the chaos, chaos-rankdeath and flake targets (each
+# target below says why its tests are there) and the packages each runs
+# over. SCHEDULE_RUN is the share of chaos that flake repeats: tests whose
+# outcome could move with the goroutine schedule. make runlists fails when
+# a term matches no test.
+SCHEDULE_RUN := EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads
+CHAOS_RUN := FaultChaos|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|$(SCHEDULE_RUN)
+CHAOS_PKGS := ./internal/core/ ./internal/bench/ ./internal/portals/ ./internal/memsim/ ./rma/
+RANKDEATH_RUN := RankDeath|RankKill|Replication|Membership|Spare|Postmortem
+RANKDEATH_PKGS := ./internal/core/ ./internal/simnet/ ./internal/runtime/ ./rma/
+FLAKE_RUN := Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|$(SCHEDULE_RUN)
+FLAKE_PKGS := ./internal/core/ ./internal/memsim/
+DELIVERY_RUN := Delivery
+DELIVERY_PKGS := ./internal/portals/
 
 # check is the PR gate: vet, the package layering rule, build, full tests
 # (every test world asserts that no rank lost a nonblocking request), the
@@ -12,7 +27,7 @@ GO ?= go
 # attributable, the seeded chaos fault matrix under the race detector, and
 # the repository benchmark's own vet and quick pass, and a few seconds of
 # fuzzing on each decoder and layout walk that input from the wire reaches.
-check: lint layering build test race fuzz-smoke allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
+check: lint layering runlists build test race fuzz-smoke allocs smoke smoke-metrics bench-smoke profile-smoke chaos chaos-rankdeath benchmark-check
 
 build:
 	$(GO) build ./...
@@ -34,6 +49,20 @@ layering:
 		for (i = 2; i <= NF; i++) if ($$i == "mpi3rma/internal/core") print $$1 }'); \
 	if [ -n "$$bad" ]; then echo "layering: only rma, internal/checker and internal/bench may import mpi3rma/internal/core, but so do:" >&2; echo "$$bad" >&2; exit 1; fi; \
 	echo "layering: ok"
+
+# runlists fails when a |-term of a -run list above matches no test name
+# in its packages (go test -list): a term whose test was renamed or never
+# written leaves its target running less than its comment promises.
+runlists:
+	@rc=0; check() { \
+		names=$$($(GO) test -list . $$3 | grep -E '^(Test|Fuzz|Example)') || return 1; \
+		bad=$$(echo "$$2" | tr '|' '\n' | while read -r term; do echo "$$names" | grep -qE -- "$$term" || echo "$$term"; done); \
+		if [ -n "$$bad" ]; then echo "runlists: $$1 -run terms match no test:" $$bad >&2; return 1; fi; }; \
+	check chaos '$(CHAOS_RUN)' '$(CHAOS_PKGS)' || rc=1; \
+	check chaos-rankdeath '$(RANKDEATH_RUN)' '$(RANKDEATH_PKGS)' || rc=1; \
+	check flake '$(FLAKE_RUN)' '$(FLAKE_PKGS)' || rc=1; \
+	check flake '$(DELIVERY_RUN)' '$(DELIVERY_PKGS)' || rc=1; \
+	[ $$rc = 0 ] && echo "runlists: ok"; exit $$rc
 
 test:
 	$(GO) test ./...
@@ -115,7 +144,7 @@ profile-smoke:
 # growth test: a local reader runs against landings that grow the rank's
 # backing store, which must be replaced only under the memory lock.
 chaos:
-	$(GO) test -race -count=1 -run 'FaultChaos|EventChaos|RecycleSafety|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFaults|FacadeLinkFailure|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads' ./internal/core/ ./internal/bench/ ./internal/portals/ ./internal/memsim/ ./rma/
+	$(GO) test -race -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
 # chaos-rankdeath kills a replicated rank mid-run under the same seeded
 # fault matrix: the buddy must promote its replicas onto a spare, origins
@@ -126,7 +155,7 @@ chaos:
 # delivery counter must come back when its target dies after admitting the
 # operation and before reporting it.
 chaos-rankdeath:
-	$(GO) test -race -count=1 -run 'RankDeath|RankKill|Replication|Membership|Spare|Postmortem' ./internal/core/ ./internal/simnet/ ./internal/runtime/ ./rma/
+	$(GO) test -race -count=1 -run '$(RANKDEATH_RUN)' $(RANKDEATH_PKGS)
 
 # benchmark-check compiles and quick-runs the repository benchmark. It is
 # a Go module of its own, so `go build ./...` and `go test ./...` above
@@ -159,10 +188,10 @@ benchmark-check:
 # reorders goroutines the most). Lock order is make race's to guard: its
 # build runs the lock-rank check under every test, whatever the schedule.
 flake:
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads' ./internal/core/ ./internal/memsim/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|EventChaos|RecycleSafety|Shard|PutGetNeverTorn|RetransmitReplay|MechanismsProduceExactAtomicSums|SelectWaitRetransmits|StridedLandingIsAtomic|GrowthUnderLocalReads' ./internal/core/ ./internal/memsim/
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
-	GOMAXPROCS=2 $(GO) test -count=20 -run 'Delivery' ./internal/portals/
+	GOMAXPROCS=1 $(GO) test -count=20 -run '$(FLAKE_RUN)' $(FLAKE_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=20 -run '$(FLAKE_RUN)' $(FLAKE_PKGS)
+	GOMAXPROCS=1 $(GO) test -count=20 -run '$(DELIVERY_RUN)' $(DELIVERY_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=20 -run '$(DELIVERY_RUN)' $(DELIVERY_PKGS)
 
 # bench runs every paper-figure experiment in modelled time and exits 1 on
 # any FAIL: shape note. The exact cells (Fig. 1 / E6, E7, E9) are pinned

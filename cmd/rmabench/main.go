@@ -19,10 +19,10 @@
 //	                         # labeled pprof sidecars alongside the run
 //	rmabench -exp e14        # sharded target apply scaling (workers x
 //	                         # payload on the Fig. 2 7-writer workload)
-//	rmabench -chaos          # seeded fault-matrix chaos run (same as
-//	                         # -exp chaos): byte-exact convergence under
-//	                         # drops, duplicates, delays and corruption
-//	rmabench -list           # list experiment ids
+//	rmabench -exp chaos      # seeded fault-matrix chaos run: byte-exact
+//	                         # convergence under drops, duplicates,
+//	                         # delays and corruption
+//	rmabench -list           # list experiment ids and their aliases
 //
 // Experiment ids and what they reproduce are catalogued in DESIGN.md; the
 // measured-vs-paper comparison lives in EXPERIMENTS.md.
@@ -52,16 +52,18 @@ func main() {
 	critOut := flag.String("critpath", "", "collect telemetry and write the critical-path stage breakdown JSON to this file")
 	profile := flag.String("profile", "", "comma list of pprof profiles to capture across the run: cpu,heap,mutex,block (sidecar files, see -profiledir)")
 	profileDir := flag.String("profiledir", ".", "directory receiving the pprof sidecar files")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	chaos := flag.Bool("chaos", false, "run the seeded chaos fault matrix (shorthand for -exp chaos)")
+	list := flag.Bool("list", false, "list experiment ids (and their aliases) and exit")
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(bench.Names(), "\n"))
+		for _, e := range bench.Experiments {
+			if len(e.Aliases) > 0 {
+				fmt.Printf("%s (alias %s)\n", e.ID, strings.Join(e.Aliases, ", "))
+			} else {
+				fmt.Println(e.ID)
+			}
+		}
 		return
-	}
-	if *chaos {
-		*exp = "chaos"
 	}
 	if *metrics || *traceOut != "" || *critOut != "" {
 		bench.SetTelemetry(true)
@@ -73,15 +75,19 @@ func main() {
 
 	var results []bench.Result
 	if *exp == "all" {
-		results = bench.All()
+		for _, e := range bench.Experiments {
+			if e.InAll {
+				results = append(results, e.Run())
+			}
+		}
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
-			res, ok := bench.ByName(strings.TrimSpace(name))
+			e, ok := bench.Lookup(strings.TrimSpace(name))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "rmabench: unknown experiment %q (try -list)\n", name)
 				os.Exit(2)
 			}
-			results = append(results, res)
+			results = append(results, e.Run())
 		}
 	}
 	failed := false

@@ -35,7 +35,8 @@
 // stripes byte-exact against a fault-free run).
 //
 // All table traffic rides the session it was opened on: batching,
-// sharding, events, fault injection, and buddy replication all apply. With
+// sharding, events and buddy replication all apply, and so does the
+// world's fault plan (runtime.Config.Faults). With
 // WithFailover a map whose stripe owner is declared dead (ErrRankFailed)
 // waits for the spare rebuild and retries against the successor.
 package dht
@@ -73,9 +74,9 @@ const (
 	DefaultValueSize = 8
 )
 
-// ErrTableFull reports a probe that found no claimable bucket within the
-// probe budget — the table is (locally) full for that key.
-var ErrTableFull = errors.New("dht: no free bucket within the probe budget")
+// ErrTableFull reports a probe that visited every bucket of the table
+// without finding a claimable one.
+var ErrTableFull = errors.New("dht: no free bucket in the table")
 
 // Option configures Open — the same functional-option shape as rma.Open,
 // with the taxonomy trivial because every dht option is collective.
@@ -85,7 +86,6 @@ type config struct {
 	perRank  int
 	valSize  int
 	servers  int
-	maxProbe int
 	failover bool
 }
 
@@ -105,12 +105,6 @@ func WithValueSize(n int) Option {
 // the remaining ranks are pure clients (default: every rank serves).
 func WithServers(n int) Option {
 	return func(c *config) { c.servers = n }
-}
-
-// WithMaxProbe bounds the linear probe before an insert fails with
-// ErrTableFull (default: the whole table).
-func WithMaxProbe(n int) Option {
-	return func(c *config) { c.maxProbe = n }
 }
 
 // WithFailover makes operations survive a stripe owner's death: on
@@ -144,8 +138,7 @@ type Map struct {
 	perRank  int
 	valSize  int
 	bucketSz int
-	total    int
-	maxProbe int
+	total    int // buckets in the table, and the probe's bound
 	failover bool
 
 	buf  rma.Region // bucket-sized scratch: snapshot gets
@@ -183,9 +176,6 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 	}
 	bucketSz := valOff + cfg.valSize
 	total := cfg.servers * cfg.perRank
-	if cfg.maxProbe <= 0 || cfg.maxProbe > total {
-		cfg.maxProbe = total
-	}
 
 	// Collective allocation: uniform size keeps the exchange symmetric;
 	// only the first Servers stripes are ever addressed.
@@ -203,7 +193,6 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 		valSize:    cfg.valSize,
 		bucketSz:   bucketSz,
 		total:      total,
-		maxProbe:   cfg.maxProbe,
 		failover:   cfg.failover,
 		buf:        p.Alloc(bucketSz),
 		kv:         p.Alloc(8 + cfg.valSize),
@@ -415,7 +404,7 @@ func (m *Map) Get(key int64) ([]byte, bool, error) {
 	defer m.observe(start)
 	m.gets.Inc()
 	h := m.home(key)
-	for i := 0; i < m.maxProbe; i++ {
+	for i := 0; i < m.total; i++ {
 		idx := (h + i) % m.total
 		sr, off := m.locate(idx)
 		if i > 0 {
@@ -473,7 +462,7 @@ func (m *Map) Put(key int64, value []byte) error {
 func (m *Map) tryPut(key int64, value []byte) (done bool, err error) {
 	h := m.home(key)
 	firstFree := -1 // earliest reusable (tombstone) slot seen on the way
-	for i := 0; i < m.maxProbe; i++ {
+	for i := 0; i < m.total; i++ {
 		idx := (h + i) % m.total
 		sr, off := m.locate(idx)
 		if i > 0 {
@@ -575,7 +564,7 @@ func (m *Map) Delete(key int64) (bool, error) {
 	defer m.observe(start)
 	m.deletes.Inc()
 	h := m.home(key)
-	for i := 0; i < m.maxProbe; i++ {
+	for i := 0; i < m.total; i++ {
 		idx := (h + i) % m.total
 		sr, off := m.locate(idx)
 		if i > 0 {
@@ -649,7 +638,7 @@ func (m *Map) CAS(key int64, expect, newVal []byte) (bool, error) {
 	defer m.observe(start)
 	m.cases.Inc()
 	h := m.home(key)
-	for i := 0; i < m.maxProbe; i++ {
+	for i := 0; i < m.total; i++ {
 		idx := (h + i) % m.total
 		sr, off := m.locate(idx)
 		if i > 0 {

@@ -292,13 +292,7 @@ func runMapChaos(t *testing.T, plan *simnet.FaultPlan) []byte {
 	var final bytes.Buffer
 	stripeBytes := make([][]byte, ranks)
 	err := w.Run(func(p *runtime.Proc) {
-		var s *rma.Session
-		if plan != nil {
-			s = rma.Open(p, rma.WithFaults(plan))
-		} else {
-			s = rma.Open(p)
-		}
-		m, err := Open(s, WithBuckets(32), WithValueSize(8))
+		m, err := Open(rma.Open(p), WithBuckets(32), WithValueSize(8))
 		if err != nil {
 			t.Errorf("open: %v", err)
 			panic("dht chaos: open failed")

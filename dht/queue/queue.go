@@ -1,18 +1,14 @@
 // Package queue is a global MPMC task queue on one-sided RMA: any rank
 // enqueues, any rank dequeues, and the queue's owner rank never runs a
-// line of queue code — claims ride fetch-and-add tickets, slot handoff
+// line of queue code — claims ride fetch-and-add tickets and slot handoff
 // rides per-slot sequence words (the Vyukov bounded-queue discipline
-// lifted onto RMA), and backpressure optionally rides the streampipe
-// credit pattern.
+// lifted onto RMA).
 //
 // Layout, all on the owner's exposed region:
 //
 //	off 0   tail ticket   (FetchAdd by producers)
 //	off 8   head ticket   (FetchAdd by consumers)
-//	off 16  consumed      (FetchAdd by consumers, under WithCredits only)
-//	off 24  credit cell   (on EVERY rank's region: consumers push the
-//	                       consumed watermark here with Accumulate(Max))
-//	off 32  slots[i] = [ seq int64 | payload SlotSize bytes ]
+//	off 16  slots[i] = [ seq int64 | payload SlotSize bytes ]
 //
 // A handoff is six RMA operations plus polls. A producer claims ticket t,
 // polls its slot's sequence word until it reads t (free for this lap),
@@ -26,13 +22,7 @@
 //
 // Waiting is remote polling with exponential virtual-time backoff —
 // deterministic, since every poll is serialized at the target in virtual
-// time. WithCredits adds the streampipe-style fast path: consumers bump a
-// shared consumed counter and Accumulate(Max) the watermark into every
-// rank's credit cell every few dequeues, and a stalled producer spins on
-// its LOCAL cell (one memory read) until the watermark proves space,
-// touching the wire only to confirm. That trades the determinism of the
-// pure polling path for less remote traffic under sustained overload,
-// which is why it is opt-in.
+// time.
 package queue
 
 import (
@@ -48,11 +38,9 @@ import (
 )
 
 const (
-	tailOff     = 0
-	headOff     = 8
-	consumedOff = 16
-	creditOff   = 24
-	slotsOff    = 32
+	tailOff  = 0
+	headOff  = 8
+	slotsOff = 16
 )
 
 // Stats is a snapshot of one queue handle's client-side counters.
@@ -60,29 +48,6 @@ type Stats struct {
 	Enqueues, Dequeues int64
 	ProducerPolls      int64 // remote seq polls while waiting for a free slot
 	ConsumerPolls      int64 // remote seq polls while waiting for an item
-	CreditGrants       int64 // Accumulate(Max) broadcasts of the consumed watermark
-	CreditFastPath     int64 // stalls resolved by the local credit cell alone
-}
-
-// Option configures New.
-type Option func(*config)
-
-type config struct {
-	creditEvery int
-}
-
-// WithCredits enables the credit-cell fast path: every `every` dequeues a
-// consumer broadcasts the consumed watermark into all ranks' credit
-// cells, and stalled producers spin locally on their own cell before
-// touching the wire. Trades virtual-time determinism for less remote
-// polling under overload.
-func WithCredits(every int) Option {
-	return func(c *config) {
-		if every < 1 {
-			every = 1
-		}
-		c.creditEvery = every
-	}
 }
 
 // Queue is one rank's handle. Like the rest of the rma surface a handle
@@ -93,41 +58,32 @@ type Queue struct {
 	p     *runtime.Proc
 	order datatype.ByteOrder
 
-	owner    rma.TargetMem   // the owner rank's region: tickets + slots
-	cells    []rma.TargetMem // every rank's region: credit cells
-	local    rma.Region      // this rank's own region (local credit reads)
+	owner    rma.TargetMem // the owner rank's region: tickets + slots
 	slots    int
 	slotSize int
 	stride   int // 8 + slotSize
-	credits  int // grant period; 0 = credits off
 
 	// buf is a slot image, [seq | payload], for publishing puts and polling
-	// gets; its first word also carries the freeing put and credit grants.
+	// gets; its first word also carries the freeing put.
 	buf  rma.Region
 	word [8]byte // host-side encoding of buf's first word
 
-	enqueues, dequeues      stats.Counter
-	producerPolls           stats.Counter
-	consumerPolls           stats.Counter
-	creditGrants, fastPaths stats.Counter
+	enqueues, dequeues stats.Counter
+	producerPolls      stats.Counter
+	consumerPolls      stats.Counter
 }
 
 // New builds a queue handle collectively: every compute rank calls it
 // with the same owner, slots, and slotSize. The owner's region holds the
-// tickets and the slot array; every rank's region holds a credit cell.
-// The owner pre-seeds the slot sequence words (seq[i] = i) before the
-// barrier that makes the queue usable.
-func New(s *rma.Session, owner, slots, slotSize int, opts ...Option) (*Queue, error) {
+// tickets and the slot array. The owner pre-seeds the slot sequence words
+// (seq[i] = i) before the barrier that makes the queue usable.
+func New(s *rma.Session, owner, slots, slotSize int) (*Queue, error) {
 	p := s.Proc()
 	if owner < 0 || owner >= p.Size() {
 		return nil, fmt.Errorf("queue: owner rank %d out of range [0,%d): %w", owner, p.Size(), rma.ErrBadHandle)
 	}
 	if slots <= 0 || slotSize <= 0 {
 		return nil, fmt.Errorf("queue: slots and slot size must be positive (got %d, %d): %w", slots, slotSize, rma.ErrBadHandle)
-	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
 	}
 	stride := 8 + slotSize
 	tms, local, err := s.ExposeCollective(slotsOff + slots*stride)
@@ -139,12 +95,9 @@ func New(s *rma.Session, owner, slots, slotSize int, opts ...Option) (*Queue, er
 		p:        p,
 		order:    p.ByteOrder(),
 		owner:    tms[owner],
-		cells:    tms,
-		local:    local,
 		slots:    slots,
 		slotSize: slotSize,
 		stride:   stride,
-		credits:  cfg.creditEvery,
 		buf:      p.Alloc(stride),
 	}
 	if p.Rank() == owner {
@@ -169,8 +122,6 @@ func (q *Queue) registerMetrics() {
 	_ = reg.Register("queue.dequeues", &q.dequeues)
 	_ = reg.Register("queue.producer_polls", &q.producerPolls)
 	_ = reg.Register("queue.consumer_polls", &q.consumerPolls)
-	_ = reg.Register("queue.credit_grants", &q.creditGrants)
-	_ = reg.Register("queue.credit_fastpath", &q.fastPaths)
 }
 
 // Slots returns the queue capacity.
@@ -184,7 +135,6 @@ func (q *Queue) Stats() Stats {
 	return Stats{
 		Enqueues: q.enqueues.Value(), Dequeues: q.dequeues.Value(),
 		ProducerPolls: q.producerPolls.Value(), ConsumerPolls: q.consumerPolls.Value(),
-		CreditGrants: q.creditGrants.Value(), CreditFastPath: q.fastPaths.Value(),
 	}
 }
 
@@ -239,8 +189,7 @@ func (q *Queue) backoff(attempt int) {
 }
 
 // Enqueue publishes payload (exactly SlotSize bytes). It blocks while the
-// queue is full — credit-based when WithCredits is on, by polling the
-// slot's sequence word otherwise.
+// queue is full, polling the slot's sequence word.
 func (q *Queue) Enqueue(payload []byte) error {
 	if len(payload) != q.slotSize {
 		return fmt.Errorf("queue: payload is %d bytes, slots hold %d: %w", len(payload), q.slotSize, rma.ErrType)
@@ -251,28 +200,8 @@ func (q *Queue) Enqueue(payload []byte) error {
 	}
 	off := q.slotOff(t)
 
-	if q.credits > 0 && t >= int64(q.slots) {
-		// Credit fast path: our local cell carries a monotone lower bound on
-		// the consumed watermark, and consumed > t-slots proves slot t-slots
-		// was freed: its freeing put completed before the consumed bump.
-		fast := false
-		for attempt := 0; ; attempt++ {
-			credit := int64(q.dec64(q.p.ReadLocal(q.local, creditOff, 8)))
-			if t-credit < int64(q.slots) {
-				fast = attempt > 0
-				break
-			}
-			if attempt >= 32 {
-				break // stop burning local spins; confirm over the wire
-			}
-			q.backoff(attempt)
-		}
-		if fast {
-			q.fastPaths.Inc()
-		}
-	}
-	// Authoritative wait: the slot's sequence word reaches t exactly when
-	// the previous lap's consumer freed it (seed: seq[i]=i for lap 0).
+	// The slot's sequence word reaches t exactly when the previous lap's
+	// consumer freed it (seed: seq[i]=i for lap 0).
 	for attempt := 0; ; attempt++ {
 		seq, err := q.s.FetchWord(q.owner, off)
 		if err != nil {
@@ -330,35 +259,6 @@ func (q *Queue) Dequeue() ([]byte, error) {
 	if err := q.publish(off, 8, h+int64(q.slots)); err != nil {
 		return nil, err
 	}
-	if q.credits > 0 {
-		if err := q.credit(); err != nil {
-			return nil, err
-		}
-	}
 	q.dequeues.Inc()
 	return payload, nil
-}
-
-// credit advances the consumed watermark and, every q.credits dequeues,
-// broadcasts it into every rank's credit cell. The freeing put was
-// completed first, so a producer that observes the new watermark finds
-// the slot's seq already applied. Accumulate(Max) makes grants from
-// racing consumers commute: cells only ever move forward.
-func (q *Queue) credit() error {
-	c, err := q.s.FetchAdd(q.owner, consumedOff, 1)
-	if err != nil || (c+1)%int64(q.credits) != 0 {
-		return err
-	}
-	q.setWord(c + 1)
-	for _, cell := range q.cells {
-		if _, err := q.s.Accumulate(rma.Max, q.buf, 1, rma.Int64, cell, creditOff,
-			rma.WithAtomic(), rma.WithNotify()); err != nil {
-			return err
-		}
-	}
-	if err := q.s.Complete(); err != nil {
-		return err
-	}
-	q.creditGrants.Inc()
-	return nil
 }

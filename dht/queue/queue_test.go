@@ -153,67 +153,18 @@ func TestQueueMPMC(t *testing.T) {
 	}
 }
 
-// TestQueueCredits: with the credit fast path on and a producer far ahead
-// of a slow consumer, consumers must broadcast watermark grants. FIFO
-// still holds — credits change only how producers wait, not the slot
-// handoff.
-func TestQueueCredits(t *testing.T) {
-	const items, slots, slotSize = 32, 4, 8
-	grants := make([]int64, 2)
-	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 19})
-	err := w.Run(func(p *runtime.Proc) {
-		s := rma.Open(p)
-		q, err := New(s, 0, slots, slotSize, WithCredits(2))
-		if err != nil {
-			t.Errorf("new: %v", err)
-			panic("queue: new failed")
-		}
-		switch p.Rank() {
-		case 1:
-			for i := 0; i < items; i++ {
-				if err := q.Enqueue(payload(slotSize, 1, i)); err != nil {
-					t.Errorf("enqueue %d: %v", i, err)
-					panic("queue: enqueue failed")
-				}
-			}
-		case 0:
-			for i := 0; i < items; i++ {
-				got, err := q.Dequeue()
-				if err != nil {
-					t.Errorf("dequeue %d: %v", i, err)
-					panic("queue: dequeue failed")
-				}
-				if !bytes.Equal(got, payload(slotSize, 1, i)) {
-					t.Errorf("item %d out of order with credits on: %x", i, got)
-				}
-			}
-			grants[0] = q.Stats().CreditGrants
-		}
-		p.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grants[0] == 0 {
-		t.Fatal("consumer never granted credits despite WithCredits(2)")
-	}
-}
-
 // TestQueueRMAOpsPerHandoff pins the protocol's remote cost at the owner,
 // which runs no queue code: six applied operations per handoff (producer
 // FetchAdd, free-slot poll and publishing put; consumer FetchAdd, polling
-// Get and freeing put) plus one per failed poll. Credits add one consumed
-// FetchAdd per dequeue and one Accumulate per grant the owner receives.
+// Get and freeing put) plus one per failed poll.
 func TestQueueRMAOpsPerHandoff(t *testing.T) {
 	const perProd, slots, slotSize = 24, 4, 16
 	for _, tc := range []struct {
 		name                 string
 		producers, consumers int
-		opts                 []Option
 	}{
-		{"spsc", 1, 1, nil},
-		{"mpmc 2x2", 2, 2, nil},
-		{"mpmc 2x2 credits", 2, 2, []Option{WithCredits(3)}},
+		{"spsc", 1, 1},
+		{"mpmc 2x2", 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ranks := 1 + tc.producers + tc.consumers // rank 0 owns and idles
@@ -223,7 +174,7 @@ func TestQueueRMAOpsPerHandoff(t *testing.T) {
 			w := newWorld(t, runtime.Config{Ranks: ranks, Seed: 29})
 			err := w.Run(func(p *runtime.Proc) {
 				s := rma.Open(p)
-				q, err := New(s, 0, slots, slotSize, tc.opts...)
+				q, err := New(s, 0, slots, slotSize)
 				if err != nil {
 					t.Errorf("new: %v", err)
 					panic("queue: new failed")
@@ -260,14 +211,11 @@ func TestQueueRMAOpsPerHandoff(t *testing.T) {
 			want := int64(6 * items)
 			var dequeues int64
 			for _, r := range st {
-				want += r.ProducerPolls + r.ConsumerPolls + r.CreditGrants
+				want += r.ProducerPolls + r.ConsumerPolls
 				dequeues += r.Dequeues
 			}
 			if dequeues != int64(items) {
 				t.Fatalf("dequeued %d items, want %d", dequeues, items)
-			}
-			if len(tc.opts) > 0 {
-				want += dequeues // the consumed FetchAdd
 			}
 			if applied != want {
 				t.Errorf("owner applied %d operations for %d handoffs, want %d (stats %+v)", applied, items, want, st)

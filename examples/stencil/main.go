@@ -140,15 +140,15 @@ func runStencil(pipelined bool) result {
 		// flight and waits on delivery *counts*, so its pushes carry the
 		// Ordering attribute: count k means the first k pushes applied,
 		// not any k of them. Blocking never overlaps two, so it skips it.
-		var pushOpts []rma.OpOption
+		pushOpts := []rma.OpOption{rma.WithNotify()}
 		if pipelined {
-			pushOpts = []rma.OpOption{rma.WithOrdering()}
+			pushOpts = append(pushOpts, rma.WithOrdering())
 		}
 		push := func(v float64, neighbor, ghostIdx int) *rma.Request {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			p.WriteLocal(scratch, 0, b[:])
-			req, err := s.PutNotify(scratch, 1, rma.Float64, tms[neighbor], ghostIdx*8, pushOpts...)
+			req, err := s.Put(scratch, 1, rma.Float64, tms[neighbor], ghostIdx*8, pushOpts...)
 			if err != nil {
 				log.Fatal(err)
 			}

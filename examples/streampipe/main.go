@@ -105,8 +105,8 @@ func produce(p *runtime.Proc, s *rma.Session) {
 		// Ordering matters: the consumer waits on the cumulative applied
 		// count, and count i+1 must mean records 0..i landed — not any
 		// i+1 of the in-flight window.
-		req, err := s.PutNotify(buf, recBytes, rma.Byte, ring, (i%slots)*recBytes,
-			rma.WithRemoteComplete(), rma.WithOrdering())
+		req, err := s.Put(buf, recBytes, rma.Byte, ring, (i%slots)*recBytes,
+			rma.WithNotify(), rma.WithRemoteComplete(), rma.WithOrdering())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func consume(p *runtime.Proc, s *rma.Session) {
 			p.WriteLocal(credit, 0, b[:])
 			// Ordered so a newer (larger) grant is never overwritten by
 			// an older one still in flight.
-			req, err := s.PutNotify(credit, 8, rma.Byte, creditTM, 0, rma.WithOrdering())
+			req, err := s.Put(credit, 8, rma.Byte, creditTM, 0, rma.WithNotify(), rma.WithOrdering())
 			if err != nil {
 				log.Fatal(err)
 			}

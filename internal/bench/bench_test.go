@@ -76,14 +76,30 @@ func TestSeriesRowsAndSeriesOf(t *testing.T) {
 	}
 }
 
-func TestByNameAndNames(t *testing.T) {
-	for _, name := range Names() {
-		if name == "fig2" || name == "fig1" {
-			continue // too slow to run here; covered below and elsewhere
+// TestExperimentTable: every id and alias names one experiment, Lookup
+// finds each by either, the experiments rmabench runs by default are the
+// paper figures (chaos only on request), and an unknown id is rejected.
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]string{}
+	for _, e := range Experiments {
+		for _, name := range append([]string{e.ID}, e.Aliases...) {
+			if other, dup := seen[name]; dup {
+				t.Errorf("%q names both %s and %s", name, other, e.ID)
+			}
+			seen[name] = e.ID
+			if got, ok := Lookup(name); !ok || got.ID != e.ID {
+				t.Errorf("Lookup(%q) = %q, %v; want %s", name, got.ID, ok, e.ID)
+			}
+		}
+		if e.InAll == (e.ID == "chaos") {
+			t.Errorf("%s: InAll = %v", e.ID, e.InAll)
 		}
 	}
-	if _, ok := ByName("nonsense"); ok {
-		t.Error("ByName accepted an unknown id")
+	if e, ok := Lookup("e6"); !ok || e.ID != "fig1" {
+		t.Errorf("Lookup(e6) = %q, %v; want fig1 (the paper's E6 is Fig. 1)", e.ID, ok)
+	}
+	if _, ok := Lookup("nonsense"); ok {
+		t.Error("Lookup accepted an unknown id")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// The chaos experiment (rmabench -chaos): the seven-writer contention
+// The chaos experiment (rmabench -exp chaos): the seven-writer contention
 // workload runs under a matrix of fault plans and must converge to the
 // exact bytes of the fault-free run. Unlike the Figure 2 cells the
 // writers own disjoint slots — a put slot finalized per round and an

@@ -29,19 +29,11 @@ func TestChaosSmoke(t *testing.T) {
 // TestChaosRegistered: the chaos experiment is reachable by id and its
 // verdict notes carry the documented seed.
 func TestChaosRegistered(t *testing.T) {
-	found := false
-	for _, n := range Names() {
-		if n == "chaos" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("chaos missing from Names()")
-	}
-	res, ok := ByName("chaos")
+	e, ok := Lookup("chaos")
 	if !ok {
-		t.Fatal("ByName(chaos) not found")
+		t.Fatal("chaos missing from Experiments")
 	}
+	res := e.Run()
 	for _, note := range res.Failures() {
 		t.Errorf("chaos verification failed: %s", note)
 	}

@@ -44,16 +44,10 @@ func TestE13ProbeCell(t *testing.T) {
 }
 
 // TestE13Registered: the experiment is reachable through the rmabench
-// registry (ByName would run the full grid, so only the listing is
+// registry (Run would run the full grid, so only the listing is
 // checked here).
 func TestE13Registered(t *testing.T) {
-	found := false
-	for _, n := range Names() {
-		if n == "e13" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("e13 missing from Names()")
+	if _, ok := Lookup("e13"); !ok {
+		t.Fatal("e13 missing from Experiments")
 	}
 }

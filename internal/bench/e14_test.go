@@ -24,16 +24,10 @@ func TestE14Smoke(t *testing.T) {
 }
 
 // TestE14Registered: the experiment is reachable through the rmabench
-// registry (ByName would run the full grid, so only the listing is
+// registry (Run would run the full grid, so only the listing is
 // checked here).
 func TestE14Registered(t *testing.T) {
-	found := false
-	for _, n := range Names() {
-		if n == "e14" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("e14 missing from Names()")
+	if _, ok := Lookup("e14"); !ok {
+		t.Fatal("e14 missing from Experiments")
 	}
 }

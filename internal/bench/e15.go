@@ -99,15 +99,15 @@ func runE15Halo(pipelined bool, grain vtime.Duration) e15Outcome {
 		// pushes carry Ordering, turning "count reached k" into "the
 		// first k pushes landed". The blocking variant's complete+barrier
 		// never leaves two in flight, so it skips that cost.
-		var pushOpts []rma.OpOption
+		pushOpts := []rma.OpOption{rma.WithNotify()}
 		if pipelined {
-			pushOpts = []rma.OpOption{rma.WithOrdering()}
+			pushOpts = append(pushOpts, rma.WithOrdering())
 		}
 		push := func(val uint64, parity int) {
 			binary.LittleEndian.PutUint64(rec, val)
 			p.WriteLocal(buf, 0, rec)
 			for _, dst := range []struct{ nb, side int }{{left, 1}, {right, 0}} {
-				req, err := s.PutNotify(buf, E15Halo, rma.Byte, tms[dst.nb], ghost(dst.side, parity), pushOpts...)
+				req, err := s.Put(buf, E15Halo, rma.Byte, tms[dst.nb], ghost(dst.side, parity), pushOpts...)
 				if err != nil {
 					panic(err)
 				}

@@ -45,13 +45,7 @@ func TestE15Notes(t *testing.T) {
 // TestE15Registered: the experiment is reachable through the rmabench
 // registry.
 func TestE15Registered(t *testing.T) {
-	found := false
-	for _, n := range Names() {
-		if n == "e15" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("e15 missing from Names()")
+	if _, ok := Lookup("e15"); !ok {
+		t.Fatal("e15 missing from Experiments")
 	}
 }

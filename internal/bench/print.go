@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -134,65 +135,39 @@ func extraColumns(res Result) []string {
 	return out
 }
 
-// All runs every experiment in catalogue order.
-func All() []Result {
-	return []Result{
-		RunFig2(),
-		RunFig1(),
-		RunE3(),
-		RunE4(),
-		RunE5(),
-		RunE7(),
-		RunE8(),
-		RunE9(),
-		RunE10(),
-		RunE11(),
-		RunE12(),
-		RunE13(),
-		RunE14(),
-		RunE15(),
-	}
+// An Experiment is one row of the catalogue rmabench runs and lists.
+type Experiment struct {
+	ID      string
+	Aliases []string // other ids Lookup accepts
+	Run     func() Result
+	InAll   bool // run when rmabench is given no -exp
 }
 
-// ByName runs one experiment by id; ok is false for unknown ids.
-func ByName(name string) (Result, bool) {
-	switch name {
-	case "fig2":
-		return RunFig2(), true
-	case "fig1", "e6":
-		return RunFig1(), true
-	case "e3":
-		return RunE3(), true
-	case "e4":
-		return RunE4(), true
-	case "e5":
-		return RunE5(), true
-	case "e7":
-		return RunE7(), true
-	case "e8":
-		return RunE8(), true
-	case "e9":
-		return RunE9(), true
-	case "e10":
-		return RunE10(), true
-	case "e11":
-		return RunE11(), true
-	case "e12":
-		return RunE12(), true
-	case "e13":
-		return RunE13(), true
-	case "e14":
-		return RunE14(), true
-	case "e15":
-		return RunE15(), true
-	case "chaos":
-		return RunChaos(), true
-	default:
-		return Result{}, false
-	}
+// Experiments is the catalogue, in the order rmabench runs and lists it.
+var Experiments = []Experiment{
+	{"fig2", nil, RunFig2, true},
+	{"fig1", []string{"e6"}, RunFig1, true},
+	{"e3", nil, RunE3, true},
+	{"e4", nil, RunE4, true},
+	{"e5", nil, RunE5, true},
+	{"e7", nil, RunE7, true},
+	{"e8", nil, RunE8, true},
+	{"e9", nil, RunE9, true},
+	{"e10", nil, RunE10, true},
+	{"e11", nil, RunE11, true},
+	{"e12", nil, RunE12, true},
+	{"e13", nil, RunE13, true},
+	{"e14", nil, RunE14, true},
+	{"e15", nil, RunE15, true},
+	{"chaos", nil, RunChaos, false},
 }
 
-// Names lists the experiment ids ByName accepts.
-func Names() []string {
-	return []string{"fig2", "fig1", "e3", "e4", "e5", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "chaos"}
+// Lookup returns the experiment whose id or alias is name.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == name || slices.Contains(e.Aliases, name) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }

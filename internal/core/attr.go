@@ -187,10 +187,11 @@ func (o AccOp) String() string {
 	}
 }
 
-// Defaults for the modelled cost of applying data into target memory.
+// The modelled cost of applying data into target memory: a fixed
+// overhead per update plus Options.ApplyPerKB per KiB.
 const (
 	// DefaultApplyOverhead is the fixed virtual-time cost of one memory
-	// update at the target.
+	// update at the target, on every engine.
 	DefaultApplyOverhead = 100 * time.Nanosecond
 	// DefaultApplyPerKB is the virtual-time cost of updating 1024 bytes
 	// of target memory (256ns/KB ≈ 4 GB/s of apply bandwidth).

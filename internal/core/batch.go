@@ -9,8 +9,6 @@ import (
 	"sync"
 
 	"mpi3rma/internal/datatype"
-	"mpi3rma/internal/memsim"
-	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
@@ -146,7 +144,7 @@ func (e *Engine) batchable(op OpType, attrs Attr, packed int) bool {
 	if attrs&AttrAtomic != 0 && e.targetUsesCoarseLock() {
 		return false
 	}
-	return packed <= e.opts.BatchBytes
+	return packed <= DefaultBatchBytes
 }
 
 // flushTarget transmits the target's pending issue ring, if any, as one
@@ -248,13 +246,6 @@ func (e *Engine) Flush() {
 	for _, w := range worlds {
 		e.flushTarget(w)
 	}
-}
-
-// PutNotify is Put with the Notify attribute: a notified put whose
-// application the target reports back on a cumulative delivery counter
-// (the UNR-style notified operation), feeding the Complete fast path.
-func (e *Engine) PutNotify(origin memsim.Region, ocount int, odt datatype.Type, tm TargetMem, tdisp, tcount int, tdt datatype.Type, trank int, comm *runtime.Comm, attrs Attr) (*Request, error) {
-	return e.xfer(OpPut, AccNone, 0, origin, ocount, odt, tm, tdisp, tcount, tdt, trank, comm, attrs|AttrNotify)
 }
 
 // wireOp is one put or accumulate as the target applies it: a decoded

@@ -68,9 +68,6 @@ type Options struct {
 	// Atomicity selects the serializer mechanism backing the Atomic
 	// attribute (default MechThread, the cheap case of Figure 2).
 	Atomicity serializer.Mechanism
-	// ApplyOverhead is the fixed virtual-time cost of one target memory
-	// update (0 = DefaultApplyOverhead).
-	ApplyOverhead time.Duration
 	// ApplyPerKB is the virtual-time cost of updating 1024 bytes of
 	// target memory (0 = DefaultApplyPerKB).
 	ApplyPerKB time.Duration
@@ -88,15 +85,11 @@ type Options struct {
 	// small puts/accumulates per (origin, target) pair are coalesced into
 	// one aggregated wire message, unpacked and applied individually at
 	// the target. 0 disables batching. A pending batch is flushed when it
-	// reaches BatchOps operations or BatchBytes payload bytes, when a
-	// non-batchable operation (get, RMW, active message, blocking or
+	// reaches BatchOps operations or DefaultBatchBytes payload bytes, when
+	// a non-batchable operation (get, RMW, active message, blocking or
 	// coarse-locked atomic op) is issued to the same target, and by
 	// Flush/Order/Complete.
 	BatchOps int
-	// BatchBytes bounds the accumulated payload of one batch (0 =
-	// DefaultBatchBytes). Operations larger than BatchBytes bypass the
-	// batch entirely — aggregation only pays off for small operations.
-	BatchBytes int
 	// ApplyShards partitions each exposed target memory into this many
 	// fixed byte-range shards, each charging its applies to a modelled
 	// lane instead of the per-origin lanes of the serial target path.
@@ -108,30 +101,20 @@ type Options struct {
 	ApplyShards int
 	// ApplyWorkers is the number of modelled apply lanes the shards share,
 	// shard s charging lane s mod ApplyWorkers (0 = one lane per shard).
-	// Setting ApplyWorkers > 1 with ApplyShards unset enables sharding with
-	// ApplyWorkers shards.
 	ApplyWorkers int
 }
 
-// DefaultBatchBytes is the per-batch payload bound when Options.BatchOps
-// is set but BatchBytes is 0.
+// DefaultBatchBytes bounds the accumulated payload of one batch.
+// Operations larger than it bypass the batch entirely: aggregation only
+// pays off for small operations.
 const DefaultBatchBytes = 8192
 
 func (o Options) withDefaults() Options {
-	if o.ApplyOverhead == 0 {
-		o.ApplyOverhead = DefaultApplyOverhead
-	}
 	if o.ApplyPerKB == 0 {
 		o.ApplyPerKB = DefaultApplyPerKB
 	}
 	if o.AddrBits == 0 {
 		o.AddrBits = 64
-	}
-	if o.BatchOps > 0 && o.BatchBytes == 0 {
-		o.BatchBytes = DefaultBatchBytes
-	}
-	if o.ApplyShards <= 1 && o.ApplyWorkers > 1 {
-		o.ApplyShards = o.ApplyWorkers
 	}
 	if o.ApplyShards > 1 && o.ApplyWorkers <= 0 {
 		o.ApplyWorkers = o.ApplyShards
@@ -449,7 +432,7 @@ func (e *Engine) laneForLocked(src int) *vtime.Clock {
 
 // applyCost models the virtual time of depositing n payload bytes.
 func (e *Engine) applyCost(n int) time.Duration {
-	return e.opts.ApplyOverhead + time.Duration(int64(n)*int64(e.opts.ApplyPerKB)/1024)
+	return DefaultApplyOverhead + time.Duration(int64(n)*int64(e.opts.ApplyPerKB)/1024)
 }
 
 // Progress drains atomic operations deferred by the MechProgress

@@ -96,7 +96,7 @@ func TestEventsDeliveryAndQuiescence(t *testing.T) {
 		}
 		scratch := p.Alloc(8)
 		for i := 0; i < ops; i++ {
-			if _, err := e.PutNotify(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone); err != nil {
+			if _, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNotify); err != nil {
 				t.Fatalf("put %d: %v", i, err)
 			}
 		}
@@ -212,7 +212,7 @@ func TestSelectArms(t *testing.T) {
 		scratch := p.Alloc(8)
 		var reqs []*Request
 		for i := 0; i < ops; i++ {
-			r, err := e.PutNotify(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrRemoteComplete)
+			r, err := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNotify|AttrRemoteComplete)
 			if err != nil {
 				t.Fatalf("put %d: %v", i, err)
 			}

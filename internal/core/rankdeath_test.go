@@ -489,7 +489,7 @@ func ksRun(t *testing.T, batched bool, wait func(*Engine, *runtime.Comm) error, 
 	if batched {
 		opts.BatchOps = 4
 	}
-	w := newWorld(t, runtime.Config{Ranks: rdCompute, Spares: 1, MemSize: 1 << 16, Seed: 7, Faults: plan})
+	w := newWorld(t, runtime.Config{Ranks: rdCompute, Spares: 1, Seed: 7, Faults: plan})
 	runBounded(t, w, 10*time.Second, func(p *runtime.Proc) {
 		e := Attach(p, opts)
 		if err := e.EnableReplication(); err != nil {

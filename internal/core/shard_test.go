@@ -108,13 +108,14 @@ func TestRouteShard(t *testing.T) {
 // TestShardLaneModelScaling: a balanced load over 7 shards ends, in
 // modelled time, when the busiest lane does — ceil(shards/workers) shards
 // of tasks/shards tasks each — exactly, because each apply's end is fixed
-// by its lane when it is routed.
+// by its lane when it is routed. A task deposits no bytes, so each costs
+// exactly DefaultApplyOverhead.
 func TestShardLaneModelScaling(t *testing.T) {
 	const shards, tasks, slot = 7, 700, 16
-	const cost = 1000 * time.Nanosecond
+	const cost = DefaultApplyOverhead
 	for _, workers := range []int{1, 2, 4, 7} {
 		runBounded(t, newWorld(t, runtime.Config{Ranks: 1}), time.Minute, func(p *runtime.Proc) {
-			e := Attach(p, Options{ApplyShards: shards, ApplyWorkers: workers, ApplyOverhead: cost})
+			e := Attach(p, Options{ApplyShards: shards, ApplyWorkers: workers})
 			exp := &exposure{region: memsim.Region{Size: shards * slot}}
 			for i := 0; i < tasks; i++ {
 				// A kind apply has no branch for: only routing and the lane run.

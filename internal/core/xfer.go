@@ -266,7 +266,7 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 		if attrs&AttrRemoteComplete != 0 {
 			ring.remote = append(ring.remote, req)
 		}
-		full = len(ring.reqs) >= e.opts.BatchOps || ring.bytes >= e.opts.BatchBytes
+		full = len(ring.reqs) >= e.opts.BatchOps || ring.bytes >= DefaultBatchBytes
 	}
 	epoch := ts.chkEpoch
 	ts.sent++

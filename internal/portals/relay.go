@@ -61,11 +61,6 @@ type RetryPolicy struct {
 	// Budget is how many retransmissions the relay attempts before
 	// declaring the link failed.
 	Budget int
-	// Window bounds how many out-of-order frames a receiver holds per
-	// link while reassembling the RSeq stream on ordered networks.
-	// Frames beyond the window are dropped unacknowledged (the origin
-	// retransmits them once the gap heals).
-	Window int
 }
 
 // Defaults for zero RetryPolicy fields.
@@ -73,8 +68,13 @@ const (
 	DefaultRetryTimeout = 50 * time.Microsecond
 	DefaultRetryBackoff = 2.0
 	DefaultRetryBudget  = 8
-	DefaultRetryWindow  = 256
 )
+
+// DefaultRetryWindow bounds how many out-of-order frames a receiver holds
+// per link while reassembling the RSeq stream on ordered networks. Frames
+// beyond the window are dropped unacknowledged (the origin retransmits
+// them once the gap heals).
+const DefaultRetryWindow = 256
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Timeout <= 0 {
@@ -85,9 +85,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Budget <= 0 {
 		p.Budget = DefaultRetryBudget
-	}
-	if p.Window <= 0 {
-		p.Window = DefaultRetryWindow
 	}
 	return p
 }
@@ -180,9 +177,10 @@ type rxLink struct {
 
 // EnableReliability turns on the transmit relay: every subsequent
 // NIC.Send/NIC.SendNIC is sequence-stamped, checksummed and retransmitted
-// until acknowledged. The first call wins; later calls are no-ops (SPMD
-// ranks may all pass the same policy). Without it the send path pays one
-// atomic nil check and nothing else.
+// until acknowledged. runtime.NewWorld calls it on every NIC when the
+// world has a fault plan or a retry policy. The first call wins; later
+// calls are no-ops. Without it the send path pays one atomic nil check and
+// nothing else.
 func (n *NIC) EnableReliability(pol RetryPolicy) {
 	n.relay.CompareAndSwap(nil, &relay{n: n, pol: pol.withDefaults(), mu: lockrank.Mutex{Rank: lockrank.Relay}, links: make(map[int]*txLink)})
 }
@@ -444,7 +442,7 @@ func (n *NIC) rxAdmit(m *simnet.Message) {
 		return
 	}
 	if m.RSeq != l.win.base+1 {
-		if len(l.held) >= n.rxWindow() {
+		if len(l.held) >= DefaultRetryWindow {
 			// Reassembly window full: drop unacknowledged; the origin
 			// retransmits after the gap heals.
 			return
@@ -468,15 +466,6 @@ func (n *NIC) rxAdmit(m *simnet.Message) {
 		l.win.base++
 		n.dispatchKind(h)
 	}
-}
-
-// rxWindow returns the receiver reassembly bound: the local policy's if a
-// relay is enabled, the default otherwise (reception is always on).
-func (n *NIC) rxWindow() int {
-	if r := n.relay.Load(); r != nil {
-		return r.pol.Window
-	}
-	return DefaultRetryWindow
 }
 
 // LinkStatus is a point-in-time observation of one transmit link's

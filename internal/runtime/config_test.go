@@ -89,6 +89,23 @@ func TestFaultPlanPlumbed(t *testing.T) {
 	}
 }
 
+// TestNewWorldRejectsBadCounts: a world needs at least one rank and cannot
+// have fewer than zero spares. A negative spare count would build fewer
+// processes than Size reports, and the first collective would address a
+// rank the network does not have.
+func TestNewWorldRejectsBadCounts(t *testing.T) {
+	for _, cfg := range []Config{{Ranks: 0}, {Ranks: -1}, {Ranks: 3, Spares: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewWorld(Ranks %d, Spares %d) did not panic", cfg.Ranks, cfg.Spares)
+				}
+			}()
+			NewWorld(cfg).Close()
+		}()
+	}
+}
+
 // TestDeepExchangeInOrder: one rank sends a run of messages before the
 // other receives any; none wedges the sender and all arrive in order.
 func TestDeepExchangeInOrder(t *testing.T) {

@@ -238,7 +238,7 @@ func (p *Proc) ExtPeek(key string) (any, bool) {
 }
 
 // Alloc carves a region out of the rank's memory, panicking on exhaustion
-// (rank memory is bounded by Config.MemSize).
+// (rank memory is bounded by DefaultMemSize).
 func (p *Proc) Alloc(size int) memsim.Region {
 	return p.mem.MustAlloc(size)
 }

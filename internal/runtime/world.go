@@ -25,9 +25,9 @@ import (
 	"mpi3rma/internal/simnet"
 )
 
-// DefaultMemSize is the per-rank memory bound when Config.MemSize is 0. It
-// bounds a rank's accesses and allocations; it is not what a rank costs,
-// since memsim backs only the bytes a rank has touched.
+// DefaultMemSize is the per-rank memory bound: the limit on a rank's
+// offsets and allocations. It is not what a rank costs, since memsim backs
+// only the bytes a rank has touched.
 const DefaultMemSize = 16 << 20
 
 // Config configures a World.
@@ -53,10 +53,6 @@ type Config struct {
 	// SoftwareAcks disables hardware acknowledgement generation,
 	// modelling networks that cannot report remote completion (E4).
 	SoftwareAcks bool
-	// MemSize is the per-rank memory bound in bytes (0 = DefaultMemSize):
-	// the limit on a rank's offsets and allocations, not a cost paid up
-	// front. A rank's memory is backed only up to the highest byte touched.
-	MemSize int
 	// Coherence returns the memory coherence model for a rank; nil means
 	// every rank is cache-coherent.
 	Coherence func(rank int) memsim.Coherence
@@ -99,8 +95,8 @@ func NewWorld(cfg Config) *World {
 	if cfg.Ranks <= 0 {
 		panic("runtime: Config.Ranks must be positive")
 	}
-	if cfg.MemSize == 0 {
-		cfg.MemSize = DefaultMemSize
+	if cfg.Spares < 0 {
+		panic("runtime: Config.Spares must not be negative")
 	}
 	total := cfg.Ranks + cfg.Spares
 	net := simnet.New(simnet.Config{
@@ -126,7 +122,7 @@ func NewWorld(cfg Config) *World {
 		if cfg.ByteOrder != nil {
 			order = cfg.ByteOrder(r)
 		}
-		mem := memsim.New(memsim.Config{Size: cfg.MemSize, Coherence: coh})
+		mem := memsim.New(memsim.Config{Size: DefaultMemSize, Coherence: coh})
 		w.nics[r] = portals.NewNIC(net.Endpoint(r), mem, portals.Config{HardwareAcks: !cfg.SoftwareAcks})
 		w.procs[r] = newProc(w, r, w.nics[r], mem, order)
 		if cfg.Faults != nil || cfg.Retry != nil {

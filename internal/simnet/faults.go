@@ -149,9 +149,9 @@ func (p *FaultPlan) linkFaults(src, dst int, at vtime.Time) LinkFaults {
 	return lf
 }
 
-// SetFaults installs a fault plan on the network. The first non-nil
-// install wins (so every rank of an SPMD program may pass the same plan);
-// later calls are no-ops. Passing nil never clears an installed plan.
+// SetFaults installs a fault plan on the network (runtime.NewWorld does,
+// from Config.Faults). The first non-nil install wins; later calls are
+// no-ops. Passing nil never clears an installed plan.
 // With no plan installed the send path pays one atomic load and nothing
 // else.
 func (n *Network) SetFaults(plan *FaultPlan) {

@@ -48,12 +48,7 @@ func (c *facadeCtx) put(opts ...rma.OpOption) {
 
 func (c *facadeCtx) putNotify() {
 	c.notified++
-	req, err := c.s.PutNotify(c.src, 1, rma.Int64, c.tm, 0)
-	if err != nil {
-		c.t.Fatalf("put notify: %v", err)
-	}
-	req.Wait()
-	c.settle()
+	c.put(rma.WithNotify())
 }
 
 // facadeAllocs is internal/core's allocation table (allocTable there, and

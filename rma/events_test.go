@@ -52,7 +52,7 @@ func TestFacadeEvents(t *testing.T) {
 		var fired atomic.Int32
 		pending := make([]*rma.Request, 0, ops)
 		for i := 0; i < ops; i++ {
-			req, err := s.PutNotify(src, 1, rma.Byte, tm, i, rma.WithRemoteComplete())
+			req, err := s.Put(src, 1, rma.Byte, tm, i, rma.WithNotify(), rma.WithRemoteComplete())
 			if err != nil {
 				t.Fatalf("put %d: %v", i, err)
 			}
@@ -91,7 +91,7 @@ func TestFacadeEvents(t *testing.T) {
 		}
 		// After-the-fact registration runs inline with the final error.
 		var late atomic.Int32
-		req, err := s.PutNotify(src, 1, rma.Byte, tm, 0, rma.WithRemoteComplete())
+		req, err := s.Put(src, 1, rma.Byte, tm, 0, rma.WithNotify(), rma.WithRemoteComplete())
 		if err != nil {
 			t.Fatalf("late put: %v", err)
 		}

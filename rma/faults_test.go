@@ -10,17 +10,17 @@ import (
 	"mpi3rma/rma"
 )
 
-// TestFacadeWithFaults: a session opened with a fault plan survives a
+// TestFacadeWithFaults: a session on a world with a fault plan survives a
 // lossy wire — the relay retransmits until the put converges — and the
-// injected faults are visible in the metrics registry.
+// injected faults are counted by the network.
 func TestFacadeWithFaults(t *testing.T) {
-	world := newWorld(t, runtime.Config{Ranks: 2})
 	plan := &rma.FaultPlan{
 		Seed:    21,
 		Default: rma.LinkFaults{Drop: 0.2, Dup: 0.2},
 	}
+	world := newWorld(t, runtime.Config{Ranks: 2, Faults: plan})
 	err := world.Run(func(p *runtime.Proc) {
-		s := rma.Open(p, rma.WithFaults(plan), rma.WithMetrics())
+		s := rma.Open(p, rma.WithMetrics())
 		if p.Rank() == 0 {
 			tm, region := s.Expose(64)
 			p.Send(1, 0, tm.Encode())
@@ -61,18 +61,16 @@ func TestFacadeWithFaults(t *testing.T) {
 // budget, Complete surfaces the wrapped ErrLinkFailed sentinel and
 // Session.Err() reports the degradation — within bounded time.
 func TestFacadeLinkFailure(t *testing.T) {
-	world := newWorld(t, runtime.Config{Ranks: 2})
 	plan := &rma.FaultPlan{
 		Seed:  22,
 		Links: map[rma.LinkKey]rma.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}},
 	}
+	world := newWorld(t, runtime.Config{Ranks: 2, Faults: plan, Retry: &rma.RetryPolicy{Budget: 2}})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		err := world.Run(func(p *runtime.Proc) {
-			s := rma.Open(p,
-				rma.WithFaults(plan),
-				rma.WithRetryPolicy(rma.RetryPolicy{Budget: 2}))
+			s := rma.Open(p)
 			if p.Rank() == 1 {
 				tm, _ := s.Expose(64)
 				p.Send(0, 0, tm.Encode())

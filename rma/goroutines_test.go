@@ -51,8 +51,8 @@ func TestGoroutinesPerRank(t *testing.T) {
 	}{
 		{"default", runtime.Config{Ranks: 2}, nil, map[string]int{"rank": 2}},
 		{"shards7", runtime.Config{Ranks: 2}, []rma.SessionOption{rma.WithApplyShards(7)}, map[string]int{"rank": 2}},
-		{"faults", runtime.Config{Ranks: 2}, []rma.SessionOption{rma.WithFaults(faults)}, map[string]int{"rank": 2}},
-		{"replication", runtime.Config{Ranks: 2}, []rma.SessionOption{rma.WithFaults(faults), rma.WithReplication()}, map[string]int{"rank": 2}},
+		{"faults", runtime.Config{Ranks: 2, Faults: faults}, nil, map[string]int{"rank": 2}},
+		{"replication", runtime.Config{Ranks: 2, Faults: faults}, []rma.SessionOption{rma.WithReplication()}, map[string]int{"rank": 2}},
 		{"unordered", runtime.Config{Ranks: 2, UnorderedNet: true, Seed: 7}, nil, map[string]int{"rank": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

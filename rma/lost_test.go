@@ -81,7 +81,7 @@ func TestLostRequest(t *testing.T) {
 			_ = s.Complete(tm.Owner)
 		}, 0},
 		{"collective completion is fine", func(s *rma.Session, p *runtime.Proc, tm rma.TargetMem) {
-			_, _ = s.PutNotify(p.Alloc(8), 1, rma.Int64, tm, 0)
+			_, _ = s.Put(p.Alloc(8), 1, rma.Int64, tm, 0, rma.WithNotify())
 			_ = s.CompleteCollective()
 		}, 0},
 		{"kept and waited is fine", func(s *rma.Session, p *runtime.Proc, tm rma.TargetMem) {

@@ -2,17 +2,16 @@ package rma
 
 import (
 	"mpi3rma/internal/core"
-	"mpi3rma/internal/portals"
 	"mpi3rma/internal/serializer"
-	"mpi3rma/internal/simnet"
 )
 
 // The option taxonomy is enforced by the compiler:
 //
 //   - SessionOption configures a Session and is accepted only by Open —
-//     batching, the atomicity mechanism, telemetry, faults,
-//     replication, the apply shards. Passing one to a transfer call does
-//     not compile.
+//     batching, the atomicity mechanism, telemetry, replication, the
+//     apply shards. Passing one to a transfer call does not compile.
+//     Fault plans and retry policies are not session options: they
+//     belong to the world (runtime.Config.Faults, runtime.Config.Retry).
 //   - OpOption configures a single operation and is accepted only by the
 //     transfer calls (Put, Get, Accumulate, FetchAdd, ...). Today that is
 //     the per-operation attributes plus WithTargetLayout.
@@ -77,8 +76,6 @@ type sessionConfig struct {
 	tracing   bool
 	traceCap  int
 	checker   bool
-	faults    *simnet.FaultPlan
-	retry     *portals.RetryPolicy
 	flight    bool
 	flightDir string
 	replicate bool
@@ -160,17 +157,12 @@ func WithTargetLayout(tcount int, tdt Type) OpOption {
 
 // WithBatch enables origin-side operation batching: up to maxOps small
 // puts/accumulates per target are coalesced into one aggregated wire
-// message, amortizing per-message overhead. Batches flush when full, when
-// a non-batchable operation targets the same rank, and at
-// Flush/Order/Complete.
+// message, amortizing per-message overhead. A batch holds at most
+// core.DefaultBatchBytes of payload, and larger operations bypass it.
+// Batches flush when full, when a non-batchable operation targets the
+// same rank, and at Flush/Order/Complete.
 func WithBatch(maxOps int) SessionOption {
 	return sessionOption(func(c *sessionConfig) { c.opts.BatchOps = maxOps })
-}
-
-// WithBatchBytes bounds one batch's accumulated payload (default rma core
-// DefaultBatchBytes). Larger operations bypass batching.
-func WithBatchBytes(n int) SessionOption {
-	return sessionOption(func(c *sessionConfig) { c.opts.BatchBytes = n })
 }
 
 // WithAtomicity selects the serializer mechanism backing the Atomic
@@ -186,16 +178,10 @@ func WithAtomicity(m serializer.Mechanism) SessionOption {
 // while spanning and ordered operations route through a designated shard
 // and atomic ones through the serializer (DESIGN.md §10). Every apply runs
 // as it is delivered, in routing order, so the final bytes equal the
-// serial engine's. The default (0 or 1) is the serial engine.
+// serial engine's. Each shard has its own lane. The default (0 or 1) is
+// the serial engine.
 func WithApplyShards(n int) SessionOption {
 	return sessionOption(func(c *sessionConfig) { c.opts.ApplyShards = n })
-}
-
-// WithApplyWorkers sets the number of modelled apply lanes the shards
-// share, shard s charging lane s mod n (0 = one lane per shard). Passing
-// WithApplyWorkers alone enables sharding with that many shards.
-func WithApplyWorkers(n int) SessionOption {
-	return sessionOption(func(c *sessionConfig) { c.opts.ApplyWorkers = n })
 }
 
 // WithMetrics enables the telemetry registry at Open: every engine, NIC
@@ -224,37 +210,17 @@ func WithEvents(capacity int) SessionOption {
 	return sessionOption(func(*sessionConfig) {})
 }
 
-// WithFaults installs a deterministic fault-injection plan on the world's
-// network at Open and enables the reliable-delivery relay on this rank's
-// NIC so the session survives the injected faults (chaos testing; see
-// DESIGN.md §9). The network accepts the first plan installed; SPMD ranks
-// should all pass the same plan, and must Open before communicating so no
-// traffic predates relay protection. Faults exhaust retry budgets into
-// ErrLinkFailed — observe degradation via Session.Err().
-func WithFaults(plan *FaultPlan) SessionOption {
-	return sessionOption(func(c *sessionConfig) { c.faults = plan })
-}
-
-// WithRetryPolicy tunes (and enables, even without a fault plan) the
-// reliable-delivery relay at Open: virtual-time retransmit timeout,
-// exponential backoff, retry budget, and receiver reassembly window.
-// Zero fields take the portals defaults. On a lossless default wire the
-// relay never retransmits — pair this with WithFaults (or a fault plan
-// installed elsewhere) for it to matter.
-func WithRetryPolicy(p RetryPolicy) SessionOption {
-	return sessionOption(func(c *sessionConfig) { c.retry = &p })
-}
-
 // WithReplication enables buddy replication at Open: every region this
 // rank exposes afterwards is mirrored in-band to its buddy rank
 // ((rank+1) mod worldsize), and each mutating operation completes only
 // once the buddy has acknowledged its bytes — so a returned Complete
 // means the update survives this rank's death. When the failure detector
-// declares a rank dead (see WithFaults rank-kill schedules), the buddy
+// declares a rank dead (see the rank-kill schedules of
+// runtime.Config.Faults), the buddy
 // promotes its replicas onto a spare rank (runtime.Config.Spares) and the
 // world resumes; origins re-fetch the spare's descriptors and carry on.
 // Metadata cost is O(1) per rank: one buddy binding and a version counter
-// per exposed region. Pair it with WithFaults — without a fault plan no
+// per exposed region. Pair it with a world fault plan — without one no
 // rank ever dies and the option only adds mirroring traffic. SPMD ranks
 // (including spares) should all pass it.
 func WithReplication() SessionOption {

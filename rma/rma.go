@@ -17,9 +17,12 @@
 //
 // Per-operation attributes — the paper's central design point — are
 // functional options (WithOrdering, WithAtomic, WithRemoteComplete,
-// WithBlocking, WithNotify). Session-level behaviour (operation batching,
-// the atomicity mechanism, engine-wide default attributes) is configured by
-// options passed to Open.
+// WithBlocking, WithNotify); a notified put is Put with WithNotify.
+// Session-level behaviour (operation batching, the atomicity mechanism,
+// engine-wide default attributes) is configured by options passed to Open.
+// Whatever the ranks must agree on — fault plans, the retry policy of the
+// reliable-delivery relay, spares — is configured once, on the world
+// (runtime.Config), not rank by rank.
 //
 // Transfers default to a symmetric layout: the count and datatype given
 // for the origin buffer also describe the target side. Use
@@ -59,10 +62,10 @@ type (
 	Conflict = checker.Conflict
 )
 
-// Fault-injection and reliable-delivery types (see WithFaults /
-// WithRetryPolicy): a FaultPlan describes, per directed link and window
-// of virtual time, how the simulated wire misbehaves; a RetryPolicy tunes
-// the relay that survives it.
+// Fault-injection and reliable-delivery types, installed on the world
+// (runtime.Config.Faults, runtime.Config.Retry): a FaultPlan describes,
+// per directed link and window of virtual time, how the simulated wire
+// misbehaves; a RetryPolicy tunes the relay that survives it.
 type (
 	FaultPlan   = simnet.FaultPlan
 	LinkFaults  = simnet.LinkFaults
@@ -179,9 +182,6 @@ func Open(p *runtime.Proc, opts ...SessionOption) *Session {
 	if cfg.checker {
 		s.eng.AddAccessRecorder(checker.ForWorld(p.NIC().Endpoint().Network()))
 	}
-	if cfg.faults != nil {
-		p.NIC().Endpoint().Network().SetFaults(cfg.faults)
-	}
 	if cfg.replicate {
 		// Session-only, and SPMD like the rest: every rank (spares
 		// included) arms replication before exposing protected regions.
@@ -189,13 +189,6 @@ func Open(p *runtime.Proc, opts ...SessionOption) *Session {
 		if err := s.eng.EnableReplication(); err != nil {
 			panic(err)
 		}
-	}
-	if cfg.faults != nil || cfg.retry != nil {
-		var pol RetryPolicy
-		if cfg.retry != nil {
-			pol = *cfg.retry
-		}
-		p.NIC().EnableReliability(pol)
 	}
 	return s
 }
@@ -369,15 +362,6 @@ func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp in
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
 	return s.eng.Put(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.proc.Comm(), c.attrs)
-}
-
-// PutNotify is Put with the Notify attribute: the target reports the
-// operation's application on a delivery counter, feeding Complete's
-// probe-free fast path. WithNotify is implied and changes nothing here.
-func (s *Session) PutNotify(origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
-	c := buildOpConfig(opts)
-	tcount, tdt := c.targetLayout(count, dt)
-	return s.eng.PutNotify(origin, count, dt, dst, tdisp, tcount, tdt, dst.Owner, s.proc.Comm(), c.attrs)
 }
 
 // Get transfers count elements of dt from src at byte displacement tdisp

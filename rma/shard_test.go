@@ -9,7 +9,7 @@ import (
 )
 
 // TestFacadeSharding drives the sharded target through the public facade:
-// WithApplyShards/WithApplyWorkers at Open, disjoint-slot puts from every
+// WithApplyShards at Open, disjoint-slot puts from every
 // origin, the variadic no-argument Complete, and Request.Await — and
 // checks slot-exact delivery plus shard telemetry through Metrics().
 func TestFacadeSharding(t *testing.T) {
@@ -22,7 +22,6 @@ func TestFacadeSharding(t *testing.T) {
 	err := world.Run(func(p *runtime.Proc) {
 		s := rma.Open(p,
 			rma.WithApplyShards(ranks-1),
-			rma.WithApplyWorkers(2),
 			rma.WithMetrics(),
 		)
 
