@@ -21,7 +21,7 @@ DELIVERY_PKGS := ./internal/portals/
 # (every test world asserts that no rank lost a nonblocking request), the
 # race detector over every package (which turns on the lock-rank check),
 # the per-primitive allocation tables, a short E13 smoke bench proving
-# batching still pays, the kvservice example checking its own output, an
+# batching still pays, every example checking its own output, an
 # E14 smoke bench proving the sharded apply engine still scales, a telemetry smoke run proving the JSON exporters parse, a
 # profiling smoke run proving the critical-path and pprof sidecars come out
 # attributable, the seeded chaos fault matrix under the race detector, and
@@ -92,12 +92,16 @@ allocs:
 	@out=$$($(GO) test -count=1 -v -run 'TestPutHotPathNoAllocsWhenDisabled|TestFacadeAllocsPerPrimitive' ./internal/core/ ./rma/); rc=$$?; \
 	echo "$$out" | grep -E 'allocs/op|^(---|FAIL|ok|panic)'; exit $$rc
 
-# smoke runs the E13 and E15 smoke benches and the kvservice example, which
-# exits 1 unless every queued task arrived exactly once and the shared
+# smoke runs the E13 and E15 smoke benches and every example. The
+# examples are built once, into a temporary directory, and each binary
+# checks its own output and exits non-zero when a check fails: kvservice,
+# for one, unless every queued task arrived exactly once and the shared
 # counter holds every CAS increment.
 smoke:
 	$(GO) test -run 'TestE13Smoke|TestE15Smoke' -count=1 ./internal/bench/
-	$(GO) run ./examples/kvservice > /dev/null
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./examples/... && \
+	for x in "$$dir"/*; do echo "example $${x##*/}"; "$$x" > /dev/null || exit 1; done
 
 # bench-smoke runs the E14 sharded-apply sweep at a single payload: slot
 # contents must verify byte-exactly and model time must not regress as

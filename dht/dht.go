@@ -15,9 +15,12 @@
 //	word = version<<2 | state     state: 0 empty, 1 locked, 2 full,
 //	                                     3 tombstone
 //
-// Zeroed memory is an empty table. Keys hash with splitmix64 and probe
-// linearly through the global index space, wrapping across stripes, so a
-// nearly-full stripe spills onto the next rank instead of failing.
+// Zeroed memory is an empty table. Words and keys are stored in the
+// stripe owner's byte order, the order its CompareSwap reads them in, so
+// clients of either byte order share one table. Keys hash with splitmix64
+// and probe linearly through the global index space, wrapping across
+// stripes, so a nearly-full stripe spills onto the next rank instead of
+// failing.
 //
 // Protocol. Readers issue one blocking Get of the whole bucket: target
 // applies are per-operation atomic, so the snapshot is consistent — a
@@ -34,6 +37,10 @@
 // bytes independent of contention interleavings (the chaos tests compare
 // stripes byte-exact against a fault-free run).
 //
+// Every operation is one probe walk (seek, over read's snapshots) and at
+// most one word transition (swap): Get reads, Delete swaps full to
+// tombstone, Put and CAS swap to locked and finish.
+//
 // All table traffic rides the session it was opened on: batching,
 // sharding, events and buddy replication all apply, and so does the
 // world's fault plan (runtime.Config.Faults). With
@@ -42,12 +49,11 @@
 package dht
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	gort "runtime"
 
-	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/stats"
 	"mpi3rma/internal/vtime"
@@ -131,7 +137,6 @@ type Stats struct {
 type Map struct {
 	s       *rma.Session
 	p       *runtime.Proc
-	order   datatype.ByteOrder
 	stripes []rma.TargetMem
 	local   rma.Region // this rank's stripe (zero Region on pure clients)
 
@@ -141,9 +146,7 @@ type Map struct {
 	total    int // buckets in the table, and the probe's bound
 	failover bool
 
-	buf  rma.Region // bucket-sized scratch: snapshot gets
-	kv   rma.Region // key+value scratch: insert payload
-	word rma.Region // 8-byte scratch: unlock puts
+	buf rma.Region // bucket image: snapshot gets land here, write-back puts leave from here
 
 	gets, puts, deletes, cases        stats.Counter
 	misses                            stats.Counter
@@ -186,7 +189,6 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 	m := &Map{
 		s:          s,
 		p:          p,
-		order:      p.ByteOrder(),
 		stripes:    tms[:cfg.servers],
 		local:      local,
 		perRank:    cfg.perRank,
@@ -195,8 +197,6 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 		total:      total,
 		failover:   cfg.failover,
 		buf:        p.Alloc(bucketSz),
-		kv:         p.Alloc(8 + cfg.valSize),
-		word:       p.Alloc(8),
 		contention: make([]stats.Counter, cfg.servers),
 		lat:        new(stats.Histogram),
 	}
@@ -286,24 +286,25 @@ func (m *Map) locate(idx int) (int, int) {
 	return idx / m.perRank, (idx % m.perRank) * m.bucketSz
 }
 
-func (m *Map) enc64(b []byte, v uint64) {
-	if m.order == datatype.BigEndian {
-		binary.BigEndian.PutUint64(b, v)
-	} else {
-		binary.LittleEndian.PutUint64(b, v)
-	}
-}
-
-func (m *Map) dec64(b []byte) uint64 {
-	if m.order == datatype.BigEndian {
-		return binary.BigEndian.Uint64(b)
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
 func pack(version int64, state int64) int64 { return version<<2 | state }
 func wordState(w int64) int64               { return w & 3 }
 func wordVersion(w int64) int64             { return w >> 2 }
+
+// bucket is one snapshot of a bucket: where it lives and the word and key
+// it held. Its value bytes stay behind in the map's scratch buffer.
+type bucket struct {
+	idx, sr, off int
+	word, key    int64
+}
+
+// holds reports whether the snapshot is a live entry for key.
+func (b bucket) holds(key int64) bool {
+	return wordState(b.word) == stateFull && b.key == key
+}
+
+// next is the word of b's one transition to state: every transition bumps
+// the version exactly once.
+func (b bucket) next(state int64) int64 { return pack(wordVersion(b.word)+1, state) }
 
 // failing wraps one remote primitive with the failover retry: when the
 // stripe owner is declared dead and failover is armed, wait for the spare
@@ -325,62 +326,119 @@ func (m *Map) failing(sr int, f func() error) (retried bool, err error) {
 	return true, f()
 }
 
-// snapshot reads bucket (sr, off) in one blocking Get: word, key and
-// value land atomically with respect to target-side applies.
-func (m *Map) snapshot(sr, off int) (word, key int64, err error) {
-	_, err = m.failing(sr, func() error {
-		_, e := m.s.Get(m.buf, m.bucketSz, rma.Byte, m.stripes[sr], off, rma.WithBlocking())
-		return e
-	})
-	if err != nil {
-		return 0, 0, err
+// read snapshots bucket idx in one blocking Get — word, key and value land
+// atomically with respect to target-side applies — and re-reads, backing
+// off, while a writer holds the bucket locked. Words and keys are stored
+// in the stripe owner's byte order.
+func (m *Map) read(idx int) (b bucket, err error) {
+	b.idx = idx
+	b.sr, b.off = m.locate(idx)
+	tm := &m.stripes[b.sr]
+	for attempt := 0; ; attempt++ {
+		if _, err = m.failing(b.sr, func() error {
+			_, e := m.s.Get(m.buf, m.bucketSz, rma.Byte, *tm, b.off, rma.WithBlocking())
+			return e
+		}); err != nil {
+			return b, err
+		}
+		var raw [valOff]byte
+		if err = m.p.Mem().LocalRead(m.buf.Offset, raw[:]); err != nil {
+			return b, err
+		}
+		b.word, b.key = int64(tm.Order.Uint64(raw[wordOff:])), int64(tm.Order.Uint64(raw[keyOff:]))
+		if wordState(b.word) != stateLocked {
+			return b, nil
+		}
+		m.lockRetries.Inc()
+		m.contention[b.sr].Inc()
+		m.backoff(attempt)
 	}
-	raw := m.p.ReadLocal(m.buf, 0, valOff)
-	return int64(m.dec64(raw[wordOff:])), int64(m.dec64(raw[keyOff:])), nil
 }
 
-// claim CompareSwaps the bucket word from observed to locked(version+1),
-// reporting whether this handle now holds the claim. After a failover
-// retry, finding the locked word already installed also counts: the first
-// attempt reached the dying owner and was replicated before the response
-// was lost — treating it as a lost race would leave the claimer spinning
-// forever on its own lock. (A racer's identical claim in that window is
-// indistinguishable; recovery stays sound because each key has a single
-// writer while a stripe fails over, which the tests arrange.)
-func (m *Map) claim(sr, off int, observed int64) (claimed bool, err error) {
-	locked := pack(wordVersion(observed)+1, stateLocked)
+// seek walks key's probe chain from step from, stopping at the bucket that
+// holds key or at an empty bucket, the chain's end. It returns that bucket
+// (the last one read when the walk covered the whole table), its step,
+// and the index of the first tombstone passed (-1 for none). Each bucket
+// past from counts one probe step.
+func (m *Map) seek(key int64, from int) (b bucket, step, tomb int, err error) {
+	h, tomb := m.home(key), -1
+	for step = from; step < m.total; step++ {
+		if step > from {
+			m.probeSteps.Inc()
+		}
+		if b, err = m.read((h + step) % m.total); err != nil {
+			return b, step, tomb, err
+		}
+		switch st := wordState(b.word); {
+		case st == stateEmpty || b.holds(key):
+			return b, step, tomb, nil
+		case st == stateTomb && tomb < 0:
+			tomb = b.idx
+		}
+	}
+	return b, step, tomb, nil
+}
+
+// swap CompareSwaps b's word from its snapshot to next, reporting whether
+// this handle made the transition. After a failover retry, finding next
+// already installed also counts: the first attempt reached the dying
+// owner and was replicated before the response was lost — treating it as
+// a lost race would leave a claimer spinning forever on its own lock. (A
+// racer's identical transition in that window is indistinguishable;
+// recovery stays sound because each key has a single writer while a
+// stripe fails over, which the tests arrange.)
+func (m *Map) swap(b bucket, next int64) (bool, error) {
 	var old int64
-	retried, err := m.failing(sr, func() error {
+	retried, err := m.failing(b.sr, func() error {
 		var e error
-		old, e = m.s.CompareSwap(m.stripes[sr], off+wordOff, observed, locked)
+		old, e = m.s.CompareSwap(m.stripes[b.sr], b.off+wordOff, b.word, next)
 		return e
 	})
 	if err != nil {
 		return false, err
 	}
-	return old == observed || (retried && old == locked), nil
+	if old == b.word || (retried && old == next) {
+		return true, nil
+	}
+	m.lost(b.sr)
+	return false, nil
 }
 
-// finish streams the payload puts of a mutation and unlocks the bucket.
-// The puts carry Ordering so the unlock word can never overtake the
-// value bytes, and the single Complete makes the transition durable (with
-// replication: buddy-acknowledged) before returning.
-func (m *Map) finish(sr, off int, payload rma.Region, n, payloadOff int, unlock int64) error {
-	_, err := m.failing(sr, func() error {
-		if n > 0 {
-			if _, err := m.s.Put(payload, n, rma.Byte, m.stripes[sr], off+payloadOff,
-				rma.WithOrdering(), rma.WithNotify()); err != nil {
-				return err
-			}
-		}
-		wb := make([]byte, 8)
-		m.enc64(wb, uint64(unlock))
-		m.p.WriteLocal(m.word, 0, wb)
-		if _, err := m.s.Put(m.word, 8, rma.Byte, m.stripes[sr], off+wordOff,
+// lost counts a bucket transition lost to a racer on stripe sr.
+func (m *Map) lost(sr int) {
+	m.casRaces.Inc()
+	m.contention[sr].Inc()
+}
+
+// finish completes a mutation of b, which this handle has claimed: it puts
+// value — after key, when b did not already hold key — and then the word
+// full at version+2. The puts carry Ordering so the unlock word can never
+// overtake the value bytes, and the single Complete makes the transition
+// durable (with replication: buddy-acknowledged) before returning.
+func (m *Map) finish(b bucket, key int64, value []byte) error {
+	tm := &m.stripes[b.sr]
+	from := valOff
+	var w [8]byte
+	if !b.holds(key) {
+		from = keyOff
+		tm.Order.PutUint64(w[:], uint64(key))
+		m.p.WriteLocal(m.buf, keyOff, w[:])
+	}
+	m.p.WriteLocal(m.buf, valOff, value)
+	tm.Order.PutUint64(w[:], uint64(pack(wordVersion(b.word)+2, stateFull)))
+	m.p.WriteLocal(m.buf, wordOff, w[:])
+	payload := rma.Region{Offset: m.buf.Offset + from, Size: m.bucketSz - from}
+	unlock := rma.Region{Offset: m.buf.Offset + wordOff, Size: 8}
+	_, err := m.failing(b.sr, func() error {
+		if _, err := m.s.Put(payload, payload.Size, rma.Byte, *tm, b.off+from,
 			rma.WithOrdering(), rma.WithNotify()); err != nil {
 			return err
 		}
-		return m.s.Complete(m.stripes[sr].Owner)
+		if _, err := m.s.Put(unlock, 8, rma.Byte, *tm, b.off+wordOff,
+			rma.WithOrdering(), rma.WithNotify()); err != nil {
+			return err
+		}
+		return m.s.Complete(tm.Owner)
 	})
 	return err
 }
@@ -403,43 +461,21 @@ func (m *Map) Get(key int64) ([]byte, bool, error) {
 	start := m.p.Now()
 	defer m.observe(start)
 	m.gets.Inc()
-	h := m.home(key)
-	for i := 0; i < m.total; i++ {
-		idx := (h + i) % m.total
-		sr, off := m.locate(idx)
-		if i > 0 {
-			m.probeSteps.Inc()
-		}
-		for attempt := 0; ; attempt++ {
-			w, k, err := m.snapshot(sr, off)
-			if err != nil {
-				return nil, false, err
-			}
-			switch wordState(w) {
-			case stateEmpty:
-				// The chain terminator: the key is nowhere.
-				m.misses.Inc()
-				return nil, false, nil
-			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
-				continue
-			case stateFull:
-				if k == key {
-					val := append([]byte(nil), m.p.ReadLocal(m.buf, valOff, m.valSize)...)
-					return val, true, nil
-				}
-			}
-			break // full with another key, or tombstone: probe on
-		}
+	b, _, _, err := m.seek(key, 0)
+	if err != nil {
+		return nil, false, err
 	}
-	m.misses.Inc()
-	return nil, false, nil
+	if !b.holds(key) {
+		m.misses.Inc()
+		return nil, false, nil
+	}
+	return m.p.ReadLocal(m.buf, valOff, m.valSize), true, nil
 }
 
 // Put stores value (exactly ValueSize bytes) under key, inserting or
-// overwriting.
+// overwriting. An overwrite moves the key's bucket full(v) -> locked(v+1)
+// -> full(v+2); an insert claims the earliest tombstone on the key's
+// chain, else the empty bucket that ends it, the same way.
 func (m *Map) Put(key int64, value []byte) error {
 	if len(value) != m.valSize {
 		return fmt.Errorf("dht: value is %d bytes, table stores %d: %w", len(value), m.valSize, rma.ErrType)
@@ -448,183 +484,60 @@ func (m *Map) Put(key int64, value []byte) error {
 	defer m.observe(start)
 	m.puts.Inc()
 	for {
-		done, err := m.tryPut(key, value)
-		if err != nil || done {
+		b, _, tomb, err := m.seek(key, 0)
+		if err != nil {
 			return err
 		}
-		// Lost the claim race: restart the probe from the home slot — the
+		if !b.holds(key) {
+			at := tomb
+			if at < 0 && wordState(b.word) == stateEmpty {
+				at = b.idx
+			}
+			if at < 0 {
+				return fmt.Errorf("dht: put %d: %w", key, ErrTableFull)
+			}
+			if b, err = m.read(at); err != nil {
+				return err
+			}
+			if wordState(b.word) == stateFull {
+				// A racer filled the slot, possibly with this key: restart.
+				m.lost(b.sr)
+				continue
+			}
+		}
+		claimed, err := m.swap(b, b.next(stateLocked))
+		if err != nil {
+			return err
+		}
+		if claimed {
+			return m.finish(b, key, value)
+		}
+		// Lost the claim: restart the probe from the home slot — the
 		// winner may have been inserting the same key.
 	}
 }
 
-// tryPut runs one probe-and-claim pass. done=false means a lost race and
-// the caller restarts.
-func (m *Map) tryPut(key int64, value []byte) (done bool, err error) {
-	h := m.home(key)
-	firstFree := -1 // earliest reusable (tombstone) slot seen on the way
-	for i := 0; i < m.total; i++ {
-		idx := (h + i) % m.total
-		sr, off := m.locate(idx)
-		if i > 0 {
-			m.probeSteps.Inc()
-		}
-		for attempt := 0; ; attempt++ {
-			w, k, err := m.snapshot(sr, off)
-			if err != nil {
-				return false, err
-			}
-			switch wordState(w) {
-			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
-				continue
-			case stateFull:
-				if k != key {
-					// occupied by another key: probe on
-				} else {
-					// Update in place: full(v) -> locked(v+1) -> full(v+2).
-					claimed, err := m.claim(sr, off, w)
-					if err != nil {
-						return false, err
-					}
-					if !claimed {
-						m.casRaces.Inc()
-						m.contention[sr].Inc()
-						return false, nil
-					}
-					m.p.WriteLocal(m.kv, 0, value)
-					return true, m.finish(sr, off, m.kv, m.valSize, valOff, pack(wordVersion(w)+2, stateFull))
-				}
-			case stateTomb:
-				if firstFree < 0 {
-					firstFree = idx
-				}
-			case stateEmpty:
-				// Chain terminator: the key is absent. Insert at the
-				// earliest tombstone if one was passed, else here.
-				at := idx
-				if firstFree >= 0 {
-					at = firstFree
-				}
-				return m.insertAt(at, key, value)
-			}
-			break
-		}
-	}
-	if firstFree >= 0 {
-		return m.insertAt(firstFree, key, value)
-	}
-	return true, fmt.Errorf("dht: put %d: %w", key, ErrTableFull)
-}
-
-// insertAt claims the (empty or tombstone) bucket at idx and writes
-// key+value. done=false on a lost race.
-func (m *Map) insertAt(idx int, key int64, value []byte) (done bool, err error) {
-	sr, off := m.locate(idx)
-	for attempt := 0; ; attempt++ {
-		w, _, err := m.snapshot(sr, off)
-		if err != nil {
-			return false, err
-		}
-		st := wordState(w)
-		if st == stateLocked {
-			m.lockRetries.Inc()
-			m.contention[sr].Inc()
-			m.backoff(attempt)
-			continue
-		}
-		if st == stateFull {
-			// A racer filled our slot (possibly with our key): restart.
-			m.casRaces.Inc()
-			m.contention[sr].Inc()
-			return false, nil
-		}
-		claimed, err := m.claim(sr, off, w)
-		if err != nil {
-			return false, err
-		}
-		if !claimed {
-			m.casRaces.Inc()
-			m.contention[sr].Inc()
-			return false, nil
-		}
-		kb := make([]byte, 8+m.valSize)
-		m.enc64(kb[:8], uint64(key))
-		copy(kb[8:], value)
-		m.p.WriteLocal(m.kv, 0, kb)
-		return true, m.finish(sr, off, m.kv, 8+m.valSize, keyOff, pack(wordVersion(w)+2, stateFull))
-	}
-}
-
 // Delete removes key, reporting whether it was present. The bucket
-// becomes a tombstone: probe chains through it stay intact.
+// becomes a tombstone in one transition, full(v) -> tombstone(v+1), with
+// no lock phase: the key and value bytes stay behind but are unreachable,
+// probe chains through the bucket stay intact, and any concurrent CAS on
+// version v correctly fails.
 func (m *Map) Delete(key int64) (bool, error) {
 	start := m.p.Now()
 	defer m.observe(start)
 	m.deletes.Inc()
-	h := m.home(key)
-	for i := 0; i < m.total; i++ {
-		idx := (h + i) % m.total
-		sr, off := m.locate(idx)
-		if i > 0 {
-			m.probeSteps.Inc()
+	for attempt, from := 0, 0; ; attempt++ {
+		b, step, _, err := m.seek(key, from)
+		if err != nil || !b.holds(key) {
+			return false, err
 		}
-		for attempt := 0; ; attempt++ {
-			w, k, err := m.snapshot(sr, off)
-			if err != nil {
-				return false, err
-			}
-			switch wordState(w) {
-			case stateEmpty:
-				return false, nil
-			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
-				continue
-			case stateFull:
-				if k == key {
-					// One transition: full(v) -> tombstone(v+1), no lock
-					// phase — the key and value bytes stay behind but are
-					// unreachable, and any concurrent CAS on version v
-					// correctly fails.
-					hit, err := m.tombstone(sr, off, w)
-					if err != nil {
-						return false, err
-					}
-					if !hit {
-						// Lost to a concurrent writer: re-examine.
-						m.casRaces.Inc()
-						m.contention[sr].Inc()
-						m.backoff(attempt)
-						continue
-					}
-					return true, nil
-				}
-			}
-			break
+		if hit, err := m.swap(b, b.next(stateTomb)); err != nil || hit {
+			return hit, err
 		}
+		// Lost to a concurrent writer: re-examine the same bucket.
+		m.backoff(attempt)
+		from = step
 	}
-	return false, nil
-}
-
-// tombstone CompareSwaps full(v) -> tombstone(v+1) directly, reporting
-// whether the transition landed. Like claim, a failover retry that finds
-// the tombstone already installed owns it — the first attempt was
-// replicated before the response was lost.
-func (m *Map) tombstone(sr, off int, observed int64) (bool, error) {
-	tomb := pack(wordVersion(observed)+1, stateTomb)
-	var old int64
-	retried, err := m.failing(sr, func() error {
-		var e error
-		old, e = m.s.CompareSwap(m.stripes[sr], off+wordOff, observed, tomb)
-		return e
-	})
-	if err != nil {
-		return false, err
-	}
-	return old == observed || (retried && old == tomb), nil
 }
 
 // CAS atomically replaces the value under key with newVal iff the current
@@ -637,67 +550,26 @@ func (m *Map) CAS(key int64, expect, newVal []byte) (bool, error) {
 	start := m.p.Now()
 	defer m.observe(start)
 	m.cases.Inc()
-	h := m.home(key)
-	for i := 0; i < m.total; i++ {
-		idx := (h + i) % m.total
-		sr, off := m.locate(idx)
-		if i > 0 {
-			m.probeSteps.Inc()
+	for attempt, from := 0, 0; ; attempt++ {
+		b, step, _, err := m.seek(key, from)
+		if err != nil || !b.holds(key) {
+			return false, err
 		}
-		for attempt := 0; ; attempt++ {
-			w, k, err := m.snapshot(sr, off)
-			if err != nil {
-				return false, err
-			}
-			switch wordState(w) {
-			case stateEmpty:
-				return false, nil
-			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
-				continue
-			case stateFull:
-				if k != key {
-					break
-				}
-				cur := m.p.ReadLocal(m.buf, valOff, m.valSize)
-				if !bytesEqual(cur, expect) {
-					return false, nil
-				}
-				// The claim succeeding at version v proves the snapshot
-				// (taken at v) is still the live value: every transition
-				// bumps the version.
-				claimed, err := m.claim(sr, off, w)
-				if err != nil {
-					return false, err
-				}
-				if !claimed {
-					m.casRaces.Inc()
-					m.contention[sr].Inc()
-					m.backoff(attempt)
-					continue
-				}
-				m.p.WriteLocal(m.kv, 0, newVal)
-				if err := m.finish(sr, off, m.kv, m.valSize, valOff, pack(wordVersion(w)+2, stateFull)); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-			break
+		if !bytes.Equal(m.p.ReadLocal(m.buf, valOff, m.valSize), expect) {
+			return false, nil
 		}
-	}
-	return false, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		// The claim succeeding at version v proves the snapshot (taken at
+		// v) is still the live value: every transition bumps the version.
+		claimed, err := m.swap(b, b.next(stateLocked))
+		if err != nil {
+			return false, err
 		}
+		if claimed {
+			err = m.finish(b, key, newVal)
+			return err == nil, err
+		}
+		// Lost to a concurrent writer: re-examine the same bucket.
+		m.backoff(attempt)
+		from = step
 	}
-	return true
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/vtime"
@@ -501,5 +502,128 @@ func TestMapMetricsRegistered(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMapRMAOpsPerRequest pins the RMA operations each public call issues
+// on an uncontended table: a bucket snapshot is one Get, a claim or a
+// tombstone one CompareSwap, and a write-back two ordered puts (payload,
+// then unlock word) whose Complete issues nothing.
+func TestMapRMAOpsPerRequest(t *testing.T) {
+	w := newWorld(t, runtime.Config{Ranks: 2, Seed: 31})
+	err := w.Run(func(p *runtime.Proc) {
+		s := rma.Open(p)
+		m, err := Open(s, WithServers(1), WithBuckets(64), WithValueSize(8))
+		if err != nil {
+			t.Errorf("open: %v", err)
+			panic("dht: open failed")
+		}
+		if p.Rank() == 1 {
+			// a's chain is its home bucket then an empty one; b's home is
+			// neither, so b is absent after a single snapshot.
+			const a = int64(1)
+			b := int64(2)
+			for m.home(b) == m.home(a) || m.home(b) == (m.home(a)+1)%m.total {
+				b++
+			}
+			for _, tc := range []struct {
+				name string
+				want int64
+				ok   bool
+				do   func() (bool, error)
+			}{
+				{"get miss", 1, false, func() (bool, error) { _, ok, err := m.Get(a); return ok, err }},
+				{"put insert", 5, true, func() (bool, error) { return true, m.Put(a, val(m, 1)) }},
+				{"get hit", 1, true, func() (bool, error) { _, ok, err := m.Get(a); return ok, err }},
+				{"put update", 4, true, func() (bool, error) { return true, m.Put(a, val(m, 2)) }},
+				{"cas ok", 4, true, func() (bool, error) { return m.CAS(a, val(m, 2), val(m, 3)) }},
+				{"cas mismatch", 1, false, func() (bool, error) { return m.CAS(a, val(m, 2), val(m, 4)) }},
+				{"cas absent", 1, false, func() (bool, error) { return m.CAS(b, val(m, 3), val(m, 4)) }},
+				{"delete hit", 2, true, func() (bool, error) { return m.Delete(a) }},
+				{"delete deleted", 2, false, func() (bool, error) { return m.Delete(a) }},
+				{"put into tombstone", 6, true, func() (bool, error) { return true, m.Put(a, val(m, 5)) }},
+			} {
+				before := s.Engine().OpsIssued.Value()
+				ok, err := tc.do()
+				if n := s.Engine().OpsIssued.Value() - before; err != nil || ok != tc.ok || n != tc.want {
+					t.Errorf("%s: ok=%v err=%v after %d RMA ops, want ok=%v after %d", tc.name, ok, err, n, tc.ok, tc.want)
+				}
+			}
+			if got, ok, err := m.Get(a); err != nil || !ok || !bytes.Equal(got, val(m, 5)) {
+				t.Errorf("final get: %v ok=%v err=%v", got, ok, err)
+			}
+		}
+		p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMapMixedByteOrder: rank 1 is big-endian and rank 0 little-endian,
+// and each serves a stripe. Every rank's keys land on both stripes, so
+// both kinds of client insert, overwrite, read, CAS and delete words
+// stored in the other order. Words are kept in the stripe owner's order,
+// the one CompareSwap reads them in; a client encoding its own order
+// would spin forever on a claim that can never match.
+func TestMapMixedByteOrder(t *testing.T) {
+	const ranks, keysPer = 2, 16
+	w := newWorld(t, runtime.Config{Ranks: ranks, Seed: 37, ByteOrder: func(r int) datatype.ByteOrder {
+		return datatype.ByteOrder(r % 2)
+	}})
+	runBounded(t, w, 20*time.Second, func(p *runtime.Proc) {
+		m, err := Open(rma.Open(p), WithBuckets(16), WithValueSize(8))
+		if err != nil {
+			t.Errorf("open: %v", err)
+			panic("dht: open failed")
+		}
+		me := p.Rank()
+		key := func(r, i int) int64 { return int64(r*1000 + i) }
+		for i := 0; i < keysPer; i++ {
+			if err := m.Put(key(me, i), val(m, i)); err != nil {
+				t.Errorf("rank %d put %d: %v", me, i, err)
+				return
+			}
+			if err := m.Put(key(me, i), val(m, 100+i)); err != nil {
+				t.Errorf("rank %d overwrite %d: %v", me, i, err)
+				return
+			}
+			if swapped, err := m.CAS(key(me, i), val(m, 100+i), val(m, me*50+i)); err != nil || !swapped {
+				t.Errorf("rank %d CAS %d: swapped=%v err=%v", me, i, swapped, err)
+				return
+			}
+		}
+		if hit, err := m.Delete(key(me, 0)); err != nil || !hit {
+			t.Errorf("rank %d delete: hit=%v err=%v", me, hit, err)
+		}
+		p.Barrier()
+		for r := 0; r < ranks; r++ {
+			for i := 0; i < keysPer; i++ {
+				got, ok, err := m.Get(key(r, i))
+				if i == 0 {
+					if ok || err != nil {
+						t.Errorf("rank %d reads rank %d's deleted key: ok=%v err=%v", me, r, ok, err)
+					}
+				} else if err != nil || !ok || !bytes.Equal(got, val(m, r*50+i)) {
+					t.Errorf("rank %d reading rank %d key %d: %v ok=%v err=%v", me, r, i, got, ok, err)
+				}
+			}
+		}
+	})
+}
+
+// runBounded runs fn on every rank and fails the test, instead of hanging
+// it, when the world has not finished within limit.
+func runBounded(t *testing.T, w *runtime.World, limit time.Duration, fn func(p *runtime.Proc)) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(fn) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(limit):
+		t.Fatalf("world wedged for %v", limit)
 	}
 }

@@ -18,7 +18,8 @@
 // put and a get at one target never interleave — and frees the slot for
 // the next lap with seq=h+slots. Each side completes before returning.
 // Sequence words are monotone per slot, so a late or reordered frame can
-// never alias a lap.
+// never alias a lap. They are stored in the owner's byte order, the order
+// its FetchWord reads them in, so ranks of either order share one queue.
 //
 // Waiting is remote polling with exponential virtual-time backoff —
 // deterministic, since every poll is serialized at the target in virtual
@@ -26,11 +27,9 @@
 package queue
 
 import (
-	"encoding/binary"
 	"fmt"
 	gort "runtime"
 
-	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/stats"
 	"mpi3rma/internal/vtime"
@@ -54,9 +53,8 @@ type Stats struct {
 // belongs to its rank's process function and is not safe for concurrent
 // use.
 type Queue struct {
-	s     *rma.Session
-	p     *runtime.Proc
-	order datatype.ByteOrder
+	s *rma.Session
+	p *runtime.Proc
 
 	owner    rma.TargetMem // the owner rank's region: tickets + slots
 	slots    int
@@ -93,7 +91,6 @@ func New(s *rma.Session, owner, slots, slotSize int) (*Queue, error) {
 	q := &Queue{
 		s:        s,
 		p:        p,
-		order:    p.ByteOrder(),
 		owner:    tms[owner],
 		slots:    slots,
 		slotSize: slotSize,
@@ -104,7 +101,7 @@ func New(s *rma.Session, owner, slots, slotSize int) (*Queue, error) {
 		// Seed seq[i] = i: lap 0 producers find their slots free without
 		// any traffic. Local writes, before anyone can race them.
 		for i := 0; i < slots; i++ {
-			q.enc64(q.word[:], uint64(i))
+			q.owner.Order.PutUint64(q.word[:], uint64(i))
 			p.WriteLocal(local, slotsOff+i*stride, q.word[:])
 		}
 	}
@@ -138,28 +135,14 @@ func (q *Queue) Stats() Stats {
 	}
 }
 
-func (q *Queue) enc64(b []byte, v uint64) {
-	if q.order == datatype.BigEndian {
-		binary.BigEndian.PutUint64(b, v)
-	} else {
-		binary.LittleEndian.PutUint64(b, v)
-	}
-}
-
-func (q *Queue) dec64(b []byte) uint64 {
-	if q.order == datatype.BigEndian {
-		return binary.BigEndian.Uint64(b)
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
 func (q *Queue) slotOff(ticket int64) int {
 	return slotsOff + int(ticket%int64(q.slots))*q.stride
 }
 
-// setWord writes v into buf's first word.
+// setWord writes v into buf's first word, in the owner's byte order: the
+// order its FetchWord reads the word in.
 func (q *Queue) setWord(v int64) {
-	q.enc64(q.word[:], uint64(v))
+	q.owner.Order.PutUint64(q.word[:], uint64(v))
 	q.p.WriteLocal(q.buf, 0, q.word[:])
 }
 
@@ -247,7 +230,7 @@ func (q *Queue) Dequeue() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int64(q.dec64(q.word[:])) == h+1 {
+		if int64(q.owner.Order.Uint64(q.word[:])) == h+1 {
 			break
 		}
 		q.consumerPolls.Inc()

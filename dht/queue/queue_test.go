@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
+	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/rma"
 )
@@ -248,5 +250,65 @@ func TestQueueValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueMixedByteOrder hands items between ranks of different byte
+// orders: the sequence words live in the owner's order, whichever order
+// the producer, the consumer and the owner run in.
+func TestQueueMixedByteOrder(t *testing.T) {
+	const items, slots, slotSize = 12, 4, 16
+	le, be := datatype.LittleEndian, datatype.BigEndian
+	for _, tc := range []struct {
+		name   string
+		orders [3]datatype.ByteOrder // owner, producer, consumer
+	}{
+		{"BE producer to LE owner", [3]datatype.ByteOrder{le, be, le}},
+		{"LE producer to BE owner", [3]datatype.ByteOrder{be, le, be}},
+		{"BE owner between LE peers", [3]datatype.ByteOrder{be, le, le}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, runtime.Config{Ranks: 3, Seed: 41, ByteOrder: func(r int) datatype.ByteOrder {
+				return tc.orders[r]
+			}})
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(p *runtime.Proc) {
+					q, err := New(rma.Open(p), 0, slots, slotSize)
+					if err != nil {
+						t.Errorf("new: %v", err)
+						return
+					}
+					switch p.Rank() {
+					case 1:
+						for i := 0; i < items; i++ {
+							if err := q.Enqueue(payload(slotSize, 1, i)); err != nil {
+								t.Errorf("enqueue %d: %v", i, err)
+								return
+							}
+						}
+					case 2:
+						for i := 0; i < items; i++ {
+							got, err := q.Dequeue()
+							if err != nil {
+								t.Errorf("dequeue %d: %v", i, err)
+								return
+							}
+							if !bytes.Equal(got, payload(slotSize, 1, i)) {
+								t.Errorf("item %d out of order or torn: %x", i, got)
+							}
+						}
+					}
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("handoff wedged for 20s")
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@
 package datatype
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -38,6 +39,23 @@ func (o ByteOrder) String() string {
 		return "big-endian"
 	}
 	return "little-endian"
+}
+
+// Uint64 decodes the 8-byte word at b stored in order o.
+func (o ByteOrder) Uint64(b []byte) uint64 {
+	if o == BigEndian {
+		return binary.BigEndian.Uint64(b)
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// PutUint64 encodes v into the 8 bytes at b in order o.
+func (o ByteOrder) PutUint64(b []byte, v uint64) {
+	if o == BigEndian {
+		binary.BigEndian.PutUint64(b, v)
+	} else {
+		binary.LittleEndian.PutUint64(b, v)
+	}
 }
 
 // Kind identifies a primitive element type.

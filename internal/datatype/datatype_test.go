@@ -25,6 +25,25 @@ func TestPrimitiveWidths(t *testing.T) {
 	}
 }
 
+// TestByteOrderWordCodec: a word encodes and decodes in the order asked
+// for, whichever order the host runs in.
+func TestByteOrderWordCodec(t *testing.T) {
+	const v = uint64(0x0102030405060708)
+	for _, tc := range []struct {
+		order ByteOrder
+		want  []byte
+	}{
+		{LittleEndian, binary.LittleEndian.AppendUint64(nil, v)},
+		{BigEndian, binary.BigEndian.AppendUint64(nil, v)},
+	} {
+		b := make([]byte, 8)
+		tc.order.PutUint64(b, v)
+		if !bytes.Equal(b, tc.want) || tc.order.Uint64(b) != v {
+			t.Errorf("%v: encoded %x (want %x), decoded %#x", tc.order, b, tc.want, tc.order.Uint64(b))
+		}
+	}
+}
+
 func TestContiguousLayout(t *testing.T) {
 	ct := Contiguous(4, Int32)
 	if ct.Size() != 16 || ct.Extent() != 16 {
