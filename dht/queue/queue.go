@@ -220,10 +220,7 @@ func (q *Queue) Dequeue() ([]byte, error) {
 	// Wait for the producer's publication: seq words are monotone per
 	// slot, and only ticket h's producer ever writes h+1.
 	for attempt := 0; ; attempt++ {
-		req, err := q.s.Get(q.buf, q.stride, rma.Byte, q.owner, off, rma.WithBlocking())
-		if err == nil {
-			err = req.Err()
-		}
+		_, err := q.s.Get(q.buf, q.stride, rma.Byte, q.owner, off, rma.WithBlocking())
 		if err == nil {
 			err = q.p.Mem().LocalRead(q.buf.Offset, q.word[:])
 		}

@@ -62,7 +62,10 @@ const (
 	// serializer mechanism.
 	AttrAtomic
 	// AttrBlocking performs the operation in a single call: the call
-	// returns only when the request would have completed.
+	// returns only when the request would have completed. It allocates no
+	// request: it returns the engine's one shared done request and nil, or
+	// nil and the operation's error, an asynchronous one (a target-side
+	// failure, ErrRankFailed, ErrLinkFailed) included.
 	AttrBlocking
 	// AttrNotify requests a delivery-counter notification: when the
 	// operation has been applied, the target ships its cumulative

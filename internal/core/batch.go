@@ -201,9 +201,9 @@ func (e *Engine) flushTarget(world int) {
 		e.cmplMu.Unlock()
 		for _, r := range remote {
 			if errors.Is(err, ErrLinkFailed) {
-				r.completeErr(e.proc.Now(), fmt.Errorf("core: batch to rank %d: %w", world, err))
+				r.finish(e.proc.Now(), fmt.Errorf("core: batch to rank %d: %w", world, err))
 			} else {
-				r.complete(e.proc.Now(), nil)
+				r.finish(e.proc.Now(), nil)
 			}
 		}
 		return
@@ -432,7 +432,7 @@ func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 		e.cmplMu.Unlock()
 		if pb != nil {
 			for _, r := range pb.reqs {
-				r.complete(at, nil)
+				r.finish(at, nil)
 			}
 		}
 	}

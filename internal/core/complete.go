@@ -41,13 +41,13 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	if err != nil {
 		return err
 	}
-	var reqs []*Request // probes, built only when the counters cannot answer
+	var probes []*Request // built only when the counters cannot answer
 	for _, world := range targets {
 		e.cover(world)
-		if err := e.stickyFor(world); err != nil {
+		if err = e.stickyFor(world); err != nil {
 			// A dead target (ErrRankFailed) or failed link (ErrLinkFailed)
 			// can never confirm; report it instead of probing a black hole.
-			return fmt.Errorf("core: complete: %w", err)
+			break
 		}
 		e.flushTarget(world)
 		e.mu.Lock()
@@ -58,9 +58,9 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 		if sent == 0 {
 			continue
 		}
-		at, probe, err := e.confirm(world, sent, will)
-		if err != nil {
-			return fmt.Errorf("core: complete: %w", err)
+		at, probe, cerr := e.confirm(world, sent, will)
+		if err = cerr; err != nil {
+			break
 		}
 		if probe == nil {
 			e.FastPaths.Inc()
@@ -69,15 +69,16 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 		}
 		e.ProbeFallbacks.Inc()
 		e.emit(trace.KindComplete, e.proc.Now(), world, probe.id, sent, will)
-		reqs = append(reqs, probe)
+		probes = append(probes, probe)
 	}
-	WaitAll(reqs...)
-	// A probe whose link failed completes with the error instead of an
-	// answer; completion cannot be claimed then.
-	for _, r := range reqs {
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("core: complete: %w", err)
+	// Await every probe sent, freeing its slot; a failed one fails completion.
+	for _, r := range probes {
+		if _, perr := e.await(r); err == nil {
+			err = perr
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: complete: %w", err)
 	}
 	// Every covered op is now applied at its target, so the checker can
 	// retire this origin's accesses there; later ops get a fresh epoch.
@@ -230,17 +231,19 @@ func (e *Engine) resolveTargets(comm *runtime.Comm, tranks, dst []int) ([]int, e
 	return dst, nil
 }
 
-// sendProbe issues a completion probe to a world rank and returns the
-// request its reply completes. A failed send means the world is shutting
-// down; the error is reported rather than crashing the caller.
-func (e *Engine) sendProbe(world int, threshold int64) (*Request, error) {
-	req := e.newRequest(world, latNone)
-	m := e.newMsg(world, kProbe, 0)
-	m.Hdr[hHandle] = uint64(threshold)
+// ask sends world a control frame of kind (hHandle = arg) under a request
+// of the engine's own, which the answer completes and the caller awaits.
+func (e *Engine) ask(world int, kind uint8, arg uint64) (*Request, error) {
+	e.mu.Lock()
+	req, _ := e.newRequest(world, true, true)
+	e.mu.Unlock()
+	m := e.newMsg(world, kind, 0)
+	m.Hdr[hHandle] = arg
 	m.Hdr[hReq] = req.id
 	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
-		req.complete(e.proc.Now(), nil)
-		return nil, fmt.Errorf("core: completion probe to rank %d: %w", world, err)
+		e.settle(req.id, e.proc.Now(), err)
+		e.await(req)
+		return nil, err
 	}
 	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
 	return req, nil
@@ -277,7 +280,7 @@ func (e *Engine) maybeFence(comm *runtime.Comm, world int) error {
 	e.emit(trace.KindFence, e.proc.Now(), world, 0, sent, will)
 	_, probe, err := e.confirm(world, sent, will)
 	if err == nil && probe != nil {
-		err = probe.Await()
+		_, err = e.await(probe)
 	}
 	if err != nil {
 		return fmt.Errorf("core: fence: %w", err)
@@ -289,7 +292,7 @@ func (e *Engine) maybeFence(comm *runtime.Comm, world int) error {
 // documentation walks its three steps): establish that world has applied
 // the first sent operations of this rank. A nil request means the counters
 // answered — the virtual clock has been advanced to the confirming report's
-// time, which is returned; otherwise the caller waits on the probe.
+// time, which is returned; otherwise the caller awaits the probe.
 func (e *Engine) confirm(world int, sent, will int64) (vtime.Time, *Request, error) {
 	rc := SelectCase{kind: selConfirmed, rank: world, threshold: sent}
 	ev, ok := e.tryCase(&rc)
@@ -301,6 +304,6 @@ func (e *Engine) confirm(world int, sent, will int64) (vtime.Time, *Request, err
 		e.proc.NIC().CPU().AdvanceTo(ev.At)
 		return ev.At, nil, ev.Err
 	}
-	probe, err := e.sendProbe(world, sent)
+	probe, err := e.ask(world, kProbe, uint64(sent))
 	return 0, probe, err
 }

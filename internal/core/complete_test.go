@@ -158,8 +158,8 @@ func TestEngineAccessors(t *testing.T) {
 		if e.Mechanism().String() != "thread" {
 			t.Errorf("default mechanism %v", e.Mechanism())
 		}
-		if e.LockHolder() != -1 {
-			t.Errorf("fresh lock holder %d", e.LockHolder())
+		if e.lock.Holder() != -1 {
+			t.Errorf("fresh lock holder %d", e.lock.Holder())
 		}
 	})
 }

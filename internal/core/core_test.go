@@ -151,18 +151,17 @@ func TestRemoteCompleteVirtualTime(t *testing.T) {
 		}
 		src := p.Alloc(8)
 		p.WriteLocal(src, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		local, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrBlocking)
-		if err != nil {
+		// A blocking put returns with the rank's clock at its completion.
+		if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrBlocking); err != nil {
 			t.Errorf("put: %v", err)
 			return
 		}
-		remote, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrBlocking|AttrRemoteComplete)
-		if err != nil {
+		lDelta := p.Now()
+		if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrBlocking|AttrRemoteComplete); err != nil {
 			t.Errorf("put: %v", err)
 			return
 		}
-		lDelta := local.CompletedAt()
-		rDelta := remote.CompletedAt()
+		rDelta := p.Now()
 		if rDelta-lDelta < 1000 { // must include at least a wire round trip
 			t.Errorf("remote completion at %d barely after local %d", rDelta, lDelta)
 		}
@@ -372,21 +371,14 @@ func TestCommLevelDefaultAttrs(t *testing.T) {
 		if p.Rank() == 1 {
 			e.SetCommAttrs(comm, AttrRemoteComplete)
 			src := p.Alloc(8)
-			req, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrBlocking)
-			if err != nil {
+			if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrBlocking); err != nil {
 				t.Errorf("put: %v", err)
 				return
 			}
-			// The communicator default forced remote completion: acks were
-			// generated.
-			req.Wait()
-			if e.AcksSent.Value() != 0 {
-				// acks counted at target, not origin; check via target? We
-				// instead assert the request completed strictly after a
-				// round trip.
-			}
-			if req.CompletedAt() < 3000 {
-				t.Errorf("completion at %d too early for remote completion", req.CompletedAt())
+			// The communicator default forced remote completion: the
+			// blocking put returns with the rank's clock past a round trip.
+			if now := p.Now(); now < 3000 {
+				t.Errorf("completion at %d too early for remote completion", now)
 			}
 		}
 		p.Barrier()

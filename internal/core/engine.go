@@ -193,8 +193,9 @@ type Engine struct {
 	mu      sync.Mutex
 	tmems   map[uint64]*exposure
 	tmemSeq uint64
-	reqs    map[uint64]*Request
-	reqSeq  uint64
+	slab    []*reqSlot      // requests a frame completes, by slot (request.go)
+	free    []int32         // free slots of slab
+	reqSeq  uint64          // the last request or batch id's sequence number
 	loose   []atomic.Uint64 // per target: requests unobserved and uncovered (request.go)
 	targets map[int]*originTarget
 	comms   map[uint64]Attr // per-communicator default attributes
@@ -246,7 +247,8 @@ type Engine struct {
 	slots freeList[*wakeSlot]
 	// spare is the one frame a consumer handed back, for the next message
 	// of a recycled kind (frame.go).
-	spare spareSlot
+	spare   spareSlot
+	doneReq Request // what every successful blocking call returns (AttrBlocking)
 
 	lock   *serializer.LockState
 	applyQ *serializer.ApplyQueue
@@ -317,7 +319,6 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			bell:           p.NewBell(),
 			opts:           opts.withDefaults(),
 			tmems:          make(map[uint64]*exposure),
-			reqs:           make(map[uint64]*Request),
 			targets:        make(map[int]*originTarget),
 			comms:          make(map[uint64]Attr),
 			loose:          make([]atomic.Uint64, p.World().TotalRanks()),
@@ -333,6 +334,7 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			ops:            freeList[*applyOp]{limit: freeListCap},
 			slots:          freeList[*wakeSlot]{limit: freeListCap},
 		}
+		e.doneReq.e, e.doneReq.done = e, true
 		e.repl.init()
 		switch e.opts.Atomicity {
 		case serializer.MechThread:
@@ -583,15 +585,19 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 	woken := poke(e.confirmed, rank)
 	e.cmplMu.Unlock()
 
+	var ids []uint64
 	e.mu.Lock()
-	for _, r := range e.reqs {
-		if all || r.target == rank {
-			victims = append(victims, r)
+	for _, s := range e.slab {
+		if r := s.req; r != nil && (all || r.target == rank) {
+			ids = append(ids, r.id)
 		}
 	}
 	e.mu.Unlock()
 	for _, r := range victims {
-		r.completeErr(at, err)
+		r.finish(at, err)
+	}
+	for _, id := range ids {
+		e.settle(id, at, err) // unless answered meanwhile
 	}
 	e.tgtMu.Lock()
 	woken = append(woken, poke(e.applied, AllRanks)...)

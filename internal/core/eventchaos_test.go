@@ -305,7 +305,7 @@ func TestEventChaosApplyFaultTerminal(t *testing.T) {
 		var recorded [3]int
 		var reqs [3]*Request
 		for i := range reqs {
-			reqs[i] = e.newRequest(1, latNone)
+			reqs[i] = pendingRequest(e, 1)
 			i := i
 			reqs[i].OnDone(func(err error) {
 				errs[i] = err

@@ -298,11 +298,11 @@ func TestRequestErrVisibleBeforeDone(t *testing.T) {
 		// A hand-built request failed while another of the rank's
 		// goroutines waits on it: the error must be readable the instant
 		// the waiter wakes.
-		r := e.newRequest(1, latNone)
+		r := pendingRequest(e, 1)
 		errCh := make(chan error, 1)
 		go func() { errCh <- r.Await() }()
 		wantErr := errors.New("injected terminal failure")
-		r.completeErr(p.Now(), wantErr)
+		e.settle(r.id, p.Now(), wantErr)
 		if got := <-errCh; !errors.Is(got, wantErr) {
 			t.Errorf("waiter woken by the completion saw Err = %v, want %v", got, wantErr)
 		}
@@ -321,7 +321,7 @@ func TestRequestErrVisibleBeforeDone(t *testing.T) {
 
 // TestIssueFailureCompletesRequest is the orphaned-request regression
 // test: when the issue path fails after the request has entered the
-// engine table (send refused by a failed link), the request must be
+// slab (send refused by a failed link), the request must be
 // completed with the error — Wait returns, OnDone fires, the table does
 // not leak — instead of being left behind undone.
 func TestIssueFailureCompletesRequest(t *testing.T) {
@@ -341,22 +341,17 @@ func TestIssueFailureCompletesRequest(t *testing.T) {
 		}
 		// Fail the link by hand (the relay path does this via its
 		// callback), then issue: the relay-less send still succeeds, so
-		// exercise the issue path's sticky check and the reqs-table
+		// exercise the issue path's sticky check and the slab's
 		// accounting directly.
 		e.onLinkFailed(1, p.Now(), ErrLinkFailed)
 		if !errors.Is(e.Err(), ErrLinkFailed) {
 			t.Fatalf("Err = %v after injected link failure", e.Err())
 		}
 		scratch := p.Alloc(8)
-		e.mu.Lock()
-		before := len(e.reqs)
-		e.mu.Unlock()
+		before := heldSlots(e)
 		_, xerr := e.Put(scratch, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 1, comm, AttrNone)
-		e.mu.Lock()
-		after := len(e.reqs)
-		e.mu.Unlock()
-		if after != before {
-			t.Errorf("engine table grew from %d to %d across a failed issue: orphaned request", before, after)
+		if after := heldSlots(e); after != before {
+			t.Errorf("held slots went from %d to %d across a failed issue: orphaned request", before, after)
 		}
 		// Whether the send was refused or rode the degraded wire, no
 		// request may be left undone in the table; if an error was
@@ -372,7 +367,7 @@ func TestIssueFailureCompletesRequest(t *testing.T) {
 // fetch-add and a put are issued toward it twice. First against the sticky
 // error: a fast fail, nothing may be counted. Then with the engine's record
 // of the failure erased, so the issue reaches the relay, which still
-// refuses the link: the request already sits in the engine table and must
+// refuses the link: the request already sits in the slab and must
 // be completed with the error, not left behind (under the coarse lock the
 // refused send is the lock request's, which must not leak either). An
 // out-of-range active-message target is an error, not a panic.
@@ -405,11 +400,7 @@ func TestSingletonIssueFailureIsComplete(t *testing.T) {
 				if _, err := e.InvokeAM(1, nil, comm.Size()+99, comm, AttrNone); !errors.Is(err, ErrBadHandle) {
 					t.Errorf("active message to an out-of-range rank returned %v, want wrapped ErrBadHandle", err)
 				}
-				table := func() int {
-					e.mu.Lock()
-					defer e.mu.Unlock()
-					return len(e.reqs)
-				}
+				table := func() int { return heldSlots(e) }
 				before, sent := table(), e.PairCounters(0).Sent
 				for _, phase := range []string{"fast-failed on the sticky error", "refused by the relay"} {
 					for name, issue := range map[string]func() error{
@@ -422,7 +413,7 @@ func TestSingletonIssueFailureIsComplete(t *testing.T) {
 						}
 					}
 					if got := table(); got != before {
-						t.Errorf("engine table went from %d to %d requests across issues %s: orphans", before, got, phase)
+						t.Errorf("held slots went from %d to %d across issues %s: orphans", before, got, phase)
 					}
 					if got := e.PairCounters(0).Sent; phase[0] == 'f' && got != sent {
 						t.Errorf("issues %s were counted as sent: %d -> %d", phase, sent, got)
@@ -461,4 +452,22 @@ func TestBatchedIssueFailsFastOnDeadLink(t *testing.T) {
 			t.Errorf("batched put to dead link = %v, want synchronous wrapped ErrLinkFailed", perr)
 		}
 	})
+}
+
+// pendingRequest enters a nonblocking request toward target into the
+// slab, as an operation an ack or reply completes would: for tests that
+// complete or fail one by hand (settle).
+func pendingRequest(e *Engine, target int) *Request {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r, _ := e.newRequest(target, true, false)
+	return r
+}
+
+// heldSlots counts the slab's slots not on its free list: pending
+// requests, and blocking calls still in flight.
+func heldSlots(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.slab) - len(e.free)
 }

@@ -8,15 +8,15 @@ import (
 
 // Frame ownership. Every wire message core builds is a frame from
 // newMsg. Those of a singleton operation and of the replies to one — put
-// and accumulate bodies, get requests, RMW operands, get replies, acks
-// and notifications — go back to their sender: the frame's consumer marks
-// it consumed as its very last touch (consume), and the sender, once it
-// is done with the frame after the send, keeps a consumed frame as its
-// engine's one spare (reclaim), which the next newMsg takes. A frame not
-// yet consumed when its sender looks — backlogged, held in a reorder
-// buffer, parked, deferred behind the buddy, dropped or cloned by a fault
-// plan — is left to the collector. The holders that outlive the consumer
-// keep copies (the relay's txFrame, a fault plan's clones), so no
+// and accumulate bodies, get requests, RMW operands, get replies, RMW
+// replies, acks and notifications — go back to their sender: the frame's
+// consumer marks it consumed as its very last touch (consume), and the
+// sender, once it is done with the frame after the send, keeps a consumed
+// frame as its engine's one spare (reclaim), which the next newMsg takes.
+// A frame not yet consumed when its sender looks — backlogged, held in a
+// reorder buffer, parked, deferred behind the buddy, dropped or cloned by
+// a fault plan — is left to the collector. The holders that outlive the
+// consumer keep copies (the relay's txFrame, a fault plan's clones), so no
 // reference count is needed. DESIGN.md §5 has the table.
 
 // frameInline is the largest payload a frame carries inside its own
@@ -54,13 +54,12 @@ type spareSlot struct {
 const kPoisoned = 0xff
 
 // recycled reports whether frames of kind come back to their sender: the
-// kinds whose consumer marks them consumed. RMW replies do not (a
-// request's Value aliases the payload), nor do active messages (the
-// handler may keep the payload), batch aggregates (their buffers have a
-// free list of their own) or the control kinds.
+// kinds whose consumer marks them consumed. Active messages do not (the
+// handler may keep the payload), nor do batch aggregates (their buffers
+// have a free list of their own) or the control kinds.
 func recycled(kind uint8) bool {
 	switch kind {
-	case kPut, kGet, kRMW, kGetReply, kAck, kNotify:
+	case kPut, kGet, kRMW, kGetReply, kRMWReply, kAck, kNotify:
 		return true
 	}
 	return false

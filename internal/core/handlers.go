@@ -201,8 +201,8 @@ func (r *applyOp) sendValue(kind uint8, end vtime.Time) {
 // landed reply goes back to the target that sent it.
 func (e *Engine) handleGetReply(m *simnet.Message, at vtime.Time) {
 	e.emit(trace.KindReply, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), int64(len(m.Payload)))
-	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
-		req.finish(at, nil, e.landReply(req.land, m.Payload))
+	if req := e.claim(m.Hdr[hReq]); req != nil {
+		req.finish(at, e.landReply(req.land, m.Payload))
 	}
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	e.consume(m)
@@ -229,9 +229,7 @@ func (e *Engine) landReply(land landing, payload []byte) error {
 // folds the ack's delivery counter (see handleGetReply for the order).
 func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
 	e.emit(trace.KindAck, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
-	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
-		req.complete(at, nil)
-	}
+	e.settle(m.Hdr[hReq], at, nil)
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	e.consume(m)
 }
@@ -261,7 +259,5 @@ func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 func (e *Engine) handleProbeAck(m *simnet.Message, at vtime.Time) {
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
 	e.emit(trace.KindProbeAck, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
-	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
-		req.complete(at, nil)
-	}
+	e.settle(m.Hdr[hReq], at, nil)
 }

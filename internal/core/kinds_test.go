@@ -119,8 +119,19 @@ func TestRequestWaitImpliesTest(t *testing.T) {
 	})
 }
 
-// TestExplicitLockRelease exercises the standalone release message (the
-// path used when an issue fails after the grant).
+// releaseLockExplicit releases a lock held by this rank with the standalone
+// release message, which no engine path sends today: an atomic operation
+// carries its release (flagUnlockAfter).
+func releaseLockExplicit(e *Engine, world int) error {
+	m := e.newMsg(world, kLockRel, 0)
+	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
+		return err
+	}
+	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
+	return nil
+}
+
+// TestExplicitLockRelease exercises the standalone release message.
 func TestExplicitLockRelease(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
@@ -130,7 +141,7 @@ func TestExplicitLockRelease(t *testing.T) {
 				t.Errorf("acquire: %v", err)
 				return
 			}
-			if err := e.releaseLockExplicit(0); err != nil {
+			if err := releaseLockExplicit(e, 0); err != nil {
 				t.Errorf("release: %v", err)
 				return
 			}
@@ -139,7 +150,7 @@ func TestExplicitLockRelease(t *testing.T) {
 				t.Errorf("reacquire: %v", err)
 				return
 			}
-			if err := e.releaseLockExplicit(0); err != nil {
+			if err := releaseLockExplicit(e, 0); err != nil {
 				t.Errorf("re-release: %v", err)
 			}
 			p.Send(0, 1, nil)
@@ -151,8 +162,8 @@ func TestExplicitLockRelease(t *testing.T) {
 		if grants != 2 || contended != 0 {
 			t.Errorf("grants=%d contended=%d, want 2/0", grants, contended)
 		}
-		if e.LockHolder() != -1 {
-			t.Errorf("lock still held by %d", e.LockHolder())
+		if e.lock.Holder() != -1 {
+			t.Errorf("lock still held by %d", e.lock.Holder())
 		}
 	})
 }

@@ -22,30 +22,13 @@ func (e *Engine) acquireLock(world int) error {
 	if err := e.stickyFor(world); err != nil {
 		return fmt.Errorf("core: lock of rank %d: %w", world, err)
 	}
-	req := e.newRequest(world, latNone)
-	m := e.newMsg(world, kLockReq, 0)
-	m.Hdr[hReq] = req.id
-	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
-		// No grant will ever come; do not leave the request in the table.
-		req.completeErr(e.proc.Now(), err)
+	req, err := e.ask(world, kLockReq, 0)
+	if err != nil {
 		return err
 	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
-	req.Wait()
-	if err := req.Err(); err != nil {
+	if _, err := e.await(req); err != nil {
 		return fmt.Errorf("core: lock of rank %d: %w", world, err)
 	}
-	return nil
-}
-
-// releaseLockExplicit releases a lock held by this rank without an
-// attached operation (used when an issue path fails after the grant).
-func (e *Engine) releaseLockExplicit(world int) error {
-	m := e.newMsg(world, kLockRel, 0)
-	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
-		return err
-	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
 	return nil
 }
 
@@ -62,9 +45,7 @@ func (e *Engine) handleLockReq(m *simnet.Message, at vtime.Time) {
 
 // handleLockGrant completes the origin's pending acquire.
 func (e *Engine) handleLockGrant(m *simnet.Message, at vtime.Time) {
-	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
-		req.complete(at, nil)
-	}
+	e.settle(m.Hdr[hReq], at, nil)
 }
 
 // handleLockRel processes an explicit release message.
@@ -83,10 +64,6 @@ func (e *Engine) releaseLockLocal(origin int, at vtime.Time) {
 		e.proc.NIC().BadReq.Inc()
 	}
 }
-
-// LockHolder exposes the current holder of this rank's process-level lock
-// (-1 when free), for tests.
-func (e *Engine) LockHolder() int { return e.lock.Holder() }
 
 // LockStats exposes the coarse-lock grant counters (total grants, grants
 // that had to queue), for the benchmark harness.

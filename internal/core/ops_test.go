@@ -198,11 +198,7 @@ func TestStridedLandingIsAtomicToLocalReads(t *testing.T) {
 		}
 		p.Barrier()
 		writes := p.Mem().RemoteWrites.Value()
-		req, err := e.Get(dst, count, vec, tm, 0, count, vec, 0, comm, AttrBlocking)
-		if err == nil {
-			err = req.Err()
-		}
-		if err != nil {
+		if _, err := e.Get(dst, count, vec, tm, 0, count, vec, 0, comm, AttrBlocking); err != nil {
 			t.Errorf("get: %v", err)
 		}
 		if got := p.Mem().RemoteWrites.Value() - writes; got != 1 {
@@ -740,11 +736,7 @@ func putGetNeverTorn(t *testing.T, cfg runtime.Config, topts Options) {
 			writersDone.Add(1)
 		case 3:
 			for reads.Load() < minReads || writersDone.Load() < 2 {
-				req, err := e.Get(buf, 3, datatype.Int64, tm, disp, 3, datatype.Int64, 0, comm, AttrBlocking)
-				if err == nil {
-					err = req.Err()
-				}
-				if err != nil {
+				if _, err := e.Get(buf, 3, datatype.Int64, tm, disp, 3, datatype.Int64, 0, comm, AttrBlocking); err != nil {
 					t.Errorf("get: %v", err)
 					panic("torn: get failed")
 				}

@@ -620,8 +620,8 @@ func (e *Engine) pingStalled(spell uint64) bool {
 }
 
 // awaitedPeers lists, in rank order, the peers of every counter waiter
-// (Engine.waits) and outstanding request, and the buddy while replication
-// deferrals are unacknowledged.
+// (Engine.waits) and outstanding request (slab, pending batches), and the
+// buddy while replication deferrals are unacknowledged.
 func (e *Engine) awaitedPeers() []int {
 	var peers []int
 	st := &e.repl
@@ -636,10 +636,17 @@ func (e *Engine) awaitedPeers() []int {
 	}
 	st.mu.Unlock()
 	e.mu.Lock()
-	for _, r := range e.reqs {
-		peers = append(peers, r.target)
+	for _, s := range e.slab {
+		if s.req != nil {
+			peers = append(peers, s.req.target)
+		}
 	}
 	e.mu.Unlock()
+	e.cmplMu.Lock()
+	for _, pb := range e.pendingBatches {
+		peers = append(peers, pb.target)
+	}
+	e.cmplMu.Unlock()
 	for _, w := range e.waits() {
 		peers = append(peers, w.Peer)
 	}

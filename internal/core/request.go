@@ -36,8 +36,8 @@ type Request struct {
 
 	mu  sync.Mutex
 	at  vtime.Time
-	val []byte
 	err error
+	old int64 // an RMW's old value, copied out of its reply
 
 	// onDone holds completion callbacks registered before the request
 	// finished; finish captures and clears them under mu, so each runs
@@ -51,9 +51,9 @@ type Request struct {
 	land landing
 
 	// latKind/issuedAt route the request's completion into a latency.*
-	// histogram. Populated by newRequest only while telemetry is enabled,
-	// before the request escapes the issuing goroutine, so finish may read
-	// them without the lock.
+	// histogram while telemetry is enabled. Stamped by issue before the
+	// request escapes the issuing goroutine, so finish may read them
+	// without the lock.
 	latKind uint8
 	done    bool
 	// waited is set once a Wait parks on the engine's bell: finish rings it.
@@ -68,43 +68,92 @@ type Request struct {
 // events carry, for correlating spans across ranks.
 func (r *Request) ID() uint64 { r.observe(); return r.id }
 
-// newRequest enters a request toward target into the engine table. While
-// telemetry is enabled, a latKind other than latNone also stamps its issue
-// time, so its completion lands in that latency histogram.
-func (e *Engine) newRequest(target int, latKind uint8) *Request {
-	r := &Request{e: e, target: target}
-	if latKind != latNone && e.observers().lat != nil {
-		r.latKind, r.issuedAt = latKind, e.proc.Now()
-	}
-	e.mu.Lock()
+// The request slab (DESIGN.md §5) holds the requests a frame completes. A
+// request's id is its issue sequence number; a slotted one's carries its
+// slot index + 1 from bit slotShift up, so the sequence number is the
+// slot's generation and a frame naming an earlier occupant claims nothing.
+const slotShift = 40
+
+// reqSlot is one slot: its pending request, and the request a blocking
+// call holding the slot waits on (own), reused.
+type reqSlot struct {
+	req *Request // nil once claimed, and while free
+	own Request
+}
+
+// newRequest numbers the next operation toward target and returns its id
+// and request: in a free slot when a frame completes it (slotted) — the
+// slot's own for a blocking call — and otherwise a new one, or none (nil)
+// for a blocking call, done at its send. Caller holds e.mu.
+func (e *Engine) newRequest(target int, slotted, blocking bool) (*Request, uint64) {
 	e.reqSeq++
-	r.id = e.reqSeq
-	e.reqs[r.id] = r
-	e.mu.Unlock()
+	seq := e.reqSeq
+	if !slotted {
+		if blocking {
+			return nil, seq
+		}
+		return &Request{e: e, id: seq, target: target}, seq
+	}
+	i := len(e.slab)
+	if n := len(e.free); n > 0 {
+		i, e.free = int(e.free[n-1]), e.free[:n-1]
+	} else {
+		e.slab = append(e.slab, new(reqSlot))
+	}
+	s := e.slab[i]
+	r := &s.own
+	if !blocking {
+		r = new(Request)
+	}
+	*r = Request{e: e, id: uint64(i+1)<<slotShift | seq, target: target}
+	s.req = r
+	return r, r.id
+}
+
+// claim takes the request pending under id out of the slab, or returns nil
+// (done already, or a stale id). Whoever claims a request finishes it.
+func (e *Engine) claim(id uint64) *Request {
+	i := int(id>>slotShift) - 1
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if i < 0 || i >= len(e.slab) || e.slab[i].req == nil || e.slab[i].req.id != id {
+		return nil
+	}
+	s := e.slab[i]
+	r := s.req
+	s.req = nil
+	if r != &s.own { // a blocking call frees its slot itself (await)
+		e.free = append(e.free, int32(i))
+	}
 	return r
 }
 
-// complete marks the request done at virtual time at with optional result
-// value, and removes it from the engine table. Idempotence guards against
-// protocol duplicates.
-func (r *Request) complete(at vtime.Time, val []byte) {
-	r.finish(at, val, nil)
+// settle finishes the request pending under id, if one is (claim).
+func (e *Engine) settle(id uint64, at vtime.Time, err error) {
+	if r := e.claim(id); r != nil {
+		r.finish(at, err)
+	}
 }
 
-// completeErr marks the request done with a failure the origin only
-// learned of asynchronously (e.g. a get the target could not serve).
-func (r *Request) completeErr(at vtime.Time, err error) {
-	r.finish(at, nil, err)
+// await ends a blocking call on its slot's own request r: it waits for r,
+// frees the slot and returns r's error and old value.
+func (e *Engine) await(r *Request) (int64, error) {
+	r.Wait()
+	old, err := r.old, r.err // done: nothing writes them any more
+	e.mu.Lock()
+	e.free = append(e.free, int32(r.id>>slotShift)-1)
+	e.mu.Unlock()
+	return old, err
 }
 
-// finish is the single terminal transition of a request. err (and at,
-// val) are stored in the same critical section that marks the request
-// done, under the mutex Err acquires, so a goroutine released by Wait,
-// Await or Select always observes the request's error. Callbacks
-// run after the lock is released (still exactly once: finish is
-// idempotent and captures-and-clears the list), so an OnDone callback may
-// itself call request or engine methods without deadlocking.
-func (r *Request) finish(at vtime.Time, val []byte, err error) {
+// finish is the single, idempotent terminal transition of a request. err
+// (and at) are stored, and all else finish reads is read, in the critical
+// section that marks the request done, under the mutex Err acquires: a
+// goroutine released by Wait, Await or Select always observes the error,
+// and a done blocking request is its slot's to reuse. Callbacks run after
+// the lock is released (exactly once: finish captures and clears the
+// list), so an OnDone callback may call request or engine methods.
+func (r *Request) finish(at vtime.Time, err error) {
 	r.mu.Lock()
 	if r.done {
 		r.mu.Unlock()
@@ -112,26 +161,26 @@ func (r *Request) finish(at vtime.Time, val []byte, err error) {
 	}
 	r.done = true
 	r.at = at
-	r.val = val
 	r.err = err
 	cbs := r.onDone
 	r.onDone = nil
+	e, id, target, latKind, issuedAt := r.e, r.id, r.target, r.latKind, r.issuedAt
 	if r.waited {
-		r.e.bell.Ring()
+		e.bell.Ring()
 	}
 	r.mu.Unlock()
-	r.e.mu.Lock()
-	delete(r.e.reqs, r.id)
-	r.e.mu.Unlock()
-	if r.latKind != latNone {
-		if lat := r.e.observers().lat; lat != nil {
-			lat[r.latKind].Observe(int64(at - r.issuedAt))
-		}
-	}
+	e.observeLatency(latKind, issuedAt, at)
 	for _, cb := range cbs {
 		cb(err)
 	}
-	r.e.record(trace.KindRequestDone, at, r.target, r.id, 0, 0, err)
+	e.record(trace.KindRequestDone, at, target, id, 0, 0, err)
+}
+
+// observeLatency lands an operation's latency, if stamped at issue.
+func (e *Engine) observeLatency(latKind uint8, issuedAt, at vtime.Time) {
+	if lat := e.observers().lat; latKind != latNone && lat != nil {
+		lat[latKind].Observe(int64(at - issuedAt))
+	}
 }
 
 // OnDone registers a completion callback: fn runs exactly once with the
@@ -208,15 +257,6 @@ func (r *Request) CompletedAt() vtime.Time {
 	return r.at
 }
 
-// Value returns the operation's result bytes (read-modify-write old
-// values); nil for transfers. Valid once done.
-func (r *Request) Value() []byte {
-	r.observe()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.val
-}
-
 // Err returns the asynchronous failure of the operation, if any (valid
 // once done). Errors detectable at issue time are returned by the issuing
 // call instead; Err reports failures the target discovered, such as a get
@@ -236,14 +276,6 @@ func WaitAll(reqs ...*Request) {
 			r.Wait()
 		}
 	}
-}
-
-// lookupRequest finds an outstanding request by id (nil if completed or
-// unknown).
-func (e *Engine) lookupRequest(id uint64) *Request {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.reqs[id]
 }
 
 // Lost requests (DESIGN.md §8). A nonblocking request is loose until

@@ -99,15 +99,16 @@ func TestStrictDebugAttrs(t *testing.T) {
 		if p.Rank() == 1 {
 			e.SetCommAttrs(comm, StrictDebugAttrs)
 			src := p.Alloc(8)
-			req, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrBlocking)
-			if err != nil {
+			issued := p.Now()
+			if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrBlocking); err != nil {
 				t.Errorf("put: %v", err)
 				return
 			}
-			// Remote completion implies a round trip: well past the
-			// local-only send time.
-			if req.CompletedAt() < 3000 {
-				t.Errorf("strict put completed at %d; remote completion not applied", req.CompletedAt())
+			// Remote completion implies a round trip: the blocking put
+			// returns with the rank's clock well past the local-only send
+			// time.
+			if took := p.Now() - issued; took < 3000 {
+				t.Errorf("strict put returned %d ns after its issue; remote completion not applied", took)
 			}
 			e.Complete(comm, 0)
 		}
@@ -141,15 +142,15 @@ func TestProgressQuantumDelays(t *testing.T) {
 			return
 		}
 		src := p.Alloc(8)
-		req, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrAtomic|AttrRemoteComplete|AttrBlocking)
-		if err != nil {
+		if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, comm, AttrAtomic|AttrRemoteComplete|AttrBlocking); err != nil {
 			t.Errorf("put: %v", err)
 			return
 		}
 		// The apply could not happen before the first poll boundary, so
-		// the ack-carried completion time is at least the quantum.
-		if req.CompletedAt() < 1000000 {
-			t.Errorf("completed at %d, want >= the 1ms poll boundary", req.CompletedAt())
+		// the blocking put returns with the rank's clock at the
+		// ack-carried completion time, at least the quantum.
+		if now := p.Now(); now < 1000000 {
+			t.Errorf("put returned at %d, want >= the 1ms poll boundary", now)
 		}
 		p.Barrier()
 	})

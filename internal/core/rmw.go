@@ -59,19 +59,17 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 	// Always atomic; the old-value reply completes the request and carries
 	// the delivery counter.
 	req, err := e.issue(comm, tm.Owner, e.effectiveAttrs(comm, attrs)|AttrAtomic, latRMW, m, landing{}, nil)
-	if err != nil {
-		return 0, fmt.Errorf("core: RMW: %w", err)
+	if err == nil {
+		var old int64
+		if old, err = e.await(req); err == nil {
+			return old, nil
+		}
 	}
-	req.Wait()
-	if err := req.Err(); err != nil {
-		return 0, fmt.Errorf("core: RMW: %w", err)
-	}
-	val := req.Value()
-	if len(val) != 8 {
-		return 0, fmt.Errorf("core: RMW failed at the target (unexposed or out-of-range memory): %w", ErrBadHandle)
-	}
-	return int64(binary.LittleEndian.Uint64(val)), nil
+	return 0, fmt.Errorf("core: RMW: %w", err)
 }
+
+// errRMWTarget fails an RMW whose reply carries no old value.
+var errRMWTarget = fmt.Errorf("failed at the target (unexposed or out-of-range memory): %w", ErrBadHandle)
 
 // startRMW validates the access and schedules it on the serializer. An
 // invalid one is scheduled all the same, so it is counted in its turn.
@@ -128,11 +126,16 @@ func (r *applyOp) applyRMW(end vtime.Time) {
 	}
 }
 
-// handleRMWReply completes a pending RMW at the origin with the old value,
-// then folds the reply's delivery counter (see handleGetReply).
+// handleRMWReply completes a pending RMW at the origin with a copy of the
+// old value, then folds the reply's delivery counter (see handleGetReply).
 func (e *Engine) handleRMWReply(m *simnet.Message, at vtime.Time) {
-	if req := e.lookupRequest(m.Hdr[hReq]); req != nil {
-		req.complete(at, m.Payload)
+	if req := e.claim(m.Hdr[hReq]); req != nil {
+		err := errRMWTarget
+		if len(m.Payload) == 8 {
+			req.old, err = int64(binary.LittleEndian.Uint64(m.Payload)), nil
+		}
+		req.finish(at, err)
 	}
 	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
+	e.consume(m)
 }

@@ -255,6 +255,7 @@ var (
 // allocTable is the committed per-primitive table. `make allocs` prints it.
 var allocTable = []pinned{
 	{"put", pinThread, 1, func(c *pinCtx) { c.put(0) }},
+	{"blocking put", pinThread, 0, func(c *pinCtx) { c.put(AttrBlocking) }},
 	{"put 1 KiB", pinThread, 1, func(c *pinCtx) {
 		req, err := c.e.Put(c.src, pinBytes, datatype.Byte, c.tm, 0, pinBytes, datatype.Byte, 0, c.comm, 0)
 		if err != nil {
@@ -273,7 +274,7 @@ var allocTable = []pinned{
 	}},
 	{"put remote-complete", pinThread, 1, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
 	{"put atomic (thread)", pinThread, 1, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"put atomic (coarse lock)", pinCoarse, 5, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put atomic (coarse lock)", pinCoarse, 4, func(c *pinCtx) { c.put(AttrAtomic) }},
 	{"put 8 x vector(8,1,2,int64)", pinThread, 1, func(c *pinCtx) {
 		req, err := c.e.Put(c.src, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, 0)
 		if err != nil {
@@ -282,25 +283,25 @@ var allocTable = []pinned{
 		req.Wait()
 		c.settle()
 	}},
-	{"get 8 x vector(8,1,2,int64)", pinThread, 1, func(c *pinCtx) {
+	{"get 8 x vector(8,1,2,int64)", pinThread, 0, func(c *pinCtx) {
 		if _, err := c.e.Get(c.dst, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, AttrBlocking); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch word", pinThread, 2, func(c *pinCtx) {
+	{"fetch word", pinThread, 0, func(c *pinCtx) {
 		if _, err := c.e.FetchWord(c.tm, 0, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("fetch word: %v", err)
 		}
 		c.settle()
 	}},
-	{"compare-and-swap", pinThread, 2, func(c *pinCtx) {
+	{"compare-and-swap", pinThread, 0, func(c *pinCtx) {
 		if _, err := c.e.CompareSwap(c.tm, 0, 0, 1, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("compare-and-swap: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch-and-add", pinThread, 2, func(c *pinCtx) {
+	{"fetch-and-add", pinThread, 0, func(c *pinCtx) {
 		if _, err := c.e.FetchAdd(c.tm, 0, 1, 0, c.comm, 0); err != nil {
 			c.t.Fatalf("fetch-and-add: %v", err)
 		}

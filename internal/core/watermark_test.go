@@ -135,14 +135,14 @@ func TestWaitsStartNoGoroutine(t *testing.T) {
 				return i
 			},
 		} {
-			never, winner := e.newRequest(0, latNone), e.newRequest(0, latNone)
+			never, winner := pendingRequest(e, 0), pendingRequest(e, 0)
 			baseline := settledGoroutines()
 			got := make(chan int, 1)
 			go func() { got <- wait(never, winner) }()
 			for hooks(winner) == 0 { // until the call has registered and is (about to be) asleep
 				time.Sleep(100 * time.Microsecond)
 			}
-			winner.complete(p.Now(), nil)
+			e.settle(winner.id, p.Now(), nil)
 			if i := <-got; i != 1 {
 				t.Errorf("%s returned case %d, want 1", name, i)
 			}
@@ -156,12 +156,12 @@ func TestWaitsStartNoGoroutine(t *testing.T) {
 			if ws := e.waits(); len(ws) != 0 {
 				t.Errorf("%s left counter waiters registered: %+v", name, ws)
 			}
-			never.complete(p.Now(), nil)
+			e.settle(never.id, p.Now(), nil)
 		}
 
-		a, b := e.newRequest(0, latNone), e.newRequest(0, latNone)
-		b.complete(p.Now(), nil)
-		a.complete(p.Now(), nil)
+		a, b := pendingRequest(e, 0), pendingRequest(e, 0)
+		e.settle(b.id, p.Now(), nil)
+		e.settle(a.id, p.Now(), nil)
 		if i := WaitAny(a, b); i != 0 {
 			t.Errorf("WaitAny over two completed requests returned %d, want 0", i)
 		}
@@ -204,7 +204,7 @@ func TestRequestWaitConcurrent(t *testing.T) {
 			return returned, wg
 		}
 
-		r := e.newRequest(1, latNone)
+		r := pendingRequest(e, 1)
 		returned, wg := waitAll(r)
 		for asleep := false; !asleep; time.Sleep(100 * time.Microsecond) {
 			r.mu.Lock()
@@ -217,7 +217,7 @@ func TestRequestWaitConcurrent(t *testing.T) {
 		if n := returned.Load(); n != 0 {
 			t.Errorf("%d waiters returned from a pending request", n)
 		}
-		r.complete(p.Now(), nil)
+		e.settle(r.id, p.Now(), nil)
 		wg.Wait()
 
 		enc, _ := p.Recv(1, 9999)

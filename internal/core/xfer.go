@@ -22,7 +22,7 @@ import (
 // engine defaults are ORed in.
 //
 // Without AttrBlocking, Put returns a Request; with it, Put completes the
-// operation before returning (the returned request is already complete).
+// operation before returning (AttrBlocking says what it returns then).
 func (e *Engine) Put(origin memsim.Region, ocount int, odt datatype.Type, tm TargetMem, tdisp, tcount int, tdt datatype.Type, trank int, comm *runtime.Comm, attrs Attr) (*Request, error) {
 	return e.xfer(OpPut, AccNone, 0, origin, ocount, odt, tm, tdisp, tcount, tdt, trank, comm, attrs)
 }
@@ -221,9 +221,9 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 // ring member on its aggregate's notification. For a message, land is
 // where a get's reply goes, and zero for every other kind.
 //
-// A lock, pack or send failure completes the request with the error
-// instead of abandoning it in the engine table: that keeps every
-// observation surface — Err, OnDone, Select — in agreement with the
+// A blocking call ends here (an RMW's in rmw). A lock or send failure
+// fails a slotted request instead of abandoning it in the slab: that keeps
+// every observation surface — Err, OnDone, Select — in agreement with the
 // returned error. This is the only place that has to. A message is issue's
 // to reclaim once the send has returned and its stamps have been read.
 func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8, m *frame, land landing, put *wireOp) (*Request, error) {
@@ -241,16 +241,19 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	if err := e.maybeFence(comm, target); err != nil {
 		return nil, err
 	}
-	req := e.newRequest(target, latKind)
-	if m != nil {
-		req.land = land
-	}
-
-	packed, full := 0, false
 	rmw := m != nil && m.Kind == kRMW
 	replies := rmw || m != nil && m.Kind == kGet
+	slotted := replies || m != nil && attrs&AttrRemoteComplete != 0
+	blocking := rmw || attrs&AttrBlocking != 0
+	issuedAt := e.proc.Now()
+
+	packed, full := 0, false
 	var seq uint64
 	e.mu.Lock()
+	req, id := e.newRequest(target, slotted, blocking)
+	if req != nil {
+		req.latKind, req.issuedAt, req.land = latKind, issuedAt, land
+	}
 	ts := e.targetLocked(target)
 	if put != nil {
 		ring := &ts.ring
@@ -260,7 +263,6 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 		})
 		if err != nil {
 			e.mu.Unlock()
-			req.completeErr(e.proc.Now(), err)
 			return nil, err
 		}
 		if attrs&AttrRemoteComplete != 0 {
@@ -293,9 +295,9 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 
 	if put != nil {
 		e.BatchedOps.Inc()
-		e.emit(trace.KindEnqueue, e.proc.Now(), target, req.id, int64(packed), 0)
+		e.emit(trace.KindEnqueue, e.proc.Now(), target, id, int64(packed), 0)
 		if attrs&AttrRemoteComplete == 0 {
-			req.complete(e.proc.Now(), nil)
+			req.finish(e.proc.Now(), nil)
 		}
 		if full {
 			e.flushTarget(target)
@@ -306,7 +308,7 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 
 	e.SingletonOps.Inc()
 	m.Hdr[hMeta] |= uint64(attrs)&0xffff | (epoch&0xffffffff)<<32
-	m.Hdr[hReq] = req.id
+	m.Hdr[hReq] = id
 	m.Hdr[hSeq] = seq
 
 	// The coarse-grain serializer requires the origin to hold the target's
@@ -324,20 +326,31 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	sent, arrive, n := m.SentAt, m.ArriveAt, len(m.Payload)
 	e.reclaim(m)
 	if err != nil {
-		req.completeErr(e.proc.Now(), err)
+		e.settle(id, e.proc.Now(), err) // a no-op for an id without a slot
+		if blocking && req != nil {
+			e.await(req)
+		}
 		return nil, err
 	}
 	e.proc.NIC().CPU().AdvanceTo(sent)
-	e.emit(trace.KindIssue, sent, target, req.id, int64(n), int64(arrive))
+	e.emit(trace.KindIssue, sent, target, id, int64(n), int64(arrive))
 
-	if !replies && attrs&AttrRemoteComplete == 0 {
-		req.complete(sent, nil)
+	switch {
+	case req == nil: // blocking, and done at its send
+		e.observeLatency(latKind, issuedAt, sent)
+		e.record(trace.KindRequestDone, sent, target, id, 0, 0, nil)
+		return &e.doneReq, nil
+	case !slotted:
+		req.finish(sent, nil)
+	case rmw: // its caller awaits the old value
+		return req, nil
+	case blocking:
+		if _, err := e.await(req); err != nil {
+			return nil, err
+		}
+		return &e.doneReq, nil
 	}
-	if attrs&AttrBlocking != 0 {
-		req.Wait()
-	} else if !rmw { // an RMW's caller waits on it itself
-		e.loosen(req)
-	}
+	e.loosen(req)
 	return req, nil
 }
 

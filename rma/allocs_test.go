@@ -63,6 +63,7 @@ var facadeAllocs = []struct {
 	op   func(c *facadeCtx)
 }{
 	{"put", serializer.MechThread, 1, func(c *facadeCtx) { c.put() }},
+	{"blocking put", serializer.MechThread, 0, func(c *facadeCtx) { c.put(rma.WithBlocking()) }},
 	{"put 1 KiB", serializer.MechThread, 1, func(c *facadeCtx) {
 		req, err := c.s.Put(c.src, facadeBytes, rma.Byte, c.tm, 0)
 		if err != nil {
@@ -78,9 +79,9 @@ var facadeAllocs = []struct {
 			c.t.Fatalf("complete: %v", err)
 		}
 	}},
-	{"put remote-complete", serializer.MechThread, 1, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
+	{"put remote-complete", serializer.MechThread, 0, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
 	{"put atomic (thread)", serializer.MechThread, 1, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
-	{"put atomic (coarse lock)", serializer.MechCoarseLock, 5, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"put atomic (coarse lock)", serializer.MechCoarseLock, 4, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
 	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 1, func(c *facadeCtx) {
 		req, err := c.s.Put(c.src, 8, facadeVec, c.tm, 0)
 		if err != nil {
@@ -89,25 +90,25 @@ var facadeAllocs = []struct {
 		req.Wait()
 		c.settle()
 	}},
-	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 1, func(c *facadeCtx) {
+	{"get 8 x vector(8,1,2,int64)", serializer.MechThread, 0, func(c *facadeCtx) {
 		if _, err := c.s.Get(c.dst, 8, facadeVec, c.tm, 0, rma.WithBlocking()); err != nil {
 			c.t.Fatalf("get: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch word", serializer.MechThread, 2, func(c *facadeCtx) {
+	{"fetch word", serializer.MechThread, 0, func(c *facadeCtx) {
 		if _, err := c.s.FetchWord(c.tm, 0); err != nil {
 			c.t.Fatalf("fetch word: %v", err)
 		}
 		c.settle()
 	}},
-	{"compare-and-swap", serializer.MechThread, 2, func(c *facadeCtx) {
+	{"compare-and-swap", serializer.MechThread, 0, func(c *facadeCtx) {
 		if _, err := c.s.CompareSwap(c.tm, 0, 0, 1); err != nil {
 			c.t.Fatalf("compare-and-swap: %v", err)
 		}
 		c.settle()
 	}},
-	{"fetch-and-add", serializer.MechThread, 2, func(c *facadeCtx) {
+	{"fetch-and-add", serializer.MechThread, 0, func(c *facadeCtx) {
 		if _, err := c.s.FetchAdd(c.tm, 0, 1); err != nil {
 			c.t.Fatalf("fetch-and-add: %v", err)
 		}

@@ -135,7 +135,13 @@ func WithRemoteComplete() AttrOption { return AttrOption(core.AttrRemoteComplete
 func WithAtomic() AttrOption { return AttrOption(core.AttrAtomic) }
 
 // WithBlocking makes the call return only when the operation's request
-// would complete; the returned request is already done.
+// would complete, and the call allocates nothing to wait. On success it
+// returns the session's one shared, already-completed request and a nil
+// error: Test is true, Wait returns at once and OnDone runs inline, so
+// there is nothing to keep or observe. On failure it returns nil and the
+// operation's error, an asynchronous one included — a target-side failure
+// such as a Get of unexposed memory (ErrBadHandle), ErrRankFailed,
+// ErrLinkFailed. A blocking operation is never loose (LostRequests).
 func WithBlocking() AttrOption { return AttrOption(core.AttrBlocking) }
 
 // WithNotify asks the target to report the operation's application on the

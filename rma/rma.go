@@ -17,7 +17,9 @@
 //
 // Per-operation attributes — the paper's central design point — are
 // functional options (WithOrdering, WithAtomic, WithRemoteComplete,
-// WithBlocking, WithNotify); a notified put is Put with WithNotify.
+// WithBlocking, WithNotify); a notified put is Put with WithNotify. A
+// blocking call allocates no request: it returns a shared done one, or
+// nil and the operation's own error (WithBlocking).
 // Session-level behaviour (operation batching, the atomicity mechanism,
 // engine-wide default attributes) is configured by options passed to Open.
 // Whatever the ranks must agree on — fault plans, the retry policy of the
@@ -357,7 +359,9 @@ func (s *Session) Retract(tm TargetMem) error { return s.eng.Retract(tm) }
 // Put transfers count elements of dt from the origin region into dst at
 // byte displacement tdisp (MPI_RMA_put). Nonblocking by default: the
 // returned request completes when the origin buffer is reusable (or, with
-// WithRemoteComplete, when the data is applied at the target).
+// WithRemoteComplete, when the data is applied at the target). With
+// WithBlocking it returns a shared done request, or nil and the
+// operation's error (MPI_Put's request-less form).
 func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp int, opts ...OpOption) (*Request, error) {
 	c := buildOpConfig(opts)
 	tcount, tdt := c.targetLayout(count, dt)
@@ -366,7 +370,8 @@ func (s *Session) Put(origin Region, count int, dt Type, dst TargetMem, tdisp in
 
 // Get transfers count elements of dt from src at byte displacement tdisp
 // into the origin region (MPI_RMA_get). The request completes when the
-// data has landed; check Request.Err for target-side failures. Get ignores
+// data has landed; check Request.Err for target-side failures, which a
+// blocking Get (WithBlocking) returns from the call instead. Get ignores
 // WithRemoteComplete (landing at the origin already implies the target
 // read) and WithNotify (the data reply already feeds the delivery
 // counters).

@@ -83,14 +83,27 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Error("session-level WithBatch did not reach the engine")
 		}
 
-		// Per-op options: a blocking put returns an already-done request.
+		// Per-op options: a blocking put returns the session's one shared,
+		// already-completed request and a nil error.
 		write(int64(p.Rank() * 10))
 		req, err := s.Put(src, 1, rma.Int64, tm, p.Rank()*8, rma.WithBlocking())
 		if err != nil {
 			t.Fatalf("blocking put: %v", err)
 		}
-		if !req.Test() {
-			t.Error("blocking put returned an unfinished request")
+		again, err := s.Put(src, 1, rma.Int64, tm, p.Rank()*8, rma.WithBlocking())
+		if err != nil {
+			t.Fatalf("blocking put: %v", err)
+		}
+		if again != req {
+			t.Error("two blocking puts returned different requests, want the one shared done request")
+		}
+		if !req.Test() || req.Err() != nil {
+			t.Errorf("blocking put returned a request with Test %v, Err %v; want a done one without error", req.Test(), req.Err())
+		}
+		ran := false
+		req.OnDone(func(error) { ran = true })
+		if !ran {
+			t.Error("OnDone on the shared done request did not run inline")
 		}
 		if err := s.Complete(tm.Owner); err != nil {
 			t.Errorf("complete: %v", err)
@@ -264,6 +277,44 @@ func TestFacadeForgedSizeRefusedAtTarget(t *testing.T) {
 			t.Errorf("forged get returned %v, want ErrBadHandle", err)
 		}
 		if got := p.Mem().Snapshot(src.Offset, 8); !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+			t.Errorf("failed get overwrote its origin buffer: %x", got)
+		}
+		p.Send(0, 1, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFacadeBlockingGetReturnsTargetError: a blocking call returns its
+// operation's asynchronous failure itself. A blocking Get of a handle its
+// target no longer exposes returns nil and ErrBadHandle from the call, and
+// leaves the origin buffer alone.
+func TestFacadeBlockingGetReturnsTargetError(t *testing.T) {
+	world := newWorld(t, runtime.Config{Ranks: 2})
+	err := world.Run(func(p *runtime.Proc) {
+		s := rma.Open(p)
+		if p.Rank() == 0 {
+			tm, _ := s.Expose(8)
+			if err := s.Retract(tm); err != nil {
+				t.Errorf("retract: %v", err)
+			}
+			p.Send(1, 0, tm.Encode())
+			p.Recv(1, 1)
+			return
+		}
+		enc, _ := p.Recv(0, 0)
+		tm, err := rma.DecodeTargetMem(enc)
+		if err != nil {
+			t.Fatalf("decode descriptor: %v", err)
+		}
+		dst := p.Alloc(8)
+		p.WriteLocal(dst, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		req, err := s.Get(dst, 8, rma.Byte, tm, 0, rma.WithBlocking())
+		if req != nil || !errors.Is(err, rma.ErrBadHandle) {
+			t.Errorf("blocking get of an unexposed handle returned (%v, %v), want (nil, ErrBadHandle)", req, err)
+		}
+		if got := p.Mem().Snapshot(dst.Offset, 8); !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 			t.Errorf("failed get overwrote its origin buffer: %x", got)
 		}
 		p.Send(0, 1, nil)
