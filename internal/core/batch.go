@@ -56,17 +56,18 @@ type issueRing struct {
 	head    int        // bytes reserved ahead of the frames for the member count
 	buf     []byte     // the count reservation, then member frames; nil when empty
 	reqs    []*Request // members, in ring order
-	remote  []*Request // of reqs, those that complete on the aggregate's notification
+	remote  []uint64   // ids of the members that complete on the aggregate's notification
 	bytes   int        // accumulated packed payload
 	ordered bool       // some member carries AttrOrdering
 }
 
 // pendingBatch routes a batch's notification to the remote-completion
-// requests of its member operations. target lets a link failure find and
-// fail the batches that will never be notified.
+// requests of its member operations, by id: they wait in the slab, where
+// the failure fan-out finds them. target lets it drop the batches that
+// will never be notified.
 type pendingBatch struct {
 	target int
-	reqs   []*Request
+	ids    []uint64
 }
 
 // Batch payload op flags.
@@ -182,7 +183,7 @@ func (e *Engine) flushTarget(world int) {
 	if len(remote) > 0 {
 		// Registered before the send so the notification cannot race past.
 		e.cmplMu.Lock()
-		e.pendingBatches[id] = &pendingBatch{target: world, reqs: remote}
+		e.pendingBatches[id] = &pendingBatch{target: world, ids: remote}
 		e.cmplMu.Unlock()
 	}
 
@@ -199,12 +200,13 @@ func (e *Engine) flushTarget(world int) {
 		e.cmplMu.Lock()
 		delete(e.pendingBatches, id)
 		e.cmplMu.Unlock()
+		if !errors.Is(err, ErrLinkFailed) {
+			err = nil
+		} else {
+			err = fmt.Errorf("core: batch to rank %d: %w", world, err)
+		}
 		for _, r := range remote {
-			if errors.Is(err, ErrLinkFailed) {
-				r.finish(e.proc.Now(), fmt.Errorf("core: batch to rank %d: %w", world, err))
-			} else {
-				r.finish(e.proc.Now(), nil)
-			}
+			e.settle(r, e.proc.Now(), err)
 		}
 		return
 	}
@@ -431,8 +433,8 @@ func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 		delete(e.pendingBatches, id)
 		e.cmplMu.Unlock()
 		if pb != nil {
-			for _, r := range pb.reqs {
-				r.finish(at, nil)
+			for _, r := range pb.ids {
+				e.settle(r, at, nil)
 			}
 		}
 	}

@@ -575,11 +575,9 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 	e.FlightRecorder().AutoDump(kind.String(), int64(at))
 	all := rank == AllRanks
 	e.cmplMu.Lock()
-	var victims []*Request
 	for id, pb := range e.pendingBatches {
 		if all || pb.target == rank {
-			delete(e.pendingBatches, id)
-			victims = append(victims, pb.reqs...)
+			delete(e.pendingBatches, id) // its members are in the slab
 		}
 	}
 	woken := poke(e.confirmed, rank)
@@ -593,9 +591,6 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 		}
 	}
 	e.mu.Unlock()
-	for _, r := range victims {
-		r.finish(at, err)
-	}
 	for _, id := range ids {
 		e.settle(id, at, err) // unless answered meanwhile
 	}

@@ -620,8 +620,8 @@ func (e *Engine) pingStalled(spell uint64) bool {
 }
 
 // awaitedPeers lists, in rank order, the peers of every counter waiter
-// (Engine.waits) and outstanding request (slab, pending batches), and the
-// buddy while replication deferrals are unacknowledged.
+// (Engine.waits) and outstanding request, and the buddy while replication
+// deferrals are unacknowledged.
 func (e *Engine) awaitedPeers() []int {
 	var peers []int
 	st := &e.repl
@@ -642,11 +642,6 @@ func (e *Engine) awaitedPeers() []int {
 		}
 	}
 	e.mu.Unlock()
-	e.cmplMu.Lock()
-	for _, pb := range e.pendingBatches {
-		peers = append(peers, pb.target)
-	}
-	e.cmplMu.Unlock()
 	for _, w := range e.waits() {
 		peers = append(peers, w.Peer)
 	}

@@ -169,18 +169,19 @@ func (r *Request) finish(at vtime.Time, err error) {
 		e.bell.Ring()
 	}
 	r.mu.Unlock()
-	e.observeLatency(latKind, issuedAt, at)
 	for _, cb := range cbs {
 		cb(err)
 	}
-	e.record(trace.KindRequestDone, at, target, id, 0, 0, err)
+	e.opDone(target, id, latKind, issuedAt, at, err)
 }
 
-// observeLatency lands an operation's latency, if stamped at issue.
-func (e *Engine) observeLatency(latKind uint8, issuedAt, at vtime.Time) {
+// opDone is the tail of every operation's completion, with or without a
+// request: its latency, if stamped at issue, and its flight record.
+func (e *Engine) opDone(target int, id uint64, latKind uint8, issuedAt, at vtime.Time, err error) {
 	if lat := e.observers().lat; latKind != latNone && lat != nil {
 		lat[latKind].Observe(int64(at - issuedAt))
 	}
+	e.record(trace.KindRequestDone, at, target, id, 0, 0, err)
 }
 
 // OnDone registers a completion callback: fn runs exactly once with the

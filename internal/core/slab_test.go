@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/simnet"
+	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
 )
 
@@ -90,6 +94,89 @@ func TestStaleIDCompletesNothing(t *testing.T) {
 		}
 		if got := heldSlots(e); got != held {
 			t.Errorf("%d slots held once B completed, want %d", got, held)
+		}
+	})
+}
+
+// TestRingMemberFailsWithItsTarget: a remote-complete put waiting in its
+// issue ring is pending toward its target from issue on, not from the
+// ring's flush. The failure pings name the target meanwhile, and a death
+// noticed before any flush fails the put with ErrRankFailed.
+func TestRingMemberFailsWithItsTarget(t *testing.T) {
+	w := newWorld(t, runtime.Config{Ranks: 2})
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		e := Attach(p, Options{BatchOps: 8})
+		tm := shipTM(p, e, 8)
+		if p.Rank() == 0 {
+			p.Barrier()
+			return
+		}
+		defer p.Barrier()
+		r, err := e.Put(p.Alloc(8), 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrRemoteComplete)
+		if err != nil {
+			t.Errorf("put: %v", err)
+			return
+		}
+		if got := e.awaitedPeers(); !slices.Equal(got, []int{0}) {
+			t.Errorf("awaited peers with the put in its ring = %v, want [0]", got)
+		}
+		e.onRankDead(0, p.Now(), errors.New("declared by the test"))
+		if !r.Test() {
+			t.Errorf("the put is still pending after its target's death")
+			return
+		}
+		if err := r.Err(); !errors.Is(err, ErrRankFailed) {
+			t.Errorf("put completed with %v, want ErrRankFailed", err)
+		}
+		if got := e.awaitedPeers(); len(got) != 0 {
+			t.Errorf("awaited peers after the death = %v, want none", got)
+		}
+	})
+}
+
+// TestFailedIssueIsRecorded: an operation that fails to issue writes its
+// request-done flight record with the error, request or not. A blocking
+// atomic put under the coarse-grain lock protocol waits for a lock grant
+// that cannot come, since the rank holds the target's lock itself, until
+// the target is declared dead.
+func TestFailedIssueIsRecorded(t *testing.T) {
+	w := newWorld(t, runtime.Config{Ranks: 2})
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		e := Attach(p, Options{Atomicity: serializer.MechCoarseLock})
+		tm := shipTM(p, e, 8)
+		if p.Rank() == 0 {
+			p.Barrier()
+			return
+		}
+		defer p.Barrier()
+		enableFlight(t, e)
+		if err := e.acquireLock(0); err != nil {
+			t.Errorf("lock: %v", err)
+			return
+		}
+		held, at := heldSlots(e), p.Now()
+		go func() {
+			for heldSlots(e) == held { // until the put's lock request is out
+				time.Sleep(time.Millisecond)
+			}
+			e.onRankDead(0, at, errors.New("declared by the test"))
+		}()
+		_, err := e.Put(p.Alloc(8), 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrBlocking|AttrAtomic)
+		if !errors.Is(err, ErrRankFailed) {
+			t.Errorf("put returned %v, want ErrRankFailed", err)
+			return
+		}
+		n := 0
+		for _, ev := range e.FlightRecorder().Ring().Snapshot() {
+			if ev.Kind == trace.KindRequestDone && ev.ID>>slotShift == 0 { // not the lock request's
+				n++
+				if !errors.Is(ev.Err, ErrRankFailed) {
+					t.Errorf("the put's request-done record carries %v, want ErrRankFailed", ev.Err)
+				}
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d request-done records for the put, want 1", n)
 		}
 	})
 }

@@ -221,11 +221,12 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 // ring member on its aggregate's notification. For a message, land is
 // where a get's reply goes, and zero for every other kind.
 //
-// A blocking call ends here (an RMW's in rmw). A lock or send failure
-// fails a slotted request instead of abandoning it in the slab: that keeps
-// every observation surface — Err, OnDone, Select — in agreement with the
-// returned error. This is the only place that has to. A message is issue's
-// to reclaim once the send has returned and its stamps have been read.
+// A blocking call ends here (an RMW's in rmw). A pack, lock or send
+// failure fails the operation's request instead of abandoning it (fail):
+// that keeps every observation surface — Err, OnDone, Select, the flight
+// record — in agreement with the returned error. This is the only place
+// that has to. A message is issue's to reclaim once the send has returned
+// and its stamps have been read.
 func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8, m *frame, land landing, put *wireOp) (*Request, error) {
 	if err := e.stickyFor(target); err != nil {
 		// Fast-fail toward a dead rank or failed link: issuing would only
@@ -243,7 +244,7 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	}
 	rmw := m != nil && m.Kind == kRMW
 	replies := rmw || m != nil && m.Kind == kGet
-	slotted := replies || m != nil && attrs&AttrRemoteComplete != 0
+	slotted := replies || attrs&AttrRemoteComplete != 0
 	blocking := rmw || attrs&AttrBlocking != 0
 	issuedAt := e.proc.Now()
 
@@ -254,6 +255,23 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	if req != nil {
 		req.latKind, req.issuedAt, req.land = latKind, issuedAt, land
 	}
+	// fail ends an operation that could not be issued, so its slot is
+	// freed and every observation surface and its flight record agree
+	// with the returned error.
+	fail := func(err error) (*Request, error) {
+		switch now := e.proc.Now(); {
+		case slotted:
+			e.settle(id, now, err) // unless the failure fan-out did
+			if blocking {
+				e.await(req)
+			}
+		case req != nil:
+			req.finish(now, err)
+		default:
+			e.opDone(target, id, latKind, issuedAt, now, err)
+		}
+		return nil, err
+	}
 	ts := e.targetLocked(target)
 	if put != nil {
 		ring := &ts.ring
@@ -263,10 +281,10 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 		})
 		if err != nil {
 			e.mu.Unlock()
-			return nil, err
+			return fail(err)
 		}
 		if attrs&AttrRemoteComplete != 0 {
-			ring.remote = append(ring.remote, req)
+			ring.remote = append(ring.remote, id)
 		}
 		full = len(ring.reqs) >= e.opts.BatchOps || ring.bytes >= DefaultBatchBytes
 	}
@@ -326,19 +344,14 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 	sent, arrive, n := m.SentAt, m.ArriveAt, len(m.Payload)
 	e.reclaim(m)
 	if err != nil {
-		e.settle(id, e.proc.Now(), err) // a no-op for an id without a slot
-		if blocking && req != nil {
-			e.await(req)
-		}
-		return nil, err
+		return fail(err)
 	}
 	e.proc.NIC().CPU().AdvanceTo(sent)
 	e.emit(trace.KindIssue, sent, target, id, int64(n), int64(arrive))
 
 	switch {
 	case req == nil: // blocking, and done at its send
-		e.observeLatency(latKind, issuedAt, sent)
-		e.record(trace.KindRequestDone, sent, target, id, 0, 0, nil)
+		e.opDone(target, id, latKind, issuedAt, sent, nil)
 		return &e.doneReq, nil
 	case !slotted:
 		req.finish(sent, nil)
