@@ -130,10 +130,12 @@ profile-smoke:
 # must surface ErrLinkFailed instead of hanging. The recycle-safety run
 # rides along: operation records reused and quarantined under the same
 # plan must leave no race, no stale use and a byte-exact target. Its
-# lossless rows ride along for the wire frames that go back to their
-# senders: which goroutine consumes a frame — its sender's, inline, or the
-# token holder draining a backlog — moves with the schedule, and a frame
-# reused before its consumer let go must show as a race or a poisoned read.
+# lossless and contended rows ride along for the wire frames that come
+# home to the engine that allocated them: which goroutine consumes a
+# frame — its sender's, inline, or the token holder draining a backlog —
+# and so which party lets go of it last moves with the schedule, and a
+# frame reused before both had let go must show as a race or a poisoned
+# read.
 # So do the
 # NIC delivery tests: handlers run by whichever goroutine holds the token
 # must never overlap, must keep each sender's order and must leave no
@@ -179,8 +181,8 @@ benchmark-check:
 # chaos run whose OnDone callbacks may trail the Select that reaps the
 # request, the recycle-safety run (which goroutine releases an operation
 # record moves with the schedule, and so does which goroutine consumes a
-# wire frame, and with it whether the frame is back with its sender when
-# the sender looks), the shard tests (which goroutine
+# wire frame, and with it whether the sender or the consumer brings it
+# home), the shard tests (which goroutine
 # applies a sharded op moves with it), the torn-read test (which puts a
 # get lands between moves with it), the NIC delivery tests (which
 # goroutine runs a handler — its sender or the token holder draining the

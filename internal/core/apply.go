@@ -19,11 +19,12 @@ import (
 // schedule (apply) and the wait for the buddy's replica to its completion
 // bookkeeping (fin), so no stage hands the next a closure. Records come
 // from the engine's free list and return to it in fin and nowhere else.
-// The message goes back to its sender in fin too, after the record's
-// release (frame.go): a put, get or RMW's consume mark is fin's last touch.
-// Only fin may set it; a holder that keeps the message past the handler
+// The consumer lets go of the message in fin too, after the record's
+// release (frame.go): a put, get or RMW's consume is fin's last touch, and
+// only fin may make it. A holder that keeps the message past the handler
 // that first saw it — the reorder buffer, a serializer task, a completion
-// deferred behind the buddy — makes its sender abandon the frame instead.
+// deferred behind the buddy — delays it, and the frame then comes home by
+// fin's hand.
 type applyOp struct {
 	e *Engine
 	m *simnet.Message
@@ -130,8 +131,8 @@ func (r *applyOp) apply(end vtime.Time) {
 }
 
 // fin is the end of every operation: the completion bookkeeping of its
-// kind, then the record's release — the only one — and last the message's
-// consume mark, which hands a singleton's frame back to its sender. After a
+// kind, then the record's release — the only one — and last the consumer's
+// release of a singleton's frame (consume). After a
 // mutating apply it runs once the buddy holds the bytes; an operation that
 // could not be applied comes here directly, so it still counts toward
 // completion thresholds.

@@ -41,7 +41,8 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	if err != nil {
 		return err
 	}
-	var probes []*Request // built only when the counters cannot answer
+	var pbuf [8]*Request
+	probes := pbuf[:0] // the targets the counters cannot answer for
 	for _, world := range targets {
 		e.cover(world)
 		if err = e.stickyFor(world); err != nil {
@@ -233,6 +234,7 @@ func (e *Engine) resolveTargets(comm *runtime.Comm, tranks, dst []int) ([]int, e
 
 // ask sends world a control frame of kind (hHandle = arg) under a request
 // of the engine's own, which the answer completes and the caller awaits.
+// The frame is reclaimed once its send stamp is read.
 func (e *Engine) ask(world int, kind uint8, arg uint64) (*Request, error) {
 	e.mu.Lock()
 	req, _ := e.newRequest(world, true, true)
@@ -240,12 +242,15 @@ func (e *Engine) ask(world int, kind uint8, arg uint64) (*Request, error) {
 	m := e.newMsg(world, kind, 0)
 	m.Hdr[hHandle] = arg
 	m.Hdr[hReq] = req.id
-	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
+	_, err := e.proc.NIC().Send(e.proc.Now(), &m.Message)
+	sent := m.SentAt
+	e.reclaim(m)
+	if err != nil {
 		e.settle(req.id, e.proc.Now(), err)
 		e.await(req)
 		return nil, err
 	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
+	e.proc.NIC().CPU().AdvanceTo(sent)
 	return req, nil
 }
 

@@ -25,7 +25,6 @@ const (
 	kProbeAck  = portals.KindCoreBase + 5  // completion probe reply
 	kLockReq   = portals.KindCoreBase + 6  // coarse-grain lock request
 	kLockGrant = portals.KindCoreBase + 7  // coarse-grain lock grant
-	kLockRel   = portals.KindCoreBase + 8  // coarse-grain lock release
 	kRMW       = portals.KindCoreBase + 9  // fetch-and-add / compare-and-swap
 	kRMWReply  = portals.KindCoreBase + 10 // RMW old value
 	kAM        = portals.KindCoreBase + 11 // active-message extension
@@ -54,6 +53,7 @@ const (
 // Message flag bits (simnet.Message.Flags) for core kinds.
 const (
 	flagUnlockAfter = 1 << 0 // release the coarse lock after applying this op
+	flagEvict       = 1 << 1 // kLockReq to self: drop dead rank hHandle from the coarse lock
 )
 
 // RMW sub-ops carried in hMeta bits 24..31.
@@ -245,14 +245,17 @@ type Engine struct {
 	// call sleeps on (watermark.go).
 	ops   freeList[*applyOp]
 	slots freeList[*wakeSlot]
-	// spare is the one frame a consumer handed back, for the next message
-	// of a recycled kind (frame.go).
-	spare   spareSlot
+	// spares are the frames that came home, for the next messages of a
+	// recycled kind (frame.go).
+	spares  spares
 	doneReq Request // what every successful blocking call returns (AttrBlocking)
 
 	lock   *serializer.LockState
 	applyQ *serializer.ApplyQueue
 	progQ  *serializer.ProgressQueue
+	// grantLock is sendGrant bound once, so a queued lock request costs
+	// its waiter entry and nothing more.
+	grantLock func(origin int, reqID uint64, at vtime.Time)
 	// bell is every wake slot's bell; under the progress serializer a
 	// deferred apply rings it too (wait, scheduleApply).
 	bell *runtime.Bell
@@ -289,8 +292,8 @@ type Engine struct {
 	Batches         stats.Counter // aggregated messages sent
 	BatchedOps      stats.Counter // operations that rode an aggregated message
 	SingletonOps    stats.Counter // operations that paid their own wire message
-	FramesReused    stats.Counter // sent frames that came back consumed and became the spare
-	FramesAbandoned stats.Counter // sent frames still held elsewhere when their sender let go
+	FramesReused    stats.Counter // frames of a recycled kind taken from the spares
+	FramesAllocated stats.Counter // frames of a recycled kind allocated: the spares were empty
 	Notifies        stats.Counter // delivery-counter notifications received
 	FastPaths       stats.Counter // Complete calls answered from counters, no probe
 	CompleteCalls   stats.Counter // Complete invocations
@@ -335,6 +338,7 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			slots:          freeList[*wakeSlot]{limit: freeListCap},
 		}
 		e.doneReq.e, e.doneReq.done = e, true
+		e.grantLock = e.sendGrant
 		e.repl.init()
 		switch e.opts.Atomicity {
 		case serializer.MechThread:
@@ -357,7 +361,6 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 		nic.RegisterHandler(kProbeAck, e.handleProbeAck)
 		nic.RegisterHandler(kLockReq, e.handleLockReq)
 		nic.RegisterHandler(kLockGrant, e.handleLockGrant)
-		nic.RegisterHandler(kLockRel, e.handleLockRel)
 		nic.RegisterHandler(kRMWReply, e.handleRMWReply)
 		nic.RegisterHandler(kNotify, e.handleNotify)
 		nic.RegisterHandler(kReplExpose, e.handleReplExpose)
@@ -540,6 +543,7 @@ func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	if e.recordSticky(e.failedRanks, dead, fault{err, at}) {
 		e.replOnRankDead(dead, at)
 		e.failOutstanding(trace.KindRankDeath, dead, at, err)
+		e.evictFromLock(dead, at)
 	}
 }
 

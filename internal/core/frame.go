@@ -2,22 +2,26 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"mpi3rma/internal/simnet"
 )
 
 // Frame ownership. Every wire message core builds is a frame from
-// newMsg. Those of a singleton operation and of the replies to one — put
-// and accumulate bodies, get requests, RMW operands, get replies, RMW
-// replies, acks and notifications — go back to their sender: the frame's
-// consumer marks it consumed as its very last touch (consume), and the
-// sender, once it is done with the frame after the send, keeps a consumed
-// frame as its engine's one spare (reclaim), which the next newMsg takes.
-// A frame not yet consumed when its sender looks — backlogged, held in a
-// reorder buffer, parked, deferred behind the buddy, dropped or cloned by
-// a fault plan — is left to the collector. The holders that outlive the
-// consumer keep copies (the relay's txFrame, a fault plan's clones), so no
-// reference count is needed. DESIGN.md §5 has the table.
+// newMsg. Those of a singleton operation, of the replies to one and of the
+// control round trips — put and accumulate bodies, get requests, RMW
+// operands, get replies, RMW replies, acks, notifications, lock requests
+// and grants, probes and their answers — come back to the engine that
+// allocated them, their home. A frame has two parties, and each lets go
+// of it once (simnet.Message.Release): the sender once the send has
+// returned and it has read the frame's stamps (reclaim), the consumer as
+// its very last touch (consume). Whichever lets go second holds the frame
+// alone and puts it among its home's spares, which the next newMsg takes.
+// A frame only one party ever lets go of — dropped, blackholed or replaced
+// by a clone on the wire, or never sent — is left to the collector; the
+// holders that outlive the consumer keep copies (the relay's master, a
+// fault plan's clones), which nobody but their consumer releases, so they
+// never come home. DESIGN.md §5 has the table.
 
 // frameInline is the largest payload a frame carries inside its own
 // allocation: an 8-byte put with its type frame, a get's type frame, an
@@ -31,35 +35,65 @@ const spareBody = 4096
 
 // frame is a message with room for a small payload behind it and, once it
 // has carried a larger body of a recycled kind, that body's buffer.
+// Message is its first field: a consumer that lets go of a frame second
+// turns the *simnet.Message it was handed back into the frame.
 type frame struct {
 	simnet.Message
 	body [frameInline]byte
 	buf  []byte
-	// handBack is fixed when the frame is allocated: its kind is
-	// recycled, so its sender looks for it coming back.
-	handBack bool
+	// home is the engine that allocated the frame, fixed at allocation:
+	// nil unless its kind is recycled.
+	home *Engine
 }
 
-// spareSlot holds an engine's spare frame on a cache line of its own:
-// every send of a recycled kind takes it and every hand-back stores it,
-// and next to a field every emit loads it would make each of them miss.
-type spareSlot struct {
-	_ [64]byte
-	f atomic.Pointer[frame]
-	_ [56]byte
+// spareSlots is how many frames that came home an engine keeps.
+const spareSlots = 4
+
+// spares holds the frames that came home to an engine, each slot on a
+// cache line of its own: every send of a recycled kind looks at them and
+// every homecoming stores into one, and next to a field every emit loads
+// they would make each of them miss.
+type spares struct {
+	_     [64]byte
+	slots [spareSlots]struct {
+		f atomic.Pointer[frame]
+		_ [56]byte
+	}
+}
+
+// take empties a full slot and returns its frame, or nil.
+func (s *spares) take() *frame {
+	for i := range s.slots {
+		if p := &s.slots[i].f; p.Load() != nil {
+			if f := p.Swap(nil); f != nil {
+				return f
+			}
+		}
+	}
+	return nil
+}
+
+// put stores f in an empty slot; with every slot full f is dropped.
+func (s *spares) put(f *frame) {
+	for i := range s.slots {
+		if p := &s.slots[i].f; p.Load() == nil && p.CompareAndSwap(nil, f) {
+			return
+		}
+	}
 }
 
 // kPoisoned is the kind a quarantined frame is stamped with: no layer
 // registers it.
 const kPoisoned = 0xff
 
-// recycled reports whether frames of kind come back to their sender: the
-// kinds whose consumer marks them consumed. Active messages do not (the
-// handler may keep the payload), nor do batch aggregates (their buffers
-// have a free list of their own) or the control kinds.
+// recycled reports whether frames of kind come home: the kinds whose
+// consumer lets go of them (consume). Active messages do not (the handler
+// may keep the payload), nor do batch aggregates (their buffers have a
+// free list of their own) or the replication and ping frames.
 func recycled(kind uint8) bool {
 	switch kind {
-	case kPut, kGet, kRMW, kGetReply, kRMWReply, kAck, kNotify:
+	case kPut, kGet, kRMW, kGetReply, kRMWReply, kAck, kNotify,
+		kLockReq, kLockGrant, kProbe, kProbeAck:
 		return true
 	}
 	return false
@@ -74,10 +108,14 @@ func (e *Engine) newMsg(dst int, kind uint8, n int) *frame {
 	keep := recycled(kind)
 	var f *frame
 	if keep {
-		f = e.spare.f.Swap(nil)
-	}
-	if f == nil {
-		f = &frame{handBack: keep}
+		if f = e.spares.take(); f != nil {
+			e.FramesReused.Inc()
+		} else {
+			e.FramesAllocated.Inc()
+			f = &frame{home: e}
+		}
+	} else {
+		f = &frame{}
 	}
 	f.Message = simnet.Message{Dst: dst, Kind: kind}
 	switch {
@@ -95,25 +133,19 @@ func (e *Engine) newMsg(dst int, kind uint8, n int) *frame {
 	return f
 }
 
-// reclaim is a sender's last look at a frame it sent: a consumed frame
-// becomes the engine's spare, one its consumer has not let go of is left
-// to the collector. Frames of the other kinds are never marked and are
-// not counted.
+// reclaim is the sender's release of a frame it sent, or failed to: once
+// the send has returned and its stamps have been read, the sender lets go.
+// Frames of the other kinds are not released.
 func (e *Engine) reclaim(f *frame) {
-	switch {
-	case !f.handBack:
-	case !f.Consumed():
-		e.FramesAbandoned.Inc()
-	case !e.quarantine:
-		e.FramesReused.Inc()
-		e.spare.f.Store(f)
+	if f.home != nil && f.Release() {
+		f.goHome()
 	}
 }
 
-// consume is the consumer's last touch of m, a message of a recycled kind:
-// from here on its sender may reuse it. Quarantined, it poisons m first,
-// so a touch after the mark reads an unregistered kind, all-ones header
-// words and 0xdb payload bytes instead of hiding behind a reuse.
+// consume is the consumer's release of m, a message of a recycled kind,
+// as its last touch. Quarantined, it poisons m first, so a touch after the
+// release reads an unregistered kind, all-ones header words and 0xdb
+// payload bytes instead of hiding behind a reuse.
 func (e *Engine) consume(m *simnet.Message) {
 	if e.quarantine {
 		m.Kind = kPoisoned
@@ -124,5 +156,18 @@ func (e *Engine) consume(m *simnet.Message) {
 			m.Payload[i] = 0xdb
 		}
 	}
-	m.Consume()
+	if m.Release() {
+		// Only the sender's reclaim and this release count, and the
+		// sender releases only a frame, never a copy: a message released
+		// twice is a frame.
+		(*frame)(unsafe.Pointer(m)).goHome()
+	}
+}
+
+// goHome puts a frame both its parties have let go of among its home's
+// spares, unless the home keeps none (quarantine).
+func (f *frame) goHome() {
+	if e := f.home; !e.quarantine {
+		e.spares.put(f)
+	}
 }

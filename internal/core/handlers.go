@@ -242,6 +242,7 @@ func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 	e.Probes.Inc()
 	threshold := int64(m.Hdr[hHandle])
 	origin, reqID := m.Src, m.Hdr[hReq]
+	e.consume(m)
 	e.emit(trace.KindProbe, at, origin, reqID, threshold, 0)
 	e.tgtMu.Lock()
 	wm := &e.applied[origin]
@@ -257,7 +258,9 @@ func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 
 // handleProbeAck completes a Complete/Order stall at the origin.
 func (e *Engine) handleProbeAck(m *simnet.Message, at vtime.Time) {
-	e.noteConfirmed(m.Src, int64(m.Hdr[hCount]), at)
-	e.emit(trace.KindProbeAck, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
-	e.settle(m.Hdr[hReq], at, nil)
+	target, id, count := m.Src, m.Hdr[hReq], int64(m.Hdr[hCount])
+	e.consume(m)
+	e.noteConfirmed(target, count, at)
+	e.emit(trace.KindProbeAck, at, target, id, count, 0)
+	e.settle(id, at, nil)
 }

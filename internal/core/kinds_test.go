@@ -8,6 +8,7 @@ import (
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 )
 
 // accKindCase drives one accumulate through a given element kind and op.
@@ -119,45 +120,38 @@ func TestRequestWaitImpliesTest(t *testing.T) {
 	})
 }
 
-// releaseLockExplicit releases a lock held by this rank with the standalone
-// release message, which no engine path sends today: an atomic operation
-// carries its release (flagUnlockAfter).
-func releaseLockExplicit(e *Engine, world int) error {
-	m := e.newMsg(world, kLockRel, 0)
-	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
-		return err
-	}
-	e.proc.NIC().CPU().AdvanceTo(m.SentAt)
-	return nil
-}
-
-// TestExplicitLockRelease exercises the standalone release message.
-func TestExplicitLockRelease(t *testing.T) {
+// TestCarriedLockRelease: under the coarse-lock serializer an atomic put
+// acquires the target's lock and carries its release (flagUnlockAfter),
+// so the lock is reacquirable by the next atomic put, both land, and the
+// lock ends free with one uncontended grant per put.
+func TestCarriedLockRelease(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
-		e := Attach(p, Options{})
+		e := Attach(p, Options{Atomicity: serializer.MechCoarseLock})
+		tm := shipTM(p, e, 16)
 		if p.Rank() == 1 {
-			if err := e.acquireLock(0); err != nil {
-				t.Errorf("acquire: %v", err)
-				return
+			src := p.Alloc(8)
+			for i := 0; i < 2; i++ {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], uint64(i+1))
+				p.WriteLocal(src, 0, b[:])
+				if _, err := e.Put(src, 8, datatype.Byte, tm, 8*i, 8, datatype.Byte, 0, p.Comm(), AttrAtomic|AttrBlocking); err != nil {
+					t.Errorf("atomic put %d: %v", i, err)
+					break
+				}
 			}
-			if err := releaseLockExplicit(e, 0); err != nil {
-				t.Errorf("release: %v", err)
-				return
-			}
-			// The lock must be reacquirable after the explicit release.
-			if err := e.acquireLock(0); err != nil {
-				t.Errorf("reacquire: %v", err)
-				return
-			}
-			if err := releaseLockExplicit(e, 0); err != nil {
-				t.Errorf("re-release: %v", err)
+			if err := e.Complete(p.Comm(), 0); err != nil {
+				t.Errorf("complete: %v", err)
 			}
 			p.Send(0, 1, nil)
 			return
 		}
 		p.Recv(1, 1)
-		// Both grants happened and the lock ends free.
+		for i := 0; i < 2; i++ {
+			if got := binary.LittleEndian.Uint64(p.Mem().Snapshot(e.lookupExposure(tm.Handle).region.Offset+8*i, 8)); got != uint64(i+1) {
+				t.Errorf("word %d = %d, want %d", i, got, i+1)
+			}
+		}
 		grants, contended := e.LockStats()
 		if grants != 2 || contended != 0 {
 			t.Errorf("grants=%d contended=%d, want 2/0", grants, contended)

@@ -12,9 +12,12 @@ import (
 // active messages): before an atomic operation, the origin acquires the
 // target's MPI-process-level lock with a request/grant round trip; the
 // operation message carries flagUnlockAfter so the target releases the
-// lock as soon as the update is applied — a single origin→target message
-// instead of a separate release, which also keeps the release correctly
-// ordered after the update on unordered networks.
+// lock as soon as the update is applied. The operation is the release:
+// there is no release message of its own, which keeps the release ordered
+// after the update on unordered networks — and a separate one could not
+// help an issue whose send failed after the grant, as that send's link is
+// down. A holder or waiter that dies is evicted once its death is
+// confirmed (evictFromLock).
 
 // acquireLock blocks until the target's process-level lock is granted to
 // this rank.
@@ -33,26 +36,46 @@ func (e *Engine) acquireLock(world int) error {
 }
 
 // handleLockReq queues or grants the process-level lock. Handlers hold the
-// NIC's delivery token, so they drive the state machine one at a time.
+// NIC's delivery token, so they drive the state machine one at a time. The
+// request's frame goes home before the grant is sent. A request this rank
+// sent itself with flagEvict carries a death instead (evictFromLock).
 func (e *Engine) handleLockReq(m *simnet.Message, at vtime.Time) {
-	reqID := m.Hdr[hReq]
-	e.lock.Acquire(m.Src, at, func(origin int, grantAt vtime.Time) {
-		g := e.newMsg(origin, kLockGrant, 0)
-		g.Hdr[hReq] = reqID
-		e.sendReply(grantAt, g)
-	})
+	origin, reqID, flags, dead := m.Src, m.Hdr[hReq], m.Flags, int(m.Hdr[hHandle])
+	e.consume(m)
+	if flags&flagEvict != 0 {
+		e.lock.Evict(dead, at)
+		return
+	}
+	e.lock.AcquireTagged(origin, reqID, at, e.grantLock)
+}
+
+// sendGrant grants the lock to origin's request reqID at virtual time at.
+func (e *Engine) sendGrant(origin int, reqID uint64, at vtime.Time) {
+	g := e.newMsg(origin, kLockGrant, 0)
+	g.Hdr[hReq] = reqID
+	e.sendReply(at, g)
 }
 
 // handleLockGrant completes the origin's pending acquire.
 func (e *Engine) handleLockGrant(m *simnet.Message, at vtime.Time) {
-	e.settle(m.Hdr[hReq], at, nil)
+	id := m.Hdr[hReq]
+	e.consume(m)
+	e.settle(id, at, nil)
 }
 
-// handleLockRel processes an explicit release message.
-func (e *Engine) handleLockRel(m *simnet.Message, at vtime.Time) {
-	if err := e.lock.Release(m.Src, at); err != nil {
-		e.proc.NIC().BadReq.Inc()
+// evictFromLock frees this rank's coarse lock of a rank confirmed dead:
+// the lock it holds — granted, with its unlock-after operation lost with
+// it — and its queued requests. The state machine is driven only under the
+// delivery token, so the death goes there as a lock request this rank
+// sends itself.
+func (e *Engine) evictFromLock(dead int, at vtime.Time) {
+	if !e.targetUsesCoarseLock() || dead == e.proc.Rank() {
+		return
 	}
+	m := e.newMsg(e.proc.Rank(), kLockReq, 0)
+	m.Flags = flagEvict
+	m.Hdr[hHandle] = uint64(dead)
+	e.sendReplyNIC(at, m)
 }
 
 // releaseLockLocal releases the lock at the end of an unlock-after

@@ -14,6 +14,7 @@ import (
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
@@ -571,4 +572,70 @@ func TestRankKillInstantSweep(t *testing.T) {
 		}
 		rows.Wait()
 	}
+}
+
+// TestRankDeathFreesCoarseLock: an origin that dies between its coarse-lock
+// grant and the atomic put that would carry the release leaves the
+// target's lock held by a dead rank. Once the death is confirmed the
+// target evicts it, so a live origin's blocking atomic put to that live
+// target is granted the lock and lands; without the eviction it waits for
+// a grant that never comes and the world wedges.
+func TestRankDeathFreesCoarseLock(t *testing.T) {
+	const (
+		victim, survivor = 1, 2
+		killAt           = vtime.Time(time.Millisecond) // well after the victim's grant
+		tagDesc          = 1
+		tagDone          = 2
+	)
+	plan := &simnet.FaultPlan{Seed: 43, RankKills: []simnet.RankKill{{Rank: victim, At: killAt}}}
+	w := newWorld(t, runtime.Config{Ranks: 3, Faults: plan})
+	runBounded(t, w, 30*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, Options{Atomicity: serializer.MechCoarseLock})
+		tm := shipTM(p, e, 8)
+		switch p.Rank() {
+		case victim:
+			mine, _ := e.ExposeNew(8)
+			if err := e.acquireLock(0); err != nil {
+				t.Errorf("victim's lock: %v", err)
+			}
+			if p.Now() >= killAt {
+				t.Errorf("the victim's grant came at %d, not before the kill at %d", p.Now(), killAt)
+			}
+			p.Send(survivor, tagDesc, mine.Encode())
+			// Dead from here on: its atomic put, and with it the release,
+			// never comes.
+		case survivor:
+			enc, _ := p.Recv(victim, tagDesc)
+			theirs, err := DecodeTargetMem(enc)
+			if err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			defer p.Send(0, tagDone, nil)
+			p.NIC().CPU().AdvanceTo(killAt)
+			src := p.Alloc(8)
+			_, err = e.Put(src, 8, datatype.Byte, theirs, 0, 8, datatype.Byte, victim, p.Comm(), AttrRemoteComplete|AttrBlocking)
+			if !errors.Is(err, ErrRankFailed) {
+				t.Errorf("put to the dead victim returned %v, want ErrRankFailed", err)
+			}
+			p.WriteLocal(src, 0, []byte("survived"))
+			if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, 0, p.Comm(), AttrAtomic|AttrBlocking); err != nil {
+				t.Errorf("atomic put after the victim's death: %v", err)
+			}
+			if err := e.Complete(p.Comm(), 0); err != nil {
+				t.Errorf("complete: %v", err)
+			}
+		default:
+			p.Recv(survivor, tagDone)
+			if got := p.Mem().Snapshot(e.lookupExposure(tm.Handle).region.Offset, 8); string(got) != "survived" {
+				t.Errorf("target word = %q, want the survivor's atomic put", got)
+			}
+			if grants, _ := e.LockStats(); grants != 2 {
+				t.Errorf("%d lock grants, want 2: the victim's and the survivor's", grants)
+			}
+			if h := e.lock.Holder(); h != -1 {
+				t.Errorf("lock ends held by rank %d", h)
+			}
+		}
+	})
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
+	"mpi3rma/internal/serializer"
 )
 
 // Recycle safety. The target carries every incoming operation in a record
@@ -233,8 +235,8 @@ func recycleSafety(t *testing.T, rw recycleWorld, quarantine bool, topts Options
 		e := Attached(w.Proc(r))
 		reused += e.FramesReused.Value()
 		parked += w.Proc(r).NIC().Parked.Value()
-		if quarantine && e.spare.f.Load() != nil {
-			t.Errorf("rank %d kept a quarantined frame as its spare", r)
+		if quarantine && e.spares.take() != nil {
+			t.Errorf("rank %d kept a quarantined frame as a spare", r)
 		}
 	}
 	switch {
@@ -255,11 +257,11 @@ func recycleSafety(t *testing.T, rw recycleWorld, quarantine bool, topts Options
 }
 
 // TestRecycleSafetyFramesReused: on an ordered lossless world with an idle
-// target every put is delivered on its sender's goroutine, so its frame is
-// consumed before Send returns and comes back: at least 99% of 1000
-// blocking 1 KiB puts reuse their frame, and the metrics snapshot shows
-// the same counts. A hand-back that stopped working would show here, not
-// only as collector cycles.
+// target every put is delivered on its sender's goroutine, so every frame
+// comes home: at least 99% of 1000 blocking 1 KiB puts take their frame
+// from the spares rather than allocating one, and the metrics snapshot
+// shows the same counts. A homecoming that stopped working would show
+// here, not only as collector cycles.
 func TestRecycleSafetyFramesReused(t *testing.T) {
 	const puts, size = 1000, 1024
 	w := newWorld(t, runtime.Config{Ranks: 2})
@@ -272,7 +274,7 @@ func TestRecycleSafetyFramesReused(t *testing.T) {
 		}
 		reg := e.EnableTelemetry(nil)
 		src := p.Alloc(size)
-		reused, abandoned := e.FramesReused.Value(), e.FramesAbandoned.Value()
+		reused, allocated := e.FramesReused.Value(), e.FramesAllocated.Value()
 		for i := 0; i < puts; i++ {
 			if _, err := e.Put(src, size, datatype.Byte, tm, 0, size, datatype.Byte, 0, p.Comm(), AttrBlocking); err != nil {
 				t.Errorf("put %d: %v", i, err)
@@ -280,20 +282,168 @@ func TestRecycleSafetyFramesReused(t *testing.T) {
 			}
 		}
 		reused = e.FramesReused.Value() - reused
-		abandoned = e.FramesAbandoned.Value() - abandoned
-		if reused+abandoned != puts {
-			t.Errorf("%d frames reused + %d abandoned, want one per put (%d)", reused, abandoned, puts)
+		allocated = e.FramesAllocated.Value() - allocated
+		if reused+allocated != puts {
+			t.Errorf("%d frames reused + %d allocated, want one per put (%d)", reused, allocated, puts)
 		}
 		if reused < puts*99/100 {
-			t.Errorf("%d of %d put frames came back, want at least 99%%", reused, puts)
+			t.Errorf("%d of %d put frames came from the spares, want at least 99%%", reused, puts)
 		}
 		snap := reg.Snapshot()
 		if got, want := snap.Counters["frames.reused"], e.FramesReused.Value(); got != want {
 			t.Errorf("metrics frames.reused = %d, counter %d", got, want)
 		}
-		if got, want := snap.Counters["frames.abandoned"], e.FramesAbandoned.Value(); got != want {
-			t.Errorf("metrics frames.abandoned = %d, counter %d", got, want)
+		if got, want := snap.Counters["frames.allocated"], e.FramesAllocated.Value(); got != want {
+			t.Errorf("metrics frames.allocated = %d, counter %d", got, want)
 		}
 		p.Barrier()
 	})
+}
+
+// TestRecycleSafetyContended: a frame is often consumed after its sender
+// has let go of it, on another goroutine. Two origins meet at one target's
+// delivery token, so a put is backlogged behind the other origin's and a
+// reply is delivered into an origin whose token the target holds; on an
+// unordered network the links' reorder buffers hold frames until a later
+// send or a flush releases them. Such a frame must still come home, by its
+// consumer's hand. Each origin makes blocking atomic puts to one shared
+// word, blocking put-then-get rounds on a word of its own and
+// compare-and-swap increments of a shared counter — ordered, so the
+// unordered network keeps each origin's stream — under the thread
+// serializer and under the coarse lock, whose request and grant frames
+// come home too. The memory must end byte-exact and, past a warm-up, at
+// most 5% of the frames of a recycled kind may be allocated rather than
+// taken from the spares. Quarantined, no frame is ever reused and none is
+// read after its consumer let go (poison would park or count a bad
+// request).
+func TestRecycleSafetyContended(t *testing.T) {
+	for _, unordered := range []bool{false, true} {
+		for _, mech := range []serializer.Mechanism{serializer.MechThread, serializer.MechCoarseLock} {
+			for _, quarantine := range []bool{false, true} {
+				name := mech.String()
+				if unordered {
+					name += " unordered"
+				}
+				if quarantine {
+					name += " quarantined"
+				}
+				cfg := runtime.Config{Ranks: 3, UnorderedNet: unordered, Seed: 31}
+				t.Run(name, func(t *testing.T) { recycleContended(t, cfg, mech, quarantine) })
+			}
+		}
+	}
+}
+
+func recycleContended(t *testing.T, cfg runtime.Config, mech serializer.Mechanism, quarantine bool) {
+	const (
+		origins = 2 // cfg.Ranks is origins + 1
+		warmup  = 50
+		rounds  = warmup + 300
+		// Target layout: the shared word, the shared counter, then one
+		// word per origin.
+		shared, counter, own = 0, 8, 16
+	)
+	w := newWorld(t, cfg)
+	var final []byte
+	var reused, allocated [2]int64 // summed over the ranks: after warm-up, at the end
+	frames := func(at int) {
+		for r := 0; r <= origins; r++ {
+			e := Attached(w.Proc(r))
+			reused[at] += e.FramesReused.Value()
+			allocated[at] += e.FramesAllocated.Value()
+		}
+	}
+	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
+		e := Attach(p, Options{Atomicity: mech})
+		if quarantine {
+			e.quarantine = true
+		}
+		tm := shipTM(p, e, own+8*origins)
+		if p.Rank() == 0 {
+			p.Barrier() // warm-up done
+			frames(0)
+			p.Barrier()
+			p.Barrier() // origins done
+			frames(1)
+			final = p.Mem().Snapshot(e.lookupExposure(tm.Handle).region.Offset, tm.Size)
+			return
+		}
+		comm, me := p.Comm(), p.Rank()
+		src, back := p.Alloc(8), p.Alloc(8)
+		word := func(v uint64) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			p.WriteLocal(src, 0, b[:])
+		}
+		must := func(what string, err error) {
+			if err != nil {
+				t.Errorf("rank %d %s: %v", me, what, err)
+				panic("recycle: operation failed")
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			if round == warmup {
+				p.Barrier()
+				p.Barrier()
+			}
+			word(uint64(me)<<32 | uint64(round))
+			_, err := e.Put(src, 1, datatype.Int64, tm, shared, 1, datatype.Int64, 0, comm, AttrAtomic|AttrOrdering|AttrBlocking)
+			must("shared put", err)
+			_, err = e.Put(src, 1, datatype.Int64, tm, own+8*(me-1), 1, datatype.Int64, 0, comm, AttrOrdering|AttrBlocking)
+			must("own put", err)
+			_, err = e.Get(back, 1, datatype.Int64, tm, own+8*(me-1), 1, datatype.Int64, 0, comm, AttrOrdering|AttrBlocking)
+			must("get", err)
+			if got := binary.LittleEndian.Uint64(p.ReadLocal(back, 0, 8)); got != uint64(me)<<32|uint64(round) {
+				t.Errorf("rank %d round %d: get returned %#x after its own put", me, round, got)
+			}
+			for old := int64(0); ; {
+				prev, err := e.CompareSwap(tm, counter, old, old+1, 0, comm, 0)
+				must("compare-and-swap", err)
+				if prev == old {
+					break
+				}
+				old = prev
+			}
+		}
+		must("complete", e.Complete(comm, 0))
+		p.Barrier()
+	})
+
+	last := func(r int) uint64 { return uint64(r)<<32 | rounds - 1 }
+	if got := binary.LittleEndian.Uint64(final[shared:]); got != last(1) && got != last(2) {
+		t.Errorf("shared word ends %#x, want one origin's last put (%#x or %#x)", got, last(1), last(2))
+	}
+	if got := binary.LittleEndian.Uint64(final[counter:]); got != origins*rounds {
+		t.Errorf("counter ends %d, want %d increments", got, origins*rounds)
+	}
+	for r := 1; r <= origins; r++ {
+		if got := binary.LittleEndian.Uint64(final[own+8*(r-1):]); got != last(r) {
+			t.Errorf("rank %d's word ends %#x, want %#x", r, got, last(r))
+		}
+	}
+	for r := 0; r <= origins; r++ {
+		if n := w.Proc(r).NIC().BadReq.Value(); n != 0 {
+			t.Errorf("rank %d counted %d bad requests", r, n)
+		}
+		if n := w.Proc(r).NIC().Parked.Value(); n != 0 {
+			t.Errorf("rank %d parked %d messages for a kind with no handler", r, n)
+		}
+	}
+	reusedRun, allocatedRun := reused[1]-reused[0], allocated[1]-allocated[0]
+	t.Logf("after warm-up: %d frames reused, %d allocated", reusedRun, allocatedRun)
+	switch {
+	case quarantine && reused[1] != 0:
+		t.Errorf("%d quarantined frames were reused", reused[1])
+	case !quarantine && allocatedRun*20 > reusedRun+allocatedRun:
+		t.Errorf("%d of %d frames of a recycled kind were allocated after warm-up, want at most 5%%", allocatedRun, reusedRun+allocatedRun)
+	}
+}
+
+// TestRecycleSafetyFrameLayout pins what a consumer relies on to turn the
+// message it was handed back into its frame: Message is the frame's first
+// field.
+func TestRecycleSafetyFrameLayout(t *testing.T) {
+	if off := unsafe.Offsetof(frame{}.Message); off != 0 {
+		t.Fatalf("frame.Message sits at offset %d, want 0", off)
+	}
 }

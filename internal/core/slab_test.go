@@ -20,7 +20,7 @@ import (
 // A, a real get, completes and frees its slot; request B takes the same
 // slot. An ack, a get reply and an RMW reply carrying A's id then arrive
 // late: B must stay pending, its landing untouched, and each stale frame
-// is consumed once, by its handler, like any other. B's own ack completes
+// is released once, by its handler, like any other. B's own ack completes
 // it exactly once, and a duplicate of that ack completes nothing more.
 // Frames are quarantined, so a handler touching one after consuming it
 // reads poison.
@@ -65,8 +65,8 @@ func TestStaleIDCompletesNothing(t *testing.T) {
 			m.Hdr[hReq] = id
 			copy(m.Payload, payload)
 			handle(&m.Message, p.Now())
-			if !m.Consumed() {
-				t.Errorf("kind %d frame for id %#x was not consumed by its handler", kind, id)
+			if !m.Release() { // the sender's release, after the handler's
+				t.Errorf("kind %d frame for id %#x was not released once by its handler", kind, id)
 			}
 		}
 		value := bytes.Repeat([]byte{0xee}, 8)

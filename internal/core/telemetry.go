@@ -83,7 +83,7 @@ func (e *Engine) registerCounters(reg *telemetry.Registry) {
 	reg.Register("batch.ops_coalesced", &e.BatchedOps)
 	reg.Register("batch.singleton_ops", &e.SingletonOps)
 	reg.Register("frames.reused", &e.FramesReused)
-	reg.Register("frames.abandoned", &e.FramesAbandoned)
+	reg.Register("frames.allocated", &e.FramesAllocated)
 	reg.Register("complete.calls", &e.CompleteCalls)
 	reg.Register("complete.fastpath_hits", &e.FastPaths)
 	reg.Register("complete.probe_fallbacks", &e.ProbeFallbacks)

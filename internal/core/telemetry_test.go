@@ -274,7 +274,14 @@ var allocTable = []pinned{
 	}},
 	{"put remote-complete", pinThread, 1, func(c *pinCtx) { c.put(AttrRemoteComplete) }},
 	{"put atomic (thread)", pinThread, 1, func(c *pinCtx) { c.put(AttrAtomic) }},
-	{"put atomic (coarse lock)", pinCoarse, 4, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"put atomic (coarse lock)", pinCoarse, 1, func(c *pinCtx) { c.put(AttrAtomic) }},
+	{"blocking put atomic (coarse lock)", pinCoarse, 0, func(c *pinCtx) { c.put(AttrAtomic | AttrBlocking) }},
+	{"blocking put + complete", pinThread, 0, func(c *pinCtx) {
+		c.put(AttrBlocking) // no report comes back, so Complete probes
+		if err := c.e.Complete(c.comm, 0); err != nil {
+			c.t.Fatalf("complete: %v", err)
+		}
+	}},
 	{"put 8 x vector(8,1,2,int64)", pinThread, 1, func(c *pinCtx) {
 		req, err := c.e.Put(c.src, 8, pinVec, c.tm, 0, 8, pinVec, 0, c.comm, 0)
 		if err != nil {

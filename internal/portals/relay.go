@@ -109,10 +109,9 @@ func Checksum(p []byte) uint32 {
 
 // txFrame is one unacknowledged tracked frame.
 type txFrame struct {
-	tmpl     simnet.Message // header template (payload stripped)
-	payload  []byte         // private master copy of the payload
-	vt       vtime.Time     // virtual send time of the latest transmission
-	attempts int            // retransmissions so far
+	master   *simnet.Message // private master copy, payload included (Copy)
+	vt       vtime.Time      // virtual send time of the latest transmission
+	attempts int             // retransmissions so far
 }
 
 // txLink is the transmit state toward one destination rank.
@@ -231,11 +230,7 @@ func (r *relay) send(now vtime.Time, m *simnet.Message, viaNIC bool) (vtime.Time
 	l.nextSeq++
 	m.RSeq = l.nextSeq
 	m.Sum = Checksum(m.Payload)
-	f := &txFrame{
-		tmpl:    *m,
-		payload: append([]byte(nil), m.Payload...),
-	}
-	f.tmpl.Payload = nil
+	f := &txFrame{master: m.Copy()}
 	l.inflight[m.RSeq] = f
 	r.mu.Unlock()
 
@@ -360,9 +355,9 @@ func (r *relay) fire(ref frameRef) {
 	}
 	f.attempts++
 	f.vt = ref.at
-	c := f.tmpl
-	c.RSeq = ref.seq
-	c.Payload = append([]byte(nil), f.payload...)
+	// A copy again: the receiver may poison or recycle what it consumes,
+	// and only the copy's consumer releases it.
+	c := f.master.Copy()
 	net := r.n.ep.Network()
 	net.Retries.Inc()
 	net.RetransmitBytes.Add(int64(len(c.Payload)))
@@ -372,7 +367,7 @@ func (r *relay) fire(ref frameRef) {
 	r.mu.Unlock()
 	// NIC firmware work: no origin CPU cost. It fails only on a closed
 	// network.
-	_, _ = r.n.ep.SendNIC(ref.at, &c)
+	_, _ = r.n.ep.SendNIC(ref.at, c)
 }
 
 // handleAck processes one KindRelAck under the delivery token. Hdr[0] is

@@ -29,6 +29,7 @@ package serializer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mpi3rma/internal/stats"
@@ -173,9 +174,11 @@ func (q *ProgressQueue) Pending() int {
 
 // LockState is the process-level lock state machine for the coarse-grain
 // serializer. The owning rank's protocol handlers drive it; grants are
-// delivered through the callback passed to Acquire. It has no lock of its
-// own: calls must be serialized by the caller (the owning NIC's delivery
-// token, which every handler holds).
+// delivered through the callback passed to Acquire or AcquireTagged. It
+// has no lock of its own: calls must be serialized by the caller (the
+// owning NIC's delivery token, which every handler holds). Its waiter
+// queue is compacted in place, so a steady stream of contended cycles
+// allocates nothing.
 type LockState struct {
 	held    bool
 	holder  int
@@ -188,10 +191,23 @@ type LockState struct {
 	Contended stats.Counter
 }
 
+// lockWaiter is one queued request: grant is Acquire's callback, tagged
+// AcquireTagged's with its tag.
 type lockWaiter struct {
 	origin int
+	tag    uint64
 	at     vtime.Time
 	grant  func(origin int, at vtime.Time)
+	tagged func(origin int, tag uint64, at vtime.Time)
+}
+
+// give grants the lock to w at virtual time at.
+func (w *lockWaiter) give(at vtime.Time) {
+	if w.tagged != nil {
+		w.tagged(w.origin, w.tag, at)
+		return
+	}
+	w.grant(w.origin, at)
 }
 
 // NewLockState returns an unheld lock.
@@ -202,16 +218,27 @@ func NewLockState() *LockState { return &LockState{holder: -1} }
 // request queues and grant is invoked from a later Release. The grant
 // callback receives the virtual time at which the lock was granted.
 func (l *LockState) Acquire(origin int, at vtime.Time, grant func(origin int, at vtime.Time)) {
+	l.acquire(lockWaiter{origin: origin, at: at, grant: grant})
+}
+
+// AcquireTagged is Acquire for a caller that names each request: grant
+// receives tag back, so one callback bound once serves every request —
+// two queued requests of one origin included — and a request costs no
+// closure.
+func (l *LockState) AcquireTagged(origin int, tag uint64, at vtime.Time, grant func(origin int, tag uint64, at vtime.Time)) {
+	l.acquire(lockWaiter{origin: origin, tag: tag, at: at, tagged: grant})
+}
+
+func (l *LockState) acquire(w lockWaiter) {
 	if !l.held {
 		l.held = true
-		l.holder = origin
+		l.holder = w.origin
 		l.Grants.Inc()
-		grantAt := l.lane.AdvanceTo(at)
-		grant(origin, grantAt)
+		w.give(l.lane.AdvanceTo(w.at))
 		return
 	}
 	l.Contended.Inc()
-	l.waiters = append(l.waiters, lockWaiter{origin: origin, at: at, grant: grant})
+	l.waiters = append(l.waiters, w)
 }
 
 // Release frees the lock at virtual time at and hands it to the next
@@ -227,12 +254,23 @@ func (l *LockState) Release(origin int, at vtime.Time) error {
 		return nil
 	}
 	w := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	n := copy(l.waiters, l.waiters[1:])
+	l.waiters[n] = lockWaiter{}
+	l.waiters = l.waiters[:n]
 	l.holder = w.origin
 	l.Grants.Inc()
-	grantAt := l.lane.AdvanceTo(vtime.Later(releaseAt, w.at))
-	w.grant(w.origin, grantAt)
+	w.give(l.lane.AdvanceTo(vtime.Later(releaseAt, w.at)))
 	return nil
+}
+
+// Evict drops origin from the lock at virtual time at, for an owning layer
+// that knows origin is dead: its queued requests are forgotten, and a lock
+// it holds is released to the next waiter as by Release.
+func (l *LockState) Evict(origin int, at vtime.Time) {
+	l.waiters = slices.DeleteFunc(l.waiters, func(w lockWaiter) bool { return w.origin == origin })
+	if l.held && l.holder == origin {
+		_ = l.Release(origin, at) // origin holds it: cannot fail
+	}
 }
 
 // Holder returns the current holder's rank, or -1.

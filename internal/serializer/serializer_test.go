@@ -159,6 +159,80 @@ func TestLockStateBadRelease(t *testing.T) {
 	}
 }
 
+// TestLockStateTaggedGrants: each queued request gets its own grant with
+// its own tag, two from one origin included, in arrival order.
+func TestLockStateTaggedGrants(t *testing.T) {
+	l := NewLockState()
+	type grant struct {
+		origin int
+		tag    uint64
+	}
+	var got []grant
+	record := func(origin int, tag uint64, _ vtime.Time) { got = append(got, grant{origin, tag}) }
+	l.AcquireTagged(1, 10, 0, record)
+	l.AcquireTagged(2, 20, 0, record)
+	l.AcquireTagged(2, 21, 0, record)
+	for _, holder := range []int{1, 2, 2} {
+		if err := l.Release(holder, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []grant{{1, 10}, {2, 20}, {2, 21}}
+	if len(got) != len(want) {
+		t.Fatalf("grants %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("grants %v, want %v", got, want)
+		}
+	}
+}
+
+// TestLockStateEvict: evicting a dead holder hands the lock to the next
+// live waiter, and the dead origin's queued requests are never granted.
+func TestLockStateEvict(t *testing.T) {
+	l := NewLockState()
+	var grants []int
+	g := func(o int, _ vtime.Time) { grants = append(grants, o) }
+	l.Acquire(1, 0, g)
+	l.Acquire(1, 0, g)
+	l.Acquire(2, 0, g)
+	l.Acquire(1, 0, g)
+	l.Evict(1, 100)
+	if l.Holder() != 2 || l.QueueLen() != 0 {
+		t.Fatalf("after evicting the holder: holder %d, queue %d; want 2, 0", l.Holder(), l.QueueLen())
+	}
+	l.Evict(3, 100) // neither holds nor waits: nothing changes
+	if err := l.Release(2, 200); err != nil || l.Holder() != -1 {
+		t.Fatalf("release by the survivor: %v, holder %d", err, l.Holder())
+	}
+	if len(grants) != 2 || grants[0] != 1 || grants[1] != 2 {
+		t.Fatalf("grants %v, want [1 2]", grants)
+	}
+}
+
+// TestLockStateCycleAllocatesNothing pins a contended cycle at zero heap
+// objects: one holder and three queued tagged requests, then four
+// releases. The waiter queue is compacted in place, so it keeps its
+// array, and a grant callback bound once is the only one.
+func TestLockStateCycleAllocatesNothing(t *testing.T) {
+	l := NewLockState()
+	grant := func(int, uint64, vtime.Time) {}
+	cycle := func() {
+		for o := 0; o < 4; o++ {
+			l.AcquireTagged(o, uint64(o), 0, grant)
+		}
+		for o := 0; o < 4; o++ {
+			if err := l.Release(o, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a contended lock cycle costs %v allocs, want 0", n)
+	}
+}
+
 func TestMechanismString(t *testing.T) {
 	if MechThread.String() != "thread" || MechCoarseLock.String() != "coarse-lock" || MechProgress.String() != "progress" {
 		t.Error("Mechanism.String is wrong")

@@ -195,7 +195,7 @@ func faultDraw(seed int64, src, dst int, seq uint64, salt uint64) float64 {
 // deliver as well. Corruption and duplication clone the message and copy
 // the payload: the sender may retain the original bytes for
 // retransmission, and the two delivered copies must not alias each other.
-// A clone starts unconsumed: its consumer, not the original's, marks it.
+// A clone is a Copy: its consumer alone releases it.
 func (n *Network) injectFaults(p *FaultPlan, m *Message) (deliver, dup *Message) {
 	for i := range p.Partitions {
 		if p.Partitions[i].covers(m.Src, m.Dst, m.SentAt) {
@@ -213,12 +213,10 @@ func (n *Network) injectFaults(p *FaultPlan, m *Message) (deliver, dup *Message)
 	}
 	if lf.Corrupt > 0 && len(m.Payload) > 0 &&
 		faultDraw(p.Seed, m.Src, m.Dst, m.Seq, saltCorrupt) < lf.Corrupt {
-		c := *m
-		c.consumed = 0
-		c.Payload = append([]byte(nil), m.Payload...)
+		c := m.Copy()
 		idx := faultHash(p.Seed, m.Src, m.Dst, m.Seq, saltCorruptIdx) % uint64(len(c.Payload))
 		c.Payload[idx] ^= 0xff
-		m = &c
+		m = c
 		n.FaultsCorrupted.Inc()
 	}
 	if lf.Delay > 0 && faultDraw(p.Seed, m.Src, m.Dst, m.Seq, saltDelay) < lf.Delay {
@@ -226,13 +224,10 @@ func (n *Network) injectFaults(p *FaultPlan, m *Message) (deliver, dup *Message)
 		n.FaultsDelayed.Inc()
 	}
 	if lf.Dup > 0 && faultDraw(p.Seed, m.Src, m.Dst, m.Seq, saltDup) < lf.Dup {
-		c := *m
-		c.consumed = 0
-		c.Payload = append([]byte(nil), m.Payload...)
 		// The copy takes one extra wire latency, as a misrouted-and-
 		// replayed frame would.
-		c.ArriveAt += vtime.Time(n.cfg.Cost.Latency)
-		dup = &c
+		dup = m.Copy()
+		dup.ArriveAt += vtime.Time(n.cfg.Cost.Latency)
 		n.FaultsDuplicated.Inc()
 	}
 	return m, dup

@@ -144,15 +144,15 @@ type Message struct {
 	// attaches so receivers can reject frames corrupted in flight. Only
 	// meaningful when RSeq != 0.
 	Sum uint32
-	// consumed is set, atomically, by the layer that consumed the message
-	// (Consume), as its last touch; it sits in the padding after Sum. A
-	// plain word behind sync/atomic calls, not an atomic.Uint32: the relay
-	// and the fault plan copy messages by value.
-	consumed uint32
+	// released counts, atomically, the parties that have let go of the
+	// message (Release); it sits in the padding after Sum. A plain word
+	// behind sync/atomic calls, not an atomic.Uint32: the relay and the
+	// fault plan copy messages by value (Copy).
+	released uint32
 	// Payload is the message body. simnet does not copy it. A sender may
-	// reuse the message, payload included, only once Consumed reports
-	// true after Send has returned; until then simnet, the delivery hook
-	// or the consumer may still hold it.
+	// reuse the message, payload included, only once both its parties have
+	// let go of it (Release): until then simnet, the delivery hook or the
+	// consumer may still hold it.
 	Payload []byte
 	// SentAt is the virtual time the message left the origin NIC.
 	SentAt vtime.Time
@@ -160,15 +160,23 @@ type Message struct {
 	ArriveAt vtime.Time
 }
 
-// Consume marks m consumed. The layer that handles m calls it as its very
-// last touch of m, payload included: from then on m belongs to its sender
-// again.
-func (m *Message) Consume() { atomic.StoreUint32(&m.consumed, 1) }
+// Release lets go of m for one of its two parties: the sender once Send
+// has returned and it has read SentAt and ArriveAt, the consumer as its
+// very last touch of m, payload included. It reports whether this was the
+// second release: whoever makes it holds m alone and may reuse it. A
+// message only one party releases — a copy, one the wire dropped — is
+// never reused.
+func (m *Message) Release() (last bool) { return atomic.AddUint32(&m.released, 1) == 2 }
 
-// Consumed reports whether m's consumer has let go of it (Consume). A
-// sender that finds it false after Send has returned must leave m alone:
-// a backlog, a reorder buffer or a deferred handler may still hold it.
-func (m *Message) Consumed() bool { return atomic.LoadUint32(&m.consumed) != 0 }
+// Copy returns a copy of m with a payload of its own and no release: only
+// its consumer lets go of a copy, so it never reaches its second release.
+// m must not be released concurrently.
+func (m *Message) Copy() *Message {
+	c := *m
+	c.released = 0
+	c.Payload = append([]byte(nil), m.Payload...)
+	return &c
+}
 
 // Network is a simulated interconnect between Ranks endpoints.
 type Network struct {

@@ -459,29 +459,33 @@ func TestTryRecvAndQueue(t *testing.T) {
 	}
 }
 
-// TestMessageConsumedBit: the consumed bit rides in the padding after Sum,
-// so a Message stays 144 bytes, and a fault plan's clones — a corrupted
-// copy and a duplicate — start unconsumed whatever the original says.
-func TestMessageConsumedBit(t *testing.T) {
+// TestMessageReleases: the release count rides in the padding after Sum,
+// so a Message stays 144 bytes; only the second of a message's two
+// releases reports last; and a fault plan's clones — a corrupted copy and
+// a duplicate — start with no release whatever the original says, so
+// their one consumer's release is never a last one.
+func TestMessageReleases(t *testing.T) {
 	if got := reflect.TypeOf(Message{}).Size(); got != 144 {
 		t.Errorf("Message is %d bytes, want 144", got)
 	}
 	n := New(Config{Ranks: 2, Ordered: true})
 	defer n.Close()
 	m := &Message{Src: 0, Dst: 1, Payload: []byte{1, 2, 3}}
-	if m.Consumed() {
-		t.Fatal("a new message reads consumed")
-	}
-	m.Consume()
-	if !m.Consumed() {
-		t.Fatal("Consume did not mark the message")
+	if m.Release() {
+		t.Fatal("a message's first release reports last")
 	}
 	plan := &FaultPlan{Default: LinkFaults{Corrupt: 1, Dup: 1}}
 	deliver, dup := n.injectFaults(plan, m)
 	if deliver == m || dup == nil {
 		t.Fatalf("plan should corrupt a copy and duplicate it: deliver %p (original %p), dup %p", deliver, m, dup)
 	}
-	if deliver.Consumed() || dup.Consumed() {
-		t.Errorf("clones start consumed: corrupted %v, duplicate %v", deliver.Consumed(), dup.Consumed())
+	if deliver.Release() || dup.Release() {
+		t.Error("a clone's first release reports last: it inherited the original's")
+	}
+	if !m.Release() {
+		t.Error("the original's second release does not report last")
+	}
+	if c := m.Copy(); c.Release() || &c.Payload[0] == &m.Payload[0] {
+		t.Error("a copy of a released message shares its release count or its payload")
 	}
 }

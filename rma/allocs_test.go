@@ -81,7 +81,14 @@ var facadeAllocs = []struct {
 	}},
 	{"put remote-complete", serializer.MechThread, 0, func(c *facadeCtx) { c.put(rma.WithRemoteComplete(), rma.WithBlocking()) }},
 	{"put atomic (thread)", serializer.MechThread, 1, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
-	{"put atomic (coarse lock)", serializer.MechCoarseLock, 4, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"put atomic (coarse lock)", serializer.MechCoarseLock, 1, func(c *facadeCtx) { c.put(rma.WithAtomic()) }},
+	{"blocking put atomic (coarse lock)", serializer.MechCoarseLock, 0, func(c *facadeCtx) { c.put(rma.WithAtomic(), rma.WithBlocking()) }},
+	{"blocking put + complete", serializer.MechThread, 0, func(c *facadeCtx) {
+		c.put(rma.WithBlocking()) // no report comes back, so Complete probes
+		if err := c.s.Complete(0); err != nil {
+			c.t.Fatalf("complete: %v", err)
+		}
+	}},
 	{"put 8 x vector(8,1,2,int64)", serializer.MechThread, 1, func(c *facadeCtx) {
 		req, err := c.s.Put(c.src, 8, facadeVec, c.tm, 0)
 		if err != nil {
