@@ -85,11 +85,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPutPayloadFrame$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchUnpack$$' -fuzztime 5s ./internal/core/
 
-# allocs runs the per-primitive allocation tables — the engine's and the
-# facade's, each row asserted == its committed number — and prints one line
-# per primitive: heap objects per call, origin and target together.
+# allocs runs the per-primitive allocation tables — the engine's, the
+# facade's and the services' (dht, dht/queue), each row asserted == its
+# committed number — and the engine's rows for two overlapping origins and
+# a parked completion probe, and prints one line per row: heap objects per
+# call, origin and target together.
 allocs:
-	@out=$$($(GO) test -count=1 -v -run 'TestPutHotPathNoAllocsWhenDisabled|TestFacadeAllocsPerPrimitive' ./internal/core/ ./rma/); rc=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'TestPutHotPathNoAllocsWhenDisabled|TestFacadeAllocsPerPrimitive|TestAllocsTwoOriginOverlap|TestAllocsParkedProbe|TestMapAllocsPerCall|TestQueueAllocsPerHandoff' ./internal/core/ ./rma/ ./dht/ ./dht/queue/); rc=$$?; \
 	echo "$$out" | grep -E 'allocs/op|^(---|FAIL|ok|panic)'; exit $$rc
 
 # smoke runs the E13 and E15 smoke benches and every example. The

@@ -30,7 +30,9 @@
 // version+1), stream key and value with ordered puts, and unlock by
 // putting full with version+2; the ordered unlock cannot overtake the
 // value bytes, and one Complete per mutation makes the whole transition
-// durable before the call returns. Every successful transition increments
+// durable before the call returns. Those puts are blocking, so they take
+// no request: each is done at its send, as MPI_Put is, and the Complete
+// is what the caller waits on. Every successful transition increments
 // the version exactly once, so a CompareSwap on a full word at version v
 // proves the value bytes are still the ones snapshotted at v — the basis
 // of Map.CAS. Retries never touch the word, which keeps converged table
@@ -39,11 +41,14 @@
 //
 // Every operation is one probe walk (seek, over read's snapshots) and at
 // most one word transition (swap): Get reads, Delete swaps full to
-// tombstone, Put and CAS swap to locked and finish.
+// tombstone, Put and CAS swap to locked and finish. In the steady state
+// none of them allocates: Get returns a slice of the handle's own buffer,
+// valid until the handle's next call.
 //
-// All table traffic rides the session it was opened on: batching,
-// sharding, events and buddy replication all apply, and so does the
-// world's fault plan (runtime.Config.Faults). With
+// All table traffic rides the session it was opened on: sharding, events
+// and buddy replication all apply, and so does the world's fault plan
+// (runtime.Config.Faults). Batching does not: every table operation is
+// blocking or a read-modify-write, and neither rides the issue ring. With
 // WithFailover a map whose stripe owner is declared dead (ErrRankFailed)
 // waits for the spare rebuild and retries against the successor.
 package dht
@@ -147,6 +152,9 @@ type Map struct {
 	failover bool
 
 	buf rma.Region // bucket image: snapshot gets land here, write-back puts leave from here
+	// val is what Get returns, cmp what CAS compares expect with: callers
+	// pass Get's slice back to CAS as expect.
+	val, cmp []byte
 
 	gets, puts, deletes, cases        stats.Counter
 	misses                            stats.Counter
@@ -197,6 +205,8 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 		total:      total,
 		failover:   cfg.failover,
 		buf:        p.Alloc(bucketSz),
+		val:        make([]byte, cfg.valSize),
+		cmp:        make([]byte, cfg.valSize),
 		contention: make([]stats.Counter, cfg.servers),
 		lat:        new(stats.Histogram),
 	}
@@ -414,7 +424,10 @@ func (m *Map) lost(sr int) {
 // value — after key, when b did not already hold key — and then the word
 // full at version+2. The puts carry Ordering so the unlock word can never
 // overtake the value bytes, and the single Complete makes the transition
-// durable (with replication: buddy-acknowledged) before returning.
+// durable (with replication: buddy-acknowledged) before returning. They
+// are blocking and not remote-complete, so each is done at its send and
+// takes no request; their notifications let the Complete wait on the
+// owner's delivery counter instead of probing.
 func (m *Map) finish(b bucket, key int64, value []byte) error {
 	tm := &m.stripes[b.sr]
 	from := valOff
@@ -431,11 +444,11 @@ func (m *Map) finish(b bucket, key int64, value []byte) error {
 	unlock := rma.Region{Offset: m.buf.Offset + wordOff, Size: 8}
 	_, err := m.failing(b.sr, func() error {
 		if _, err := m.s.Put(payload, payload.Size, rma.Byte, *tm, b.off+from,
-			rma.WithOrdering(), rma.WithNotify()); err != nil {
+			rma.WithOrdering(), rma.WithNotify(), rma.WithBlocking()); err != nil {
 			return err
 		}
 		if _, err := m.s.Put(unlock, 8, rma.Byte, *tm, b.off+wordOff,
-			rma.WithOrdering(), rma.WithNotify()); err != nil {
+			rma.WithOrdering(), rma.WithNotify(), rma.WithBlocking()); err != nil {
 			return err
 		}
 		return m.s.Complete(tm.Owner)
@@ -456,7 +469,11 @@ func (m *Map) observe(start vtime.Time) {
 	m.lat.Observe(int64(m.p.Now() - start))
 }
 
-// Get returns the value stored under key, or ok=false when absent.
+// Get returns the value stored under key, or ok=false when absent. The
+// value is a slice of the handle's own buffer, valid until the handle's
+// next call, which overwrites it: a caller that keeps a value copies it.
+// It may be passed back to CAS as expect, or to Put or CAS as the new
+// value.
 func (m *Map) Get(key int64) ([]byte, bool, error) {
 	start := m.p.Now()
 	defer m.observe(start)
@@ -469,7 +486,10 @@ func (m *Map) Get(key int64) ([]byte, bool, error) {
 		m.misses.Inc()
 		return nil, false, nil
 	}
-	return m.p.ReadLocal(m.buf, valOff, m.valSize), true, nil
+	if err := m.p.Mem().LocalRead(m.buf.Offset+valOff, m.val); err != nil {
+		return nil, false, err
+	}
+	return m.val, true, nil
 }
 
 // Put stores value (exactly ValueSize bytes) under key, inserting or
@@ -555,7 +575,10 @@ func (m *Map) CAS(key int64, expect, newVal []byte) (bool, error) {
 		if err != nil || !b.holds(key) {
 			return false, err
 		}
-		if !bytes.Equal(m.p.ReadLocal(m.buf, valOff, m.valSize), expect) {
+		if err := m.p.Mem().LocalRead(m.buf.Offset+valOff, m.cmp); err != nil {
+			return false, err
+		}
+		if !bytes.Equal(m.cmp, expect) {
 			return false, nil
 		}
 		// The claim succeeding at version v proves the snapshot (taken at

@@ -17,13 +17,16 @@
 // reads h+1 — the payload in the same buffer is then the item, since a
 // put and a get at one target never interleave — and frees the slot for
 // the next lap with seq=h+slots. Each side completes before returning.
+// Both puts are blocking, so they take no request: each is done at its
+// send, as MPI_Put is, and the Complete is what the caller waits on.
 // Sequence words are monotone per slot, so a late or reordered frame can
 // never alias a lap. They are stored in the owner's byte order, the order
 // its FetchWord reads them in, so ranks of either order share one queue.
 //
 // Waiting is remote polling with exponential virtual-time backoff —
 // deterministic, since every poll is serialized at the target in virtual
-// time.
+// time. In the steady state a handoff allocates nothing: Dequeue returns
+// a slice of the handle's own buffer, valid until the handle's next call.
 package queue
 
 import (
@@ -65,6 +68,7 @@ type Queue struct {
 	// gets; its first word also carries the freeing put.
 	buf  rma.Region
 	word [8]byte // host-side encoding of buf's first word
+	item []byte  // what Dequeue returns
 
 	enqueues, dequeues stats.Counter
 	producerPolls      stats.Counter
@@ -96,6 +100,7 @@ func New(s *rma.Session, owner, slots, slotSize int) (*Queue, error) {
 		slotSize: slotSize,
 		stride:   stride,
 		buf:      p.Alloc(stride),
+		item:     make([]byte, slotSize),
 	}
 	if p.Rank() == owner {
 		// Seed seq[i] = i: lap 0 producers find their slots free without
@@ -147,11 +152,13 @@ func (q *Queue) setWord(v int64) {
 }
 
 // publish puts the first n bytes of buf, with v as their sequence word, at
-// slot offset off and completes them. The put is notified, so the Complete
-// waits on the owner's delivery counter instead of probing.
+// slot offset off and completes them. The put is blocking and not
+// remote-complete, so it is done at its send and takes no request; it is
+// notified, so the Complete waits on the owner's delivery counter instead
+// of probing.
 func (q *Queue) publish(off, n int, v int64) error {
 	q.setWord(v)
-	if _, err := q.s.Put(q.buf, n, rma.Byte, q.owner, off, rma.WithNotify()); err != nil {
+	if _, err := q.s.Put(q.buf, n, rma.Byte, q.owner, off, rma.WithNotify(), rma.WithBlocking()); err != nil {
 		return err
 	}
 	return q.s.Complete(q.owner.Owner)
@@ -209,7 +216,9 @@ func (q *Queue) Enqueue(payload []byte) error {
 // Dequeue claims the next item and blocks until it is published,
 // returning its payload. Claims are tickets: with fewer items than
 // waiting consumers, the surplus consumers block until matching items
-// arrive.
+// arrive. The payload is a slice of the handle's own buffer, valid until
+// the handle's next call, which overwrites it: a caller that keeps an item
+// copies it.
 func (q *Queue) Dequeue() ([]byte, error) {
 	h, err := q.s.FetchAdd(q.owner, headOff, 1)
 	if err != nil {
@@ -233,12 +242,14 @@ func (q *Queue) Dequeue() ([]byte, error) {
 		q.consumerPolls.Inc()
 		q.backoff(attempt)
 	}
-	payload := q.p.ReadLocal(q.buf, 8, q.slotSize)
+	if err := q.p.Mem().LocalRead(q.buf.Offset+8, q.item); err != nil {
+		return nil, err
+	}
 
 	// Free the slot for the next lap (seq = h+slots).
 	if err := q.publish(off, 8, h+int64(q.slots)); err != nil {
 		return nil, err
 	}
 	q.dequeues.Inc()
-	return payload, nil
+	return q.item, nil
 }

@@ -118,7 +118,7 @@ func TestQueueMPMC(t *testing.T) {
 					t.Errorf("rank %d dequeue %d: %v", me, i, err)
 					panic("queue: dequeue failed")
 				}
-				consumed[me] = append(consumed[me], got)
+				consumed[me] = append(consumed[me], bytes.Clone(got)) // got lives until the next call
 			}
 		}
 		p.Barrier()

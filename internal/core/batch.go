@@ -455,8 +455,9 @@ func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 		e.cmplMu.Unlock()
 		return
 	}
-	ready := e.confirmed[target].raise(count, at)
+	var wbuf [4]*waiter
+	ready, _ := e.confirmed[target].raise(count, at, wbuf[:0], nil)
 	e.cmplMu.Unlock()
-	wakeAll(ready, count, at)
+	wakeAll(ready)
 	e.emit(trace.KindConfirm, at, target, 0, count, 0)
 }

@@ -46,38 +46,73 @@ type frame struct {
 	home *Engine
 }
 
-// spareSlots is how many frames that came home an engine keeps.
-const spareSlots = 4
+// spareCap is how many frames that came home an engine keeps: enough for
+// every frame an origin has out between one Complete and the next, when
+// its puts wait in the backlog of a target another origin is delivering
+// to (TestAllocsTwoOriginOverlap).
+const spareCap = 128
 
-// spares holds the frames that came home to an engine, each slot on a
-// cache line of its own: every send of a recycled kind looks at them and
-// every homecoming stores into one, and next to a field every emit loads
-// they would make each of them miss.
+// spares holds the frames that came home to an engine in a bounded
+// lock-free ring, Vyukov's bounded MPMC queue (the discipline dht/queue
+// runs over RMA): a put and a take each claim a position with one CAS on a
+// counter of their own, and each cell's sequence word says which lap may
+// use it next. A cell stores its sequence number minus its index, so a
+// zero ring is an empty one. Each counter sits on a cache line of its
+// own: every send of a recycled kind advances one and every homecoming
+// the other, and next to a field every emit loads they would make each of
+// them miss.
 type spares struct {
-	_     [64]byte
-	slots [spareSlots]struct {
-		f atomic.Pointer[frame]
-		_ [56]byte
+	_    [64]byte
+	head atomic.Uint64 // next position to take
+	_    [56]byte
+	tail atomic.Uint64 // next position to put
+	_    [56]byte
+	ring [spareCap]struct {
+		seq atomic.Uint64 // lap base of the position, +1 while it holds a frame
+		f   *frame
 	}
+	_ [64]byte
 }
 
-// take empties a full slot and returns its frame, or nil.
+// take returns the oldest spare frame, or nil when the ring is empty.
 func (s *spares) take() *frame {
-	for i := range s.slots {
-		if p := &s.slots[i].f; p.Load() != nil {
-			if f := p.Swap(nil); f != nil {
+	pos := s.head.Load()
+	for {
+		c := &s.ring[pos%spareCap]
+		switch d := int64(c.seq.Load() - (pos - pos%spareCap + 1)); {
+		case d == 0:
+			if s.head.CompareAndSwap(pos, pos+1) {
+				f := c.f
+				c.f = nil
+				c.seq.Store(pos - pos%spareCap + spareCap)
 				return f
 			}
+			pos = s.head.Load()
+		case d < 0:
+			return nil // empty: the cell still waits for this lap's put
+		default:
+			pos = s.head.Load() // another taker got there first
 		}
 	}
-	return nil
 }
 
-// put stores f in an empty slot; with every slot full f is dropped.
+// put stores f as a spare; with the ring full f is dropped.
 func (s *spares) put(f *frame) {
-	for i := range s.slots {
-		if p := &s.slots[i].f; p.Load() == nil && p.CompareAndSwap(nil, f) {
-			return
+	pos := s.tail.Load()
+	for {
+		c := &s.ring[pos%spareCap]
+		switch d := int64(c.seq.Load() - (pos - pos%spareCap)); {
+		case d == 0:
+			if s.tail.CompareAndSwap(pos, pos+1) {
+				c.f = f
+				c.seq.Store(pos - pos%spareCap + 1)
+				return
+			}
+			pos = s.tail.Load()
+		case d < 0:
+			return // full: the cell still holds the previous lap's frame
+		default:
+			pos = s.tail.Load() // another putter got there first
 		}
 	}
 }

@@ -236,8 +236,8 @@ func (e *Engine) handleAck(m *simnet.Message, at vtime.Time) {
 
 // handleProbe answers a completion probe — the origin asks "have you
 // applied my first N operations yet?" — at its arrival, or parks it on the
-// origin's delivery watermark, whose raise to N answers it (no earlier
-// than the arrival either; see waiter.wake).
+// origin's delivery watermark, by value, whose raise to N answers it (no
+// earlier than the arrival either; see probe).
 func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 	e.Probes.Inc()
 	threshold := int64(m.Hdr[hHandle])
@@ -248,7 +248,7 @@ func (e *Engine) handleProbe(m *simnet.Message, at vtime.Time) {
 	wm := &e.applied[origin]
 	count := wm.count
 	if count < threshold {
-		wm.waiters = append(wm.waiters, &waiter{threshold: threshold, probe: e, origin: origin, reqID: reqID, arrival: at})
+		wm.probes = append(wm.probes, probe{threshold: threshold, origin: origin, reqID: reqID, arrival: at})
 	}
 	e.tgtMu.Unlock()
 	if count >= threshold {

@@ -111,6 +111,10 @@ func (q *ApplyQueue) Close() {}
 type ProgressQueue struct {
 	mu    sync.Mutex
 	tasks []Task
+	// spare is the list the last Progress drained, emptied, for the next
+	// one to queue into: the two alternate, so a steady stream of deferred
+	// applies allocates nothing.
+	spare []Task
 	lane  vtime.WorkLane
 
 	// quantum models how often the target enters the library: a task
@@ -154,7 +158,7 @@ func (q *ProgressQueue) Submit(t Task) {
 func (q *ProgressQueue) Progress(now vtime.Time) int {
 	q.mu.Lock()
 	tasks := q.tasks
-	q.tasks = nil
+	q.tasks, q.spare = q.spare, nil
 	q.mu.Unlock()
 	for _, t := range tasks {
 		ready := vtime.Later(q.quantize(t.Ready), now)
@@ -162,6 +166,10 @@ func (q *ProgressQueue) Progress(now vtime.Time) int {
 		t.Fn(end)
 		q.Applied.Inc()
 	}
+	clear(tasks)
+	q.mu.Lock()
+	q.spare = tasks[:0]
+	q.mu.Unlock()
 	return len(tasks)
 }
 
