@@ -368,10 +368,11 @@ func (m *Map) read(idx int) (b bucket, err error) {
 // seek walks key's probe chain from step from, stopping at the bucket that
 // holds key or at an empty bucket, the chain's end. It returns that bucket
 // (the last one read when the walk covered the whole table), its step,
-// and the index of the first tombstone passed (-1 for none). Each bucket
-// past from counts one probe step.
-func (m *Map) seek(key int64, from int) (b bucket, step, tomb int, err error) {
-	h, tomb := m.home(key), -1
+// and the snapshot of the first tombstone passed (idx -1 for none). Each
+// bucket past from counts one probe step.
+func (m *Map) seek(key int64, from int) (b bucket, step int, tomb bucket, err error) {
+	h := m.home(key)
+	tomb.idx = -1
 	for step = from; step < m.total; step++ {
 		if step > from {
 			m.probeSteps.Inc()
@@ -382,8 +383,8 @@ func (m *Map) seek(key int64, from int) (b bucket, step, tomb int, err error) {
 		switch st := wordState(b.word); {
 		case st == stateEmpty || b.holds(key):
 			return b, step, tomb, nil
-		case st == stateTomb && tomb < 0:
-			tomb = b.idx
+		case st == stateTomb && tomb.idx < 0:
+			tomb = b
 		}
 	}
 	return b, step, tomb, nil
@@ -508,21 +509,14 @@ func (m *Map) Put(key int64, value []byte) error {
 		if err != nil {
 			return err
 		}
+		// Insert into the first tombstone passed, else the empty bucket
+		// that ended the chain, claiming it from seek's snapshot: a racer
+		// that changed it since fails the claim below.
 		if !b.holds(key) {
-			at := tomb
-			if at < 0 && wordState(b.word) == stateEmpty {
-				at = b.idx
-			}
-			if at < 0 {
+			if tomb.idx >= 0 {
+				b = tomb
+			} else if wordState(b.word) != stateEmpty {
 				return fmt.Errorf("dht: put %d: %w", key, ErrTableFull)
-			}
-			if b, err = m.read(at); err != nil {
-				return err
-			}
-			if wordState(b.word) == stateFull {
-				// A racer filled the slot, possibly with this key: restart.
-				m.lost(b.sr)
-				continue
 			}
 		}
 		claimed, err := m.swap(b, b.next(stateLocked))

@@ -533,7 +533,7 @@ func TestMapRMAOpsPerRequest(t *testing.T) {
 				do   func() (bool, error)
 			}{
 				{"get miss", 1, false, func() (bool, error) { _, ok, err := m.Get(a); return ok, err }},
-				{"put insert", 5, true, func() (bool, error) { return true, m.Put(a, val(m, 1)) }},
+				{"put insert", 4, true, func() (bool, error) { return true, m.Put(a, val(m, 1)) }},
 				{"get hit", 1, true, func() (bool, error) { _, ok, err := m.Get(a); return ok, err }},
 				{"put update", 4, true, func() (bool, error) { return true, m.Put(a, val(m, 2)) }},
 				{"cas ok", 4, true, func() (bool, error) { return m.CAS(a, val(m, 2), val(m, 3)) }},
@@ -541,7 +541,7 @@ func TestMapRMAOpsPerRequest(t *testing.T) {
 				{"cas absent", 1, false, func() (bool, error) { return m.CAS(b, val(m, 3), val(m, 4)) }},
 				{"delete hit", 2, true, func() (bool, error) { return m.Delete(a) }},
 				{"delete deleted", 2, false, func() (bool, error) { return m.Delete(a) }},
-				{"put into tombstone", 6, true, func() (bool, error) { return true, m.Put(a, val(m, 5)) }},
+				{"put into tombstone", 5, true, func() (bool, error) { return true, m.Put(a, val(m, 5)) }},
 			} {
 				before := s.Engine().OpsIssued.Value()
 				ok, err := tc.do()

@@ -26,12 +26,12 @@ type AMHandler func(src int, payload []byte, at vtime.Time)
 // it with InvokeAM. Registration is local; the id space is application
 // managed.
 func (e *Engine) RegisterAM(id uint64, handler AMHandler) error {
-	e.amMu.Lock()
-	defer e.amMu.Unlock()
-	if _, dup := e.am[id]; dup {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.am.get(id) != nil {
 		return fmt.Errorf("core: active-message id %d already registered", id)
 	}
-	e.am[id] = handler
+	e.am.set(id, handler, false)
 	return nil
 }
 
@@ -49,15 +49,13 @@ func (e *Engine) InvokeAM(id uint64, payload []byte, trank int, comm *runtime.Co
 	// A handler is a critical section: always atomic, so it holds the
 	// target's coarse lock where that is the serializer, and it sees
 	// ring-held deposits applied in order.
-	return e.issue(comm, target, e.effectiveAttrs(comm, attrs), latNone, m, landing{}, nil)
+	return e.issue(target, e.effectiveAttrs(comm, attrs), latNone, m, landing{}, nil)
 }
 
 // startAM finds the handler and schedules it on the serializer.
 func (r *applyOp) startAM(at vtime.Time) {
 	e := r.e
-	e.amMu.Lock()
-	r.am = e.am[r.handle]
-	e.amMu.Unlock()
+	r.am = e.am.get(r.handle)
 	e.scheduleApply(r, at, len(r.m.Payload))
 }
 

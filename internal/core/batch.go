@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
@@ -78,8 +78,35 @@ const (
 
 // batchBufs recycles aggregate-message payload buffers, process-wide. A
 // ring packs into one; the target returns it after the last member has
-// been applied.
-var batchBufs = freeList[[]byte]{limit: freeListCap}
+// been applied. Its takers are every rank's issue path and its putters
+// every rank's delivery, hence the lock. Unlike a sync.Pool it never drops
+// a buffer it has room for (64), so what a call allocates is the same on
+// every run.
+var batchBufs bufList
+
+type bufList struct {
+	mu    lockrank.Plain
+	items [][]byte
+}
+
+// get pops a buffer, or returns nil when there is none.
+func (f *bufList) get() (b []byte) {
+	f.mu.Lock()
+	if n := len(f.items); n > 0 {
+		b, f.items = f.items[n-1], f.items[:n-1]
+	}
+	f.mu.Unlock()
+	return b
+}
+
+// put pushes b, or drops it for the collector when the list is full.
+func (f *bufList) put(b []byte) {
+	f.mu.Lock()
+	if len(f.items) < 64 {
+		f.items = append(f.items, b)
+	}
+	f.mu.Unlock()
+}
 
 // add appends op's member frame to the aggregate and has pack fill its
 // packed bytes of wire data in place. On a pack failure the ring is left
@@ -178,14 +205,11 @@ func (e *Engine) flushTarget(world int) {
 	epoch := ts.chkEpoch
 	reqs, remote := ring.reqs, ring.remote
 	payload := ring.seal()
-	e.mu.Unlock()
-
 	if len(remote) > 0 {
 		// Registered before the send so the notification cannot race past.
-		e.cmplMu.Lock()
 		e.pendingBatches[id] = &pendingBatch{target: world, ids: remote}
-		e.cmplMu.Unlock()
 	}
+	e.mu.Unlock()
 
 	m := e.newMsg(world, kBatch, 0)
 	m.Hdr[hReq] = id
@@ -197,9 +221,9 @@ func (e *Engine) flushTarget(world int) {
 	if _, err := e.proc.NIC().Send(e.proc.Now(), &m.Message); err != nil {
 		// Either the world is shutting down or the link has failed; the
 		// aggregate is lost, but nothing may be left hanging on it.
-		e.cmplMu.Lock()
+		e.mu.Lock()
 		delete(e.pendingBatches, id)
-		e.cmplMu.Unlock()
+		e.mu.Unlock()
 		if !errors.Is(err, ErrLinkFailed) {
 			err = nil
 		} else {
@@ -277,10 +301,11 @@ func batchUvarint(p []byte, what string) (uint64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// decodeBatch parses an aggregate payload into its member operations.
+// decodeBatch parses an aggregate payload into its member operations, one
+// target-side record each (the members' records live in the one slice).
 // Member wire slices alias p; the caller owns p until every member has
 // been applied.
-func decodeBatch(p []byte) ([]wireOp, error) {
+func decodeBatch(p []byte) ([]applyOp, error) {
 	count, p, err := batchUvarint(p, "count")
 	if err != nil {
 		return nil, err
@@ -288,12 +313,15 @@ func decodeBatch(p []byte) ([]wireOp, error) {
 	if count > uint64(len(p)) {
 		return nil, fmt.Errorf("core: batch claims %d ops in %d bytes", count, len(p))
 	}
-	ops := make([]wireOp, 0, count)
-	for i := uint64(0); i < count; i++ {
+	// A member frame takes at least 8 bytes, so a claim past that is
+	// malformed and must not size the records.
+	ops := make([]applyOp, 0, min(count, uint64(len(p))/8))
+	for range count {
 		if len(p) < 2 {
 			return nil, fmt.Errorf("core: truncated batch op header")
 		}
-		var op wireOp
+		ops = append(ops, applyOp{})
+		op := &ops[len(ops)-1].wireOp
 		op.atomic = p[0]&batchFlagAtomic != 0
 		op.ordered = p[0]&batchFlagOrdered != 0
 		op.accOp = AccOp(p[1])
@@ -324,7 +352,6 @@ func decodeBatch(p []byte) ([]wireOp, error) {
 		}
 		op.wire = p[:v:v]
 		p = p[v:]
-		ops = append(ops, op)
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("core: batch has %d trailing bytes", len(p))
@@ -342,7 +369,7 @@ type batchTrack struct {
 	payload  []byte
 	software bool // some member applied by software (atomic serializer)
 
-	mu        sync.Mutex
+	mu        lockrank.Plain
 	remaining int
 	count     int64
 	end       vtime.Time
@@ -378,13 +405,6 @@ func (e *Engine) sendNotify(dst int, id uint64, count int64, at vtime.Time, soft
 	e.sendAck(at, m, software)
 }
 
-// appliedCount returns the cumulative applied-operation count for src.
-func (e *Engine) appliedCount(src int) int64 {
-	e.tgtMu.Lock()
-	defer e.tgtMu.Unlock()
-	return e.applied[src].count
-}
-
 // startBatch unpacks the aggregate into one record per member and
 // schedules each; the envelope's own record is finished with.
 func (r *applyOp) startBatch(at vtime.Time) {
@@ -396,13 +416,13 @@ func (r *applyOp) startBatch(at vtime.Time) {
 		// still count toward completion thresholds or the origin's
 		// Complete would hang. Hdr[hCount] carries the origin's claim.
 		e.proc.NIC().BadReq.Inc()
-		count := e.appliedCount(m.Src)
+		count := e.AppliedFrom(m.Src)
 		for i := uint64(0); i < m.Hdr[hCount]; i++ {
 			count = e.noteApplied(m.Src, at)
 		}
 		e.sendNotify(m.Src, m.Hdr[hReq], count, at, true)
 	case len(ops) == 0:
-		e.sendNotify(m.Src, m.Hdr[hReq], e.appliedCount(m.Src), at, true)
+		e.sendNotify(m.Src, m.Hdr[hReq], e.AppliedFrom(m.Src), at, true)
 	default:
 		track := &batchTrack{e: e, src: m.Src, id: m.Hdr[hReq], payload: m.Payload, remaining: len(ops)}
 		for i := range ops {
@@ -412,8 +432,8 @@ func (r *applyOp) startBatch(at vtime.Time) {
 			// The member's counter bump (and, once all members are done,
 			// the batch notification) is the completion bookkeeping fin
 			// holds back until the buddy has its bytes.
-			mr := e.takeOp(m)
-			mr.wireOp, mr.member, mr.track = ops[i], i, track
+			mr := &ops[i]
+			mr.e, mr.m, mr.attrs, mr.member, mr.track = e, m, r.attrs, i, track
 			mr.exp = e.lookupExposure(mr.handle)
 			e.scheduleApplyRange(mr, at, len(mr.wire), datatype.ExtentOf(mr.tcount, mr.tdt))
 		}
@@ -428,10 +448,10 @@ func (e *Engine) handleNotify(m *simnet.Message, at vtime.Time) {
 	e.Notifies.Inc()
 	e.emit(trace.KindNotify, at, m.Src, m.Hdr[hReq], int64(m.Hdr[hCount]), 0)
 	if id := m.Hdr[hReq]; id != 0 {
-		e.cmplMu.Lock()
+		e.mu.Lock()
 		pb := e.pendingBatches[id]
 		delete(e.pendingBatches, id)
-		e.cmplMu.Unlock()
+		e.mu.Unlock()
 		if pb != nil {
 			for _, r := range pb.ids {
 				e.settle(r, at, nil)
@@ -450,14 +470,14 @@ func (e *Engine) noteConfirmed(target int, count int64, at vtime.Time) {
 	if count <= 0 {
 		return
 	}
-	e.cmplMu.Lock()
+	e.mu.Lock()
 	if count <= e.confirmed[target].count {
-		e.cmplMu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	var wbuf [4]*waiter
 	ready, _ := e.confirmed[target].raise(count, at, wbuf[:0], nil)
-	e.cmplMu.Unlock()
+	e.mu.Unlock()
 	wakeAll(ready)
 	e.emit(trace.KindConfirm, at, target, 0, count, 0)
 }

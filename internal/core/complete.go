@@ -45,17 +45,17 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	probes := pbuf[:0] // the targets the counters cannot answer for
 	for _, world := range targets {
 		e.cover(world)
-		if err = e.stickyFor(world); err != nil {
+		e.mu.Lock()
+		f := e.stickyLocked(world)
+		ts := e.targetLocked(world)
+		sent, will := ts.sent, ts.willConfirm
+		e.mu.Unlock()
+		if err = f.err; err != nil {
 			// A dead target (ErrRankFailed) or failed link (ErrLinkFailed)
 			// can never confirm; report it instead of probing a black hole.
 			break
 		}
-		e.flushTarget(world)
-		e.mu.Lock()
-		ts := e.targetLocked(world)
-		sent := ts.sent
-		will := ts.willConfirm
-		e.mu.Unlock()
+		e.flushTarget(world) // ring members count in sent already
 		if sent == 0 {
 			continue
 		}
@@ -254,30 +254,20 @@ func (e *Engine) ask(world int, kind uint8, arg uint64) (*Request, error) {
 	return req, nil
 }
 
-// maybeFence enforces a pending Order() before the next operation to
-// world: the issue stalls until the target confirms application of all
-// earlier operations, using the same counter fast paths as Complete.
-// Called from the issue path with no locks held.
-func (e *Engine) maybeFence(comm *runtime.Comm, world int) error {
+// fence enforces a pending Order() before the next operation to world,
+// which issue has found and cleared: the issue stalls until the target
+// confirms application of all earlier operations, using the same counter
+// fast paths as Complete. Called from the issue path with no locks held.
+func (e *Engine) fence(world int) error {
 	e.mu.Lock()
+	f := e.stickyLocked(world)
 	ts := e.targetLocked(world)
-	pending := ts.fencePending
-	if pending {
-		ts.fencePending = false
-	}
+	sent, will := ts.sent, ts.willConfirm
 	e.mu.Unlock()
-	if !pending {
-		return nil
+	if f.err != nil {
+		return fmt.Errorf("core: fence: %w", f.err)
 	}
-	if err := e.stickyFor(world); err != nil {
-		return fmt.Errorf("core: fence: %w", err)
-	}
-	e.flushTarget(world)
-	e.mu.Lock()
-	ts = e.targetLocked(world)
-	sent := ts.sent
-	will := ts.willConfirm
-	e.mu.Unlock()
+	e.flushTarget(world) // ring members count in sent already
 	if sent == 0 {
 		return nil
 	}

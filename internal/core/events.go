@@ -15,15 +15,15 @@ import (
 // lossless: Request.OnDone runs a callback on the request's terminal
 // transition, and Select blocks on any of several cases — a request, or a
 // watermark reaching a threshold — registering on the watermarks
-// themselves (watermark.go), under the counter locks. Every completion
+// themselves (watermark.go), under the engine's mu. Every completion
 // signal already funnels through two joins, so the events Select returns
 // carry exactly the counter movements Complete/Order observe, with the
 // same virtual timestamps:
 //
-//   - noteApplied (target side, under tgtMu): every applied operation,
+//   - noteApplied (target side, under mu): every applied operation,
 //     serial, sharded, or serialized, raises the per-origin delivery
 //     counter here (EvDelivery).
-//   - noteConfirmed (origin side, under cmplMu): every target→origin
+//   - noteConfirmed (origin side, under mu): every target→origin
 //     report (ack, reply, probe answer, notification) folds into
 //     confirmed[target] here (EvConfirm, EvQuiescent); duplicates and
 //     reordered reports raise nothing.

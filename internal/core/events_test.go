@@ -418,9 +418,9 @@ func TestSingletonIssueFailureIsComplete(t *testing.T) {
 					if got := e.PairCounters(0).Sent; phase[0] == 'f' && got != sent {
 						t.Errorf("issues %s were counted as sent: %d -> %d", phase, sent, got)
 					}
-					e.cmplMu.Lock()
+					e.mu.Lock()
 					delete(e.failedLinks, 0)
-					e.cmplMu.Unlock()
+					e.mu.Unlock()
 				}
 			})
 		})

@@ -44,7 +44,7 @@ func (e *Engine) Health() telemetry.HealthReport {
 
 	// One line per peer a sticky failure cuts off, through the one
 	// precedence: an apply fault cuts off every peer and is listed once.
-	e.cmplMu.Lock()
+	e.mu.Lock()
 	var last error
 	for peer := range e.confirmed {
 		if f := e.stickyLocked(peer); f.err != nil && f.err != last {
@@ -52,7 +52,7 @@ func (e *Engine) Health() telemetry.HealthReport {
 			last = f.err
 		}
 	}
-	e.cmplMu.Unlock()
+	e.mu.Unlock()
 	h.Waits = e.waits()
 
 	// Membership liveness: meaningful once the failure detector has run
@@ -80,7 +80,7 @@ func (e *Engine) Health() telemetry.HealthReport {
 		h.Shards = append(h.Shards, telemetry.ShardHealth{Shard: s, Tasks: e.shards[s].tasks.Value()})
 	}
 
-	e.tgtMu.Lock()
+	e.mu.Lock()
 	for src := range e.applied {
 		if n := e.applied[src].count; n > 0 {
 			if h.AppliedFrom == nil {
@@ -89,6 +89,6 @@ func (e *Engine) Health() telemetry.HealthReport {
 			h.AppliedFrom[src] = n
 		}
 	}
-	e.tgtMu.Unlock()
+	e.mu.Unlock()
 	return h
 }

@@ -80,6 +80,13 @@ func (e *Engine) record(kind trace.Kind, at vtime.Time, peer int, id uint64, a, 
 	}
 }
 
+// recording reports whether an access recorder is installed: an apply
+// builds its Access only then.
+func (e *Engine) recording() bool {
+	o := e.obs.Load()
+	return o != nil && len(o.recorders) > 0
+}
+
 // recordAccess hands one applied access to every installed recorder. The
 // caller describes what was touched; who asked, under which operation id
 // and epoch, is read off the operation's message m.

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/trace"
@@ -34,7 +34,7 @@ type Request struct {
 	// can find and fail the requests that will never complete.
 	target int
 
-	mu  sync.Mutex
+	mu  lockrank.Plain
 	at  vtime.Time
 	err error
 	old int64 // an RMW's old value, copied out of its reply

@@ -58,7 +58,7 @@ func (e *Engine) rmw(subop int, tm TargetMem, tdisp int, operand []byte, trank i
 	copy(m.Payload, operand)
 	// Always atomic; the old-value reply completes the request and carries
 	// the delivery counter.
-	req, err := e.issue(comm, tm.Owner, e.effectiveAttrs(comm, attrs)|AttrAtomic, latRMW, m, landing{}, nil)
+	req, err := e.issue(tm.Owner, e.effectiveAttrs(comm, attrs)|AttrAtomic, latRMW, m, landing{}, nil)
 	if err == nil {
 		var old int64
 		if old, err = e.await(req); err == nil {
@@ -110,7 +110,7 @@ func (r *applyOp) applyRMW(end vtime.Time) {
 	if r.reply == nil {
 		e.proc.NIC().BadReq.Inc()
 	}
-	if r.exp != nil {
+	if r.exp != nil && e.recording() {
 		e.recordAccess(r.m, Access{
 			Handle: r.handle, Disp: r.disp, Len: 8,
 			Kind: AccessRMW, Atomic: true, Ordered: r.ordered, Member: -1, At: end,

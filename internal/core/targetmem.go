@@ -97,9 +97,12 @@ func ExchangeTargetMem(comm *runtime.Comm, tm TargetMem) ([]TargetMem, error) {
 	return tms, nil
 }
 
-// exposure is the owner-side state behind a TargetMem handle.
+// exposure is the owner-side state behind a TargetMem handle, immutable
+// once published. tracked marks a replicated one: exposed while buddy
+// replication was on, or rebuilt onto this spare (replication.go).
 type exposure struct {
-	region memsim.Region
+	region  memsim.Region
+	tracked bool
 }
 
 // Expose associates an existing region of the caller's memory with a new
@@ -110,11 +113,14 @@ func (e *Engine) Expose(region memsim.Region) TargetMem {
 	e.mu.Lock()
 	e.tmemSeq++
 	h := e.tmemSeq
-	e.tmems[h] = &exposure{region: region}
 	e.mu.Unlock()
 	// Mirror the new exposure to the buddy (a no-op unless
-	// EnableReplication was called; see replication.go).
-	e.replOnExpose(h, region)
+	// EnableReplication was called; see replication.go). Nobody holds the
+	// handle before Expose returns, so it is published after.
+	exp := &exposure{region: region, tracked: e.replOnExpose(h, region)}
+	e.mu.Lock()
+	e.exps.set(h, exp, false)
+	e.mu.Unlock()
 	return TargetMem{
 		Owner:    e.proc.Rank(),
 		Handle:   h,
@@ -142,16 +148,12 @@ func (e *Engine) Retract(tm TargetMem) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.tmems[tm.Handle]; !ok {
+	if e.lookupExposure(tm.Handle) == nil {
 		return fmt.Errorf("core: target_mem handle %d not exposed: %w", tm.Handle, ErrBadHandle)
 	}
-	delete(e.tmems, tm.Handle)
+	e.exps.set(tm.Handle, nil, true)
 	return nil
 }
 
-// lookupExposure resolves a handle at the target side.
-func (e *Engine) lookupExposure(h uint64) *exposure {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tmems[h]
-}
+// lookupExposure resolves a handle at the target side, with no lock.
+func (e *Engine) lookupExposure(h uint64) *exposure { return e.exps.get(h) }

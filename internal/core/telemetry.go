@@ -166,10 +166,8 @@ func (e *Engine) PairCounters(world int) PairCounters {
 		pc.Singleton = ts.singleton
 		pc.WillConfirm = ts.willConfirm
 	}
-	e.mu.Unlock()
-	e.cmplMu.Lock()
 	pc.Confirmed = e.confirmed[world].count
-	e.cmplMu.Unlock()
+	e.mu.Unlock()
 	return pc
 }
 
@@ -177,5 +175,7 @@ func (e *Engine) PairCounters(world int) PairCounters {
 // from a world rank — the delivery counter the notified-completion
 // protocol reports back to that origin.
 func (e *Engine) AppliedFrom(origin int) int64 {
-	return e.appliedCount(origin)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.applied[origin].count
 }

@@ -10,9 +10,9 @@ import (
 //
 // The paper's MPI_RMA_complete and MPI_RMA_order are one idea: wait until a
 // cumulative delivery counter reaches what I issued. The engine keeps two
-// such counters per peer — confirmed (origin side, under cmplMu: what the
-// target has reported back) and applied (target side, under tgtMu: what
-// this rank has applied from the origin) — and every call that blocks on
+// such counters per peer — confirmed (origin side: what the target has
+// reported back) and applied (target side: what this rank has applied from
+// the origin), both under the engine's mu — and every call that blocks on
 // one, on a request, or on any mix of them is the loop in wait.
 
 // waiter is one local call's registration on a watermark, woken outside
@@ -48,20 +48,10 @@ type wakeSlot struct {
 	one [1]waiter
 }
 
-// takeSlot returns a wake slot, a reused one when there is one.
-func (e *Engine) takeSlot() *wakeSlot {
-	s := e.slots.get()
-	if s == nil {
-		s = &wakeSlot{}
-		s.one[0].bell = e.bell
-	}
-	return s
-}
-
 // watermark is a cumulative count, the virtual stamp of the latest report
 // that raised it, and whoever waits for it to rise further: local calls
-// and, on an applied watermark, parked completion probes. Its owner's lock
-// (cmplMu or tgtMu) guards all of them.
+// and, on an applied watermark, parked completion probes. The engine's mu
+// guards all of them.
 type watermark struct {
 	count   int64
 	at      vtime.Time
@@ -150,7 +140,7 @@ const noPeer = -2
 // untrustworthy), then the confirmed death of world, then its failed link.
 // Asked about AllRanks it answers with the first death, then the first
 // link failure, the engine has seen (recordSticky files both under that
-// key). Caller holds cmplMu.
+// key). Caller holds e.mu.
 func (e *Engine) stickyLocked(world int) fault {
 	if e.applyErr.err != nil {
 		return e.applyErr
@@ -161,16 +151,13 @@ func (e *Engine) stickyLocked(world int) fault {
 	return e.failedLinks[world]
 }
 
-// sticky is stickyLocked for callers that do not hold cmplMu.
-func (e *Engine) sticky(world int) fault {
-	e.cmplMu.Lock()
-	defer e.cmplMu.Unlock()
-	return e.stickyLocked(world)
-}
-
 // stickyFor returns the sticky failure that would keep operations to a
 // world rank from ever completing, or nil.
-func (e *Engine) stickyFor(world int) error { return e.sticky(world).err }
+func (e *Engine) stickyFor(world int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stickyLocked(world).err
+}
 
 // Err reports the engine's sticky degradation, most severe tier first:
 // the engine-fatal apply fault, the first confirmed rank death
@@ -178,7 +165,7 @@ func (e *Engine) stickyFor(world int) error { return e.sticky(world).err }
 // non-nil Err does not stop operations toward live, reachable peers —
 // degradation is per-peer; Err only lets callers notice it without
 // tracking every request.
-func (e *Engine) Err() error { return e.sticky(AllRanks).err }
+func (e *Engine) Err() error { return e.stickyFor(AllRanks) }
 
 // selKind discriminates the cases a wait can block on. The zero value is
 // invalid so a zero SelectCase{} literal is rejected rather than silently
@@ -208,28 +195,26 @@ func (e *Engine) tryCase(rc *SelectCase) (Event, bool) {
 		defer r.mu.Unlock()
 		return Event{Kind: EvRequestDone, At: r.at, Rank: r.target, Req: r, Err: r.err}, r.done
 	case selApplied:
-		e.tgtMu.Lock()
+		e.mu.Lock()
 		wm := e.applied[rc.rank]
-		e.tgtMu.Unlock()
+		f = e.stickyLocked(noPeer)
+		e.mu.Unlock()
 		if wm.count >= rc.threshold {
 			return Event{Kind: EvDelivery, At: wm.at, Rank: rc.rank, Count: wm.count}, true
 		}
-		f = e.sticky(noPeer)
 	case selInbound:
-		if f = e.sticky(AllRanks); f.err != nil {
-			break
-		}
-		e.tgtMu.Lock()
+		e.mu.Lock()
+		f = e.stickyLocked(AllRanks)
 		count, last := e.applied[rc.rank].count, e.lastApplied
-		e.tgtMu.Unlock()
-		if count >= rc.threshold {
+		e.mu.Unlock()
+		if f.err == nil && count >= rc.threshold {
 			return Event{Kind: EvDelivery, At: last, Rank: rc.rank, Count: count}, true
 		}
 	case selConfirmed, selQuiescent:
-		e.cmplMu.Lock()
+		e.mu.Lock()
 		wm := e.confirmed[rc.rank]
 		f = e.stickyLocked(rc.rank)
-		e.cmplMu.Unlock()
+		e.mu.Unlock()
 		if wm.count >= rc.threshold {
 			kind := EvConfirm
 			if rc.kind == selQuiescent {
@@ -241,25 +226,48 @@ func (e *Engine) tryCase(rc *SelectCase) (Event, bool) {
 	return Event{Kind: EvFault, At: f.at, Rank: rc.rank, Err: f.err}, f.err != nil
 }
 
-// linkCase registers (on) or unregisters wt where the case's wakeups come
-// from. A request wakes through OnDone, which has no unregistering and
-// needs none: the callback dies with the request, and until then costs a
-// losing wait's request one non-blocking send on a channel nobody reads.
-func (e *Engine) linkCase(rc *SelectCase, wt *waiter, on bool) {
-	switch rc.kind {
-	case selRequest:
-		if on {
-			rc.req.OnDone(func(error) { wt.bell.Ring() })
+// linkCases registers a waiter per case where the case's wakeups come
+// from, the first in a wake slot it takes (slot nil), or unregisters ws
+// and keeps slot for the next wait: the watermarks' waiters and the slots
+// change in one section of e.mu. A request wakes through OnDone, which has
+// no unregistering and needs none: the callback dies with the request, and
+// until then costs a losing wait's request one ring of a bell.
+func (e *Engine) linkCases(cases []SelectCase, slot *wakeSlot, ws []waiter) (*wakeSlot, []waiter) {
+	on := slot == nil
+	if on && len(cases) > 1 {
+		ws = make([]waiter, len(cases))
+		for i := range ws {
+			ws[i].bell = e.bell
 		}
-	case selApplied, selInbound:
-		e.tgtMu.Lock()
-		link(&e.applied[rc.rank].waiters, wt, on)
-		e.tgtMu.Unlock()
-	case selConfirmed, selQuiescent:
-		e.cmplMu.Lock()
-		link(&e.confirmed[rc.rank].waiters, wt, on)
-		e.cmplMu.Unlock()
 	}
+	e.mu.Lock()
+	switch n := len(e.slots); {
+	case !on:
+		e.slots = append(e.slots, slot)
+	case n > 0:
+		slot, e.slots = e.slots[n-1], e.slots[:n-1]
+	default:
+		slot = &wakeSlot{one: [1]waiter{{bell: e.bell}}}
+	}
+	if ws == nil {
+		ws = slot.one[:]
+	}
+	for i := range cases {
+		ws[i].threshold = cases[i].threshold
+		switch rc := &cases[i]; rc.kind {
+		case selApplied, selInbound:
+			link(&e.applied[rc.rank].waiters, &ws[i], on)
+		case selConfirmed, selQuiescent:
+			link(&e.confirmed[rc.rank].waiters, &ws[i], on)
+		}
+	}
+	e.mu.Unlock()
+	for i := range cases {
+		if wt := &ws[i]; on && cases[i].kind == selRequest {
+			cases[i].req.OnDone(func(error) { wt.bell.Ring() })
+		}
+	}
+	return slot, ws
 }
 
 // wait is the one blocking loop, under Complete, the Order fence,
@@ -292,11 +300,8 @@ func (e *Engine) wait(cases []SelectCase) (int, Event) {
 		}
 		for i := range cases {
 			if ev, ok := e.tryCase(&cases[i]); ok {
-				for j := range ws {
-					e.linkCase(&cases[j], &ws[j], false)
-				}
 				if slot != nil {
-					e.slots.put(slot)
+					e.linkCases(cases, slot, ws)
 				}
 				return i, ev
 			}
@@ -305,18 +310,7 @@ func (e *Engine) wait(cases []SelectCase) (int, Event) {
 			e.proc.Park(e.bell, seen)
 			continue
 		}
-		slot = e.takeSlot()
-		ws = slot.one[:]
-		if len(cases) > 1 {
-			ws = make([]waiter, len(cases))
-			for i := range ws {
-				ws[i].bell = e.bell
-			}
-		}
-		for i := range cases {
-			ws[i].threshold = cases[i].threshold
-			e.linkCase(&cases[i], &ws[i], true)
-		}
+		slot, ws = e.linkCases(cases, nil, nil)
 	}
 }
 
@@ -335,11 +329,9 @@ func (e *Engine) waits() []telemetry.WaitHealth {
 			}
 		}
 	}
-	e.cmplMu.Lock()
+	e.mu.Lock()
 	list("confirmed", e.confirmed)
-	e.cmplMu.Unlock()
-	e.tgtMu.Lock()
 	list("applied", e.applied)
-	e.tgtMu.Unlock()
+	e.mu.Unlock()
 	return out
 }

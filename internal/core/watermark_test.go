@@ -19,9 +19,9 @@ import (
 // next issue reaches the relay (which still refuses the link) instead of
 // fast-failing on the sticky error.
 func forgetSticky(e *Engine, rank int) {
-	e.cmplMu.Lock()
+	e.mu.Lock()
 	delete(e.failedLinks, rank)
-	e.cmplMu.Unlock()
+	e.mu.Unlock()
 }
 
 // selectErr is a one-case Select as a blocking call: the case's failure,
@@ -82,7 +82,7 @@ func TestStickyPrecedence(t *testing.T) {
 					"Err":                 e.Err(),
 					"Complete":            e.Complete(comm, 0),
 					"the confirm ladder":  ladder,
-					"maybeFence":          e.maybeFence(comm, 0),
+					"fence":               e.fence(0),
 					"a put after Order":   put(AttrNone),
 					"Select(OnConfirmed)": selectErr(e, comm, OnConfirmed(0, pc.Sent)),
 					"Select(OnQuiescent)": selectErr(e, comm, OnQuiescent(0)),

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
@@ -173,7 +173,7 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	orig := landing{origin, ocount, odt}
 	packed := datatype.PackedSize(ocount, odt)
 	if e.batchable(op, attrs, packed) {
-		return e.issue(comm, tm.Owner, attrs, latKindOf(op), nil, orig, &wireOp{
+		return e.issue(tm.Owner, attrs, latKindOf(op), nil, orig, &wireOp{
 			handle:  tm.Handle,
 			disp:    tdisp,
 			tcount:  tcount,
@@ -203,7 +203,7 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 	m.Hdr[hDisp] = uint64(tdisp)
 	m.Hdr[hCount] = uint64(tcount)
 	m.Hdr[hMeta] = uint64(accOp) << 16
-	return e.issue(comm, tm.Owner, attrs, latKindOf(op), m, land, nil)
+	return e.issue(tm.Owner, attrs, latKindOf(op), m, land, nil)
 }
 
 // issue is the issue path of every operation: transfers, read-modify-
@@ -227,20 +227,36 @@ func (e *Engine) xfer(op OpType, accOp AccOp, scale float64, origin memsim.Regio
 // record — in agreement with the returned error. This is the only place
 // that has to. A message is issue's to reclaim once the send has returned
 // and its stamps have been read.
-func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8, m *frame, land landing, put *wireOp) (*Request, error) {
-	if err := e.stickyFor(target); err != nil {
+//
+// The issue takes e.mu once: the sticky check, the pending fence, the
+// request and the counters share one section. Only a ring to flush ahead
+// of a singleton or a fence to wait out leaves it and comes back.
+func (e *Engine) issue(target int, attrs Attr, latKind uint8, m *frame, land landing, put *wireOp) (*Request, error) {
+	e.Progress() // entering the library makes progress (MechProgress)
+	e.mu.Lock()
+	if f := e.stickyLocked(target); f.err != nil {
 		// Fast-fail toward a dead rank or failed link: issuing would only
 		// accumulate requests that the failure handler must then reap, or
 		// park one in a ring whose failing flush may be arbitrarily far
 		// away.
-		return nil, err
+		e.mu.Unlock()
+		return nil, f.err
 	}
-	e.Progress() // entering the library makes progress (MechProgress)
-	if m != nil {
-		e.flushTarget(target) // a singleton must not overtake ring-held operations
-	}
-	if err := e.maybeFence(comm, target); err != nil {
-		return nil, err
+	ts := e.targetLocked(target)
+	// A singleton must not overtake ring-held operations, and a pending
+	// Order stalls the issue until the target confirms what came before.
+	if flush, fence := m != nil && len(ts.ring.reqs) > 0, ts.fencePending; flush || fence {
+		ts.fencePending = false
+		e.mu.Unlock()
+		if flush {
+			e.flushTarget(target)
+		}
+		if fence {
+			if err := e.fence(target); err != nil {
+				return nil, err
+			}
+		}
+		e.mu.Lock()
 	}
 	rmw := m != nil && m.Kind == kRMW
 	replies := rmw || m != nil && m.Kind == kGet
@@ -250,7 +266,6 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 
 	packed, full := 0, false
 	var seq uint64
-	e.mu.Lock()
 	req, id := e.newRequest(target, slotted, blocking)
 	if req != nil {
 		req.latKind, req.issuedAt, req.land = latKind, issuedAt, land
@@ -272,7 +287,6 @@ func (e *Engine) issue(comm *runtime.Comm, target int, attrs Attr, latKind uint8
 		}
 		return nil, err
 	}
-	ts := e.targetLocked(target)
 	if put != nil {
 		ring := &ts.ring
 		packed = datatype.PackedSize(land.count, land.dt)
@@ -456,7 +470,7 @@ const (
 // rather than locking them out for good. The zero value is empty and
 // ready to use.
 type typeTable struct {
-	mu    sync.Mutex
+	mu    lockrank.Plain
 	types map[string]datatype.Type
 }
 

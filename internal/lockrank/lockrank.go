@@ -8,26 +8,24 @@ package lockrank
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Rank orders the mutexes: holding rank r, take only higher ranks.
 type Rank uint8
 
 const (
-	Target  Rank = 10 // core Engine.tgtMu
-	Confirm Rank = 20 // core Engine.cmplMu
+	Engine  Rank = 10 // core Engine.mu
 	Replica Rank = 35 // core replState.mu
 	Relay   Rank = 40 // portals relay.mu
 )
 
-var names = [...]string{Target: "tgtMu", Confirm: "cmplMu", Replica: "repl.mu", Relay: "relay.mu"}
+var names = [...]string{Engine: "e.mu", Replica: "repl.mu", Relay: "relay.mu"}
 
 func (r Rank) String() string { return fmt.Sprintf("%s (rank %d)", names[r], uint8(r)) }
 
 // Mutex is a sync.Mutex with a rank its owner sets before first use.
 type Mutex struct {
-	mu     sync.Mutex
+	mu     Plain
 	Rank   Rank
 	holder *stack // checked builds: the holding goroutine's locks, under mu
 }

@@ -10,24 +10,24 @@ import (
 // TestRaceBuildChecksLock: in a race build a real Lock runs the check,
 // and panics before it blocks on the inversion.
 func TestRaceBuildChecksLock(t *testing.T) {
-	tgt, cmpl := Mutex{Rank: Target}, Mutex{Rank: Confirm}
-	cmpl.Lock()
-	defer cmpl.Unlock()
+	eng, rp := Mutex{Rank: Engine}, Mutex{Rank: Replica}
+	rp.Lock()
+	defer rp.Unlock()
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "acquiring tgtMu (rank 10) while holding cmplMu (rank 20)") {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "acquiring e.mu (rank 10) while holding repl.mu (rank 35)") {
 			t.Errorf("panic = %v, want the inversion", r)
 		}
 	}()
-	tgt.Lock()
+	eng.Lock()
 }
 
 // TestRaceBuildChecksPark: a park with a ranked lock held panics.
 func TestRaceBuildChecksPark(t *testing.T) {
-	tgt := Mutex{Rank: Target}
-	tgt.Lock()
-	defer tgt.Unlock()
+	eng := Mutex{Rank: Engine}
+	eng.Lock()
+	defer eng.Unlock()
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "parking while holding tgtMu") {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "parking while holding e.mu") {
 			t.Errorf("panic = %v, want the park under a lock", r)
 		}
 	}()
@@ -37,12 +37,12 @@ func TestRaceBuildChecksPark(t *testing.T) {
 // TestRaceBuildLockAllocatesNothing: the held stacks are reused, so the
 // engine's allocation pins hold in race builds too.
 func TestRaceBuildLockAllocatesNothing(t *testing.T) {
-	tgt, cmpl := Mutex{Rank: Target}, Mutex{Rank: Confirm}
+	eng, rp := Mutex{Rank: Engine}, Mutex{Rank: Replica}
 	cycle := func() {
-		tgt.Lock()
-		cmpl.Lock()
-		cmpl.Unlock()
-		tgt.Unlock()
+		eng.Lock()
+		rp.Lock()
+		rp.Unlock()
+		eng.Unlock()
 	}
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {

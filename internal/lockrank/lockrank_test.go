@@ -5,26 +5,27 @@ import (
 	"testing"
 )
 
-// engine is a miniature of core's engine with three ranked locks. held is
+// engine is a miniature of the ranked set: core's engine and replication
+// locks and the portals relay's. held is
 // the stack a race build keeps for the goroutine running each method, so
 // the same verdicts run here in every build.
 type engine struct {
-	held              stack
-	tgtMu, cmplMu, rp Mutex
+	held          stack
+	mu, rp, relay Mutex
 }
 
 func newEngine() *engine {
-	return &engine{tgtMu: Mutex{Rank: Target}, cmplMu: Mutex{Rank: Confirm}, rp: Mutex{Rank: Replica}}
+	return &engine{mu: Mutex{Rank: Engine}, rp: Mutex{Rank: Replica}, relay: Mutex{Rank: Relay}}
 }
 
 func (e *engine) lock(m *Mutex)   { e.held.acquire(m) }
 func (e *engine) unlock(m *Mutex) { e.held.release(m) }
 
-// lockTgt takes the lowest rank in a helper: calling it with a higher
+// lockEngine takes the lowest rank in a helper: calling it with a higher
 // rank held inverts the order though the Lock is in another function.
-func (e *engine) lockTgt() {
-	e.lock(&e.tgtMu)
-	defer e.unlock(&e.tgtMu)
+func (e *engine) lockEngine() {
+	e.lock(&e.mu)
+	defer e.unlock(&e.mu)
 }
 
 // TestLockOrderGolden runs each seeded mistake of the lock hierarchy
@@ -39,70 +40,70 @@ func TestLockOrderGolden(t *testing.T) {
 		want string // "" = legal
 	}{
 		{"inverted", func(e *engine) {
-			e.lock(&e.cmplMu)
-			e.lock(&e.tgtMu)
-		}, "acquiring tgtMu (rank 10) while holding cmplMu (rank 20)"},
+			e.lock(&e.rp)
+			e.lock(&e.mu)
+		}, "acquiring e.mu (rank 10) while holding repl.mu (rank 35)"},
 		{"inverted across defer", func(e *engine) {
+			e.lock(&e.relay)
+			defer e.unlock(&e.relay)
+			e.lock(&e.rp)
+		}, "acquiring repl.mu (rank 35) while holding relay.mu (rank 40)"},
+		{"relock", func(e *engine) {
+			e.lock(&e.mu)
+			e.lock(&e.mu)
+		}, "acquiring e.mu (rank 10) while holding e.mu (rank 10)"},
+		{"call inverts", func(e *engine) {
 			e.lock(&e.rp)
 			defer e.unlock(&e.rp)
-			e.lock(&e.cmplMu)
-		}, "acquiring cmplMu (rank 20) while holding repl.mu (rank 35)"},
-		{"relock", func(e *engine) {
-			e.lock(&e.tgtMu)
-			e.lock(&e.tgtMu)
-		}, "acquiring tgtMu (rank 10) while holding tgtMu (rank 10)"},
-		{"call inverts", func(e *engine) {
-			e.lock(&e.cmplMu)
-			defer e.unlock(&e.cmplMu)
-			e.lockTgt()
-		}, "acquiring tgtMu (rank 10) while holding cmplMu (rank 20)"},
+			e.lockEngine()
+		}, "acquiring e.mu (rank 10) while holding repl.mu (rank 35)"},
 		{"call relocks", func(e *engine) {
-			e.lock(&e.tgtMu)
-			defer e.unlock(&e.tgtMu)
-			e.lockTgt()
-		}, "acquiring tgtMu (rank 10) while holding tgtMu (rank 10)"},
+			e.lock(&e.mu)
+			defer e.unlock(&e.mu)
+			e.lockEngine()
+		}, "acquiring e.mu (rank 10) while holding e.mu (rank 10)"},
 		{"park under lock", func(e *engine) {
-			e.lock(&e.tgtMu)
-			defer e.unlock(&e.tgtMu)
+			e.lock(&e.mu)
+			defer e.unlock(&e.mu)
 			e.held.park()
-		}, "parking while holding tgtMu (rank 10)"},
+		}, "parking while holding e.mu (rank 10)"},
 		{"ascending", func(e *engine) {
-			e.lock(&e.tgtMu)
-			e.lock(&e.cmplMu)
+			e.lock(&e.mu)
 			e.lock(&e.rp)
+			e.lock(&e.relay)
+			e.unlock(&e.relay)
 			e.unlock(&e.rp)
-			e.unlock(&e.cmplMu)
-			e.unlock(&e.tgtMu)
+			e.unlock(&e.mu)
 		}, ""},
 		{"sequential", func(e *engine) {
-			e.lock(&e.rp)
-			e.unlock(&e.rp)
-			e.lock(&e.tgtMu)
-			e.unlock(&e.tgtMu)
+			e.lock(&e.relay)
+			e.unlock(&e.relay)
+			e.lock(&e.mu)
+			e.unlock(&e.mu)
 		}, ""},
 		{"call ascends", func(e *engine) {
-			e.lockTgt()
-			e.lock(&e.cmplMu)
-			e.unlock(&e.cmplMu)
+			e.lockEngine()
+			e.lock(&e.rp)
+			e.unlock(&e.rp)
 		}, ""},
 		{"released out of order", func(e *engine) {
-			e.lock(&e.tgtMu)
-			e.lock(&e.cmplMu)
-			e.unlock(&e.tgtMu)
-			e.unlock(&e.cmplMu)
-			e.lockTgt()
+			e.lock(&e.mu)
+			e.lock(&e.rp)
+			e.unlock(&e.mu)
+			e.unlock(&e.rp)
+			e.lockEngine()
 		}, ""},
 		{"park after release", func(e *engine) {
-			e.lock(&e.cmplMu)
-			e.unlock(&e.cmplMu)
+			e.lock(&e.rp)
+			e.unlock(&e.rp)
 			e.held.park()
 		}, ""},
 		{"another goroutine's stack", func(e *engine) {
-			e.lock(&e.cmplMu)
-			defer e.unlock(&e.cmplMu)
+			e.lock(&e.rp)
+			defer e.unlock(&e.rp)
 			var spawned stack // a spawned goroutine holds nothing of its parent's
-			spawned.acquire(&e.tgtMu)
-			spawned.release(&e.tgtMu)
+			spawned.acquire(&e.mu)
+			spawned.release(&e.mu)
 			spawned.park()
 		}, ""},
 	} {

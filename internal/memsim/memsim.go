@@ -35,9 +35,9 @@ package memsim
 
 import (
 	"fmt"
-	"sync"
 
 	"mpi3rma/internal/datatype"
+	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/stats"
 )
 
@@ -98,7 +98,7 @@ type Memory struct {
 	// under both models. It is the only lock: remote accesses arrive one
 	// at a time under the rank's NIC delivery token, so striping the store
 	// would buy no concurrency, only more lock cycles per landing.
-	mu sync.Mutex
+	mu lockrank.Plain
 	// data backs bytes [0, len(data)); the rest of [0, cfg.Size) has never
 	// been touched and reads as zero. span grows it.
 	data []byte
