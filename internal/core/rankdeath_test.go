@@ -639,3 +639,64 @@ func TestRankDeathFreesCoarseLock(t *testing.T) {
 		}
 	})
 }
+
+// TestRankDeathFlushReleasesCoarseLock: a replicating target whose buddy
+// dies holds a coarse-locked atomic put's completion deferred behind the
+// buddy's acknowledgement, and with it the lock release the put carries.
+// The failure's flush runs that completion off the delivery token, so the
+// release must go through the token (race builds assert it); once it has,
+// a second coarse-locked put is granted the lock and lands.
+func TestRankDeathFlushReleasesCoarseLock(t *testing.T) {
+	const (
+		target, buddy, origin = 0, 1, 2
+		killAt                = vtime.Time(time.Millisecond) // after the mirror, before the put
+		tagDesc, tagDone      = 1, 2
+	)
+	plan := &simnet.FaultPlan{Seed: 44, RankKills: []simnet.RankKill{{Rank: buddy, At: killAt}}}
+	w := newWorld(t, runtime.Config{Ranks: 3, Faults: plan})
+	runBounded(t, w, 30*time.Second, func(p *runtime.Proc) {
+		e := Attach(p, Options{Atomicity: serializer.MechCoarseLock})
+		if err := e.EnableReplication(); err != nil {
+			t.Errorf("rank %d: enable replication: %v", p.Rank(), err)
+			return
+		}
+		switch p.Rank() {
+		case target:
+			tm, _ := e.ExposeNew(8)
+			rdMirrored(p, buddy)
+			p.Send(origin, tagDesc, tm.Encode())
+			p.Recv(origin, tagDone)
+			if got := p.Mem().Snapshot(e.lookupExposure(tm.Handle).region.Offset, 8); string(got) != "second.." {
+				t.Errorf("target word = %q, want the second atomic put's", got)
+			}
+			if grants, _ := e.LockStats(); grants != 2 {
+				t.Errorf("%d lock grants, want 2", grants)
+			}
+			if h := e.lock.Holder(); h != -1 {
+				t.Errorf("lock ends held by rank %d", h)
+			}
+		case buddy:
+			rdAwaitReplica(t, p, e, target)
+			// Dead from killAt on: the put's replica is never acknowledged.
+		case origin:
+			enc, _ := p.Recv(target, tagDesc)
+			tm, err := DecodeTargetMem(enc)
+			if err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			defer p.Send(target, tagDone, nil)
+			p.NIC().CPU().AdvanceTo(killAt)
+			src := p.Alloc(8)
+			for _, word := range []string{"first...", "second.."} {
+				p.WriteLocal(src, 0, []byte(word))
+				if _, err := e.Put(src, 8, datatype.Byte, tm, 0, 8, datatype.Byte, target, p.Comm(), AttrAtomic|AttrRemoteComplete|AttrBlocking); err != nil {
+					t.Errorf("atomic put %q: %v", word, err)
+				}
+			}
+			if err := e.Complete(p.Comm(), target); err != nil {
+				t.Errorf("complete: %v", err)
+			}
+		}
+	})
+}
