@@ -12,7 +12,7 @@ CHAOS_RUN := FaultChaos|LinkFailed|ChaosSmoke|Relay|TestDelivery|FacadeWithFault
 CHAOS_PKGS := ./internal/core/ ./internal/bench/ ./internal/portals/ ./internal/memsim/ ./rma/
 RANKDEATH_RUN := RankDeath|RankKill|Replication|Membership|Spare|Postmortem
 RANKDEATH_PKGS := ./internal/core/ ./internal/simnet/ ./internal/runtime/ ./rma/
-FLAKE_RUN := Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|OnDoneExactlyOnce|StaleIDCompletesNothing|$(SCHEDULE_RUN)
+FLAKE_RUN := Postmortem|RankDeathChaosMatrix|RankKillInstantSweep|RankDeathFreesCoarseLock|RankDeathFlushReleasesCoarseLock|OnDoneExactlyOnce|StaleIDCompletesNothing|$(SCHEDULE_RUN)
 FLAKE_PKGS := ./internal/core/ ./internal/memsim/
 DELIVERY_RUN := Delivery
 DELIVERY_PKGS := ./internal/portals/
@@ -191,7 +191,10 @@ benchmark-check:
 # flake looks for scheduling-dependent failures where they have been seen
 # before: the postmortem that must be on disk before the error surfaces,
 # the rank-death matrix, the kill-instant mini-sweep (which side of the
-# delivery report a kill lands on moves run to run), the request
+# delivery report a kill lands on moves run to run), the coarse-lock
+# rank-death tests (which goroutine runs the failure frame — the one that
+# confirmed the death or the token holder draining the backlog — moves
+# with the schedule, and the lock must be freed either way), the request
 # lifecycle — OnDone callbacks racing the completion that runs them, and a
 # late frame meeting the next occupant of its request's slot — the event-driven
 # chaos run whose OnDone callbacks may trail the Select that reaps the

@@ -217,17 +217,13 @@ func (c *Checker) addConflict(cf Conflict) {
 	c.conflicts = append(c.conflicts, cf)
 }
 
-// RetireOrigin is called when origin's Complete toward target returned.
-// Complete orders only that origin's own operations (the separation the
-// epoch stamp already carries), so the accesses stay live on purpose: a
-// different origin touching the same bytes later is still unsynchronized
-// with them, and dropping here would make its detection depend on
-// wall-clock scheduling. Only RetireTarget — the collective completion
-// every member participates in — closes the window for all origins.
-func (c *Checker) RetireOrigin(origin, target int) {}
-
 // RetireTarget drops every live access recorded against target, from all
-// origins — the collective completion window closed.
+// origins — the collective completion window closed. It is the only
+// retirement: an origin's Complete orders only that origin's own
+// operations (the separation the epoch stamp already carries), so their
+// accesses stay live on purpose. A different origin touching the same
+// bytes later is still unsynchronized with them, and dropping them on
+// Complete would make its detection depend on wall-clock scheduling.
 func (c *Checker) RetireTarget(target int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

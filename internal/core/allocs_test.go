@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	gort "runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -88,22 +92,77 @@ func TestAllocsTwoOriginOverlap(t *testing.T) {
 		}
 		warm := frames()
 		var m0, m1 gort.MemStats
+		rate := gort.MemProfileRate
+		gort.MemProfileRate = 1 // every allocation of the rounds has its stack
+		sites := allocSites()
 		gort.ReadMemStats(&m0)
 		for i := 0; i < rounds; i++ {
 			overlap()
 		}
 		gort.ReadMemStats(&m1)
+		grown := grownSites(sites, allocSites())
+		gort.MemProfileRate = rate
 		stop.Store(true)
 		got := (m1.Mallocs - m0.Mallocs) / rounds
 		t.Logf("%-30s %2d allocs/op", "2 origins x (100 ordered puts + complete)", got)
 		if got != 0 {
-			t.Errorf("a round of two origins' overlapping ordered puts costs %d allocs, want exactly 0", got)
+			t.Errorf("a round of two origins' overlapping ordered puts costs %d allocs, want exactly 0; allocated at:\n%s", got, grown)
 		}
 		if n := frames() - warm; n != 0 {
 			t.Errorf("%d frames allocated after warm-up, want 0: the spares cannot hold every frame out in a round", n)
 		}
 		p.Barrier()
 	})
+}
+
+// allocSites returns how many objects each stack in the memory profile
+// has allocated. The profile is published by collections and may lag one
+// behind, so it runs two first.
+func allocSites() map[string]int64 {
+	gort.GC()
+	gort.GC()
+	n, _ := gort.MemProfile(nil, true)
+	recs := make([]gort.MemProfileRecord, n)
+	for {
+		var ok bool
+		if n, ok = gort.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]gort.MemProfileRecord, n+n/4)
+	}
+	sites := make(map[string]int64, n)
+	for _, r := range recs[:n] {
+		var b strings.Builder
+		frames := gort.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f gort.Frame
+			f, more = frames.Next()
+			fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+		}
+		sites[b.String()] += r.AllocObjects
+	}
+	return sites
+}
+
+// grownSites lists, most first, the stacks whose allocation count grew
+// from before to after, leaving out allocSites' own.
+func grownSites(before, after map[string]int64) string {
+	type site struct {
+		stack string
+		n     int64
+	}
+	var grown []site
+	for stack, n := range after {
+		if d := n - before[stack]; d > 0 && !strings.Contains(stack, ".allocSites\n") {
+			grown = append(grown, site{stack, d})
+		}
+	}
+	slices.SortFunc(grown, func(a, b site) int { return cmp.Compare(b.n, a.n) })
+	var b strings.Builder
+	for _, s := range grown {
+		fmt.Fprintf(&b, "%d objects:\n%s", s.n, s.stack)
+	}
+	return b.String()
 }
 
 // TestAllocsParkedProbe pins a parked completion probe at no allocation:

@@ -46,8 +46,6 @@ type applyOp struct {
 	ok     bool        // kRMW: the access is valid
 	am     AMHandler   // kAM: the registered handler, if any
 	reply  *frame
-	// fin runs off the delivery token, in a failure's flush (replOnRankDead)
-	offToken bool
 
 	heldAt vtime.Time // arrival, for the reorder buffer's chain
 	next   *applyOp   // released successor in the ordered stream

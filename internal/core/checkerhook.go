@@ -16,10 +16,10 @@ package core
 // and the telemetry registry, so the disabled hot path pays one atomic
 // load and no allocations. The observer (internal/checker) records every
 // remote access applied at this rank as a byte interval and flags
-// conflicting overlaps; the engine reports the synchronization events
-// (Complete, CompleteCollective) that retire intervals, and stamps every
-// operation with its origin-side epoch so accesses separated by Order or
-// Complete are never paired.
+// conflicting overlaps; the engine reports the synchronization event that
+// retires intervals (CompleteCollective), and stamps every operation with
+// its origin-side epoch so accesses separated by Order or Complete are
+// never paired.
 //
 // Epochs ride in header bits the protocol does not use: hMeta bits 32..63
 // carry the origin's per-target epoch counter, which Order and Complete
@@ -109,33 +109,16 @@ type AccessRecorder interface {
 	// operations. A deposit that was lost (unexposed memory, wire bytes
 	// that do not fit the layout) touched nothing and is not recorded.
 	RecordAccess(a Access)
-	// RetireOrigin is called when origin's Complete toward target has
-	// returned: every interval origin recorded at target is now ordered
-	// before that origin's later operations (which also carry a fresh
-	// epoch). It does not synchronize origin with other origins.
-	RetireOrigin(origin, target int)
 	// RetireTarget is called by target inside CompleteCollective, after
 	// every inbound operation is applied and before the closing barrier:
 	// all intervals recorded at target are retired.
 	RetireTarget(target int)
 }
 
-// retireOrigin reports this rank's completed epoch toward the given
-// targets to the observer, if any, and advances the per-target epoch so
-// operations issued after the Complete never pair with earlier ones.
-func (e *Engine) retireOrigin(targets []int) {
-	e.advanceEpochs(targets)
-	me := e.proc.Rank()
-	for _, r := range e.observers().recorders {
-		for _, world := range targets {
-			r.RetireOrigin(me, world)
-		}
-	}
-}
-
 // advanceEpochs bumps the per-target epoch for every covered target
-// (Order's contribution to the checker: pre-Order and post-Order accesses
-// from this origin are ordered, so they must never be paired).
+// (Order's and Complete's contribution to the checker: accesses from this
+// origin before and after either are ordered, so they must never be
+// paired).
 func (e *Engine) advanceEpochs(targets []int) {
 	e.mu.Lock()
 	for _, world := range targets {

@@ -13,7 +13,6 @@ import (
 type countingRecorder struct {
 	mu       sync.Mutex
 	accesses []Access
-	retires  int
 }
 
 func (r *countingRecorder) RecordAccess(a Access) {
@@ -22,17 +21,11 @@ func (r *countingRecorder) RecordAccess(a Access) {
 	r.mu.Unlock()
 }
 
-func (r *countingRecorder) RetireOrigin(origin, target int) {
-	r.mu.Lock()
-	r.retires++
-	r.mu.Unlock()
-}
-
 func (r *countingRecorder) RetireTarget(target int) {}
 
 // TestAccessRecorderObservesApplies: an installed recorder sees every
 // applied access with the fields the checker relies on — origin, byte
-// interval, kind, epoch advanced by Order, and retirement on Complete.
+// interval, kind and epoch advanced by Order.
 func TestAccessRecorderObservesApplies(t *testing.T) {
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	rec, second := &countingRecorder{}, &countingRecorder{}
@@ -40,8 +33,7 @@ func TestAccessRecorderObservesApplies(t *testing.T) {
 		e := Attach(p, Options{})
 		comm := p.Comm()
 		// Like the facade's WithChecker: every rank reports into the same
-		// recorder — applies surface at the target, retirements at the
-		// origin.
+		// recorder — applies surface at the target.
 		// A second recorder beside it — the shape of a rank that runs the
 		// MPI-2 overlap ledger and the semantic checker at once. Both must
 		// see every access; installing one twice must not double it.
@@ -82,8 +74,8 @@ func TestAccessRecorderObservesApplies(t *testing.T) {
 	if len(rec.accesses) != 2 {
 		t.Fatalf("recorder saw %d accesses, want 2: %+v", len(rec.accesses), rec.accesses)
 	}
-	if len(second.accesses) != 2 || second.retires != rec.retires {
-		t.Errorf("the second recorder saw %d accesses and %d retires, want what the first saw (2, %d)", len(second.accesses), second.retires, rec.retires)
+	if len(second.accesses) != 2 {
+		t.Errorf("the second recorder saw %d accesses, want what the first saw (2)", len(second.accesses))
 	}
 	a, b := rec.accesses[0], rec.accesses[1]
 	if a.Disp+a.Len > b.Disp { // applied in issue order (Order between them)
@@ -100,9 +92,6 @@ func TestAccessRecorderObservesApplies(t *testing.T) {
 	}
 	if a.OpID == b.OpID {
 		t.Error("distinct singleton puts share an op id")
-	}
-	if rec.retires == 0 {
-		t.Error("Complete did not report RetireOrigin")
 	}
 }
 

@@ -81,9 +81,9 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 	if err != nil {
 		return fmt.Errorf("core: complete: %w", err)
 	}
-	// Every covered op is now applied at its target, so the checker can
-	// retire this origin's accesses there; later ops get a fresh epoch.
-	e.retireOrigin(targets)
+	// Every covered op is now applied at its target: later ops get a
+	// fresh epoch.
+	e.advanceEpochs(targets)
 	if lat := e.observers().lat; lat != nil {
 		lat[latComplete].Observe(int64(e.proc.Now() - start))
 	}

@@ -10,6 +10,7 @@ import (
 	"mpi3rma/internal/portals"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
+	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/stats"
 	"mpi3rma/internal/trace"
 	"mpi3rma/internal/vtime"
@@ -25,6 +26,7 @@ const (
 	kProbeAck  = portals.KindCoreBase + 5  // completion probe reply
 	kLockReq   = portals.KindCoreBase + 6  // coarse-grain lock request
 	kLockGrant = portals.KindCoreBase + 7  // coarse-grain lock grant
+	kFailure   = portals.KindCoreBase + 8  // a failure this rank posts itself (never on the wire)
 	kRMW       = portals.KindCoreBase + 9  // fetch-and-add / compare-and-swap
 	kRMWReply  = portals.KindCoreBase + 10 // RMW old value
 	kAM        = portals.KindCoreBase + 11 // active-message extension
@@ -52,8 +54,7 @@ const (
 
 // Message flag bits (simnet.Message.Flags) for core kinds.
 const (
-	flagUnlockAfter = 1 << 0 // release the coarse lock after applying this op; kLockReq to self: release holder hHandle
-	flagEvict       = 1 << 1 // kLockReq to self: drop dead rank hHandle from the coarse lock
+	flagUnlockAfter = 1 << 0 // release the coarse lock after applying this op
 )
 
 // RMW sub-ops carried in hMeta bits 24..31.
@@ -326,6 +327,7 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 		nic.RegisterHandler(kRebuild, e.handleRebuild)
 		nic.RegisterHandler(kRebuildDone, e.handleRebuildDone)
 		nic.RegisterHandler(kPing, e.handlePing)
+		nic.RegisterHandler(kFailure, e.handleFailure)
 		nic.SetLinkFailureHandler(e.onLinkFailed)
 		p.World().Members().Subscribe(e.onRankDead)
 		nic.SetRetransmitObserver(func(dst int, rseq uint64, attempt int, at vtime.Time) {
@@ -498,7 +500,7 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 	}
 	err := fmt.Errorf("core: %w", cause)
 	if e.recordSticky(e.failedLinks, dst, fault{err, at}) {
-		e.failOutstanding(trace.KindLinkFailed, dst, at, err)
+		e.postFailure(trace.KindLinkFailed, dst, at)
 	}
 }
 
@@ -507,16 +509,12 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 // exhaustion confirmed it). It is onLinkFailed's rank-level sibling:
 // outstanding work toward the dead rank fails in bounded time with the
 // wrapped ErrRankFailed, counter waiters and Select cases observe the
-// failure (as EvFault naming the dead rank), and —
-// before the flight recorder snapshots the postmortem — the replication
-// layer reacts (the dead rank's buddy starts the rebuild onto a spare;
-// a rank whose buddy died flushes its deferred completions).
+// failure (as EvFault naming the dead rank), the replication layer reacts
+// and the coarse lock drops the dead rank (handleFailure).
 func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: rank %d declared dead (%v): %w", dead, cause, ErrRankFailed)
 	if e.recordSticky(e.failedRanks, dead, fault{err, at}) {
-		e.replOnRankDead(dead, at)
-		e.failOutstanding(trace.KindRankDeath, dead, at, err)
-		e.evictFromLock(dead, at)
+		e.postFailure(trace.KindRankDeath, dead, at)
 	}
 }
 
@@ -537,17 +535,46 @@ func (e *Engine) recordSticky(byRank map[int]fault, rank int, f fault) bool {
 	return true
 }
 
-// failOutstanding is the ordered tail of every failure fan-out
-// (onLinkFailed, onRankDead, failEngine), run once the caller has recorded
-// the sticky error: note → AutoDump → fail requests and waiters. Evidence
-// comes first, so a caller that sees the error — in Complete, an OnDone
-// callback or a Select EvFault — and reads FlightRecorder().Dumps() finds
-// the postmortem already written. kind is the event kind noted, and its
-// name the postmortem's reason. rank selects the victims — requests,
-// pending batches and confirmation waiters toward that peer; AllRanks
-// (engine-fatal) takes every one of them. Target-side waiters are woken
-// whatever the rank: collective completion gives up on any degradation.
-func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err error) {
+// postFailure hands this rank's delivery token the failure of rank (of
+// the engine itself for AllRanks) that kind names, declared at virtual
+// time at: a frame this rank posts itself, never on the wire. Its caller
+// has recorded the sticky error, so new issues already fail fast, and the
+// frame carries nothing else.
+func (e *Engine) postFailure(kind trace.Kind, rank int, at vtime.Time) {
+	me := e.proc.Rank()
+	m := &simnet.Message{Src: me, Dst: me, Kind: kFailure, ArriveAt: at}
+	m.Hdr[hHandle] = uint64(rank)
+	m.Hdr[hMeta] = uint64(kind)
+	e.proc.NIC().Post(m)
+}
+
+// handleFailure is the one fan-out of every failure (onLinkFailed,
+// onRankDead, failEngine), run under the delivery token at the virtual
+// time the failure was declared: one cut in delivery order, after every
+// frame delivered before it. A death first reaches the replication layer,
+// so the postmortem names the promotion; then note → AutoDump → fail
+// requests and waiters → evict the dead rank from the coarse lock.
+// Evidence comes first, so a caller that the failure wakes — in Complete,
+// an OnDone callback or a Select EvFault — and that reads
+// FlightRecorder().Dumps() finds the postmortem already written. The failed rank selects the victims —
+// requests, pending batches and confirmation waiters toward that peer;
+// AllRanks (engine-fatal) takes every one of them. Target-side waiters are
+// woken whatever the rank: collective completion gives up on any
+// degradation.
+func (e *Engine) handleFailure(m *simnet.Message, _ vtime.Time) {
+	kind, rank, at := trace.Kind(m.Hdr[hMeta]), int(m.Hdr[hHandle]), m.ArriveAt
+	e.mu.Lock()
+	err := e.applyErr.err
+	switch kind {
+	case trace.KindRankDeath:
+		err = e.failedRanks[rank].err
+	case trace.KindLinkFailed:
+		err = e.failedLinks[rank].err
+	}
+	e.mu.Unlock()
+	if kind == trace.KindRankDeath {
+		e.replOnRankDead(rank, at)
+	}
 	e.record(kind, at, rank, 0, 0, 0, err)
 	e.FlightRecorder().AutoDump(kind.String(), int64(at))
 	all := rank == AllRanks
@@ -570,6 +597,11 @@ func (e *Engine) failOutstanding(kind trace.Kind, rank int, at vtime.Time, err e
 		e.settle(id, at, err) // unless answered meanwhile
 	}
 	wakeAll(woken)
+	if kind == trace.KindRankDeath && e.targetUsesCoarseLock() && rank != e.proc.Rank() {
+		// Its hold, granted with the unlock-after operation lost with it,
+		// and its queued requests.
+		e.lock.Evict(rank, at)
+	}
 }
 
 // sendProbeAck answers origin's completion probe reqID at virtual time at.

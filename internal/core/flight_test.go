@@ -128,9 +128,9 @@ func TestRankDeathPostmortem(t *testing.T) {
 		t.Fatal("promoter engine not attached")
 	}
 	// The promoter is a bystander: no error surfaces on it. Its postmortem
-	// is written by the failure fan-out, which runs on the rank goroutine
-	// whose quiet step detected the death, so it is on disk by the time
-	// Run has returned.
+	// is written by the failure frame the quiet step that detected the
+	// death posts to it, which runs on a rank goroutine before that
+	// goroutine goes on, so it is on disk by the time Run has returned.
 	files := eng.FlightRecorder().Dumps()
 	if len(files) != 1 {
 		t.Fatalf("promoter produced %d postmortems, want exactly 1 for the death", len(files))

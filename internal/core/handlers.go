@@ -116,9 +116,7 @@ func (e *Engine) finishApply(r *applyOp, attrs Attr, end vtime.Time) int64 {
 		// delivery counter (the ack above already carries it).
 		e.sendNotify(m.Src, 0, count, end, r.atomic)
 	}
-	if m.Flags&flagUnlockAfter != 0 && r.offToken {
-		e.lockByToken(flagUnlockAfter, m.Src, end)
-	} else if m.Flags&flagUnlockAfter != 0 {
+	if m.Flags&flagUnlockAfter != 0 {
 		e.releaseLockLocal(m.Src, end)
 	}
 	e.emit(trace.KindApply, end, m.Src, m.Hdr[hReq], int64(len(m.Payload)), int64(r.cost))

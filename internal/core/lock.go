@@ -17,7 +17,7 @@ import (
 // after the update on unordered networks — and a separate one could not
 // help an issue whose send failed after the grant, as that send's link is
 // down. A holder or waiter that dies is evicted once its death is
-// confirmed (evictFromLock).
+// confirmed (handleFailure).
 
 // acquireLock blocks until the target's process-level lock is granted to
 // this rank.
@@ -37,18 +37,11 @@ func (e *Engine) acquireLock(world int) error {
 
 // handleLockReq queues or grants the process-level lock. Handlers hold the
 // NIC's delivery token, so they drive the state machine one at a time. The
-// request's frame goes home before the grant is sent. A request this rank
-// sent itself carries a death or a holder's release instead (lockByToken).
+// request's frame goes home before the grant is sent.
 func (e *Engine) handleLockReq(m *simnet.Message, at vtime.Time) {
-	origin, reqID, flags, peer := m.Src, m.Hdr[hReq], m.Flags, int(m.Hdr[hHandle])
+	origin, reqID := m.Src, m.Hdr[hReq]
 	e.consume(m)
-	if flags&flagEvict != 0 {
-		e.lock.Evict(peer, at)
-	} else if flags&flagUnlockAfter != 0 {
-		e.releaseLockLocal(peer, at)
-	} else {
-		e.lock.AcquireTagged(origin, reqID, at, e.grantLock)
-	}
+	e.lock.AcquireTagged(origin, reqID, at, e.grantLock)
 }
 
 // sendGrant grants the lock to origin's request reqID at virtual time at.
@@ -65,27 +58,9 @@ func (e *Engine) handleLockGrant(m *simnet.Message, at vtime.Time) {
 	e.settle(id, at, nil)
 }
 
-// evictFromLock frees this rank's coarse lock of a rank confirmed dead:
-// the lock it holds — granted, with its unlock-after operation lost with
-// it — and its queued requests.
-func (e *Engine) evictFromLock(dead int, at vtime.Time) {
-	if e.targetUsesCoarseLock() && dead != e.proc.Rank() {
-		e.lockByToken(flagEvict, dead, at)
-	}
-}
-
-// lockByToken sends the coarse lock, driven only under the delivery token,
-// peer's death (flagEvict) or the release of peer's hold (flagUnlockAfter,
-// from a failure's flush) as a lock request this rank sends itself.
-func (e *Engine) lockByToken(flag uint8, peer int, at vtime.Time) {
-	m := e.newMsg(e.proc.Rank(), kLockReq, 0)
-	m.Flags = flag
-	m.Hdr[hHandle] = uint64(peer)
-	e.sendReplyNIC(at, m)
-}
-
-// releaseLockLocal releases origin's hold under the delivery token: in the
-// handler that applied an unlock-after operation, or for lockByToken.
+// releaseLockLocal releases origin's hold under the delivery token, once
+// its unlock-after operation is applied: in the handler that applied it,
+// or in the failure handler that flushes its deferred completion.
 func (e *Engine) releaseLockLocal(origin int, at vtime.Time) {
 	e.proc.NIC().AssertToken("the coarse lock")
 	if err := e.lock.Release(origin, at); err != nil {

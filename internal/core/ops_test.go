@@ -126,7 +126,10 @@ func TestGetLandingSkipsHoles(t *testing.T) {
 // one locked memory pass. One origin puts the benchmark's strided shape,
 // 8 x Vector(8,1,2,Int64), with every payload word equal to v, for v =
 // 1..N, while the target rank reads the whole extent locally in a loop:
-// every snapshot's 64 payload words must be equal. It also counts the
+// every snapshot's 64 payload words must be equal. The reads overlap the
+// puts by construction: the reader counts each read as it starts, and the
+// origin issues its next put only once a read has started after the last
+// one returned, so reads and landings interleave. It also counts the
 // landings: each put is one remote write at the target, and a strided Get
 // back is one at the origin.
 func TestStridedLandingIsAtomicToLocalReads(t *testing.T) {
@@ -139,6 +142,7 @@ func TestStridedLandingIsAtomicToLocalReads(t *testing.T) {
 			words = append(words, off+i*k.Width())
 		}
 	})
+	var reads atomic.Int64 // local reads started
 	w := newWorld(t, runtime.Config{Ranks: 2})
 	runBounded(t, w, time.Minute, func(p *runtime.Proc) {
 		e := Attach(p, Options{})
@@ -150,6 +154,7 @@ func TestStridedLandingIsAtomicToLocalReads(t *testing.T) {
 			snap := make([]byte, ext)
 			torn, seen := 0, map[uint64]bool{}
 			for last := uint64(0); last != puts; {
+				reads.Add(1)
 				if err := p.Mem().LocalRead(region.Offset, snap); err != nil {
 					t.Errorf("local read: %v", err)
 					panic("strided landing: local read failed")
@@ -191,7 +196,10 @@ func TestStridedLandingIsAtomicToLocalReads(t *testing.T) {
 				t.Errorf("put %d: %v", v, err)
 				panic("strided landing: put failed")
 			}
-			pollYield()
+			// The reader stops once it has seen the last put.
+			for started := reads.Load(); v < puts && reads.Load() == started; {
+				pollYield()
+			}
 		}
 		if err := e.Complete(comm, 0); err != nil {
 			t.Errorf("complete: %v", err)

@@ -579,15 +579,31 @@ func TestRankKillInstantSweep(t *testing.T) {
 // target's lock held by a dead rank. Once the death is confirmed the
 // target evicts it, so a live origin's blocking atomic put to that live
 // target is granted the lock and lands; without the eviction it waits for
-// a grant that never comes and the world wedges.
+// a grant that never comes and the world wedges. The eviction is the
+// target's own business, so it holds when the target's link to itself
+// drops every frame.
 func TestRankDeathFreesCoarseLock(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		links map[simnet.LinkKey]simnet.LinkFaults
+	}{
+		{"kill", nil},
+		{"self-link-drops-all", map[simnet.LinkKey]simnet.LinkFaults{{Src: 0, Dst: 0}: {Drop: 1}}},
+	} {
+		t.Run(row.name, func(t *testing.T) { rdFreesCoarseLock(t, row.links) })
+	}
+}
+
+// rdFreesCoarseLock runs TestRankDeathFreesCoarseLock's world, its plan
+// faulting links as well as killing the victim.
+func rdFreesCoarseLock(t *testing.T, links map[simnet.LinkKey]simnet.LinkFaults) {
 	const (
 		victim, survivor = 1, 2
 		killAt           = vtime.Time(time.Millisecond) // well after the victim's grant
 		tagDesc          = 1
 		tagDone          = 2
 	)
-	plan := &simnet.FaultPlan{Seed: 43, RankKills: []simnet.RankKill{{Rank: victim, At: killAt}}}
+	plan := &simnet.FaultPlan{Seed: 43, RankKills: []simnet.RankKill{{Rank: victim, At: killAt}}, Links: links}
 	w := newWorld(t, runtime.Config{Ranks: 3, Faults: plan})
 	runBounded(t, w, 30*time.Second, func(p *runtime.Proc) {
 		e := Attach(p, Options{Atomicity: serializer.MechCoarseLock})

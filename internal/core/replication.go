@@ -348,7 +348,7 @@ func (e *Engine) handleReplAck(m *simnet.Message, at vtime.Time) {
 }
 
 // replOnRankDead is the replication layer's reaction to a confirmed
-// death, invoked from onRankDead before the flight recorder snapshots its
+// death, run by handleFailure before the flight recorder snapshots its
 // postmortem (so the dump already names the promotion). Two independent
 // roles may apply to this engine:
 //
@@ -385,9 +385,8 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 	}
 	st.mu.Unlock()
 
-	// Flush first, off the token: completion must not wait on a dead buddy.
+	// Flush first: completion must not wait on a dead buddy.
 	for _, d := range flushed {
-		d.op.offToken = true
 		d.op.fin(vtime.Later(d.end, at))
 	}
 	if orphaned {
@@ -405,7 +404,7 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 // are rekeyed to the spare, which resumes replicating to this rank at
 // exactly the version the replica already holds — continued protection
 // with zero extra transfer. The promotion is recorded in the flight
-// recorder's rank-death report before onRankDead dumps the postmortem.
+// recorder's rank-death report before handleFailure dumps the postmortem.
 func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 	members := e.proc.World().Members()
 	spare, ok := members.AllocSpare(dead)
@@ -590,7 +589,8 @@ func (e *Engine) finishRebuild(dead, promoter int, at vtime.Time) {
 // live peer's NIC relay-acks it; a dead peer blackholes it, the relay
 // exhausts its budget in the quiet steps that follow, and the ordinary
 // detection path — onLinkFailed, membership Suspect against RAS ground
-// truth, onRankDead fan-out — fails the stalled work with ErrRankFailed.
+// truth, onRankDead's failure frame — fails the stalled work with
+// ErrRankFailed.
 
 // pingStalled is the engine's quiet hook (runtime.Proc.OnQuiet): it pings
 // each peer this engine waits on, at most RetryPolicy.Budget times — the

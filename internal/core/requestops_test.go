@@ -159,9 +159,8 @@ func TestProgressQuantumDelays(t *testing.T) {
 // depositRecorder is an AccessRecorder that forwards each applied access.
 type depositRecorder func(Access)
 
-func (f depositRecorder) RecordAccess(a Access)         { f(a) }
-func (depositRecorder) RetireOrigin(origin, target int) {}
-func (depositRecorder) RetireTarget(target int)         {}
+func (f depositRecorder) RecordAccess(a Access) { f(a) }
+func (depositRecorder) RetireTarget(target int) {}
 
 // TestDepositHook: a diagnostic access recorder sees source, handle,
 // displacement and length of every deposit (what the MPI-2 overlap ledger

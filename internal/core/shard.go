@@ -119,6 +119,6 @@ func (e *Engine) failEngine(err error) {
 	}
 	e.mu.Unlock()
 	if first {
-		e.failOutstanding(trace.KindApplyFault, AllRanks, at, err)
+		e.postFailure(trace.KindApplyFault, AllRanks, at)
 	}
 }

@@ -221,6 +221,11 @@ func (n *NIC) SendAck(at vtime.Time, m *simnet.Message, software bool) (vtime.Ti
 	return n.Send(at, m)
 }
 
+// Post hands m, which this rank addressed to itself, to the delivery token
+// as an arrival: it runs in order with the messages before it. It never
+// touches the network, so no stamp, count, fault or blackhole reaches it.
+func (n *NIC) Post(m *simnet.Message) { n.offer(m) }
+
 // Stop stops delivery. It waits out a delivery in progress and drops the
 // backlog and every later arrival. Stop is idempotent.
 func (n *NIC) Stop() {
