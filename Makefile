@@ -75,8 +75,9 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke fuzzes, 5 s each, past their seed corpora: the datatype
-# codec, the run cursor, the cached layout plans against the cursor, and
-# core's put-frame and batch parsers, which decode types from the wire. Go
+# codec, the run cursor, the cached layout plans against the cursor,
+# core's put-frame and batch parsers, which decode types from the wire,
+# and the in-order stream, whose numbers come off the wire too. Go
 # runs one fuzz target per invocation; a failing input is written under the
 # package's testdata/fuzz to replay.
 fuzz-smoke:
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 5s ./internal/datatype/
 	$(GO) test -run '^$$' -fuzz '^FuzzPutPayloadFrame$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchUnpack$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 5s ./internal/portals/
 
 # allocs runs the per-primitive allocation tables — the engine's, the
 # facade's and the services' (dht, dht/queue), each row asserted == its

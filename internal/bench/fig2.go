@@ -7,7 +7,6 @@ import (
 
 	"mpi3rma/internal/core"
 	"mpi3rma/internal/datatype"
-	"mpi3rma/internal/memsim"
 	"mpi3rma/internal/runtime"
 	"mpi3rma/internal/serializer"
 )
@@ -68,9 +67,6 @@ type PutsCompleteConfig struct {
 	Unordered bool
 	// SoftwareAcks disables hardware acknowledgement generation (E4).
 	SoftwareAcks bool
-	// NonCoherentTarget gives rank 0 an NEC-SX-style non-coherent memory
-	// (E5).
-	NonCoherentTarget bool
 	// TargetPolls models, for MechProgress, how often the target enters
 	// the library: deferred atomic operations apply at the next multiple
 	// of this virtual interval (required for MechProgress cells, E8).
@@ -101,32 +97,24 @@ type PutsCompleteConfig struct {
 // PutsCompleteOutcome reports one cell's measurements and counters.
 type PutsCompleteOutcome struct {
 	Row Row
-	// Msgs and Bytes are total network traffic.
-	Msgs, Bytes int64
+	// Msgs is total network traffic.
+	Msgs int64
 	// LockGrants and LockContended describe the coarse lock, if used.
 	LockGrants, LockContended int64
 	// SoftAcks counts software acknowledgements.
 	SoftAcks int64
-	// TargetStaleReads and TargetInvalidations describe the non-coherent
-	// target's cache behaviour, if used.
-	TargetStaleReads, TargetInvalidations int64
-	// TargetFences counts explicit memory fences at the target.
-	TargetFences int64
 	// HeldOps counts ordered operations buffered out-of-order.
 	HeldOps int64
 	// LogicalOps counts operations carried by the wire messages (> Msgs
 	// when aggregation is on).
 	LogicalOps int64
-	// Batches, Notifies and FastPaths describe the batching/notified-
-	// completion machinery, summed over the origins.
-	Batches, Notifies, FastPaths int64
-	// Retries, RetransmitBytes, DupDropped and CorruptRejected describe
-	// the reliable-delivery relay, non-zero only when a fault plan or
-	// retry policy is installed via WorldConfig.
-	Retries, RetransmitBytes, DupDropped, CorruptRejected int64
-	// FaultsInjected totals the drops, duplicates, delays and corruptions
-	// the fault plan injected.
-	FaultsInjected int64
+	// Batches and FastPaths describe the batching/notified-completion
+	// machinery, summed over the origins.
+	Batches, FastPaths int64
+	// Retries counts the reliable-delivery relay's retransmissions,
+	// non-zero only when a fault plan or retry policy is installed via
+	// WorldConfig.
+	Retries int64
 	// Telemetry is the cell's merged metrics/trace sidecar, non-nil only
 	// when harness telemetry is on (SetTelemetry).
 	Telemetry *TelemetrySummary
@@ -149,14 +137,6 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 		UnorderedNet: cfg.Unordered,
 		SoftwareAcks: cfg.SoftwareAcks,
 		Seed:         42,
-	}
-	if cfg.NonCoherentTarget {
-		wcfg.Coherence = func(rank int) memsim.Coherence {
-			if rank == 0 {
-				return memsim.NonCoherentWriteThrough
-			}
-			return memsim.Coherent
-		}
 	}
 	if cfg.WorldConfig != nil {
 		cfg.WorldConfig(&wcfg)
@@ -246,9 +226,6 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 					out.Verified = false
 				}
 			}
-			out.TargetStaleReads = p.Mem().StaleReads.Value()
-			out.TargetInvalidations = p.Mem().Invalidates.Value()
-			out.TargetFences = p.Mem().Fences.Value()
 			out.LockGrants, out.LockContended = lockStats(e)
 			out.HeldOps = e.HeldOps.Value()
 			return
@@ -281,7 +258,6 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 		meas.record(p.Now() - startVT)
 		outMu.Lock()
 		out.Batches += e.Batches.Value()
-		out.Notifies += e.Notifies.Value()
 		out.FastPaths += e.FastPaths.Value()
 		outMu.Unlock()
 		p.Barrier()
@@ -291,15 +267,9 @@ func RunPutsComplete(cfg PutsCompleteConfig) PutsCompleteOutcome {
 	}
 	out.Row = meas.row("", cfg.Size)
 	out.Msgs = w.Net().Msgs.Value()
-	out.Bytes = w.Net().Bytes.Value()
 	out.LogicalOps = w.Net().LogicalOps.Value()
 	out.SoftAcks = softAckTotal(w)
 	out.Retries = w.Net().Retries.Value()
-	out.RetransmitBytes = w.Net().RetransmitBytes.Value()
-	out.DupDropped = w.Net().DupDropped.Value()
-	out.CorruptRejected = w.Net().CorruptRejected.Value()
-	out.FaultsInjected = w.Net().FaultsDropped.Value() + w.Net().FaultsDuplicated.Value() +
-		w.Net().FaultsDelayed.Value() + w.Net().FaultsCorrupted.Value()
 	out.Telemetry = col.summary()
 	return out
 }

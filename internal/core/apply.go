@@ -48,7 +48,6 @@ type applyOp struct {
 	reply  *frame
 
 	heldAt vtime.Time // arrival, for the reorder buffer's chain
-	next   *applyOp   // released successor in the ordered stream
 
 	// free marks a record fin has released. Every stage checks it; the
 	// recycle-safety test also quarantines consumed frames, so that a

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/lockrank"
@@ -183,8 +182,8 @@ func (e *Engine) flushTarget(world int) {
 		return
 	}
 	e.mu.Lock()
-	ts := e.targets[world]
-	if ts == nil || len(ts.ring.reqs) == 0 {
+	ts := &e.targets[world]
+	if len(ts.ring.reqs) == 0 {
 		e.mu.Unlock()
 		return
 	}
@@ -262,13 +261,12 @@ func (e *Engine) Flush() {
 	}
 	e.mu.Lock()
 	var worlds []int
-	for w, ts := range e.targets {
-		if len(ts.ring.reqs) > 0 {
+	for w := range e.targets {
+		if len(e.targets[w].ring.reqs) > 0 {
 			worlds = append(worlds, w)
 		}
 	}
 	e.mu.Unlock()
-	sort.Ints(worlds)
 	for _, w := range worlds {
 		e.flushTarget(w)
 	}

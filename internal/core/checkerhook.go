@@ -122,7 +122,7 @@ type AccessRecorder interface {
 func (e *Engine) advanceEpochs(targets []int) {
 	e.mu.Lock()
 	for _, world := range targets {
-		ts := e.targetLocked(world)
+		ts := &e.targets[world]
 		if ts.sent > 0 {
 			ts.chkEpoch++
 		}

@@ -47,7 +47,7 @@ func (e *Engine) Complete(comm *runtime.Comm, tranks ...int) error {
 		e.cover(world)
 		e.mu.Lock()
 		f := e.stickyLocked(world)
-		ts := e.targetLocked(world)
+		ts := &e.targets[world]
 		sent, will := ts.sent, ts.willConfirm
 		e.mu.Unlock()
 		if err = f.err; err != nil {
@@ -115,9 +115,7 @@ func (e *Engine) CompleteCollective(comm *runtime.Comm) error {
 	e.mu.Lock()
 	for j, world := range members {
 		e.cover(world)
-		if ts := e.targets[world]; ts != nil {
-			binary.LittleEndian.PutUint64(mine[8*j:], uint64(ts.sent))
-		}
+		binary.LittleEndian.PutUint64(mine[8*j:], uint64(e.targets[world].sent))
 	}
 	e.mu.Unlock()
 	rows := comm.Gather(0, mine)
@@ -189,7 +187,7 @@ func (e *Engine) Order(comm *runtime.Comm, tranks ...int) error {
 	}
 	e.mu.Lock()
 	for _, world := range targets {
-		ts := e.targetLocked(world)
+		ts := &e.targets[world]
 		if ts.sent > 0 {
 			ts.fencePending = true
 		}
@@ -261,7 +259,7 @@ func (e *Engine) ask(world int, kind uint8, arg uint64) (*Request, error) {
 func (e *Engine) fence(world int) error {
 	e.mu.Lock()
 	f := e.stickyLocked(world)
-	ts := e.targetLocked(world)
+	ts := &e.targets[world]
 	sent, will := ts.sent, ts.willConfirm
 	e.mu.Unlock()
 	if f.err != nil {

@@ -136,13 +136,6 @@ type originTarget struct {
 	ring issueRing // batched ops waiting for this target's next aggregate
 }
 
-// reorderBuf holds ordered-stream ops that arrived out of order, each
-// record stamped with its own arrival (applyOp.heldAt).
-type reorderBuf struct {
-	expected uint64 // sequence number of the last op let through
-	held     map[uint64]*applyOp
-}
-
 // Engine is one rank's strawman RMA engine. Obtain it with Attach; there
 // is exactly one per rank (it owns the rank's core message handlers).
 type Engine struct {
@@ -162,7 +155,7 @@ type Engine struct {
 	free    []int32         // free slots of slab
 	reqSeq  uint64          // the last request or batch id's sequence number
 	loose   []atomic.Uint64 // per target: requests unobserved and uncovered (request.go)
-	targets map[int]*originTarget
+	targets []originTarget  // per target, by world rank
 
 	// Read-mostly tables, written under mu (table): the exposures, which
 	// the token holder reads on every apply, the per-communicator default
@@ -208,7 +201,7 @@ type Engine struct {
 	// Token-only state, which only the delivery token's holder touches
 	// (AssertToken): each origin's early ordered arrivals, its apply lane
 	// for non-atomic updates, and the coarse-lock serializer's lane.
-	reorder    map[int]*reorderBuf
+	reorder    []portals.Stream[*applyOp]
 	lanes      []vtime.Clock
 	atomicLane vtime.Clock
 
@@ -284,16 +277,19 @@ func Attach(p *runtime.Proc, opts Options) *Engine {
 			mu:             lockrank.Mutex{Rank: lockrank.Engine},
 			bell:           p.NewBell(),
 			opts:           opts.withDefaults(),
-			targets:        make(map[int]*originTarget),
+			targets:        make([]originTarget, p.World().TotalRanks()),
 			loose:          make([]atomic.Uint64, p.World().TotalRanks()),
 			confirmed:      make([]watermark, p.World().TotalRanks()),
 			pendingBatches: make(map[uint64]*pendingBatch),
 			failedLinks:    make(map[int]fault),
 			failedRanks:    make(map[int]fault),
 			applied:        make([]watermark, p.World().TotalRanks()),
-			reorder:        make(map[int]*reorderBuf),
+			reorder:        make([]portals.Stream[*applyOp], p.World().TotalRanks()),
 			lanes:          make([]vtime.Clock, p.World().TotalRanks()),
 			lock:           serializer.NewLockState(),
+		}
+		for i := range e.targets {
+			e.targets[i].ring.max = e.opts.BatchOps
 		}
 		e.doneReq.e, e.doneReq.done = e, true
 		e.grantLock = e.sendGrant
@@ -392,17 +388,6 @@ func (t *table[K, V]) set(k K, v V, drop bool) {
 		delete(next, k)
 	}
 	t.p.Store(&next)
-}
-
-// target returns (creating if needed) the origin-side state for a world
-// rank. Caller must hold e.mu.
-func (e *Engine) targetLocked(world int) *originTarget {
-	t := e.targets[world]
-	if t == nil {
-		t = &originTarget{ring: issueRing{max: e.opts.BatchOps}}
-		e.targets[world] = t
-	}
-	return t
 }
 
 // applyCost models the virtual time of depositing n payload bytes.

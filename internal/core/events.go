@@ -161,11 +161,8 @@ func (e *Engine) Select(comm *runtime.Comm, cases ...SelectCase) (int, Event, er
 			th := c.threshold
 			if c.kind == selQuiescent {
 				e.flushTarget(world)
-				th = 0
 				e.mu.Lock()
-				if ts := e.targets[world]; ts != nil {
-					th = ts.sent
-				}
+				th = e.targets[world].sent
 				e.mu.Unlock()
 			}
 			res[i] = SelectCase{kind: c.kind, rank: world, threshold: th}

@@ -23,36 +23,17 @@ func (e *Engine) gateOrdered(r *applyOp, at vtime.Time) {
 	}
 	r.heldAt = at
 	e.proc.NIC().AssertToken("the reorder buffer")
-	rb := e.reorder[src]
-	if rb == nil {
-		rb = &reorderBuf{held: make(map[uint64]*applyOp)}
-		e.reorder[src] = rb
-	}
-	if seq != rb.expected+1 {
-		rb.held[seq] = r
+	rb := &e.reorder[src]
+	if !rb.Offer(seq, r) {
 		e.HeldOps.Inc()
 		return
 	}
-	// This op is next; it may release a run of held successors, chained
-	// behind it in stream order.
-	rb.expected = seq
-	for tail := r; ; tail = tail.next {
-		h, ok := rb.held[rb.expected+1]
-		if !ok {
-			break
-		}
-		rb.expected++
-		delete(rb.held, rb.expected)
-		tail.next = h
-	}
-	// A held op cannot start before the op that released it.
-	chain := vtime.Time(0)
-	for r != nil {
-		next := r.next
-		r.next = nil
+	// This op is next; it may release a run of held successors, each
+	// starting no earlier than the op that released it.
+	chain := at
+	for ok := true; ok; r, ok = rb.Next() {
 		chain = vtime.Later(chain, r.heldAt)
 		r.start(chain) // r may be released by the time this returns
-		r = next
 	}
 }
 

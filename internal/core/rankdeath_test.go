@@ -109,7 +109,7 @@ func rdAwaitReplica(t *testing.T, p *runtime.Proc, e *Engine, owner int) {
 	e.repl.mu.Lock()
 	held := false
 	for key, r := range e.repl.replicas {
-		held = held || key.owner == owner && r.size > 0 && r.next > 1
+		held = held || key.owner == owner && r.size > 0 && r.versions.Base() > 0
 	}
 	e.repl.mu.Unlock()
 	if !held {

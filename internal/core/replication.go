@@ -6,6 +6,7 @@ import (
 
 	"mpi3rma/internal/lockrank"
 	"mpi3rma/internal/memsim"
+	"mpi3rma/internal/portals"
 	"mpi3rma/internal/simnet"
 	"mpi3rma/internal/telemetry"
 	"mpi3rma/internal/trace"
@@ -64,12 +65,12 @@ type replUpd struct {
 	data []byte
 }
 
-// replica is the buddy-side mirror of one exposed region.
+// replica is the buddy-side mirror of one exposed region. Its versions
+// start at 1; the stream's base is the last one applied.
 type replica struct {
-	size int
-	buf  []byte
-	next uint64 // next version to apply (versions start at 1)
-	held map[uint64]replUpd
+	size     int
+	buf      []byte
+	versions portals.Stream[replUpd]
 }
 
 // apply lands one update, growing the buffer for updates that outrun the
@@ -140,7 +141,7 @@ func (st *replState) init() {
 func (st *replState) replicaLocked(key replKey) *replica {
 	r := st.replicas[key]
 	if r == nil {
-		r = &replica{next: 1, held: make(map[uint64]replUpd)}
+		r = &replica{}
 		st.replicas[key] = r
 	}
 	return r
@@ -299,22 +300,16 @@ func (e *Engine) handleReplUpdate(m *simnet.Message, at vtime.Time) {
 	disp := int(m.Hdr[hDisp])
 	st.mu.Lock()
 	r := st.replicaLocked(key)
-	if v == r.next {
-		r.apply(disp, m.Payload)
-		r.next++
-		for {
-			u, ok := r.held[r.next]
-			if !ok {
-				break
-			}
-			delete(r.held, r.next)
-			r.apply(u.disp, u.data)
-			r.next++
+	if !r.versions.Seen(v) {
+		u := replUpd{disp: disp, data: m.Payload}
+		if v != r.versions.Base()+1 {
+			u.data = slices.Clone(u.data) // held past the frame's consumption
 		}
-	} else if v > r.next {
-		r.held[v] = replUpd{disp: disp, data: append([]byte(nil), m.Payload...)}
+		for ok := r.versions.Offer(v, u); ok; u, ok = r.versions.Next() {
+			r.apply(u.disp, u.data)
+		}
 	}
-	ackv := r.next - 1
+	ackv := r.versions.Base()
 	st.mu.Unlock()
 	ack := e.newMsg(m.Src, kReplAck, 0)
 	ack.Hdr[hHandle] = m.Hdr[hHandle]
@@ -426,12 +421,10 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 		if r.size > len(r.buf) {
 			r.buf = append(r.buf, make([]byte, r.size-len(r.buf))...)
 		}
-		if r.next-1 > maxV {
-			maxV = r.next - 1
-		}
+		maxV = max(maxV, r.versions.Base())
 		m := e.newMsg(spare, kRebuild, len(r.buf))
 		m.Hdr[hHandle] = key.handle
-		m.Hdr[hCount] = r.next - 1
+		m.Hdr[hCount] = r.versions.Base()
 		m.Hdr[hDisp] = uint64(dead)
 		copy(m.Payload, r.buf)
 		frames = append(frames, m)

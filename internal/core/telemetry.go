@@ -160,12 +160,11 @@ type PairCounters struct {
 func (e *Engine) PairCounters(world int) PairCounters {
 	var pc PairCounters
 	e.mu.Lock()
-	if ts := e.targets[world]; ts != nil {
-		pc.Sent = ts.sent
-		pc.Batched = ts.batched
-		pc.Singleton = ts.singleton
-		pc.WillConfirm = ts.willConfirm
-	}
+	ts := &e.targets[world]
+	pc.Sent = ts.sent
+	pc.Batched = ts.batched
+	pc.Singleton = ts.singleton
+	pc.WillConfirm = ts.willConfirm
 	pc.Confirmed = e.confirmed[world].count
 	e.mu.Unlock()
 	return pc

@@ -242,7 +242,7 @@ func (e *Engine) issue(target int, attrs Attr, latKind uint8, m *frame, land lan
 		e.mu.Unlock()
 		return nil, f.err
 	}
-	ts := e.targetLocked(target)
+	ts := &e.targets[target]
 	// A singleton must not overtake ring-held operations, and a pending
 	// Order stalls the issue until the target confirms what came before.
 	if flush, fence := m != nil && len(ts.ring.reqs) > 0, ts.fencePending; flush || fence {

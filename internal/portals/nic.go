@@ -111,7 +111,7 @@ type NIC struct {
 	// only under the delivery token. linkFail and retransObs are the
 	// optional callbacks the layer above installs (see relay.go).
 	relay      atomic.Pointer[relay]
-	rx         map[int]*rxLink
+	rx         []Stream[*simnet.Message] // by source rank
 	linkFail   atomic.Pointer[func(dst int, at vtime.Time, err error)]
 	retransObs atomic.Pointer[func(dst int, rseq uint64, attempt int, at vtime.Time)]
 
@@ -141,6 +141,7 @@ func NewNIC(ep *simnet.Endpoint, mem *memsim.Memory, cfg Config) *NIC {
 		cfg:     cfg,
 		pending: make(map[uint8][]*simnet.Message),
 		table:   make(map[int]*MD),
+		rx:      make([]Stream[*simnet.Message], ep.Ranks()),
 	}
 	n.registerPortalsHandlers()
 	ep.SetInline(n.offer)

@@ -130,50 +130,6 @@ type relay struct {
 	links map[int]*txLink
 }
 
-// dedupWindow tracks which RSeqs of one link have been delivered. It is
-// compact — a contiguous base plus a sparse set above it — and safe
-// across uint64 wraparound (comparisons are signed distances, so a
-// window that straddles 2^64 keeps working; the fuzz test pins this
-// against a map-based oracle).
-type dedupWindow struct {
-	// base: every RSeq in (base-2^63, base] has been delivered.
-	base uint64
-	// seen marks delivered RSeqs ahead of base.
-	seen map[uint64]bool
-}
-
-// dup reports whether seq was already delivered.
-func (w *dedupWindow) dup(seq uint64) bool {
-	return int64(seq-w.base) <= 0 || w.seen[seq]
-}
-
-// admit records seq as delivered, folding the sparse set into base when
-// the stream becomes contiguous. Callers check dup first.
-func (w *dedupWindow) admit(seq uint64) {
-	if seq == w.base+1 {
-		w.base++
-		for w.seen[w.base+1] {
-			w.base++
-			delete(w.seen, w.base)
-		}
-		return
-	}
-	if w.seen == nil {
-		w.seen = make(map[uint64]bool)
-	}
-	w.seen[seq] = true
-}
-
-// rxLink is the receive state from one source rank.
-type rxLink struct {
-	// win dedups delivered RSeqs; on ordered networks the stream is
-	// delivered contiguously so win.base alone carries the state.
-	win dedupWindow
-	// held parks out-of-order frames awaiting reassembly (ordered
-	// networks only), keyed by RSeq.
-	held map[uint64]*simnet.Message
-}
-
 // EnableReliability turns on the transmit relay: every subsequent
 // NIC.Send/NIC.SendNIC is sequence-stamped, checksummed and retransmitted
 // until acknowledged. runtime.NewWorld calls it on every NIC when the
@@ -408,57 +364,38 @@ func (n *NIC) rxAdmit(m *simnet.Message) {
 		n.ep.Network().CorruptRejected.Inc()
 		return
 	}
-	if n.rx == nil {
-		n.rx = make(map[int]*rxLink)
-	}
-	l := n.rx[m.Src]
-	if l == nil {
-		l = &rxLink{}
-		n.rx[m.Src] = l
+	s := &n.rx[m.Src]
+	if s.Seen(m.RSeq) {
+		n.ep.Network().DupDropped.Inc()
+		n.sendRelAck(m.Src, m.RSeq, s.Base(), m.ArriveAt) // re-ack: first ack may be lost
+		return
 	}
 	if !n.ep.Ordered() {
 		// Unordered network: dedup only; the layers above already cope
-		// with arbitrary arrival order.
-		if l.win.dup(m.RSeq) {
-			n.ep.Network().DupDropped.Inc()
-			n.sendRelAck(m.Src, m.RSeq, l.win.base, m.ArriveAt) // re-ack: first ack may be lost
-			return
+		// with arbitrary arrival order. An early frame holds nil, which
+		// marks it seen.
+		if s.Offer(m.RSeq, nil) {
+			for _, ok := s.Next(); ok; _, ok = s.Next() {
+			}
 		}
-		l.win.admit(m.RSeq)
-		n.sendRelAck(m.Src, m.RSeq, l.win.base, m.ArriveAt)
+		n.sendRelAck(m.Src, m.RSeq, s.Base(), m.ArriveAt)
 		n.dispatchKind(m)
 		return
 	}
 	// Ordered network: deliver the RSeq stream contiguously so
-	// retransmission cannot break the wire's FIFO promise.
-	if l.win.dup(m.RSeq) || l.held[m.RSeq] != nil {
-		n.ep.Network().DupDropped.Inc()
-		n.sendRelAck(m.Src, m.RSeq, l.win.base, m.ArriveAt)
+	// retransmission cannot break the wire's FIFO promise. With the
+	// reassembly window full an early frame is dropped unacknowledged; the
+	// origin retransmits it after the gap heals.
+	if m.RSeq != s.Base()+1 && s.Held() >= DefaultRetryWindow {
 		return
 	}
-	if m.RSeq != l.win.base+1 {
-		if len(l.held) >= DefaultRetryWindow {
-			// Reassembly window full: drop unacknowledged; the origin
-			// retransmits after the gap heals.
-			return
-		}
-		if l.held == nil {
-			l.held = make(map[uint64]*simnet.Message)
-		}
-		l.held[m.RSeq] = m
-		n.sendRelAck(m.Src, m.RSeq, l.win.base, m.ArriveAt)
+	next := s.Offer(m.RSeq, m)
+	n.sendRelAck(m.Src, m.RSeq, s.Base(), m.ArriveAt)
+	if !next {
 		return
 	}
-	l.win.base++
-	n.sendRelAck(m.Src, m.RSeq, l.win.base, m.ArriveAt)
 	n.dispatchKind(m)
-	for {
-		h := l.held[l.win.base+1]
-		if h == nil {
-			return
-		}
-		delete(l.held, l.win.base+1)
-		l.win.base++
+	for h, ok := s.Next(); ok; h, ok = s.Next() {
 		n.dispatchKind(h)
 	}
 }

@@ -12,36 +12,81 @@ import (
 	"mpi3rma/internal/vtime"
 )
 
-// FuzzDedupWindow pins the compact dedup window against a map-based
-// oracle: same duplicate verdicts, including across uint64 wraparound,
-// duplicate bursts, and replays from far below the base.
-func FuzzDedupWindow(f *testing.F) {
+// FuzzStream pins Stream against a map-based oracle: same Seen verdicts,
+// including across uint64 wraparound, duplicate bursts, and replays from
+// far below the base. Every number is let through exactly once and in
+// increasing order, and once base+1…base+n have all been offered, in any
+// order, the base is base+n and nothing is held.
+func FuzzStream(f *testing.F) {
 	f.Add(uint64(0), []byte{1, 2, 3, 2, 1})
 	f.Add(uint64(0), []byte{5, 4, 3, 2, 1, 1, 2, 3})
 	f.Add(^uint64(0)-3, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // straddles 2^64
 	f.Add(^uint64(0), []byte{0x80, 0x7f, 1, 0xff, 2})   // replays below base
 	f.Fuzz(func(t *testing.T, start uint64, deltas []byte) {
-		w := dedupWindow{base: start}
+		s := Stream[uint64]{base: start}
 		oracle := map[uint64]bool{}
+		var through []uint64
 		for _, d := range deltas {
 			// Signed delta around the starting base: negatives are
 			// out-of-window replays, positives new or repeated seqs.
 			seq := start + uint64(int64(int8(d)))
-			wantDup := int64(seq-start) <= 0 || oracle[seq]
-			if got := w.dup(seq); got != wantDup {
-				t.Fatalf("dup(%d) = %v, oracle says %v (start %d)", seq, got, wantDup, start)
+			wantSeen := int64(seq-start) <= 0 || oracle[seq]
+			if got := s.Seen(seq); got != wantSeen {
+				t.Fatalf("Seen(%d) = %v, oracle says %v (start %d)", seq, got, wantSeen, start)
 			}
-			if !wantDup {
-				w.admit(seq)
-				oracle[seq] = true
+			if wantSeen {
+				continue
+			}
+			oracle[seq] = true
+			if s.Offer(seq, seq) {
+				through = append(through, seq)
+				for v, ok := s.Next(); ok; v, ok = s.Next() {
+					through = append(through, v)
+				}
 			}
 		}
-		// Nothing admitted is ever forgotten (folding into base must not
+		// Nothing offered is ever forgotten (folding into base must not
 		// lose coverage).
 		for seq := range oracle {
-			if !w.dup(seq) {
-				t.Fatalf("admitted seq %d no longer reported as duplicate", seq)
+			if !s.Seen(seq) {
+				t.Fatalf("offered seq %d no longer reported as seen", seq)
 			}
+		}
+		// What went through is exactly start+1…base, in order, and the
+		// rest of what was offered is held.
+		for i, seq := range through {
+			if seq != start+uint64(i)+1 {
+				t.Fatalf("let through %v, want start+1, start+2, … (start %d)", through, start)
+			}
+		}
+		if s.Base() != start+uint64(len(through)) || s.Held() != len(oracle)-len(through) {
+			t.Fatalf("base %d held %d after letting %d of %d through (start %d)", s.Base(), s.Held(), len(through), len(oracle), start)
+		}
+		// The release property: offering a permutation of start+1…start+n
+		// (n = len(deltas), shuffled by the deltas) lets each number
+		// through once, in increasing order, and leaves nothing held.
+		perm := make([]uint64, len(deltas))
+		for i := range perm {
+			perm[i] = start + uint64(i) + 1
+		}
+		for i, d := range deltas {
+			j := i + int(d)%(len(perm)-i)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		p := Stream[uint64]{base: start}
+		want := start
+		for _, seq := range perm {
+			if p.Seen(seq) {
+				t.Fatalf("Seen(%d) before it was offered (start %d)", seq, start)
+			}
+			for v, ok := seq, p.Offer(seq, seq); ok; v, ok = p.Next() {
+				if want++; v != want {
+					t.Fatalf("let %d through, want %d (start %d, order %v)", v, want, start, perm)
+				}
+			}
+		}
+		if p.Base() != start+uint64(len(perm)) || p.Held() != 0 {
+			t.Fatalf("after a permutation of start+1…start+%d: base %d held %d (start %d)", len(perm), p.Base(), p.Held(), start)
 		}
 	})
 }
